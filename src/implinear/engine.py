@@ -8,6 +8,16 @@ trained under a mask with exactly q * per_round coordinates pruned, before
 that round's own prune is applied.  Everything an auditor needs to replay
 the run is kept in the trace.
 
+Two exact paths train a round.  The eigendecomposition path factorizes the
+restricted covariance Sigma_A every round and solves the flow in its
+eigenbasis; it handles every horizon and singular Sigma_A.  At the infinite
+horizon with every eigenvalue of the full Sigma above the rank tolerance,
+the trained weights are Sigma_A^{-1} b_A, and by Cauchy interlacing every
+later Sigma_A is nonsingular too.  Then only round 0 is factorized, and each
+later round removes the pruned block from the previous round's inverse and
+weights by a Schur-complement downdate in O(m^2): IMP as backward greedy
+elimination (Couvreur & Bresler, SIAM J. Matrix Anal. Appl. 21(3), 2000).
+
 Indices are 0-based throughout.
 """
 
@@ -19,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .designs import FeatureSet
-from .flow import INFINITE, Horizon, closed_form_weights, normalize_horizon
-from .linalg import sym_eig
+from .flow import INFINITE, Horizon, closed_form_weights, is_infinite, normalize_horizon
+from .linalg import SymEig, pseudo_inverse, sym_eig
 
 TIE_BREAK_RULES = ("lowest_index", "highest_index")
 
@@ -102,12 +112,21 @@ class ImpConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Mask before this round's prune, the trained vector, and what was pruned."""
+    """Mask before this round's prune, the trained vector, and what was pruned.
+
+    On the downdate path, `eig` is the factorization of Sigma_A on the rounds
+    that seed the downdate (round 0, and any round refactorized after
+    drift), and `inverse` is Sigma_A^{-1} on the downdated rounds, indexed
+    like `mask.active_indices()`.  Both are None on the eigendecomposition
+    path, and neither is serialized.
+    """
 
     mask: PruneMask
     weights: np.ndarray
     pruned: tuple[int, ...]
     pruned_magnitudes: tuple[float, ...]
+    eig: SymEig | None = None
+    inverse: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -133,6 +152,38 @@ def _select_prune(
         m = magnitudes.shape[0]
         order = np.lexsort((-np.arange(m), magnitudes))
     return order[:count]
+
+
+def _downdate(
+    inverse: np.ndarray, weights: np.ndarray, drop: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Remove the local coordinates `drop` from Sigma_A^{-1} and its weights.
+
+    With C = Sigma_A^{-1}, J the dropped and K the kept coordinates, the
+    smaller inverse is the Schur complement C_KK - C_KJ C_JJ^{-1} C_JK and the
+    retrained weights are w_K - C_KJ C_JJ^{-1} w_J.  Both go through the
+    Cholesky factor L of C_JJ: with [G | g] = L^{-1} [C_JK | w_J] they are
+    C_KK - G^T G and w_K - G^T g.  Returns None when C_JJ is not positive
+    definite, the sign of accumulated drift.
+    """
+    keep = np.ones(weights.shape[0], dtype=bool)
+    keep[drop] = False
+    kept = np.flatnonzero(keep)
+    rows = inverse[drop]
+    pivot = rows[:, drop]
+    rhs = np.column_stack((rows[:, kept], weights[drop]))
+    if pivot.shape[0] == 1:  # scalar Cholesky; `not >` also rejects NaN
+        if not pivot[0, 0] > 0.0:
+            return None
+        g = rhs / np.sqrt(pivot[0, 0])
+    else:
+        try:
+            g = np.linalg.solve(np.linalg.cholesky(pivot), rhs)
+        except np.linalg.LinAlgError:
+            return None
+    g_c, g_w = g[:, :-1], g[:, -1]
+    smaller = inverse[kept[:, None], kept] - g_c.T @ g_c
+    return (smaller + smaller.T) / 2.0, weights[kept] - g_c.T @ g_w
 
 
 def run_imp(
@@ -163,14 +214,26 @@ def run_imp(
     mask = PruneMask.full(p)
     rounds: list[RoundRecord] = []
     final_weights = np.zeros(p)
+    # The downdate path needs an infinite horizon and a nonsingular round-0
+    # factorization; it stays on while every later refactorization is
+    # nonsingular too, which interlacing guarantees up to roundoff.
+    exact_path = is_infinite(config.horizon)
+    inverse = None  # Sigma_A^{-1} of the current active set on the downdate path
     for k in range(q + 1):
         active_idx = mask.active_indices()
         w0_active = w_init[active_idx]
         if init_hook is not None:
             init_hook(k, active_idx, w0_active)
 
-        eig = sym_eig(cov.restrict(active_idx), config.rank_tol)
-        w_active = closed_form_weights(eig, data_vec[active_idx], w0_active, config.horizon)
+        eig = None
+        if inverse is not None:
+            inverse, w_active = _downdate(inverse, w_active, local) or (None, None)
+        if inverse is None:
+            eig = sym_eig(cov.restrict(active_idx), config.rank_tol)
+            w_active = closed_form_weights(eig, data_vec[active_idx], w0_active, config.horizon)
+            exact_path = exact_path and bool(eig.nonzero_mask().all())
+            if not exact_path:
+                eig = None  # the eigendecomposition path keeps no factorization
 
         weights = np.zeros(p)
         weights[active_idx] = w_active
@@ -179,10 +242,19 @@ def run_imp(
         magnitudes = tuple(float(abs(weights[i])) for i in pruned)
 
         rounds.append(
-            RoundRecord(mask=mask, weights=weights, pruned=pruned, pruned_magnitudes=magnitudes)
+            RoundRecord(
+                mask=mask,
+                weights=weights,
+                pruned=pruned,
+                pruned_magnitudes=magnitudes,
+                eig=eig,
+                inverse=inverse,
+            )
         )
         if k == q:
             final_weights = weights
+        elif eig is not None:
+            inverse = pseudo_inverse(eig)
         mask = mask.prune(pruned)
 
     return ImpTrace(rounds=tuple(rounds), final_weights=final_weights)

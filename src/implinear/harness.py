@@ -14,7 +14,6 @@ nondeterministic column in the CSV output.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -394,19 +393,31 @@ def _build_problem(spec: ExperimentSpec, seed: int, n: int) -> SparseProblem:
 def _audit_rounds(
     problem: SparseProblem, trace: ImpTrace
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-round smallest nonzero eigenvalue and recoverability residual."""
+    """Per-round smallest nonzero eigenvalue and recoverability residual.
+
+    Rounds the engine factorized reuse its eigendecomposition when it kept
+    one, and are refactorized otherwise.  A downdated round is checked with
+    the engine's Sigma_A^{-1}, so its residual also measures downdate drift;
+    its eigenvalue entry is the previous round's, a lower bound by Cauchy
+    interlacing, so the minimum over rounds is the exact one.
+    """
     cov = problem.features.covariance
     eigs: list[float] = []
     residuals: list[float] = []
     for rec in trace.rounds:
         idx = rec.mask.active_indices()
         sub = cov.restrict(idx)
-        eig = sym_eig(sub)
-        try:
-            eigs.append(min_nonzero_eig(eig))
-        except ValueError:
-            eigs.append(float("nan"))
-        chk = check_recoverable(sub, problem.signal[idx], tol=RECOVERY_TOL, eig=eig)
+        if rec.inverse is not None:
+            eigs.append(eigs[-1])
+            chk = check_recoverable(sub, problem.signal[idx], tol=RECOVERY_TOL,
+                                    inverse=rec.inverse)
+        else:
+            eig = rec.eig if rec.eig is not None else sym_eig(sub)
+            try:
+                eigs.append(min_nonzero_eig(eig))
+            except ValueError:
+                eigs.append(float("nan"))
+            chk = check_recoverable(sub, problem.signal[idx], tol=RECOVERY_TOL, eig=eig)
         residuals.append(chk.residual)
     return tuple(eigs), tuple(residuals)
 
@@ -996,8 +1007,3 @@ def replay_trial(spec: ExperimentSpec, trial: int) -> tuple[str, bool | None]:
                 return row, row_without_wall_ms(line) == row_without_wall_ms(row)
     raise ConfigError(f"trial {trial} not found in {csv_path}")
 
-
-def read_trials_csv(path: str | Path) -> list[dict]:
-    """Parse trials.csv rows into dictionaries (strings preserved)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))

@@ -103,12 +103,12 @@ class SymEig:
 def sym_eig(cov: CovMatrix, rank_tol: float | None = None) -> SymEig:
     """Eigendecompose a covariance with the deterministic sign convention."""
     lam, vec = np.linalg.eigh(cov.entries)
-    vec = vec.copy()
-    for j in range(vec.shape[1]):
-        col = vec[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0.0:
-            vec[:, j] = -col
+    if vec.size:
+        big = np.abs(vec) > 1e-12
+        first = np.argmax(big, axis=0)
+        cols = np.arange(vec.shape[1])
+        flip = big[first, cols] & (vec[first, cols] < 0.0)
+        vec[:, flip] = -vec[:, flip]
     if rank_tol is None:
         rank_tol = default_rank_tol(lam, cov.p, cov.source_n)
     if rank_tol < 0.0:

@@ -143,16 +143,15 @@ def check_onp(
         raise ValueError("support indices out of range")
     eig = sym_eig(cov, rank_tol)
     null = eig.null_basis()
-    gens = _cone_generators(cov.p, support)
-    if null.shape[1] == 0 or gens.shape[1] == 0:
-        max_violation = 0.0
-    else:
-        max_violation = float(np.max(np.abs(null.T @ gens)))
+    k = support.size
+    max_violation = 0.0
+    if null.shape[1] and k:  # build the generators only when there is a nullspace to test
+        max_violation = float(np.max(np.abs(null.T @ _cone_generators(cov.p, support))))
     return OnpReport(
         holds=max_violation <= tol,
         null_dim=int(null.shape[1]),
         max_violation=max_violation,
-        generators_checked=int(gens.shape[1]),
+        generators_checked=k * (2 * (cov.p - k) + 1),
         vacuous=bool(support.size == 0 and null.shape[1] > 0),
     )
 
@@ -163,19 +162,21 @@ def check_recoverable(
     tol: float = 1e-10,
     rank_tol: float | None = None,
     eig=None,
+    inverse: np.ndarray | None = None,
 ) -> RecoveryCheck:
     """Does the restricted signal survive projection onto range(Ups)?
 
     residual = ||Ups^+ Ups s_A - s_A||_inf; ok when it is at most tol.  The
     pruning guarantee needs this to hold at every round.  A precomputed
-    eigendecomposition of cov_active may be passed to avoid refactorizing.
+    eigendecomposition of cov_active, or its precomputed (pseudo-)inverse,
+    may be passed to avoid refactorizing; the inverse takes precedence.
     """
     s_active = np.asarray(s_active, dtype=float)
     if s_active.shape != (cov_active.p,):
         raise ValueError("signal restriction must match the covariance dimension")
-    if eig is None:
-        eig = sym_eig(cov_active, rank_tol)
-    projected = pseudo_inverse(eig) @ (cov_active.entries @ s_active)
+    if inverse is None:
+        inverse = pseudo_inverse(eig if eig is not None else sym_eig(cov_active, rank_tol))
+    projected = inverse @ (cov_active.entries @ s_active)
     residual = float(np.max(np.abs(projected - s_active))) if s_active.size else 0.0
     return RecoveryCheck(ok=residual <= tol, residual=residual)
 

@@ -4,7 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from implinear import harness as harness_module
+from implinear.engine import ImpConfig, run_imp
 from implinear.harness import (
+    RECOVERY_TOL,
     ConfigError,
     DesignSpec,
     ExperimentSpec,
@@ -26,7 +29,8 @@ from implinear.harness import (
     trial_csv_row,
     uniform_corr_separation_margin,
 )
-from implinear.theory import recovery_sample_size
+from implinear.linalg import sym_eig
+from implinear.theory import check_recoverable, recovery_sample_size
 
 
 def recovery_spec(**overrides):
@@ -217,6 +221,74 @@ class TestSupportRecovery:
         assert len(traces) == 5
         trace0 = json.loads(traces[0].read_text())
         assert len(trace0["rounds"]) == spec.design.p - spec.signal.k + 1
+
+
+NONSINGULAR_DESIGNS = (
+    DesignSpec(kind="orthonormal", p=12),
+    DesignSpec(kind="incoherent", p=12, n=14),
+    DesignSpec(kind="incoherent", p=12, n=200),
+    DesignSpec(kind="uniform_corr", p=12, n=48, alpha=0.99),
+    DesignSpec(kind="uniform_corr", p=12, n=48, alpha=0.9999),
+)
+
+
+def problem_and_trace(spec, t):
+    """Rebuild trial t's problem and IMP trace the way recovery_trial does."""
+    seed = spec.base_seed + t
+    n, _, _ = resolve_sample_size(spec, seed, spec.signal.gamma, recovery_sample_size)
+    problem = harness_module._build_problem(spec, seed, n)
+    config = ImpConfig(horizon=spec.imp.engine_horizon(),
+                       prune_rounds=spec.design.p - spec.signal.k)
+    return problem, run_imp(problem.features, config)
+
+
+def count_audit_sym_eig(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].p)
+        return sym_eig(*args, **kwargs)
+
+    monkeypatch.setattr(harness_module, "sym_eig", counted)
+    return calls
+
+
+class TestAuditRounds:
+    @pytest.mark.parametrize("design", NONSINGULAR_DESIGNS, ids=lambda d: f"{d.kind}-{d.n}-{d.alpha}")
+    def test_min_eig_is_the_full_spectrum_minimum(self, design):
+        spec = recovery_spec(design=design, trials=3)
+        for t in range(3):
+            rec = recovery_trial(spec, t)
+            problem, trace = problem_and_trace(spec, t)
+            full = sym_eig(problem.features.covariance)
+            assert rec.min_nz_eig == full.eigenvalues[0]
+            slack = 1e-12 * full.eigenvalues[-1]
+            for rnd in trace.rounds:
+                sub = problem.features.covariance.restrict(rnd.mask.active_indices())
+                assert rec.min_nz_eig <= np.linalg.eigvalsh(sub.entries)[0] + slack
+
+    @pytest.mark.parametrize("design", NONSINGULAR_DESIGNS, ids=lambda d: f"{d.kind}-{d.n}-{d.alpha}")
+    def test_downdated_rounds_reuse_the_engine(self, monkeypatch, design):
+        spec = recovery_spec(design=design)
+        problem, trace = problem_and_trace(spec, 1)
+        calls = count_audit_sym_eig(monkeypatch)
+        eigs, residuals = harness_module._audit_rounds(problem, trace)
+        assert calls == []
+        assert len(eigs) == len(residuals) == len(trace.rounds)
+        for rnd, residual in zip(trace.rounds, residuals):
+            idx = rnd.mask.active_indices()
+            fresh = check_recoverable(problem.features.covariance.restrict(idx),
+                                      problem.signal[idx], tol=RECOVERY_TOL)
+            assert residual <= RECOVERY_TOL
+            assert residual == pytest.approx(fresh.residual, abs=1e-10)
+
+    def test_finite_horizon_audit_refactorizes_every_round(self, monkeypatch):
+        spec = recovery_spec(imp=ImpSpec(horizon=5.0))
+        problem, trace = problem_and_trace(spec, 0)
+        calls = count_audit_sym_eig(monkeypatch)
+        eigs, _ = harness_module._audit_rounds(problem, trace)
+        assert len(calls) == len(trace.rounds)
+        assert min(eigs) == pytest.approx(1.0)
 
 
 class TestReplay:

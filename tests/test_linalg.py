@@ -90,6 +90,20 @@ class TestSymEig:
             first = col[np.abs(col) > 1e-12][0]
             assert first > 0.0
 
+    def test_sign_fix_matches_column_loop(self):
+        # reference: flip each column whose first entry above 1e-12 is negative
+        rng = np.random.default_rng(12)
+        for p, rank in ((1, 1), (6, 6), (9, 4), (15, 15), (12, 1)):
+            cov = random_psd(rng, p, rank)
+            lam, vec = np.linalg.eigh(cov.entries)
+            for j in range(p):
+                nz = np.flatnonzero(np.abs(vec[:, j]) > 1e-12)
+                if nz.size and vec[nz[0], j] < 0.0:
+                    vec[:, j] = -vec[:, j]
+            eig = sym_eig(cov)
+            assert np.array_equal(eig.eigenvalues, lam)
+            assert np.array_equal(eig.eigenvectors, vec)
+
     def test_rank_tol_default_scales_with_spectrum(self):
         eig = sym_eig(CovMatrix(np.diag([4.0, 0.0]), 10))
         assert eig.rank_tol == pytest.approx(default_rank_tol(np.array([4.0]), 2, 10))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from implinear import theory as theory_module
 from implinear.designs import (
     gen_incoherent_design,
     gen_orthonormal_design,
@@ -12,6 +13,7 @@ from implinear.designs import (
 from implinear.linalg import CovMatrix
 from implinear.theory import (
     BoundInputs,
+    OnpReport,
     check_onp,
     check_recoverable,
     concentration_sample_size,
@@ -58,6 +60,27 @@ class TestCheckOnp:
     def test_support_bounds_checked(self):
         with pytest.raises(ValueError, match="out of range"):
             check_onp(CovMatrix(np.eye(2), 2), [5])
+
+    def test_full_rank_counts_generators_without_building_them(self, monkeypatch):
+        build = theory_module._cone_generators
+
+        def forbidden(*args):
+            raise AssertionError("generators built for an empty nullspace")
+
+        monkeypatch.setattr(theory_module, "_cone_generators", forbidden)
+        for p, support in ((6, [1, 4]), (5, []), (3, [0, 1, 2])):
+            rep = check_onp(CovMatrix(np.eye(p), p), support)
+            gens = build(p, np.asarray(support, dtype=int))
+            assert rep == OnpReport(holds=True, null_dim=0, max_violation=0.0,
+                                    generators_checked=gens.shape[1], vacuous=False)
+
+    def test_generator_count_matches_the_generator_matrix(self):
+        cov = CovMatrix(np.diag([1.0, 0.0, 2.0, 3.0, 0.5]), 5)  # null_dim 1
+        for support in ([0], [0, 2], [0, 2, 3, 4], []):
+            rep = check_onp(cov, support)
+            gens = theory_module._cone_generators(5, np.asarray(support, dtype=int))
+            assert rep.generators_checked == gens.shape[1]
+            assert rep.null_dim == 1
 
 
 class TestCheckRecoverable:
