@@ -22,6 +22,7 @@ from .harness import (
     run_concentration_check,
     run_heuristic_equivalence,
     run_support_recovery,
+    validate_spec,
 )
 
 EXIT_PASS = 0
@@ -87,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = _apply_overrides(load_spec(args.config), args)
+        validate_spec(spec)  # the overrides too
         expected = _KIND_FOR_COMMAND.get(args.command)
         if expected is not None and spec.kind != expected:
             raise ConfigError(

@@ -10,8 +10,8 @@ trials.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -107,8 +107,7 @@ def gen_orthonormal_design(n: int, p: int, seed: int) -> FeatureSet:
 
     Phi = sqrt(n) Q for Q with orthonormal columns, which needs n >= p.
     """
-    if n < p:
-        raise ValueError(f"orthonormal design needs n >= p, got n={n}, p={p}")
+    check_design("orthonormal", p, n)
     rng = make_rng(seed, STREAM_DESIGN)
     q = _orthonormal_columns(rng, n, p)
     return FeatureSet.from_phi(np.sqrt(n) * q)
@@ -116,10 +115,7 @@ def gen_orthonormal_design(n: int, p: int, seed: int) -> FeatureSet:
 
 def gen_uniform_corr_design(n: int, p: int, alpha: float, seed: int) -> FeatureSet:
     """Design whose covariance is (1 - alpha) I + alpha 11^T, alpha in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if n < p:
-        raise ValueError(f"uniform-correlation design needs n >= p, got n={n}, p={p}")
+    check_design("uniform_corr", p, n, alpha)
     rng = make_rng(seed, STREAM_DESIGN)
     q = _orthonormal_columns(rng, n, p)
     target = (1.0 - alpha) * np.eye(p) + alpha * np.ones((p, p))
@@ -138,8 +134,7 @@ def gen_incoherent_design(n: int, p: int, seed: int) -> tuple[FeatureSet, float]
     Returns the FeatureSet and its measured pairwise incoherence.  A zero
     column (probability zero) triggers a redraw from the same stream.
     """
-    if n < 1 or p < 1:
-        raise ValueError("need n >= 1 and p >= 1")
+    check_design("incoherent", p, n)
     rng = make_rng(seed, STREAM_DESIGN)
     for _ in range(64):
         phi = rng.standard_normal((n, p))
@@ -153,6 +148,85 @@ def gen_incoherent_design(n: int, p: int, seed: int) -> tuple[FeatureSet, float]
     return fs, pairwise_incoherence(fs.covariance)
 
 
+@dataclass(frozen=True)
+class DesignKind:
+    """What the experiments need to know about one covariance regime.
+
+    `draw(n, p, seed, alpha)` returns the design with targets unset.
+    `min_eig(alpha)` is the smallest covariance eigenvalue in closed form,
+    or None when it has to be measured on a draw.  `needs_alpha` and
+    `full_rank` (n >= p) are the rules `check_design` enforces.
+    """
+
+    draw: Callable[[int, int, int, float | None], FeatureSet]
+    min_eig: Callable[[float | None], float] | None
+    needs_alpha: bool
+    full_rank: bool
+
+
+# The draws look their generator up by name when called, so a wrapper
+# installed on this module's generator names sees every draw.
+DESIGNS = {
+    "orthonormal": DesignKind(
+        draw=lambda n, p, seed, alpha: gen_orthonormal_design(n, p, seed),
+        min_eig=lambda alpha: 1.0,
+        needs_alpha=False,
+        full_rank=True,
+    ),
+    "uniform_corr": DesignKind(
+        draw=lambda n, p, seed, alpha: gen_uniform_corr_design(n, p, alpha, seed),
+        min_eig=lambda alpha: 1.0 - alpha,
+        needs_alpha=True,
+        full_rank=True,
+    ),
+    "incoherent": DesignKind(
+        draw=lambda n, p, seed, alpha: gen_incoherent_design(n, p, seed)[0],
+        min_eig=None,
+        needs_alpha=False,
+        full_rank=False,
+    ),
+}
+DESIGN_KINDS = tuple(DESIGNS)
+
+
+def check_design(
+    kind: str, p: int, n: int | None = None, alpha: float | None = None
+) -> DesignKind:
+    """Raise ValueError unless the named design can be drawn at (n, p, alpha).
+
+    n=None stands for a sample size still to be derived, which callers make
+    at least p.
+    """
+    rule = DESIGNS.get(kind)
+    if rule is None:
+        raise ValueError(f"unknown design kind {kind!r}; expected one of {DESIGN_KINDS}")
+    if p < 1 or (n is not None and n < 1):
+        raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+    if rule.needs_alpha and (alpha is None or not 0.0 < alpha < 1.0):
+        raise ValueError(f"{kind} design needs alpha in (0, 1), got {alpha}")
+    if rule.full_rank and n is not None and n < p:
+        raise ValueError(f"{kind} design needs n >= p, got n={n}, p={p}")
+    return rule
+
+
+def check_signal(p: int, k: int, gamma: float, amplitude_law: str) -> None:
+    """Raise ValueError unless `gen_sparse_signal` accepts these parameters."""
+    if not 1 <= k <= p:
+        raise ValueError(f"need 1 <= k <= p, got k={k}, p={p}")
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    if amplitude_law not in AMPLITUDE_LAWS:
+        raise ValueError(f"unknown amplitude_law {amplitude_law!r}")
+
+
+def check_noise(kind: str, sigma: float) -> None:
+    """Raise ValueError unless `sample_noise` accepts these parameters."""
+    if sigma < 0.0:
+        raise ValueError("sigma must be nonnegative")
+    if kind not in NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}")
+
+
 def gen_sparse_signal(
     p: int, k: int, gamma: float, amplitude_law: str, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -162,12 +236,7 @@ def gen_sparse_signal(
     "uniform" draws from [gamma, 2*gamma], "rademacher" puts +/-gamma with
     fair signs.  Returns (signal, sorted support indices).
     """
-    if not 1 <= k <= p:
-        raise ValueError(f"need 1 <= k <= p, got k={k}, p={p}")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    if amplitude_law not in AMPLITUDE_LAWS:
-        raise ValueError(f"unknown amplitude_law {amplitude_law!r}")
+    check_signal(p, k, gamma, amplitude_law)
     rng = make_rng(seed, STREAM_SIGNAL)
     support = np.sort(rng.choice(p, size=k, replace=False))
     s = np.zeros(p)
@@ -182,10 +251,7 @@ def gen_sparse_signal(
 
 def sample_noise(kind: str, sigma: float, n: int, seed: int) -> np.ndarray:
     """Zero-mean noise with sub-Gaussian variance proxy at most sigma^2."""
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    if kind not in NOISE_KINDS:
-        raise ValueError(f"unknown noise kind {kind!r}")
+    check_noise(kind, sigma)
     rng = make_rng(seed, STREAM_NOISE)
     if kind == "gaussian":
         return sigma * rng.standard_normal(n)
@@ -213,17 +279,7 @@ def assemble_problem(
     """
     if k < 1:
         raise ValueError("the support must be nonempty (k >= 1)")
-    if design_kind == "orthonormal":
-        features = gen_orthonormal_design(n, p, seed)
-    elif design_kind == "uniform_corr":
-        if alpha is None:
-            raise ValueError("uniform_corr design needs alpha")
-        features = gen_uniform_corr_design(n, p, alpha, seed)
-    elif design_kind == "incoherent":
-        features, _ = gen_incoherent_design(n, p, seed)
-    else:
-        raise ValueError(f"unknown design kind {design_kind!r}")
-
+    features = check_design(design_kind, p, n, alpha).draw(n, p, seed, alpha)
     signal, support = gen_sparse_signal(p, k, gamma, amplitude_law, seed)
     xi = sample_noise(noise_kind, sigma, n, seed)
     y = features.phi @ signal + xi
@@ -237,53 +293,3 @@ def assemble_problem(
         seed=int(seed),
     )
 
-
-def feature_set_to_dict(fs: FeatureSet) -> dict:
-    return {
-        "phi": fs.phi.tolist(),
-        "targets": None if fs.targets is None else fs.targets.tolist(),
-    }
-
-
-def feature_set_from_dict(d: dict) -> FeatureSet:
-    targets = d.get("targets")
-    return FeatureSet.from_phi(
-        np.asarray(d["phi"], dtype=float),
-        None if targets is None else np.asarray(targets, dtype=float),
-    )
-
-
-def sparse_problem_to_dict(sp: SparseProblem) -> dict:
-    d = feature_set_to_dict(sp.features)
-    d.update(
-        {
-            "signal": sp.signal.tolist(),
-            "support": list(sp.support),
-            "noise_kind": sp.noise_kind,
-            "sigma": sp.sigma,
-            "gamma": sp.gamma,
-            "seed": sp.seed,
-        }
-    )
-    return d
-
-
-def sparse_problem_from_dict(d: dict) -> SparseProblem:
-    fs = feature_set_from_dict(d)
-    return SparseProblem(
-        features=fs,
-        signal=np.asarray(d["signal"], dtype=float),
-        support=tuple(int(i) for i in d["support"]),
-        noise_kind=d["noise_kind"],
-        sigma=float(d["sigma"]),
-        gamma=float(d["gamma"]),
-        seed=int(d["seed"]),
-    )
-
-
-def sparse_problem_to_json(sp: SparseProblem) -> str:
-    return json.dumps(sparse_problem_to_dict(sp), sort_keys=True)
-
-
-def sparse_problem_from_json(text: str) -> SparseProblem:
-    return sparse_problem_from_dict(json.loads(text))

@@ -16,24 +16,36 @@ from __future__ import annotations
 
 import json
 import time
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import ThresholdConfig, alignment_order, ht_estimator, iht
+from .baselines import (
+    IhtDivergenceError,
+    ThresholdConfig,
+    alignment_order,
+    ht_estimator,
+    iht,
+)
 from .designs import (
+    DESIGNS,
     STREAM_TARGETS,
-    FeatureSet,
     SparseProblem,
     assemble_problem,
+    check_design,
+    check_noise,
+    check_signal,
     gen_incoherent_design,
-    gen_orthonormal_design,
-    gen_uniform_corr_design,
     make_rng,
-    pairwise_incoherence,
 )
+# Not called here: benchmarks/tracing.py wraps every design generator at this
+# module's names, so they stay bound (tests/test_bench_contract.py).
+from .designs import gen_orthonormal_design, gen_uniform_corr_design  # noqa: F401
 from .engine import ImpConfig, ImpTrace, imp_prune_order, run_imp, trace_to_dict
 from .flow import INFINITE
 from .linalg import min_nonzero_eig, sym_eig
@@ -54,7 +66,6 @@ EXPERIMENT_KINDS = (
     "baseline_comparison",
     "lemma1_check",
 )
-DESIGN_KINDS = ("orthonormal", "uniform_corr", "incoherent")
 
 ONP_TOL = 1e-8
 RECOVERY_TOL = 1e-8
@@ -68,6 +79,7 @@ HEURISTIC_CSV_HEADER = (
     "delta_pw,min_gap,gap_threshold,inverse_err"
 )
 BASELINES_CSV_HEADER = "sigma,method,trials,exact_count,exact_rate,mean_f1"
+BASELINE_METHODS = ("imp", "ht", "iht")
 
 
 class ConfigError(ValueError):
@@ -110,6 +122,8 @@ class ImpSpec:
     def engine_horizon(self):
         if self.horizon == "infinite":
             return INFINITE
+        if isinstance(self.horizon, str):
+            raise ValueError(f'horizon must be a number or "infinite", got {self.horizon!r}')
         return float(self.horizon)
 
 
@@ -141,105 +155,70 @@ class ExperimentSpec:
     separation_screen: bool = True
 
 
-_SPEC_FIELDS = {
-    "kind",
-    "design",
-    "trials",
-    "base_seed",
-    "delta",
-    "signal",
-    "noise",
-    "imp",
-    "baseline",
-    "epsilon",
-    "out_dir",
-    "verified_mode",
-    "threads",
-    "tie_tol",
-    "separation_screen",
-}
+def _json_type(tp) -> str:
+    if is_dataclass(tp):
+        return "an object"
+    if typing.get_origin(tp) is tuple:
+        return "a list"
+    return {bool: "true or false", int: "an integer", float: "a number", str: "a string"}[tp]
 
 
-def _strict_block(d: dict, allowed: set[str], ctx: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {ctx}: {sorted(unknown)}")
+def _parse(tp, value, path: str):
+    """Check one JSON value against a spec field's type hint and convert it.
+
+    Nested specs come from objects, `tuple[float, ...]` from a list, and
+    None only where the hint allows it.  A bool never counts as a number;
+    an integer is accepted, as a float, where a float is expected.
+    """
+    if typing.get_origin(tp) is types.UnionType:
+        arms = typing.get_args(tp)
+        if value is None and type(None) in arms:
+            return None
+        arms = [a for a in arms if a is not type(None)]
+        if len(arms) == 1:
+            return _parse(arms[0], value, path)
+        for arm in arms:
+            try:
+                return _parse(arm, value, path)
+            except ConfigError:
+                pass
+        raise ConfigError(
+            f"{path} must be {' or '.join(map(_json_type, arms))}, got {json.dumps(value)}"
+        )
+    if is_dataclass(tp):
+        where = path or "config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {json.dumps(value)}")
+        hints = typing.get_type_hints(tp)
+        unknown = sorted(set(value) - set(hints))
+        if unknown:
+            raise ConfigError(f"unknown keys in {where}: {unknown}")
+        for f in fields(tp):
+            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where} is missing required key {f.name!r}")
+        prefix = f"{path}." if path else ""
+        return tp(**{k: _parse(hints[k], v, prefix + k) for k, v in value.items()})
+    if typing.get_origin(tp) is tuple:
+        if isinstance(value, list):
+            (item, _) = typing.get_args(tp)
+            return tuple(_parse(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    elif isinstance(value, bool):
+        if tp is bool:
+            return value
+    elif isinstance(value, tp):
+        return value
+    elif tp is float and isinstance(value, int):
+        return float(value)
+    raise ConfigError(f"{path} must be {_json_type(tp)}, got {json.dumps(value)}")
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    """Parse a config document; unknown keys anywhere are rejected."""
-    if not isinstance(d, dict):
-        raise ConfigError("config must be a JSON object")
-    _strict_block(d, _SPEC_FIELDS, "config")
-    for key in ("kind", "design", "trials", "base_seed"):
-        if key not in d:
-            raise ConfigError(f"config is missing required key {key!r}")
+    """Parse a config document strictly, then validate it.
 
-    design_d = d["design"]
-    _strict_block(design_d, {"kind", "p", "n", "alpha"}, "design")
-    design = DesignSpec(
-        kind=design_d["kind"],
-        p=int(design_d["p"]),
-        n=None if design_d.get("n") is None else int(design_d["n"]),
-        alpha=None if design_d.get("alpha") is None else float(design_d["alpha"]),
-    )
-
-    signal = None
-    if d.get("signal") is not None:
-        sd = d["signal"]
-        _strict_block(sd, {"k", "gamma", "amplitude_law"}, "signal")
-        signal = SignalSpec(
-            k=int(sd["k"]),
-            gamma=float(sd["gamma"]),
-            amplitude_law=sd.get("amplitude_law", "constant"),
-        )
-
-    noise = NoiseSpec()
-    if d.get("noise") is not None:
-        nd = d["noise"]
-        _strict_block(nd, {"kind", "sigma"}, "noise")
-        noise = NoiseSpec(kind=nd.get("kind", "gaussian"), sigma=float(nd.get("sigma", 0.0)))
-
-    imp = ImpSpec()
-    if d.get("imp") is not None:
-        idp = d["imp"]
-        _strict_block(idp, {"q", "per_round", "horizon", "tie_break"}, "imp")
-        imp = ImpSpec(
-            q=None if idp.get("q") is None else int(idp["q"]),
-            per_round=int(idp.get("per_round", 1)),
-            horizon=idp.get("horizon", "infinite"),
-            tie_break=idp.get("tie_break", "lowest_index"),
-        )
-
-    baseline = None
-    if d.get("baseline") is not None:
-        bd = d["baseline"]
-        _strict_block(bd, {"tau", "eta", "max_iters", "convergence_tol", "sigmas"}, "baseline")
-        baseline = BaselineSpec(
-            tau=None if bd.get("tau") is None else float(bd["tau"]),
-            eta=float(bd.get("eta", 1.0)),
-            max_iters=int(bd.get("max_iters", 10_000)),
-            convergence_tol=float(bd.get("convergence_tol", 1e-10)),
-            sigmas=None if bd.get("sigmas") is None else tuple(float(s) for s in bd["sigmas"]),
-        )
-
-    spec = ExperimentSpec(
-        kind=d["kind"],
-        design=design,
-        trials=int(d["trials"]),
-        base_seed=int(d["base_seed"]),
-        delta=float(d.get("delta", 0.1)),
-        signal=signal,
-        noise=noise,
-        imp=imp,
-        baseline=baseline,
-        epsilon=None if d.get("epsilon") is None else float(d["epsilon"]),
-        out_dir=d.get("out_dir"),
-        verified_mode=bool(d.get("verified_mode", False)),
-        threads=int(d.get("threads", 1)),
-        tie_tol=float(d.get("tie_tol", 1e-9)),
-        separation_screen=bool(d.get("separation_screen", True)),
-    )
+    Field names, types and defaults come from the spec dataclasses; unknown
+    keys anywhere are rejected.
+    """
+    spec = _parse(ExperimentSpec, d, "")
     validate_spec(spec)
     return spec
 
@@ -260,46 +239,88 @@ def load_spec(path: str | Path) -> ExperimentSpec:
     return spec_from_dict(doc)
 
 
+def _prune_rounds(spec: ExperimentSpec) -> int:
+    """imp.q, defaulting to p - k."""
+    return spec.imp.q if spec.imp.q is not None else spec.design.p - spec.signal.k
+
+
+def _baseline(spec: ExperimentSpec) -> tuple[BaselineSpec, tuple[float, ...], float]:
+    """The baseline block with its defaults resolved: (block, sigmas, tau)."""
+    base = spec.baseline if spec.baseline is not None else BaselineSpec()
+    sigmas = base.sigmas if base.sigmas is not None else (spec.noise.sigma,)
+    tau = base.tau if base.tau is not None else spec.signal.gamma / 2.0
+    return base, sigmas, tau
+
+
 def validate_spec(spec: ExperimentSpec) -> None:
+    """Domain rules of a parsed spec.
+
+    The design, signal, noise, pruning and IHT rules are those of the layers
+    that use the values, checked without drawing anything; their ValueErrors
+    become ConfigErrors.
+    """
+    design, signal = spec.design, spec.signal
     if spec.kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {spec.kind!r}")
-    if spec.design.kind not in DESIGN_KINDS:
-        raise ConfigError(f"unknown design kind {spec.design.kind!r}")
-    if spec.design.p < 1:
-        raise ConfigError("design.p must be positive")
     if spec.trials < 1:
         raise ConfigError("trials must be >= 1")
-    if not 0.0 < spec.delta < 1.0:
-        raise ConfigError("delta must lie in (0, 1)")
     if spec.threads < 1:
         raise ConfigError("threads must be >= 1")
-    if spec.design.kind == "uniform_corr" and spec.design.alpha is None:
-        raise ConfigError("uniform_corr design needs design.alpha")
-    needs_signal = spec.kind in ("support_recovery", "baseline_comparison", "lemma1_check")
-    if needs_signal and spec.signal is None:
+    if not 0.0 < spec.delta < 1.0:
+        raise ConfigError("delta must lie in (0, 1)")
+    if spec.epsilon is not None and spec.epsilon <= 0.0:
+        raise ConfigError("epsilon must be positive")
+    if spec.kind != "heuristic_equivalence" and signal is None:
         raise ConfigError(f"{spec.kind} needs a signal block")
-    if spec.signal is not None:
-        if not 1 <= spec.signal.k <= spec.design.p:
-            raise ConfigError("signal.k must satisfy 1 <= k <= p")
-        if spec.signal.gamma <= 0:
-            raise ConfigError("signal.gamma must be positive")
-    if spec.kind == "heuristic_equivalence" and spec.design.kind == "incoherent":
-        if spec.design.n is None:
-            raise ConfigError("incoherent heuristic runs need an explicit design.n")
+    if spec.kind == "heuristic_equivalence" and design.kind == "incoherent" and design.n is None:
+        raise ConfigError("incoherent heuristic runs need an explicit design.n")
+    if spec.baseline is not None and spec.baseline.sigmas == ():
+        raise ConfigError("baseline.sigmas must not be empty")
+    runs_imp = spec.kind in ("support_recovery", "baseline_comparison")
+    q = _prune_rounds(spec) if runs_imp else 0
+    try:
+        check_design(design.kind, design.p, design.n, design.alpha)
+        check_noise(spec.noise.kind, spec.noise.sigma)
+        if signal is not None:
+            check_signal(design.p, signal.k, signal.gamma, signal.amplitude_law)
+            base, sigmas, tau = _baseline(spec)
+            for sigma in sigmas:
+                check_noise(spec.noise.kind, sigma)
+            ThresholdConfig(tau=tau, eta=base.eta, max_iters=base.max_iters,
+                            convergence_tol=base.convergence_tol)
+        ImpConfig(horizon=spec.imp.engine_horizon(), prune_rounds=q,
+                  per_round=spec.imp.per_round, tie_break=spec.imp.tie_break)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if runs_imp and (q + 1) * spec.imp.per_round > design.p:
+        raise ConfigError(
+            f"(imp.q + 1) * imp.per_round = {(q + 1) * spec.imp.per_round} "
+            f"exceeds design.p = {design.p}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Trial map
+# ---------------------------------------------------------------------------
+
+
+def map_trials(spec: ExperimentSpec, trial_fn, *args) -> list:
+    """[trial_fn(spec, t, *args) for t in range(spec.trials)], in trial order.
+
+    With threads > 1 the trials run on that many worker processes.  Trial t
+    seeds its randomness from base_seed + t alone, so the results do not
+    depend on the worker count.
+    """
+    tasks = (repeat(spec), range(spec.trials), *map(repeat, args))
+    if spec.threads == 1:
+        return list(map(trial_fn, *tasks))
+    with ProcessPoolExecutor(max_workers=spec.threads) as pool:
+        return list(pool.map(trial_fn, *tasks, chunksize=8))
 
 
 # ---------------------------------------------------------------------------
 # Sample-size resolution
 # ---------------------------------------------------------------------------
-
-
-def _analytic_lambda(design: DesignSpec) -> float | None:
-    """Smallest nonzero covariance eigenvalue, when known in closed form."""
-    if design.kind == "orthonormal":
-        return 1.0
-    if design.kind == "uniform_corr":
-        return 1.0 - float(design.alpha)
-    return None
 
 
 def resolve_sample_size(
@@ -308,34 +329,36 @@ def resolve_sample_size(
     """Pick the per-trial n: explicit design.n, or the bound at the design's
     smallest nonzero eigenvalue.
 
-    For the incoherent design the eigenvalue depends on n, so the bound is
-    iterated against the measured spectrum until it stabilizes.  Returns
-    (realized n, bound n, lambda used).
+    Where that eigenvalue has no closed form it is measured on the design
+    drawn at n, so without an explicit n the bound is iterated against the
+    measured spectrum until it stabilizes.  Returns (realized n, bound n,
+    lambda used).
     """
     design = spec.design
-    sigma = spec.noise.sigma
-    lam = _analytic_lambda(design)
-    if lam is not None:
-        bound_n = bound_fn(BoundInputs(sigma, margin, lam, design.p, spec.delta))
-        n = design.n if design.n is not None else max(bound_n, design.p)
-        return n, bound_n, lam
+    rule = DESIGNS[design.kind]
+
+    def bound(lam: float) -> int:
+        return bound_fn(BoundInputs(spec.noise.sigma, margin, lam, design.p, spec.delta))
+
+    def measured(n: int) -> float:
+        fs = rule.draw(n, design.p, seed, design.alpha)
+        return min_nonzero_eig(sym_eig(fs.covariance))
+
+    if rule.min_eig is not None:
+        lam = rule.min_eig(design.alpha)
+        bound_n = bound(lam)
+        return (design.n if design.n is not None else max(bound_n, design.p)), bound_n, lam
     if design.n is not None:
-        fs, _ = gen_incoherent_design(design.n, design.p, seed)
-        lam = min_nonzero_eig(sym_eig(fs.covariance))
-        bound_n = bound_fn(BoundInputs(sigma, margin, lam, design.p, spec.delta))
-        return design.n, bound_n, lam
-    n = max(
-        bound_fn(BoundInputs(sigma, margin, 1.0, design.p, spec.delta)),
-        design.p,
-    )
+        lam = measured(design.n)
+        return design.n, bound(lam), lam
+    n = max(bound(1.0), design.p)
     for _ in range(16):
-        fs, _ = gen_incoherent_design(n, design.p, seed)
-        lam = min_nonzero_eig(sym_eig(fs.covariance))
-        bound_n = bound_fn(BoundInputs(sigma, margin, lam, design.p, spec.delta))
+        lam = measured(n)
+        bound_n = bound(lam)
         if bound_n <= n:
             return n, bound_n, lam
         n = bound_n
-    raise ConfigError("sample size for the incoherent design did not stabilize")
+    raise ConfigError(f"sample size for the {design.kind} design did not stabilize")
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +457,7 @@ def recovery_trial(spec: ExperimentSpec, t: int) -> TrialRecord | None:
         return None
 
     p = spec.design.p
-    q = spec.imp.q if spec.imp.q is not None else p - spec.signal.k
+    q = _prune_rounds(spec)
     config = ImpConfig(
         horizon=spec.imp.engine_horizon(),
         prune_rounds=q,
@@ -473,21 +496,10 @@ def recovery_trial(spec: ExperimentSpec, t: int) -> TrialRecord | None:
     )
 
 
-def _recovery_trial_star(args: tuple) -> TrialRecord | None:
-    return recovery_trial(*args)
-
-
 def run_support_recovery(spec: ExperimentSpec) -> RecoveryReport:
     if spec.kind != "support_recovery":
         raise ConfigError(f"expected a support_recovery config, got {spec.kind!r}")
-    tasks = [(spec, t) for t in range(spec.trials)]
-    if spec.threads > 1:
-        with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-            raw = list(pool.map(_recovery_trial_star, tasks, chunksize=8))
-    else:
-        raw = [recovery_trial(spec, t) for t in range(spec.trials)]
-
-    records = [r for r in raw if r is not None]
+    records = [r for r in map_trials(spec, recovery_trial) if r is not None]
     rejected = spec.trials - len(records)
     if rejected > spec.trials // 2:
         raise ConfigError(
@@ -497,7 +509,6 @@ def run_support_recovery(spec: ExperimentSpec) -> RecoveryReport:
     if not records:
         raise ConfigError("every trial was rejected by the ONP precondition")
 
-    records.sort(key=lambda r: r.trial)
     sparsity_failures = sum(not r.sparsity_ok for r in records)
     exclusion_failures = sum(not r.no_false_exclusion for r in records)
     overall = sum(
@@ -576,17 +587,14 @@ def uniform_corr_separation_margin(scores: np.ndarray, alpha: float) -> float:
     return worst
 
 
-def _heuristic_single(
-    spec: ExperimentSpec, trial: int, seed: int
-) -> HeuristicTrialRow:
+def _heuristic_single(spec: ExperimentSpec, trial: int) -> HeuristicTrialRow:
     """Evaluate one heuristic trial (orthonormal or uniform_corr)."""
     design = spec.design
+    seed = spec.base_seed + trial
     n = design.n if design.n is not None else 4 * design.p
-    if design.kind == "orthonormal":
-        fs = gen_orthonormal_design(n, design.p, seed)
-        inverse_err = float("nan")
-    else:
-        fs = gen_uniform_corr_design(n, design.p, design.alpha, seed)
+    fs = DESIGNS[design.kind].draw(n, design.p, seed, design.alpha)
+    inverse_err = float("nan")
+    if design.kind == "uniform_corr":
         sig = fs.covariance.entries
         inv = np.linalg.solve(sig, np.eye(design.p))
         inverse_err = float(np.max(np.abs(sig @ inv - np.eye(design.p))))
@@ -703,9 +711,7 @@ def run_heuristic_equivalence(spec: ExperimentSpec) -> HeuristicReport:
     if spec.design.kind == "incoherent":
         report = _heuristic_incoherent(spec)
     else:
-        rows = [
-            _heuristic_single(spec, t, spec.base_seed + t) for t in range(spec.trials)
-        ]
+        rows = map_trials(spec, _heuristic_single)
         qual = [r for r in rows if not (r.degenerate or r.excluded)]
         full = sum(r.full_match for r in qual)
         first = sum(r.first_match for r in qual)
@@ -760,14 +766,36 @@ def _support_f1(estimated: set[int], truth: set[int]) -> float:
     return 2.0 * inter / denom if denom else 1.0
 
 
+def _baseline_trial(spec: ExperimentSpec, t: int, n: int) -> tuple[tuple[bool, float], ...]:
+    """(exact support recovered, support F1) of each method on trial t."""
+    problem = _build_problem(spec, spec.base_seed + t, n)
+    features = problem.features
+    base, _, tau = _baseline(spec)
+    trace = run_imp(
+        features,
+        ImpConfig(prune_rounds=_prune_rounds(spec), per_round=spec.imp.per_round,
+                  tie_break=spec.imp.tie_break),
+    )
+    hard = ht_estimator(features, tau)
+    est = iht(
+        features,
+        ThresholdConfig(
+            tau=tau,
+            eta=base.eta / n,
+            max_iters=base.max_iters,
+            convergence_tol=base.convergence_tol,
+        ),
+    )
+    truth = set(problem.support)
+    supports = (set(np.flatnonzero(w != 0.0).tolist())
+                for w in (trace.final_weights, hard, est.estimate))
+    return tuple((sup == truth, _support_f1(sup, truth)) for sup in supports)
+
+
 def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
     if spec.kind != "baseline_comparison":
         raise ConfigError(f"expected a baseline_comparison config, got {spec.kind!r}")
-    base = spec.baseline if spec.baseline is not None else BaselineSpec()
-    sigmas = base.sigmas if base.sigmas is not None else (spec.noise.sigma,)
-    tau = base.tau if base.tau is not None else spec.signal.gamma / 2.0
-    p, k = spec.design.p, spec.signal.k
-    q = spec.imp.q if spec.imp.q is not None else p - k
+    base, sigmas, _ = _baseline(spec)
 
     # One n for the whole sweep, sized for its noisiest setting.
     sizing = replace(spec, noise=replace(spec.noise, sigma=max(sigmas)))
@@ -775,46 +803,24 @@ def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
 
     cells: list[BaselineCell] = []
     for sigma in sigmas:
-        counts = {"imp": 0, "ht": 0, "iht": 0}
-        f1s = {"imp": 0.0, "ht": 0.0, "iht": 0.0}
-        for t in range(spec.trials):
-            seed = spec.base_seed + t
-            prob_spec = replace(spec, noise=replace(spec.noise, sigma=sigma))
-            problem = _build_problem(prob_spec, seed, n)
-            truth = set(problem.support)
-            features = problem.features
-
-            trace = run_imp(
-                features,
-                ImpConfig(prune_rounds=q, per_round=spec.imp.per_round,
-                          tie_break=spec.imp.tie_break),
-            )
-            supports = {
-                "imp": set(np.flatnonzero(trace.final_weights != 0.0).tolist()),
-                "ht": set(np.flatnonzero(ht_estimator(features, tau) != 0.0).tolist()),
-            }
-            est = iht(
-                features,
-                ThresholdConfig(
-                    tau=tau,
-                    eta=base.eta / n,
-                    max_iters=base.max_iters,
-                    convergence_tol=base.convergence_tol,
-                ),
-            )
-            supports["iht"] = set(np.flatnonzero(est.estimate != 0.0).tolist())
-            for method, sup in supports.items():
-                counts[method] += int(sup == truth)
-                f1s[method] += _support_f1(sup, truth)
-        for method in ("imp", "ht", "iht"):
+        sweep = replace(spec, noise=replace(spec.noise, sigma=sigma))
+        try:
+            outcomes = map_trials(sweep, _baseline_trial, n)
+        except IhtDivergenceError as exc:
+            raise ConfigError(
+                f"IHT diverged at baseline.eta = {base.eta} ({exc}); lower baseline.eta"
+            ) from exc
+        for method, results in zip(BASELINE_METHODS, zip(*outcomes)):
+            # sums in trial order, so mean_f1 does not depend on the worker count
+            exact = sum(hit for hit, _ in results)
             cells.append(
                 BaselineCell(
                     sigma=float(sigma),
                     method=method,
                     trials=spec.trials,
-                    exact_count=counts[method],
-                    exact_rate=counts[method] / spec.trials,
-                    mean_f1=f1s[method] / spec.trials,
+                    exact_count=exact,
+                    exact_rate=exact / spec.trials,
+                    mean_f1=sum(f1 for _, f1 in results) / spec.trials,
                 )
             )
     report = BaselineReport(cells=cells)
@@ -845,12 +851,7 @@ def run_concentration_check(spec: ExperimentSpec) -> ConcentrationReport:
         spec, spec.base_seed, epsilon, concentration_sample_size
     )
     design = spec.design
-    if design.kind == "orthonormal":
-        fs = gen_orthonormal_design(n, design.p, spec.base_seed)
-    elif design.kind == "uniform_corr":
-        fs = gen_uniform_corr_design(n, design.p, design.alpha, spec.base_seed)
-    else:
-        fs, _ = gen_incoherent_design(n, design.p, spec.base_seed)
+    fs = DESIGNS[design.kind].draw(n, design.p, spec.base_seed, design.alpha)
     summary = noise_exceedance_mc(
         fs,
         spec.noise.kind,
@@ -889,6 +890,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv_line(cols) -> str:
+    return ",".join(_fmt(c) for c in cols)
+
+
 def trial_csv_row(rec: TrialRecord) -> str:
     cols = [
         rec.trial,
@@ -905,11 +910,19 @@ def trial_csv_row(rec: TrialRecord) -> str:
         rec.min_nz_eig,
         rec.max_recov_residual,
     ]
-    return ",".join(_fmt(c) for c in cols) + f",{rec.wall_ms:.3f}"
+    return _csv_line(cols) + f",{rec.wall_ms:.3f}"
 
 
 def row_without_wall_ms(row: str) -> str:
     return row.rsplit(",", 1)[0]
+
+
+def _write_csv(path: Path, header: str, lines) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -921,11 +934,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def write_recovery_outputs(spec: ExperimentSpec, report: RecoveryReport) -> None:
     out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "trials.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRIALS_CSV_HEADER + "\n")
-        for rec in report.records:
-            fh.write(trial_csv_row(rec) + "\n")
+    _write_csv(out / "trials.csv", TRIALS_CSV_HEADER, map(trial_csv_row, report.records))
     _write_json(
         out / "summary.json",
         {
@@ -935,32 +944,15 @@ def write_recovery_outputs(spec: ExperimentSpec, report: RecoveryReport) -> None
         },
     )
     if spec.verified_mode:
-        trace_dir = out / "trace"
-        trace_dir.mkdir(exist_ok=True)
         for rec in report.records:
             if rec.trace_json is not None:
-                _write_json(trace_dir / f"{rec.trial}.json", rec.trace_json)
+                _write_json(out / "trace" / f"{rec.trial}.json", rec.trace_json)
 
 
 def write_heuristic_outputs(spec: ExperimentSpec, report: HeuristicReport) -> None:
     out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "heuristic_trials.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(HEURISTIC_CSV_HEADER + "\n")
-        for r in report.rows:
-            cols = [
-                r.trial,
-                r.seed,
-                r.full_match,
-                r.first_match,
-                r.degenerate,
-                r.excluded,
-                r.delta_pw,
-                r.min_gap,
-                r.gap_threshold,
-                r.inverse_err,
-            ]
-            fh.write(",".join(_fmt(c) for c in cols) + "\n")
+    rows = (_csv_line(astuple(r)) for r in report.rows)
+    _write_csv(out / "heuristic_trials.csv", HEURISTIC_CSV_HEADER, rows)
     payload = asdict(report)
     payload.pop("rows")
     _write_json(out / "heuristic_summary.json", payload)
@@ -968,12 +960,8 @@ def write_heuristic_outputs(spec: ExperimentSpec, report: HeuristicReport) -> No
 
 def write_baseline_outputs(spec: ExperimentSpec, report: BaselineReport) -> None:
     out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "baselines.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(BASELINES_CSV_HEADER + "\n")
-        for c in report.cells:
-            cols = [c.sigma, c.method, c.trials, c.exact_count, c.exact_rate, c.mean_f1]
-            fh.write(",".join(_fmt(x) for x in cols) + "\n")
+    rows = (_csv_line(astuple(c)) for c in report.cells)
+    _write_csv(out / "baselines.csv", BASELINES_CSV_HEADER, rows)
     _write_json(out / "baselines_summary.json", {"cells": [asdict(c) for c in report.cells]})
 
 

@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from implinear.cli import main
 
@@ -22,6 +25,37 @@ def recovery_doc(**overrides):
         "delta": 0.1,
     }
     doc.update(overrides)
+    return doc
+
+
+def baselines_doc(**overrides):
+    doc = {
+        "kind": "baseline_comparison",
+        "design": {"kind": "orthonormal", "p": 8, "n": 24},
+        "signal": {"k": 2, "gamma": 1.0},
+        "noise": {"kind": "gaussian", "sigma": 0.0},
+        "baseline": {"tau": 0.5, "eta": 1.0},
+        "trials": 5,
+        "base_seed": 6,
+    }
+    doc.update(overrides)
+    return doc
+
+
+DELETE = object()
+
+
+def edited(doc, path, value):
+    """A copy of doc with the field at the dotted path set to value (DELETE removes it)."""
+    doc = copy.deepcopy(doc)
+    *parents, key = path.split(".")
+    node = doc
+    for name in parents:
+        node = node.setdefault(name, {})
+    if value is DELETE:
+        del node[key]
+    else:
+        node[key] = value
     return doc
 
 
@@ -108,16 +142,7 @@ def test_heuristic_subcommand(tmp_path, capsys):
 
 
 def test_baselines_subcommand(tmp_path, capsys):
-    doc = {
-        "kind": "baseline_comparison",
-        "design": {"kind": "orthonormal", "p": 8, "n": 24},
-        "signal": {"k": 2, "gamma": 1.0},
-        "noise": {"kind": "gaussian", "sigma": 0.0},
-        "baseline": {"tau": 0.5, "eta": 1.0},
-        "trials": 5,
-        "base_seed": 6,
-    }
-    cfg = write_config(tmp_path, doc)
+    cfg = write_config(tmp_path, baselines_doc())
     out = tmp_path / "b"
     rc = main(["baselines", "--config", cfg, "--out", str(out)])
     assert rc == 0
@@ -163,3 +188,87 @@ def test_gate_failure_exit_code(tmp_path, capsys):
 def test_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+# (command, dotted field, bad value, fragment of the one-line error)
+BAD_CONFIGS = {
+    "design-without-p": ("recover", "design.p", DELETE, "missing required key 'p'"),
+    "trials-string": ("recover", "trials", "x", "trials must be an integer"),
+    "trials-bool": ("recover", "trials", True, "trials must be an integer"),
+    "orthonormal-n-below-p": ("recover", "design.n", 5, "n >= p"),
+    "q-exceeds-p": ("recover", "imp.q", 10, "exceeds design.p"),
+    "horizon-word": ("recover", "imp.horizon", "forever", "horizon"),
+    "horizon-negative": ("recover", "imp.horizon", -1.0, "horizon"),
+    "noise-kind": ("recover", "noise.kind", "cauchy", "cauchy"),
+    "noise-sigma-negative": ("recover", "noise.sigma", -1.0, "sigma"),
+    "amplitude-law": ("recover", "signal.amplitude_law", "bogus", "bogus"),
+    "tie-break": ("recover", "imp.tie_break", "random", "random"),
+    "per-round-zero": ("recover", "imp.per_round", 0, "per_round"),
+    "uniform-corr-alpha": ("recover", "design",
+                           {"kind": "uniform_corr", "p": 10, "alpha": 1.5}, "alpha"),
+    "sigmas-empty": ("baselines", "baseline.sigmas", [], "baseline.sigmas"),
+    "iht-diverges": ("baselines", "baseline.eta", 5.0, "baseline.eta"),
+    "p-string": ("recover", "design.p", "10", "design.p must be an integer"),
+    "delta-string": ("recover", "delta", "0.1", "delta must be a number"),
+    "verified-string": ("recover", "verified_mode", "false", "verified_mode must be true or false"),
+    "design-list": ("recover", "design", [1], "design must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+def test_bad_config_exits_2(tmp_path, capsys, case):
+    command, path, value, message = BAD_CONFIGS[case]
+    base = recovery_doc() if command == "recover" else baselines_doc()
+    cfg = write_config(tmp_path, edited(base, path, value))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+
+
+SMALL_CONFIGS = {
+    "recover": recovery_doc(design={"kind": "uniform_corr", "p": 6, "alpha": 0.2}, trials=2),
+    "heuristic": {"kind": "heuristic_equivalence", "design": {"kind": "orthonormal", "p": 6},
+                  "trials": 2, "base_seed": 5},
+    "baselines": baselines_doc(trials=2),
+    "lemma1": {"kind": "lemma1_check", "design": {"kind": "orthonormal", "p": 6},
+               "signal": {"k": 2, "gamma": 0.5}, "trials": 2, "base_seed": 7},
+}
+# Every field but out_dir, whose string values would create directories.
+FUZZED_FIELDS = (
+    "kind", "trials", "base_seed", "delta", "epsilon", "verified_mode", "threads",
+    "tie_tol", "separation_screen",
+    "design", "design.kind", "design.p", "design.n", "design.alpha",
+    "signal", "signal.k", "signal.gamma", "signal.amplitude_law",
+    "noise", "noise.kind", "noise.sigma",
+    "imp", "imp.q", "imp.per_round", "imp.horizon", "imp.tie_break",
+    "baseline", "baseline.tau", "baseline.eta", "baseline.max_iters",
+    "baseline.convergence_tol", "baseline.sigmas",
+)
+# Wrong JSON types, and numbers at or below zero or past 1: out of range for
+# most fields, and never a size large enough to make a run slow.
+WRONG_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.integers(-3, 0),
+    st.floats(-3.0, 0.0),
+    st.just(1.5),
+    st.lists(st.integers(-3, 0), max_size=2),
+    st.dictionaries(st.sampled_from(["k", "x"]), st.integers(-3, 0), max_size=1),
+)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(SMALL_CONFIGS)), path=st.sampled_from(FUZZED_FIELDS),
+       value=WRONG_VALUES)
+def test_fuzzed_config_exit_code(tmp_path, command, path, value):
+    cfg = write_config(tmp_path, edited(SMALL_CONFIGS[command], path, value))
+    assert main([command, "--config", cfg]) in (0, 1, 2)
+
+
+def test_bad_flag_override_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_CONFIGS["lemma1"])
+    assert main(["lemma1", "--config", cfg, "--trials", "0"]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err

@@ -5,8 +5,6 @@ from scipy import stats
 from implinear.designs import (
     FeatureSet,
     assemble_problem,
-    feature_set_from_dict,
-    feature_set_to_dict,
     gen_incoherent_design,
     gen_orthonormal_design,
     gen_sparse_signal,
@@ -14,8 +12,6 @@ from implinear.designs import (
     make_rng,
     pairwise_incoherence,
     sample_noise,
-    sparse_problem_from_json,
-    sparse_problem_to_json,
 )
 from implinear.linalg import min_nonzero_eig, sym_eig
 
@@ -214,20 +210,3 @@ class TestGeneratorInvariants:
             lam = np.linalg.eigvalsh(fs.covariance.entries)
             assert lam.min() >= -1e-10
 
-
-class TestSerialization:
-    def test_feature_set_round_trip(self):
-        fs = gen_orthonormal_design(7, 3, seed=31).with_targets(np.arange(7.0))
-        back = feature_set_from_dict(feature_set_to_dict(fs))
-        assert np.array_equal(back.phi, fs.phi)
-        assert np.array_equal(back.targets, fs.targets)
-
-    def test_sparse_problem_round_trip(self):
-        prob = assemble_problem("incoherent", n=9, p=4, k=2, gamma=0.5, seed=32,
-                                noise_kind="rademacher", sigma=0.2)
-        back = sparse_problem_from_json(sparse_problem_to_json(prob))
-        assert np.array_equal(back.features.phi, prob.features.phi)
-        assert np.array_equal(back.features.targets, prob.features.targets)
-        assert np.array_equal(back.signal, prob.signal)
-        assert back.support == prob.support
-        assert back.seed == prob.seed and back.sigma == prob.sigma

@@ -8,6 +8,7 @@ from implinear import harness as harness_module
 from implinear.engine import ImpConfig, run_imp
 from implinear.harness import (
     RECOVERY_TOL,
+    BaselineSpec,
     ConfigError,
     DesignSpec,
     ExperimentSpec,
@@ -108,6 +109,15 @@ class TestSpecParsing:
         with pytest.raises(ConfigError, match="signal"):
             spec_from_dict(doc)
 
+    def test_integers_become_floats(self):
+        doc = config_document()
+        doc["signal"]["gamma"] = 1
+        doc["baseline"] = {"sigmas": [0, 1]}
+        spec = spec_from_dict(doc)
+        assert type(spec.signal.gamma) is float
+        assert spec.baseline.sigmas == (0.0, 1.0)
+        assert all(type(s) is float for s in spec.baseline.sigmas)
+
     def test_load_spec_bad_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
@@ -166,12 +176,6 @@ class TestSupportRecovery:
         )
         for rec in report.records:
             assert rec.q == 0 and rec.sparsity_ok and rec.no_false_exclusion
-
-    def test_pool_matches_serial(self):
-        serial = run_support_recovery(recovery_spec(trials=8))
-        pooled = run_support_recovery(recovery_spec(trials=8, threads=2))
-        for a, b in zip(serial.records, pooled.records):
-            assert trial_csv_row(a).rsplit(",", 1)[0] == trial_csv_row(b).rsplit(",", 1)[0]
 
     def test_summary_permutation_invariant(self):
         # the summary only depends on the set of per-trial outcomes
@@ -421,8 +425,6 @@ class TestBaselines:
             signal=SignalSpec(k=2, gamma=1.0),
             noise=NoiseSpec(sigma=0.0),
         )
-        from implinear.harness import BaselineSpec
-
         spec = replace(spec, baseline=BaselineSpec(tau=1e6))
         report = run_baseline_comparison(spec)
         for cell in report.cells:
@@ -432,8 +434,6 @@ class TestBaselines:
                 assert cell.exact_rate == 1.0
 
     def test_sigma_sweep_keyed_rows(self):
-        from implinear.harness import BaselineSpec
-
         spec = ExperimentSpec(
             kind="baseline_comparison",
             design=DesignSpec(kind="orthonormal", p=8, n=40),
@@ -500,3 +500,36 @@ class TestConcentration:
     def test_kind_mismatch(self):
         with pytest.raises(ConfigError, match="expected"):
             run_concentration_check(recovery_spec())
+
+
+POOLED_RUNS = {
+    "recover": (run_support_recovery, recovery_spec(trials=10)),
+    "heuristic-uniform_corr": (run_heuristic_equivalence, ExperimentSpec(
+        kind="heuristic_equivalence",
+        design=DesignSpec(kind="uniform_corr", p=10, alpha=0.01),
+        trials=20,
+        base_seed=56,
+    )),
+    "baselines": (run_baseline_comparison, ExperimentSpec(
+        kind="baseline_comparison",
+        design=DesignSpec(kind="incoherent", p=10, n=40),
+        trials=10,
+        base_seed=60,
+        signal=SignalSpec(k=2, gamma=1.0),
+        noise=NoiseSpec(sigma=0.5),
+        baseline=BaselineSpec(sigmas=(0.25, 1.0)),
+    )),
+}
+
+
+@pytest.mark.parametrize("name", POOLED_RUNS)
+def test_pool_matches_serial(tmp_path, name):
+    run, spec = POOLED_RUNS[name]
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        run(replace(spec, threads=threads, out_dir=str(out)))
+        (csv_path,) = out.glob("*.csv")
+        outputs.append([row_without_wall_ms(row) for row in csv_path.read_text().splitlines()]
+                       if name == "recover" else csv_path.read_text())
+    assert outputs[0] == outputs[1]
