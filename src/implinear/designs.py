@@ -14,6 +14,9 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+# numpy loads numpy.random lazily; importing it here puts that cost in the
+# import of implinear rather than in the first trial.
+from numpy.random import Generator, Philox
 
 from .linalg import CovMatrix, psd_sqrt, sym_eig
 
@@ -28,10 +31,10 @@ STREAM_TARGETS = 3
 _MASK64 = (1 << 64) - 1
 
 
-def make_rng(seed: int, stream: int = STREAM_DESIGN) -> np.random.Generator:
+def make_rng(seed: int, stream: int = STREAM_DESIGN) -> Generator:
     """Philox generator keyed by (seed, stream)."""
     key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ class SparseProblem:
         return len(self.support)
 
 
-def _orthonormal_columns(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
+def _orthonormal_columns(rng: Generator, n: int, p: int) -> np.ndarray:
     """QR-orthonormalized Gaussian matrix with a deterministic sign fix."""
     g = rng.standard_normal((n, p))
     q, r = np.linalg.qr(g)
@@ -271,15 +274,22 @@ def assemble_problem(
     amplitude_law: str = "constant",
     noise_kind: str = "gaussian",
     sigma: float = 0.0,
+    features: FeatureSet | None = None,
 ) -> SparseProblem:
     """Compose design, signal, and noise into one reproducible problem.
 
     The design, signal, and noise draws use disjoint Philox streams of the
     same seed, so the composite is a pure function of its arguments.
+    `features`, when given, is the design already drawn from these
+    arguments; it is used in place of a second draw (its targets are
+    replaced).
     """
     if k < 1:
         raise ValueError("the support must be nonempty (k >= 1)")
-    features = check_design(design_kind, p, n, alpha).draw(n, p, seed, alpha)
+    if features is None:
+        features = check_design(design_kind, p, n, alpha).draw(n, p, seed, alpha)
+    elif features.phi.shape != (n, p):
+        raise ValueError(f"features must be {n} x {p}, got {features.phi.shape}")
     signal, support = gen_sparse_signal(p, k, gamma, amplitude_law, seed)
     xi = sample_noise(noise_kind, sigma, n, seed)
     y = features.phi @ signal + xi

@@ -15,6 +15,7 @@ nondeterministic column in the CSV output.
 from __future__ import annotations
 
 import json
+import math
 import time
 import types
 import typing
@@ -35,6 +36,7 @@ from .baselines import (
 from .designs import (
     DESIGNS,
     STREAM_TARGETS,
+    FeatureSet,
     SparseProblem,
     assemble_problem,
     check_design,
@@ -307,15 +309,17 @@ def validate_spec(spec: ExperimentSpec) -> None:
 def map_trials(spec: ExperimentSpec, trial_fn, *args) -> list:
     """[trial_fn(spec, t, *args) for t in range(spec.trials)], in trial order.
 
-    With threads > 1 the trials run on that many worker processes.  Trial t
-    seeds its randomness from base_seed + t alone, so the results do not
-    depend on the worker count.
+    With threads > 1 the trials run on that many worker processes, in about
+    four chunks per worker so that every worker gets a share.  Trial t seeds
+    its randomness from base_seed + t alone, so the results do not depend on
+    the worker count.
     """
     tasks = (repeat(spec), range(spec.trials), *map(repeat, args))
     if spec.threads == 1:
         return list(map(trial_fn, *tasks))
+    chunksize = math.ceil(spec.trials / (4 * spec.threads))
     with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-        return list(pool.map(trial_fn, *tasks, chunksize=8))
+        return list(pool.map(trial_fn, *tasks, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +329,15 @@ def map_trials(spec: ExperimentSpec, trial_fn, *args) -> list:
 
 def resolve_sample_size(
     spec: ExperimentSpec, seed: int, margin: float, bound_fn
-) -> tuple[int, int, float]:
+) -> tuple[int, int, float, FeatureSet | None]:
     """Pick the per-trial n: explicit design.n, or the bound at the design's
     smallest nonzero eigenvalue.
 
     Where that eigenvalue has no closed form it is measured on the design
     drawn at n, so without an explicit n the bound is iterated against the
     measured spectrum until it stabilizes.  Returns (realized n, bound n,
-    lambda used).
+    lambda used, design): the design is the one drawn at (realized n, seed)
+    to measure lambda, or None when lambda has a closed form.
     """
     design = spec.design
     rule = DESIGNS[design.kind]
@@ -340,23 +345,24 @@ def resolve_sample_size(
     def bound(lam: float) -> int:
         return bound_fn(BoundInputs(spec.noise.sigma, margin, lam, design.p, spec.delta))
 
-    def measured(n: int) -> float:
+    def measured(n: int) -> tuple[float, FeatureSet]:
         fs = rule.draw(n, design.p, seed, design.alpha)
-        return min_nonzero_eig(sym_eig(fs.covariance))
+        return min_nonzero_eig(sym_eig(fs.covariance)), fs
 
     if rule.min_eig is not None:
         lam = rule.min_eig(design.alpha)
         bound_n = bound(lam)
-        return (design.n if design.n is not None else max(bound_n, design.p)), bound_n, lam
+        n = design.n if design.n is not None else max(bound_n, design.p)
+        return n, bound_n, lam, None
     if design.n is not None:
-        lam = measured(design.n)
-        return design.n, bound(lam), lam
+        lam, fs = measured(design.n)
+        return design.n, bound(lam), lam, fs
     n = max(bound(1.0), design.p)
     for _ in range(16):
-        lam = measured(n)
+        lam, fs = measured(n)
         bound_n = bound(lam)
         if bound_n <= n:
-            return n, bound_n, lam
+            return n, bound_n, lam, fs
         n = bound_n
     raise ConfigError(f"sample size for the {design.kind} design did not stabilize")
 
@@ -397,7 +403,10 @@ class RecoveryReport:
     rejected: int
 
 
-def _build_problem(spec: ExperimentSpec, seed: int, n: int) -> SparseProblem:
+def _build_problem(
+    spec: ExperimentSpec, seed: int, n: int, features: FeatureSet | None = None
+) -> SparseProblem:
+    """Trial `seed`'s problem at n; `features` is its design if already drawn."""
     sig = spec.signal
     return assemble_problem(
         design_kind=spec.design.kind,
@@ -410,6 +419,7 @@ def _build_problem(spec: ExperimentSpec, seed: int, n: int) -> SparseProblem:
         amplitude_law=sig.amplitude_law,
         noise_kind=spec.noise.kind,
         sigma=spec.noise.sigma,
+        features=features,
     )
 
 
@@ -449,8 +459,10 @@ def recovery_trial(spec: ExperimentSpec, t: int) -> TrialRecord | None:
     """Run one trial; None means the drawn design failed the ONP precondition."""
     seed = spec.base_seed + t
     start = time.perf_counter()
-    n, bound_n, _lam = resolve_sample_size(spec, seed, spec.signal.gamma, recovery_sample_size)
-    problem = _build_problem(spec, seed, n)
+    n, bound_n, _lam, drawn = resolve_sample_size(
+        spec, seed, spec.signal.gamma, recovery_sample_size
+    )
+    problem = _build_problem(spec, seed, n, drawn)
 
     onp = check_onp(problem.features.covariance, problem.support, tol=ONP_TOL)
     if not onp.holds:
@@ -766,30 +778,38 @@ def _support_f1(estimated: set[int], truth: set[int]) -> float:
     return 2.0 * inter / denom if denom else 1.0
 
 
-def _baseline_trial(spec: ExperimentSpec, t: int, n: int) -> tuple[tuple[bool, float], ...]:
-    """(exact support recovered, support F1) of each method on trial t."""
-    problem = _build_problem(spec, spec.base_seed + t, n)
-    features = problem.features
+def _baseline_trial(
+    spec: ExperimentSpec, t: int, n: int, sweep: tuple[ExperimentSpec, ...]
+) -> tuple[tuple[tuple[bool, float], ...], ...]:
+    """For each spec of the noise sweep, (exact support recovered, support F1)
+    of each method on trial t.
+
+    The trial's design is drawn once for the whole sweep; each noise setting
+    draws its own noise.
+    """
+    seed = spec.base_seed + t
     base, _, tau = _baseline(spec)
-    trace = run_imp(
-        features,
-        ImpConfig(prune_rounds=_prune_rounds(spec), per_round=spec.imp.per_round,
-                  tie_break=spec.imp.tie_break),
+    imp = ImpConfig(
+        horizon=spec.imp.engine_horizon(),
+        prune_rounds=_prune_rounds(spec),
+        w_init=np.zeros(spec.design.p),
+        per_round=spec.imp.per_round,
+        tie_break=spec.imp.tie_break,
     )
-    hard = ht_estimator(features, tau)
-    est = iht(
-        features,
-        ThresholdConfig(
-            tau=tau,
-            eta=base.eta / n,
-            max_iters=base.max_iters,
-            convergence_tol=base.convergence_tol,
-        ),
+    threshold = ThresholdConfig(
+        tau=tau, eta=base.eta / n, max_iters=base.max_iters, convergence_tol=base.convergence_tol
     )
-    truth = set(problem.support)
-    supports = (set(np.flatnonzero(w != 0.0).tolist())
-                for w in (trace.final_weights, hard, est.estimate))
-    return tuple((sup == truth, _support_f1(sup, truth)) for sup in supports)
+    features = None
+    outcomes = []
+    for noisy in sweep:
+        problem = _build_problem(noisy, seed, n, features)
+        features = problem.features
+        truth = set(problem.support)
+        estimates = (run_imp(features, imp).final_weights, ht_estimator(features, tau),
+                     iht(features, threshold).estimate)
+        supports = (set(np.flatnonzero(w != 0.0).tolist()) for w in estimates)
+        outcomes.append(tuple((sup == truth, _support_f1(sup, truth)) for sup in supports))
+    return tuple(outcomes)
 
 
 def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
@@ -799,18 +819,20 @@ def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
 
     # One n for the whole sweep, sized for its noisiest setting.
     sizing = replace(spec, noise=replace(spec.noise, sigma=max(sigmas)))
-    n, _, _ = resolve_sample_size(sizing, spec.base_seed, spec.signal.gamma, recovery_sample_size)
+    n, _, _, _ = resolve_sample_size(
+        sizing, spec.base_seed, spec.signal.gamma, recovery_sample_size
+    )
+    sweep = tuple(replace(spec, noise=replace(spec.noise, sigma=sigma)) for sigma in sigmas)
+    try:
+        outcomes = map_trials(spec, _baseline_trial, n, sweep)
+    except IhtDivergenceError as exc:
+        raise ConfigError(
+            f"IHT diverged at baseline.eta = {base.eta} ({exc}); lower baseline.eta"
+        ) from exc
 
     cells: list[BaselineCell] = []
-    for sigma in sigmas:
-        sweep = replace(spec, noise=replace(spec.noise, sigma=sigma))
-        try:
-            outcomes = map_trials(sweep, _baseline_trial, n)
-        except IhtDivergenceError as exc:
-            raise ConfigError(
-                f"IHT diverged at baseline.eta = {base.eta} ({exc}); lower baseline.eta"
-            ) from exc
-        for method, results in zip(BASELINE_METHODS, zip(*outcomes)):
+    for sigma, per_trial in zip(sigmas, zip(*outcomes)):
+        for method, results in zip(BASELINE_METHODS, zip(*per_trial)):
             # sums in trial order, so mean_f1 does not depend on the worker count
             exact = sum(hit for hit, _ in results)
             cells.append(
@@ -847,11 +869,12 @@ def run_concentration_check(spec: ExperimentSpec) -> ConcentrationReport:
     if spec.kind != "lemma1_check":
         raise ConfigError(f"expected a lemma1_check config, got {spec.kind!r}")
     epsilon = spec.epsilon if spec.epsilon is not None else spec.signal.gamma / 2.0
-    n, bound_n, lam = resolve_sample_size(
+    n, bound_n, lam, fs = resolve_sample_size(
         spec, spec.base_seed, epsilon, concentration_sample_size
     )
-    design = spec.design
-    fs = DESIGNS[design.kind].draw(n, design.p, spec.base_seed, design.alpha)
+    if fs is None:
+        design = spec.design
+        fs = DESIGNS[design.kind].draw(n, design.p, spec.base_seed, design.alpha)
     summary = noise_exceedance_mc(
         fs,
         spec.noise.kind,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .designs import FeatureSet, sample_noise
 from .linalg import CovMatrix, pseudo_inverse, sym_eig
@@ -84,9 +83,38 @@ class McSummary:
 
 
 def exact_binomial_ci(k: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Clopper-Pearson interval for k successes out of n."""
-    res = stats.binomtest(k, n).proportion_ci(confidence_level=confidence, method="exact")
-    return float(res.low), float(res.high)
+    """Clopper-Pearson interval for k successes out of n.
+
+    With alpha = (1 - confidence) / 2, the lower end solves
+    P(X >= k | p) = alpha and the upper end P(X <= k | p) = alpha, for
+    X ~ Binomial(n, p); the ends are exactly 0.0 at k = 0 and 1.0 at k = n.
+    Each tail is monotone in p, so bisection on the tail, summed in log
+    space, finds each end to the last bit of a double.
+    """
+    if n < 1 or not 0 <= k <= n:
+        raise ValueError(f"need n >= 1 and 0 <= k <= n, got k={k}, n={n}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    log_alpha = math.log((1.0 - confidence) / 2.0)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    log_choose = log_fact[n] - log_fact - log_fact[::-1]
+    successes = np.arange(n + 1)
+
+    def solve(x: np.ndarray, rising: bool) -> float:
+        """The p where log P(X in x | p) crosses log_alpha; rising: the tail grows with p."""
+        lo, hi = 0.0, 1.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return mid
+            terms = log_choose[x] + x * math.log(mid) + (n - x) * math.log1p(-mid)
+            top = float(terms.max())
+            below = top + math.log(float(np.exp(terms - top).sum())) < log_alpha
+            lo, hi = (mid, hi) if below == rising else (lo, mid)
+
+    low = 0.0 if k == 0 else solve(successes[k:], rising=True)
+    high = 1.0 if k == n else solve(successes[: k + 1], rising=False)
+    return low, high
 
 
 def make_mc_summary(

@@ -1,10 +1,15 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import implinear
 from implinear.cli import main
 
 
@@ -272,3 +277,25 @@ def test_bad_flag_override_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_CONFIGS["lemma1"])
     assert main(["lemma1", "--config", cfg, "--trials", "0"]) == 2
     assert "trials must be >= 1" in capsys.readouterr().err
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    # scipy is a test-only dependency; importing it would add about 1 s to every launch
+    script = (
+        "import sys\n"
+        "from implinear.cli import main\n"
+        "args = sys.argv[1:]\n"
+        "print([main([cmd, '--config', cfg]) for cmd, cfg in zip(args[::2], args[1::2])])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    args = []
+    for command, doc in SMALL_CONFIGS.items():
+        args += [command, write_config(tmp_path, doc, f"{command}.json")]
+    src = str(Path(implinear.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    codes, loaded = run.stdout.splitlines()[-2:]
+    assert codes == str([0] * len(SMALL_CONFIGS))
+    assert loaded == "[]"

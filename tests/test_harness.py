@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from implinear import designs as designs_module
 from implinear import harness as harness_module
 from implinear.engine import ImpConfig, run_imp
 from implinear.harness import (
@@ -129,30 +130,55 @@ class TestSampleSizeResolution:
     def test_orthonormal_uses_analytic_lambda(self):
         spec = recovery_spec(design=DesignSpec(kind="orthonormal", p=50),
                              signal=SignalSpec(k=5, gamma=0.5))
-        n, bound, lam = resolve_sample_size(spec, seed=1, margin=0.5,
-                                            bound_fn=recovery_sample_size)
-        assert (n, bound, lam) == (222, 222, 1.0)
+        n, bound, lam, drawn = resolve_sample_size(spec, seed=1, margin=0.5,
+                                                   bound_fn=recovery_sample_size)
+        assert (n, bound, lam, drawn) == (222, 222, 1.0, None)
 
     def test_explicit_n_wins(self):
         spec = recovery_spec(design=DesignSpec(kind="orthonormal", p=12, n=64))
-        n, bound, _ = resolve_sample_size(spec, seed=1, margin=0.5,
-                                          bound_fn=recovery_sample_size)
+        n, bound, _, _ = resolve_sample_size(spec, seed=1, margin=0.5,
+                                             bound_fn=recovery_sample_size)
         assert n == 64 and bound > 0
 
     def test_noiseless_falls_back_to_p(self):
         spec = recovery_spec(noise=NoiseSpec(sigma=0.0))
-        n, bound, _ = resolve_sample_size(spec, seed=1, margin=0.5,
-                                          bound_fn=recovery_sample_size)
+        n, bound, _, _ = resolve_sample_size(spec, seed=1, margin=0.5,
+                                             bound_fn=recovery_sample_size)
         assert bound == 1 and n == 12
 
     def test_incoherent_iterates_to_stability(self):
         spec = recovery_spec(design=DesignSpec(kind="incoherent", p=20))
-        n, bound, lam = resolve_sample_size(spec, seed=7, margin=0.5,
-                                            bound_fn=recovery_sample_size)
+        n, bound, lam, drawn = resolve_sample_size(spec, seed=7, margin=0.5,
+                                                   bound_fn=recovery_sample_size)
         assert n >= bound and 0.0 < lam <= 1.5
+        assert drawn.phi.shape == (n, 20)  # the design lambda was measured on
+
+
+def count_design_draws(monkeypatch):
+    """Record (n, p, seed) of every incoherent design drawn through the registry."""
+    keys = []
+    draw = designs_module.gen_incoherent_design
+
+    def counted(n, p, seed):
+        keys.append((n, p, seed))
+        return draw(n, p, seed)
+
+    monkeypatch.setattr(designs_module, "gen_incoherent_design", counted)
+    return keys
 
 
 class TestSupportRecovery:
+    @pytest.mark.parametrize("n", [None, 30], ids=["derived-n", "explicit-n"])
+    def test_incoherent_trial_draws_its_design_once(self, monkeypatch, n):
+        spec = recovery_spec(design=DesignSpec(kind="incoherent", p=12, n=n))
+        problem, _ = problem_and_trace(spec, 2)
+        fresh = replace(recovery_trial(spec, 2), wall_ms=0.0)
+        draws = count_design_draws(monkeypatch)
+        rec = recovery_trial(spec, 2)
+        assert len(draws) == len(set(draws))
+        assert draws[-1] == (rec.n, 12, 1236) and rec.n == problem.features.n
+        assert replace(rec, wall_ms=0.0) == fresh
+
     def test_report_and_flags(self):
         report = run_support_recovery(recovery_spec())
         assert report.rejected == 0
@@ -239,7 +265,7 @@ NONSINGULAR_DESIGNS = (
 def problem_and_trace(spec, t):
     """Rebuild trial t's problem and IMP trace the way recovery_trial does."""
     seed = spec.base_seed + t
-    n, _, _ = resolve_sample_size(spec, seed, spec.signal.gamma, recovery_sample_size)
+    n, _, _, _ = resolve_sample_size(spec, seed, spec.signal.gamma, recovery_sample_size)
     problem = harness_module._build_problem(spec, seed, n)
     config = ImpConfig(horizon=spec.imp.engine_horizon(),
                        prune_rounds=spec.design.p - spec.signal.k)
@@ -448,6 +474,51 @@ class TestBaselines:
             (0.0, "imp"), (0.0, "ht"), (0.0, "iht"),
             (0.5, "imp"), (0.5, "ht"), (0.5, "iht"),
         ]
+
+    def test_sweep_draws_each_design_once(self, monkeypatch):
+        draws = count_design_draws(monkeypatch)
+        sigmas = (0.1, 0.4, 0.8)
+        spec = ExperimentSpec(
+            kind="baseline_comparison",
+            design=DesignSpec(kind="incoherent", p=10, n=40),
+            trials=4,
+            base_seed=64,
+            signal=SignalSpec(k=2, gamma=1.0, amplitude_law="uniform"),
+            noise=NoiseSpec(sigma=0.0),
+            baseline=BaselineSpec(eta=0.5, sigmas=sigmas),
+        )
+        cells = run_baseline_comparison(spec).cells
+        # one draw at base_seed to measure lambda, then one per trial for all sigmas
+        assert draws == [(40, 10, 64)] + [(40, 10, 64 + t) for t in range(4)]
+        # the same cells as a separate run at each sigma, whose designs are fresh draws
+        separate = [
+            cell
+            for sigma in sigmas
+            for cell in run_baseline_comparison(
+                replace(spec, baseline=BaselineSpec(eta=0.5, sigmas=(sigma,)))
+            ).cells
+        ]
+        assert cells == separate
+
+    def test_imp_honours_the_horizon(self, monkeypatch):
+        horizons = []
+
+        def recording(features, config):
+            horizons.append((config.horizon, config.w_init.tolist()))
+            return run_imp(features, config)
+
+        monkeypatch.setattr(harness_module, "run_imp", recording)
+        spec = ExperimentSpec(
+            kind="baseline_comparison",
+            design=DesignSpec(kind="orthonormal", p=8, n=24),
+            trials=2,
+            base_seed=65,
+            signal=SignalSpec(k=2, gamma=1.0),
+            imp=ImpSpec(horizon=2.5),
+            baseline=BaselineSpec(sigmas=(0.0, 0.5)),
+        )
+        run_baseline_comparison(spec)
+        assert horizons == [(2.5, [0.0] * 8)] * 4
 
 
 class TestConcentration:

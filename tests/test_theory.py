@@ -218,6 +218,34 @@ class TestMcSummary:
         assert exact_binomial_ci(0, 50)[0] == 0.0
         assert exact_binomial_ci(50, 50)[1] == 1.0
 
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 1000, 10000])
+    def test_exact_ci_matches_scipy(self, n, confidence):
+        from scipy import stats  # the oracle only; implinear does not use scipy
+
+        for k in sorted({0, 1, n // 2, n - 1, n}):
+            lo, hi = exact_binomial_ci(k, n, confidence)
+            ref = stats.binomtest(k, n).proportion_ci(confidence_level=confidence,
+                                                      method="exact")
+            assert abs(lo - ref.low) <= 1e-12 and abs(hi - ref.high) <= 1e-12
+            assert (lo == 0.0) == (k == 0) and (hi == 1.0) == (k == n)
+            assert 0.0 <= lo < hi <= 1.0
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_exact_ci_closed_forms(self, n):
+        # at k = 0 and k = n one tail is a single term: (1 - p)^n or p^n = alpha
+        alpha = 0.05 / 2.0
+        assert exact_binomial_ci(0, n)[1] == pytest.approx(1.0 - alpha ** (1.0 / n), abs=1e-15)
+        assert exact_binomial_ci(n, n)[0] == pytest.approx(alpha ** (1.0 / n), abs=1e-15)
+
+    @pytest.mark.parametrize("k, n, confidence", [
+        (-1, 10, 0.95), (11, 10, 0.95), (0, 0, 0.95), (1, -3, 0.95),
+        (3, 10, 0.0), (3, 10, 1.0), (3, 10, 1.5), (3, 10, -0.1),
+    ])
+    def test_exact_ci_rejects_bad_input(self, k, n, confidence):
+        with pytest.raises(ValueError):
+            exact_binomial_ci(k, n, confidence)
+
     def test_summary_fields(self):
         s = make_mc_summary(200, {"a": 4, "b": 1}, overall_failures=5, delta=0.1)
         assert s.trials == 200
