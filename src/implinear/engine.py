@@ -6,7 +6,8 @@ trained vector, then delete the smallest-magnitude active weights.  The
 returned final weights are the round-q trained vector, i.e. the vector
 trained under a mask with exactly q * per_round coordinates pruned, before
 that round's own prune is applied.  Everything an auditor needs to replay
-the run is kept in the trace.
+the run is kept in the trace, down to the factorization each round was
+trained with.
 
 Two exact paths train a round.  The eigendecomposition path factorizes the
 restricted covariance Sigma_A every round and solves the flow in its
@@ -23,7 +24,7 @@ Indices are 0-based throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -37,23 +38,14 @@ TIE_BREAK_RULES = ("lowest_index", "highest_index")
 
 @dataclass(frozen=True)
 class PruneMask:
-    """Which coordinates survive, plus the chronological prune order."""
+    """Which coordinates survive; the prune order lives in `ImpTrace`."""
 
     active: np.ndarray
-    prune_order: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         a = np.asarray(self.active, dtype=bool).copy()
         a.setflags(write=False)
         object.__setattr__(self, "active", a)
-        order = tuple(int(i) for i in self.prune_order)
-        object.__setattr__(self, "prune_order", order)
-        if len(set(order)) != len(order):
-            raise ValueError("prune_order entries must be distinct")
-        if int(a.sum()) + len(order) != a.shape[0]:
-            raise ValueError("active count plus prune_order length must equal p")
-        if any(a[i] for i in order):
-            raise ValueError("pruned indices must be inactive")
 
     @classmethod
     def full(cls, p: int) -> "PruneMask":
@@ -71,13 +63,12 @@ class PruneMask:
         return np.flatnonzero(self.active)
 
     def prune(self, indices) -> "PruneMask":
-        idx = [int(i) for i in np.atleast_1d(indices)]
-        for i in idx:
-            if not self.active[i]:
-                raise ValueError(f"index {i} is already pruned")
         new_active = self.active.copy()
-        new_active[idx] = False
-        return PruneMask(active=new_active, prune_order=self.prune_order + tuple(idx))
+        for i in np.atleast_1d(indices):
+            if not new_active[i]:
+                raise ValueError(f"index {int(i)} is already pruned")
+            new_active[i] = False
+        return PruneMask(active=new_active)
 
 
 @dataclass(frozen=True)
@@ -114,32 +105,38 @@ class ImpConfig:
 class RoundRecord:
     """Mask before this round's prune, the trained vector, and what was pruned.
 
-    On the downdate path, `eig` is the factorization of Sigma_A on the rounds
-    that seed the downdate (round 0, and any round refactorized after
-    drift), and `inverse` is Sigma_A^{-1} on the downdated rounds, indexed
-    like `mask.active_indices()`.  Both are None on the eigendecomposition
-    path, and neither is serialized.
+    Exactly one of `eig` and `inverse` is set on a round `run_imp` trained:
+    `eig` is the eigendecomposition of Sigma_A on a factorized round (every
+    round of the eigendecomposition path; round 0 and any round refactorized
+    after drift on the downdate path), and `inverse` is Sigma_A^{-1} on a
+    downdated round, indexed like `mask.active_indices()`.  Neither is
+    serialized.
     """
 
     mask: PruneMask
     weights: np.ndarray
     pruned: tuple[int, ...]
-    pruned_magnitudes: tuple[float, ...]
     eig: SymEig | None = None
     inverse: np.ndarray | None = None
+
+    @property
+    def pruned_magnitudes(self) -> tuple[float, ...]:
+        return tuple(float(abs(self.weights[i])) for i in self.pruned)
 
 
 @dataclass(frozen=True)
 class ImpTrace:
-    rounds: tuple[RoundRecord, ...] = field(default_factory=tuple)
-    final_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    """The rounds of one run; the final weights and prune order derive from them."""
+
+    rounds: tuple[RoundRecord, ...]
+
+    @property
+    def final_weights(self) -> np.ndarray:
+        return self.rounds[-1].weights
 
     @property
     def prune_order(self) -> tuple[int, ...]:
-        out: tuple[int, ...] = ()
-        for rec in self.rounds:
-            out = out + rec.pruned
-        return out
+        return tuple(i for rec in self.rounds for i in rec.pruned)
 
 
 def _select_prune(
@@ -213,7 +210,6 @@ def run_imp(
 
     mask = PruneMask.full(p)
     rounds: list[RoundRecord] = []
-    final_weights = np.zeros(p)
     # The downdate path needs an infinite horizon and a nonsingular round-0
     # factorization; it stays on while every later refactorization is
     # nonsingular too, which interlacing guarantees up to roundoff.
@@ -232,32 +228,19 @@ def run_imp(
             eig = sym_eig(cov.restrict(active_idx), config.rank_tol)
             w_active = closed_form_weights(eig, data_vec[active_idx], w0_active, config.horizon)
             exact_path = exact_path and bool(eig.nonzero_mask().all())
-            if not exact_path:
-                eig = None  # the eigendecomposition path keeps no factorization
 
         weights = np.zeros(p)
         weights[active_idx] = w_active
         local = _select_prune(np.abs(w_active), config.per_round, config.tie_break)
         pruned = tuple(int(i) for i in active_idx[local])
-        magnitudes = tuple(float(abs(weights[i])) for i in pruned)
 
-        rounds.append(
-            RoundRecord(
-                mask=mask,
-                weights=weights,
-                pruned=pruned,
-                pruned_magnitudes=magnitudes,
-                eig=eig,
-                inverse=inverse,
-            )
-        )
-        if k == q:
-            final_weights = weights
-        elif eig is not None:
+        rounds.append(RoundRecord(mask=mask, weights=weights, pruned=pruned, eig=eig,
+                                  inverse=inverse))
+        if exact_path and eig is not None and k < q:
             inverse = pseudo_inverse(eig)
         mask = mask.prune(pruned)
 
-    return ImpTrace(rounds=tuple(rounds), final_weights=final_weights)
+    return ImpTrace(rounds=tuple(rounds))
 
 
 def imp_prune_order(features: FeatureSet, config: ImpConfig | None = None) -> np.ndarray:
@@ -285,21 +268,13 @@ def trace_to_dict(trace: ImpTrace) -> dict:
 
 
 def trace_from_dict(d: dict) -> ImpTrace:
-    rounds = []
-    order: tuple[int, ...] = ()
-    for rd in d["rounds"]:
-        mask = PruneMask(active=np.asarray(rd["active"], dtype=bool), prune_order=order)
-        pruned = tuple(int(i) for i in rd["pruned"])
-        rounds.append(
-            RoundRecord(
-                mask=mask,
-                weights=np.asarray(rd["weights"], dtype=float),
-                pruned=pruned,
-                pruned_magnitudes=tuple(float(x) for x in rd["pruned_magnitudes"]),
-            )
+    """Inverse of `trace_to_dict`; the derived `final_weights` and
+    `pruned_magnitudes` entries are recomputed from the weights."""
+    return ImpTrace(rounds=tuple(
+        RoundRecord(
+            mask=PruneMask(active=np.asarray(rd["active"], dtype=bool)),
+            weights=np.asarray(rd["weights"], dtype=float),
+            pruned=tuple(int(i) for i in rd["pruned"]),
         )
-        order = order + pruned
-    return ImpTrace(
-        rounds=tuple(rounds),
-        final_weights=np.asarray(d["final_weights"], dtype=float),
-    )
+        for rd in d["rounds"]
+    ))

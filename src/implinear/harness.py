@@ -246,6 +246,12 @@ def _prune_rounds(spec: ExperimentSpec) -> int:
     return spec.imp.q if spec.imp.q is not None else spec.design.p - spec.signal.k
 
 
+def _imp_config(spec: ExperimentSpec, q: int) -> ImpConfig:
+    """The IMP run of a recover or baselines trial, with q prune rounds."""
+    return ImpConfig(horizon=spec.imp.engine_horizon(), prune_rounds=q,
+                     per_round=spec.imp.per_round, tie_break=spec.imp.tie_break)
+
+
 def _baseline(spec: ExperimentSpec) -> tuple[BaselineSpec, tuple[float, ...], float]:
     """The baseline block with its defaults resolved: (block, sigmas, tau)."""
     base = spec.baseline if spec.baseline is not None else BaselineSpec()
@@ -290,8 +296,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
                 check_noise(spec.noise.kind, sigma)
             ThresholdConfig(tau=tau, eta=base.eta, max_iters=base.max_iters,
                             convergence_tol=base.convergence_tol)
-        ImpConfig(horizon=spec.imp.engine_horizon(), prune_rounds=q,
-                  per_round=spec.imp.per_round, tie_break=spec.imp.tie_break)
+        _imp_config(spec, q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if runs_imp and (q + 1) * spec.imp.per_round > design.p:
@@ -385,7 +390,6 @@ class TrialRecord:
     sigma: float
     delta: float
     q: int
-    bound_n: int
     sparsity_ok: bool
     no_false_exclusion: bool
     min_nz_eig: float
@@ -428,10 +432,11 @@ def _audit_rounds(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per-round smallest nonzero eigenvalue and recoverability residual.
 
-    Rounds the engine factorized reuse its eigendecomposition when it kept
-    one, and are refactorized otherwise.  A downdated round is checked with
-    the engine's Sigma_A^{-1}, so its residual also measures downdate drift;
-    its eigenvalue entry is the previous round's, a lower bound by Cauchy
+    Each round is checked with the factorization the engine trained it
+    with, so nothing is refactorized.  A factorized round reuses its
+    eigendecomposition.  A downdated round is checked with the engine's
+    Sigma_A^{-1}, so its residual also measures downdate drift; its
+    eigenvalue entry is the previous round's, a lower bound by Cauchy
     interlacing, so the minimum over rounds is the exact one.
     """
     cov = problem.features.covariance
@@ -439,18 +444,15 @@ def _audit_rounds(
     residuals: list[float] = []
     for rec in trace.rounds:
         idx = rec.mask.active_indices()
-        sub = cov.restrict(idx)
         if rec.inverse is not None:
             eigs.append(eigs[-1])
-            chk = check_recoverable(sub, problem.signal[idx], tol=RECOVERY_TOL,
-                                    inverse=rec.inverse)
         else:
-            eig = rec.eig if rec.eig is not None else sym_eig(sub)
             try:
-                eigs.append(min_nonzero_eig(eig))
+                eigs.append(min_nonzero_eig(rec.eig))
             except ValueError:
                 eigs.append(float("nan"))
-            chk = check_recoverable(sub, problem.signal[idx], tol=RECOVERY_TOL, eig=eig)
+        chk = check_recoverable(cov.restrict(idx), problem.signal[idx], tol=RECOVERY_TOL,
+                                eig=rec.eig, inverse=rec.inverse)
         residuals.append(chk.residual)
     return tuple(eigs), tuple(residuals)
 
@@ -459,7 +461,7 @@ def recovery_trial(spec: ExperimentSpec, t: int) -> TrialRecord | None:
     """Run one trial; None means the drawn design failed the ONP precondition."""
     seed = spec.base_seed + t
     start = time.perf_counter()
-    n, bound_n, _lam, drawn = resolve_sample_size(
+    n, _, _, drawn = resolve_sample_size(
         spec, seed, spec.signal.gamma, recovery_sample_size
     )
     problem = _build_problem(spec, seed, n, drawn)
@@ -470,14 +472,7 @@ def recovery_trial(spec: ExperimentSpec, t: int) -> TrialRecord | None:
 
     p = spec.design.p
     q = _prune_rounds(spec)
-    config = ImpConfig(
-        horizon=spec.imp.engine_horizon(),
-        prune_rounds=q,
-        w_init=np.zeros(p),
-        per_round=spec.imp.per_round,
-        tie_break=spec.imp.tie_break,
-    )
-    trace = run_imp(problem.features, config)
+    trace = run_imp(problem.features, _imp_config(spec, q))
     final = trace.final_weights
 
     sparsity_ok = int(np.sum(final == 0.0)) >= q * spec.imp.per_round
@@ -496,7 +491,6 @@ def recovery_trial(spec: ExperimentSpec, t: int) -> TrialRecord | None:
         sigma=spec.noise.sigma,
         delta=spec.delta,
         q=q,
-        bound_n=bound_n,
         sparsity_ok=sparsity_ok,
         no_false_exclusion=no_false_exclusion,
         min_nz_eig=float(np.min(round_eigs)) if round_eigs else float("nan"),
@@ -789,13 +783,7 @@ def _baseline_trial(
     """
     seed = spec.base_seed + t
     base, _, tau = _baseline(spec)
-    imp = ImpConfig(
-        horizon=spec.imp.engine_horizon(),
-        prune_rounds=_prune_rounds(spec),
-        w_init=np.zeros(spec.design.p),
-        per_round=spec.imp.per_round,
-        tie_break=spec.imp.tie_break,
-    )
+    imp = _imp_config(spec, _prune_rounds(spec))
     threshold = ThresholdConfig(
         tau=tau, eta=base.eta / n, max_iters=base.max_iters, convergence_tol=base.convergence_tol
     )

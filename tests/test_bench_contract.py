@@ -2,13 +2,19 @@
 
 Renaming or moving a wrapped function (`_audit_rounds`, `check_recoverable`,
 `_cone_generators`, `closed_form_weights`, ...) breaks traced benchmark runs;
-installing the tracer here makes that fail the test suite instead.
+installing the tracer here makes that fail the test suite instead.  A small
+traced `recover` run checks that the spans the per-layer metrics read still
+fire, so a name that stays bound but is no longer called fails here too.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
+
+from implinear.harness import run_support_recovery, spec_from_dict
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -35,3 +41,36 @@ def test_tracer_installs_and_restores_every_wrap_point(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(getattr(owner, attr) is orig for (owner, attr), orig in zip(targets, before))
+
+
+def recover_spec(design, horizon):
+    return spec_from_dict({
+        "kind": "support_recovery",
+        "design": design,
+        "signal": {"k": 2, "gamma": 0.5},
+        "noise": {"kind": "gaussian", "sigma": 0.5},
+        "imp": {"horizon": horizon},
+        "trials": 2,
+        "base_seed": 7,
+    })
+
+
+@pytest.mark.parametrize("design, horizon", [
+    ({"kind": "orthonormal", "p": 10, "n": 40}, "infinite"),
+    ({"kind": "incoherent", "p": 10, "n": 40}, 5.0),
+], ids=["infinite-horizon", "finite-horizon"])
+def test_traced_recover_fires_every_metric_span(monkeypatch, design, horizon):
+    """A wrapped name that is still bound but no longer called would zero a metric."""
+    tracer = load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        report = run_support_recovery(recover_spec(design, horizon))
+    finally:
+        tracer.uninstall()
+    assert len(report.records) == 2
+    names = {s.name for s in tracer.spans}
+    assert {"harness.recovery_trial", "engine.run_imp", "harness.audit",
+            "flow.closed_form_weights", "linalg.sym_eig"} <= names
+    parents = {s.id: s.name for s in tracer.spans}
+    assert not [s for s in tracer.spans
+                if s.name == "linalg.sym_eig" and parents.get(s.parent) == "harness.audit"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from implinear import engine as engine_module
@@ -22,7 +22,7 @@ from implinear.engine import (
     trace_from_dict,
     trace_to_dict,
 )
-from implinear.flow import INFINITE, closed_form_weights
+from implinear.flow import INFINITE, closed_form_weights, is_infinite
 from implinear.linalg import sym_eig
 
 
@@ -41,19 +41,22 @@ def random_features(seed, n=12, p=6):
 class TestPruneMask:
     def test_accounting(self):
         mask = PruneMask.full(4)
-        assert mask.n_active == 4 and mask.prune_order == ()
+        assert mask.n_active == 4
         mask = mask.prune([2]).prune([0])
-        assert mask.prune_order == (2, 0)
+        assert mask.n_active == 2
         assert list(mask.active_indices()) == [1, 3]
+        # w = y on the identity design: |0.5| and |-1| go first, then |2|, |3|
+        trace = run_imp(identity_features((3.0, -1.0, 2.0, 0.5)),
+                        ImpConfig(prune_rounds=1, per_round=2))
+        assert trace.prune_order == (3, 1, 2, 0)
+        assert list(trace.rounds[1].mask.active_indices()) == [0, 2]
 
     def test_double_prune_rejected(self):
         mask = PruneMask.full(3).prune([1])
         with pytest.raises(ValueError, match="already pruned"):
             mask.prune([1])
-
-    def test_inconsistent_mask_rejected(self):
-        with pytest.raises(ValueError):
-            PruneMask(active=np.array([True, True]), prune_order=(0,))
+        with pytest.raises(ValueError, match="already pruned"):
+            mask.prune([2, 2])
 
 
 class TestRunImp:
@@ -191,6 +194,8 @@ class TestTraceSerialization:
             assert np.array_equal(a.mask.active, b.mask.active)
             assert np.array_equal(a.weights, b.weights)
             assert a.pruned == b.pruned
+            assert a.pruned_magnitudes == b.pruned_magnitudes
+        assert trace_to_dict(back) == trace_to_dict(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +260,11 @@ def count_sym_eig(monkeypatch):
     return calls
 
 
+def assert_one_factorization(trace):
+    """Every round keeps exactly one of its eigendecomposition and inverse."""
+    assert all((rec.eig is None) != (rec.inverse is None) for rec in trace.rounds)
+
+
 def assert_matches_oracle(features, config):
     trace = run_imp(features, config)
     oracle = oracle_imp(features, config)
@@ -287,7 +297,8 @@ class TestDowndatePath:
             fs, ImpConfig(prune_rounds=q, per_round=per_round, tie_break=tie_break)
         )
         # a nonsingular design: every later round is downdated
-        assert trace.rounds[0].eig is not None and trace.rounds[0].inverse is None
+        assert_one_factorization(trace)
+        assert trace.rounds[0].eig is not None
         assert all(rec.inverse is not None for rec in trace.rounds[1:])
 
     def test_one_factorization_when_nonsingular(self, monkeypatch):
@@ -302,14 +313,16 @@ class TestDowndatePath:
         fs = design_features("incoherent", 200, None, seed=4)
         trace = run_imp(fs, ImpConfig(prune_rounds=20, horizon=horizon))
         assert len(calls) == 21
-        assert all(rec.eig is None and rec.inverse is None for rec in trace.rounds)
+        assert_one_factorization(trace)
+        assert all(rec.eig is not None for rec in trace.rounds)
 
     def test_rank_deficient_factorizes_every_round(self, monkeypatch):
         calls = count_sym_eig(monkeypatch)
         fs = design_features("incoherent", 40, None, seed=5)  # n < p: singular
         trace = run_imp(fs, ImpConfig(prune_rounds=45))
         assert len(calls) == 46
-        assert all(rec.eig is None and rec.inverse is None for rec in trace.rounds)
+        assert_one_factorization(trace)
+        assert all(rec.eig is not None for rec in trace.rounds)
 
     def test_configured_rank_tol_above_spectrum_keeps_eigh_path(self, monkeypatch):
         calls = count_sym_eig(monkeypatch)
@@ -331,7 +344,8 @@ class TestDowndatePath:
         monkeypatch.setattr(engine_module, "_downdate", fail_third)
         trace = assert_matches_oracle(fs, config)
         assert calls == [DIFF_P, DIFF_P - 3]  # round 0, then round 3 refactorized
-        assert trace.rounds[3].eig is not None and trace.rounds[3].inverse is None
+        assert_one_factorization(trace)
+        assert trace.rounds[3].eig is not None
         assert all(rec.inverse is not None for k, rec in enumerate(trace.rounds) if k not in (0, 3))
 
     def test_non_positive_pivot_rejected(self):
@@ -363,3 +377,32 @@ class TestDowndatePath:
         assert [k for k, _, _ in seen] == list(range(13))
         for _, idx, w0 in seen:
             assert np.array_equal(w0, w_init[idx])
+
+
+PERM_P = 16
+
+
+class TestPermutationEquivariance:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        per_round=st.sampled_from((1, 3)),
+        horizon=st.sampled_from((INFINITE, 5.0)),
+        perm=st.permutations(range(PERM_P)),
+    )
+    def test_permuted_columns_permute_the_run(self, seed, per_round, horizon, perm):
+        fs = design_features("incoherent", 60, None, seed, p=PERM_P)
+        perm = np.asarray(perm)
+        config = ImpConfig(prune_rounds=PERM_P // per_round - 1, per_round=per_round,
+                           horizon=horizon)
+        trace = run_imp(fs, config)
+        # Reordering changes the roundoff, so only a clear gap fixes the order.
+        for rec in trace.rounds:
+            mags = np.sort(np.abs(rec.weights[rec.mask.active]))
+            assume(np.all(np.diff(mags) > 1e-8 * mags[-1]))
+        permuted = run_imp(FeatureSet.from_phi(fs.phi[:, perm], fs.targets), config)
+        assert (permuted.rounds[-1].inverse is not None) == is_infinite(horizon)  # downdated
+        assert tuple(int(perm[i]) for i in permuted.prune_order) == trace.prune_order
+        for a, b in zip(permuted.rounds, trace.rounds):
+            scale = float(np.max(np.abs(b.weights)))
+            assert np.max(np.abs(a.weights - b.weights[perm])) <= 1e-10 * scale

@@ -31,7 +31,7 @@ from implinear.harness import (
     trial_csv_row,
     uniform_corr_separation_margin,
 )
-from implinear.linalg import sym_eig
+from implinear.linalg import min_nonzero_eig, sym_eig
 from implinear.theory import check_recoverable, recovery_sample_size
 
 
@@ -312,13 +312,26 @@ class TestAuditRounds:
             assert residual <= RECOVERY_TOL
             assert residual == pytest.approx(fresh.residual, abs=1e-10)
 
-    def test_finite_horizon_audit_refactorizes_every_round(self, monkeypatch):
-        spec = recovery_spec(imp=ImpSpec(horizon=5.0))
+    @pytest.mark.parametrize("overrides", [
+        {"imp": ImpSpec(horizon=5.0)},
+        {"design": DesignSpec(kind="incoherent", p=12, n=8)},  # n < p: singular
+    ], ids=["finite-horizon", "rank-deficient"])
+    def test_factorized_rounds_reuse_the_engine(self, monkeypatch, overrides):
+        spec = recovery_spec(**overrides)
         problem, trace = problem_and_trace(spec, 0)
         calls = count_audit_sym_eig(monkeypatch)
-        eigs, _ = harness_module._audit_rounds(problem, trace)
-        assert len(calls) == len(trace.rounds)
-        assert min(eigs) == pytest.approx(1.0)
+        eigs, residuals = harness_module._audit_rounds(problem, trace)
+        assert calls == []
+        cov = problem.features.covariance
+        fresh_eigs, fresh_residuals = [], []
+        for rnd in trace.rounds:
+            idx = rnd.mask.active_indices()
+            eig = sym_eig(cov.restrict(idx))
+            fresh_eigs.append(min_nonzero_eig(eig))
+            fresh_residuals.append(check_recoverable(cov.restrict(idx), problem.signal[idx],
+                                                     tol=RECOVERY_TOL, eig=eig).residual)
+        assert eigs == tuple(fresh_eigs)
+        assert residuals == tuple(fresh_residuals)
 
 
 class TestReplay:
@@ -504,7 +517,7 @@ class TestBaselines:
         horizons = []
 
         def recording(features, config):
-            horizons.append((config.horizon, config.w_init.tolist()))
+            horizons.append((config.horizon, config.w_init))
             return run_imp(features, config)
 
         monkeypatch.setattr(harness_module, "run_imp", recording)
@@ -518,7 +531,7 @@ class TestBaselines:
             baseline=BaselineSpec(sigmas=(0.0, 0.5)),
         )
         run_baseline_comparison(spec)
-        assert horizons == [(2.5, [0.0] * 8)] * 4
+        assert horizons == [(2.5, None)] * 4  # None: the zero initialization
 
 
 class TestConcentration:

@@ -10,7 +10,7 @@ from implinear.designs import (
     gen_uniform_corr_design,
     sample_noise,
 )
-from implinear.linalg import CovMatrix
+from implinear.linalg import CovMatrix, sym_eig
 from implinear.theory import (
     BoundInputs,
     OnpReport,
@@ -81,6 +81,28 @@ class TestCheckOnp:
             gens = theory_module._cone_generators(5, np.asarray(support, dtype=int))
             assert rep.generators_checked == gens.shape[1]
             assert rep.null_dim == 1
+
+    def test_closed_form_equals_the_generator_matrix(self, monkeypatch):
+        build = theory_module._cone_generators
+
+        def forbidden(*args):
+            raise AssertionError("generator matrix built")
+
+        monkeypatch.setattr(theory_module, "_cone_generators", forbidden)
+        rng = np.random.default_rng(61)
+        for case in range(150):
+            p = int(rng.integers(2, 10))
+            n = int(rng.integers(1, p))  # n < p: a nontrivial nullspace
+            phi = rng.standard_normal((n, p))
+            gram = phi.T @ phi
+            cov = CovMatrix((gram + gram.T) / (2.0 * n), n)
+            k = (1, p, int(rng.integers(1, p + 1)))[case % 3]
+            support = np.sort(rng.choice(p, size=k, replace=False))
+            null = sym_eig(cov).null_basis()
+            oracle = float(np.max(np.abs(null.T @ build(p, support))))
+            rep = check_onp(cov, support)
+            assert rep.null_dim == null.shape[1] > 0
+            assert rep.max_violation == oracle
 
 
 class TestCheckRecoverable:
