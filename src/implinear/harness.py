@@ -20,6 +20,7 @@ import time
 import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -311,20 +312,31 @@ def validate_spec(spec: ExperimentSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def map_trials(spec: ExperimentSpec, trial_fn, *args) -> list:
+def map_trials(spec: ExperimentSpec, trial_fn, *args, more=None) -> list:
     """[trial_fn(spec, t, *args) for t in range(spec.trials)], in trial order.
 
-    With threads > 1 the trials run on that many worker processes, in about
-    four chunks per worker so that every worker gets a share.  Trial t seeds
-    its randomness from base_seed + t alone, so the results do not depend on
-    the worker count.
+    With `more`, the map goes on in batches: after each batch, more(batch)
+    is the number of trials to run next, numbered on from the last one, and
+    0 ends the map.  With threads > 1 the trials run on one pool of that
+    many worker processes for the whole map, each batch in about four chunks
+    per worker so that every worker gets a share.  Trial t seeds its
+    randomness from base_seed + t alone, so the results do not depend on the
+    worker count.
     """
-    tasks = (repeat(spec), range(spec.trials), *map(repeat, args))
-    if spec.threads == 1:
-        return list(map(trial_fn, *tasks))
-    chunksize = math.ceil(spec.trials / (4 * spec.threads))
-    with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-        return list(pool.map(trial_fn, *tasks, chunksize=chunksize))
+    results: list = []
+    size = spec.trials
+    pool = ProcessPoolExecutor(max_workers=spec.threads) if spec.threads > 1 else None
+    with pool or nullcontext():
+        while size > 0:
+            tasks = (repeat(spec), range(len(results), len(results) + size), *map(repeat, args))
+            if pool is None:
+                batch = list(map(trial_fn, *tasks))
+            else:
+                chunksize = math.ceil(size / (4 * spec.threads))
+                batch = list(pool.map(trial_fn, *tasks, chunksize=chunksize))
+            results += batch
+            size = more(batch) if more else 0
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -639,108 +651,100 @@ def _heuristic_single(spec: ExperimentSpec, trial: int) -> HeuristicTrialRow:
     )
 
 
-def _heuristic_incoherent(spec: ExperimentSpec) -> HeuristicReport:
-    """First-prune agreement under the enforced incoherence gap condition.
+def _incoherent_attempt(spec: ExperimentSpec, attempt: int) -> HeuristicTrialRow:
+    """One attempt of an incoherent run, drawn with seed base_seed + attempt.
 
-    Attempts are drawn with seeds base_seed, base_seed + 1, ... until
-    `trials` of them satisfy: measured pairwise incoherence at most 1/(10p),
+    It qualifies when the measured pairwise incoherence is at most 1/(10p)
     and the gap between the two smallest alignment scores strictly exceeds
-    10 p delta_pw max_j |phi_j^T y|.  Non-qualifying attempts are logged as
-    excluded rows.
+    10 p delta_pw max_j |phi_j^T y|; only then is its first prune checked.
+    A non-qualifying attempt is an excluded row.
     """
-    design = spec.design
-    n, p = design.n, design.p
-    rows: list[HeuristicTrialRow] = []
-    qualifying = 0
-    first_matches = 0
-    degenerate = 0
-    attempt = 0
-    max_attempts = spec.trials * 400
-    while qualifying < spec.trials and attempt < max_attempts:
-        seed = spec.base_seed + attempt
-        attempt += 1
-        fs, delta_pw = gen_incoherent_design(n, p, seed)
-        y = make_rng(seed, STREAM_TARGETS).standard_normal(n)
-        fs = fs.with_targets(y)
-        scores = np.abs(fs.phi.T @ y)
-        order = np.argsort(scores, kind="stable")
-        first_gap = float(scores[order[1]] - scores[order[0]]) if p > 1 else float("inf")
-        threshold = 10.0 * p * delta_pw * float(np.max(scores))
-        is_degenerate = first_gap < spec.tie_tol
-        qualifies = (not is_degenerate) and delta_pw <= 1.0 / (10.0 * p) and first_gap > threshold
-
-        first_match = False
-        if qualifies:
-            trace = run_imp(fs, ImpConfig(prune_rounds=0, tie_break=spec.imp.tie_break))
-            first_match = bool(trace.rounds[0].pruned[0] == order[0])
-            qualifying += 1
-            first_matches += int(first_match)
-        degenerate += int(is_degenerate)
-        rows.append(
-            HeuristicTrialRow(
-                trial=attempt - 1,
-                seed=seed,
-                full_match=False,
-                first_match=first_match,
-                degenerate=is_degenerate,
-                excluded=not qualifies,
-                delta_pw=delta_pw,
-                min_gap=first_gap,
-                gap_threshold=threshold,
-                inverse_err=float("nan"),
-            )
-        )
-    if qualifying < spec.trials:
-        raise ConfigError(
-            f"only {qualifying}/{spec.trials} attempts satisfied the gap condition "
-            f"after {attempt} draws; raise design.n or lower trials"
-        )
-    rate = first_matches / qualifying
-    return HeuristicReport(
-        design_kind="incoherent",
-        trials=spec.trials,
-        qualifying=qualifying,
+    n, p = spec.design.n, spec.design.p
+    seed = spec.base_seed + attempt
+    fs, delta_pw = gen_incoherent_design(n, p, seed)
+    y = make_rng(seed, STREAM_TARGETS).standard_normal(n)
+    fs = fs.with_targets(y)
+    scores = np.abs(fs.phi.T @ y)
+    order = np.argsort(scores, kind="stable")
+    first_gap = float(scores[order[1]] - scores[order[0]]) if p > 1 else float("inf")
+    threshold = 10.0 * p * delta_pw * float(np.max(scores))
+    degenerate = first_gap < spec.tie_tol
+    qualifies = (not degenerate) and delta_pw <= 1.0 / (10.0 * p) and first_gap > threshold
+    first_match = False
+    if qualifies:
+        trace = run_imp(fs, ImpConfig(prune_rounds=0, tie_break=spec.imp.tie_break))
+        first_match = bool(trace.rounds[0].pruned[0] == order[0])
+    return HeuristicTrialRow(
+        trial=attempt,
+        seed=seed,
+        full_match=False,
+        first_match=first_match,
         degenerate=degenerate,
-        excluded=len(rows) - qualifying,
-        attempts=attempt,
-        full_match_rate=float("nan"),
-        first_match_rate=rate,
-        max_inverse_err=float("nan"),
-        passed=rate == 1.0,
-        rows=rows,
+        excluded=not qualifies,
+        delta_pw=delta_pw,
+        min_gap=first_gap,
+        gap_threshold=threshold,
+        inverse_err=float("nan"),
     )
+
+
+def _heuristic_incoherent(spec: ExperimentSpec) -> list[HeuristicTrialRow]:
+    """Attempts 0, 1, ... up to the one that makes `trials` of them qualify.
+
+    Attempts run in batches of as many as the qualifying ones still missing:
+    a smaller batch cannot fill the quota, and a batch fills it only at its
+    last attempt, so every attempt drawn is needed and the rows are those of
+    a one-by-one loop.  At most 400 attempts per trial are drawn.
+    """
+    cap = spec.trials * 400
+    missing, drawn = spec.trials, 0
+
+    def next_batch(batch: list[HeuristicTrialRow]) -> int:
+        nonlocal missing, drawn
+        missing -= sum(not r.excluded for r in batch)
+        drawn += len(batch)
+        return min(missing, cap - drawn)
+
+    rows = map_trials(spec, _incoherent_attempt, more=next_batch)
+    if missing:
+        raise ConfigError(
+            f"only {spec.trials - missing}/{spec.trials} attempts satisfied the gap condition "
+            f"after {drawn} draws; raise design.n or lower trials"
+        )
+    return rows
 
 
 def run_heuristic_equivalence(spec: ExperimentSpec) -> HeuristicReport:
     if spec.kind != "heuristic_equivalence":
         raise ConfigError(f"expected a heuristic_equivalence config, got {spec.kind!r}")
-    if spec.design.kind == "incoherent":
-        report = _heuristic_incoherent(spec)
-    else:
-        rows = map_trials(spec, _heuristic_single)
-        qual = [r for r in rows if not (r.degenerate or r.excluded)]
-        full = sum(r.full_match for r in qual)
-        first = sum(r.first_match for r in qual)
-        inverse_errs = [r.inverse_err for r in rows if np.isfinite(r.inverse_err)]
-        max_inverse = max(inverse_errs) if inverse_errs else float("nan")
-        full_rate = full / len(qual) if qual else float("nan")
-        first_rate = first / len(qual) if qual else float("nan")
-        passed = bool(qual) and full_rate == 1.0
-        if spec.design.kind == "uniform_corr" and np.isfinite(max_inverse):
-            passed = passed and max_inverse <= 1e-8
-        report = HeuristicReport(
-            design_kind=spec.design.kind,
-            trials=spec.trials,
-            qualifying=len(qual),
-            degenerate=sum(r.degenerate for r in rows),
-            excluded=sum(r.excluded for r in rows),
-            attempts=spec.trials,
-            full_match_rate=full_rate,
-            first_match_rate=first_rate,
-            max_inverse_err=max_inverse,
-            passed=passed,
-            rows=rows,
-        )
+    incoherent = spec.design.kind == "incoherent"
+    rows = _heuristic_incoherent(spec) if incoherent else map_trials(spec, _heuristic_single)
+    qual = [r for r in rows if not (r.degenerate or r.excluded)]
+
+    def rate(hits) -> float:
+        return sum(hits) / len(qual) if qual else float("nan")
+
+    # the incoherence condition speaks only of the first prune
+    full_rate = float("nan") if incoherent else rate(r.full_match for r in qual)
+    first_rate = rate(r.first_match for r in qual)
+    inverse_errs = [r.inverse_err for r in rows if np.isfinite(r.inverse_err)]
+    max_inverse = max(inverse_errs) if inverse_errs else float("nan")
+    passed = bool(qual) and (first_rate if incoherent else full_rate) == 1.0
+    if spec.design.kind == "uniform_corr" and np.isfinite(max_inverse):
+        passed = passed and max_inverse <= 1e-8
+    report = HeuristicReport(
+        design_kind=spec.design.kind,
+        trials=spec.trials,
+        qualifying=len(qual),
+        degenerate=sum(r.degenerate for r in rows),
+        excluded=sum(r.excluded for r in rows),
+        attempts=len(rows),
+        full_match_rate=full_rate,
+        first_match_rate=first_rate,
+        max_inverse_err=max_inverse,
+        passed=passed,
+        rows=rows,
+    )
     if spec.out_dir:
         write_heuristic_outputs(spec, report)
     return report
@@ -773,13 +777,15 @@ def _support_f1(estimated: set[int], truth: set[int]) -> float:
 
 
 def _baseline_trial(
-    spec: ExperimentSpec, t: int, n: int, sweep: tuple[ExperimentSpec, ...]
+    spec: ExperimentSpec, t: int, n: int, sweep: tuple[ExperimentSpec, ...],
+    first: FeatureSet | None,
 ) -> tuple[tuple[tuple[bool, float], ...], ...]:
     """For each spec of the noise sweep, (exact support recovered, support F1)
     of each method on trial t.
 
-    The trial's design is drawn once for the whole sweep; each noise setting
-    draws its own noise.
+    The trial's design is drawn once for the whole sweep, and trial 0 takes
+    `first` if sizing n already drew it; each noise setting draws its own
+    noise.
     """
     seed = spec.base_seed + t
     base, _, tau = _baseline(spec)
@@ -787,7 +793,7 @@ def _baseline_trial(
     threshold = ThresholdConfig(
         tau=tau, eta=base.eta / n, max_iters=base.max_iters, convergence_tol=base.convergence_tol
     )
-    features = None
+    features = first if t == 0 else None
     outcomes = []
     for noisy in sweep:
         problem = _build_problem(noisy, seed, n, features)
@@ -807,12 +813,12 @@ def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
 
     # One n for the whole sweep, sized for its noisiest setting.
     sizing = replace(spec, noise=replace(spec.noise, sigma=max(sigmas)))
-    n, _, _, _ = resolve_sample_size(
+    n, _, _, first = resolve_sample_size(
         sizing, spec.base_seed, spec.signal.gamma, recovery_sample_size
     )
     sweep = tuple(replace(spec, noise=replace(spec.noise, sigma=sigma)) for sigma in sigmas)
     try:
-        outcomes = map_trials(spec, _baseline_trial, n, sweep)
+        outcomes = map_trials(spec, _baseline_trial, n, sweep, first)
     except IhtDivergenceError as exc:
         raise ConfigError(
             f"IHT diverged at baseline.eta = {base.eta} ({exc}); lower baseline.eta"
@@ -906,22 +912,9 @@ def _csv_line(cols) -> str:
 
 
 def trial_csv_row(rec: TrialRecord) -> str:
-    cols = [
-        rec.trial,
-        rec.seed,
-        rec.n,
-        rec.p,
-        rec.k,
-        rec.gamma,
-        rec.sigma,
-        rec.delta,
-        rec.q,
-        rec.sparsity_ok,
-        rec.no_false_exclusion,
-        rec.min_nz_eig,
-        rec.max_recov_residual,
-    ]
-    return _csv_line(cols) + f",{rec.wall_ms:.3f}"
+    """The header's columns in its order; wall_ms to the microsecond."""
+    *cols, _ = TRIALS_CSV_HEADER.split(",")
+    return _csv_line(getattr(rec, c) for c in cols) + f",{rec.wall_ms:.3f}"
 
 
 def row_without_wall_ms(row: str) -> str:

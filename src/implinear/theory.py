@@ -32,7 +32,6 @@ class OnpReport:
     holds: bool
     null_dim: int
     max_violation: float
-    generators_checked: int
     vacuous: bool
 
 
@@ -187,7 +186,6 @@ def check_onp(
         holds=max_violation <= tol,
         null_dim=int(null.shape[1]),
         max_violation=max_violation,
-        generators_checked=k * (2 * (cov.p - k) + 1),
         vacuous=bool(support.size == 0 and null.shape[1] > 0),
     )
 

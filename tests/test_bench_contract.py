@@ -2,9 +2,10 @@
 
 Renaming or moving a wrapped function (`_audit_rounds`, `check_recoverable`,
 `_cone_generators`, `closed_form_weights`, ...) breaks traced benchmark runs;
-installing the tracer here makes that fail the test suite instead.  A small
-traced `recover` run checks that the spans the per-layer metrics read still
-fire, so a name that stays bound but is no longer called fails here too.
+installing the tracer here makes that fail the test suite instead.  Small
+traced `recover` and `heuristic` runs check that the spans the per-layer
+metrics read still fire where they look for them, so a name that stays bound
+but is no longer called, or is called from elsewhere, fails here too.
 """
 
 import importlib
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from implinear.harness import run_support_recovery, spec_from_dict
+from implinear.harness import run_heuristic_equivalence, run_support_recovery, spec_from_dict
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -74,3 +75,26 @@ def test_traced_recover_fires_every_metric_span(monkeypatch, design, horizon):
     parents = {s.id: s.name for s in tracer.spans}
     assert not [s for s in tracer.spans
                 if s.name == "linalg.sym_eig" and parents.get(s.parent) == "harness.audit"]
+
+
+def test_traced_incoherent_heuristic_draws_under_its_span(monkeypatch):
+    """trial_windows cuts heuristic attempts at the draws whose parent is harness.heuristic."""
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = run_heuristic_equivalence(spec_from_dict({
+            "kind": "heuristic_equivalence",
+            "design": {"kind": "incoherent", "p": 3, "n": 2000},
+            "trials": 5,
+            "base_seed": 1,
+            "threads": 1,
+        }))
+    finally:
+        tracer.uninstall()
+    parents = {s.id: s.name for s in tracer.spans}
+    draws = [s for s in tracer.spans if s.name == "designs.gen_design"]
+    assert len(draws) == report.attempts > report.trials
+    assert all(parents.get(s.parent) == "harness.heuristic" for s in draws)
+    windows, _ = tracing.trial_windows(tracer.spans, "heuristic")
+    assert len(windows) == report.attempts

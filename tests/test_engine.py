@@ -175,12 +175,22 @@ class TestPruneOrder:
         fs = FeatureSet.from_phi(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]))
         assert list(imp_prune_order(fs)) == [0]
 
-    def test_orthonormal_matches_alignment(self):
-        for seed in range(10):
-            fs = gen_orthonormal_design(16, 8, seed=700 + seed)
-            y = make_rng(800 + seed).standard_normal(16)
-            fs = fs.with_targets(y)
-            assert np.array_equal(imp_prune_order(fs), alignment_order(fs))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        p=st.integers(2, 12),
+        extra=st.integers(0, 8),
+        tie_break=st.sampled_from(TIE_BREAK_RULES),
+    )
+    def test_orthonormal_matches_alignment(self, seed, p, extra, tie_break):
+        n = p + extra
+        fs = gen_orthonormal_design(n, p, seed=seed)
+        fs = fs.with_targets(make_rng(seed, STREAM_TARGETS).standard_normal(n))
+        # Sigma = I only up to roundoff, so only a clear gap fixes the order.
+        mags = np.sort(np.abs(fs.phi.T @ fs.targets))
+        assume(np.all(np.diff(mags) > 1e-8 * mags[-1]))
+        order = imp_prune_order(fs, ImpConfig(tie_break=tie_break))
+        assert np.array_equal(order, alignment_order(fs))
 
 
 class TestTraceSerialization:

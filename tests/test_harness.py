@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -414,6 +414,19 @@ class TestHeuristic:
         for row in report.rows:
             if not row.excluded:
                 assert row.min_gap > row.gap_threshold
+        # every attempt up to the one that fills the quota, and none after it
+        assert [r.trial for r in report.rows] == list(range(report.attempts))
+        assert not report.rows[-1].excluded
+
+    def test_incoherent_attempt_cap(self):
+        spec = ExperimentSpec(
+            kind="heuristic_equivalence",
+            design=DesignSpec(kind="incoherent", p=6, n=60),
+            trials=2,
+            base_seed=5,
+        )
+        with pytest.raises(ConfigError, match=r"only 0/2 attempts .* after 800 draws"):
+            run_heuristic_equivalence(spec)
 
     def test_incoherent_requires_n(self):
         with pytest.raises(ConfigError, match="design.n"):
@@ -501,8 +514,8 @@ class TestBaselines:
             baseline=BaselineSpec(eta=0.5, sigmas=sigmas),
         )
         cells = run_baseline_comparison(spec).cells
-        # one draw at base_seed to measure lambda, then one per trial for all sigmas
-        assert draws == [(40, 10, 64)] + [(40, 10, 64 + t) for t in range(4)]
+        # one draw per trial for all sigmas; trial 0 reuses the draw that measured lambda
+        assert draws == [(40, 10, 64 + t) for t in range(4)]
         # the same cells as a separate run at each sigma, whose designs are fresh draws
         separate = [
             cell
@@ -588,6 +601,13 @@ class TestConcentration:
 
 POOLED_RUNS = {
     "recover": (run_support_recovery, recovery_spec(trials=10)),
+    # 29 attempts in 11 batches
+    "heuristic-incoherent": (run_heuristic_equivalence, ExperimentSpec(
+        kind="heuristic_equivalence",
+        design=DesignSpec(kind="incoherent", p=3, n=2000),
+        trials=5,
+        base_seed=1,
+    )),
     "heuristic-uniform_corr": (run_heuristic_equivalence, ExperimentSpec(
         kind="heuristic_equivalence",
         design=DesignSpec(kind="uniform_corr", p=10, alpha=0.01),
@@ -617,3 +637,20 @@ def test_pool_matches_serial(tmp_path, name):
         outputs.append([row_without_wall_ms(row) for row in csv_path.read_text().splitlines()]
                        if name == "recover" else csv_path.read_text())
     assert outputs[0] == outputs[1]
+
+
+def test_multi_batch_run_opens_one_pool(monkeypatch):
+    opened = []
+
+    class CountedPool(harness_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness_module, "ProcessPoolExecutor", CountedPool)
+    run, spec = POOLED_RUNS["heuristic-incoherent"]
+    serial = run(spec)
+    pooled = run(replace(spec, threads=2))
+    assert opened == [2]
+    assert pooled.attempts > spec.trials  # more than one batch
+    assert [repr(astuple(r)) for r in pooled.rows] == [repr(astuple(r)) for r in serial.rows]
