@@ -64,12 +64,10 @@ def hard_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     return np.where(np.abs(v) > tau, v, 0.0)
 
 
-def ht_estimator(
-    features: FeatureSet, tau: float, rank_tol: float | None = None
-) -> np.ndarray:
+def ht_estimator(features: FeatureSet, tau: float) -> np.ndarray:
     """Least squares through the pseudo-inverse, then hard thresholding."""
     y = features.require_targets()
-    pinv = pseudo_inverse(sym_eig(features.covariance, rank_tol))
+    pinv = pseudo_inverse(sym_eig(features.covariance))
     s_hat = pinv @ (features.phi.T @ y) / features.n
     return hard_threshold(s_hat, tau)
 

@@ -44,7 +44,6 @@ class FeatureSet:
     phi: np.ndarray
     targets: np.ndarray | None
     covariance: CovMatrix
-    normalized: bool
 
     @classmethod
     def from_phi(cls, phi: np.ndarray, targets: np.ndarray | None = None) -> "FeatureSet":
@@ -56,9 +55,8 @@ class FeatureSet:
             if targets.shape != (phi.shape[0],):
                 raise ValueError("targets length must equal the number of rows of phi")
         gram = phi.T @ phi
-        cov = CovMatrix((gram + gram.T) / (2.0 * phi.shape[0]), phi.shape[0])
-        normalized = bool(np.max(np.abs(np.diag(cov.entries) - 1.0)) <= 1e-8)
-        return cls(phi=phi, targets=targets, covariance=cov, normalized=normalized)
+        cov = CovMatrix((gram + gram.T) / (2.0 * phi.shape[0]))
+        return cls(phi=phi, targets=targets, covariance=cov)
 
     def with_targets(self, y: np.ndarray) -> "FeatureSet":
         y = np.asarray(y, dtype=float)
@@ -122,7 +120,7 @@ def gen_uniform_corr_design(n: int, p: int, alpha: float, seed: int) -> FeatureS
     rng = make_rng(seed, STREAM_DESIGN)
     q = _orthonormal_columns(rng, n, p)
     target = (1.0 - alpha) * np.eye(p) + alpha * np.ones((p, p))
-    root = psd_sqrt(sym_eig(CovMatrix(target, n)))
+    root = psd_sqrt(sym_eig(CovMatrix(target)))
     return FeatureSet.from_phi(np.sqrt(n) * q @ root)
 
 

@@ -86,7 +86,6 @@ class ImpConfig:
     prune_rounds: int = 0
     w_init: np.ndarray | None = None
     per_round: int = 1
-    rank_tol: float | None = None
     tie_break: str = "lowest_index"
 
     def __post_init__(self) -> None:
@@ -225,7 +224,7 @@ def run_imp(
         if inverse is not None:
             inverse, w_active = _downdate(inverse, w_active, local) or (None, None)
         if inverse is None:
-            eig = sym_eig(cov.restrict(active_idx), config.rank_tol)
+            eig = sym_eig(cov.restrict(active_idx))
             w_active = closed_form_weights(eig, data_vec[active_idx], w0_active, config.horizon)
             exact_path = exact_path and bool(eig.nonzero_mask().all())
 

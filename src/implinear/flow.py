@@ -94,7 +94,7 @@ class FlowProblem:
 
     def covariance(self) -> CovMatrix:
         c = self.features_active.T @ self.features_active
-        return CovMatrix((c + c.T) / (2.0 * self.n), self.n)
+        return CovMatrix((c + c.T) / (2.0 * self.n))
 
     def data_vector(self) -> np.ndarray:
         """(1/n) Phi_A^T y, the constant term of the gradient."""
@@ -119,8 +119,8 @@ def closed_form_weights(
 ) -> np.ndarray:
     """Solve the flow in the eigenbasis of the restricted covariance.
 
-    Modes with eigenvalue above rank_tol relax exponentially toward their
-    least-squares value c/lambda; modes at or below rank_tol carry no
+    Modes with eigenvalue above the rank tolerance relax exponentially
+    toward their least-squares value c/lambda; modes at or below it carry no
     gradient (the data vector lives in the range of the covariance) and
     keep their initial value at every horizon.
     """
@@ -141,11 +141,7 @@ def closed_form_weights(
     return v @ w_hat
 
 
-def flow_closed_form(
-    problem: FlowProblem,
-    rank_tol: float | None = None,
-    eig: SymEig | None = None,
-) -> FlowSolution:
+def flow_closed_form(problem: FlowProblem, eig: SymEig | None = None) -> FlowSolution:
     """Exact weights at the problem's horizon.
 
     With w0 = 0 and an infinite horizon this is the pseudo-inverse
@@ -153,7 +149,7 @@ def flow_closed_form(
     the restricted covariance may be supplied to avoid refactorizing.
     """
     if eig is None:
-        eig = sym_eig(problem.covariance(), rank_tol)
+        eig = sym_eig(problem.covariance())
     elif eig.p != problem.m:
         raise ValueError("precomputed eigendecomposition has wrong dimension")
     w = closed_form_weights(eig, problem.data_vector(), problem.w0_active, problem.horizon)

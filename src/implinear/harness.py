@@ -445,17 +445,17 @@ def _audit_rounds(
     """Per-round smallest nonzero eigenvalue and recoverability residual.
 
     Each round is checked with the factorization the engine trained it
-    with, so nothing is refactorized.  A factorized round reuses its
-    eigendecomposition.  A downdated round is checked with the engine's
-    Sigma_A^{-1}, so its residual also measures downdate drift; its
-    eigenvalue entry is the previous round's, a lower bound by Cauchy
-    interlacing, so the minimum over rounds is the exact one.
+    with, so nothing is refactorized, and Sigma_A is read from Sigma in
+    place.  A factorized round reuses its eigendecomposition.  A downdated
+    round is checked with the engine's Sigma_A^{-1}, so its residual also
+    measures downdate drift; its eigenvalue entry is the previous round's,
+    a lower bound by Cauchy interlacing, so the minimum over rounds is the
+    exact one.
     """
     cov = problem.features.covariance
     eigs: list[float] = []
     residuals: list[float] = []
     for rec in trace.rounds:
-        idx = rec.mask.active_indices()
         if rec.inverse is not None:
             eigs.append(eigs[-1])
         else:
@@ -463,8 +463,8 @@ def _audit_rounds(
                 eigs.append(min_nonzero_eig(rec.eig))
             except ValueError:
                 eigs.append(float("nan"))
-        chk = check_recoverable(cov.restrict(idx), problem.signal[idx], tol=RECOVERY_TOL,
-                                eig=rec.eig, inverse=rec.inverse)
+        chk = check_recoverable(cov, problem.signal, rec.mask.active_indices(),
+                                tol=RECOVERY_TOL, eig=rec.eig, inverse=rec.inverse)
         residuals.append(chk.residual)
     return tuple(eigs), tuple(residuals)
 
@@ -477,14 +477,13 @@ def recovery_trial(spec: ExperimentSpec, t: int) -> TrialRecord | None:
         spec, seed, spec.signal.gamma, recovery_sample_size
     )
     problem = _build_problem(spec, seed, n, drawn)
-
-    onp = check_onp(problem.features.covariance, problem.support, tol=ONP_TOL)
-    if not onp.holds:
+    q = _prune_rounds(spec)
+    trace = run_imp(problem.features, _imp_config(spec, q))
+    # round 0 trains on every coordinate, so its eig is that of the full Sigma
+    if not check_onp(trace.rounds[0].eig, problem.support, tol=ONP_TOL).holds:
         return None
 
     p = spec.design.p
-    q = _prune_rounds(spec)
-    trace = run_imp(problem.features, _imp_config(spec, q))
     final = trace.final_weights
 
     sparsity_ok = int(np.sum(final == 0.0)) >= q * spec.imp.per_round

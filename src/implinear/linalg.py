@@ -2,10 +2,10 @@
 
 Everything is built around one eigendecomposition convention: eigenvalues
 ascending, orthonormal eigenvector columns with a deterministic sign fix
-(first entry of nonnegligible magnitude is positive), and a configurable
-rank tolerance below which an eigenvalue counts as zero.  The pseudo-inverse
-inverts the spectrum above that tolerance and zeroes it below, in the same
-basis.
+(first entry of nonnegligible magnitude is positive), and a rank tolerance,
+set by the matrix alone, at or below which an eigenvalue counts as zero.
+The pseudo-inverse inverts the spectrum above that tolerance and zeroes it
+below, in the same basis.
 """
 
 from __future__ import annotations
@@ -23,23 +23,24 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def default_rank_tol(eigenvalues: np.ndarray, p: int, source_n: int) -> float:
-    """Eigenvalues at or below 1e-10 * max(p, n) * lambda_max count as zero."""
+def default_rank_tol(eigenvalues: np.ndarray) -> float:
+    """Eigenvalues at or below 1e-10 * p * lambda_max count as zero.
+
+    Roundoff null eigenvalues sit near eps * lambda_max, far below this.
+    """
     lam_max = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    return 1e-10 * max(p, source_n) * lam_max
+    return 1e-10 * eigenvalues.size * lam_max
 
 
 @dataclass(frozen=True)
 class CovMatrix:
     """A p x p empirical covariance (1/n) Phi^T Phi.
 
-    `source_n` is the number of rows of the data matrix that produced it;
-    it feeds the default rank tolerance.  Construction rejects non-square,
-    non-finite, or non-symmetric (beyond 1e-12) input.
+    Construction rejects non-square, non-finite, or non-symmetric (beyond
+    1e-12) input.
     """
 
     entries: np.ndarray
-    source_n: int
 
     def __post_init__(self) -> None:
         a = np.asarray(self.entries, dtype=float)
@@ -50,19 +51,16 @@ class CovMatrix:
         asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
         if asym > SYMMETRY_TOL:
             raise ValueError(f"covariance not symmetric: max |A - A^T| = {asym:.3e}")
-        if int(self.source_n) < 1:
-            raise ValueError("source_n must be a positive integer")
         object.__setattr__(self, "entries", _as_readonly(a))
-        object.__setattr__(self, "source_n", int(self.source_n))
 
     @property
     def p(self) -> int:
         return self.entries.shape[0]
 
     def restrict(self, indices: np.ndarray) -> "CovMatrix":
-        """Principal submatrix on the given coordinates (same source_n)."""
+        """Principal submatrix on the given coordinates."""
         idx = np.asarray(indices)
-        return CovMatrix(self.entries[np.ix_(idx, idx)], self.source_n)
+        return CovMatrix(self.entries[np.ix_(idx, idx)])
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,7 @@ def sym_eig(cov: CovMatrix, rank_tol: float | None = None) -> SymEig:
         flip = big[first, cols] & (vec[first, cols] < 0.0)
         vec[:, flip] = -vec[:, flip]
     if rank_tol is None:
-        rank_tol = default_rank_tol(lam, cov.p, cov.source_n)
+        rank_tol = default_rank_tol(lam)
     if rank_tol < 0.0:
         raise ValueError("rank_tol must be nonnegative")
     return SymEig(eigenvalues=lam, eigenvectors=vec, rank_tol=rank_tol)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .designs import FeatureSet, sample_noise
-from .linalg import CovMatrix, pseudo_inverse, sym_eig
+from .linalg import CovMatrix, SymEig, pseudo_inverse, sym_eig
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,11 @@ def _cone_generators(p: int, support: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def check_onp(
-    cov: CovMatrix,
-    support,
-    tol: float = 1e-10,
-    rank_tol: float | None = None,
-) -> OnpReport:
+def check_onp(eig: SymEig, support, tol: float = 1e-10) -> OnpReport:
     """Orthogonal nullspace property of the covariance with respect to S.
+
+    `eig` is the covariance's eigendecomposition; its rank tolerance sets
+    the numerical nullspace.
 
     Every numerical nullspace direction must be orthogonal (inner products
     at most tol) to every cone generator.  Full-rank covariances hold
@@ -170,16 +168,15 @@ def check_onp(
     everything), so `_cone_generators` is never built.
     """
     support = np.asarray(sorted(set(int(i) for i in np.atleast_1d(support))), dtype=int)
-    if support.size and (support[0] < 0 or support[-1] >= cov.p):
+    if support.size and (support[0] < 0 or support[-1] >= eig.p):
         raise ValueError("support indices out of range")
-    eig = sym_eig(cov, rank_tol)
     null = eig.null_basis()
     k = support.size
     max_violation = 0.0
     if null.shape[1] and k:
         mag = np.abs(null)
         worst = mag[support].max(axis=0)
-        if k < cov.p:
+        if k < eig.p:
             worst = worst + np.delete(mag, support, axis=0).max(axis=0)
         max_violation = float(worst.max())
     return OnpReport(
@@ -191,26 +188,31 @@ def check_onp(
 
 
 def check_recoverable(
-    cov_active: CovMatrix,
-    s_active: np.ndarray,
+    cov: CovMatrix,
+    signal: np.ndarray,
+    active: np.ndarray,
     tol: float = 1e-10,
-    rank_tol: float | None = None,
-    eig=None,
+    eig: SymEig | None = None,
     inverse: np.ndarray | None = None,
 ) -> RecoveryCheck:
     """Does the restricted signal survive projection onto range(Ups)?
 
+    Ups = Sigma_A is the principal submatrix of `cov` on the `active`
+    indices and s_A the matching entries of the full-length `signal`.
     residual = ||Ups^+ Ups s_A - s_A||_inf; ok when it is at most tol.  The
-    pruning guarantee needs this to hold at every round.  A precomputed
-    eigendecomposition of cov_active, or its precomputed (pseudo-)inverse,
-    may be passed to avoid refactorizing; the inverse takes precedence.
+    pruning guarantee needs this to hold at every round.  Ups^+ comes from
+    exactly one of `eig`, the eigendecomposition of Ups, and `inverse`, its
+    precomputed (pseudo-)inverse, as a round of `run_imp` records them.
     """
-    s_active = np.asarray(s_active, dtype=float)
-    if s_active.shape != (cov_active.p,):
-        raise ValueError("signal restriction must match the covariance dimension")
+    if (eig is None) == (inverse is None):
+        raise ValueError("pass exactly one of eig and inverse")
+    signal = np.asarray(signal, dtype=float)
+    if signal.shape != (cov.p,):
+        raise ValueError("signal length must match the covariance dimension")
+    s_active = signal[active]
     if inverse is None:
-        inverse = pseudo_inverse(eig if eig is not None else sym_eig(cov_active, rank_tol))
-    projected = inverse @ (cov_active.entries @ s_active)
+        inverse = pseudo_inverse(eig)
+    projected = inverse @ (cov.entries[np.ix_(active, active)] @ s_active)
     residual = float(np.max(np.abs(projected - s_active))) if s_active.size else 0.0
     return RecoveryCheck(ok=residual <= tol, residual=residual)
 

@@ -271,7 +271,7 @@ def test_criterion_9_penrose_identities():
         lam = np.zeros(p)
         lam[:rank] = rng.uniform(0.25, 4.0, size=rank)
         a = (basis * lam) @ basis.T
-        cov = CovMatrix((a + a.T) / 2.0, p)
+        cov = CovMatrix((a + a.T) / 2.0)
         pinv = pseudo_inverse(sym_eig(cov))
         worst = max(
             worst,

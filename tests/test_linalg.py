@@ -16,43 +16,39 @@ def random_psd(rng, p, rank=None):
     rank = p if rank is None else rank
     x = rng.standard_normal((p, rank))
     a = x @ x.T / rank
-    return CovMatrix((a + a.T) / 2.0, p)
+    return CovMatrix((a + a.T) / 2.0)
 
 
 class TestCovMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            CovMatrix(np.zeros((2, 3)), 5)
+            CovMatrix(np.zeros((2, 3)))
 
     def test_rejects_asymmetric(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            CovMatrix(a, 5)
+            CovMatrix(a)
 
     def test_rejects_non_finite(self):
         a = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ValueError, match="finite"):
-            CovMatrix(a, 5)
-
-    def test_rejects_bad_source_n(self):
-        with pytest.raises(ValueError, match="source_n"):
-            CovMatrix(np.eye(2), 0)
+            CovMatrix(a)
 
     def test_entries_read_only(self):
-        cov = CovMatrix(np.eye(2), 4)
+        cov = CovMatrix(np.eye(2))
         with pytest.raises(ValueError):
             cov.entries[0, 0] = 3.0
 
 
 class TestSymEig:
     def test_already_diagonal(self):
-        eig = sym_eig(CovMatrix(np.diag([2.0, 0.0, 0.5]), 3))
+        eig = sym_eig(CovMatrix(np.diag([2.0, 0.0, 0.5])))
         assert np.allclose(eig.eigenvalues, [0.0, 0.5, 2.0])
         # eigenvectors are a permutation of identity columns
         assert np.allclose(np.abs(eig.eigenvectors), np.eye(3)[:, [1, 2, 0]])
 
     def test_rank_one(self):
-        eig = sym_eig(CovMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]), 2))
+        eig = sym_eig(CovMatrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
         assert np.allclose(eig.eigenvalues, [0.0, 2.0])
         root2 = 1.0 / np.sqrt(2.0)
         assert np.allclose(np.abs(eig.eigenvectors[:, 0]), [root2, root2])
@@ -61,7 +57,7 @@ class TestSymEig:
     def test_reconstruction_random(self):
         rng = np.random.default_rng(8)
         phi = rng.standard_normal((20, 8))
-        cov = CovMatrix(phi.T @ phi / 20.0, 20)
+        cov = CovMatrix(phi.T @ phi / 20.0)
         eig = sym_eig(cov)
         recon = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.T
         scale = max(1.0, np.max(np.abs(cov.entries)))
@@ -82,7 +78,7 @@ class TestSymEig:
         rng = np.random.default_rng(11)
         cov = random_psd(rng, 7)
         e1 = sym_eig(cov)
-        e2 = sym_eig(CovMatrix(cov.entries.copy(), cov.source_n))
+        e2 = sym_eig(CovMatrix(cov.entries.copy()))
         assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
         assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
         for j in range(7):
@@ -105,26 +101,26 @@ class TestSymEig:
             assert np.array_equal(eig.eigenvectors, vec)
 
     def test_rank_tol_default_scales_with_spectrum(self):
-        eig = sym_eig(CovMatrix(np.diag([4.0, 0.0]), 10))
-        assert eig.rank_tol == pytest.approx(default_rank_tol(np.array([4.0]), 2, 10))
+        eig = sym_eig(CovMatrix(np.diag([4.0, 0.0])))
+        assert eig.rank_tol == default_rank_tol(eig.eigenvalues) == pytest.approx(1e-10 * 2 * 4.0)
 
     def test_negative_rank_tol_rejected(self):
         with pytest.raises(ValueError, match="rank_tol"):
-            sym_eig(CovMatrix(np.eye(2), 2), rank_tol=-1.0)
+            sym_eig(CovMatrix(np.eye(2)), rank_tol=-1.0)
 
 
 class TestPseudoInverse:
     def test_diagonal(self):
-        eig = sym_eig(CovMatrix(np.diag([2.0, 0.0]), 2))
+        eig = sym_eig(CovMatrix(np.diag([2.0, 0.0])))
         assert np.allclose(pseudo_inverse(eig), np.diag([0.5, 0.0]))
 
     def test_identity(self):
-        eig = sym_eig(CovMatrix(np.eye(3), 3))
+        eig = sym_eig(CovMatrix(np.eye(3)))
         assert np.allclose(pseudo_inverse(eig), np.eye(3))
 
     def test_rank_one(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        pinv = pseudo_inverse(sym_eig(CovMatrix(a, 2)))
+        pinv = pseudo_inverse(sym_eig(CovMatrix(a)))
         assert np.allclose(pinv, np.full((2, 2), 0.25))
         # Penrose: pinv A pinv = pinv
         assert np.allclose(pinv @ a @ pinv, pinv)
@@ -160,27 +156,27 @@ class TestPseudoInverse:
 
 class TestSpectralQueries:
     def test_min_nonzero_eig_diagonal(self):
-        assert min_nonzero_eig(sym_eig(CovMatrix(np.diag([2.0, 0.0, 0.5]), 3))) == 0.5
+        assert min_nonzero_eig(sym_eig(CovMatrix(np.diag([2.0, 0.0, 0.5])))) == 0.5
 
     def test_min_nonzero_eig_identity(self):
-        assert min_nonzero_eig(sym_eig(CovMatrix(np.eye(4), 4))) == 1.0
+        assert min_nonzero_eig(sym_eig(CovMatrix(np.eye(4)))) == 1.0
 
     def test_min_nonzero_eig_uniform_corr(self):
         # (1 - a) I + a 11^T has eigenvalues 1 - a (twice) and 1 + (p-1) a
         a = 0.5
         sigma = (1 - a) * np.eye(3) + a * np.ones((3, 3))
-        assert min_nonzero_eig(sym_eig(CovMatrix(sigma, 3))) == pytest.approx(0.5)
+        assert min_nonzero_eig(sym_eig(CovMatrix(sigma))) == pytest.approx(0.5)
 
     def test_min_nonzero_eig_zero_matrix(self):
         with pytest.raises(ValueError, match="undefined"):
-            min_nonzero_eig(sym_eig(CovMatrix(np.zeros((3, 3)), 3)))
+            min_nonzero_eig(sym_eig(CovMatrix(np.zeros((3, 3)))))
 
     def test_operator_norm(self):
-        assert operator_norm(sym_eig(CovMatrix(np.diag([2.0, 0.0, 0.5]), 3))) == 2.0
-        assert operator_norm(sym_eig(CovMatrix(np.zeros((2, 2)), 2))) == 0.0
+        assert operator_norm(sym_eig(CovMatrix(np.diag([2.0, 0.0, 0.5])))) == 2.0
+        assert operator_norm(sym_eig(CovMatrix(np.zeros((2, 2))))) == 0.0
         a = 0.5
         sigma = (1 - a) * np.eye(3) + a * np.ones((3, 3))
-        assert operator_norm(sym_eig(CovMatrix(sigma, 3))) == pytest.approx(2.0)
+        assert operator_norm(sym_eig(CovMatrix(sigma))) == pytest.approx(2.0)
 
     def test_interlacing_full_rank(self):
         # smallest eigenvalue of a principal submatrix dominates the full one

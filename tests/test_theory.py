@@ -10,7 +10,7 @@ from implinear.designs import (
     gen_uniform_corr_design,
     sample_noise,
 )
-from implinear.linalg import CovMatrix, sym_eig
+from implinear.linalg import CovMatrix, pseudo_inverse, sym_eig
 from implinear.theory import (
     BoundInputs,
     OnpReport,
@@ -26,17 +26,17 @@ from implinear.theory import (
     recovery_sample_size_raw,
 )
 
-RANK_ONE = CovMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]), 2)
+RANK_ONE = CovMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestCheckOnp:
     def test_full_rank_holds(self):
-        rep = check_onp(CovMatrix(np.eye(4), 4), [0, 2])
+        rep = check_onp(sym_eig(CovMatrix(np.eye(4))), [0, 2])
         assert rep.holds and rep.null_dim == 0 and not rep.vacuous
         assert rep.max_violation == 0.0
 
     def test_rank_one_fails(self):
-        rep = check_onp(RANK_ONE, [0])
+        rep = check_onp(sym_eig(RANK_ONE), [0])
         assert not rep.holds and rep.null_dim == 1
         # the null direction (1,-1)/sqrt(2) hits e0 at 1/sqrt(2) and the
         # generator e0 - e1 at sqrt(2), the reported maximum
@@ -46,19 +46,19 @@ class TestCheckOnp:
 
     def test_diag_with_null_fails_via_mixed_generator(self):
         # null = span{e1}: orthogonal to e0 but not to e0 + e1
-        rep = check_onp(CovMatrix(np.diag([1.0, 0.0]), 2), [0])
+        rep = check_onp(sym_eig(CovMatrix(np.diag([1.0, 0.0]))), [0])
         assert not rep.holds
         assert rep.max_violation == pytest.approx(1.0)
 
     def test_empty_support_vacuous(self):
-        rep = check_onp(CovMatrix(np.diag([1.0, 0.0]), 2), [])
+        rep = check_onp(sym_eig(CovMatrix(np.diag([1.0, 0.0]))), [])
         assert rep.holds and rep.vacuous
-        rep_full = check_onp(CovMatrix(np.eye(2), 2), [])
+        rep_full = check_onp(sym_eig(CovMatrix(np.eye(2))), [])
         assert rep_full.holds and not rep_full.vacuous
 
     def test_support_bounds_checked(self):
         with pytest.raises(ValueError, match="out of range"):
-            check_onp(CovMatrix(np.eye(2), 2), [5])
+            check_onp(sym_eig(CovMatrix(np.eye(2))), [5])
 
     def test_full_rank_holds_without_building_generators(self, monkeypatch):
         def forbidden(*args):
@@ -66,7 +66,7 @@ class TestCheckOnp:
 
         monkeypatch.setattr(theory_module, "_cone_generators", forbidden)
         for p, support in ((6, [1, 4]), (5, []), (3, [0, 1, 2])):
-            rep = check_onp(CovMatrix(np.eye(p), p), support)
+            rep = check_onp(sym_eig(CovMatrix(np.eye(p))), support)
             assert rep == OnpReport(holds=True, null_dim=0, max_violation=0.0, vacuous=False)
 
     def test_closed_form_equals_the_generator_matrix(self, monkeypatch):
@@ -82,12 +82,13 @@ class TestCheckOnp:
             n = int(rng.integers(1, p))  # n < p: a nontrivial nullspace
             phi = rng.standard_normal((n, p))
             gram = phi.T @ phi
-            cov = CovMatrix((gram + gram.T) / (2.0 * n), n)
+            cov = CovMatrix((gram + gram.T) / (2.0 * n))
             k = (1, p, int(rng.integers(1, p + 1)))[case % 3]
             support = np.sort(rng.choice(p, size=k, replace=False))
-            null = sym_eig(cov).null_basis()
+            eig = sym_eig(cov)
+            null = eig.null_basis()
             oracle = float(np.max(np.abs(null.T @ build(p, support))))
-            rep = check_onp(cov, support)
+            rep = check_onp(eig, support)
             assert rep.null_dim == null.shape[1] > 0
             assert rep.max_violation == oracle
 
@@ -96,23 +97,44 @@ class TestCheckRecoverable:
     def test_full_rank_always_passes(self):
         rng = np.random.default_rng(60)
         phi = rng.standard_normal((12, 5))
-        cov = CovMatrix(phi.T @ phi / 12.0, 12)
-        chk = check_recoverable(cov, rng.standard_normal(5))
+        cov = CovMatrix(phi.T @ phi / 12.0)
+        chk = check_recoverable(cov, rng.standard_normal(5), np.arange(5), eig=sym_eig(cov))
         assert chk.ok and chk.residual <= 1e-10
 
     def test_signal_in_range(self):
-        chk = check_recoverable(RANK_ONE, np.array([1.0, 1.0]))
+        chk = check_recoverable(RANK_ONE, np.array([1.0, 1.0]), [0, 1], eig=sym_eig(RANK_ONE))
         assert chk.ok and chk.residual <= 1e-12
 
     def test_signal_in_null(self):
         # (1,-1) projects to zero, so the sup-norm residual is 1
-        chk = check_recoverable(RANK_ONE, np.array([1.0, -1.0]))
+        chk = check_recoverable(RANK_ONE, np.array([1.0, -1.0]), [0, 1], eig=sym_eig(RANK_ONE))
         assert not chk.ok
         assert chk.residual == pytest.approx(1.0)
 
     def test_dimension_checked(self):
         with pytest.raises(ValueError, match="dimension"):
-            check_recoverable(RANK_ONE, np.zeros(3))
+            check_recoverable(RANK_ONE, np.zeros(3), [0, 1], eig=sym_eig(RANK_ONE))
+
+    def test_exactly_one_factorization(self):
+        eig = sym_eig(RANK_ONE)
+        for kwargs in ({}, {"eig": eig, "inverse": pseudo_inverse(eig)}):
+            with pytest.raises(ValueError, match="exactly one"):
+                check_recoverable(RANK_ONE, np.ones(2), [0, 1], **kwargs)
+
+    def test_active_subset_equals_the_explicit_submatrix(self):
+        # rank 3 < |A| = 5: Sigma_A is singular and the residual is nonzero
+        rng = np.random.default_rng(62)
+        phi = rng.standard_normal((3, 8))
+        cov = CovMatrix(phi.T @ phi / 3.0)
+        signal = rng.standard_normal(8)
+        active = np.array([0, 2, 3, 5, 7])
+        sub = cov.entries[np.ix_(active, active)].copy()
+        eig = sym_eig(CovMatrix(sub))
+        for kwargs in ({"eig": eig}, {"inverse": pseudo_inverse(eig)}):
+            projected = pseudo_inverse(eig) @ (sub @ signal[active])
+            residual = float(np.max(np.abs(projected - signal[active])))
+            chk = check_recoverable(cov, signal, active, **kwargs)
+            assert chk.residual == residual > 1e-3 and not chk.ok
 
 
 class TestSampleBounds:
