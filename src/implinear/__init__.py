@@ -38,12 +38,9 @@ from .engine import (
 )
 from .flow import (
     INFINITE,
-    FlowProblem,
-    FlowSolution,
     StabilityWarning,
-    flow_closed_form,
+    closed_form_weights,
     flow_rk4,
-    quadratic_loss,
 )
 from .linalg import (
     CovMatrix,
@@ -63,8 +60,7 @@ from .theory import (
     concentration_sample_size,
     concentration_sample_size_raw,
     exact_binomial_ci,
-    noise_exceedance_mc,
-    noise_functional,
+    noise_projector,
     recovery_sample_size,
     recovery_sample_size_raw,
 )
@@ -76,8 +72,6 @@ __all__ = [
     "BoundInputs",
     "CovMatrix",
     "FeatureSet",
-    "FlowProblem",
-    "FlowSolution",
     "IhtDivergenceError",
     "IhtResult",
     "ImpConfig",
@@ -95,10 +89,10 @@ __all__ = [
     "assemble_problem",
     "check_onp",
     "check_recoverable",
+    "closed_form_weights",
     "concentration_sample_size",
     "concentration_sample_size_raw",
     "exact_binomial_ci",
-    "flow_closed_form",
     "flow_rk4",
     "gen_incoherent_design",
     "gen_orthonormal_design",
@@ -110,12 +104,10 @@ __all__ = [
     "imp_prune_order",
     "make_rng",
     "min_nonzero_eig",
-    "noise_exceedance_mc",
-    "noise_functional",
+    "noise_projector",
     "operator_norm",
     "pairwise_incoherence",
     "pseudo_inverse",
-    "quadratic_loss",
     "recovery_sample_size",
     "recovery_sample_size_raw",
     "run_imp",

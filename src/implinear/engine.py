@@ -25,7 +25,6 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -182,17 +181,8 @@ def _downdate(
     return (smaller + smaller.T) / 2.0, weights[kept] - g_c.T @ g_w
 
 
-def run_imp(
-    features: FeatureSet,
-    config: ImpConfig,
-    init_hook: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-) -> ImpTrace:
-    """Execute the pruning loop and return the full trace.
-
-    `init_hook(round, active_indices, w0_active)`, when given, observes each
-    round's initialization; it exists so tests can verify that survivors are
-    reset to w_init before retraining.
-    """
+def run_imp(features: FeatureSet, config: ImpConfig) -> ImpTrace:
+    """Execute the pruning loop and return the full trace."""
     y = features.require_targets()
     p = features.p
     w_init = config.w_init if config.w_init is not None else np.zeros(p)
@@ -217,8 +207,6 @@ def run_imp(
     for k in range(q + 1):
         active_idx = mask.active_indices()
         w0_active = w_init[active_idx]
-        if init_hook is not None:
-            init_hook(k, active_idx, w0_active)
 
         eig = None
         if inverse is not None:

@@ -45,6 +45,7 @@ from .designs import (
     check_signal,
     gen_incoherent_design,
     make_rng,
+    sample_noise,
 )
 # Not called here: benchmarks/tracing.py wraps every design generator at this
 # module's names, so they stay bound (tests/test_bench_contract.py).
@@ -59,7 +60,7 @@ from .theory import (
     check_recoverable,
     concentration_sample_size,
     make_mc_summary,
-    noise_exceedance_mc,
+    noise_projector,
     recovery_sample_size,
 )
 
@@ -473,9 +474,11 @@ def recovery_trial(spec: ExperimentSpec, t: int) -> TrialRecord | None:
     """Run one trial; None means the drawn design failed the ONP precondition."""
     seed = spec.base_seed + t
     start = time.perf_counter()
-    n, _, _, drawn = resolve_sample_size(
-        spec, seed, spec.signal.gamma, recovery_sample_size
-    )
+    # an explicit n needs no bound, so the design is drawn only by the problem
+    n, drawn = spec.design.n, None
+    if n is None:
+        n, _, _, drawn = resolve_sample_size(spec, seed, spec.signal.gamma,
+                                             recovery_sample_size)
     problem = _build_problem(spec, seed, n, drawn)
     q = _prune_rounds(spec)
     trace = run_imp(problem.features, _imp_config(spec, q))
@@ -858,6 +861,16 @@ class ConcentrationReport:
     epsilon: float
 
 
+def _lemma1_draw(spec: ExperimentSpec, t: int, projector: np.ndarray, epsilon: float) -> bool:
+    """Does noise draw t (seed base_seed + t) reach epsilon in sup norm?
+
+    `projector` is (1/n) Sigma^+ Phi^T of the run's fixed design, so an
+    exceedance is the complement of the concentration event.
+    """
+    xi = sample_noise(spec.noise.kind, spec.noise.sigma, projector.shape[1], spec.base_seed + t)
+    return float(np.max(np.abs(projector @ xi))) >= epsilon
+
+
 def run_concentration_check(spec: ExperimentSpec) -> ConcentrationReport:
     if spec.kind != "lemma1_check":
         raise ConfigError(f"expected a lemma1_check config, got {spec.kind!r}")
@@ -868,15 +881,8 @@ def run_concentration_check(spec: ExperimentSpec) -> ConcentrationReport:
     if fs is None:
         design = spec.design
         fs = DESIGNS[design.kind].draw(n, design.p, spec.base_seed, design.alpha)
-    summary = noise_exceedance_mc(
-        fs,
-        spec.noise.kind,
-        spec.noise.sigma,
-        epsilon,
-        spec.trials,
-        spec.base_seed,
-        delta=spec.delta,
-    )
+    exceed = sum(map_trials(spec, _lemma1_draw, noise_projector(fs), epsilon))
+    summary = make_mc_summary(spec.trials, {"exceedance": exceed}, exceed, spec.delta)
     report = ConcentrationReport(
         summary=summary, n=n, bound_n=bound_n, lambda_min_nz=lam, epsilon=epsilon
     )

@@ -93,10 +93,6 @@ class SymEig:
         """Orthonormal basis of the numerical nullspace (p x null_dim)."""
         return self.eigenvectors[:, ~self.nonzero_mask()]
 
-    def range_projector(self) -> np.ndarray:
-        v = self.eigenvectors[:, self.nonzero_mask()]
-        return v @ v.T
-
 
 def sym_eig(cov: CovMatrix, rank_tol: float | None = None) -> SymEig:
     """Eigendecompose a covariance with the deterministic sign convention."""

@@ -2,9 +2,9 @@
 
 The orthogonal nullspace property check, the per-round recoverability
 certificate, the two sample-size bounds (support recovery and max-noise
-concentration), the noise functional (1/n) Sigma^+ Phi^T xi, and a Monte
-Carlo estimator of how often that functional's sup norm exceeds a level.
-Logs are natural throughout.
+concentration), the noise projector (1/n) Sigma^+ Phi^T behind the
+concentration bound, and the Monte Carlo summary with its exact binomial
+interval.  Logs are natural throughout.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .designs import FeatureSet, sample_noise
+from .designs import FeatureSet
 from .linalg import CovMatrix, SymEig, pseudo_inverse, sym_eig
 
 
@@ -237,38 +237,8 @@ def concentration_sample_size(b: BoundInputs) -> int:
     return max(1, math.ceil(concentration_sample_size_raw(b)))
 
 
-def noise_functional(features: FeatureSet, xi: np.ndarray) -> np.ndarray:
-    """(1/n) Sigma^+ Phi^T xi, the trained-weight perturbation due to noise."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (features.n,):
-        raise ValueError("noise vector length must match the number of rows")
+def noise_projector(features: FeatureSet) -> np.ndarray:
+    """(1/n) Sigma^+ Phi^T, the map from a noise vector xi to the trained-weight
+    perturbation it causes; the concentration event bounds its sup norm."""
     pinv = pseudo_inverse(sym_eig(features.covariance))
-    return pinv @ (features.phi.T @ xi) / features.n
-
-
-def noise_exceedance_mc(
-    features: FeatureSet,
-    noise_kind: str,
-    sigma: float,
-    epsilon: float,
-    trials: int,
-    seed: int,
-    delta: float = 1.0,
-) -> McSummary:
-    """Fraction of noise draws whose functional sup norm reaches epsilon.
-
-    The design is held fixed; trial t draws noise with seed `seed + t`.  A
-    trial fails when max_j |(1/n)(Sigma^+ Phi^T xi)_j| >= epsilon, the
-    complement of the concentration event.  `delta` is the budget the
-    summary is judged against (default 1.0: report only).
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    pinv = pseudo_inverse(sym_eig(features.covariance))
-    projector = pinv @ features.phi.T / features.n
-    exceed = 0
-    for t in range(trials):
-        xi = sample_noise(noise_kind, sigma, features.n, seed + t)
-        if float(np.max(np.abs(projector @ xi))) >= epsilon:
-            exceed += 1
-    return make_mc_summary(trials, {"exceedance": exceed}, exceed, delta)
+    return pinv @ features.phi.T / features.n

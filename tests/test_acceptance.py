@@ -12,8 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from implinear.designs import FeatureSet
 from implinear.engine import ImpConfig, run_imp
-from implinear.flow import FlowProblem, flow_closed_form, flow_rk4
+from implinear.flow import closed_form_weights, flow_rk4
 from implinear.harness import (
     BaselineSpec,
     DesignSpec,
@@ -71,13 +72,13 @@ def test_criterion_1_gradient_flow_oracle_equivalence():
     for _ in range(100):
         n = int(rng.integers(2, 21))
         m = int(rng.integers(1, 13))
-        phi = rng.standard_normal((n, m))
-        y = rng.standard_normal(n)
+        fs = FeatureSet.from_phi(rng.standard_normal((n, m)), rng.standard_normal(n))
         w0 = rng.standard_normal(m)
+        cov, b = fs.covariance, fs.phi.T @ fs.targets / n
+        eig = sym_eig(cov)
         for horizon in (0.1, 1.0, 10.0):
-            problem = FlowProblem(phi, y, w0, horizon)
-            exact = flow_closed_form(problem).weights_active
-            numeric = flow_rk4(problem, 10_000).weights_active
+            exact = closed_form_weights(eig, b, w0, horizon)
+            numeric = flow_rk4(cov, b, w0, horizon, 10_000)
             err = np.max(np.abs(exact - numeric)) / (1.0 + np.max(np.abs(exact)))
             worst = max(worst, err)
     elapsed = time.perf_counter() - start

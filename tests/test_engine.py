@@ -114,17 +114,22 @@ class TestRunImp:
                 assert max(rec.pruned_magnitudes) <= np.min(np.abs(rec.weights[survivors]))
 
     def test_reset_semantics(self):
-        fs = random_features(35, n=15, p=7)
-        w_init = make_rng(99).standard_normal(7)
-        seen = []
-        run_imp(
-            fs,
-            ImpConfig(prune_rounds=4, w_init=w_init, horizon=2.0),
-            init_hook=lambda k, idx, w0: seen.append((k, idx.copy(), w0.copy())),
-        )
-        assert [k for k, _, _ in seen] == [0, 1, 2, 3, 4]
-        for _, idx, w0 in seen:
-            assert np.array_equal(w0, w_init[idx])
+        # Every round restarts its survivors from w_init, as the oracle does
+        # by construction.  At a finite horizon w_init shows in the trained
+        # weights (wholly so on the nullspace of a singular Sigma_A), so a
+        # round started anywhere else would differ.  Both factorize every
+        # round alike, so they agree bit for bit.
+        w_init = make_rng(99).standard_normal(DIFF_P)
+        for n in (200, 40):  # nonsingular, then n < p
+            fs = design_features("incoherent", n, None, seed=35)
+            config = ImpConfig(prune_rounds=30, w_init=w_init, horizon=2.0)
+            trace = run_imp(fs, config)
+            oracle = oracle_imp(fs, config)
+            assert len(trace.rounds) == len(oracle)
+            for rec, (idx, w, pruned, _) in zip(trace.rounds, oracle):
+                assert np.array_equal(rec.mask.active_indices(), idx)
+                assert np.array_equal(rec.weights[idx], w)
+                assert list(rec.pruned) == pruned
 
     def test_determinism_bit_identical(self):
         fs = random_features(36, n=22, p=10)
@@ -367,20 +372,6 @@ class TestDowndatePath:
             assert np.array_equal(rec.inverse, rec.inverse.T)
             assert np.allclose(rec.inverse @ sub, np.eye(sub.shape[0]), atol=1e-9)
         assert "inverse" not in trace_to_dict(trace)["rounds"][1]
-
-    @pytest.mark.parametrize("horizon", [INFINITE, 3.0])
-    def test_init_hook_fires_every_round_on_both_paths(self, horizon):
-        fs = design_features("orthonormal", 200, None, seed=9)
-        w_init = make_rng(10).standard_normal(DIFF_P)
-        seen = []
-        run_imp(
-            fs,
-            ImpConfig(prune_rounds=12, w_init=w_init, horizon=horizon),
-            init_hook=lambda k, idx, w0: seen.append((k, idx.copy(), w0.copy())),
-        )
-        assert [k for k, _, _ in seen] == list(range(13))
-        for _, idx, w0 in seen:
-            assert np.array_equal(w0, w_init[idx])
 
 
 PERM_P = 16

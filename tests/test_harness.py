@@ -6,6 +6,8 @@ import pytest
 
 from implinear import designs as designs_module
 from implinear import harness as harness_module
+from implinear.cli import main
+from implinear.designs import gen_uniform_corr_design
 from implinear.engine import ImpConfig, run_imp
 from implinear.harness import (
     ONP_TOL,
@@ -33,7 +35,13 @@ from implinear.harness import (
     uniform_corr_separation_margin,
 )
 from implinear.linalg import min_nonzero_eig, sym_eig
-from implinear.theory import check_onp, check_recoverable, recovery_sample_size
+from implinear.theory import (
+    check_onp,
+    check_recoverable,
+    concentration_sample_size,
+    noise_projector,
+    recovery_sample_size,
+)
 
 
 def recovery_spec(**overrides):
@@ -630,23 +638,41 @@ class TestConcentration:
         with pytest.raises(ConfigError, match="expected"):
             run_concentration_check(recovery_spec())
 
+    def test_nearly_singular_uniform_corr_keeps_every_mode(self, tmp_path):
+        # derived n = 81881; lambda_min = 1 - alpha = 1e-4 has multiplicity
+        # p - 1 and lies above the rank tolerance, so Sigma^+ inverts every
+        # mode and the noise projector has rank p, not 1
+        spec = ExperimentSpec(
+            kind="lemma1_check",
+            design=DesignSpec(kind="uniform_corr", p=30, alpha=0.9999),
+            trials=100,
+            base_seed=0,
+            signal=SignalSpec(k=3, gamma=0.5),
+            noise=NoiseSpec(sigma=0.2),
+        )
+        n, _, _, _ = resolve_sample_size(spec, 0, 0.25, concentration_sample_size)
+        assert n == 81881
+        fs = gen_uniform_corr_design(n, 30, 0.9999, seed=0)
+        assert np.linalg.matrix_rank(noise_projector(fs)) == 30
+        assert run_cli(tmp_path, spec, "lemma1") == 0
+
 
 POOLED_RUNS = {
-    "recover": (run_support_recovery, recovery_spec(trials=10)),
+    "recover": ("recover", recovery_spec(trials=10)),
     # 29 attempts in 11 batches
-    "heuristic-incoherent": (run_heuristic_equivalence, ExperimentSpec(
+    "heuristic-incoherent": ("heuristic", ExperimentSpec(
         kind="heuristic_equivalence",
         design=DesignSpec(kind="incoherent", p=3, n=2000),
         trials=5,
         base_seed=1,
     )),
-    "heuristic-uniform_corr": (run_heuristic_equivalence, ExperimentSpec(
+    "heuristic-uniform_corr": ("heuristic", ExperimentSpec(
         kind="heuristic_equivalence",
         design=DesignSpec(kind="uniform_corr", p=10, alpha=0.01),
         trials=20,
         base_seed=56,
     )),
-    "baselines": (run_baseline_comparison, ExperimentSpec(
+    "baselines": ("baselines", ExperimentSpec(
         kind="baseline_comparison",
         design=DesignSpec(kind="incoherent", p=10, n=40),
         trials=10,
@@ -655,23 +681,41 @@ POOLED_RUNS = {
         noise=NoiseSpec(sigma=0.5),
         baseline=BaselineSpec(sigmas=(0.25, 1.0)),
     )),
+    "lemma1": ("lemma1", ExperimentSpec(
+        kind="lemma1_check",
+        design=DesignSpec(kind="incoherent", p=10),
+        trials=40,
+        base_seed=64,
+        signal=SignalSpec(k=2, gamma=0.5),
+        noise=NoiseSpec(sigma=1.0),
+    )),
 }
 
 
+def run_cli(tmp_path, spec, *args):
+    """Exit code of the CLI subcommand `args` on `spec`, written as a config."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(spec_to_dict(spec)))
+    return main([*args, "--config", str(config)])
+
+
 @pytest.mark.parametrize("name", POOLED_RUNS)
-def test_pool_matches_serial(tmp_path, name):
-    run, spec = POOLED_RUNS[name]
+def test_pool_matches_serial(tmp_path, capsys, name):
+    command, spec = POOLED_RUNS[name]
     outputs = []
     for threads in (1, 2):
         out = tmp_path / str(threads)
-        run(replace(spec, threads=threads, out_dir=str(out)))
-        (csv_path,) = out.glob("*.csv")
-        outputs.append([row_without_wall_ms(row) for row in csv_path.read_text().splitlines()]
-                       if name == "recover" else csv_path.read_text())
+        code = run_cli(tmp_path, spec, command, "--threads", str(threads), "--out", str(out))
+        files = {path.name: path.read_text() for path in sorted(out.iterdir())}
+        if "trials.csv" in files:
+            files["trials.csv"] = [row_without_wall_ms(row)
+                                   for row in files["trials.csv"].splitlines()]
+        outputs.append((code, capsys.readouterr().out, files))
     assert outputs[0] == outputs[1]
 
 
-def test_multi_batch_run_opens_one_pool(monkeypatch):
+def count_pools(monkeypatch):
+    """Worker counts of the process pools the harness opens from now on."""
     opened = []
 
     class CountedPool(harness_module.ProcessPoolExecutor):
@@ -680,9 +724,23 @@ def test_multi_batch_run_opens_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(harness_module, "ProcessPoolExecutor", CountedPool)
-    run, spec = POOLED_RUNS["heuristic-incoherent"]
-    serial = run(spec)
-    pooled = run(replace(spec, threads=2))
+    return opened
+
+
+def test_multi_batch_run_opens_one_pool(monkeypatch):
+    opened = count_pools(monkeypatch)
+    spec = POOLED_RUNS["heuristic-incoherent"][1]
+    serial = run_heuristic_equivalence(spec)
+    pooled = run_heuristic_equivalence(replace(spec, threads=2))
     assert opened == [2]
     assert pooled.attempts > spec.trials  # more than one batch
     assert [repr(astuple(r)) for r in pooled.rows] == [repr(astuple(r)) for r in serial.rows]
+
+
+def test_lemma1_draws_on_one_pool(monkeypatch):
+    opened = count_pools(monkeypatch)
+    spec = POOLED_RUNS["lemma1"][1]
+    serial = run_concentration_check(spec)
+    pooled = run_concentration_check(replace(spec, threads=2))
+    assert opened == [2]
+    assert pooled == serial

@@ -7,8 +7,16 @@ from implinear import theory as theory_module
 from implinear.designs import (
     gen_incoherent_design,
     gen_orthonormal_design,
-    gen_uniform_corr_design,
     sample_noise,
+)
+from implinear.harness import (
+    ConfigError,
+    DesignSpec,
+    ExperimentSpec,
+    NoiseSpec,
+    SignalSpec,
+    run_concentration_check,
+    validate_spec,
 )
 from implinear.linalg import CovMatrix, pseudo_inverse, sym_eig
 from implinear.theory import (
@@ -20,8 +28,7 @@ from implinear.theory import (
     concentration_sample_size_raw,
     exact_binomial_ci,
     make_mc_summary,
-    noise_exceedance_mc,
-    noise_functional,
+    noise_projector,
     recovery_sample_size,
     recovery_sample_size_raw,
 )
@@ -191,55 +198,74 @@ class TestSampleBounds:
 
 
 class TestNoiseFunctional:
+    """(1/n) Sigma^+ Phi^T xi, formed through `noise_projector`."""
+
     def test_zero_noise(self):
         fs = gen_orthonormal_design(10, 4, seed=61)
-        assert np.array_equal(noise_functional(fs, np.zeros(10)), np.zeros(4))
+        assert np.array_equal(noise_projector(fs) @ np.zeros(10), np.zeros(4))
 
     def test_orthonormal_reduces_to_projection(self):
         fs = gen_orthonormal_design(10, 4, seed=62)
         xi = sample_noise("gaussian", 1.0, 10, seed=63)
         expected = fs.phi.T @ xi / 10.0
-        assert np.allclose(noise_functional(fs, xi), expected, atol=1e-10)
+        assert np.allclose(noise_projector(fs) @ xi, expected, atol=1e-10)
 
     def test_matches_svd_pseudo_inverse_chain(self):
         # independent recomputation through numpy's SVD-based pinv
         fs, _ = gen_incoherent_design(8, 12, seed=64)  # rank-deficient on purpose
         xi = sample_noise("uniform", 2.0, 8, seed=65)
         expected = np.linalg.pinv(fs.covariance.entries) @ fs.phi.T @ xi / 8.0
-        assert np.allclose(noise_functional(fs, xi), expected, atol=1e-8)
+        assert np.allclose(noise_projector(fs) @ xi, expected, atol=1e-8)
 
     def test_length_checked(self):
+        # p x n: it takes only noise of one entry per row of the design
         fs = gen_orthonormal_design(10, 4, seed=66)
-        with pytest.raises(ValueError, match="length"):
-            noise_functional(fs, np.zeros(9))
+        projector = noise_projector(fs)
+        assert projector.shape == (4, 10)
+        with pytest.raises(ValueError):
+            projector @ np.zeros(9)
+
+
+def lemma1_spec(kind, p, n=None, alpha=None, sigma=1.0, epsilon=None, trials=50,
+                base_seed=0, delta=0.1):
+    return ExperimentSpec(
+        kind="lemma1_check",
+        design=DesignSpec(kind=kind, p=p, n=n, alpha=alpha),
+        trials=trials,
+        base_seed=base_seed,
+        delta=delta,
+        signal=SignalSpec(k=3, gamma=0.5),
+        noise=NoiseSpec(kind="gaussian", sigma=sigma),
+        epsilon=epsilon,
+    )
 
 
 class TestNoiseExceedanceMc:
+    """The exceedance Monte Carlo of the lemma1 run, on a fixed design."""
+
     def test_sigma_zero_never_exceeds(self):
-        fs = gen_orthonormal_design(12, 4, seed=67)
-        summary = noise_exceedance_mc(fs, "gaussian", 0.0, 0.1, trials=50, seed=1)
-        assert summary.failure_rate == 0.0
+        spec = lemma1_spec("orthonormal", 4, n=12, sigma=0.0, epsilon=0.1)
+        assert run_concentration_check(spec).summary.failure_rate == 0.0
 
     def test_epsilon_zero_always_exceeds(self):
-        fs = gen_orthonormal_design(12, 4, seed=68)
-        summary = noise_exceedance_mc(fs, "gaussian", 1.0, 0.0, trials=50, seed=2)
-        assert summary.failure_rate == 1.0
+        # epsilon must be positive; 1e-12 is far below any sup norm of the draws
+        spec = lemma1_spec("orthonormal", 4, n=12, epsilon=1e-12)
+        assert run_concentration_check(spec).summary.failure_rate == 1.0
 
     def test_at_the_bound_rate_is_within_budget(self):
         delta, sigma, eps, p = 0.1, 1.0, 0.25, 20
-        n = concentration_sample_size(
+        spec = lemma1_spec("uniform_corr", p, alpha=0.1, sigma=sigma, epsilon=eps,
+                           trials=800, base_seed=3, delta=delta)
+        report = run_concentration_check(spec)
+        assert report.n == concentration_sample_size(
             BoundInputs(sigma=sigma, margin=eps, lambda_min_nz=0.9, p=p, delta=delta)
         )
-        fs = gen_uniform_corr_design(n, p, alpha=0.1, seed=69)
-        summary = noise_exceedance_mc(fs, "gaussian", sigma, eps, trials=800, seed=3,
-                                      delta=delta)
-        assert summary.passed
-        assert summary.failure_rate <= delta
+        assert report.summary.passed
+        assert report.summary.failure_rate <= delta
 
     def test_trial_count_validated(self):
-        fs = gen_orthonormal_design(12, 4, seed=70)
-        with pytest.raises(ValueError, match="trials"):
-            noise_exceedance_mc(fs, "gaussian", 1.0, 0.1, trials=0, seed=4)
+        with pytest.raises(ConfigError, match="trials"):
+            validate_spec(lemma1_spec("orthonormal", 4, n=12, trials=0))
 
 
 class TestMcSummary:
