@@ -373,6 +373,31 @@ class TestDowndatePath:
             assert np.allclose(rec.inverse @ sub, np.eye(sub.shape[0]), atol=1e-9)
         assert "inverse" not in trace_to_dict(trace)["rounds"][1]
 
+    @pytest.mark.parametrize("horizon", [INFINITE, 3.0])
+    def test_init_hook_fires_every_round_on_both_paths(self, monkeypatch, horizon):
+        # The initialization is observed where the engine uses it: every
+        # closed-form solve must start its survivors from w_init.  A
+        # downdated round solves nothing from an initialization, and its
+        # weights still match the oracle, which restarts every round from
+        # w_init.
+        fs = design_features("orthonormal", 200, None, seed=9)
+        w_init = make_rng(10).standard_normal(DIFF_P)
+        seen = []
+
+        def recorded(eig, data_vec, w0, horizon):
+            seen.append(w0.copy())
+            return closed_form_weights(eig, data_vec, w0, horizon)
+
+        monkeypatch.setattr(engine_module, "closed_form_weights", recorded)
+        trace = assert_matches_oracle(
+            fs, ImpConfig(prune_rounds=12, w_init=w_init, horizon=horizon)
+        )
+        solved = [rec for rec in trace.rounds if rec.eig is not None]
+        assert len(solved) == (1 if is_infinite(horizon) else 13)
+        assert len(seen) == len(solved)
+        for rec, w0 in zip(solved, seen):
+            assert np.array_equal(w0, w_init[rec.mask.active_indices()])
+
 
 PERM_P = 16
 
