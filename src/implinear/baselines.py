@@ -64,10 +64,14 @@ def hard_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     return np.where(np.abs(v) > tau, v, 0.0)
 
 
-def ht_estimator(features: FeatureSet, tau: float) -> np.ndarray:
-    """Least squares through the pseudo-inverse, then hard thresholding."""
+def ht_estimator(features: FeatureSet, tau: float, pinv: np.ndarray | None = None) -> np.ndarray:
+    """Least squares through the pseudo-inverse, then hard thresholding.
+
+    `pinv` is Sigma^+ if the caller already has it; by default it is computed.
+    """
     y = features.require_targets()
-    pinv = pseudo_inverse(sym_eig(features.covariance))
+    if pinv is None:
+        pinv = pseudo_inverse(sym_eig(features.covariance))
     s_hat = pinv @ (features.phi.T @ y) / features.n
     return hard_threshold(s_hat, tau)
 

@@ -5,25 +5,32 @@ initialization, train to the horizon with exact gradient flow, record the
 trained vector, then delete the smallest-magnitude active weights.  The
 returned final weights are the round-q trained vector, i.e. the vector
 trained under a mask with exactly q * per_round coordinates pruned, before
-that round's own prune is applied.  Everything an auditor needs to replay
-the run is kept in the trace, down to the factorization each round was
-trained with.
+that round's own prune is applied.
 
-Two exact paths train a round.  The eigendecomposition path factorizes the
-restricted covariance Sigma_A every round and solves the flow in its
-eigenbasis; it handles every horizon and singular Sigma_A.  At the infinite
-horizon with every eigenvalue of the full Sigma above the rank tolerance,
-the trained weights are Sigma_A^{-1} b_A, and by Cauchy interlacing every
-later Sigma_A is nonsingular too.  Then only round 0 is factorized, and each
-later round removes the pruned block from the previous round's inverse and
-weights by a Schur-complement downdate in O(m^2): IMP as backward greedy
-elimination (Couvreur & Bresler, SIAM J. Matrix Anal. Appl. 21(3), 2000).
+`run_imp` executes a stack of runs that share p and the config in one round
+loop: at round k every run has m = p - k * per_round active coordinates, so
+a round of the stack is a (T, m) block.  The trace keeps each round's mask,
+weights and prune events; the factorization a round was trained with goes
+to an `on_round` observer and is dropped after it.
+
+Two exact paths train a round, and each run takes its own from its input.
+The eigendecomposition path factorizes the restricted covariance Sigma_A
+every round and solves the flow in its eigenbasis; it handles every horizon
+and singular Sigma_A.  At the infinite horizon with every eigenvalue of the
+full Sigma above the rank tolerance, the trained weights are
+Sigma_A^{-1} b_A, and by Cauchy interlacing every later Sigma_A is
+nonsingular too.  Then only round 0 is factorized, and each later round
+removes the pruned block from the previous round's inverse and weights by a
+Schur-complement downdate in O(m^2), one stacked step for every run on this
+path: IMP as backward greedy elimination (Couvreur & Bresler, SIAM J.
+Matrix Anal. Appl. 21(3), 2000).
 
 Indices are 0-based throughout.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,21 +108,11 @@ class ImpConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Mask before this round's prune, the trained vector, and what was pruned.
-
-    Exactly one of `eig` and `inverse` is set on a round `run_imp` trained:
-    `eig` is the eigendecomposition of Sigma_A on a factorized round (every
-    round of the eigendecomposition path; round 0 and any round refactorized
-    after drift on the downdate path), and `inverse` is Sigma_A^{-1} on a
-    downdated round, indexed like `mask.active_indices()`.  Neither is
-    serialized.
-    """
+    """Mask before this round's prune, the trained vector, and what was pruned."""
 
     mask: PruneMask
     weights: np.ndarray
     pruned: tuple[int, ...]
-    eig: SymEig | None = None
-    inverse: np.ndarray | None = None
 
     @property
     def pruned_magnitudes(self) -> tuple[float, ...]:
@@ -137,54 +134,92 @@ class ImpTrace:
         return tuple(i for rec in self.rounds for i in rec.pruned)
 
 
+# on_round(k, active, weights, factors) sees round k of a stack of T runs after
+# training and before the prune: the (T, m) active indices, the (T, m) trained
+# active weights, and per run the factorization it was trained with, its
+# SymEig of Sigma_A on a factorized round or its (m, m) slice of the stacked
+# Sigma_A^{-1} on a downdated round.  The engine keeps none of them.
+RoundObserver = Callable[[int, np.ndarray, np.ndarray, list], None]
+
+
 def _select_prune(
     magnitudes: np.ndarray, count: int, tie_break: str
 ) -> np.ndarray:
-    """Local indices of the `count` smallest magnitudes under the tie rule."""
+    """Per row, local indices of the `count` smallest magnitudes under the tie rule."""
     if tie_break == "lowest_index":
-        order = np.argsort(magnitudes, kind="stable")
+        order = np.argsort(magnitudes, axis=-1, kind="stable")
     else:  # highest_index: among ties, the larger index goes first
-        m = magnitudes.shape[0]
-        order = np.lexsort((-np.arange(m), magnitudes))
-    return order[:count]
+        index = np.broadcast_to(-np.arange(magnitudes.shape[-1]), magnitudes.shape)
+        order = np.lexsort((index, magnitudes), axis=-1)
+    return order[:, :count]
+
+
+def _positive_definite(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _downdate(
     inverse: np.ndarray, weights: np.ndarray, drop: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Remove the local coordinates `drop` from Sigma_A^{-1} and its weights.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Remove the local coordinates `drop` from a stack of Sigma_A^{-1} and weights.
 
-    With C = Sigma_A^{-1}, J the dropped and K the kept coordinates, the
-    smaller inverse is the Schur complement C_KK - C_KJ C_JJ^{-1} C_JK and the
+    inverse is (D, m, m), weights (D, m) and drop (D, r).  Per slice, with
+    C = Sigma_A^{-1}, J the dropped and K the kept coordinates, the smaller
+    inverse is the Schur complement C_KK - C_KJ C_JJ^{-1} C_JK and the
     retrained weights are w_K - C_KJ C_JJ^{-1} w_J.  Both go through the
     Cholesky factor L of C_JJ: with [G | g] = L^{-1} [C_JK | w_J] they are
-    C_KK - G^T G and w_K - G^T g.  Returns None when C_JJ is not positive
-    definite, the sign of accumulated drift.
+    C_KK - G^T G and w_K - G^T g.  Returns (inverse, weights, ok); ok is
+    False on the slices where C_JJ is not positive definite, the sign of
+    accumulated drift, and their rows of the other two are meaningless.
     """
-    keep = np.ones(weights.shape[0], dtype=bool)
-    keep[drop] = False
-    kept = np.flatnonzero(keep)
-    rows = inverse[drop]
-    pivot = rows[:, drop]
-    rhs = np.column_stack((rows[:, kept], weights[drop]))
-    if pivot.shape[0] == 1:  # scalar Cholesky; `not >` also rejects NaN
-        if not pivot[0, 0] > 0.0:
-            return None
-        g = rhs / np.sqrt(pivot[0, 0])
+    d, m = weights.shape
+    rows = np.arange(d)[:, None, None]
+    keep = np.ones((d, m), dtype=bool)
+    keep[rows[:, 0], drop] = False
+    kept = np.nonzero(keep)[1].reshape(d, -1)
+    pivot = inverse[rows, drop[:, :, None], drop[:, None, :]]
+    rhs = np.concatenate((inverse[rows, drop[:, :, None], kept[:, None, :]],
+                          weights[rows[:, 0], drop][:, :, None]), axis=2)
+    if drop.shape[1] == 1:  # scalar Cholesky; `>` is False on NaN too
+        ok = pivot[:, 0, 0] > 0.0
+        g = rhs / np.sqrt(np.where(ok, pivot[:, 0, 0], 1.0))[:, None, None]
     else:
+        ok = np.ones(d, dtype=bool)
         try:
-            g = np.linalg.solve(np.linalg.cholesky(pivot), rhs)
-        except np.linalg.LinAlgError:
-            return None
-    g_c, g_w = g[:, :-1], g[:, -1]
-    smaller = inverse[kept[:, None], kept] - g_c.T @ g_c
-    return (smaller + smaller.T) / 2.0, weights[kept] - g_c.T @ g_w
+            chol = np.linalg.cholesky(pivot)
+        except np.linalg.LinAlgError:  # some slice drifted: factor the others
+            ok = np.array([_positive_definite(a) for a in pivot])
+            chol = np.linalg.cholesky(np.where(ok[:, None, None], pivot, np.eye(drop.shape[1])))
+        g = np.linalg.solve(chol, rhs)
+    g_t, g_c, g_w = g[:, :, :-1].transpose(0, 2, 1), g[:, :, :-1], g[:, :, -1:]
+    m_kept = kept.shape[1]
+    # in place where possible: each (D, m, m) temporary costs fresh pages
+    smaller = inverse[keep[:, :, None] & keep[:, None, :]].reshape(d, m_kept, m_kept)
+    smaller -= g_t @ g_c
+    smaller += smaller.transpose(0, 2, 1)
+    smaller /= 2.0
+    return smaller, weights[keep].reshape(d, m_kept) - (g_t @ g_w)[:, :, 0], ok
 
 
-def run_imp(features: FeatureSet, config: ImpConfig) -> ImpTrace:
-    """Execute the pruning loop and return the full trace."""
-    y = features.require_targets()
-    p = features.p
+def run_imp(
+    features: Sequence[FeatureSet], config: ImpConfig, on_round: RoundObserver | None = None
+) -> list[ImpTrace]:
+    """Execute the pruning loop on a stack of runs and return one trace per run.
+
+    The runs share p and the config; a single run is a stack of one.  Each
+    run trains on its own path, and the result of a run does not depend on
+    the rest of its stack.
+    """
+    if not features:
+        raise ValueError("run_imp needs at least one FeatureSet")
+    p = features[0].p
+    if any(fs.p != p for fs in features):
+        raise ValueError("every FeatureSet of a stack must have the same p")
+    data_vec = np.stack([fs.phi.T @ fs.require_targets() / fs.n for fs in features])
     w_init = config.w_init if config.w_init is not None else np.zeros(p)
     if w_init.shape != (p,):
         raise ValueError(f"w_init must have length p={p}, got {w_init.shape}")
@@ -194,47 +229,71 @@ def run_imp(features: FeatureSet, config: ImpConfig) -> ImpTrace:
             f"per_round * (prune_rounds + 1) = {config.per_round * (q + 1)} exceeds p = {p}"
         )
 
-    cov = features.covariance
-    data_vec = features.phi.T @ y / features.n
-
-    mask = PruneMask.full(p)
-    rounds: list[RoundRecord] = []
-    # The downdate path needs an infinite horizon and a nonsingular round-0
-    # factorization; it stays on while every later refactorization is
-    # nonsingular too, which interlacing guarantees up to roundoff.
-    exact_path = is_infinite(config.horizon)
-    inverse = None  # Sigma_A^{-1} of the current active set on the downdate path
+    stack = len(features)
+    rows = np.arange(stack)[:, None]
+    active = np.tile(np.arange(p), (stack, 1))
+    alive = np.ones((stack, p), dtype=bool)
+    records: list[list[RoundRecord]] = [[] for _ in features]
+    # A run takes the downdate path with an infinite horizon and a nonsingular
+    # round-0 factorization, and leaves it for good at the first singular
+    # refactorization, which interlacing rules out up to roundoff.  `down`
+    # lists the runs whose next round is downdated, and `inverse` stacks their
+    # Sigma_A^{-1}.
+    exact = np.full(stack, is_infinite(config.horizon))
+    down = np.zeros(0, dtype=int)
+    inverse = np.empty((0, p, p))
     for k in range(q + 1):
-        active_idx = mask.active_indices()
-        w0_active = w_init[active_idx]
+        factors: list = [None] * stack
+        trained = np.empty(active.shape)
+        if down.size:
+            inverse, w_down, ok = _downdate(inverse, weights[down], local[down])
+            if not ok.all():  # drift: these runs are factorized afresh below
+                down, inverse, w_down = down[ok], inverse[ok], w_down[ok]
+            trained[down] = w_down
+            for t, inv in zip(down.tolist(), inverse):
+                factors[t] = inv
+        weights = trained
+        for t in range(stack):
+            if factors[t] is None:
+                idx = active[t]
+                eig = sym_eig(features[t].covariance.restrict(idx))
+                weights[t] = closed_form_weights(eig, data_vec[t, idx], w_init[idx],
+                                                 config.horizon)
+                exact[t] = exact[t] and bool(eig.nonzero_mask().all())
+                factors[t] = eig
 
-        eig = None
-        if inverse is not None:
-            inverse, w_active = _downdate(inverse, w_active, local) or (None, None)
-        if inverse is None:
-            eig = sym_eig(cov.restrict(active_idx))
-            w_active = closed_form_weights(eig, data_vec[active_idx], w0_active, config.horizon)
-            exact_path = exact_path and bool(eig.nonzero_mask().all())
+        if on_round is not None:
+            on_round(k, active, weights, factors)
+        local = _select_prune(np.abs(weights), config.per_round, config.tie_break)
+        pruned = active[rows, local]
+        full = np.zeros((stack, p))
+        full[alive] = weights.ravel()  # rows of `active` ascend, as `alive` is read
+        for t in range(stack):
+            records[t].append(RoundRecord(mask=PruneMask(alive[t]), weights=full[t],
+                                          pruned=tuple(pruned[t].tolist())))
+        if k == q:
+            break
 
-        weights = np.zeros(p)
-        weights[active_idx] = w_active
-        local = _select_prune(np.abs(w_active), config.per_round, config.tie_break)
-        pruned = tuple(int(i) for i in active_idx[local])
+        # the runs factorized now that stay on the exact path join the downdate
+        fresh = {t: pseudo_inverse(f) for t, f in enumerate(factors)
+                 if exact[t] and isinstance(f, SymEig)}
+        if fresh:
+            fresh.update(zip(down.tolist(), inverse))
+            down = np.array(sorted(fresh))
+            inverse = np.stack([fresh[t] for t in down.tolist()])
+        alive[rows, pruned] = False
+        keep = np.ones(active.shape, dtype=bool)
+        keep[rows, local] = False
+        active = active[keep].reshape(stack, -1)
 
-        rounds.append(RoundRecord(mask=mask, weights=weights, pruned=pruned, eig=eig,
-                                  inverse=inverse))
-        if exact_path and eig is not None and k < q:
-            inverse = pseudo_inverse(eig)
-        mask = mask.prune(pruned)
-
-    return ImpTrace(rounds=tuple(rounds))
+    return [ImpTrace(rounds=tuple(r)) for r in records]
 
 
 def imp_prune_order(features: FeatureSet, config: ImpConfig | None = None) -> np.ndarray:
     """Full pruning ranking: run with q = p - 1 and one prune per round."""
     base = config if config is not None else ImpConfig()
     full = replace(base, prune_rounds=features.p - 1, per_round=1)
-    trace = run_imp(features, full)
+    trace = run_imp([features], full)[0]
     return np.asarray(trace.prune_order, dtype=int)
 
 

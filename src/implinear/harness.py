@@ -14,6 +14,7 @@ nondeterministic column in the CSV output.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -50,9 +51,9 @@ from .designs import (
 # Not called here: benchmarks/tracing.py wraps every design generator at this
 # module's names, so they stay bound (tests/test_bench_contract.py).
 from .designs import gen_orthonormal_design, gen_uniform_corr_design  # noqa: F401
-from .engine import ImpConfig, ImpTrace, imp_prune_order, run_imp, trace_to_dict
+from .engine import ImpConfig, imp_prune_order, run_imp, trace_to_dict
 from .flow import INFINITE
-from .linalg import min_nonzero_eig, sym_eig
+from .linalg import SymEig, min_nonzero_eig, pseudo_inverse, sym_eig
 from .theory import (
     BoundInputs,
     McSummary,
@@ -73,6 +74,10 @@ EXPERIMENT_KINDS = (
 
 ONP_TOL = 1e-8
 RECOVERY_TOL = 1e-8
+
+# A range of trials handed to a trial function stacks at most this many
+# T * p^2 doubles: 13 recover trials at p = 50, one trial from p = 182 on.
+STACK_BUDGET = 2**15
 
 TRIALS_CSV_HEADER = (
     "trial,seed,n,p,k,gamma,sigma,delta,q,sparsity_ok,no_false_exclusion,"
@@ -313,31 +318,54 @@ def validate_spec(spec: ExperimentSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def map_trials(spec: ExperimentSpec, trial_fn, *args, more=None) -> list:
-    """[trial_fn(spec, t, *args) for t in range(spec.trials)], in trial order.
+def map_trials(spec: ExperimentSpec, trial_fn, *args, more=None, width: int = 1) -> list:
+    """trial_fn(spec, trials, *args) over contiguous ranges of trials that
+    cover range(spec.trials); the lists it returns, concatenated in trial
+    order.
 
-    With `more`, the map goes on in batches: after each batch, more(batch)
-    is the number of trials to run next, numbered on from the last one, and
-    0 ends the map.  With threads > 1 the trials run on one pool of that
-    many worker processes for the whole map, each batch in about four chunks
-    per worker so that every worker gets a share.  Trial t seeds its
-    randomness from base_seed + t alone, so the results do not depend on the
-    worker count.
+    A range holds at most max(1, STACK_BUDGET // (width * p^2)) trials, so a
+    trial function that stacks `width` runs per trial stays within that
+    many doubles per (p, p) block.  With `more`, the map goes on in
+    batches: after each batch, more(batch) is the number of trials to run
+    next, numbered on from the last one, and 0 ends the map.  With
+    threads > 1 the ranges run on one pool of that many worker processes
+    for the whole map, each batch in at least four ranges per worker so
+    that every worker gets a share.
+    Trial t seeds its randomness from base_seed + t alone, so the results
+    depend neither on the worker count nor on the ranges.
     """
     results: list = []
     size = spec.trials
+    cap = max(1, STACK_BUDGET // (width * spec.design.p**2))
     pool = ProcessPoolExecutor(max_workers=spec.threads) if spec.threads > 1 else None
     with pool or nullcontext():
         while size > 0:
-            tasks = (repeat(spec), range(len(results), len(results) + size), *map(repeat, args))
-            if pool is None:
-                batch = list(map(trial_fn, *tasks))
-            else:
-                chunksize = math.ceil(size / (4 * spec.threads))
-                batch = list(pool.map(trial_fn, *tasks, chunksize=chunksize))
+            first = len(results)
+            step = cap if pool is None else min(cap, math.ceil(size / (4 * spec.threads)))
+            ranges = [range(a, min(a + step, first + size))
+                      for a in range(first, first + size, step)]
+            tasks = (repeat(spec), ranges, *map(repeat, args))
+            chunks = map(trial_fn, *tasks) if pool is None else pool.map(trial_fn, *tasks)
+            batch = [r for chunk in chunks for r in chunk]
             results += batch
             size = more(batch) if more else 0
     return results
+
+
+def _per_trial(trial_fn):
+    """Lift a function of one trial to the ranges `map_trials` hands out."""
+    @functools.wraps(trial_fn)
+    def over_range(spec: ExperimentSpec, trials: range, *args) -> list:
+        return [trial_fn(spec, t, *args) for t in trials]
+    return over_range
+
+
+def _check_run(spec: ExperimentSpec, kind: str) -> None:
+    """What every experiment entry point checks, validated spec or not."""
+    if spec.kind != kind:
+        raise ConfigError(f"expected a {kind} config, got {spec.kind!r}")
+    if spec.trials < 1:
+        raise ConfigError("trials must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -440,85 +468,119 @@ def _build_problem(
     )
 
 
+@dataclass
+class _RoundAudit:
+    """What the audit of a stack of recovery trials has seen so far.
+
+    cov stacks the trials' covariance entries (T, p, p) and signal their
+    signals (T, p); onp is each trial's ONP verdict, and eigs and residuals
+    hold one length-T array per round.
+    """
+
+    problems: list[SparseProblem]
+    cov: np.ndarray
+    signal: np.ndarray
+    onp: list[bool] = field(default_factory=list)
+    eigs: list[np.ndarray] = field(default_factory=list)
+    residuals: list[np.ndarray] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, problems: list[SparseProblem]) -> "_RoundAudit":
+        return cls(problems, np.stack([pr.features.covariance.entries for pr in problems]),
+                   np.stack([pr.signal for pr in problems]))
+
+
 def _audit_rounds(
-    problem: SparseProblem, trace: ImpTrace
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-round smallest nonzero eigenvalue and recoverability residual.
+    audit: _RoundAudit, k: int, active: np.ndarray, weights: np.ndarray, factors: list
+) -> None:
+    """Check round k of a stack of recovery trials: the engine's observer.
 
     Each round is checked with the factorization the engine trained it
     with, so nothing is refactorized, and Sigma_A is read from Sigma in
-    place.  A factorized round reuses its eigendecomposition.  A downdated
-    round is checked with the engine's Sigma_A^{-1}, so its residual also
-    measures downdate drift; its eigenvalue entry is the previous round's,
-    a lower bound by Cauchy interlacing, so the minimum over rounds is the
-    exact one.
+    place.  Round 0 trains on every coordinate, so its eigendecomposition is
+    that of the full Sigma, and the ONP precondition is read from it.  A
+    factorized round's smallest nonzero eigenvalue comes from its
+    eigendecomposition.  A downdated round is checked with the engine's
+    Sigma_A^{-1}, so its residual also measures downdate drift; its
+    eigenvalue entry is the previous round's, a lower bound by Cauchy
+    interlacing, so the minimum over rounds is the exact one.
     """
-    cov = problem.features.covariance
-    eigs: list[float] = []
-    residuals: list[float] = []
-    for rec in trace.rounds:
-        if rec.inverse is not None:
-            eigs.append(eigs[-1])
-        else:
-            try:
-                eigs.append(min_nonzero_eig(rec.eig))
-            except ValueError:
-                eigs.append(float("nan"))
-        chk = check_recoverable(cov, problem.signal, rec.mask.active_indices(),
-                                tol=RECOVERY_TOL, eig=rec.eig, inverse=rec.inverse)
-        residuals.append(chk.residual)
-    return tuple(eigs), tuple(residuals)
+    if k == 0:
+        audit.onp = [check_onp(eig, pr.support, tol=ONP_TOL).holds
+                     for eig, pr in zip(factors, audit.problems)]
+    eigs = audit.eigs[-1].copy() if audit.eigs else np.empty(len(factors))
+    residuals = np.empty(len(factors))
+    factorized = [i for i, f in enumerate(factors) if isinstance(f, SymEig)]
+    downdated = [i for i, f in enumerate(factors) if not isinstance(f, SymEig)]
+    for i in factorized:
+        try:
+            eigs[i] = min_nonzero_eig(factors[i])
+        except ValueError:
+            eigs[i] = float("nan")
+    for rows, key in ((factorized, "eig"), (downdated, "inverse")):
+        if rows:
+            pick = rows if len(rows) < len(factors) else slice(None)
+            chk = check_recoverable(audit.cov[pick], audit.signal[pick], active[pick],
+                                    tol=RECOVERY_TOL, **{key: [factors[i] for i in rows]})
+            residuals[rows] = chk.residual
+    audit.eigs.append(eigs)
+    audit.residuals.append(residuals)
 
 
-def recovery_trial(spec: ExperimentSpec, t: int) -> TrialRecord | None:
-    """Run one trial; None means the drawn design failed the ONP precondition."""
-    seed = spec.base_seed + t
+def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | None]:
+    """Run a range of trials as one IMP stack, audited round by round.
+
+    None marks a trial whose drawn design failed the ONP precondition.
+    Every trial's wall_ms is the range's time over its length.
+    """
     start = time.perf_counter()
-    # an explicit n needs no bound, so the design is drawn only by the problem
-    n, drawn = spec.design.n, None
-    if n is None:
-        n, _, _, drawn = resolve_sample_size(spec, seed, spec.signal.gamma,
-                                             recovery_sample_size)
-    problem = _build_problem(spec, seed, n, drawn)
+    problems = []
+    for t in trials:
+        seed = spec.base_seed + t
+        # an explicit n needs no bound, so the design is drawn only by the problem
+        n, drawn = spec.design.n, None
+        if n is None:
+            n, _, _, drawn = resolve_sample_size(spec, seed, spec.signal.gamma,
+                                                 recovery_sample_size)
+        problems.append(_build_problem(spec, seed, n, drawn))
     q = _prune_rounds(spec)
-    trace = run_imp(problem.features, _imp_config(spec, q))
-    # round 0 trains on every coordinate, so its eig is that of the full Sigma
-    if not check_onp(trace.rounds[0].eig, problem.support, tol=ONP_TOL).holds:
-        return None
+    audit = _RoundAudit.of(problems)
+    traces = run_imp([pr.features for pr in problems], _imp_config(spec, q),
+                     on_round=functools.partial(_audit_rounds, audit))
+    round_eigs, round_residuals = np.array(audit.eigs).T, np.array(audit.residuals).T
+    wall_ms = (time.perf_counter() - start) * 1e3 / len(trials)
 
-    p = spec.design.p
-    final = trace.final_weights
-
-    sparsity_ok = int(np.sum(final == 0.0)) >= q * spec.imp.per_round
-    above = np.abs(problem.signal) >= problem.gamma
-    no_false_exclusion = bool(np.all(final[above] != 0.0))
-
-    round_eigs, round_residuals = _audit_rounds(problem, trace)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return TrialRecord(
-        trial=t,
-        seed=seed,
-        n=n,
-        p=p,
-        k=spec.signal.k,
-        gamma=spec.signal.gamma,
-        sigma=spec.noise.sigma,
-        delta=spec.delta,
-        q=q,
-        sparsity_ok=sparsity_ok,
-        no_false_exclusion=no_false_exclusion,
-        min_nz_eig=float(np.min(round_eigs)) if round_eigs else float("nan"),
-        max_recov_residual=float(np.max(round_residuals)) if round_residuals else float("nan"),
-        wall_ms=wall_ms,
-        round_min_eigs=round_eigs,
-        round_residuals=round_residuals,
-        trace_json=trace_to_dict(trace) if spec.verified_mode else None,
-    )
+    records: list[TrialRecord | None] = []
+    for i, (t, problem, trace) in enumerate(zip(trials, problems, traces)):
+        if not audit.onp[i]:
+            records.append(None)
+            continue
+        final = trace.final_weights
+        above = np.abs(problem.signal) >= problem.gamma
+        records.append(TrialRecord(
+            trial=t,
+            seed=spec.base_seed + t,
+            n=problem.features.n,
+            p=spec.design.p,
+            k=spec.signal.k,
+            gamma=spec.signal.gamma,
+            sigma=spec.noise.sigma,
+            delta=spec.delta,
+            q=q,
+            sparsity_ok=int(np.sum(final == 0.0)) >= q * spec.imp.per_round,
+            no_false_exclusion=bool(np.all(final[above] != 0.0)),
+            min_nz_eig=float(np.min(round_eigs[i])),
+            max_recov_residual=float(np.max(round_residuals[i])),
+            wall_ms=wall_ms,
+            round_min_eigs=tuple(round_eigs[i].tolist()),
+            round_residuals=tuple(round_residuals[i].tolist()),
+            trace_json=trace_to_dict(trace) if spec.verified_mode else None,
+        ))
+    return records
 
 
 def run_support_recovery(spec: ExperimentSpec) -> RecoveryReport:
-    if spec.kind != "support_recovery":
-        raise ConfigError(f"expected a support_recovery config, got {spec.kind!r}")
+    _check_run(spec, "support_recovery")
     records = [r for r in map_trials(spec, recovery_trial) if r is not None]
     rejected = spec.trials - len(records)
     if rejected > spec.trials // 2:
@@ -607,6 +669,7 @@ def uniform_corr_separation_margin(scores: np.ndarray, alpha: float) -> float:
     return worst
 
 
+@_per_trial
 def _heuristic_single(spec: ExperimentSpec, trial: int) -> HeuristicTrialRow:
     """Evaluate one heuristic trial (orthonormal or uniform_corr)."""
     design = spec.design
@@ -653,6 +716,7 @@ def _heuristic_single(spec: ExperimentSpec, trial: int) -> HeuristicTrialRow:
     )
 
 
+@_per_trial
 def _incoherent_attempt(spec: ExperimentSpec, attempt: int) -> HeuristicTrialRow:
     """One attempt of an incoherent run, drawn with seed base_seed + attempt.
 
@@ -674,7 +738,7 @@ def _incoherent_attempt(spec: ExperimentSpec, attempt: int) -> HeuristicTrialRow
     qualifies = (not degenerate) and delta_pw <= 1.0 / (10.0 * p) and first_gap > threshold
     first_match = False
     if qualifies:
-        trace = run_imp(fs, ImpConfig(prune_rounds=0, tie_break=spec.imp.tie_break))
+        [trace] = run_imp([fs], ImpConfig(prune_rounds=0, tie_break=spec.imp.tie_break))
         first_match = bool(trace.rounds[0].pruned[0] == order[0])
     return HeuristicTrialRow(
         trial=attempt,
@@ -717,8 +781,7 @@ def _heuristic_incoherent(spec: ExperimentSpec) -> list[HeuristicTrialRow]:
 
 
 def run_heuristic_equivalence(spec: ExperimentSpec) -> HeuristicReport:
-    if spec.kind != "heuristic_equivalence":
-        raise ConfigError(f"expected a heuristic_equivalence config, got {spec.kind!r}")
+    _check_run(spec, "heuristic_equivalence")
     incoherent = spec.design.kind == "incoherent"
     rows = _heuristic_incoherent(spec) if incoherent else map_trials(spec, _heuristic_single)
     qual = [r for r in rows if not (r.degenerate or r.excluded)]
@@ -779,38 +842,45 @@ def _support_f1(estimated: set[int], truth: set[int]) -> float:
 
 
 def _baseline_trial(
-    spec: ExperimentSpec, t: int, n: int, sweep: tuple[ExperimentSpec, ...],
+    spec: ExperimentSpec, trials: range, n: int, sweep: tuple[ExperimentSpec, ...],
     first: FeatureSet | None,
-) -> tuple[tuple[tuple[bool, float], ...], ...]:
-    """For each spec of the noise sweep, (exact support recovered, support F1)
-    of each method on trial t.
+) -> list[tuple[tuple[tuple[bool, float], ...], ...]]:
+    """For each trial of the range and each spec of the noise sweep,
+    (exact support recovered, support F1) of each method.
 
-    The trial's design is drawn once for the whole sweep, and trial 0 takes
+    A trial's design is drawn once for the whole sweep, and trial 0 takes
     `first` if sizing n already drew it; each noise setting draws its own
-    noise.
+    noise.  Hard thresholding uses one pseudo-inverse of Sigma per trial,
+    and IMP runs every (trial, sigma) cell of the range as one stack.
     """
-    seed = spec.base_seed + t
     base, _, tau = _baseline(spec)
-    imp = _imp_config(spec, _prune_rounds(spec))
     threshold = ThresholdConfig(
         tau=tau, eta=base.eta / n, max_iters=base.max_iters, convergence_tol=base.convergence_tol
     )
-    features = first if t == 0 else None
+    cells = []
+    for t in trials:
+        features, pinv = (first if t == 0 else None), None
+        for noisy in sweep:
+            problem = _build_problem(noisy, spec.base_seed + t, n, features)
+            features = problem.features
+            if pinv is None:
+                pinv = pseudo_inverse(sym_eig(features.covariance))
+            cells.append((problem, ht_estimator(features, tau, pinv),
+                          iht(features, threshold).estimate))
+    traces = run_imp([problem.features for problem, _, _ in cells],
+                     _imp_config(spec, _prune_rounds(spec)))
     outcomes = []
-    for noisy in sweep:
-        problem = _build_problem(noisy, seed, n, features)
-        features = problem.features
+    for (problem, *estimates), trace in zip(cells, traces):
         truth = set(problem.support)
-        estimates = (run_imp(features, imp).final_weights, ht_estimator(features, tau),
-                     iht(features, threshold).estimate)
-        supports = (set(np.flatnonzero(w != 0.0).tolist()) for w in estimates)
+        supports = (set(np.flatnonzero(w != 0.0).tolist())
+                    for w in (trace.final_weights, *estimates))
         outcomes.append(tuple((sup == truth, _support_f1(sup, truth)) for sup in supports))
-    return tuple(outcomes)
+    width = len(sweep)
+    return [tuple(outcomes[i:i + width]) for i in range(0, len(outcomes), width)]
 
 
 def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
-    if spec.kind != "baseline_comparison":
-        raise ConfigError(f"expected a baseline_comparison config, got {spec.kind!r}")
+    _check_run(spec, "baseline_comparison")
     base, sigmas, _ = _baseline(spec)
 
     # One n for the whole sweep, sized for its noisiest setting.
@@ -820,7 +890,7 @@ def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
     )
     sweep = tuple(replace(spec, noise=replace(spec.noise, sigma=sigma)) for sigma in sigmas)
     try:
-        outcomes = map_trials(spec, _baseline_trial, n, sweep, first)
+        outcomes = map_trials(spec, _baseline_trial, n, sweep, first, width=len(sweep))
     except IhtDivergenceError as exc:
         raise ConfigError(
             f"IHT diverged at baseline.eta = {base.eta} ({exc}); lower baseline.eta"
@@ -861,6 +931,7 @@ class ConcentrationReport:
     epsilon: float
 
 
+@_per_trial
 def _lemma1_draw(spec: ExperimentSpec, t: int, projector: np.ndarray, epsilon: float) -> bool:
     """Does noise draw t (seed base_seed + t) reach epsilon in sup norm?
 
@@ -872,8 +943,7 @@ def _lemma1_draw(spec: ExperimentSpec, t: int, projector: np.ndarray, epsilon: f
 
 
 def run_concentration_check(spec: ExperimentSpec) -> ConcentrationReport:
-    if spec.kind != "lemma1_check":
-        raise ConfigError(f"expected a lemma1_check config, got {spec.kind!r}")
+    _check_run(spec, "lemma1_check")
     epsilon = spec.epsilon if spec.epsilon is not None else spec.signal.gamma / 2.0
     n, bound_n, lam, fs = resolve_sample_size(
         spec, spec.base_seed, epsilon, concentration_sample_size
@@ -985,7 +1055,7 @@ def replay_trial(spec: ExperimentSpec, trial: int) -> tuple[str, bool | None]:
         raise ConfigError("replay is defined for support_recovery configs")
     if not 0 <= trial < spec.trials:
         raise ConfigError(f"trial must lie in [0, {spec.trials})")
-    rec = recovery_trial(spec, trial)
+    [rec] = recovery_trial(spec, range(trial, trial + 1))
     if rec is None:
         raise ConfigError(
             f"trial {trial} was rejected by the ONP precondition; it has no row"

@@ -58,9 +58,17 @@ class CovMatrix:
         return self.entries.shape[0]
 
     def restrict(self, indices: np.ndarray) -> "CovMatrix":
-        """Principal submatrix on the given coordinates."""
+        """Principal submatrix on the given coordinates.
+
+        A principal submatrix of a validated covariance is square, finite and
+        symmetric, so it is not validated again.
+        """
         idx = np.asarray(indices)
-        return CovMatrix(self.entries[np.ix_(idx, idx)])
+        sub = self.entries[np.ix_(idx, idx)]
+        sub.setflags(write=False)
+        out = object.__new__(CovMatrix)
+        object.__setattr__(out, "entries", sub)
+        return out
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ interval.  Logs are natural throughout.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -188,12 +189,12 @@ def check_onp(eig: SymEig, support, tol: float = 1e-10) -> OnpReport:
 
 
 def check_recoverable(
-    cov: CovMatrix,
+    cov: CovMatrix | np.ndarray,
     signal: np.ndarray,
     active: np.ndarray,
     tol: float = 1e-10,
-    eig: SymEig | None = None,
-    inverse: np.ndarray | None = None,
+    eig: SymEig | Sequence[SymEig] | None = None,
+    inverse: np.ndarray | Sequence[np.ndarray] | None = None,
 ) -> RecoveryCheck:
     """Does the restricted signal survive projection onto range(Ups)?
 
@@ -202,18 +203,36 @@ def check_recoverable(
     residual = ||Ups^+ Ups s_A - s_A||_inf; ok when it is at most tol.  The
     pruning guarantee needs this to hold at every round.  Ups^+ comes from
     exactly one of `eig`, the eigendecomposition of Ups, and `inverse`, its
-    precomputed (pseudo-)inverse, as a round of `run_imp` records them.
+    precomputed (pseudo-)inverse, as a round of `run_imp` trains with them.
+
+    A stack of T checks runs as one when `active` is (T, m): `cov` is then
+    the (T, p, p) covariance entries, `signal` (T, p), and `eig` or
+    `inverse` holds one factorization per slice; ok and residual are then
+    length-T arrays.
     """
     if (eig is None) == (inverse is None):
         raise ValueError("pass exactly one of eig and inverse")
+    entries = cov.entries if isinstance(cov, CovMatrix) else np.asarray(cov)
     signal = np.asarray(signal, dtype=float)
-    if signal.shape != (cov.p,):
+    if signal.shape != entries.shape[:-1]:
         raise ValueError("signal length must match the covariance dimension")
-    s_active = signal[active]
-    if inverse is None:
-        inverse = pseudo_inverse(eig)
-    projected = inverse @ (cov.entries[np.ix_(active, active)] @ s_active)
-    residual = float(np.max(np.abs(projected - s_active))) if s_active.size else 0.0
+    active = np.asarray(active, dtype=int)
+    if active.ndim == 2:
+        t = np.arange(active.shape[0])[:, None]
+        s_active = signal[t, active]
+        # one flat index gathers the stack faster than three broadcast ones
+        rows = (t * entries.shape[-1] + active) * entries.shape[-1]
+        sub = np.ravel(entries).take(rows[:, :, None] + active[:, None, :])
+        inverse = np.asarray(inverse if eig is None else [pseudo_inverse(e) for e in eig])
+    else:
+        s_active = signal[active]
+        sub = entries[np.ix_(active, active)]
+        if inverse is None:
+            inverse = pseudo_inverse(eig)
+    projected = (inverse @ (sub @ s_active[..., None]))[..., 0]
+    residual = np.max(np.abs(projected - s_active), axis=-1, initial=0.0)
+    if active.ndim == 1:
+        residual = float(residual)
     return RecoveryCheck(ok=residual <= tol, residual=residual)
 
 

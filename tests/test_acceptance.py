@@ -227,8 +227,8 @@ def test_criterion_7_sparsity_guarantee(recovery_1000):
         from implinear.designs import FeatureSet
 
         horizon = float(rng.uniform(0.5, 5.0)) if rng.random() < 0.5 else float("inf")
-        trace = run_imp(
-            FeatureSet.from_phi(phi, y),
+        [trace] = run_imp(
+            [FeatureSet.from_phi(phi, y)],
             ImpConfig(horizon=horizon, prune_rounds=q, per_round=per_round),
         )
         zeros = int(np.sum(trace.final_weights == 0.0))

@@ -162,7 +162,7 @@ class TestMethodAgreement:
             fs = fs.with_targets(fs.phi @ s)
             truth = set(int(i) for i in support)
 
-            trace = run_imp(fs, ImpConfig(prune_rounds=p - k))
+            trace = run_imp([fs], ImpConfig(prune_rounds=p - k))[0]
             imp_support = set(np.flatnonzero(trace.final_weights != 0.0).tolist())
             ht_support = set(np.flatnonzero(ht_estimator(fs, tau=0.5) != 0.0).tolist())
             iht_support = set(

@@ -77,8 +77,7 @@ def test_traced_recover_fires_every_metric_span(monkeypatch, design, horizon):
     assert not [s for s in sym_eig
                 if parents.get(s.parent) in ("harness.audit", "theory.check_onp")]
     if horizon == "infinite":  # one downdate run: round 0 is the only factorization
-        trials = [s for s in tracer.spans if s.name == "harness.recovery_trial"]
-        assert len(sym_eig) == len(trials)
+        assert len(sym_eig) == len(report.records)
 
 
 def test_traced_incoherent_heuristic_draws_under_its_span(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +25,7 @@ from implinear.engine import (
     trace_to_dict,
 )
 from implinear.flow import INFINITE, closed_form_weights, is_infinite
-from implinear.linalg import sym_eig
+from implinear.linalg import SymEig, sym_eig
 
 
 def identity_features(y=(3.0, -1.0, 2.0)):
@@ -46,8 +48,8 @@ class TestPruneMask:
         assert mask.n_active == 2
         assert list(mask.active_indices()) == [1, 3]
         # w = y on the identity design: |0.5| and |-1| go first, then |2|, |3|
-        trace = run_imp(identity_features((3.0, -1.0, 2.0, 0.5)),
-                        ImpConfig(prune_rounds=1, per_round=2))
+        [trace] = run_imp([identity_features((3.0, -1.0, 2.0, 0.5))],
+                          ImpConfig(prune_rounds=1, per_round=2))
         assert trace.prune_order == (3, 1, 2, 0)
         assert list(trace.rounds[1].mask.active_indices()) == [0, 2]
 
@@ -62,21 +64,21 @@ class TestPruneMask:
 class TestRunImp:
     def test_identity_example(self):
         # round 0 trains to w = y, so |−1| then |2| are the successive minima
-        trace = run_imp(identity_features(), ImpConfig(prune_rounds=2))
+        trace = run_imp([identity_features()], ImpConfig(prune_rounds=2))[0]
         assert trace.prune_order[:2] == (1, 2)
         assert trace.prune_order == (1, 2, 0)
         assert np.allclose(trace.final_weights, [3.0, 0.0, 0.0], atol=1e-12)
 
     def test_each_round_restricted_least_squares(self):
         # hand-solve the restricted problems of the identity example
-        trace = run_imp(identity_features(), ImpConfig(prune_rounds=2))
+        trace = run_imp([identity_features()], ImpConfig(prune_rounds=2))[0]
         assert np.allclose(trace.rounds[0].weights, [3.0, -1.0, 2.0], atol=1e-12)
         assert np.allclose(trace.rounds[1].weights, [3.0, 0.0, 2.0], atol=1e-12)
         assert np.allclose(trace.rounds[2].weights, [3.0, 0.0, 0.0], atol=1e-12)
 
     def test_q_zero_dense_solution(self):
         fs = random_features(31)
-        trace = run_imp(fs, ImpConfig(prune_rounds=0))
+        trace = run_imp([fs], ImpConfig(prune_rounds=0))[0]
         dense, *_ = np.linalg.lstsq(fs.phi, fs.targets, rcond=None)
         assert np.allclose(trace.final_weights, dense, atol=1e-8)
         assert len(trace.prune_order) == 1  # the loop body still prunes once
@@ -84,7 +86,7 @@ class TestRunImp:
     def test_final_round_matches_direct_solve(self):
         # full-rank covariance: the active weights equal the normal-equation solve
         fs = random_features(32, n=30, p=8)
-        trace = run_imp(fs, ImpConfig(prune_rounds=4))
+        trace = run_imp([fs], ImpConfig(prune_rounds=4))[0]
         active = trace.rounds[-1].mask.active_indices()
         phi_a = fs.phi[:, active]
         direct = np.linalg.solve(phi_a.T @ phi_a, phi_a.T @ fs.targets)
@@ -92,7 +94,7 @@ class TestRunImp:
 
     def test_inactive_coordinates_exactly_zero(self):
         fs = random_features(33, n=20, p=10)
-        trace = run_imp(fs, ImpConfig(prune_rounds=6))
+        trace = run_imp([fs], ImpConfig(prune_rounds=6))[0]
         for k, rec in enumerate(trace.rounds):
             assert np.all(rec.weights[~rec.mask.active] == 0.0)
             assert rec.mask.p - rec.mask.n_active == k
@@ -101,12 +103,12 @@ class TestRunImp:
         for seed in range(5):
             fs = random_features(40 + seed, n=18, p=9)
             q = 5
-            trace = run_imp(fs, ImpConfig(prune_rounds=q))
+            trace = run_imp([fs], ImpConfig(prune_rounds=q))[0]
             assert int(np.sum(trace.final_weights == 0.0)) >= q
 
     def test_prune_choice_is_minimal(self):
         fs = random_features(34, n=25, p=12)
-        trace = run_imp(fs, ImpConfig(prune_rounds=8))
+        trace = run_imp([fs], ImpConfig(prune_rounds=8))[0]
         for rec in trace.rounds:
             survivors = rec.mask.active.copy()
             survivors[list(rec.pruned)] = False
@@ -123,7 +125,7 @@ class TestRunImp:
         for n in (200, 40):  # nonsingular, then n < p
             fs = design_features("incoherent", n, None, seed=35)
             config = ImpConfig(prune_rounds=30, w_init=w_init, horizon=2.0)
-            trace = run_imp(fs, config)
+            trace = run_imp([fs], config)[0]
             oracle = oracle_imp(fs, config)
             assert len(trace.rounds) == len(oracle)
             for rec, (idx, w, pruned, _) in zip(trace.rounds, oracle):
@@ -133,8 +135,8 @@ class TestRunImp:
 
     def test_determinism_bit_identical(self):
         fs = random_features(36, n=22, p=10)
-        t1 = run_imp(fs, ImpConfig(prune_rounds=7))
-        t2 = run_imp(fs, ImpConfig(prune_rounds=7))
+        t1 = run_imp([fs], ImpConfig(prune_rounds=7))[0]
+        t2 = run_imp([fs], ImpConfig(prune_rounds=7))[0]
         assert t1.prune_order == t2.prune_order
         assert np.array_equal(t1.final_weights, t2.final_weights)
         for r1, r2 in zip(t1.rounds, t2.rounds):
@@ -142,20 +144,20 @@ class TestRunImp:
 
     def test_per_round_batch_pruning(self):
         fs = random_features(37, n=20, p=9)
-        trace = run_imp(fs, ImpConfig(prune_rounds=2, per_round=3))
+        trace = run_imp([fs], ImpConfig(prune_rounds=2, per_round=3))[0]
         assert all(len(rec.pruned) == 3 for rec in trace.rounds)
         assert int(np.sum(trace.final_weights == 0.0)) >= 6
 
     def test_per_round_budget_enforced(self):
         fs = random_features(38, n=10, p=5)
         with pytest.raises(ValueError, match="exceeds p"):
-            run_imp(fs, ImpConfig(prune_rounds=2, per_round=2))
+            run_imp([fs], ImpConfig(prune_rounds=2, per_round=2))
 
     def test_tie_break_rules(self):
         fs = identity_features([2.0, -2.0, 5.0])
-        low = run_imp(fs, ImpConfig(prune_rounds=0))
+        low = run_imp([fs], ImpConfig(prune_rounds=0))[0]
         assert low.rounds[0].pruned == (0,)
-        high = run_imp(fs, ImpConfig(prune_rounds=0, tie_break="highest_index"))
+        high = run_imp([fs], ImpConfig(prune_rounds=0, tie_break="highest_index"))[0]
         assert high.rounds[0].pruned == (1,)
 
     def test_unknown_tie_break_rejected(self):
@@ -165,11 +167,11 @@ class TestRunImp:
     def test_missing_targets_rejected(self):
         fs = FeatureSet.from_phi(np.eye(3))
         with pytest.raises(ValueError, match="targets"):
-            run_imp(fs, ImpConfig())
+            run_imp([fs], ImpConfig())
 
     def test_w_init_length_checked(self):
         with pytest.raises(ValueError, match="w_init"):
-            run_imp(identity_features(), ImpConfig(w_init=np.zeros(2)))
+            run_imp([identity_features()], ImpConfig(w_init=np.zeros(2)))
 
 
 class TestPruneOrder:
@@ -201,7 +203,7 @@ class TestPruneOrder:
 class TestTraceSerialization:
     def test_round_trip(self):
         fs = random_features(39, n=14, p=6)
-        trace = run_imp(fs, ImpConfig(prune_rounds=3))
+        trace = run_imp([fs], ImpConfig(prune_rounds=3))[0]
         back = trace_from_dict(trace_to_dict(trace))
         assert back.prune_order == trace.prune_order
         assert np.array_equal(back.final_weights, trace.final_weights)
@@ -275,15 +277,24 @@ def count_sym_eig(monkeypatch):
     return calls
 
 
-def assert_one_factorization(trace):
-    """Every round keeps exactly one of its eigendecomposition and inverse."""
-    assert all((rec.eig is None) != (rec.inverse is None) for rec in trace.rounds)
+def run_observed(features, config):
+    """A one-element run and, per round, the factorization the observer saw."""
+    seen = []
+    [trace] = run_imp([features], config,
+                      on_round=lambda k, active, weights, factors: seen.append(factors[0]))
+    return trace, seen
+
+
+def factorized(seen):
+    """Per round: True where the run was factorized, False where downdated."""
+    assert all(isinstance(f, (SymEig, np.ndarray)) for f in seen)
+    return [isinstance(f, SymEig) for f in seen]
 
 
 def assert_matches_oracle(features, config):
-    trace = run_imp(features, config)
+    trace, seen = run_observed(features, config)
     oracle = oracle_imp(features, config)
-    assert len(trace.rounds) == len(oracle)
+    assert len(trace.rounds) == len(seen) == len(oracle)
     for rec, (idx, w, pruned, kappa) in zip(trace.rounds, oracle):
         assert np.array_equal(rec.mask.active_indices(), idx)
         # Both paths are backward stable, so each sits within a few
@@ -294,7 +305,50 @@ def assert_matches_oracle(features, config):
         scale = max(float(np.max(np.abs(w))), 1e-300)
         assert np.max(np.abs(rec.weights[idx] - w)) <= rel * scale
         assert list(rec.pruned) == pruned
-    return trace
+    return trace, seen
+
+
+def assert_same_factor(a, b):
+    if isinstance(a, SymEig):
+        assert isinstance(b, SymEig)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        assert a.rank_tol == b.rank_tol
+    else:
+        assert np.array_equal(a, b)
+
+
+def assert_same_run(trace, seen, solo_trace, solo_seen):
+    """A slice of a stacked run is bit-equal to its one-element run."""
+    assert len(trace.rounds) == len(solo_trace.rounds) == len(seen) == len(solo_seen)
+    for rec, solo in zip(trace.rounds, solo_trace.rounds):
+        assert np.array_equal(rec.mask.active, solo.mask.active)
+        assert np.array_equal(rec.weights, solo.weights)
+        assert rec.pruned == solo.pruned
+    for a, b in zip(seen, solo_seen):
+        assert_same_factor(a, b)
+
+
+def run_stack_observed(stack, config):
+    """A stacked run and, per slice, the factorizations the observer saw."""
+    seen = [[] for _ in stack]
+
+    def observe(k, active, weights, factors):
+        assert active.shape == weights.shape == (len(stack), DIFF_P - k * config.per_round)
+        for per_slice, f in zip(seen, factors):
+            per_slice.append(f)
+
+    return run_imp(stack, config, on_round=observe), seen
+
+
+# Designs of one p whose runs take different paths: nonsingular, singular
+# (n < p) and nearly singular (kappa ~ 5e5).
+STACK_DESIGNS = (
+    ("orthonormal", 200, None),
+    ("incoherent", 60, None),
+    ("incoherent", 40, None),
+    ("uniform_corr", 200, 0.9999),
+)
 
 
 class TestDowndatePath:
@@ -308,36 +362,80 @@ class TestDowndatePath:
     def test_matches_eigendecomposition_oracle(self, design, seed, per_round, tie_break):
         fs = design_features(*design, seed)
         q = DIFF_P // per_round - 1
-        trace = assert_matches_oracle(
+        _, seen = assert_matches_oracle(
             fs, ImpConfig(prune_rounds=q, per_round=per_round, tie_break=tie_break)
         )
         # a nonsingular design: every later round is downdated
-        assert_one_factorization(trace)
-        assert trace.rounds[0].eig is not None
-        assert all(rec.inverse is not None for rec in trace.rounds[1:])
+        assert factorized(seen) == [True] + [False] * q
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        designs=st.lists(st.sampled_from(STACK_DESIGNS), min_size=2, max_size=4),
+        seed=st.integers(0, 10_000),
+        per_round=st.sampled_from((1, 3)),
+        tie_break=st.sampled_from(TIE_BREAK_RULES),
+        horizon=st.sampled_from((INFINITE, 3.0)),
+    )
+    def test_stack_matches_one_element_runs(self, designs, seed, per_round, tie_break,
+                                            horizon):
+        stack = [design_features(*d, seed + i) for i, d in enumerate(designs)]
+        config = ImpConfig(prune_rounds=DIFF_P // per_round - 1, per_round=per_round,
+                           tie_break=tie_break, horizon=horizon)
+        traces, seen = run_stack_observed(stack, config)
+        assert len(traces) == len(stack)
+        for fs, trace, slice_seen in zip(stack, traces, seen):
+            assert_same_run(trace, slice_seen, *run_observed(fs, config))
+
+    def test_drift_in_one_slice_leaves_the_others_on_the_downdate(self, monkeypatch):
+        stack = [design_features("uniform_corr", 200, 0.99, seed=7),
+                 design_features("orthonormal", 200, None, seed=8),
+                 design_features("incoherent", 200, None, seed=9)]
+        config = ImpConfig(prune_rounds=30)
+        solo = [run_observed(fs, config) for fs in stack]
+        real = engine_module._downdate
+        calls = []
+
+        def fail_slice_1_third(inverse, weights, drop):
+            calls.append(len(weights))
+            inverse, weights, ok = real(inverse, weights, drop)
+            if len(calls) == 3:
+                ok = ok.copy()
+                ok[1] = False
+            return inverse, weights, ok
+
+        monkeypatch.setattr(engine_module, "_downdate", fail_slice_1_third)
+        traces, seen = run_stack_observed(stack, config)
+        assert calls[:4] == [3, 3, 3, 3]  # slice 1 rejoins the downdate at round 4
+        assert factorized(seen[1]) == [k in (0, 3) for k in range(31)]
+        for i in (0, 2):
+            assert factorized(seen[i]) == [True] + [False] * 30
+            assert_same_run(traces[i], seen[i], *solo[i])
+        # the refactorized slice still trains every round correctly
+        oracle = oracle_imp(stack[1], config)
+        for rec, (idx, w, pruned, _) in zip(traces[1].rounds, oracle):
+            assert np.max(np.abs(rec.weights[idx] - w)) <= 1e-10 * np.max(np.abs(w))
+            assert list(rec.pruned) == pruned
 
     def test_one_factorization_when_nonsingular(self, monkeypatch):
         calls = count_sym_eig(monkeypatch)
         fs = design_features("incoherent", 200, None, seed=3)
-        run_imp(fs, ImpConfig(prune_rounds=45))
+        run_imp([fs], ImpConfig(prune_rounds=45))
         assert calls == [DIFF_P]
 
     @pytest.mark.parametrize("horizon", [0.5, 20.0])
     def test_finite_horizon_factorizes_every_round(self, monkeypatch, horizon):
         calls = count_sym_eig(monkeypatch)
         fs = design_features("incoherent", 200, None, seed=4)
-        trace = run_imp(fs, ImpConfig(prune_rounds=20, horizon=horizon))
+        _, seen = run_observed(fs, ImpConfig(prune_rounds=20, horizon=horizon))
         assert len(calls) == 21
-        assert_one_factorization(trace)
-        assert all(rec.eig is not None for rec in trace.rounds)
+        assert all(factorized(seen))
 
     def test_rank_deficient_factorizes_every_round(self, monkeypatch):
         calls = count_sym_eig(monkeypatch)
         fs = design_features("incoherent", 40, None, seed=5)  # n < p: singular
-        trace = run_imp(fs, ImpConfig(prune_rounds=45))
+        _, seen = run_observed(fs, ImpConfig(prune_rounds=45))
         assert len(calls) == 46
-        assert_one_factorization(trace)
-        assert all(rec.eig is not None for rec in trace.rounds)
+        assert all(factorized(seen))
 
     def test_drift_falls_back_to_one_refactorization(self, monkeypatch):
         fs = design_features("uniform_corr", 200, 0.99, seed=7)
@@ -348,29 +446,49 @@ class TestDowndatePath:
 
         def fail_third(*args):
             seen.append(None)
-            return None if len(seen) == 3 else real(*args)
+            inverse, weights, ok = real(*args)
+            return inverse, weights, ok & (len(seen) != 3)
 
         monkeypatch.setattr(engine_module, "_downdate", fail_third)
-        trace = assert_matches_oracle(fs, config)
+        _, factors = assert_matches_oracle(fs, config)
         assert calls == [DIFF_P, DIFF_P - 3]  # round 0, then round 3 refactorized
-        assert_one_factorization(trace)
-        assert trace.rounds[3].eig is not None
-        assert all(rec.inverse is not None for k, rec in enumerate(trace.rounds) if k not in (0, 3))
+        assert factorized(factors) == [k in (0, 3) for k in range(31)]
 
     def test_non_positive_pivot_rejected(self):
+        def ok(inverse, drop):
+            return engine_module._downdate(inverse[None], np.ones((1, inverse.shape[0])),
+                                           np.array([drop]))[2][0]
+
         inverse = np.array([[2.0, 0.5], [0.5, -1.0]])
-        assert engine_module._downdate(inverse, np.ones(2), np.array([1])) is None
-        assert engine_module._downdate(inverse, np.ones(2), np.array([0])) is not None
-        nan = np.full((2, 2), np.nan)
-        assert engine_module._downdate(nan, np.ones(2), np.array([0])) is None
+        assert not ok(inverse, [1])
+        assert ok(inverse, [0])
+        assert not ok(np.full((2, 2), np.nan), [0])
+        block = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert not ok(block, [0, 1])
+        assert ok(np.eye(3), [0, 1])
+
+    @pytest.mark.parametrize("drop", [[[1], [0]], [[0, 1], [1, 0]]], ids=["r1", "r2"])
+    def test_rejected_slice_leaves_its_stack_mates(self, drop):
+        # slice 0's pivot block is indefinite; slice 1 is downdated as if alone
+        rng = make_rng(12)
+        a = rng.standard_normal((8, 3))
+        good = np.linalg.inv(a.T @ a)
+        good = (good + good.T) / 2.0
+        bad = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+        weights = rng.standard_normal((2, 3))
+        drop = np.array(drop)
+        inverse, w, ok = engine_module._downdate(np.stack([bad, good]), weights, drop)
+        assert list(ok) == [False, True]
+        alone, w_alone, _ = engine_module._downdate(good[None], weights[1:], drop[1:])
+        assert np.array_equal(inverse[1], alone[0]) and np.array_equal(w[1], w_alone[0])
 
     def test_downdated_inverse_is_the_restricted_inverse(self):
         fs = design_features("incoherent", 60, None, seed=8)
-        trace = run_imp(fs, ImpConfig(prune_rounds=20, per_round=2))
-        for rec in trace.rounds[1:]:
+        trace, seen = run_observed(fs, ImpConfig(prune_rounds=20, per_round=2))
+        for rec, inverse in zip(trace.rounds[1:], seen[1:]):
             sub = fs.covariance.restrict(rec.mask.active_indices()).entries
-            assert np.array_equal(rec.inverse, rec.inverse.T)
-            assert np.allclose(rec.inverse @ sub, np.eye(sub.shape[0]), atol=1e-9)
+            assert np.array_equal(inverse, inverse.T)
+            assert np.allclose(inverse @ sub, np.eye(sub.shape[0]), atol=1e-9)
         assert "inverse" not in trace_to_dict(trace)["rounds"][1]
 
     @pytest.mark.parametrize("horizon", [INFINITE, 3.0])
@@ -389,14 +507,27 @@ class TestDowndatePath:
             return closed_form_weights(eig, data_vec, w0, horizon)
 
         monkeypatch.setattr(engine_module, "closed_form_weights", recorded)
-        trace = assert_matches_oracle(
+        trace, factors = assert_matches_oracle(
             fs, ImpConfig(prune_rounds=12, w_init=w_init, horizon=horizon)
         )
-        solved = [rec for rec in trace.rounds if rec.eig is not None]
+        solved = [rec for rec, f in zip(trace.rounds, factorized(factors)) if f]
         assert len(solved) == (1 if is_infinite(horizon) else 13)
         assert len(seen) == len(solved)
         for rec, w0 in zip(solved, seen):
             assert np.array_equal(w0, w_init[rec.mask.active_indices()])
+
+    def test_full_ranking_keeps_no_factorization(self):
+        # The trace holds O(q p) numbers.  Kept per round, the inverses alone
+        # would be sum m^2 ~ 2.7M doubles (21 MB) at p = 200.
+        fs = design_features("orthonormal", 400, None, seed=11, p=200)
+        tracemalloc.start()
+        try:
+            order = imp_prune_order(fs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(order) == list(range(200))
+        assert peak <= 4 * 2**20
 
 
 PERM_P = 16
@@ -415,13 +546,13 @@ class TestPermutationEquivariance:
         perm = np.asarray(perm)
         config = ImpConfig(prune_rounds=PERM_P // per_round - 1, per_round=per_round,
                            horizon=horizon)
-        trace = run_imp(fs, config)
+        trace = run_imp([fs], config)[0]
         # Reordering changes the roundoff, so only a clear gap fixes the order.
         for rec in trace.rounds:
             mags = np.sort(np.abs(rec.weights[rec.mask.active]))
             assume(np.all(np.diff(mags) > 1e-8 * mags[-1]))
-        permuted = run_imp(FeatureSet.from_phi(fs.phi[:, perm], fs.targets), config)
-        assert (permuted.rounds[-1].inverse is not None) == is_infinite(horizon)  # downdated
+        permuted, seen = run_observed(FeatureSet.from_phi(fs.phi[:, perm], fs.targets), config)
+        assert factorized(seen)[-1] != is_infinite(horizon)  # downdated
         assert tuple(int(perm[i]) for i in permuted.prune_order) == trace.prune_order
         for a, b in zip(permuted.rounds, trace.rounds):
             scale = float(np.max(np.abs(b.weights)))

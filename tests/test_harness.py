@@ -1,3 +1,4 @@
+import functools
 import json
 from dataclasses import astuple, replace
 
@@ -134,6 +135,19 @@ class TestSpecParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             load_spec(path)
 
+    @pytest.mark.parametrize("kind, run", [
+        ("support_recovery", run_support_recovery),
+        ("heuristic_equivalence", run_heuristic_equivalence),
+        ("baseline_comparison", run_baseline_comparison),
+        ("lemma1_check", run_concentration_check),
+    ])
+    def test_every_entry_point_rejects_zero_trials(self, kind, run):
+        # a spec built in code skips validate_spec; the entry point still checks
+        spec = recovery_spec(kind=kind, design=DesignSpec(kind="orthonormal", p=4, n=12),
+                             signal=SignalSpec(k=1, gamma=0.5), trials=0)
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            run(spec)
+
 
 class TestSampleSizeResolution:
     def test_orthonormal_uses_analytic_lambda(self):
@@ -180,13 +194,13 @@ class TestSupportRecovery:
     @pytest.mark.parametrize("n", [None, 30], ids=["derived-n", "explicit-n"])
     def test_incoherent_trial_draws_its_design_once(self, monkeypatch, n):
         spec = recovery_spec(design=DesignSpec(kind="incoherent", p=12, n=n))
-        problem, _ = problem_and_trace(spec, 2)
-        fresh = replace(recovery_trial(spec, 2), wall_ms=0.0)
+        problem, _, _ = problem_and_trace(spec, 2)
+        [fresh] = recovery_trial(spec, range(2, 3))
         draws = count_design_draws(monkeypatch)
-        rec = recovery_trial(spec, 2)
+        [rec] = recovery_trial(spec, range(2, 3))
         assert len(draws) == len(set(draws))
         assert draws[-1] == (rec.n, 12, 1236) and rec.n == problem.features.n
-        assert replace(rec, wall_ms=0.0) == fresh
+        assert replace(rec, wall_ms=0.0) == replace(fresh, wall_ms=0.0)
 
     def test_report_and_flags(self):
         report = run_support_recovery(recovery_spec())
@@ -284,13 +298,30 @@ NONSINGULAR_DESIGNS = (
 
 
 def problem_and_trace(spec, t):
-    """Rebuild trial t's problem and IMP trace the way recovery_trial does."""
+    """Rebuild trial t's problem and IMP trace the way recovery_trial does,
+    with the factorization of each round."""
     seed = spec.base_seed + t
     n, _, _, _ = resolve_sample_size(spec, seed, spec.signal.gamma, recovery_sample_size)
     problem = harness_module._build_problem(spec, seed, n)
-    config = ImpConfig(horizon=spec.imp.engine_horizon(),
-                       prune_rounds=spec.design.p - spec.signal.k)
-    return problem, run_imp(problem.features, config)
+    seen = []
+    [trace] = run_imp([problem.features], recovery_config(spec),
+                      on_round=lambda k, active, weights, factors: seen.append(factors[0]))
+    return problem, trace, seen
+
+
+def recovery_config(spec):
+    return ImpConfig(horizon=spec.imp.engine_horizon(),
+                     prune_rounds=spec.design.p - spec.signal.k)
+
+
+def audit_stack(problems, config):
+    """Run the recovery audit on a stack of problems the way recovery_trial
+    does; per problem, its per-round min eigenvalues and residuals."""
+    audit = harness_module._RoundAudit.of(problems)
+    run_imp([pr.features for pr in problems], config,
+            on_round=functools.partial(harness_module._audit_rounds, audit))
+    eigs, residuals = np.array(audit.eigs).T, np.array(audit.residuals).T
+    return [(tuple(e.tolist()), tuple(r.tolist())) for e, r in zip(eigs, residuals)]
 
 
 def count_audit_sym_eig(monkeypatch):
@@ -315,8 +346,8 @@ class TestAuditRounds:
         """ONP is read from round 0, so that round must factorize Sigma itself."""
         spec = recovery_spec(design=design)
         for t in range(3):
-            problem, trace = problem_and_trace(spec, t)
-            engine, full = trace.rounds[0].eig, sym_eig(problem.features.covariance)
+            problem, _, seen = problem_and_trace(spec, t)
+            engine, full = seen[0], sym_eig(problem.features.covariance)
             assert np.array_equal(engine.eigenvalues, full.eigenvalues)
             assert np.array_equal(engine.eigenvectors, full.eigenvectors)
             assert engine.rank_tol == full.rank_tol
@@ -326,9 +357,8 @@ class TestAuditRounds:
     @pytest.mark.parametrize("design", NONSINGULAR_DESIGNS, ids=lambda d: f"{d.kind}-{d.n}-{d.alpha}")
     def test_min_eig_is_the_full_spectrum_minimum(self, design):
         spec = recovery_spec(design=design, trials=3)
-        for t in range(3):
-            rec = recovery_trial(spec, t)
-            problem, trace = problem_and_trace(spec, t)
+        for t, rec in enumerate(recovery_trial(spec, range(3))):
+            problem, trace, _ = problem_and_trace(spec, t)
             full = sym_eig(problem.features.covariance)
             assert rec.min_nz_eig == full.eigenvalues[0]
             slack = 1e-12 * full.eigenvalues[-1]
@@ -339,9 +369,10 @@ class TestAuditRounds:
     @pytest.mark.parametrize("design", NONSINGULAR_DESIGNS, ids=lambda d: f"{d.kind}-{d.n}-{d.alpha}")
     def test_downdated_rounds_reuse_the_engine(self, monkeypatch, design):
         spec = recovery_spec(design=design)
-        problem, trace = problem_and_trace(spec, 1)
+        problem, trace, seen = problem_and_trace(spec, 1)
+        assert all(isinstance(f, np.ndarray) for f in seen[1:])  # downdated
         calls = count_audit_sym_eig(monkeypatch)
-        eigs, residuals = harness_module._audit_rounds(problem, trace)
+        [(eigs, residuals)] = audit_stack([problem], recovery_config(spec))
         assert calls == []
         assert len(eigs) == len(residuals) == len(trace.rounds)
         cov = problem.features.covariance
@@ -358,9 +389,9 @@ class TestAuditRounds:
     ], ids=["finite-horizon", "rank-deficient"])
     def test_factorized_rounds_reuse_the_engine(self, monkeypatch, overrides):
         spec = recovery_spec(**overrides)
-        problem, trace = problem_and_trace(spec, 0)
+        problem, trace, _ = problem_and_trace(spec, 0)
         calls = count_audit_sym_eig(monkeypatch)
-        eigs, residuals = harness_module._audit_rounds(problem, trace)
+        [(eigs, residuals)] = audit_stack([problem], recovery_config(spec))
         assert calls == []
         cov = problem.features.covariance
         fresh_eigs, fresh_residuals = [], []
@@ -372,6 +403,16 @@ class TestAuditRounds:
                                                      tol=RECOVERY_TOL, eig=eig).residual)
         assert eigs == tuple(fresh_eigs)
         assert residuals == tuple(fresh_residuals)
+
+    def test_stacked_audit_matches_one_trial_audits(self):
+        # a singular trial factorized every round beside nonsingular ones on
+        # the downdate: every trial's audit is the audit of its one-trial run
+        specs = [recovery_spec(design=DesignSpec(kind="incoherent", p=12, n=n))
+                 for n in (8, 14, 200)]
+        problems = [problem_and_trace(spec, t)[0] for t, spec in enumerate(specs)]
+        config = recovery_config(specs[0])
+        stacked = audit_stack(problems, config)
+        assert stacked == [audit_stack([pr], config)[0] for pr in problems]
 
 
 class TestReplay:
@@ -402,7 +443,7 @@ class TestReplay:
             replay_trial(recovery_spec(trials=3), 7)
 
     def test_row_format(self):
-        rec = recovery_trial(recovery_spec(), 2)
+        [rec] = recovery_trial(recovery_spec(), range(2, 3))
         row = trial_csv_row(rec)
         fields = row.split(",")
         assert len(fields) == len(TRIALS_CSV_HEADER.split(","))
@@ -569,9 +610,9 @@ class TestBaselines:
     def test_imp_honours_the_horizon(self, monkeypatch):
         horizons = []
 
-        def recording(features, config):
-            horizons.append((config.horizon, config.w_init))
-            return run_imp(features, config)
+        def recording(features, config, on_round=None):
+            horizons.extend([(config.horizon, config.w_init)] * len(features))
+            return run_imp(features, config, on_round)
 
         monkeypatch.setattr(harness_module, "run_imp", recording)
         spec = ExperimentSpec(
