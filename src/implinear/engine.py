@@ -136,10 +136,11 @@ class ImpTrace:
 
 # on_round(k, active, weights, factors) sees round k of a stack of T runs after
 # training and before the prune: the (T, m) active indices, the (T, m) trained
-# active weights, and per run the factorization it was trained with, its
-# SymEig of Sigma_A on a factorized round or its (m, m) slice of the stacked
-# Sigma_A^{-1} on a downdated round.  The engine keeps none of them.
-RoundObserver = Callable[[int, np.ndarray, np.ndarray, list], None]
+# active weights, and a sequence of the factorizations each run was trained
+# with, its SymEig of Sigma_A on a factorized round or its (m, m) slice of the
+# stacked Sigma_A^{-1} on a downdated round; when every run is downdated it is
+# that (T, m, m) stack itself.  The engine keeps none of them.
+RoundObserver = Callable[[int, np.ndarray, np.ndarray, Sequence], None]
 
 
 def _select_prune(
@@ -178,15 +179,14 @@ def _downdate(
     """
     d, m = weights.shape
     rows = np.arange(d)[:, None, None]
-    keep = np.ones((d, m), dtype=bool)
-    keep[rows[:, 0], drop] = False
+    keep = (np.arange(m) != drop[:, :, None]).all(axis=1)
     kept = np.nonzero(keep)[1].reshape(d, -1)
     pivot = inverse[rows, drop[:, :, None], drop[:, None, :]]
     rhs = np.concatenate((inverse[rows, drop[:, :, None], kept[:, None, :]],
                           weights[rows[:, 0], drop][:, :, None]), axis=2)
     if drop.shape[1] == 1:  # scalar Cholesky; `>` is False on NaN too
         ok = pivot[:, 0, 0] > 0.0
-        g = rhs / np.sqrt(np.where(ok, pivot[:, 0, 0], 1.0))[:, None, None]
+        g = rhs / np.sqrt(np.where(ok[:, None, None], pivot, 1.0))
     else:
         ok = np.ones(d, dtype=bool)
         try:
@@ -237,30 +237,36 @@ def run_imp(
     # A run takes the downdate path with an infinite horizon and a nonsingular
     # round-0 factorization, and leaves it for good at the first singular
     # refactorization, which interlacing rules out up to roundoff.  `down`
-    # lists the runs whose next round is downdated, and `inverse` stacks their
-    # Sigma_A^{-1}.
+    # lists the runs whose round is downdated; `inverse` and `w_down` stack
+    # their Sigma_A^{-1} and trained weights.
     exact = np.full(stack, is_infinite(config.horizon))
     down = np.zeros(0, dtype=int)
-    inverse = np.empty((0, p, p))
+    inverse, w_down = np.empty((0, p, p)), None
     for k in range(q + 1):
-        factors: list = [None] * stack
-        trained = np.empty(active.shape)
-        if down.size:
-            inverse, w_down, ok = _downdate(inverse, weights[down], local[down])
-            if not ok.all():  # drift: these runs are factorized afresh below
-                down, inverse, w_down = down[ok], inverse[ok], w_down[ok]
-            trained[down] = w_down
-            for t, inv in zip(down.tolist(), inverse):
-                factors[t] = inv
-        weights = trained
-        for t in range(stack):
-            if factors[t] is None:
-                idx = active[t]
-                eig = sym_eig(features[t].covariance.restrict(idx))
-                weights[t] = closed_form_weights(eig, data_vec[t, idx], w_init[idx],
-                                                 config.horizon)
-                exact[t] = exact[t] and bool(eig.nonzero_mask().all())
-                factors[t] = eig
+        if down.size == stack:  # nothing to factorize: the stack is the downdate's
+            weights, factors = w_down, inverse
+        else:
+            weights = np.empty(active.shape)
+            factors = [None] * stack
+            if down.size:
+                weights[down] = w_down
+                for t, inv in zip(down.tolist(), inverse):
+                    factors[t] = inv
+            joining = {}  # runs factorized now that stay exact join the downdate
+            for t in range(stack):
+                if factors[t] is None:
+                    idx = active[t]
+                    eig = sym_eig(features[t].covariance.restrict(idx))
+                    weights[t] = closed_form_weights(eig, data_vec[t, idx], w_init[idx],
+                                                     config.horizon)
+                    exact[t] = exact[t] and bool(eig.nonzero_mask().all())
+                    factors[t] = eig
+                    if exact[t] and k < q:
+                        joining[t] = pseudo_inverse(eig)
+            if joining:
+                joining.update(zip(down.tolist(), inverse))
+                down = np.array(sorted(joining))
+                inverse = np.stack([joining[t] for t in down.tolist()])
 
         if on_round is not None:
             on_round(k, active, weights, factors)
@@ -274,27 +280,25 @@ def run_imp(
         if k == q:
             break
 
-        # the runs factorized now that stay on the exact path join the downdate
-        fresh = {t: pseudo_inverse(f) for t, f in enumerate(factors)
-                 if exact[t] and isinstance(f, SymEig)}
-        if fresh:
-            fresh.update(zip(down.tolist(), inverse))
-            down = np.array(sorted(fresh))
-            inverse = np.stack([fresh[t] for t in down.tolist()])
         alive[rows, pruned] = False
-        keep = np.ones(active.shape, dtype=bool)
-        keep[rows, local] = False
-        active = active[keep].reshape(stack, -1)
+        active = np.nonzero(alive)[1].reshape(stack, -1)
+        if down.size:
+            on = slice(None) if down.size == stack else down
+            inverse, w_down, ok = _downdate(inverse, weights[on], local[on])
+            if not ok.all():  # drift: these runs are factorized afresh next round
+                down, inverse, w_down = down[ok], inverse[ok], w_down[ok]
 
     return [ImpTrace(rounds=tuple(r)) for r in records]
 
 
-def imp_prune_order(features: FeatureSet, config: ImpConfig | None = None) -> np.ndarray:
-    """Full pruning ranking: run with q = p - 1 and one prune per round."""
+def imp_prune_order(
+    features: Sequence[FeatureSet], config: ImpConfig | None = None
+) -> np.ndarray:
+    """Full pruning rankings of a stack of runs, one row per run: each run
+    goes with q = p - 1 and one prune per round."""
     base = config if config is not None else ImpConfig()
-    full = replace(base, prune_rounds=features.p - 1, per_round=1)
-    trace = run_imp([features], full)[0]
-    return np.asarray(trace.prune_order, dtype=int)
+    full = replace(base, prune_rounds=features[0].p - 1, per_round=1)
+    return np.array([trace.prune_order for trace in run_imp(features, full)], dtype=int)
 
 
 def trace_to_dict(trace: ImpTrace) -> dict:

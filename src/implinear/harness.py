@@ -318,30 +318,37 @@ def validate_spec(spec: ExperimentSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def map_trials(spec: ExperimentSpec, trial_fn, *args, more=None, width: int = 1) -> list:
+def map_trials(
+    spec: ExperimentSpec, trial_fn, *args, more=None, width: int | None = None
+) -> list:
     """trial_fn(spec, trials, *args) over contiguous ranges of trials that
     cover range(spec.trials); the lists it returns, concatenated in trial
     order.
 
-    A range holds at most max(1, STACK_BUDGET // (width * p^2)) trials, so a
-    trial function that stacks `width` runs per trial stays within that
-    many doubles per (p, p) block.  With `more`, the map goes on in
-    batches: after each batch, more(batch) is the number of trials to run
-    next, numbered on from the last one, and 0 ends the map.  With
-    threads > 1 the ranges run on one pool of that many worker processes
-    for the whole map, each batch in at least four ranges per worker so
-    that every worker gets a share.
-    Trial t seeds its randomness from base_seed + t alone, so the results
-    depend neither on the worker count nor on the ranges.
+    With threads > 1 the ranges run on one pool of that many worker
+    processes for the whole map.  A trial function that stacks `width` IMP
+    runs per trial gets ranges of max(1, STACK_BUDGET // (width * p^2))
+    trials, so that its stack stays within that many doubles per (p, p)
+    block, and on a pool no more than a worker's share of the batch, so
+    that every worker gets one.  Any other trial function gets each batch as
+    one range, or on a pool in about four ranges per worker.  With `more`,
+    the map goes on in batches: after each batch, more(batch) is the number
+    of trials to run next, numbered on from the last one, and 0 ends the
+    map.  Trial t seeds its randomness from base_seed + t alone, so the
+    results depend neither on the worker count nor on the ranges.
     """
     results: list = []
     size = spec.trials
-    cap = max(1, STACK_BUDGET // (width * spec.design.p**2))
     pool = ProcessPoolExecutor(max_workers=spec.threads) if spec.threads > 1 else None
     with pool or nullcontext():
         while size > 0:
             first = len(results)
-            step = cap if pool is None else min(cap, math.ceil(size / (4 * spec.threads)))
+            if width is not None:
+                step = max(1, STACK_BUDGET // (width * spec.design.p**2))
+                if pool is not None:
+                    step = min(step, math.ceil(size / spec.threads))
+            else:
+                step = size if pool is None else math.ceil(size / (4 * spec.threads))
             ranges = [range(a, min(a + step, first + size))
                       for a in range(first, first + size, step)]
             tasks = (repeat(spec), ranges, *map(repeat, args))
@@ -491,11 +498,11 @@ class _RoundAudit:
 
 
 def _audit_rounds(
-    audit: _RoundAudit, k: int, active: np.ndarray, weights: np.ndarray, factors: list
+    audit: _RoundAudit, k: int, active: np.ndarray, weights: np.ndarray, factors
 ) -> None:
     """Check round k of a stack of recovery trials: the engine's observer.
 
-    Each round is checked with the factorization the engine trained it
+    Each round is checked with the factorizations the engine trained it
     with, so nothing is refactorized, and Sigma_A is read from Sigma in
     place.  Round 0 trains on every coordinate, so its eigendecomposition is
     that of the full Sigma, and the ONP precondition is read from it.  A
@@ -509,22 +516,15 @@ def _audit_rounds(
         audit.onp = [check_onp(eig, pr.support, tol=ONP_TOL).holds
                      for eig, pr in zip(factors, audit.problems)]
     eigs = audit.eigs[-1].copy() if audit.eigs else np.empty(len(factors))
-    residuals = np.empty(len(factors))
-    factorized = [i for i, f in enumerate(factors) if isinstance(f, SymEig)]
-    downdated = [i for i, f in enumerate(factors) if not isinstance(f, SymEig)]
-    for i in factorized:
-        try:
-            eigs[i] = min_nonzero_eig(factors[i])
-        except ValueError:
-            eigs[i] = float("nan")
-    for rows, key in ((factorized, "eig"), (downdated, "inverse")):
-        if rows:
-            pick = rows if len(rows) < len(factors) else slice(None)
-            chk = check_recoverable(audit.cov[pick], audit.signal[pick], active[pick],
-                                    tol=RECOVERY_TOL, **{key: [factors[i] for i in rows]})
-            residuals[rows] = chk.residual
+    for i, f in enumerate(factors):
+        if isinstance(f, SymEig):
+            try:
+                eigs[i] = min_nonzero_eig(f)
+            except ValueError:
+                eigs[i] = float("nan")
     audit.eigs.append(eigs)
-    audit.residuals.append(residuals)
+    chk = check_recoverable(audit.cov, audit.signal, active, factors, tol=RECOVERY_TOL)
+    audit.residuals.append(chk.residual)
 
 
 def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | None]:
@@ -581,7 +581,7 @@ def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | No
 
 def run_support_recovery(spec: ExperimentSpec) -> RecoveryReport:
     _check_run(spec, "support_recovery")
-    records = [r for r in map_trials(spec, recovery_trial) if r is not None]
+    records = [r for r in map_trials(spec, recovery_trial, width=1) if r is not None]
     rejected = spec.trials - len(records)
     if rejected > spec.trials // 2:
         raise ConfigError(
@@ -669,51 +669,60 @@ def uniform_corr_separation_margin(scores: np.ndarray, alpha: float) -> float:
     return worst
 
 
-@_per_trial
-def _heuristic_single(spec: ExperimentSpec, trial: int) -> HeuristicTrialRow:
-    """Evaluate one heuristic trial (orthonormal or uniform_corr)."""
+def _heuristic_trials(spec: ExperimentSpec, trials: range) -> list[HeuristicTrialRow]:
+    """Evaluate a range of orthonormal or uniform_corr heuristic trials.
+
+    Trial t draws its design and targets from seed base_seed + t; the
+    non-degenerate trials of the range rank their coordinates as one IMP
+    stack.
+    """
     design = spec.design
-    seed = spec.base_seed + trial
     n = design.n if design.n is not None else 4 * design.p
-    fs = DESIGNS[design.kind].draw(n, design.p, seed, design.alpha)
-    inverse_err = float("nan")
-    if design.kind == "uniform_corr":
-        sig = fs.covariance.entries
-        inv = np.linalg.solve(sig, np.eye(design.p))
-        inverse_err = float(np.max(np.abs(sig @ inv - np.eye(design.p))))
-    y = make_rng(seed, STREAM_TARGETS).standard_normal(n)
-    fs = fs.with_targets(y)
+    rows, ranked = [], []
+    for trial in trials:
+        seed = spec.base_seed + trial
+        fs = DESIGNS[design.kind].draw(n, design.p, seed, design.alpha)
+        inverse_err = float("nan")
+        if design.kind == "uniform_corr":
+            sig = fs.covariance.entries
+            inv = np.linalg.solve(sig, np.eye(design.p))
+            inverse_err = float(np.max(np.abs(sig @ inv - np.eye(design.p))))
+        y = make_rng(seed, STREAM_TARGETS).standard_normal(n)
+        fs = fs.with_targets(y)
 
-    scores = fs.phi.T @ y
-    mags = np.sort(np.abs(scores))
-    min_gap = float(np.min(np.diff(mags))) if design.p > 1 else float("inf")
-    degenerate = min_gap < spec.tie_tol
+        scores = fs.phi.T @ y
+        mags = np.sort(np.abs(scores))
+        min_gap = float(np.min(np.diff(mags))) if design.p > 1 else float("inf")
+        degenerate = min_gap < spec.tie_tol
 
-    excluded = False
-    if design.kind == "uniform_corr" and spec.separation_screen and not degenerate:
-        margin = uniform_corr_separation_margin(scores, design.alpha)
-        excluded = margin <= spec.tie_tol
-        min_gap = margin
+        excluded = False
+        if design.kind == "uniform_corr" and spec.separation_screen and not degenerate:
+            margin = uniform_corr_separation_margin(scores, design.alpha)
+            excluded = margin <= spec.tie_tol
+            min_gap = margin
 
-    full_match = False
-    first_match = False
-    if not degenerate:
-        order_imp = imp_prune_order(fs, ImpConfig(tie_break=spec.imp.tie_break))
-        order_align = alignment_order(fs)
-        full_match = bool(np.array_equal(order_imp, order_align))
-        first_match = bool(order_imp[0] == order_align[0])
-    return HeuristicTrialRow(
-        trial=trial,
-        seed=seed,
-        full_match=full_match,
-        first_match=first_match,
-        degenerate=degenerate,
-        excluded=excluded,
-        delta_pw=float("nan"),
-        min_gap=min_gap,
-        gap_threshold=float("nan"),
-        inverse_err=inverse_err,
-    )
+        if not degenerate:
+            ranked.append((len(rows), fs))
+        rows.append(HeuristicTrialRow(
+            trial=trial,
+            seed=seed,
+            full_match=False,
+            first_match=False,
+            degenerate=degenerate,
+            excluded=excluded,
+            delta_pw=float("nan"),
+            min_gap=min_gap,
+            gap_threshold=float("nan"),
+            inverse_err=inverse_err,
+        ))
+    if ranked:
+        orders = imp_prune_order([fs for _, fs in ranked],
+                                 ImpConfig(tie_break=spec.imp.tie_break))
+        for (i, fs), order_imp in zip(ranked, orders):
+            order_align = alignment_order(fs)
+            rows[i] = replace(rows[i], full_match=bool(np.array_equal(order_imp, order_align)),
+                              first_match=bool(order_imp[0] == order_align[0]))
+    return rows
 
 
 @_per_trial
@@ -783,7 +792,8 @@ def _heuristic_incoherent(spec: ExperimentSpec) -> list[HeuristicTrialRow]:
 def run_heuristic_equivalence(spec: ExperimentSpec) -> HeuristicReport:
     _check_run(spec, "heuristic_equivalence")
     incoherent = spec.design.kind == "incoherent"
-    rows = _heuristic_incoherent(spec) if incoherent else map_trials(spec, _heuristic_single)
+    rows = (_heuristic_incoherent(spec) if incoherent
+            else map_trials(spec, _heuristic_trials, width=1))
     qual = [r for r in rows if not (r.degenerate or r.excluded)]
 
     def rate(hits) -> float:

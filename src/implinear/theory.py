@@ -65,8 +65,8 @@ class BoundInputs:
 
 
 class RecoveryCheck(NamedTuple):
-    ok: bool
-    residual: float
+    ok: np.ndarray
+    residual: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -189,50 +189,41 @@ def check_onp(eig: SymEig, support, tol: float = 1e-10) -> OnpReport:
 
 
 def check_recoverable(
-    cov: CovMatrix | np.ndarray,
+    cov: np.ndarray,
     signal: np.ndarray,
     active: np.ndarray,
+    factors: Sequence,
     tol: float = 1e-10,
-    eig: SymEig | Sequence[SymEig] | None = None,
-    inverse: np.ndarray | Sequence[np.ndarray] | None = None,
 ) -> RecoveryCheck:
-    """Does the restricted signal survive projection onto range(Ups)?
+    """Does each restricted signal of a stack survive projection onto range(Ups)?
 
-    Ups = Sigma_A is the principal submatrix of `cov` on the `active`
-    indices and s_A the matching entries of the full-length `signal`.
-    residual = ||Ups^+ Ups s_A - s_A||_inf; ok when it is at most tol.  The
-    pruning guarantee needs this to hold at every round.  Ups^+ comes from
-    exactly one of `eig`, the eigendecomposition of Ups, and `inverse`, its
-    precomputed (pseudo-)inverse, as a round of `run_imp` trains with them.
-
-    A stack of T checks runs as one when `active` is (T, m): `cov` is then
-    the (T, p, p) covariance entries, `signal` (T, p), and `eig` or
-    `inverse` holds one factorization per slice; ok and residual are then
-    length-T arrays.
+    `cov` holds T covariance entries (T, p, p), `signal` the T full-length
+    signals (T, p) and `active` one index set per slice (T, m).  Per slice,
+    Ups = Sigma_A is the principal submatrix on the active indices and s_A
+    the matching entries of the signal; residual = ||Ups^+ Ups s_A - s_A||_inf,
+    ok when it is at most tol.  The pruning guarantee needs this to hold at
+    every round.  Ups^+ comes from the slice's entry of `factors`, as a round
+    of `run_imp` trains with it: a SymEig of Ups, or its precomputed
+    (pseudo-)inverse; a (T, m, m) array of inverses is used as it is.  ok and
+    residual are length-T arrays.
     """
-    if (eig is None) == (inverse is None):
-        raise ValueError("pass exactly one of eig and inverse")
-    entries = cov.entries if isinstance(cov, CovMatrix) else np.asarray(cov)
+    entries = np.asarray(cov)
     signal = np.asarray(signal, dtype=float)
+    active = np.asarray(active, dtype=int)
     if signal.shape != entries.shape[:-1]:
         raise ValueError("signal length must match the covariance dimension")
-    active = np.asarray(active, dtype=int)
-    if active.ndim == 2:
-        t = np.arange(active.shape[0])[:, None]
-        s_active = signal[t, active]
-        # one flat index gathers the stack faster than three broadcast ones
-        rows = (t * entries.shape[-1] + active) * entries.shape[-1]
-        sub = np.ravel(entries).take(rows[:, :, None] + active[:, None, :])
-        inverse = np.asarray(inverse if eig is None else [pseudo_inverse(e) for e in eig])
-    else:
-        s_active = signal[active]
-        sub = entries[np.ix_(active, active)]
-        if inverse is None:
-            inverse = pseudo_inverse(eig)
+    if len(factors) != active.shape[0]:
+        raise ValueError("pass exactly one factorization per slice")
+    p = entries.shape[-1]
+    t = np.arange(active.shape[0])[:, None]
+    s_active = signal[t, active]
+    # one flat index gathers the stack faster than three broadcast ones
+    rows = (t * p + active) * p
+    sub = np.ravel(entries).take(rows[:, :, None] + active[:, None, :])
+    inverse = factors if isinstance(factors, np.ndarray) else np.stack(
+        [pseudo_inverse(f) if isinstance(f, SymEig) else f for f in factors])
     projected = (inverse @ (sub @ s_active[..., None]))[..., 0]
     residual = np.max(np.abs(projected - s_active), axis=-1, initial=0.0)
-    if active.ndim == 1:
-        residual = float(residual)
     return RecoveryCheck(ok=residual <= tol, residual=residual)
 
 

@@ -11,6 +11,7 @@ from implinear.baselines import (
 )
 from implinear.designs import FeatureSet, gen_orthonormal_design, gen_sparse_signal, make_rng
 from implinear.engine import ImpConfig, run_imp
+from implinear.linalg import pseudo_inverse, sym_eig
 
 
 def features_with_scores(scores):
@@ -64,19 +65,23 @@ class TestHardThreshold:
         assert set(np.flatnonzero(out)) <= set(np.flatnonzero(v))
 
 
+def sigma_pinv(fs):
+    return pseudo_inverse(sym_eig(fs.covariance))
+
+
 class TestHtEstimator:
     def test_orthonormal_noiseless_exact(self):
         fs = gen_orthonormal_design(20, 8, seed=77)
         s, _ = gen_sparse_signal(8, 3, gamma=1.0, amplitude_law="uniform", seed=78)
         fs = fs.with_targets(fs.phi @ s)
-        est = ht_estimator(fs, tau=0.5)
+        est = ht_estimator(fs, tau=0.5, pinv=sigma_pinv(fs))
         assert np.allclose(est, s, atol=1e-10)
 
     def test_huge_tau_returns_zero(self):
         fs = gen_orthonormal_design(12, 5, seed=79)
         fs = fs.with_targets(make_rng(80).standard_normal(12))
         big = 1.0 + np.max(np.abs(fs.phi.T @ fs.targets))
-        assert np.array_equal(ht_estimator(fs, tau=big), np.zeros(5))
+        assert np.array_equal(ht_estimator(fs, tau=big, pinv=sigma_pinv(fs)), np.zeros(5))
 
     def test_tau_zero_is_least_squares(self):
         rng = make_rng(81)
@@ -84,7 +89,7 @@ class TestHtEstimator:
         y = rng.standard_normal(15)
         fs = FeatureSet.from_phi(phi, y)
         ls, *_ = np.linalg.lstsq(phi, y, rcond=None)
-        assert np.allclose(ht_estimator(fs, tau=0.0), ls, atol=1e-8)
+        assert np.allclose(ht_estimator(fs, tau=0.0, pinv=sigma_pinv(fs)), ls, atol=1e-8)
 
 
 class TestIht:
@@ -164,7 +169,8 @@ class TestMethodAgreement:
 
             trace = run_imp([fs], ImpConfig(prune_rounds=p - k))[0]
             imp_support = set(np.flatnonzero(trace.final_weights != 0.0).tolist())
-            ht_support = set(np.flatnonzero(ht_estimator(fs, tau=0.5) != 0.0).tolist())
+            ht_estimate = ht_estimator(fs, tau=0.5, pinv=sigma_pinv(fs))
+            ht_support = set(np.flatnonzero(ht_estimate != 0.0).tolist())
             iht_support = set(
                 np.flatnonzero(
                     iht(fs, ThresholdConfig(tau=0.5, eta=1.0 / n)).estimate != 0.0

@@ -176,11 +176,11 @@ class TestRunImp:
 
 class TestPruneOrder:
     def test_identity_full_ranking(self):
-        assert list(imp_prune_order(identity_features())) == [1, 2, 0]
+        assert imp_prune_order([identity_features()]).tolist() == [[1, 2, 0]]
 
     def test_single_coordinate(self):
         fs = FeatureSet.from_phi(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]))
-        assert list(imp_prune_order(fs)) == [0]
+        assert imp_prune_order([fs]).tolist() == [[0]]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -196,7 +196,7 @@ class TestPruneOrder:
         # Sigma = I only up to roundoff, so only a clear gap fixes the order.
         mags = np.sort(np.abs(fs.phi.T @ fs.targets))
         assume(np.all(np.diff(mags) > 1e-8 * mags[-1]))
-        order = imp_prune_order(fs, ImpConfig(tie_break=tie_break))
+        [order] = imp_prune_order([fs], ImpConfig(tie_break=tie_break))
         assert np.array_equal(order, alignment_order(fs))
 
 
@@ -522,7 +522,7 @@ class TestDowndatePath:
         fs = design_features("orthonormal", 400, None, seed=11, p=200)
         tracemalloc.start()
         try:
-            order = imp_prune_order(fs)
+            [order] = imp_prune_order([fs])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

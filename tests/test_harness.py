@@ -324,6 +324,13 @@ def audit_stack(problems, config):
     return [(tuple(e.tolist()), tuple(r.tolist())) for e, r in zip(eigs, residuals)]
 
 
+def fresh_residual(cov, signal, idx, eig):
+    """The recoverability residual of one round, checked on its own."""
+    chk = check_recoverable(cov.entries[None], signal[None], idx[None], [eig],
+                            tol=RECOVERY_TOL)
+    return float(chk.residual[0])
+
+
 def count_audit_sym_eig(monkeypatch):
     calls = []
 
@@ -378,10 +385,9 @@ class TestAuditRounds:
         cov = problem.features.covariance
         for rnd, residual in zip(trace.rounds, residuals):
             idx = rnd.mask.active_indices()
-            fresh = check_recoverable(cov, problem.signal, idx, tol=RECOVERY_TOL,
-                                      eig=sym_eig(cov.restrict(idx)))
+            fresh = fresh_residual(cov, problem.signal, idx, sym_eig(cov.restrict(idx)))
             assert residual <= RECOVERY_TOL
-            assert residual == pytest.approx(fresh.residual, abs=1e-10)
+            assert residual == pytest.approx(fresh, abs=1e-10)
 
     @pytest.mark.parametrize("overrides", [
         {"imp": ImpSpec(horizon=5.0)},
@@ -399,8 +405,7 @@ class TestAuditRounds:
             idx = rnd.mask.active_indices()
             eig = sym_eig(cov.restrict(idx))
             fresh_eigs.append(min_nonzero_eig(eig))
-            fresh_residuals.append(check_recoverable(cov, problem.signal, idx,
-                                                     tol=RECOVERY_TOL, eig=eig).residual)
+            fresh_residuals.append(fresh_residual(cov, problem.signal, idx, eig))
         assert eigs == tuple(fresh_eigs)
         assert residuals == tuple(fresh_residuals)
 

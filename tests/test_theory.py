@@ -100,33 +100,42 @@ class TestCheckOnp:
             assert rep.max_violation == oracle
 
 
+def check_one(cov, signal, active, factor):
+    """check_recoverable on a stack of one; (ok, residual) of that slice."""
+    chk = check_recoverable(np.asarray(cov.entries)[None], np.asarray(signal)[None],
+                            np.asarray(active)[None], [factor])
+    assert chk.ok.shape == chk.residual.shape == (1,)
+    return bool(chk.ok[0]), float(chk.residual[0])
+
+
 class TestCheckRecoverable:
     def test_full_rank_always_passes(self):
         rng = np.random.default_rng(60)
         phi = rng.standard_normal((12, 5))
         cov = CovMatrix(phi.T @ phi / 12.0)
-        chk = check_recoverable(cov, rng.standard_normal(5), np.arange(5), eig=sym_eig(cov))
-        assert chk.ok and chk.residual <= 1e-10
+        ok, residual = check_one(cov, rng.standard_normal(5), np.arange(5), sym_eig(cov))
+        assert ok and residual <= 1e-10
 
     def test_signal_in_range(self):
-        chk = check_recoverable(RANK_ONE, np.array([1.0, 1.0]), [0, 1], eig=sym_eig(RANK_ONE))
-        assert chk.ok and chk.residual <= 1e-12
+        ok, residual = check_one(RANK_ONE, [1.0, 1.0], [0, 1], sym_eig(RANK_ONE))
+        assert ok and residual <= 1e-12
 
     def test_signal_in_null(self):
         # (1,-1) projects to zero, so the sup-norm residual is 1
-        chk = check_recoverable(RANK_ONE, np.array([1.0, -1.0]), [0, 1], eig=sym_eig(RANK_ONE))
-        assert not chk.ok
-        assert chk.residual == pytest.approx(1.0)
+        ok, residual = check_one(RANK_ONE, [1.0, -1.0], [0, 1], sym_eig(RANK_ONE))
+        assert not ok
+        assert residual == pytest.approx(1.0)
 
     def test_dimension_checked(self):
         with pytest.raises(ValueError, match="dimension"):
-            check_recoverable(RANK_ONE, np.zeros(3), [0, 1], eig=sym_eig(RANK_ONE))
+            check_one(RANK_ONE, np.zeros(3), [0, 1], sym_eig(RANK_ONE))
 
     def test_exactly_one_factorization(self):
         eig = sym_eig(RANK_ONE)
-        for kwargs in ({}, {"eig": eig, "inverse": pseudo_inverse(eig)}):
+        for factors in ([], [eig, pseudo_inverse(eig)]):
             with pytest.raises(ValueError, match="exactly one"):
-                check_recoverable(RANK_ONE, np.ones(2), [0, 1], **kwargs)
+                check_recoverable(RANK_ONE.entries[None], np.ones((1, 2)), np.array([[0, 1]]),
+                                  factors)
 
     def test_active_subset_equals_the_explicit_submatrix(self):
         # rank 3 < |A| = 5: Sigma_A is singular and the residual is nonzero
@@ -137,11 +146,31 @@ class TestCheckRecoverable:
         active = np.array([0, 2, 3, 5, 7])
         sub = cov.entries[np.ix_(active, active)].copy()
         eig = sym_eig(CovMatrix(sub))
-        for kwargs in ({"eig": eig}, {"inverse": pseudo_inverse(eig)}):
+        for factor in (eig, pseudo_inverse(eig)):
             projected = pseudo_inverse(eig) @ (sub @ signal[active])
-            residual = float(np.max(np.abs(projected - signal[active])))
-            chk = check_recoverable(cov, signal, active, **kwargs)
-            assert chk.residual == residual > 1e-3 and not chk.ok
+            expected = float(np.max(np.abs(projected - signal[active])))
+            ok, residual = check_one(cov, signal, active, factor)
+            assert residual == expected > 1e-3 and not ok
+
+    def test_stack_matches_its_slices(self):
+        # one stacked check, factorized and inverse slices mixed, is the
+        # checks of its slices one at a time
+        rng = np.random.default_rng(63)
+        covs, signals, actives, factors = [], [], [], []
+        for n in (3, 12, 12):
+            phi = rng.standard_normal((n, 8))
+            cov = CovMatrix(phi.T @ phi / n)
+            active = np.sort(rng.choice(8, 5, replace=False))
+            eig = sym_eig(cov.restrict(active))
+            covs.append(cov)
+            signals.append(rng.standard_normal(8))
+            actives.append(active)
+            factors.append(eig if len(factors) % 2 else pseudo_inverse(eig))
+        chk = check_recoverable(np.stack([c.entries for c in covs]), np.stack(signals),
+                                np.stack(actives), factors)
+        alone = [check_one(*args) for args in zip(covs, signals, actives, factors)]
+        assert chk.residual.tolist() == [r for _, r in alone]
+        assert chk.ok.tolist() == [ok for ok, _ in alone]
 
 
 class TestSampleBounds:
