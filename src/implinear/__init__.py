@@ -29,11 +29,9 @@ from .designs import (
 from .engine import (
     ImpConfig,
     ImpTrace,
-    PruneMask,
     RoundRecord,
     imp_prune_order,
     run_imp,
-    trace_from_dict,
     trace_to_dict,
 )
 from .flow import (
@@ -78,7 +76,6 @@ __all__ = [
     "ImpTrace",
     "McSummary",
     "OnpReport",
-    "PruneMask",
     "RecoveryCheck",
     "RoundRecord",
     "SparseProblem",
@@ -113,6 +110,5 @@ __all__ = [
     "run_imp",
     "sample_noise",
     "sym_eig",
-    "trace_from_dict",
     "trace_to_dict",
 ]

@@ -32,7 +32,6 @@ class ThresholdConfig:
     tau: float
     eta: float = 1.0
     max_iters: int = 10_000
-    init: np.ndarray | None = None
     convergence_tol: float = 1e-10
 
     def __post_init__(self) -> None:
@@ -44,8 +43,6 @@ class ThresholdConfig:
             raise ValueError("max_iters must be positive")
         if self.convergence_tol < 0.0:
             raise ValueError("convergence_tol must be nonnegative")
-        if self.init is not None:
-            object.__setattr__(self, "init", np.asarray(self.init, dtype=float))
 
 
 class IhtResult(NamedTuple):
@@ -85,10 +82,7 @@ def iht(features: FeatureSet, config: ThresholdConfig) -> IhtResult:
     """
     y = features.require_targets()
     phi = features.phi
-    s = config.init if config.init is not None else np.zeros(features.p)
-    if s.shape != (features.p,):
-        raise ValueError(f"init must have length p={features.p}")
-    s = s.astype(float, copy=True)
+    s = np.zeros(features.p)
     for it in range(1, config.max_iters + 1):
         step = s + config.eta * (phi.T @ (y - phi @ s))
         s_new = hard_threshold(step, config.tau)

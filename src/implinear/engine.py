@@ -9,9 +9,9 @@ that round's own prune is applied.
 
 `run_imp` executes a stack of runs that share p and the config in one round
 loop: at round k every run has m = p - k * per_round active coordinates, so
-a round of the stack is a (T, m) block.  The trace keeps each round's mask,
-weights and prune events; the factorization a round was trained with goes
-to an `on_round` observer and is dropped after it.
+a round of the stack is a (T, m) block.  The trace keeps each round's
+active array, weights and prune events; the factorization a round was
+trained with goes to an `on_round` observer and is dropped after it.
 
 Two exact paths train a round, and each run takes its own from its input.
 The eigendecomposition path factorizes the restricted covariance Sigma_A
@@ -36,45 +36,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .designs import FeatureSet
-from .flow import INFINITE, Horizon, closed_form_weights, is_infinite, normalize_horizon
+from .flow import INFINITE, closed_form_weights, is_infinite, normalize_horizon
 from .linalg import SymEig, pseudo_inverse, sym_eig
 
 TIE_BREAK_RULES = ("lowest_index", "highest_index")
-
-
-@dataclass(frozen=True)
-class PruneMask:
-    """Which coordinates survive; the prune order lives in `ImpTrace`."""
-
-    active: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.active, dtype=bool).copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "active", a)
-
-    @classmethod
-    def full(cls, p: int) -> "PruneMask":
-        return cls(active=np.ones(p, dtype=bool))
-
-    @property
-    def p(self) -> int:
-        return self.active.shape[0]
-
-    @property
-    def n_active(self) -> int:
-        return int(self.active.sum())
-
-    def active_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.active)
-
-    def prune(self, indices) -> "PruneMask":
-        new_active = self.active.copy()
-        for i in np.atleast_1d(indices):
-            if not new_active[i]:
-                raise ValueError(f"index {int(i)} is already pruned")
-            new_active[i] = False
-        return PruneMask(active=new_active)
 
 
 @dataclass(frozen=True)
@@ -88,7 +53,7 @@ class ImpConfig:
     unless configured otherwise.
     """
 
-    horizon: Horizon = INFINITE
+    horizon: float = INFINITE
     prune_rounds: int = 0
     w_init: np.ndarray | None = None
     per_round: int = 1
@@ -108,9 +73,10 @@ class ImpConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Mask before this round's prune, the trained vector, and what was pruned."""
+    """The coordinates active before this round's prune (a read-only boolean
+    array), the trained vector, and what was pruned."""
 
-    mask: PruneMask
+    active: np.ndarray
     weights: np.ndarray
     pruned: tuple[int, ...]
 
@@ -274,8 +240,10 @@ def run_imp(
         pruned = active[rows, local]
         full = np.zeros((stack, p))
         full[alive] = weights.ravel()  # rows of `active` ascend, as `alive` is read
+        mask = alive.copy()
+        mask.setflags(write=False)
         for t in range(stack):
-            records[t].append(RoundRecord(mask=PruneMask(alive[t]), weights=full[t],
+            records[t].append(RoundRecord(active=mask[t], weights=full[t],
                                           pruned=tuple(pruned[t].tolist())))
         if k == q:
             break
@@ -307,7 +275,7 @@ def trace_to_dict(trace: ImpTrace) -> dict:
         "final_weights": trace.final_weights.tolist(),
         "rounds": [
             {
-                "active": rec.mask.active.tolist(),
+                "active": rec.active.tolist(),
                 "weights": rec.weights.tolist(),
                 "pruned": list(rec.pruned),
                 "pruned_magnitudes": list(rec.pruned_magnitudes),
@@ -315,16 +283,3 @@ def trace_to_dict(trace: ImpTrace) -> dict:
             for rec in trace.rounds
         ],
     }
-
-
-def trace_from_dict(d: dict) -> ImpTrace:
-    """Inverse of `trace_to_dict`; the derived `final_weights` and
-    `pruned_magnitudes` entries are recomputed from the weights."""
-    return ImpTrace(rounds=tuple(
-        RoundRecord(
-            mask=PruneMask(active=np.asarray(rd["active"], dtype=bool)),
-            weights=np.asarray(rd["weights"], dtype=float),
-            pruned=tuple(int(i) for i in rd["pruned"]),
-        )
-        for rd in d["rounds"]
-    ))

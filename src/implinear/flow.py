@@ -12,6 +12,7 @@ oracle.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -19,23 +20,7 @@ import numpy as np
 from .linalg import CovMatrix, SymEig, operator_norm, sym_eig
 
 
-class _InfiniteHorizon:
-    """Tag for training to convergence (t -> infinity)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITE"
-
-
-INFINITE = _InfiniteHorizon()
-
-Horizon = float | _InfiniteHorizon
+INFINITE = math.inf  # the horizon of training to convergence (t -> infinity)
 
 
 class StabilityWarning(UserWarning):
@@ -43,17 +28,11 @@ class StabilityWarning(UserWarning):
 
 
 def is_infinite(horizon) -> bool:
-    return isinstance(horizon, _InfiniteHorizon) or (
-        isinstance(horizon, float) and np.isinf(horizon)
-    )
+    return horizon == INFINITE
 
 
 def normalize_horizon(horizon):
-    """Validate a horizon: positive finite float, or the INFINITE tag.
-
-    float('inf') is accepted and normalized to the tag so callers never
-    carry a sentinel float around.
-    """
+    """Validate a horizon: a positive finite float, or INFINITE."""
     if is_infinite(horizon):
         return INFINITE
     t = float(horizon)

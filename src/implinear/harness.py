@@ -177,8 +177,11 @@ def _parse(tp, value, path: str):
 
     Nested specs come from objects, `tuple[float, ...]` from a list, and
     None only where the hint allows it.  A bool never counts as a number;
-    an integer is accepted, as a float, where a float is expected.
+    an integer is accepted, as a float, where a float is expected.  No
+    number may be NaN or infinite, or overflow a float.
     """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite, got {json.dumps(value)}")
     if typing.get_origin(tp) is types.UnionType:
         arms = typing.get_args(tp)
         if value is None and type(None) in arms:
@@ -217,7 +220,10 @@ def _parse(tp, value, path: str):
     elif isinstance(value, tp):
         return value
     elif tp is float and isinstance(value, int):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path} overflows a float") from None
     raise ConfigError(f"{path} must be {_json_type(tp)}, got {json.dumps(value)}")
 
 
@@ -232,18 +238,11 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     return spec
 
 
-def spec_to_dict(spec: ExperimentSpec) -> dict:
-    d = asdict(spec)
-    if d.get("baseline") and d["baseline"].get("sigmas") is not None:
-        d["baseline"]["sigmas"] = list(d["baseline"]["sigmas"])
-    return d
-
-
 def load_spec(path: str | Path) -> ExperimentSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an oversized integer
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return spec_from_dict(doc)
 

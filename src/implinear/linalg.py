@@ -102,7 +102,7 @@ class SymEig:
         return self.eigenvectors[:, ~self.nonzero_mask()]
 
 
-def sym_eig(cov: CovMatrix, rank_tol: float | None = None) -> SymEig:
+def sym_eig(cov: CovMatrix) -> SymEig:
     """Eigendecompose a covariance with the deterministic sign convention."""
     lam, vec = np.linalg.eigh(cov.entries)
     if vec.size:
@@ -111,11 +111,7 @@ def sym_eig(cov: CovMatrix, rank_tol: float | None = None) -> SymEig:
         cols = np.arange(vec.shape[1])
         flip = big[first, cols] & (vec[first, cols] < 0.0)
         vec[:, flip] = -vec[:, flip]
-    if rank_tol is None:
-        rank_tol = default_rank_tol(lam)
-    if rank_tol < 0.0:
-        raise ValueError("rank_tol must be nonnegative")
-    return SymEig(eigenvalues=lam, eigenvectors=vec, rank_tol=rank_tol)
+    return SymEig(eigenvalues=lam, eigenvectors=vec, rank_tol=default_rank_tol(lam))
 
 
 def pseudo_inverse(eig: SymEig) -> np.ndarray:

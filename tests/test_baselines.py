@@ -106,16 +106,6 @@ class TestIht:
         first = hard_threshold(q.T @ (q @ s), 0.5)
         assert np.allclose(res.estimate, first, atol=1e-12)
 
-    def test_fixed_point_start(self):
-        rng = make_rng(83)
-        q, _ = np.linalg.qr(rng.standard_normal((14, 6)))
-        s = np.zeros(6)
-        s[[0, 3]] = [2.0, 1.2]
-        fs = FeatureSet.from_phi(q, q @ s)
-        res = iht(fs, ThresholdConfig(tau=0.5, eta=1.0, init=s))
-        assert res.converged and res.iters_used == 1
-        assert np.array_equal(res.estimate, s)
-
     def test_zero_targets(self):
         fs = FeatureSet.from_phi(np.eye(4), np.zeros(4))
         res = iht(fs, ThresholdConfig(tau=0.1, eta=0.5))

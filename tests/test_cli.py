@@ -1,12 +1,13 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import implinear
@@ -47,7 +48,23 @@ def baselines_doc(**overrides):
     return doc
 
 
+def lemma1_doc(**overrides):
+    doc = {
+        "kind": "lemma1_check",
+        "design": {"kind": "orthonormal", "p": 6},
+        "signal": {"k": 2, "gamma": 0.5},
+        "trials": 2,
+        "base_seed": 7,
+    }
+    doc.update(overrides)
+    return doc
+
+
 DELETE = object()
+
+
+class JsonLiteral(str):
+    """A value written into the config file as this raw JSON text."""
 
 
 def edited(doc, path, value):
@@ -217,15 +234,29 @@ BAD_CONFIGS = {
     "delta-string": ("recover", "delta", "0.1", "delta must be a number"),
     "verified-string": ("recover", "verified_mode", "false", "verified_mode must be true or false"),
     "design-list": ("recover", "design", [1], "design must be an object"),
+    "gamma-nan": ("recover", "signal.gamma", math.nan, "signal.gamma must be finite"),
+    "sigma-infinity": ("recover", "noise.sigma", math.inf, "noise.sigma must be finite"),
+    "epsilon-nan": ("lemma1", "epsilon", math.nan, "epsilon must be finite"),
+    "tie-tol-nan": ("recover", "tie_tol", math.nan, "tie_tol must be finite"),
+    "eta-nan": ("baselines", "baseline.eta", math.nan, "baseline.eta must be finite"),
+    "delta-overflow": ("recover", "delta", 10**400, "delta overflows a float"),
+    # past the 4300 digits Python converts from a string to an int
+    "delta-4301-digits": ("recover", "delta", JsonLiteral("1" + "0" * 4300),
+                          "cannot read config"),
+    "horizon-infinity": ("recover", "imp.horizon", math.inf, "imp.horizon must be finite"),
 }
+BAD_CONFIG_BASES = {"recover": recovery_doc, "baselines": baselines_doc, "lemma1": lemma1_doc}
 
 
 @pytest.mark.parametrize("case", BAD_CONFIGS)
 def test_bad_config_exits_2(tmp_path, capsys, case):
     command, path, value, message = BAD_CONFIGS[case]
-    base = recovery_doc() if command == "recover" else baselines_doc()
-    cfg = write_config(tmp_path, edited(base, path, value))
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    text = json.dumps(edited(BAD_CONFIG_BASES[command](), path, value))
+    if isinstance(value, JsonLiteral):
+        text = text.replace(json.dumps(value), value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
@@ -236,8 +267,7 @@ SMALL_CONFIGS = {
     "heuristic": {"kind": "heuristic_equivalence", "design": {"kind": "orthonormal", "p": 6},
                   "trials": 2, "base_seed": 5},
     "baselines": baselines_doc(trials=2),
-    "lemma1": {"kind": "lemma1_check", "design": {"kind": "orthonormal", "p": 6},
-               "signal": {"k": 2, "gamma": 0.5}, "trials": 2, "base_seed": 7},
+    "lemma1": lemma1_doc(),
 }
 # Every field but out_dir, whose string values would create directories.
 FUZZED_FIELDS = (
@@ -250,9 +280,11 @@ FUZZED_FIELDS = (
     "baseline", "baseline.tau", "baseline.eta", "baseline.max_iters",
     "baseline.convergence_tol", "baseline.sigmas",
 )
-# Wrong JSON types, and numbers at or below zero or past 1: out of range for
-# most fields, and never a size large enough to make a run slow.
+# Wrong JSON types, numbers that are not finite, and numbers at or below zero
+# or past 1: out of range for most fields, and never a size large enough to
+# make a run slow.
 WRONG_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
     st.none(),
     st.booleans(),
     st.text(max_size=3),
@@ -268,6 +300,9 @@ WRONG_VALUES = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(sorted(SMALL_CONFIGS)), path=st.sampled_from(FUZZED_FIELDS),
        value=WRONG_VALUES)
+@example(command="recover", path="signal.gamma", value=math.nan)
+@example(command="baselines", path="noise.sigma", value=math.inf)
+@example(command="lemma1", path="epsilon", value=math.nan)
 def test_fuzzed_config_exit_code(tmp_path, command, path, value):
     cfg = write_config(tmp_path, edited(SMALL_CONFIGS[command], path, value))
     assert main([command, "--config", cfg]) in (0, 1, 2)

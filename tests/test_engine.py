@@ -1,8 +1,9 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from implinear import engine as engine_module
@@ -18,10 +19,8 @@ from implinear.designs import (
 from implinear.engine import (
     TIE_BREAK_RULES,
     ImpConfig,
-    PruneMask,
     imp_prune_order,
     run_imp,
-    trace_from_dict,
     trace_to_dict,
 )
 from implinear.flow import INFINITE, closed_form_weights, is_infinite
@@ -40,28 +39,14 @@ def random_features(seed, n=12, p=6):
     return FeatureSet.from_phi(phi, y)
 
 
-class TestPruneMask:
-    def test_accounting(self):
-        mask = PruneMask.full(4)
-        assert mask.n_active == 4
-        mask = mask.prune([2]).prune([0])
-        assert mask.n_active == 2
-        assert list(mask.active_indices()) == [1, 3]
+class TestRunImp:
+    def test_per_round_prunes_a_block(self):
         # w = y on the identity design: |0.5| and |-1| go first, then |2|, |3|
         [trace] = run_imp([identity_features((3.0, -1.0, 2.0, 0.5))],
                           ImpConfig(prune_rounds=1, per_round=2))
         assert trace.prune_order == (3, 1, 2, 0)
-        assert list(trace.rounds[1].mask.active_indices()) == [0, 2]
+        assert list(np.flatnonzero(trace.rounds[1].active)) == [0, 2]
 
-    def test_double_prune_rejected(self):
-        mask = PruneMask.full(3).prune([1])
-        with pytest.raises(ValueError, match="already pruned"):
-            mask.prune([1])
-        with pytest.raises(ValueError, match="already pruned"):
-            mask.prune([2, 2])
-
-
-class TestRunImp:
     def test_identity_example(self):
         # round 0 trains to w = y, so |−1| then |2| are the successive minima
         trace = run_imp([identity_features()], ImpConfig(prune_rounds=2))[0]
@@ -87,7 +72,7 @@ class TestRunImp:
         # full-rank covariance: the active weights equal the normal-equation solve
         fs = random_features(32, n=30, p=8)
         trace = run_imp([fs], ImpConfig(prune_rounds=4))[0]
-        active = trace.rounds[-1].mask.active_indices()
+        active = np.flatnonzero(trace.rounds[-1].active)
         phi_a = fs.phi[:, active]
         direct = np.linalg.solve(phi_a.T @ phi_a, phi_a.T @ fs.targets)
         assert np.allclose(trace.final_weights[active], direct, atol=1e-8)
@@ -96,8 +81,8 @@ class TestRunImp:
         fs = random_features(33, n=20, p=10)
         trace = run_imp([fs], ImpConfig(prune_rounds=6))[0]
         for k, rec in enumerate(trace.rounds):
-            assert np.all(rec.weights[~rec.mask.active] == 0.0)
-            assert rec.mask.p - rec.mask.n_active == k
+            assert np.all(rec.weights[~rec.active] == 0.0)
+            assert np.count_nonzero(~rec.active) == k
 
     def test_sparsity_guarantee(self):
         for seed in range(5):
@@ -110,7 +95,7 @@ class TestRunImp:
         fs = random_features(34, n=25, p=12)
         trace = run_imp([fs], ImpConfig(prune_rounds=8))[0]
         for rec in trace.rounds:
-            survivors = rec.mask.active.copy()
+            survivors = rec.active.copy()
             survivors[list(rec.pruned)] = False
             if survivors.any():
                 assert max(rec.pruned_magnitudes) <= np.min(np.abs(rec.weights[survivors]))
@@ -129,7 +114,7 @@ class TestRunImp:
             oracle = oracle_imp(fs, config)
             assert len(trace.rounds) == len(oracle)
             for rec, (idx, w, pruned, _) in zip(trace.rounds, oracle):
-                assert np.array_equal(rec.mask.active_indices(), idx)
+                assert np.array_equal(np.flatnonzero(rec.active), idx)
                 assert np.array_equal(rec.weights[idx], w)
                 assert list(rec.pruned) == pruned
 
@@ -202,17 +187,17 @@ class TestPruneOrder:
 
 class TestTraceSerialization:
     def test_round_trip(self):
+        # every field of the trace comes back from its JSON text bit for bit
         fs = random_features(39, n=14, p=6)
         trace = run_imp([fs], ImpConfig(prune_rounds=3))[0]
-        back = trace_from_dict(trace_to_dict(trace))
-        assert back.prune_order == trace.prune_order
-        assert np.array_equal(back.final_weights, trace.final_weights)
-        for a, b in zip(back.rounds, trace.rounds):
-            assert np.array_equal(a.mask.active, b.mask.active)
-            assert np.array_equal(a.weights, b.weights)
-            assert a.pruned == b.pruned
-            assert a.pruned_magnitudes == b.pruned_magnitudes
-        assert trace_to_dict(back) == trace_to_dict(trace)
+        back = json.loads(json.dumps(trace_to_dict(trace)))
+        assert back["final_weights"] == trace.final_weights.tolist()
+        assert len(back["rounds"]) == len(trace.rounds)
+        for d, rec in zip(back["rounds"], trace.rounds):
+            assert d["active"] == rec.active.tolist()
+            assert d["weights"] == rec.weights.tolist()
+            assert d["pruned"] == list(rec.pruned)
+            assert d["pruned_magnitudes"] == list(rec.pruned_magnitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +281,7 @@ def assert_matches_oracle(features, config):
     oracle = oracle_imp(features, config)
     assert len(trace.rounds) == len(seen) == len(oracle)
     for rec, (idx, w, pruned, kappa) in zip(trace.rounds, oracle):
-        assert np.array_equal(rec.mask.active_indices(), idx)
+        assert np.array_equal(np.flatnonzero(rec.active), idx)
         # Both paths are backward stable, so each sits within a few
         # kappa * eps of the exact solution: 1e-10 relative up to kappa ~ 1e4,
         # and kappa-proportional beyond (uniform_corr at alpha = 0.9999 has
@@ -322,7 +307,7 @@ def assert_same_run(trace, seen, solo_trace, solo_seen):
     """A slice of a stacked run is bit-equal to its one-element run."""
     assert len(trace.rounds) == len(solo_trace.rounds) == len(seen) == len(solo_seen)
     for rec, solo in zip(trace.rounds, solo_trace.rounds):
-        assert np.array_equal(rec.mask.active, solo.mask.active)
+        assert np.array_equal(rec.active, solo.active)
         assert np.array_equal(rec.weights, solo.weights)
         assert rec.pruned == solo.pruned
     for a, b in zip(seen, solo_seen):
@@ -376,6 +361,8 @@ class TestDowndatePath:
         tie_break=st.sampled_from(TIE_BREAK_RULES),
         horizon=st.sampled_from((INFINITE, 3.0)),
     )
+    @example(designs=list(STACK_DESIGNS[:3]), seed=0, per_round=3, tie_break="lowest_index",
+             horizon=INFINITE)
     def test_stack_matches_one_element_runs(self, designs, seed, per_round, tie_break,
                                             horizon):
         stack = [design_features(*d, seed + i) for i, d in enumerate(designs)]
@@ -385,6 +372,14 @@ class TestDowndatePath:
         assert len(traces) == len(stack)
         for fs, trace, slice_seen in zip(stack, traces, seen):
             assert_same_run(trace, slice_seen, *run_observed(fs, config))
+            # each round's active array is read-only, is what no earlier round
+            # pruned, and carries every nonzero weight
+            alive = np.ones(DIFF_P, dtype=bool)
+            for rec in trace.rounds:
+                assert not rec.active.flags.writeable
+                assert np.array_equal(rec.active, alive)
+                assert np.all(rec.weights[~rec.active] == 0.0)
+                alive[list(rec.pruned)] = False
 
     def test_drift_in_one_slice_leaves_the_others_on_the_downdate(self, monkeypatch):
         stack = [design_features("uniform_corr", 200, 0.99, seed=7),
@@ -486,12 +481,12 @@ class TestDowndatePath:
         fs = design_features("incoherent", 60, None, seed=8)
         trace, seen = run_observed(fs, ImpConfig(prune_rounds=20, per_round=2))
         for rec, inverse in zip(trace.rounds[1:], seen[1:]):
-            sub = fs.covariance.restrict(rec.mask.active_indices()).entries
+            sub = fs.covariance.restrict(np.flatnonzero(rec.active)).entries
             assert np.array_equal(inverse, inverse.T)
             assert np.allclose(inverse @ sub, np.eye(sub.shape[0]), atol=1e-9)
         assert "inverse" not in trace_to_dict(trace)["rounds"][1]
 
-    @pytest.mark.parametrize("horizon", [INFINITE, 3.0])
+    @pytest.mark.parametrize("horizon", [INFINITE, 3.0], ids=["horizon0", "3.0"])
     def test_init_hook_fires_every_round_on_both_paths(self, monkeypatch, horizon):
         # The initialization is observed where the engine uses it: every
         # closed-form solve must start its survivors from w_init.  A
@@ -514,7 +509,7 @@ class TestDowndatePath:
         assert len(solved) == (1 if is_infinite(horizon) else 13)
         assert len(seen) == len(solved)
         for rec, w0 in zip(solved, seen):
-            assert np.array_equal(w0, w_init[rec.mask.active_indices()])
+            assert np.array_equal(w0, w_init[np.flatnonzero(rec.active)])
 
     def test_full_ranking_keeps_no_factorization(self):
         # The trace holds O(q p) numbers.  Kept per round, the inverses alone
@@ -549,7 +544,7 @@ class TestPermutationEquivariance:
         trace = run_imp([fs], config)[0]
         # Reordering changes the roundoff, so only a clear gap fixes the order.
         for rec in trace.rounds:
-            mags = np.sort(np.abs(rec.weights[rec.mask.active]))
+            mags = np.sort(np.abs(rec.weights[rec.active]))
             assume(np.all(np.diff(mags) > 1e-8 * mags[-1]))
         permuted, seen = run_observed(FeatureSet.from_phi(fs.phi[:, perm], fs.targets), config)
         assert factorized(seen)[-1] != is_infinite(horizon)  # downdated

@@ -51,7 +51,7 @@ class TestHorizon:
         assert normalize_horizon(1.5) == 1.5
         assert is_infinite(INFINITE) and not is_infinite(2.0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("-inf")])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError, match="horizon"):
             normalize_horizon(bad)

@@ -1,6 +1,6 @@
 import functools
 import json
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -31,7 +31,6 @@ from implinear.harness import (
     run_heuristic_equivalence,
     run_support_recovery,
     spec_from_dict,
-    spec_to_dict,
     trial_csv_row,
     uniform_corr_separation_margin,
 )
@@ -81,8 +80,10 @@ def config_document():
 
 class TestSpecParsing:
     def test_round_trip(self):
-        spec = spec_from_dict(config_document())
-        assert spec == spec_from_dict(spec_to_dict(spec))
+        doc = config_document()
+        doc["baseline"] = {"sigmas": [0.0, 0.5]}
+        spec = spec_from_dict(doc)
+        assert spec == spec_from_dict(json.loads(json.dumps(asdict(spec))))
 
     def test_unknown_top_level_key(self):
         doc = config_document()
@@ -370,7 +371,7 @@ class TestAuditRounds:
             assert rec.min_nz_eig == full.eigenvalues[0]
             slack = 1e-12 * full.eigenvalues[-1]
             for rnd in trace.rounds:
-                sub = problem.features.covariance.restrict(rnd.mask.active_indices())
+                sub = problem.features.covariance.restrict(np.flatnonzero(rnd.active))
                 assert rec.min_nz_eig <= np.linalg.eigvalsh(sub.entries)[0] + slack
 
     @pytest.mark.parametrize("design", NONSINGULAR_DESIGNS, ids=lambda d: f"{d.kind}-{d.n}-{d.alpha}")
@@ -384,7 +385,7 @@ class TestAuditRounds:
         assert len(eigs) == len(residuals) == len(trace.rounds)
         cov = problem.features.covariance
         for rnd, residual in zip(trace.rounds, residuals):
-            idx = rnd.mask.active_indices()
+            idx = np.flatnonzero(rnd.active)
             fresh = fresh_residual(cov, problem.signal, idx, sym_eig(cov.restrict(idx)))
             assert residual <= RECOVERY_TOL
             assert residual == pytest.approx(fresh, abs=1e-10)
@@ -402,7 +403,7 @@ class TestAuditRounds:
         cov = problem.features.covariance
         fresh_eigs, fresh_residuals = [], []
         for rnd in trace.rounds:
-            idx = rnd.mask.active_indices()
+            idx = np.flatnonzero(rnd.active)
             eig = sym_eig(cov.restrict(idx))
             fresh_eigs.append(min_nonzero_eig(eig))
             fresh_residuals.append(fresh_residual(cov, problem.signal, idx, eig))
@@ -741,7 +742,7 @@ POOLED_RUNS = {
 def run_cli(tmp_path, spec, *args):
     """Exit code of the CLI subcommand `args` on `spec`, written as a config."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(spec_to_dict(spec)))
+    config.write_text(json.dumps(asdict(spec)))
     return main([*args, "--config", str(config)])
 
 

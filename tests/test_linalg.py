@@ -104,10 +104,6 @@ class TestSymEig:
         eig = sym_eig(CovMatrix(np.diag([4.0, 0.0])))
         assert eig.rank_tol == default_rank_tol(eig.eigenvalues) == pytest.approx(1e-10 * 2 * 4.0)
 
-    def test_negative_rank_tol_rejected(self):
-        with pytest.raises(ValueError, match="rank_tol"):
-            sym_eig(CovMatrix(np.eye(2)), rank_tol=-1.0)
-
 
 class TestPseudoInverse:
     def test_diagonal(self):
