@@ -2,8 +2,9 @@
 
 The alignment ordering ranks features by |phi_j^T y|, the projection of the
 targets onto each feature.  Hard thresholding zeroes the least-squares
-estimate below tau.  Iterative hard thresholding alternates a gradient step
-on (1/2)||y - Phi s||^2 with the same thresholding.
+estimate below tau.  Iterative hard thresholding alternates that thresholding
+with a gradient step s + eta * (b - Sigma s) on the normal equations, where
+Sigma = Phi^T Phi / n and b = Phi^T y / n.
 """
 
 from __future__ import annotations
@@ -46,9 +47,15 @@ class ThresholdConfig:
 
 
 class IhtResult(NamedTuple):
+    """(T, p) estimates of a stack; per run, its last iteration and convergence."""
+
     estimate: np.ndarray
-    iters_used: int
-    converged: bool
+    iters: np.ndarray
+    converged: np.ndarray
+
+    @property
+    def iters_used(self) -> int:  # iterations of the stacked loop
+        return int(self.iters.max(initial=0))
 
 
 def alignment_order(features: FeatureSet) -> np.ndarray:
@@ -71,24 +78,29 @@ def ht_estimator(features: FeatureSet, tau: float, pinv: np.ndarray) -> np.ndarr
     return hard_threshold(s_hat, tau)
 
 
-def iht(features: FeatureSet, config: ThresholdConfig) -> IhtResult:
-    """Iterative hard thresholding.
+def iht(cov: np.ndarray, b: np.ndarray, config: ThresholdConfig) -> IhtResult:
+    """Iterative hard thresholding on a (T, p, p) stack of covariances
+    Sigma = Phi^T Phi / n and the (T, p) stack b of Phi^T y / n.
 
-    Update: s <- H_tau(s + eta * Phi^T (y - Phi s)), stopping when the sup
-    change drops to convergence_tol or max_iters is hit.  eta multiplies the
-    raw gradient of (1/2)||y - Phi s||^2; eta = 1/n makes the inner step
-    equal the gradient-flow step on the (1/2n)-scaled loss.  Iterates past
-    1e12 in magnitude abort with IhtDivergenceError.
+    Each run iterates s <- H_tau(s + eta * (b - Sigma s)) from s = 0 and stops
+    at its own iteration, when the sup change drops to convergence_tol or at
+    max_iters; eta is in units of the (1/n)-scaled step, so eta = 1 is the
+    gradient-flow step.  A single run is a stack of one.  An iterate past
+    1e12 in magnitude aborts with IhtDivergenceError.
     """
-    y = features.require_targets()
-    phi = features.phi
-    s = np.zeros(features.p)
+    estimate, s, live = np.zeros(b.shape), np.zeros(b.shape), np.arange(len(b))
+    iters, converged = np.full(len(b), config.max_iters), np.zeros(len(b), dtype=bool)
     for it in range(1, config.max_iters + 1):
-        step = s + config.eta * (phi.T @ (y - phi @ s))
-        s_new = hard_threshold(step, config.tau)
-        if np.max(np.abs(s_new)) > DIVERGENCE_LIMIT:
+        if not live.size:
+            break
+        s_new = hard_threshold(s + config.eta * (b - (cov @ s[:, :, None])[:, :, 0]), config.tau)
+        if (np.abs(s_new) > DIVERGENCE_LIMIT).any():
             raise IhtDivergenceError("step size too large for spectrum")
-        if np.max(np.abs(s_new - s)) <= config.convergence_tol:
-            return IhtResult(estimate=s_new, iters_used=it, converged=True)
+        done = np.max(np.abs(s_new - s), axis=1) <= config.convergence_tol
         s = s_new
-    return IhtResult(estimate=s, iters_used=config.max_iters, converged=False)
+        if done.any():  # finished runs leave the stack
+            finished = live[done]
+            estimate[finished], iters[finished], converged[finished] = s[done], it, True
+            live, s, cov, b = live[~done], s[~done], cov[~done], b[~done]
+    estimate[live] = s
+    return IhtResult(estimate, iters, converged)

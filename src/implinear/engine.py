@@ -178,7 +178,8 @@ def run_imp(
 
     The runs share p and the config; a single run is a stack of one.  Each
     run trains on its own path, and the result of a run does not depend on
-    the rest of its stack.
+    the rest of its stack.  Runs on one CovMatrix object (the sigma cells of a
+    baselines trial) share its round-0 factorization and pseudo-inverse.
     """
     if not features:
         raise ValueError("run_imp needs at least one FeatureSet")
@@ -206,6 +207,7 @@ def run_imp(
     # lists the runs whose round is downdated; `inverse` and `w_down` stack
     # their Sigma_A^{-1} and trained weights.
     exact = np.full(stack, is_infinite(config.horizon))
+    owner: dict[int, int] = {}  # round 0: id of a CovMatrix -> the first run on it
     down = np.zeros(0, dtype=int)
     inverse, w_down = np.empty((0, p, p)), None
     for k in range(q + 1):
@@ -221,14 +223,15 @@ def run_imp(
             joining = {}  # runs factorized now that stay exact join the downdate
             for t in range(stack):
                 if factors[t] is None:
-                    idx = active[t]
-                    eig = sym_eig(features[t].covariance.restrict(idx))
+                    idx, cov = active[t], features[t].covariance
+                    t0 = owner.setdefault(id(cov), t) if k == 0 else t
+                    eig = factors[t0] or sym_eig(cov.restrict(idx))
                     weights[t] = closed_form_weights(eig, data_vec[t, idx], w_init[idx],
                                                      config.horizon)
                     exact[t] = exact[t] and bool(eig.nonzero_mask().all())
                     factors[t] = eig
                     if exact[t] and k < q:
-                        joining[t] = pseudo_inverse(eig)
+                        joining[t] = joining[t0] if t0 in joining else pseudo_inverse(eig)
             if joining:
                 joining.update(zip(down.tolist(), inverse))
                 down = np.array(sorted(joining))

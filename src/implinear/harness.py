@@ -20,7 +20,6 @@ import math
 import time
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
@@ -189,6 +188,8 @@ def _parse(tp, value, path: str):
         arms = [a for a in arms if a is not type(None)]
         if len(arms) == 1:
             return _parse(arms[0], value, path)
+        if type(value) is int and float in arms and int not in arms:
+            return _parse(float, value, path)  # so that its overflow is reported
         for arm in arms:
             try:
                 return _parse(arm, value, path)
@@ -258,12 +259,13 @@ def _imp_config(spec: ExperimentSpec, q: int) -> ImpConfig:
                      per_round=spec.imp.per_round, tie_break=spec.imp.tie_break)
 
 
-def _baseline(spec: ExperimentSpec) -> tuple[BaselineSpec, tuple[float, ...], float]:
-    """The baseline block with its defaults resolved: (block, sigmas, tau)."""
+def _baseline(spec: ExperimentSpec) -> tuple[BaselineSpec, tuple[float, ...], ThresholdConfig]:
+    """The baseline block with its defaults resolved: (block, sigmas, IHT config)."""
     base = spec.baseline if spec.baseline is not None else BaselineSpec()
     sigmas = base.sigmas if base.sigmas is not None else (spec.noise.sigma,)
     tau = base.tau if base.tau is not None else spec.signal.gamma / 2.0
-    return base, sigmas, tau
+    return base, sigmas, ThresholdConfig(tau=tau, eta=base.eta, max_iters=base.max_iters,
+                                         convergence_tol=base.convergence_tol)
 
 
 def validate_spec(spec: ExperimentSpec) -> None:
@@ -297,11 +299,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         check_noise(spec.noise.kind, spec.noise.sigma)
         if signal is not None:
             check_signal(design.p, signal.k, signal.gamma, signal.amplitude_law)
-            base, sigmas, tau = _baseline(spec)
-            for sigma in sigmas:
+            for sigma in _baseline(spec)[1]:  # its ThresholdConfig checks the IHT rules
                 check_noise(spec.noise.kind, sigma)
-            ThresholdConfig(tau=tau, eta=base.eta, max_iters=base.max_iters,
-                            convergence_tol=base.convergence_tol)
         _imp_config(spec, q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -338,6 +337,8 @@ def map_trials(
     """
     results: list = []
     size = spec.trials
+    if spec.threads > 1:  # imported only here: a threads-1 run skips its ~15 ms
+        from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=spec.threads) if spec.threads > 1 else None
     with pool or nullcontext():
         while size > 0:
@@ -860,12 +861,9 @@ def _baseline_trial(
     A trial's design is drawn once for the whole sweep, and trial 0 takes
     `first` if sizing n already drew it; each noise setting draws its own
     noise.  Hard thresholding uses one pseudo-inverse of Sigma per trial,
-    and IMP runs every (trial, sigma) cell of the range as one stack.
+    and IHT and IMP each run the range's (trial, sigma) cells as one stack.
     """
-    base, _, tau = _baseline(spec)
-    threshold = ThresholdConfig(
-        tau=tau, eta=base.eta / n, max_iters=base.max_iters, convergence_tol=base.convergence_tol
-    )
+    threshold = _baseline(spec)[2]
     cells = []
     for t in trials:
         features, pinv = (first if t == 0 else None), None
@@ -874,15 +872,16 @@ def _baseline_trial(
             features = problem.features
             if pinv is None:
                 pinv = pseudo_inverse(sym_eig(features.covariance))
-            cells.append((problem, ht_estimator(features, tau, pinv),
-                          iht(features, threshold).estimate))
-    traces = run_imp([problem.features for problem, _, _ in cells],
-                     _imp_config(spec, _prune_rounds(spec)))
+            cells.append((problem, ht_estimator(features, threshold.tau, pinv)))
+    stack = [problem.features for problem, _ in cells]
+    fit = iht(np.stack([fs.covariance.entries for fs in stack]),
+              np.stack([fs.phi.T @ fs.targets / fs.n for fs in stack]), threshold)
+    traces = run_imp(stack, _imp_config(spec, _prune_rounds(spec)))
     outcomes = []
-    for (problem, *estimates), trace in zip(cells, traces):
+    for (problem, ht), trace, s_iht in zip(cells, traces, fit.estimate):
         truth = set(problem.support)
         supports = (set(np.flatnonzero(w != 0.0).tolist())
-                    for w in (trace.final_weights, *estimates))
+                    for w in (trace.final_weights, ht, s_iht))
         outcomes.append(tuple((sup == truth, _support_f1(sup, truth)) for sup in supports))
     width = len(sweep)
     return [tuple(outcomes[i:i + width]) for i in range(0, len(outcomes), width)]

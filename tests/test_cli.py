@@ -244,6 +244,7 @@ BAD_CONFIGS = {
     "delta-4301-digits": ("recover", "delta", JsonLiteral("1" + "0" * 4300),
                           "cannot read config"),
     "horizon-infinity": ("recover", "imp.horizon", math.inf, "imp.horizon must be finite"),
+    "horizon-overflow": ("recover", "imp.horizon", 10**400, "imp.horizon overflows a float"),
 }
 BAD_CONFIG_BASES = {"recover": recovery_doc, "baselines": baselines_doc, "lemma1": lemma1_doc}
 
@@ -314,16 +315,17 @@ def test_bad_flag_override_exits_2(tmp_path, capsys):
     assert "trials must be >= 1" in capsys.readouterr().err
 
 
-def test_no_subcommand_loads_scipy(tmp_path):
-    # scipy is a test-only dependency; importing it would add about 1 s to every launch
+def modules_after_every_subcommand(tmp_path, package):
+    """Run each subcommand's small config (threads 1) in one fresh interpreter;
+    the sorted names of the loaded modules in `package`, a dotted prefix."""
     script = (
         "import sys\n"
         "from implinear.cli import main\n"
-        "args = sys.argv[1:]\n"
+        "args = sys.argv[2:]\n"
         "print([main([cmd, '--config', cfg]) for cmd, cfg in zip(args[::2], args[1::2])])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if (m + '.').startswith(sys.argv[1] + '.')))\n"
     )
-    args = []
+    args = [package]
     for command, doc in SMALL_CONFIGS.items():
         args += [command, write_config(tmp_path, doc, f"{command}.json")]
     src = str(Path(implinear.__file__).resolve().parents[1])
@@ -333,4 +335,15 @@ def test_no_subcommand_loads_scipy(tmp_path):
                          env=env, timeout=120, check=True)
     codes, loaded = run.stdout.splitlines()[-2:]
     assert codes == str([0] * len(SMALL_CONFIGS))
-    assert loaded == "[]"
+    return loaded
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    # scipy is a test-only dependency; importing it would add about 1 s to every launch
+    assert modules_after_every_subcommand(tmp_path, "scipy") == "[]"
+
+
+def test_threads_1_runs_skip_the_process_pool(tmp_path):
+    # only a run with threads > 1 pays the ~15 ms import of the process pool
+    assert all(doc.get("threads", 1) == 1 for doc in SMALL_CONFIGS.values())
+    assert modules_after_every_subcommand(tmp_path, "concurrent.futures.process") == "[]"

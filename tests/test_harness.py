@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import json
 from dataclasses import asdict, astuple, replace
@@ -762,15 +763,18 @@ def test_pool_matches_serial(tmp_path, capsys, name):
 
 
 def count_pools(monkeypatch):
-    """Worker counts of the process pools the harness opens from now on."""
+    """Worker counts of the process pools the harness opens from now on.
+
+    The harness imports the pool class from concurrent.futures when it opens
+    a pool, so the counting subclass replaces it there."""
     opened = []
 
-    class CountedPool(harness_module.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(harness_module, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     return opened
 
 
