@@ -1,10 +1,11 @@
 """Pruning and sparse-estimation baselines to compare against IMP.
 
-The alignment ordering ranks features by |phi_j^T y|, the projection of the
-targets onto each feature.  Hard thresholding zeroes the least-squares
-estimate below tau.  Iterative hard thresholding alternates that thresholding
-with a gradient step s + eta * (b - Sigma s) on the normal equations, where
-Sigma = Phi^T Phi / n and b = Phi^T y / n.
+All three read the data as IMP does, through Sigma = Phi^T Phi / n and
+b = Phi^T y / n, or through Phi^T y itself.  The alignment ordering ranks
+features by |phi_j^T y|, the projection of the targets onto each feature.
+Hard thresholding zeroes the least-squares estimate Sigma^+ b below tau.
+Iterative hard thresholding alternates that thresholding with a gradient
+step s + eta * (b - Sigma s) on the normal equations.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .designs import FeatureSet
 # Not called here: benchmarks/tracing.py wraps both at this module's names,
 # so they stay bound (tests/test_bench_contract.py).
 from .linalg import pseudo_inverse, sym_eig  # noqa: F401
@@ -58,10 +58,10 @@ class IhtResult(NamedTuple):
         return int(self.iters.max(initial=0))
 
 
-def alignment_order(features: FeatureSet) -> np.ndarray:
-    """Indices sorted by |phi_j^T y| ascending; ties go to the lowest index."""
-    scores = np.abs(features.phi.T @ features.require_targets())
-    return np.argsort(scores, kind="stable")
+def alignment_order(xty: np.ndarray) -> np.ndarray:
+    """Indices sorted by |phi_j^T y| ascending, given xty = Phi^T y; ties go
+    to the lowest index."""
+    return np.argsort(np.abs(xty), kind="stable")
 
 
 def hard_threshold(v: np.ndarray, tau: float) -> np.ndarray:
@@ -70,12 +70,10 @@ def hard_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     return np.where(np.abs(v) > tau, v, 0.0)
 
 
-def ht_estimator(features: FeatureSet, tau: float, pinv: np.ndarray) -> np.ndarray:
-    """Least squares through `pinv`, the pseudo-inverse Sigma^+ of the
-    design's covariance, then hard thresholding."""
-    y = features.require_targets()
-    s_hat = pinv @ (features.phi.T @ y) / features.n
-    return hard_threshold(s_hat, tau)
+def ht_estimator(b: np.ndarray, tau: float, pinv: np.ndarray) -> np.ndarray:
+    """H_tau(Sigma^+ b): least squares through `pinv`, the pseudo-inverse
+    Sigma^+ of the design's covariance, then hard thresholding."""
+    return hard_threshold(pinv @ b, tau)
 
 
 def iht(cov: np.ndarray, b: np.ndarray, config: ThresholdConfig) -> IhtResult:

@@ -6,11 +6,16 @@ Randomness comes from the counter-based Philox generator keyed by
 always reproduces the same problem bit for bit and distinct purposes never
 share a stream even when neighbouring seeds are used for neighbouring
 trials.
+
+The design generators return Phi with its covariance Sigma = Phi^T Phi / n.
+`assemble_problem` adds a signal and noise and keeps what the layers after
+it read: Sigma and b = Phi^T y / n, the normal equations of the
+least-squares loss; Phi and y do not leave it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,35 +44,18 @@ def make_rng(seed: int, stream: int = STREAM_DESIGN) -> Generator:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Design matrix Phi (rows are examples), optional targets, cached covariance."""
+    """Design matrix Phi (rows are examples) and its covariance Phi^T Phi / n."""
 
     phi: np.ndarray
-    targets: np.ndarray | None
     covariance: CovMatrix
 
     @classmethod
-    def from_phi(cls, phi: np.ndarray, targets: np.ndarray | None = None) -> "FeatureSet":
+    def from_phi(cls, phi: np.ndarray) -> "FeatureSet":
         phi = np.asarray(phi, dtype=float)
         if phi.ndim != 2 or phi.shape[0] < 1 or phi.shape[1] < 1:
             raise ValueError(f"phi must be n x p with n, p >= 1, got shape {phi.shape}")
-        if targets is not None:
-            targets = np.asarray(targets, dtype=float)
-            if targets.shape != (phi.shape[0],):
-                raise ValueError("targets length must equal the number of rows of phi")
         gram = phi.T @ phi
-        cov = CovMatrix((gram + gram.T) / (2.0 * phi.shape[0]))
-        return cls(phi=phi, targets=targets, covariance=cov)
-
-    def with_targets(self, y: np.ndarray) -> "FeatureSet":
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n,):
-            raise ValueError("targets length must equal the number of rows of phi")
-        return replace(self, targets=y)
-
-    def require_targets(self) -> np.ndarray:
-        if self.targets is None:
-            raise ValueError("this FeatureSet has no targets")
-        return self.targets
+        return cls(phi=phi, covariance=CovMatrix((gram + gram.T) / (2.0 * phi.shape[0])))
 
     @property
     def n(self) -> int:
@@ -80,9 +68,12 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class SparseProblem:
-    """A k-sparse ground truth s with observations y = Phi s + xi."""
+    """A k-sparse ground truth s with observations y = Phi s + xi, kept as the
+    normal equations: Sigma = Phi^T Phi / n and b = Phi^T y / n."""
 
-    features: FeatureSet
+    covariance: CovMatrix
+    b: np.ndarray
+    n: int
     signal: np.ndarray
     support: tuple[int, ...]
     noise_kind: str
@@ -104,7 +95,7 @@ def _orthonormal_columns(rng: Generator, n: int, p: int) -> np.ndarray:
 
 
 def gen_orthonormal_design(n: int, p: int, seed: int) -> FeatureSet:
-    """Design with covariance exactly the identity (targets unset).
+    """Design with covariance exactly the identity.
 
     Phi = sqrt(n) Q for Q with orthonormal columns, which needs n >= p.
     """
@@ -153,7 +144,7 @@ def gen_incoherent_design(n: int, p: int, seed: int) -> tuple[FeatureSet, float]
 class DesignKind:
     """What the experiments need to know about one covariance regime.
 
-    `draw(n, p, seed, alpha)` returns the design with targets unset.
+    `draw(n, p, seed, alpha)` returns the design.
     `min_eig(alpha)` is the smallest covariance eigenvalue in closed form,
     or None when it has to be measured on a draw.  `needs_alpha` and
     `full_rank` (n >= p) are the rules `check_design` enforces.
@@ -279,8 +270,8 @@ def assemble_problem(
     The design, signal, and noise draws use disjoint Philox streams of the
     same seed, so the composite is a pure function of its arguments.
     `features`, when given, is the design already drawn from these
-    arguments; it is used in place of a second draw (its targets are
-    replaced).
+    arguments; it is used in place of a second draw.  The problem keeps the
+    design's covariance object and b, not Phi or y.
     """
     if k < 1:
         raise ValueError("the support must be nonempty (k >= 1)")
@@ -289,10 +280,11 @@ def assemble_problem(
     elif features.phi.shape != (n, p):
         raise ValueError(f"features must be {n} x {p}, got {features.phi.shape}")
     signal, support = gen_sparse_signal(p, k, gamma, amplitude_law, seed)
-    xi = sample_noise(noise_kind, sigma, n, seed)
-    y = features.phi @ signal + xi
+    y = features.phi @ signal + sample_noise(noise_kind, sigma, n, seed)
     return SparseProblem(
-        features=features.with_targets(y),
+        covariance=features.covariance,
+        b=features.phi.T @ y / features.n,
+        n=features.n,
         signal=signal,
         support=tuple(int(i) for i in support),
         noise_kind=noise_kind,
@@ -300,4 +292,3 @@ def assemble_problem(
         gamma=float(gamma),
         seed=int(seed),
     )
-

@@ -7,11 +7,14 @@ returned final weights are the round-q trained vector, i.e. the vector
 trained under a mask with exactly q * per_round coordinates pruned, before
 that round's own prune is applied.
 
-`run_imp` executes a stack of runs that share p and the config in one round
-loop: at round k every run has m = p - k * per_round active coordinates, so
-a round of the stack is a (T, m) block.  The trace keeps each round's
-active array, weights and prune events; the factorization a round was
-trained with goes to an `on_round` observer and is dropped after it.
+A run sees the data only through the normal equations of its loss
+(1/2n)||y - Phi w||^2: the covariance Sigma = Phi^T Phi / n and
+b = Phi^T y / n.  `run_imp` executes a stack of runs that share p and the
+config in one round loop: at round k every run has m = p - k * per_round
+active coordinates, so a round of the stack is a (T, m) block.  The trace
+keeps each round's active array, weights and prune events; the
+factorization a round was trained with goes to an `on_round` observer and
+is dropped after it.
 
 Two exact paths train a round, and each run takes its own from its input.
 The eigendecomposition path factorizes the restricted covariance Sigma_A
@@ -35,9 +38,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .designs import FeatureSet
 from .flow import INFINITE, closed_form_weights, is_infinite, normalize_horizon
-from .linalg import SymEig, pseudo_inverse, sym_eig
+from .linalg import CovMatrix, SymEig, pseudo_inverse, sym_eig
 
 TIE_BREAK_RULES = ("lowest_index", "highest_index")
 
@@ -172,21 +174,25 @@ def _downdate(
 
 
 def run_imp(
-    features: Sequence[FeatureSet], config: ImpConfig, on_round: RoundObserver | None = None
+    covs: Sequence[CovMatrix], b: np.ndarray, config: ImpConfig,
+    on_round: RoundObserver | None = None,
 ) -> list[ImpTrace]:
     """Execute the pruning loop on a stack of runs and return one trace per run.
 
-    The runs share p and the config; a single run is a stack of one.  Each
-    run trains on its own path, and the result of a run does not depend on
-    the rest of its stack.  Runs on one CovMatrix object (the sigma cells of a
-    baselines trial) share its round-0 factorization and pseudo-inverse.
+    Run t trains on the covariance covs[t] and the data vector b[t], a row of
+    the (T, p) array b.  The runs share p and the config; a single run is a
+    stack of one.  Each run trains on its own path, and the result of a run
+    does not depend on the rest of its stack.  Runs on one CovMatrix object
+    (the sigma cells of a baselines trial) share its round-0 factorization
+    and pseudo-inverse.
     """
-    if not features:
-        raise ValueError("run_imp needs at least one FeatureSet")
-    p = features[0].p
-    if any(fs.p != p for fs in features):
-        raise ValueError("every FeatureSet of a stack must have the same p")
-    data_vec = np.stack([fs.phi.T @ fs.require_targets() / fs.n for fs in features])
+    if not covs:
+        raise ValueError("run_imp needs at least one covariance")
+    p = covs[0].p
+    data_vec = np.asarray(b, dtype=float)
+    if any(cov.p != p for cov in covs) or data_vec.shape != (len(covs), p):
+        raise ValueError(f"need T covariances of one p and b of shape (T, p), got "
+                         f"T = {len(covs)}, p = {p} and b of shape {data_vec.shape}")
     w_init = config.w_init if config.w_init is not None else np.zeros(p)
     if w_init.shape != (p,):
         raise ValueError(f"w_init must have length p={p}, got {w_init.shape}")
@@ -196,11 +202,11 @@ def run_imp(
             f"per_round * (prune_rounds + 1) = {config.per_round * (q + 1)} exceeds p = {p}"
         )
 
-    stack = len(features)
+    stack = len(covs)
     rows = np.arange(stack)[:, None]
     active = np.tile(np.arange(p), (stack, 1))
     alive = np.ones((stack, p), dtype=bool)
-    records: list[list[RoundRecord]] = [[] for _ in features]
+    records: list[list[RoundRecord]] = [[] for _ in covs]
     # A run takes the downdate path with an infinite horizon and a nonsingular
     # round-0 factorization, and leaves it for good at the first singular
     # refactorization, which interlacing rules out up to roundoff.  `down`
@@ -223,7 +229,7 @@ def run_imp(
             joining = {}  # runs factorized now that stay exact join the downdate
             for t in range(stack):
                 if factors[t] is None:
-                    idx, cov = active[t], features[t].covariance
+                    idx, cov = active[t], covs[t]
                     t0 = owner.setdefault(id(cov), t) if k == 0 else t
                     eig = factors[t0] or sym_eig(cov.restrict(idx))
                     weights[t] = closed_form_weights(eig, data_vec[t, idx], w_init[idx],
@@ -263,13 +269,13 @@ def run_imp(
 
 
 def imp_prune_order(
-    features: Sequence[FeatureSet], config: ImpConfig | None = None
+    covs: Sequence[CovMatrix], b: np.ndarray, config: ImpConfig | None = None
 ) -> np.ndarray:
     """Full pruning rankings of a stack of runs, one row per run: each run
     goes with q = p - 1 and one prune per round."""
     base = config if config is not None else ImpConfig()
-    full = replace(base, prune_rounds=features[0].p - 1, per_round=1)
-    return np.array([trace.prune_order for trace in run_imp(features, full)], dtype=int)
+    full = replace(base, prune_rounds=covs[0].p - 1, per_round=1)
+    return np.array([trace.prune_order for trace in run_imp(covs, b, full)], dtype=int)
 
 
 def trace_to_dict(trace: ImpTrace) -> dict:

@@ -74,6 +74,10 @@ EXPERIMENT_KINDS = (
 ONP_TOL = 1e-8
 RECOVERY_TOL = 1e-8
 
+# The size rule: a run's design Phi (n x p) and its covariance Sigma (p x p)
+# hold at most this many doubles each (16 GiB); larger sizes are config errors.
+MAX_ENTRIES = 2**31
+
 # A range of trials handed to a trial function stacks at most this many
 # T * p^2 doubles: 13 recover trials at p = 50, one trial from p = 182 on.
 STACK_BUDGET = 2**15
@@ -304,11 +308,19 @@ def validate_spec(spec: ExperimentSpec) -> None:
         _imp_config(spec, q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_size(design.n or design.p, design.p, "the design")  # a derived n is >= p
     if runs_imp and (q + 1) * spec.imp.per_round > design.p:
         raise ConfigError(
             f"(imp.q + 1) * imp.per_round = {(q + 1) * spec.imp.per_round} "
             f"exceeds design.p = {design.p}"
         )
+
+
+def _check_size(n: int, p: int, what: str) -> None:
+    """Raise ConfigError unless Phi (n x p) and Sigma (p x p) obey the size rule."""
+    if max(n, p) * p > MAX_ENTRIES:
+        raise ConfigError(f"{what} is too large: Phi (n x p) and Sigma (p x p) may hold "
+                          f"at most {MAX_ENTRIES} entries each")
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +402,22 @@ def resolve_sample_size(
     drawn at n, so without an explicit n the bound is iterated against the
     measured spectrum until it stabilizes.  Returns (realized n, bound n,
     lambda used, design): the design is the one drawn at (realized n, seed)
-    to measure lambda, or None when lambda has a closed form.
+    to measure lambda, or None when lambda has a closed form.  A bound that
+    overflows, or a derived n that breaks the size rule, is a ConfigError.
     """
     design = spec.design
     rule = DESIGNS[design.kind]
 
     def bound(lam: float) -> int:
-        return bound_fn(BoundInputs(spec.noise.sigma, margin, lam, design.p, spec.delta))
+        try:
+            return bound_fn(BoundInputs(spec.noise.sigma, margin, lam, design.p, spec.delta))
+        except OverflowError:
+            raise ConfigError("the sample-size bound overflows a float") from None
+
+    def derived(bound_n: int) -> int:
+        n = max(bound_n, design.p)
+        _check_size(n, design.p, "the sample size the bound derives")
+        return n
 
     def measured(n: int) -> tuple[float, FeatureSet]:
         fs = rule.draw(n, design.p, seed, design.alpha)
@@ -405,18 +426,18 @@ def resolve_sample_size(
     if rule.min_eig is not None:
         lam = rule.min_eig(design.alpha)
         bound_n = bound(lam)
-        n = design.n if design.n is not None else max(bound_n, design.p)
+        n = design.n if design.n is not None else derived(bound_n)
         return n, bound_n, lam, None
     if design.n is not None:
         lam, fs = measured(design.n)
         return design.n, bound(lam), lam, fs
-    n = max(bound(1.0), design.p)
+    n = derived(bound(1.0))
     for _ in range(16):
         lam, fs = measured(n)
         bound_n = bound(lam)
         if bound_n <= n:
             return n, bound_n, lam, fs
-        n = bound_n
+        n = derived(bound_n)
     raise ConfigError(f"sample size for the {design.kind} design did not stabilize")
 
 
@@ -493,7 +514,7 @@ class _RoundAudit:
 
     @classmethod
     def of(cls, problems: list[SparseProblem]) -> "_RoundAudit":
-        return cls(problems, np.stack([pr.features.covariance.entries for pr in problems]),
+        return cls(problems, np.stack([pr.covariance.entries for pr in problems]),
                    np.stack([pr.signal for pr in problems]))
 
 
@@ -527,6 +548,15 @@ def _audit_rounds(
     audit.residuals.append(chk.residual)
 
 
+def _recovery_problem(spec: ExperimentSpec, seed: int) -> SparseProblem:
+    """Trial `seed`'s recover problem at the n of its design or of the bound."""
+    # an explicit n needs no bound, so the design is drawn only by the problem
+    n, drawn = spec.design.n, None
+    if n is None:
+        n, _, _, drawn = resolve_sample_size(spec, seed, spec.signal.gamma, recovery_sample_size)
+    return _build_problem(spec, seed, n, drawn)
+
+
 def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | None]:
     """Run a range of trials as one IMP stack, audited round by round.
 
@@ -534,19 +564,11 @@ def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | No
     Every trial's wall_ms is the range's time over its length.
     """
     start = time.perf_counter()
-    problems = []
-    for t in trials:
-        seed = spec.base_seed + t
-        # an explicit n needs no bound, so the design is drawn only by the problem
-        n, drawn = spec.design.n, None
-        if n is None:
-            n, _, _, drawn = resolve_sample_size(spec, seed, spec.signal.gamma,
-                                                 recovery_sample_size)
-        problems.append(_build_problem(spec, seed, n, drawn))
+    problems = [_recovery_problem(spec, spec.base_seed + t) for t in trials]
     q = _prune_rounds(spec)
     audit = _RoundAudit.of(problems)
-    traces = run_imp([pr.features for pr in problems], _imp_config(spec, q),
-                     on_round=functools.partial(_audit_rounds, audit))
+    traces = run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]),
+                     _imp_config(spec, q), on_round=functools.partial(_audit_rounds, audit))
     round_eigs, round_residuals = np.array(audit.eigs).T, np.array(audit.residuals).T
     wall_ms = (time.perf_counter() - start) * 1e3 / len(trials)
 
@@ -560,7 +582,7 @@ def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | No
         records.append(TrialRecord(
             trial=t,
             seed=spec.base_seed + t,
-            n=problem.features.n,
+            n=problem.n,
             p=spec.design.p,
             k=spec.signal.k,
             gamma=spec.signal.gamma,
@@ -619,16 +641,18 @@ def run_support_recovery(spec: ExperimentSpec) -> RecoveryReport:
 
 @dataclass
 class HeuristicTrialRow:
+    """One row of heuristic_trials.csv; a quantity a trial does not measure is nan."""
+
     trial: int
     seed: int
-    full_match: bool
-    first_match: bool
-    degenerate: bool
-    excluded: bool
-    delta_pw: float
-    min_gap: float
-    gap_threshold: float
-    inverse_err: float
+    full_match: bool = False
+    first_match: bool = False
+    degenerate: bool = False
+    excluded: bool = False
+    delta_pw: float = math.nan
+    min_gap: float = math.nan
+    gap_threshold: float = math.nan
+    inverse_err: float = math.nan
 
 
 @dataclass
@@ -672,8 +696,9 @@ def uniform_corr_separation_margin(scores: np.ndarray, alpha: float) -> float:
 def _heuristic_trials(spec: ExperimentSpec, trials: range) -> list[HeuristicTrialRow]:
     """Evaluate a range of orthonormal or uniform_corr heuristic trials.
 
-    Trial t draws its design and targets from seed base_seed + t; the
-    non-degenerate trials of the range rank their coordinates as one IMP
+    Trial t draws its design and targets from seed base_seed + t and keeps
+    xty = Phi^T y for its gap screens, its alignment order and b = xty / n;
+    the non-degenerate trials of the range rank their coordinates as one IMP
     stack.
     """
     design = spec.design
@@ -682,46 +707,29 @@ def _heuristic_trials(spec: ExperimentSpec, trials: range) -> list[HeuristicTria
     for trial in trials:
         seed = spec.base_seed + trial
         fs = DESIGNS[design.kind].draw(n, design.p, seed, design.alpha)
-        inverse_err = float("nan")
+        row = HeuristicTrialRow(trial, seed)
         if design.kind == "uniform_corr":
             sig = fs.covariance.entries
             inv = np.linalg.solve(sig, np.eye(design.p))
-            inverse_err = float(np.max(np.abs(sig @ inv - np.eye(design.p))))
-        y = make_rng(seed, STREAM_TARGETS).standard_normal(n)
-        fs = fs.with_targets(y)
-
-        scores = fs.phi.T @ y
-        mags = np.sort(np.abs(scores))
-        min_gap = float(np.min(np.diff(mags))) if design.p > 1 else float("inf")
-        degenerate = min_gap < spec.tie_tol
-
-        excluded = False
-        if design.kind == "uniform_corr" and spec.separation_screen and not degenerate:
-            margin = uniform_corr_separation_margin(scores, design.alpha)
-            excluded = margin <= spec.tie_tol
-            min_gap = margin
-
-        if not degenerate:
-            ranked.append((len(rows), fs))
-        rows.append(HeuristicTrialRow(
-            trial=trial,
-            seed=seed,
-            full_match=False,
-            first_match=False,
-            degenerate=degenerate,
-            excluded=excluded,
-            delta_pw=float("nan"),
-            min_gap=min_gap,
-            gap_threshold=float("nan"),
-            inverse_err=inverse_err,
-        ))
+            row.inverse_err = float(np.max(np.abs(sig @ inv - np.eye(design.p))))
+        xty = fs.phi.T @ make_rng(seed, STREAM_TARGETS).standard_normal(n)
+        mags = np.sort(np.abs(xty))
+        row.min_gap = float(np.min(np.diff(mags))) if design.p > 1 else float("inf")
+        row.degenerate = row.min_gap < spec.tie_tol
+        if design.kind == "uniform_corr" and spec.separation_screen and not row.degenerate:
+            row.min_gap = uniform_corr_separation_margin(xty, design.alpha)
+            row.excluded = row.min_gap <= spec.tie_tol
+        if not row.degenerate:
+            ranked.append((row, fs.covariance, xty))
+        rows.append(row)
     if ranked:
-        orders = imp_prune_order([fs for _, fs in ranked],
+        orders = imp_prune_order([cov for _, cov, _ in ranked],
+                                 np.stack([xty / n for _, _, xty in ranked]),
                                  ImpConfig(tie_break=spec.imp.tie_break))
-        for (i, fs), order_imp in zip(ranked, orders):
-            order_align = alignment_order(fs)
-            rows[i] = replace(rows[i], full_match=bool(np.array_equal(order_imp, order_align)),
-                              first_match=bool(order_imp[0] == order_align[0]))
+        for (row, _, xty), order_imp in zip(ranked, orders):
+            order_align = alignment_order(xty)
+            row.full_match = bool(np.array_equal(order_imp, order_align))
+            row.first_match = bool(order_imp[0] == order_align[0])
     return rows
 
 
@@ -737,30 +745,20 @@ def _incoherent_attempt(spec: ExperimentSpec, attempt: int) -> HeuristicTrialRow
     n, p = spec.design.n, spec.design.p
     seed = spec.base_seed + attempt
     fs, delta_pw = gen_incoherent_design(n, p, seed)
-    y = make_rng(seed, STREAM_TARGETS).standard_normal(n)
-    fs = fs.with_targets(y)
-    scores = np.abs(fs.phi.T @ y)
-    order = np.argsort(scores, kind="stable")
+    xty = fs.phi.T @ make_rng(seed, STREAM_TARGETS).standard_normal(n)
+    scores, order = np.abs(xty), alignment_order(xty)
     first_gap = float(scores[order[1]] - scores[order[0]]) if p > 1 else float("inf")
     threshold = 10.0 * p * delta_pw * float(np.max(scores))
     degenerate = first_gap < spec.tie_tol
     qualifies = (not degenerate) and delta_pw <= 1.0 / (10.0 * p) and first_gap > threshold
     first_match = False
     if qualifies:
-        [trace] = run_imp([fs], ImpConfig(prune_rounds=0, tie_break=spec.imp.tie_break))
+        [trace] = run_imp([fs.covariance], (xty / n)[None],
+                          ImpConfig(prune_rounds=0, tie_break=spec.imp.tie_break))
         first_match = bool(trace.rounds[0].pruned[0] == order[0])
-    return HeuristicTrialRow(
-        trial=attempt,
-        seed=seed,
-        full_match=False,
-        first_match=first_match,
-        degenerate=degenerate,
-        excluded=not qualifies,
-        delta_pw=delta_pw,
-        min_gap=first_gap,
-        gap_threshold=threshold,
-        inverse_err=float("nan"),
-    )
+    return HeuristicTrialRow(attempt, seed, first_match=first_match, degenerate=degenerate,
+                             excluded=not qualifies, delta_pw=delta_pw, min_gap=first_gap,
+                             gap_threshold=threshold)
 
 
 def _heuristic_incoherent(spec: ExperimentSpec) -> list[HeuristicTrialRow]:
@@ -851,6 +849,20 @@ def _support_f1(estimated: set[int], truth: set[int]) -> float:
     return 2.0 * inter / denom if denom else 1.0
 
 
+def _noise_sweep(
+    spec: ExperimentSpec, seed: int, n: int, sweep: tuple[ExperimentSpec, ...],
+    features: FeatureSet | None, tau: float,
+) -> list[tuple[SparseProblem, np.ndarray]]:
+    """Trial `seed`'s problem and hard-thresholding estimate under each spec
+    of the noise sweep: one design, drawn here unless given, is handed to
+    every build, and one pseudo-inverse of its covariance serves every estimate."""
+    design = spec.design
+    features = features or DESIGNS[design.kind].draw(n, design.p, seed, design.alpha)
+    pinv = pseudo_inverse(sym_eig(features.covariance))
+    problems = (_build_problem(noisy, seed, n, features) for noisy in sweep)
+    return [(problem, ht_estimator(problem.b, tau, pinv)) for problem in problems]
+
+
 def _baseline_trial(
     spec: ExperimentSpec, trials: range, n: int, sweep: tuple[ExperimentSpec, ...],
     first: FeatureSet | None,
@@ -858,25 +870,20 @@ def _baseline_trial(
     """For each trial of the range and each spec of the noise sweep,
     (exact support recovered, support F1) of each method.
 
-    A trial's design is drawn once for the whole sweep, and trial 0 takes
-    `first` if sizing n already drew it; each noise setting draws its own
-    noise.  Hard thresholding uses one pseudo-inverse of Sigma per trial,
-    and IHT and IMP each run the range's (trial, sigma) cells as one stack.
+    Trial 0 takes `first` as its design if sizing n already drew it.  The
+    range keeps only the (trial, sigma) problems, and IHT and IMP each run
+    them as one stack on one b stack; the sigma cells of a trial share one
+    CovMatrix, so IMP factorizes it once for all of them.
     """
     threshold = _baseline(spec)[2]
     cells = []
     for t in trials:
-        features, pinv = (first if t == 0 else None), None
-        for noisy in sweep:
-            problem = _build_problem(noisy, spec.base_seed + t, n, features)
-            features = problem.features
-            if pinv is None:
-                pinv = pseudo_inverse(sym_eig(features.covariance))
-            cells.append((problem, ht_estimator(features, threshold.tau, pinv)))
-    stack = [problem.features for problem, _ in cells]
-    fit = iht(np.stack([fs.covariance.entries for fs in stack]),
-              np.stack([fs.phi.T @ fs.targets / fs.n for fs in stack]), threshold)
-    traces = run_imp(stack, _imp_config(spec, _prune_rounds(spec)))
+        cells += _noise_sweep(spec, spec.base_seed + t, n, sweep, first if t == 0 else None,
+                              threshold.tau)
+    b = np.stack([problem.b for problem, _ in cells])
+    fit = iht(np.stack([problem.covariance.entries for problem, _ in cells]), b, threshold)
+    traces = run_imp([problem.covariance for problem, _ in cells], b,
+                     _imp_config(spec, _prune_rounds(spec)))
     outcomes = []
     for (problem, ht), trace, s_iht in zip(cells, traces, fit.estimate):
         truth = set(problem.support)
@@ -965,15 +972,7 @@ def run_concentration_check(spec: ExperimentSpec) -> ConcentrationReport:
         summary=summary, n=n, bound_n=bound_n, lambda_min_nz=lam, epsilon=epsilon
     )
     if spec.out_dir:
-        payload = {
-            "kind": spec.kind,
-            "n": report.n,
-            "bound_n": report.bound_n,
-            "lambda_min_nz": report.lambda_min_nz,
-            "epsilon": report.epsilon,
-            "summary": asdict(report.summary),
-        }
-        _write_json(Path(spec.out_dir) / "summary.json", payload)
+        _write_json(Path(spec.out_dir) / "summary.json", {"kind": spec.kind, **asdict(report)})
     return report
 
 

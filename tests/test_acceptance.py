@@ -72,9 +72,10 @@ def test_criterion_1_gradient_flow_oracle_equivalence():
     for _ in range(100):
         n = int(rng.integers(2, 21))
         m = int(rng.integers(1, 13))
-        fs = FeatureSet.from_phi(rng.standard_normal((n, m)), rng.standard_normal(n))
+        fs = FeatureSet.from_phi(rng.standard_normal((n, m)))
+        y = rng.standard_normal(n)
         w0 = rng.standard_normal(m)
-        cov, b = fs.covariance, fs.phi.T @ fs.targets / n
+        cov, b = fs.covariance, fs.phi.T @ y / n
         eig = sym_eig(cov)
         for horizon in (0.1, 1.0, 10.0):
             exact = closed_form_weights(eig, b, w0, horizon)
@@ -224,11 +225,10 @@ def test_criterion_7_sparsity_guarantee(recovery_1000):
         q = int(rng.integers(0, p // per_round))
         phi = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
-        from implinear.designs import FeatureSet
 
         horizon = float(rng.uniform(0.5, 5.0)) if rng.random() < 0.5 else float("inf")
         [trace] = run_imp(
-            [FeatureSet.from_phi(phi, y)],
+            [FeatureSet.from_phi(phi).covariance], (phi.T @ y / n)[None],
             ImpConfig(horizon=horizon, prune_rounds=q, per_round=per_round),
         )
         zeros = int(np.sum(trace.final_weights == 0.0))

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,35 +16,47 @@ from implinear.baselines import (
 )
 from implinear.designs import FeatureSet, gen_orthonormal_design, gen_sparse_signal, make_rng
 from implinear.engine import ImpConfig, run_imp
-from implinear.linalg import pseudo_inverse, sym_eig
+from implinear.linalg import CovMatrix, pseudo_inverse, sym_eig
 
 
-def features_with_scores(scores):
-    """Identity design whose alignment scores are exactly `scores`."""
-    y = np.asarray(scores, dtype=float)
-    return FeatureSet.from_phi(np.eye(len(y)), y)
+class Data(NamedTuple):
+    """A design and its targets, with the normal equations (Sigma, b) the
+    estimators read."""
+
+    phi: np.ndarray
+    targets: np.ndarray
+    covariance: CovMatrix
+    b: np.ndarray
+
+    @property
+    def n(self):
+        return self.phi.shape[0]
+
+
+def with_targets(fs, y):
+    y = np.asarray(y, dtype=float)
+    return Data(fs.phi, y, fs.covariance, fs.phi.T @ y / fs.n)
+
+
+def from_phi(phi, y):
+    return with_targets(FeatureSet.from_phi(phi), y)
 
 
 class TestAlignmentOrder:
     def test_sorts_by_magnitude(self):
-        fs = features_with_scores([0.5, -2.0, 1.0])
-        assert list(alignment_order(fs)) == [0, 2, 1]
+        assert list(alignment_order(np.array([0.5, -2.0, 1.0]))) == [0, 2, 1]
 
     def test_all_equal_scores_tie_to_lowest_index(self):
-        fs = features_with_scores([1.0, 1.0, 1.0, 1.0])
-        assert list(alignment_order(fs)) == [0, 1, 2, 3]
+        assert list(alignment_order(np.ones(4))) == [0, 1, 2, 3]
 
     def test_zero_targets(self):
-        fs = FeatureSet.from_phi(np.eye(3), np.zeros(3))
-        assert list(alignment_order(fs)) == [0, 1, 2]
+        assert list(alignment_order(np.zeros(3))) == [0, 1, 2]
 
     def test_invariant_under_positive_rescaling(self):
         rng = make_rng(50)
         phi = rng.standard_normal((10, 6))
         y = rng.standard_normal(10)
-        a = alignment_order(FeatureSet.from_phi(phi, y))
-        b = alignment_order(FeatureSet.from_phi(phi, 7.5 * y))
-        assert np.array_equal(a, b)
+        assert np.array_equal(alignment_order(phi.T @ y), alignment_order(phi.T @ (7.5 * y)))
 
 
 class TestHardThreshold:
@@ -76,29 +90,29 @@ class TestHtEstimator:
     def test_orthonormal_noiseless_exact(self):
         fs = gen_orthonormal_design(20, 8, seed=77)
         s, _ = gen_sparse_signal(8, 3, gamma=1.0, amplitude_law="uniform", seed=78)
-        fs = fs.with_targets(fs.phi @ s)
-        est = ht_estimator(fs, tau=0.5, pinv=sigma_pinv(fs))
+        fs = with_targets(fs, fs.phi @ s)
+        est = ht_estimator(fs.b, tau=0.5, pinv=sigma_pinv(fs))
         assert np.allclose(est, s, atol=1e-10)
 
     def test_huge_tau_returns_zero(self):
         fs = gen_orthonormal_design(12, 5, seed=79)
-        fs = fs.with_targets(make_rng(80).standard_normal(12))
+        fs = with_targets(fs, make_rng(80).standard_normal(12))
         big = 1.0 + np.max(np.abs(fs.phi.T @ fs.targets))
-        assert np.array_equal(ht_estimator(fs, tau=big, pinv=sigma_pinv(fs)), np.zeros(5))
+        assert np.array_equal(ht_estimator(fs.b, tau=big, pinv=sigma_pinv(fs)), np.zeros(5))
 
     def test_tau_zero_is_least_squares(self):
         rng = make_rng(81)
         phi = rng.standard_normal((15, 6))
         y = rng.standard_normal(15)
-        fs = FeatureSet.from_phi(phi, y)
+        fs = from_phi(phi, y)
         ls, *_ = np.linalg.lstsq(phi, y, rcond=None)
-        assert np.allclose(ht_estimator(fs, tau=0.0, pinv=sigma_pinv(fs)), ls, atol=1e-8)
+        assert np.allclose(ht_estimator(fs.b, tau=0.0, pinv=sigma_pinv(fs)), ls, atol=1e-8)
 
 
 def normal_equations(*features):
     """The (T, p, p) covariance and (T, p) Phi^T y / n stacks of the runs."""
     return (np.stack([fs.covariance.entries for fs in features]),
-            np.stack([fs.phi.T @ fs.targets / fs.n for fs in features]))
+            np.stack([fs.b for fs in features]))
 
 
 def iht_one(fs, config):
@@ -110,7 +124,7 @@ def iht_one(fs, config):
 def iht_phi(fs, config):
     """Oracle: the serial loop on Phi itself, s <- H_tau(s + (eta/n) Phi^T (y - Phi s))."""
     y, phi = fs.targets, fs.phi
-    s = np.zeros(fs.p)
+    s = np.zeros(phi.shape[1])
     for it in range(1, config.max_iters + 1):
         s_new = hard_threshold(s + config.eta / fs.n * (phi.T @ (y - phi @ s)), config.tau)
         if np.max(np.abs(s_new)) > DIVERGENCE_LIMIT:
@@ -140,7 +154,7 @@ def noisy_design(rng, n, p, k, scale=1.0):
     phi = rng.standard_normal((n, p)) * scale
     s = np.zeros(p)
     s[rng.choice(p, size=k, replace=False)] = rng.choice([-1.0, 1.0], size=k) * (1 + rng.random(k))
-    return FeatureSet.from_phi(phi, phi @ s + 0.3 * rng.standard_normal(n))
+    return from_phi(phi, phi @ s + 0.3 * rng.standard_normal(n))
 
 
 def scaled_orthonormal(scales, signal, seed, n=30):
@@ -148,7 +162,7 @@ def scaled_orthonormal(scales, signal, seed, n=30):
     noiseless targets of `signal`."""
     fs = gen_orthonormal_design(n, len(signal), seed=seed)
     phi = fs.phi * scales
-    return FeatureSet.from_phi(phi, phi @ signal)
+    return from_phi(phi, phi @ signal)
 
 
 class TestIht:
@@ -158,7 +172,7 @@ class TestIht:
         q, _ = np.linalg.qr(rng.standard_normal((14, 6)))
         s = np.zeros(6)
         s[[1, 4]] = [1.5, -2.0]
-        fs = FeatureSet.from_phi(q, q @ s)
+        fs = from_phi(q, q @ s)
         estimate, iters, converged = iht_one(fs, ThresholdConfig(tau=0.5, eta=14.0))
         assert converged and iters <= 2
         assert np.allclose(estimate, s, atol=1e-12)
@@ -166,7 +180,7 @@ class TestIht:
         assert np.allclose(estimate, first, atol=1e-12)
 
     def test_zero_targets(self):
-        fs = FeatureSet.from_phi(np.eye(4), np.zeros(4))
+        fs = from_phi(np.eye(4), np.zeros(4))
         estimate, _, converged = iht_one(fs, ThresholdConfig(tau=0.1, eta=2.0))
         assert converged
         assert np.array_equal(estimate, np.zeros(4))
@@ -175,7 +189,7 @@ class TestIht:
         # Sigma = I with eta = n = 20 oscillates with ratio n - 1 > 1
         fs = gen_orthonormal_design(20, 4, seed=84)
         s, _ = gen_sparse_signal(4, 2, gamma=1.0, amplitude_law="constant", seed=85)
-        fs = fs.with_targets(fs.phi @ s)
+        fs = with_targets(fs, fs.phi @ s)
         with pytest.raises(IhtDivergenceError, match="step size"):
             iht_one(fs, ThresholdConfig(tau=0.5, eta=20.0))
 
@@ -183,7 +197,7 @@ class TestIht:
         # eta = 1 is the gradient-flow-matched step for the same design
         fs = gen_orthonormal_design(20, 4, seed=84)
         s, _ = gen_sparse_signal(4, 2, gamma=1.0, amplitude_law="constant", seed=85)
-        fs = fs.with_targets(fs.phi @ s)
+        fs = with_targets(fs, fs.phi @ s)
         estimate, _, converged = iht_one(fs, ThresholdConfig(tau=0.5, eta=1.0))
         assert converged
         assert np.allclose(estimate, s, atol=1e-9)
@@ -192,7 +206,7 @@ class TestIht:
         rng = make_rng(86)
         phi = rng.standard_normal((18, 8)) / 4.0
         y = rng.standard_normal(18)
-        fs = FeatureSet.from_phi(phi, y)
+        fs = from_phi(phi, y)
         estimate, _, _ = iht_one(fs, ThresholdConfig(tau=0.3, eta=0.9, max_iters=50))
         assert np.all(np.abs(estimate[estimate != 0.0]) > 0.3)
 
@@ -243,9 +257,9 @@ class TestIhtStackMatchesPhiLoop:
     def test_one_diverging_run_raises_for_the_stack(self):
         good = gen_orthonormal_design(20, 4, seed=84)
         s, _ = gen_sparse_signal(4, 2, gamma=1.0, amplitude_law="constant", seed=85)
-        good = good.with_targets(good.phi @ s)
+        good = with_targets(good, good.phi @ s)
         # Sigma = 9 I at eta = 1 multiplies the iterate by -8 each step
-        bad = FeatureSet.from_phi(3.0 * good.phi, good.targets)
+        bad = from_phi(3.0 * good.phi, good.targets)
         config = ThresholdConfig(tau=0.5, eta=1.0)
         with pytest.raises(IhtDivergenceError) as oracle:
             iht_phi(bad, config)
@@ -265,12 +279,12 @@ class TestMethodAgreement:
             fs = gen_orthonormal_design(n, p, seed=900 + seed)
             s, support = gen_sparse_signal(p, k, gamma=1.0, amplitude_law="uniform",
                                            seed=950 + seed)
-            fs = fs.with_targets(fs.phi @ s)
+            fs = with_targets(fs, fs.phi @ s)
             truth = set(int(i) for i in support)
 
-            trace = run_imp([fs], ImpConfig(prune_rounds=p - k))[0]
+            trace = run_imp([fs.covariance], fs.b[None], ImpConfig(prune_rounds=p - k))[0]
             imp_support = set(np.flatnonzero(trace.final_weights != 0.0).tolist())
-            ht_estimate = ht_estimator(fs, tau=0.5, pinv=sigma_pinv(fs))
+            ht_estimate = ht_estimator(fs.b, tau=0.5, pinv=sigma_pinv(fs))
             ht_support = set(np.flatnonzero(ht_estimate != 0.0).tolist())
             iht_estimate, _, _ = iht_one(fs, ThresholdConfig(tau=0.5, eta=1.0))
             iht_support = set(np.flatnonzero(iht_estimate != 0.0).tolist())

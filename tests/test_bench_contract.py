@@ -3,18 +3,21 @@
 Renaming or moving a wrapped function (`_audit_rounds`, `check_recoverable`,
 `_cone_generators`, `closed_form_weights`, ...) breaks traced benchmark runs;
 installing the tracer here makes that fail the test suite instead.  Small
-traced `recover` and `heuristic` runs check that the spans the per-layer
-metrics read still fire where they look for them, so a name that stays bound
-but is no longer called, or is called from elsewhere, fails here too.
+traced `recover`, `heuristic` and `baselines` runs check that the spans the
+per-layer metrics read still fire where they look for them, so a name that
+stays bound but is no longer called, or is called from elsewhere, fails here
+too.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from implinear.cli import main
 from implinear.harness import run_heuristic_equivalence, run_support_recovery, spec_from_dict
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -101,3 +104,56 @@ def test_traced_incoherent_heuristic_draws_under_its_span(monkeypatch):
     assert all(parents.get(s.parent) == "harness.heuristic" for s in draws)
     windows, _ = tracing.trial_windows(tracer.spans, "heuristic")
     assert len(windows) == report.attempts
+
+
+def traced(monkeypatch, tmp_path, command, doc):
+    """The tracing module, the exit code and the spans of a traced CLI run of
+    `doc`, with its outputs in tmp_path / "out"."""
+    tracing = load_tracing(monkeypatch)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    return tracing, code, tracer.spans
+
+
+def test_traced_baselines_sweep_fires_every_metric_span(monkeypatch, tmp_path):
+    """One window per (trial, sigma) cell, and every baselines metric span fires."""
+    tracing, code, spans = traced(monkeypatch, tmp_path, "baselines", {
+        "kind": "baseline_comparison",
+        "design": {"kind": "incoherent", "p": 10},
+        "signal": {"k": 2, "gamma": 0.5},
+        "noise": {"kind": "gaussian", "sigma": 0.5},
+        "baseline": {"eta": 0.5, "sigmas": [0.25, 0.5, 1.0]},
+        "trials": 4,
+        "base_seed": 7,
+    })
+    assert code == 0
+    parents = {s.id: s.name for s in spans}
+    count = {name: sum(s.name == name for s in spans) for name in (
+        "harness.build_problem", "designs.assemble_problem", "baselines.ht_estimator",
+        "baselines.iht", "engine.run_imp")}
+    assert count == {"harness.build_problem": 12, "designs.assemble_problem": 12,
+                     "baselines.ht_estimator": 12, "baselines.iht": 1, "engine.run_imp": 1}
+    assert all(parents[s.parent] == "harness.build_problem"
+               for s in spans if s.name == "designs.assemble_problem")
+    windows, _ = tracing.trial_windows(spans, "baselines")
+    assert len(windows) == 4 * 3
+
+
+def test_traced_orthonormal_heuristic_fires_the_ranking_spans(monkeypatch, tmp_path):
+    _, code, spans = traced(monkeypatch, tmp_path, "heuristic", {
+        "kind": "heuristic_equivalence",
+        "design": {"kind": "orthonormal", "p": 6},
+        "trials": 5,
+        "base_seed": 3,
+    })
+    summary = json.loads((tmp_path / "out" / "heuristic_summary.json").read_text())
+    assert code == 0 and summary["qualifying"] == 5
+    names = [s.name for s in spans]
+    assert names.count("engine.imp_prune_order") == 1  # one range, one stack
+    assert names.count("baselines.alignment_order") == 5

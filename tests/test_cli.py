@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import json
 import math
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import implinear
+from implinear import designs
 from implinear.cli import main
 
 
@@ -258,6 +260,33 @@ def test_bad_config_exits_2(tmp_path, capsys, case):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+
+
+# Sizes past the size rule, given or derived from the bound, on recovery_doc's
+# orthonormal p=10 config: (dotted field, value, fragment of the error).
+OVERSIZED = {
+    "p-huge": ("design.p", 10**400, "the design is too large"),
+    "n-huge": ("design.n", 10**400, "the design is too large"),
+    "sigma-overflows-the-bound": ("noise.sigma", 1e300, "sample-size bound overflows"),
+    "sigma-derives-a-huge-n": ("noise.sigma", 1e100,
+                               "the sample size the bound derives is too large"),
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZED)
+def test_oversized_size_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized run drew a design or opened a pool")
+
+    for name in ("gen_orthonormal_design", "gen_uniform_corr_design", "gen_incoherent_design"):
+        monkeypatch.setattr(designs, name, refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    path, value, message = OVERSIZED[case]
+    cfg = write_config(tmp_path, edited(recovery_doc(), path, value))
+    assert main(["recover", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err

@@ -23,15 +23,12 @@ class TestFeatureSet:
         fs = FeatureSet.from_phi(phi)
         assert np.max(np.abs(fs.covariance.entries - phi.T @ phi / 9.0)) <= 1e-10
 
-    def test_targets_length_checked(self):
-        with pytest.raises(ValueError, match="targets"):
-            FeatureSet.from_phi(np.eye(3), np.zeros(4))
-        with pytest.raises(ValueError, match="targets"):
-            FeatureSet.from_phi(np.eye(3)).with_targets(np.zeros(2))
-
-    def test_require_targets(self):
-        with pytest.raises(ValueError, match="no targets"):
-            FeatureSet.from_phi(np.eye(2)).require_targets()
+    def test_phi_shape_checked(self):
+        with pytest.raises(ValueError, match="phi must be n x p"):
+            FeatureSet.from_phi(np.zeros(3))
+        with pytest.raises(ValueError, match="features must be 12 x 5"):
+            assemble_problem("orthonormal", n=12, p=5, k=2, gamma=1.0, seed=23,
+                             features=FeatureSet.from_phi(np.eye(5)))
 
 
 class TestOrthonormalDesign:
@@ -169,7 +166,8 @@ class TestAssembleProblem:
     def test_noiseless_targets_exact(self):
         prob = assemble_problem("orthonormal", n=12, p=5, k=2, gamma=1.0, seed=23,
                                 sigma=0.0)
-        assert np.array_equal(prob.features.targets, prob.features.phi @ prob.signal)
+        phi = gen_orthonormal_design(12, 5, seed=23).phi
+        assert np.array_equal(prob.b, phi.T @ (phi @ prob.signal) / 12)
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -179,8 +177,8 @@ class TestAssembleProblem:
         kwargs = dict(n=20, p=6, k=3, gamma=0.5, seed=25, noise_kind="uniform", sigma=0.3)
         a = assemble_problem("incoherent", **kwargs)
         b = assemble_problem("incoherent", **kwargs)
-        assert np.array_equal(a.features.phi, b.features.phi)
-        assert np.array_equal(a.features.targets, b.features.targets)
+        assert np.array_equal(a.covariance.entries, b.covariance.entries)
+        assert np.array_equal(a.b, b.b)
         assert a.support == b.support
 
     def test_uniform_corr_requires_alpha(self):

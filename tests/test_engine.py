@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,46 +25,73 @@ from implinear.engine import (
     trace_to_dict,
 )
 from implinear.flow import INFINITE, closed_form_weights, is_infinite
-from implinear.linalg import SymEig, sym_eig
+from implinear.linalg import CovMatrix, SymEig, sym_eig
+
+
+class Data(NamedTuple):
+    """A design and its targets, with the normal equations (Sigma, b) IMP reads."""
+
+    phi: np.ndarray
+    targets: np.ndarray
+    covariance: CovMatrix
+    b: np.ndarray
+
+
+def with_targets(fs, y):
+    y = np.asarray(y, dtype=float)
+    return Data(fs.phi, y, fs.covariance, fs.phi.T @ y / fs.n)
+
+
+def from_phi(phi, y):
+    return with_targets(FeatureSet.from_phi(phi), y)
+
+
+def run(stack, config, on_round=None):
+    """run_imp on the normal equations of a stack of Data."""
+    return run_imp([d.covariance for d in stack], np.stack([d.b for d in stack]), config,
+                   on_round)
+
+
+def prune_order(stack, config=None):
+    return imp_prune_order([d.covariance for d in stack], np.stack([d.b for d in stack]), config)
 
 
 def identity_features(y=(3.0, -1.0, 2.0)):
-    y = np.asarray(y, dtype=float)
-    return FeatureSet.from_phi(np.eye(len(y)), y)
+    return from_phi(np.eye(len(y)), y)
 
 
 def random_features(seed, n=12, p=6):
     rng = make_rng(seed)
     phi = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
-    return FeatureSet.from_phi(phi, y)
+    return from_phi(phi, y)
 
 
 class TestRunImp:
     def test_per_round_prunes_a_block(self):
         # w = y on the identity design: |0.5| and |-1| go first, then |2|, |3|
-        [trace] = run_imp([identity_features((3.0, -1.0, 2.0, 0.5))],
+        [trace] = run([identity_features((3.0, -1.0, 2.0, 0.5))],
                           ImpConfig(prune_rounds=1, per_round=2))
         assert trace.prune_order == (3, 1, 2, 0)
         assert list(np.flatnonzero(trace.rounds[1].active)) == [0, 2]
 
     def test_identity_example(self):
         # round 0 trains to w = y, so |−1| then |2| are the successive minima
-        trace = run_imp([identity_features()], ImpConfig(prune_rounds=2))[0]
+        trace = run([identity_features()], ImpConfig(prune_rounds=2))[0]
         assert trace.prune_order[:2] == (1, 2)
         assert trace.prune_order == (1, 2, 0)
         assert np.allclose(trace.final_weights, [3.0, 0.0, 0.0], atol=1e-12)
 
     def test_each_round_restricted_least_squares(self):
         # hand-solve the restricted problems of the identity example
-        trace = run_imp([identity_features()], ImpConfig(prune_rounds=2))[0]
+        trace = run([identity_features()], ImpConfig(prune_rounds=2))[0]
         assert np.allclose(trace.rounds[0].weights, [3.0, -1.0, 2.0], atol=1e-12)
         assert np.allclose(trace.rounds[1].weights, [3.0, 0.0, 2.0], atol=1e-12)
         assert np.allclose(trace.rounds[2].weights, [3.0, 0.0, 0.0], atol=1e-12)
 
     def test_q_zero_dense_solution(self):
         fs = random_features(31)
-        trace = run_imp([fs], ImpConfig(prune_rounds=0))[0]
+        trace = run([fs], ImpConfig(prune_rounds=0))[0]
         dense, *_ = np.linalg.lstsq(fs.phi, fs.targets, rcond=None)
         assert np.allclose(trace.final_weights, dense, atol=1e-8)
         assert len(trace.prune_order) == 1  # the loop body still prunes once
@@ -71,7 +99,7 @@ class TestRunImp:
     def test_final_round_matches_direct_solve(self):
         # full-rank covariance: the active weights equal the normal-equation solve
         fs = random_features(32, n=30, p=8)
-        trace = run_imp([fs], ImpConfig(prune_rounds=4))[0]
+        trace = run([fs], ImpConfig(prune_rounds=4))[0]
         active = np.flatnonzero(trace.rounds[-1].active)
         phi_a = fs.phi[:, active]
         direct = np.linalg.solve(phi_a.T @ phi_a, phi_a.T @ fs.targets)
@@ -79,7 +107,7 @@ class TestRunImp:
 
     def test_inactive_coordinates_exactly_zero(self):
         fs = random_features(33, n=20, p=10)
-        trace = run_imp([fs], ImpConfig(prune_rounds=6))[0]
+        trace = run([fs], ImpConfig(prune_rounds=6))[0]
         for k, rec in enumerate(trace.rounds):
             assert np.all(rec.weights[~rec.active] == 0.0)
             assert np.count_nonzero(~rec.active) == k
@@ -88,12 +116,12 @@ class TestRunImp:
         for seed in range(5):
             fs = random_features(40 + seed, n=18, p=9)
             q = 5
-            trace = run_imp([fs], ImpConfig(prune_rounds=q))[0]
+            trace = run([fs], ImpConfig(prune_rounds=q))[0]
             assert int(np.sum(trace.final_weights == 0.0)) >= q
 
     def test_prune_choice_is_minimal(self):
         fs = random_features(34, n=25, p=12)
-        trace = run_imp([fs], ImpConfig(prune_rounds=8))[0]
+        trace = run([fs], ImpConfig(prune_rounds=8))[0]
         for rec in trace.rounds:
             survivors = rec.active.copy()
             survivors[list(rec.pruned)] = False
@@ -110,7 +138,7 @@ class TestRunImp:
         for n in (200, 40):  # nonsingular, then n < p
             fs = design_features("incoherent", n, None, seed=35)
             config = ImpConfig(prune_rounds=30, w_init=w_init, horizon=2.0)
-            trace = run_imp([fs], config)[0]
+            trace = run([fs], config)[0]
             oracle = oracle_imp(fs, config)
             assert len(trace.rounds) == len(oracle)
             for rec, (idx, w, pruned, _) in zip(trace.rounds, oracle):
@@ -120,8 +148,8 @@ class TestRunImp:
 
     def test_determinism_bit_identical(self):
         fs = random_features(36, n=22, p=10)
-        t1 = run_imp([fs], ImpConfig(prune_rounds=7))[0]
-        t2 = run_imp([fs], ImpConfig(prune_rounds=7))[0]
+        t1 = run([fs], ImpConfig(prune_rounds=7))[0]
+        t2 = run([fs], ImpConfig(prune_rounds=7))[0]
         assert t1.prune_order == t2.prune_order
         assert np.array_equal(t1.final_weights, t2.final_weights)
         for r1, r2 in zip(t1.rounds, t2.rounds):
@@ -129,43 +157,46 @@ class TestRunImp:
 
     def test_per_round_batch_pruning(self):
         fs = random_features(37, n=20, p=9)
-        trace = run_imp([fs], ImpConfig(prune_rounds=2, per_round=3))[0]
+        trace = run([fs], ImpConfig(prune_rounds=2, per_round=3))[0]
         assert all(len(rec.pruned) == 3 for rec in trace.rounds)
         assert int(np.sum(trace.final_weights == 0.0)) >= 6
 
     def test_per_round_budget_enforced(self):
         fs = random_features(38, n=10, p=5)
         with pytest.raises(ValueError, match="exceeds p"):
-            run_imp([fs], ImpConfig(prune_rounds=2, per_round=2))
+            run([fs], ImpConfig(prune_rounds=2, per_round=2))
 
     def test_tie_break_rules(self):
         fs = identity_features([2.0, -2.0, 5.0])
-        low = run_imp([fs], ImpConfig(prune_rounds=0))[0]
+        low = run([fs], ImpConfig(prune_rounds=0))[0]
         assert low.rounds[0].pruned == (0,)
-        high = run_imp([fs], ImpConfig(prune_rounds=0, tie_break="highest_index"))[0]
+        high = run([fs], ImpConfig(prune_rounds=0, tie_break="highest_index"))[0]
         assert high.rounds[0].pruned == (1,)
 
     def test_unknown_tie_break_rejected(self):
         with pytest.raises(ValueError, match="tie_break"):
             ImpConfig(tie_break="coin_flip")
 
-    def test_missing_targets_rejected(self):
-        fs = FeatureSet.from_phi(np.eye(3))
-        with pytest.raises(ValueError, match="targets"):
-            run_imp([fs], ImpConfig())
+    def test_b_shape_checked(self):
+        fs = identity_features()
+        with pytest.raises(ValueError, match="b of shape"):
+            run_imp([fs.covariance], fs.b, ImpConfig())
+        with pytest.raises(ValueError, match="b of shape"):
+            run_imp([fs.covariance, from_phi(np.eye(2), [1.0, 2.0]).covariance],
+                    np.stack([fs.b, fs.b]), ImpConfig())
 
     def test_w_init_length_checked(self):
         with pytest.raises(ValueError, match="w_init"):
-            run_imp([identity_features()], ImpConfig(w_init=np.zeros(2)))
+            run([identity_features()], ImpConfig(w_init=np.zeros(2)))
 
 
 class TestPruneOrder:
     def test_identity_full_ranking(self):
-        assert imp_prune_order([identity_features()]).tolist() == [[1, 2, 0]]
+        assert prune_order([identity_features()]).tolist() == [[1, 2, 0]]
 
     def test_single_coordinate(self):
-        fs = FeatureSet.from_phi(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]))
-        assert imp_prune_order([fs]).tolist() == [[0]]
+        fs = from_phi(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]))
+        assert prune_order([fs]).tolist() == [[0]]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -176,20 +207,21 @@ class TestPruneOrder:
     )
     def test_orthonormal_matches_alignment(self, seed, p, extra, tie_break):
         n = p + extra
-        fs = gen_orthonormal_design(n, p, seed=seed)
-        fs = fs.with_targets(make_rng(seed, STREAM_TARGETS).standard_normal(n))
+        fs = with_targets(gen_orthonormal_design(n, p, seed=seed),
+                          make_rng(seed, STREAM_TARGETS).standard_normal(n))
+        xty = fs.phi.T @ fs.targets
         # Sigma = I only up to roundoff, so only a clear gap fixes the order.
-        mags = np.sort(np.abs(fs.phi.T @ fs.targets))
+        mags = np.sort(np.abs(xty))
         assume(np.all(np.diff(mags) > 1e-8 * mags[-1]))
-        [order] = imp_prune_order([fs], ImpConfig(tie_break=tie_break))
-        assert np.array_equal(order, alignment_order(fs))
+        [order] = prune_order([fs], ImpConfig(tie_break=tie_break))
+        assert np.array_equal(order, alignment_order(xty))
 
 
 class TestTraceSerialization:
     def test_round_trip(self):
         # every field of the trace comes back from its JSON text bit for bit
         fs = random_features(39, n=14, p=6)
-        trace = run_imp([fs], ImpConfig(prune_rounds=3))[0]
+        trace = run([fs], ImpConfig(prune_rounds=3))[0]
         back = json.loads(json.dumps(trace_to_dict(trace)))
         assert back["final_weights"] == trace.final_weights.tolist()
         assert len(back["rounds"]) == len(trace.rounds)
@@ -222,7 +254,7 @@ def design_features(kind, n, alpha, seed, p=DIFF_P):
         fs = gen_uniform_corr_design(n, p, alpha, seed)
     else:
         fs, _ = gen_incoherent_design(n, p, seed)
-    return fs.with_targets(make_rng(seed, STREAM_TARGETS).standard_normal(n))
+    return with_targets(fs, make_rng(seed, STREAM_TARGETS).standard_normal(n))
 
 
 def oracle_imp(features, config):
@@ -233,11 +265,10 @@ def oracle_imp(features, config):
     tie rule is spelled out with a sort key rather than taken from the
     engine.
     """
-    y = features.require_targets()
-    b = features.phi.T @ y / features.n
-    w_init = config.w_init if config.w_init is not None else np.zeros(features.p)
+    b, p = features.b, features.covariance.p
+    w_init = config.w_init if config.w_init is not None else np.zeros(p)
     sign = 1 if config.tie_break == "lowest_index" else -1
-    active = list(range(features.p))
+    active = list(range(p))
     out = []
     for _ in range(config.prune_rounds + 1):
         idx = np.asarray(active)
@@ -265,7 +296,7 @@ def count_sym_eig(monkeypatch):
 def run_observed(features, config):
     """A one-element run and, per round, the factorization the observer saw."""
     seen = []
-    [trace] = run_imp([features], config,
+    [trace] = run([features], config,
                       on_round=lambda k, active, weights, factors: seen.append(factors[0]))
     return trace, seen
 
@@ -323,7 +354,7 @@ def run_stack_observed(stack, config):
         for per_slice, f in zip(seen, factors):
             per_slice.append(f)
 
-    return run_imp(stack, config, on_round=observe), seen
+    return run(stack, config, on_round=observe), seen
 
 
 # Designs of one p whose runs take different paths: nonsingular, singular
@@ -414,7 +445,7 @@ class TestDowndatePath:
     def test_one_factorization_when_nonsingular(self, monkeypatch):
         calls = count_sym_eig(monkeypatch)
         fs = design_features("incoherent", 200, None, seed=3)
-        run_imp([fs], ImpConfig(prune_rounds=45))
+        run([fs], ImpConfig(prune_rounds=45))
         assert calls == [DIFF_P]
 
     @pytest.mark.parametrize("horizon", [0.5, 20.0])
@@ -517,7 +548,7 @@ class TestDowndatePath:
         fs = design_features("orthonormal", 400, None, seed=11, p=200)
         tracemalloc.start()
         try:
-            [order] = imp_prune_order([fs])
+            [order] = prune_order([fs])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -541,12 +572,12 @@ class TestPermutationEquivariance:
         perm = np.asarray(perm)
         config = ImpConfig(prune_rounds=PERM_P // per_round - 1, per_round=per_round,
                            horizon=horizon)
-        trace = run_imp([fs], config)[0]
+        trace = run([fs], config)[0]
         # Reordering changes the roundoff, so only a clear gap fixes the order.
         for rec in trace.rounds:
             mags = np.sort(np.abs(rec.weights[rec.active]))
             assume(np.all(np.diff(mags) > 1e-8 * mags[-1]))
-        permuted, seen = run_observed(FeatureSet.from_phi(fs.phi[:, perm], fs.targets), config)
+        permuted, seen = run_observed(from_phi(fs.phi[:, perm], fs.targets), config)
         assert factorized(seen)[-1] != is_infinite(horizon)  # downdated
         assert tuple(int(perm[i]) for i in permuted.prune_order) == trace.prune_order
         for a, b in zip(permuted.rounds, trace.rounds):

@@ -15,8 +15,8 @@ from implinear.linalg import min_nonzero_eig, pseudo_inverse, sym_eig
 
 def flow_inputs(phi, y):
     """The covariance and the data vector (1/n) Phi^T y of a design and targets."""
-    fs = FeatureSet.from_phi(phi, y)
-    return fs.covariance, fs.phi.T @ fs.targets / fs.n
+    fs = FeatureSet.from_phi(phi)
+    return fs.covariance, fs.phi.T @ y / fs.n
 
 
 def random_problem(rng, n_max=20, m_max=12):

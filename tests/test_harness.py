@@ -1,12 +1,15 @@
 import concurrent.futures
 import functools
+import gc
 import json
+import weakref
 from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
 
 from implinear import designs as designs_module
+from implinear import engine as engine_module
 from implinear import harness as harness_module
 from implinear.cli import main
 from implinear.designs import gen_uniform_corr_design
@@ -201,7 +204,7 @@ class TestSupportRecovery:
         draws = count_design_draws(monkeypatch)
         [rec] = recovery_trial(spec, range(2, 3))
         assert len(draws) == len(set(draws))
-        assert draws[-1] == (rec.n, 12, 1236) and rec.n == problem.features.n
+        assert draws[-1] == (rec.n, 12, 1236) and rec.n == problem.n
         assert replace(rec, wall_ms=0.0) == replace(fresh, wall_ms=0.0)
 
     def test_report_and_flags(self):
@@ -306,7 +309,7 @@ def problem_and_trace(spec, t):
     n, _, _, _ = resolve_sample_size(spec, seed, spec.signal.gamma, recovery_sample_size)
     problem = harness_module._build_problem(spec, seed, n)
     seen = []
-    [trace] = run_imp([problem.features], recovery_config(spec),
+    [trace] = run_imp([problem.covariance], problem.b[None], recovery_config(spec),
                       on_round=lambda k, active, weights, factors: seen.append(factors[0]))
     return problem, trace, seen
 
@@ -320,7 +323,7 @@ def audit_stack(problems, config):
     """Run the recovery audit on a stack of problems the way recovery_trial
     does; per problem, its per-round min eigenvalues and residuals."""
     audit = harness_module._RoundAudit.of(problems)
-    run_imp([pr.features for pr in problems], config,
+    run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]), config,
             on_round=functools.partial(harness_module._audit_rounds, audit))
     eigs, residuals = np.array(audit.eigs).T, np.array(audit.residuals).T
     return [(tuple(e.tolist()), tuple(r.tolist())) for e, r in zip(eigs, residuals)]
@@ -356,7 +359,7 @@ class TestAuditRounds:
         spec = recovery_spec(design=design)
         for t in range(3):
             problem, _, seen = problem_and_trace(spec, t)
-            engine, full = seen[0], sym_eig(problem.features.covariance)
+            engine, full = seen[0], sym_eig(problem.covariance)
             assert np.array_equal(engine.eigenvalues, full.eigenvalues)
             assert np.array_equal(engine.eigenvectors, full.eigenvectors)
             assert engine.rank_tol == full.rank_tol
@@ -368,11 +371,11 @@ class TestAuditRounds:
         spec = recovery_spec(design=design, trials=3)
         for t, rec in enumerate(recovery_trial(spec, range(3))):
             problem, trace, _ = problem_and_trace(spec, t)
-            full = sym_eig(problem.features.covariance)
+            full = sym_eig(problem.covariance)
             assert rec.min_nz_eig == full.eigenvalues[0]
             slack = 1e-12 * full.eigenvalues[-1]
             for rnd in trace.rounds:
-                sub = problem.features.covariance.restrict(np.flatnonzero(rnd.active))
+                sub = problem.covariance.restrict(np.flatnonzero(rnd.active))
                 assert rec.min_nz_eig <= np.linalg.eigvalsh(sub.entries)[0] + slack
 
     @pytest.mark.parametrize("design", NONSINGULAR_DESIGNS, ids=lambda d: f"{d.kind}-{d.n}-{d.alpha}")
@@ -384,7 +387,7 @@ class TestAuditRounds:
         [(eigs, residuals)] = audit_stack([problem], recovery_config(spec))
         assert calls == []
         assert len(eigs) == len(residuals) == len(trace.rounds)
-        cov = problem.features.covariance
+        cov = problem.covariance
         for rnd, residual in zip(trace.rounds, residuals):
             idx = np.flatnonzero(rnd.active)
             fresh = fresh_residual(cov, problem.signal, idx, sym_eig(cov.restrict(idx)))
@@ -401,7 +404,7 @@ class TestAuditRounds:
         calls = count_audit_sym_eig(monkeypatch)
         [(eigs, residuals)] = audit_stack([problem], recovery_config(spec))
         assert calls == []
-        cov = problem.features.covariance
+        cov = problem.covariance
         fresh_eigs, fresh_residuals = [], []
         for rnd in trace.rounds:
             idx = np.flatnonzero(rnd.active)
@@ -617,9 +620,9 @@ class TestBaselines:
     def test_imp_honours_the_horizon(self, monkeypatch):
         horizons = []
 
-        def recording(features, config, on_round=None):
-            horizons.extend([(config.horizon, config.w_init)] * len(features))
-            return run_imp(features, config, on_round)
+        def recording(covs, b, config, on_round=None):
+            horizons.extend([(config.horizon, config.w_init)] * len(covs))
+            return run_imp(covs, b, config, on_round)
 
         monkeypatch.setattr(harness_module, "run_imp", recording)
         spec = ExperimentSpec(
@@ -633,6 +636,65 @@ class TestBaselines:
         )
         run_baseline_comparison(spec)
         assert horizons == [(2.5, None)] * 4  # None: the zero initialization
+
+    def test_sigma_cells_share_the_round_zero_factorization(self, monkeypatch):
+        # the cells of a trial carry one CovMatrix object, so on the downdate
+        # path the engine factorizes once per trial, not once per (trial, sigma)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].p)
+            return sym_eig(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "sym_eig", counted)
+        spec = ExperimentSpec(
+            kind="baseline_comparison",
+            design=DesignSpec(kind="orthonormal", p=8, n=24),
+            trials=4,
+            base_seed=66,
+            signal=SignalSpec(k=2, gamma=1.0),
+            baseline=BaselineSpec(sigmas=(0.0, 0.5, 1.0)),
+        )
+        run_baseline_comparison(spec)
+        assert calls == [8] * 4
+
+
+# One range each (13 trials at p = 50; 4 trials x 3 sigmas): (run, spec, IMP stack size).
+PHI_FREE_RANGES = {
+    "recover": (run_support_recovery,
+                recovery_spec(design=DesignSpec(kind="orthonormal", p=50), trials=13,
+                              signal=SignalSpec(k=5, gamma=0.5)), 13),
+    "baselines": (run_baseline_comparison,
+                  ExperimentSpec(kind="baseline_comparison",
+                                 design=DesignSpec(kind="orthonormal", p=10, n=40), trials=4,
+                                 base_seed=67, signal=SignalSpec(k=2, gamma=1.0),
+                                 baseline=BaselineSpec(sigmas=(0.1, 0.5, 1.0))), 12),
+}
+
+
+@pytest.mark.parametrize("name", PHI_FREE_RANGES)
+def test_phi_is_gone_before_imp_runs(monkeypatch, name):
+    """After assembly a range holds (Sigma, b) only: every design matrix drawn
+    for it is freed before its IMP stack runs."""
+    run, spec, stack = PHI_FREE_RANGES[name]
+    phis, runs = [], []
+    draw = designs_module.gen_orthonormal_design
+
+    def kept(n, p, seed):
+        fs = draw(n, p, seed)
+        phis.append(weakref.ref(fs.phi))
+        return fs
+
+    def checked(*args, **kwargs):
+        gc.collect()
+        assert [ref() is None for ref in phis] == [True] * len(phis)
+        runs.append(len(args[0]))
+        return run_imp(*args, **kwargs)
+
+    monkeypatch.setattr(designs_module, "gen_orthonormal_design", kept)
+    monkeypatch.setattr(harness_module, "run_imp", checked)
+    run(spec)
+    assert runs == [stack] and len(phis) == spec.trials
 
 
 class TestConcentration:
