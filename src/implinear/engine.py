@@ -11,10 +11,12 @@ A run sees the data only through the normal equations of its loss
 (1/2n)||y - Phi w||^2: the covariance Sigma = Phi^T Phi / n and
 b = Phi^T y / n.  `run_imp` executes a stack of runs that share p and the
 config in one round loop: at round k every run has m = p - k * per_round
-active coordinates, so a round of the stack is a (T, m) block.  The trace
-keeps each round's active array, weights and prune events; the
-factorization a round was trained with goes to an `on_round` observer and
-is dropped after it.
+active coordinates, so a round of the stack is a (T, m) block.  The stack's
+trace is three arrays allocated before the loop and filled by one write
+per round: the (T, q+1, p) trained weights, the (T, q+1, p) active masks
+and the (T, q+1, per_round) pruned indices; each run's `ImpTrace` holds
+read-only views of its rows.  The factorization a round was trained with
+goes to an `on_round` observer and is dropped after it.
 
 Two exact paths train a round, and each run takes its own from its input.
 The eigendecomposition path factorizes the restricted covariance Sigma_A
@@ -75,8 +77,8 @@ class ImpConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """The coordinates active before this round's prune (a read-only boolean
-    array), the trained vector, and what was pruned."""
+    """The coordinates active before this round's prune (a boolean array),
+    the trained vector, and what was pruned; both arrays are read-only."""
 
     active: np.ndarray
     weights: np.ndarray
@@ -89,17 +91,26 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class ImpTrace:
-    """The rounds of one run; the final weights and prune order derive from them."""
+    """One run's rounds as read-only views of its stack's trace arrays:
+    weights (q+1, p), active (q+1, p) booleans and pruned (q+1, per_round)
+    indices; row k is round k."""
 
-    rounds: tuple[RoundRecord, ...]
+    weights: np.ndarray
+    active: np.ndarray
+    pruned: np.ndarray
+
+    @property
+    def rounds(self) -> tuple[RoundRecord, ...]:
+        return tuple(RoundRecord(active=a, weights=w, pruned=tuple(i.tolist()))
+                     for a, w, i in zip(self.active, self.weights, self.pruned))
 
     @property
     def final_weights(self) -> np.ndarray:
-        return self.rounds[-1].weights
+        return self.weights[-1]
 
     @property
     def prune_order(self) -> tuple[int, ...]:
-        return tuple(i for rec in self.rounds for i in rec.pruned)
+        return tuple(self.pruned.ravel().tolist())
 
 
 # on_round(k, active, weights, factors) sees round k of a stack of T runs after
@@ -144,6 +155,13 @@ def _downdate(
     C_KK - G^T G and w_K - G^T g.  Returns (inverse, weights, ok); ok is
     False on the slices where C_JJ is not positive definite, the sign of
     accumulated drift, and their rows of the other two are meaningless.
+
+    Every inverse that enters is exactly symmetric: `pseudo_inverse`
+    returns (M + M^T) / 2, whose bits are symmetric because IEEE addition
+    commutes, and each downdate returns a symmetric inverse.  For one
+    dropped coordinate G^T G is the outer product of a vector with itself,
+    g_i g_j == g_j g_i bit for bit, so the Schur complement is symmetric as
+    computed; a block's product is not, and is symmetrized.
     """
     d, m = weights.shape
     rows = np.arange(d)[:, None, None]
@@ -167,9 +185,12 @@ def _downdate(
     m_kept = kept.shape[1]
     # in place where possible: each (D, m, m) temporary costs fresh pages
     smaller = inverse[keep[:, :, None] & keep[:, None, :]].reshape(d, m_kept, m_kept)
-    smaller -= g_t @ g_c
-    smaller += smaller.transpose(0, 2, 1)
-    smaller /= 2.0
+    if drop.shape[1] == 1:
+        smaller -= g_t * g_c
+    else:
+        smaller -= g_t @ g_c
+        smaller += smaller.transpose(0, 2, 1)
+        smaller /= 2.0
     return smaller, weights[keep].reshape(d, m_kept) - (g_t @ g_w)[:, :, 0], ok
 
 
@@ -206,7 +227,9 @@ def run_imp(
     rows = np.arange(stack)[:, None]
     active = np.tile(np.arange(p), (stack, 1))
     alive = np.ones((stack, p), dtype=bool)
-    records: list[list[RoundRecord]] = [[] for _ in covs]
+    trained = np.zeros((stack, q + 1, p))
+    masks = np.empty((stack, q + 1, p), dtype=bool)
+    pruned = np.empty((stack, q + 1, config.per_round), dtype=active.dtype)
     # A run takes the downdate path with an infinite horizon and a nonsingular
     # round-0 factorization, and leaves it for good at the first singular
     # refactorization, which interlacing rules out up to roundoff.  `down`
@@ -246,18 +269,13 @@ def run_imp(
         if on_round is not None:
             on_round(k, active, weights, factors)
         local = _select_prune(np.abs(weights), config.per_round, config.tie_break)
-        pruned = active[rows, local]
-        full = np.zeros((stack, p))
-        full[alive] = weights.ravel()  # rows of `active` ascend, as `alive` is read
-        mask = alive.copy()
-        mask.setflags(write=False)
-        for t in range(stack):
-            records[t].append(RoundRecord(active=mask[t], weights=full[t],
-                                          pruned=tuple(pruned[t].tolist())))
+        pruned[:, k] = active[rows, local]
+        trained[:, k][alive] = weights.ravel()  # rows of `active` ascend, as `alive` is read
+        masks[:, k] = alive
         if k == q:
             break
 
-        alive[rows, pruned] = False
+        alive[rows, pruned[:, k]] = False
         active = np.nonzero(alive)[1].reshape(stack, -1)
         if down.size:
             on = slice(None) if down.size == stack else down
@@ -265,7 +283,9 @@ def run_imp(
             if not ok.all():  # drift: these runs are factorized afresh next round
                 down, inverse, w_down = down[ok], inverse[ok], w_down[ok]
 
-    return [ImpTrace(rounds=tuple(r)) for r in records]
+    for a in (trained, masks, pruned):
+        a.setflags(write=False)  # so is every view of it
+    return [ImpTrace(weights=w, active=a, pruned=i) for w, a, i in zip(trained, masks, pruned)]
 
 
 def imp_prune_order(
@@ -275,7 +295,7 @@ def imp_prune_order(
     goes with q = p - 1 and one prune per round."""
     base = config if config is not None else ImpConfig()
     full = replace(base, prune_rounds=covs[0].p - 1, per_round=1)
-    return np.array([trace.prune_order for trace in run_imp(covs, b, full)], dtype=int)
+    return np.array([trace.pruned[:, 0] for trace in run_imp(covs, b, full)], dtype=int)
 
 
 def trace_to_dict(trace: ImpTrace) -> dict:

@@ -78,6 +78,9 @@ RECOVERY_TOL = 1e-8
 # hold at most this many doubles each (16 GiB); larger sizes are config errors.
 MAX_ENTRIES = 2**31
 
+# At most this many worker processes; a larger `threads` is a config error.
+MAX_THREADS = 256
+
 # A range of trials handed to a trial function stacks at most this many
 # T * p^2 doubles: 13 recover trials at p = 50, one trial from p = 182 on.
 STACK_BUDGET = 2**15
@@ -284,8 +287,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(f"unknown experiment kind {spec.kind!r}")
     if spec.trials < 1:
         raise ConfigError("trials must be >= 1")
-    if spec.threads < 1:
-        raise ConfigError("threads must be >= 1")
+    if not 1 <= spec.threads <= MAX_THREADS:
+        raise ConfigError(f"threads must lie in [1, {MAX_THREADS}]")
     if not 0.0 < spec.delta < 1.0:
         raise ConfigError("delta must lie in (0, 1)")
     if spec.epsilon is not None and spec.epsilon <= 0.0:
@@ -335,32 +338,33 @@ def map_trials(
     cover range(spec.trials); the lists it returns, concatenated in trial
     order.
 
-    With threads > 1 the ranges run on one pool of that many worker
-    processes for the whole map.  A trial function that stacks `width` IMP
-    runs per trial gets ranges of max(1, STACK_BUDGET // (width * p^2))
-    trials, so that its stack stays within that many doubles per (p, p)
-    block, and on a pool no more than a worker's share of the batch, so
-    that every worker gets one.  Any other trial function gets each batch as
-    one range, or on a pool in about four ranges per worker.  With `more`,
-    the map goes on in batches: after each batch, more(batch) is the number
-    of trials to run next, numbered on from the last one, and 0 ends the
-    map.  Trial t seeds its randomness from base_seed + t alone, so the
-    results depend neither on the worker count nor on the ranges.
+    With threads > 1 the ranges run on one pool of min(threads, trials)
+    worker processes for the whole map, as no batch holds more trials than
+    the first.  A trial function that stacks `width` IMP runs per trial gets
+    ranges of max(1, STACK_BUDGET // (width * p^2)) trials, so that its
+    stack stays within that many doubles per (p, p) block, and on a pool no
+    more than a worker's share of the batch, so that every worker gets one.
+    Any other trial function gets each batch as one range, or on a pool in
+    about four ranges per worker.  With `more`, the map goes on in batches:
+    after each batch, more(batch) is the number of trials to run next,
+    numbered on from the last one, and 0 ends the map.  Trial t seeds its
+    randomness from base_seed + t alone, so the results depend neither on
+    the worker count nor on the ranges.
     """
     results: list = []
-    size = spec.trials
-    if spec.threads > 1:  # imported only here: a threads-1 run skips its ~15 ms
+    size, workers = spec.trials, min(spec.threads, spec.trials)
+    if workers > 1:  # imported only here: a serial run skips its ~15 ms
         from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(max_workers=spec.threads) if spec.threads > 1 else None
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
         while size > 0:
             first = len(results)
             if width is not None:
                 step = max(1, STACK_BUDGET // (width * spec.design.p**2))
                 if pool is not None:
-                    step = min(step, math.ceil(size / spec.threads))
+                    step = min(step, math.ceil(size / workers))
             else:
-                step = size if pool is None else math.ceil(size / (4 * spec.threads))
+                step = size if pool is None else math.ceil(size / (4 * workers))
             ranges = [range(a, min(a + step, first + size))
                       for a in range(first, first + size, step)]
             tasks = (repeat(spec), ranges, *map(repeat, args))
@@ -851,41 +855,50 @@ def _support_f1(estimated: set[int], truth: set[int]) -> float:
 
 def _noise_sweep(
     spec: ExperimentSpec, seed: int, n: int, sweep: tuple[ExperimentSpec, ...],
-    features: FeatureSet | None, tau: float,
-) -> list[tuple[SparseProblem, np.ndarray]]:
-    """Trial `seed`'s problem and hard-thresholding estimate under each spec
-    of the noise sweep: one design, drawn here unless given, is handed to
-    every build, and one pseudo-inverse of its covariance serves every estimate."""
+    features: FeatureSet | None = None,
+) -> list[SparseProblem]:
+    """Trial `seed`'s problem under each spec of the noise sweep: one design,
+    drawn here unless given, is handed to every build, so the problems
+    share one CovMatrix."""
     design = spec.design
     features = features or DESIGNS[design.kind].draw(n, design.p, seed, design.alpha)
-    pinv = pseudo_inverse(sym_eig(features.covariance))
-    problems = (_build_problem(noisy, seed, n, features) for noisy in sweep)
-    return [(problem, ht_estimator(problem.b, tau, pinv)) for problem in problems]
+    return [_build_problem(noisy, seed, n, features) for noisy in sweep]
 
 
 def _baseline_trial(
     spec: ExperimentSpec, trials: range, n: int, sweep: tuple[ExperimentSpec, ...],
-    first: FeatureSet | None,
+    first: list[SparseProblem] | None,
 ) -> list[tuple[tuple[tuple[bool, float], ...], ...]]:
     """For each trial of the range and each spec of the noise sweep,
     (exact support recovered, support F1) of each method.
 
-    Trial 0 takes `first` as its design if sizing n already drew it.  The
+    Trial 0's problems are `first` if sizing n already drew its design.  The
     range keeps only the (trial, sigma) problems, and IHT and IMP each run
-    them as one stack on one b stack; the sigma cells of a trial share one
-    CovMatrix, so IMP factorizes it once for all of them.
+    them as one stack on one b stack.  The sigma cells of a trial share one
+    CovMatrix, so IMP factorizes it once at round 0 for all of them, and
+    hard thresholding reads its one pseudo-inverse from that factorization.
     """
     threshold = _baseline(spec)[2]
     cells = []
     for t in trials:
-        cells += _noise_sweep(spec, spec.base_seed + t, n, sweep, first if t == 0 else None,
-                              threshold.tau)
-    b = np.stack([problem.b for problem, _ in cells])
-    fit = iht(np.stack([problem.covariance.entries for problem, _ in cells]), b, threshold)
-    traces = run_imp([problem.covariance for problem, _ in cells], b,
-                     _imp_config(spec, _prune_rounds(spec)))
+        cells += first if t == 0 and first else _noise_sweep(spec, spec.base_seed + t, n, sweep)
+    b = np.stack([problem.b for problem in cells])
+    fit = iht(np.stack([problem.covariance.entries for problem in cells]), b, threshold)
+    round0 = []
+
+    def keep_round0(k, active, weights, factors):
+        if k == 0:
+            round0.extend(factors)
+
+    traces = run_imp([problem.covariance for problem in cells], b,
+                     _imp_config(spec, _prune_rounds(spec)), on_round=keep_round0)
+    pinvs = {}  # id of a round-0 SymEig -> its pseudo-inverse
+    for eig in round0:
+        if id(eig) not in pinvs:
+            pinvs[id(eig)] = pseudo_inverse(eig)
     outcomes = []
-    for (problem, ht), trace, s_iht in zip(cells, traces, fit.estimate):
+    for problem, eig, trace, s_iht in zip(cells, round0, traces, fit.estimate):
+        ht = ht_estimator(problem.b, threshold.tau, pinvs[id(eig)])
         truth = set(problem.support)
         supports = (set(np.flatnonzero(w != 0.0).tolist())
                     for w in (trace.final_weights, ht, s_iht))
@@ -900,10 +913,13 @@ def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
 
     # One n for the whole sweep, sized for its noisiest setting.
     sizing = replace(spec, noise=replace(spec.noise, sigma=max(sigmas)))
-    n, _, _, first = resolve_sample_size(
+    n, _, _, drawn = resolve_sample_size(
         sizing, spec.base_seed, spec.signal.gamma, recovery_sample_size
     )
     sweep = tuple(replace(spec, noise=replace(spec.noise, sigma=sigma)) for sigma in sigmas)
+    # trial 0's problems from the sizing draw: every range gets them, not its Phi
+    first = None if drawn is None else _noise_sweep(spec, spec.base_seed, n, sweep, drawn)
+    del drawn
     try:
         outcomes = map_trials(spec, _baseline_trial, n, sweep, first, width=len(sweep))
     except IhtDivergenceError as exc:
@@ -946,15 +962,32 @@ class ConcentrationReport:
     epsilon: float
 
 
+# The noise projector of the lemma1 run under way in this process, keyed by
+# (design, base_seed, n): one entry, so a worker builds it once for the map.
+_PROJECTOR: dict = {}
+
+
+def _lemma1_projector(spec: ExperimentSpec, n: int, fs: FeatureSet | None = None) -> np.ndarray:
+    """(1/n) Sigma^+ Phi^T of the design drawn at (n, base_seed); `fs` is that
+    design if already drawn.  Built at a process's first call and kept."""
+    key = (spec.design, spec.base_seed, n)
+    if key not in _PROJECTOR:
+        design = spec.design
+        fs = fs or DESIGNS[design.kind].draw(n, design.p, spec.base_seed, design.alpha)
+        _PROJECTOR.clear()
+        _PROJECTOR[key] = noise_projector(fs)
+    return _PROJECTOR[key]
+
+
 @_per_trial
-def _lemma1_draw(spec: ExperimentSpec, t: int, projector: np.ndarray, epsilon: float) -> bool:
+def _lemma1_draw(spec: ExperimentSpec, t: int, n: int, epsilon: float) -> bool:
     """Does noise draw t (seed base_seed + t) reach epsilon in sup norm?
 
-    `projector` is (1/n) Sigma^+ Phi^T of the run's fixed design, so an
+    The projector is (1/n) Sigma^+ Phi^T of the run's fixed design, so an
     exceedance is the complement of the concentration event.
     """
-    xi = sample_noise(spec.noise.kind, spec.noise.sigma, projector.shape[1], spec.base_seed + t)
-    return float(np.max(np.abs(projector @ xi))) >= epsilon
+    xi = sample_noise(spec.noise.kind, spec.noise.sigma, n, spec.base_seed + t)
+    return float(np.max(np.abs(_lemma1_projector(spec, n) @ xi))) >= epsilon
 
 
 def run_concentration_check(spec: ExperimentSpec) -> ConcentrationReport:
@@ -963,10 +996,14 @@ def run_concentration_check(spec: ExperimentSpec) -> ConcentrationReport:
     n, bound_n, lam, fs = resolve_sample_size(
         spec, spec.base_seed, epsilon, concentration_sample_size
     )
-    if fs is None:
-        design = spec.design
-        fs = DESIGNS[design.kind].draw(n, design.p, spec.base_seed, design.alpha)
-    exceed = sum(map_trials(spec, _lemma1_draw, noise_projector(fs), epsilon))
+    # built here from the sizing draw, if any; a forked worker inherits it,
+    # any other builds its own at its first range
+    _lemma1_projector(spec, n, fs)
+    del fs
+    try:
+        exceed = sum(map_trials(spec, _lemma1_draw, n, epsilon))
+    finally:
+        _PROJECTOR.clear()
     summary = make_mc_summary(spec.trials, {"exceedance": exceed}, exceed, spec.delta)
     report = ConcentrationReport(
         summary=summary, n=n, bound_n=bound_n, lambda_min_nz=lam, epsilon=epsilon

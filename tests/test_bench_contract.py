@@ -143,6 +143,13 @@ def test_traced_baselines_sweep_fires_every_metric_span(monkeypatch, tmp_path):
                for s in spans if s.name == "designs.assemble_problem")
     windows, _ = tracing.trial_windows(spans, "baselines")
     assert len(windows) == 4 * 3
+    # one factorization per trial, IMP's round 0, and one per sizing draw
+    sizing = sum(s.name == "designs.gen_design"
+                 and parents.get(s.parent) == "harness.resolve_sample_size" for s in spans)
+    metrics = tracing.layer_metrics(spans, "baselines", 4 * 3)
+    assert {caller: round(metrics[f"linalg.sym_eig.calls_per_trial.{caller}"] * 12)
+            for caller in ("engine", "audit", "onp", "resolve", "other")} == {
+        "engine": 4, "audit": 0, "onp": 0, "resolve": sizing, "other": 0}
 
 
 def test_traced_orthonormal_heuristic_fires_the_ranking_spans(monkeypatch, tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import implinear
 from implinear import designs
 from implinear.cli import main
+from implinear.harness import MAX_THREADS
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -290,6 +291,44 @@ def test_oversized_size_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, c
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_threads_are_bounded_by_the_cap_and_the_trials(tmp_path, capsys, monkeypatch):
+    """No run asks for more than MAX_THREADS workers, and none gets more than it
+    has trials.  A stand-in pool records its size and runs the ranges here,
+    so no worker process is started."""
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    too_many = str(MAX_THREADS + 1)
+    cfg = write_config(tmp_path, recovery_doc(trials=3))
+    assert main(["recover", "--config", cfg, "--threads", too_many]) == 2
+    assert main(["recover", "--config", write_config(
+        tmp_path, recovery_doc(threads=MAX_THREADS + 1), "big.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"threads must lie in [1, {MAX_THREADS}]") == 2
+    assert opened == []
+    for command, doc in (("recover", recovery_doc(trials=3)),
+                         ("baselines", baselines_doc(trials=3)),
+                         ("lemma1", lemma1_doc(trials=3))):
+        cfg = write_config(tmp_path, doc)
+        outputs = [(main([command, "--config", cfg, "--threads", threads]),
+                    capsys.readouterr().out) for threads in ("1", str(MAX_THREADS))]
+        assert outputs[0] == outputs[1]
+    assert opened == [3, 3, 3]
 
 
 SMALL_CONFIGS = {

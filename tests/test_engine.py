@@ -25,7 +25,7 @@ from implinear.engine import (
     trace_to_dict,
 )
 from implinear.flow import INFINITE, closed_form_weights, is_infinite
-from implinear.linalg import CovMatrix, SymEig, sym_eig
+from implinear.linalg import CovMatrix, SymEig, pseudo_inverse, sym_eig
 
 
 class Data(NamedTuple):
@@ -230,6 +230,44 @@ class TestTraceSerialization:
             assert d["weights"] == rec.weights.tolist()
             assert d["pruned"] == list(rec.pruned)
             assert d["pruned_magnitudes"] == list(rec.pruned_magnitudes)
+
+
+class TestTraceArrays:
+    def test_rounds_are_rows_of_read_only_arrays(self):
+        # one stack of a nonsingular, a singular (n < p) and an identity run
+        stack = [random_features(41, n=20, p=8), random_features(42, n=6, p=8),
+                 from_phi(np.eye(8), np.arange(1.0, 9.0))]
+        traces = run(stack, ImpConfig(prune_rounds=2, per_round=2))
+        for trace in traces:
+            assert trace.weights.shape == trace.active.shape == (3, 8)
+            assert trace.pruned.shape == (3, 2)
+            assert len(trace.rounds) == 3
+            for k, rec in enumerate(trace.rounds):
+                assert np.array_equal(rec.weights, trace.weights[k])
+                assert np.array_equal(rec.active, trace.active[k])
+                assert rec.pruned == tuple(trace.pruned[k].tolist())
+                assert all(type(i) is int for i in rec.pruned)
+                assert not (rec.weights.flags.writeable or rec.active.flags.writeable)
+            assert np.array_equal(trace.final_weights, trace.weights[-1])
+            assert trace.prune_order == tuple(trace.pruned.ravel().tolist())
+
+    def test_no_trace_writes_into_another_runs_rows(self):
+        stack = [random_features(43 + t, n=15, p=6) for t in range(3)]
+        traces = run(stack, ImpConfig(prune_rounds=4))
+        before = [(t.weights.copy(), t.active.copy(), t.pruned.copy()) for t in traces]
+        for trace in traces:
+            for a in (trace.weights, trace.active, trace.pruned, trace.final_weights):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a.setflags(write=True)  # a view of a read-only stack array
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 1
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            for name in ("weights", "active", "pruned"):
+                assert not np.shares_memory(getattr(traces[i], name), getattr(traces[j], name))
+        for trace, (w, a, i) in zip(traces, before):
+            assert np.array_equal(trace.weights, w) and np.array_equal(trace.active, a)
+            assert np.array_equal(trace.pruned, i)
 
 
 # ---------------------------------------------------------------------------
@@ -583,3 +621,74 @@ class TestPermutationEquivariance:
         for a, b in zip(permuted.rounds, trace.rounds):
             scale = float(np.max(np.abs(b.weights)))
             assert np.max(np.abs(a.weights - b.weights[perm])) <= 1e-10 * scale
+
+
+def symmetrizing_downdate(inverse, weights, drop):
+    """The one-coordinate downdate as `engine._downdate` computed it before it
+    relied on symmetry: G^T G by matmul, then the (S + S^T) / 2 pass."""
+    d, m = weights.shape
+    rows = np.arange(d)[:, None, None]
+    keep = (np.arange(m) != drop[:, :, None]).all(axis=1)
+    kept = np.nonzero(keep)[1].reshape(d, -1)
+    pivot = inverse[rows, drop[:, :, None], drop[:, None, :]]
+    rhs = np.concatenate((inverse[rows, drop[:, :, None], kept[:, None, :]],
+                          weights[rows[:, 0], drop][:, :, None]), axis=2)
+    ok = pivot[:, 0, 0] > 0.0
+    g = rhs / np.sqrt(np.where(ok[:, None, None], pivot, 1.0))
+    g_t, g_c, g_w = g[:, :, :-1].transpose(0, 2, 1), g[:, :, :-1], g[:, :, -1:]
+    smaller = inverse[keep[:, :, None] & keep[:, None, :]].reshape(d, m - 1, m - 1) - g_t @ g_c
+    smaller = (smaller + smaller.transpose(0, 2, 1)) / 2.0
+    return smaller, weights[keep].reshape(d, m - 1) - (g_t @ g_w)[:, :, 0], ok
+
+
+def spd_inverses(seed, d, m, log_conds):
+    """A (d, m, m) stack of Sigma^{-1} as the engine's round 0 makes them, by
+    `pseudo_inverse`, from random covariances of condition 10^log_cond."""
+    rng = make_rng(seed)
+    out = []
+    for log_cond in log_conds[:d]:
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        a = (q * np.logspace(0.0, -log_cond, m)) @ q.T
+        out.append(pseudo_inverse(sym_eig(CovMatrix((a + a.T) / 2.0))))
+    return np.stack(out)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSymmetricDowndate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d=st.integers(1, 4),
+        m=st.integers(2, 14),
+        log_conds=st.lists(st.floats(0.0, 8.0), min_size=4, max_size=4),
+    )
+    def test_scalar_downdate_is_the_symmetrizing_formula(self, seed, d, m, log_conds):
+        inverse = spd_inverses(seed, d, m, log_conds)
+        assert np.array_equal(inverse, inverse.transpose(0, 2, 1))
+        rng = make_rng(seed, 1)
+        weights = rng.standard_normal((d, m))
+        drop = rng.integers(0, m, size=(d, 1))
+        got = engine_module._downdate(inverse, weights, drop)
+        want = symmetrizing_downdate(inverse, weights, drop)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+
+    def test_a_45_round_chain_stays_exactly_symmetric(self):
+        # p = 50 down to 5, as a recover-p50 run: well-conditioned, moderately
+        # and badly conditioned slices side by side
+        inverse = spd_inverses(13, 3, 50, [0.0, 4.0, 8.0, 0.0])
+        weights = make_rng(14).standard_normal((3, 50))
+        ref_inverse, ref_weights = inverse, weights
+        rng = make_rng(15)
+        for m in range(50, 5, -1):
+            drop = rng.integers(0, m, size=(3, 1))
+            inverse, weights, ok = engine_module._downdate(inverse, weights, drop)
+            ref_inverse, ref_weights, _ = symmetrizing_downdate(ref_inverse, ref_weights, drop)
+            assert ok.all()
+            assert np.array_equal(inverse, inverse.transpose(0, 2, 1))
+            assert_same_bits(inverse, ref_inverse)
+            assert_same_bits(weights, ref_weights)
+        assert inverse.shape == (3, 5, 5)

@@ -11,6 +11,7 @@ import pytest
 from implinear import designs as designs_module
 from implinear import engine as engine_module
 from implinear import harness as harness_module
+from implinear.baselines import ht_estimator
 from implinear.cli import main
 from implinear.designs import gen_uniform_corr_design
 from implinear.engine import ImpConfig, run_imp
@@ -38,7 +39,7 @@ from implinear.harness import (
     trial_csv_row,
     uniform_corr_separation_margin,
 )
-from implinear.linalg import min_nonzero_eig, sym_eig
+from implinear.linalg import min_nonzero_eig, pseudo_inverse, sym_eig
 from implinear.theory import (
     check_onp,
     check_recoverable,
@@ -658,32 +659,75 @@ class TestBaselines:
         run_baseline_comparison(spec)
         assert calls == [8] * 4
 
+    def test_a_range_factorizes_each_trial_once(self, monkeypatch):
+        # IMP's round-0 eigendecomposition of a trial's Sigma serves its three
+        # sigma cells, and hard thresholding's one pseudo-inverse comes from it
+        calls, pinvs = [], []
+        for module in (harness_module, engine_module):
+            def counted(cov, where=module.__name__):
+                calls.append(where)
+                return sym_eig(cov)
 
-# One range each (13 trials at p = 50; 4 trials x 3 sigmas): (run, spec, IMP stack size).
+            monkeypatch.setattr(module, "sym_eig", counted)
+
+        def counted_pinv(eig):
+            pinvs.append(eig.p)
+            return pseudo_inverse(eig)
+
+        monkeypatch.setattr(harness_module, "pseudo_inverse", counted_pinv)
+        sigmas = (0.1, 0.5, 1.0)
+        spec = ExperimentSpec(
+            kind="baseline_comparison",
+            design=DesignSpec(kind="incoherent", p=10, n=40),
+            trials=4,
+            base_seed=68,
+            signal=SignalSpec(k=2, gamma=1.0),
+            baseline=BaselineSpec(eta=0.5, sigmas=sigmas),
+        )
+        sweep = tuple(replace(spec, noise=NoiseSpec(sigma=s)) for s in sigmas)
+        outcomes = harness_module._baseline_trial(spec, range(1, 4), 40, sweep, None)
+        assert calls == ["implinear.engine"] * 3 and pinvs == [10] * 3
+        monkeypatch.undo()
+        # hard thresholding as with a pseudo-inverse of its own factorization
+        for t, per_sigma in zip(range(1, 4), outcomes):
+            for problem, (_, ht, _) in zip(
+                harness_module._noise_sweep(spec, 68 + t, 40, sweep), per_sigma
+            ):
+                pinv = pseudo_inverse(sym_eig(problem.covariance))
+                est = ht_estimator(problem.b, 0.5, pinv)  # tau = gamma / 2
+                support = set(np.flatnonzero(est != 0.0).tolist())
+                assert ht == (support == set(problem.support),
+                              harness_module._support_f1(support, set(problem.support)))
+
+
+# One range each (13 trials at p = 50; 4 trials x 3 sigmas): (run, spec, IMP
+# stack size).  The incoherent baselines run sizes n on trial 0's design.
 PHI_FREE_RANGES = {
     "recover": (run_support_recovery,
                 recovery_spec(design=DesignSpec(kind="orthonormal", p=50), trials=13,
                               signal=SignalSpec(k=5, gamma=0.5)), 13),
     "baselines": (run_baseline_comparison,
                   ExperimentSpec(kind="baseline_comparison",
-                                 design=DesignSpec(kind="orthonormal", p=10, n=40), trials=4,
+                                 design=DesignSpec(kind="incoherent", p=10, n=40), trials=4,
                                  base_seed=67, signal=SignalSpec(k=2, gamma=1.0),
-                                 baseline=BaselineSpec(sigmas=(0.1, 0.5, 1.0))), 12),
+                                 baseline=BaselineSpec(eta=0.5, sigmas=(0.1, 0.5, 1.0))), 12),
 }
 
 
 @pytest.mark.parametrize("name", PHI_FREE_RANGES)
 def test_phi_is_gone_before_imp_runs(monkeypatch, name):
     """After assembly a range holds (Sigma, b) only: every design matrix drawn
-    for it is freed before its IMP stack runs."""
+    for it, the sizing draw included, is freed before its IMP stack runs."""
     run, spec, stack = PHI_FREE_RANGES[name]
     phis, runs = [], []
-    draw = designs_module.gen_orthonormal_design
+    generator = f"gen_{spec.design.kind}_design"
+    draw = getattr(designs_module, generator)
 
-    def kept(n, p, seed):
-        fs = draw(n, p, seed)
+    def kept(*args):
+        drawn = draw(*args)
+        fs = drawn[0] if isinstance(drawn, tuple) else drawn  # incoherent: (fs, delta)
         phis.append(weakref.ref(fs.phi))
-        return fs
+        return drawn
 
     def checked(*args, **kwargs):
         gc.collect()
@@ -691,7 +735,7 @@ def test_phi_is_gone_before_imp_runs(monkeypatch, name):
         runs.append(len(args[0]))
         return run_imp(*args, **kwargs)
 
-    monkeypatch.setattr(designs_module, "gen_orthonormal_design", kept)
+    monkeypatch.setattr(designs_module, generator, kept)
     monkeypatch.setattr(harness_module, "run_imp", checked)
     run(spec)
     assert runs == [stack] and len(phis) == spec.trials
@@ -848,6 +892,34 @@ def test_multi_batch_run_opens_one_pool(monkeypatch):
     assert opened == [2]
     assert pooled.attempts > spec.trials  # more than one batch
     assert [repr(astuple(r)) for r in pooled.rows] == [repr(astuple(r)) for r in serial.rows]
+
+
+@pytest.mark.parametrize("kind", ["incoherent", "orthonormal"])
+def test_lemma1_hands_its_ranges_no_projector(monkeypatch, kind):
+    """Each process builds the (p, n) projector itself, so a range's arguments
+    hold no array larger than p, and a serial run draws its design once."""
+    seen, draws = [], []
+    real_map = harness_module.map_trials
+
+    def recording(spec, trial_fn, *args, **kwargs):
+        seen.append(args)
+        return real_map(spec, trial_fn, *args, **kwargs)
+
+    generator = f"gen_{kind}_design"
+    draw = getattr(designs_module, generator)
+
+    def counted(n, p, seed):
+        draws.append((n, p, seed))
+        return draw(n, p, seed)
+
+    monkeypatch.setattr(harness_module, "map_trials", recording)
+    monkeypatch.setattr(designs_module, generator, counted)
+    spec = replace(POOLED_RUNS["lemma1"][1], design=DesignSpec(kind=kind, p=10))
+    report = run_concentration_check(spec)
+    [args] = seen
+    assert all(np.asarray(a).size <= spec.design.p for a in args)
+    assert draws.count((report.n, 10, spec.base_seed)) == 1
+    assert harness_module._PROJECTOR == {}  # not kept after the run
 
 
 def test_lemma1_draws_on_one_pool(monkeypatch):
