@@ -21,11 +21,13 @@ goes to an `on_round` observer and is dropped after it.
 Two exact paths train a round, and each run takes its own from its input.
 The eigendecomposition path factorizes the restricted covariance Sigma_A
 every round and solves the flow in its eigenbasis; it handles every horizon
-and singular Sigma_A.  At the infinite horizon with every eigenvalue of the
+and singular Sigma_A.  The runs a round factorizes share one stacked
+`sym_eig` call.  At the infinite horizon with every eigenvalue of the
 full Sigma above the rank tolerance, the trained weights are
 Sigma_A^{-1} b_A, and by Cauchy interlacing every later Sigma_A is
 nonsingular too.  Then only round 0 is factorized, and each later round
-removes the pruned block from the previous round's inverse and weights by a
+removes the pruned block from the previous round's inverse (round 0's is
+the pseudo-inverse kept on its SymEig) and weights by a
 Schur-complement downdate in O(m^2), one stacked step for every run on this
 path: IMP as backward greedy elimination (Couvreur & Bresler, SIAM J.
 Matrix Anal. Appl. 21(3), 2000).
@@ -164,34 +166,53 @@ def _downdate(
     computed; a block's product is not, and is symmetrized.
     """
     d, m = weights.shape
-    rows = np.arange(d)[:, None, None]
-    keep = (np.arange(m) != drop[:, :, None]).all(axis=1)
-    kept = np.nonzero(keep)[1].reshape(d, -1)
-    pivot = inverse[rows, drop[:, :, None], drop[:, None, :]]
-    rhs = np.concatenate((inverse[rows, drop[:, :, None], kept[:, None, :]],
-                          weights[rows[:, 0], drop][:, :, None]), axis=2)
-    if drop.shape[1] == 1:  # scalar Cholesky; `>` is False on NaN too
-        ok = pivot[:, 0, 0] > 0.0
-        g = rhs / np.sqrt(np.where(ok[:, None, None], pivot, 1.0))
-    else:
-        ok = np.ones(d, dtype=bool)
-        try:
-            chol = np.linalg.cholesky(pivot)
-        except np.linalg.LinAlgError:  # some slice drifted: factor the others
-            ok = np.array([_positive_definite(a) for a in pivot])
-            chol = np.linalg.cholesky(np.where(ok[:, None, None], pivot, np.eye(drop.shape[1])))
-        g = np.linalg.solve(chol, rhs)
-    g_t, g_c, g_w = g[:, :, :-1].transpose(0, 2, 1), g[:, :, :-1], g[:, :, -1:]
-    m_kept = kept.shape[1]
+    r = drop.shape[1]
+    rows = np.arange(d)[:, None]
+    keep = np.ones((d, m), dtype=bool)
+    keep[rows, drop] = False
     # in place where possible: each (D, m, m) temporary costs fresh pages
-    smaller = inverse[keep[:, :, None] & keep[:, None, :]].reshape(d, m_kept, m_kept)
-    if drop.shape[1] == 1:
-        smaller -= g_t * g_c
-    else:
-        smaller -= g_t @ g_c
-        smaller += smaller.transpose(0, 2, 1)
-        smaller /= 2.0
-    return smaller, weights[keep].reshape(d, m_kept) - (g_t @ g_w)[:, :, 0], ok
+    smaller = inverse[keep[:, :, None] & keep[:, None, :]].reshape(d, m - r, m - r)
+    w_kept = weights[keep].reshape(d, m - r)
+    if r == 1:  # scalar Cholesky; `>` is False on NaN too
+        t, j = rows[:, 0], drop[:, 0]
+        drop_row = inverse[t, j]  # (D, m): row J of each slice
+        pivot = drop_row[t, j]
+        ok = pivot > 0.0
+        root = np.sqrt(np.where(ok, pivot, 1.0))[:, None]
+        g = drop_row[keep].reshape(d, m - 1) / root
+        # G^T G = g g^T and G^T g = g g_w: each entry is one multiplication
+        smaller -= g[:, :, None] * g[:, None, :]
+        return smaller, w_kept - g * (weights[t, j][:, None] / root), ok
+    kept = np.nonzero(keep)[1].reshape(d, -1)
+    pivot = inverse[rows[:, :, None], drop[:, :, None], drop[:, None, :]]
+    rhs = np.concatenate((inverse[rows[:, :, None], drop[:, :, None], kept[:, None, :]],
+                          weights[rows, drop][:, :, None]), axis=2)
+    ok = np.ones(d, dtype=bool)
+    try:
+        chol = np.linalg.cholesky(pivot)
+    except np.linalg.LinAlgError:  # some slice drifted: factor the others
+        ok = np.array([_positive_definite(a) for a in pivot])
+        chol = np.linalg.cholesky(np.where(ok[:, None, None], pivot, np.eye(r)))
+    g = np.linalg.solve(chol, rhs)
+    g_t, g_c, g_w = g[:, :, :-1].transpose(0, 2, 1), g[:, :, :-1], g[:, :, -1:]
+    smaller -= g_t @ g_c
+    smaller += smaller.transpose(0, 2, 1)
+    smaller /= 2.0
+    return smaller, w_kept - (g_t @ g_w)[:, :, 0], ok
+
+
+def _factorize(
+    covs: Sequence[CovMatrix], active: np.ndarray, runs: list[int], k: int
+) -> list[SymEig]:
+    """The eigendecompositions of Sigma_A of the given runs at round k, by
+    one stacked `sym_eig` call.  Round 0 trains on every coordinate, so its
+    stack holds each distinct covariance itself, and the runs on one
+    CovMatrix object share its SymEig."""
+    if k:
+        return sym_eig(np.stack([covs[t].restrict(active[t]).entries for t in runs]))
+    distinct = {id(covs[t]): covs[t] for t in runs}
+    eigs = dict(zip(distinct, sym_eig(np.stack([cov.entries for cov in distinct.values()]))))
+    return [eigs[id(covs[t])] for t in runs]
 
 
 def run_imp(
@@ -236,7 +257,6 @@ def run_imp(
     # lists the runs whose round is downdated; `inverse` and `w_down` stack
     # their Sigma_A^{-1} and trained weights.
     exact = np.full(stack, is_infinite(config.horizon))
-    owner: dict[int, int] = {}  # round 0: id of a CovMatrix -> the first run on it
     down = np.zeros(0, dtype=int)
     inverse, w_down = np.empty((0, p, p)), None
     for k in range(q + 1):
@@ -249,22 +269,19 @@ def run_imp(
                 weights[down] = w_down
                 for t, inv in zip(down.tolist(), inverse):
                     factors[t] = inv
-            joining = {}  # runs factorized now that stay exact join the downdate
-            for t in range(stack):
-                if factors[t] is None:
-                    idx, cov = active[t], covs[t]
-                    t0 = owner.setdefault(id(cov), t) if k == 0 else t
-                    eig = factors[t0] or sym_eig(cov.restrict(idx))
-                    weights[t] = closed_form_weights(eig, data_vec[t, idx], w_init[idx],
-                                                     config.horizon)
-                    exact[t] = exact[t] and bool(eig.nonzero_mask().all())
-                    factors[t] = eig
-                    if exact[t] and k < q:
-                        joining[t] = joining[t0] if t0 in joining else pseudo_inverse(eig)
+            todo = [t for t in range(stack) if factors[t] is None]
+            for t, eig in zip(todo, _factorize(covs, active, todo, k)):
+                idx = active[t]
+                weights[t] = closed_form_weights(eig, data_vec[t, idx], w_init[idx],
+                                                 config.horizon)
+                exact[t] = exact[t] and bool(eig.nonzero_mask().all())
+                factors[t] = eig
+            # runs factorized now that stay exact join the downdate
+            joining = [t for t in todo if exact[t] and k < q]
             if joining:
-                joining.update(zip(down.tolist(), inverse))
-                down = np.array(sorted(joining))
-                inverse = np.stack([joining[t] for t in down.tolist()])
+                down = np.sort(np.concatenate((down, joining)))  # `todo` excludes `down`
+                inverse = np.stack([f if isinstance(f, np.ndarray) else pseudo_inverse(f)
+                                    for f in (factors[t] for t in down.tolist())])
 
         if on_round is not None:
             on_round(k, active, weights, factors)

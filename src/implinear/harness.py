@@ -505,8 +505,10 @@ class _RoundAudit:
     """What the audit of a stack of recovery trials has seen so far.
 
     cov stacks the trials' covariance entries (T, p, p) and signal their
-    signals (T, p); onp is each trial's ONP verdict, and eigs and residuals
-    hold one length-T array per round.
+    signals (T, p), the two inputs every round's `check_recoverable` reads
+    Sigma_A s_A from (only the support columns of Sigma_A are gathered);
+    onp is each trial's ONP verdict, and eigs and residuals hold one
+    length-T array per round.
     """
 
     problems: list[SparseProblem]
@@ -535,18 +537,22 @@ def _audit_rounds(
     eigendecomposition.  A downdated round is checked with the engine's
     Sigma_A^{-1}, so its residual also measures downdate drift; its
     eigenvalue entry is the previous round's, a lower bound by Cauchy
-    interlacing, so the minimum over rounds is the exact one.
+    interlacing, so the minimum over rounds is the exact one.  Round 0's
+    residuals use the pseudo-inverse the engine computed for its downdate.
     """
     if k == 0:
         audit.onp = [check_onp(eig, pr.support, tol=ONP_TOL).holds
                      for eig, pr in zip(factors, audit.problems)]
-    eigs = audit.eigs[-1].copy() if audit.eigs else np.empty(len(factors))
-    for i, f in enumerate(factors):
-        if isinstance(f, SymEig):
-            try:
-                eigs[i] = min_nonzero_eig(f)
-            except ValueError:
-                eigs[i] = float("nan")
+    if isinstance(factors, np.ndarray):  # every trial downdated: no eigenvalue is new
+        eigs = audit.eigs[-1]
+    else:
+        eigs = audit.eigs[-1].copy() if audit.eigs else np.empty(len(factors))
+        for i, f in enumerate(factors):
+            if isinstance(f, SymEig):
+                try:
+                    eigs[i] = min_nonzero_eig(f)
+                except ValueError:
+                    eigs[i] = float("nan")
     audit.eigs.append(eigs)
     chk = check_recoverable(audit.cov, audit.signal, active, factors, tol=RECOVERY_TOL)
     audit.residuals.append(chk.residual)
@@ -797,16 +803,22 @@ def run_heuristic_equivalence(spec: ExperimentSpec) -> HeuristicReport:
     rows = (_heuristic_incoherent(spec) if incoherent
             else map_trials(spec, _heuristic_trials, width=1))
     qual = [r for r in rows if not (r.degenerate or r.excluded)]
+    if not qual:  # a gate with nothing to test is a config error, as in recover
+        raise ConfigError(
+            f"no trial qualified ({sum(r.degenerate for r in rows)} of {len(rows)} degenerate, "
+            f"{sum(r.excluded for r in rows)} excluded by the separation screen): "
+            "the gate has nothing to test"
+        )
 
     def rate(hits) -> float:
-        return sum(hits) / len(qual) if qual else float("nan")
+        return sum(hits) / len(qual)
 
     # the incoherence condition speaks only of the first prune
     full_rate = float("nan") if incoherent else rate(r.full_match for r in qual)
     first_rate = rate(r.first_match for r in qual)
     inverse_errs = [r.inverse_err for r in rows if np.isfinite(r.inverse_err)]
     max_inverse = max(inverse_errs) if inverse_errs else float("nan")
-    passed = bool(qual) and (first_rate if incoherent else full_rate) == 1.0
+    passed = (first_rate if incoherent else full_rate) == 1.0
     if spec.design.kind == "uniform_corr" and np.isfinite(max_inverse):
         passed = passed and max_inverse <= 1e-8
     report = HeuristicReport(
@@ -876,7 +888,8 @@ def _baseline_trial(
     range keeps only the (trial, sigma) problems, and IHT and IMP each run
     them as one stack on one b stack.  The sigma cells of a trial share one
     CovMatrix, so IMP factorizes it once at round 0 for all of them, and
-    hard thresholding reads its one pseudo-inverse from that factorization.
+    hard thresholding takes that factorization's one pseudo-inverse, the
+    one the downdate started from.
     """
     threshold = _baseline(spec)[2]
     cells = []
@@ -892,13 +905,9 @@ def _baseline_trial(
 
     traces = run_imp([problem.covariance for problem in cells], b,
                      _imp_config(spec, _prune_rounds(spec)), on_round=keep_round0)
-    pinvs = {}  # id of a round-0 SymEig -> its pseudo-inverse
-    for eig in round0:
-        if id(eig) not in pinvs:
-            pinvs[id(eig)] = pseudo_inverse(eig)
     outcomes = []
     for problem, eig, trace, s_iht in zip(cells, round0, traces, fit.estimate):
-        ht = ht_estimator(problem.b, threshold.tau, pinvs[id(eig)])
+        ht = ht_estimator(problem.b, threshold.tau, pseudo_inverse(eig))
         truth = set(problem.support)
         supports = (set(np.flatnonzero(w != 0.0).tolist())
                     for w in (trace.final_weights, ht, s_iht))

@@ -5,12 +5,12 @@ ascending, orthonormal eigenvector columns with a deterministic sign fix
 (first entry of nonnegligible magnitude is positive), and a rank tolerance,
 set by the matrix alone, at or below which an eigenvalue counts as zero.
 The pseudo-inverse inverts the spectrum above that tolerance and zeroes it
-below, in the same basis.
+below, in the same basis, and is computed once per eigendecomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,13 +23,15 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def default_rank_tol(eigenvalues: np.ndarray) -> float:
+def default_rank_tol(eigenvalues: np.ndarray) -> np.ndarray:
     """Eigenvalues at or below 1e-10 * p * lambda_max count as zero.
 
     Roundoff null eigenvalues sit near eps * lambda_max, far below this.
+    One tolerance per spectrum along the last axis, so a stack of spectra
+    gets one each.
     """
-    lam_max = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    return 1e-10 * eigenvalues.size * lam_max
+    lam_max = np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
+    return 1e-10 * eigenvalues.shape[-1] * lam_max
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,14 @@ class SymEig:
     eigenvalues are ascending; eigenvector column i pairs with eigenvalue i.
     Columns are orthonormal with the sign convention that the first entry of
     magnitude above 1e-12 is positive, so repeated decompositions of the
-    same bits reproduce identical traces.
+    same bits reproduce identical traces.  Both arrays are read-only copies
+    of the arrays given.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     rank_tol: float
+    _pinv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eigenvalues", _as_readonly(self.eigenvalues))
@@ -102,29 +106,52 @@ class SymEig:
         return self.eigenvectors[:, ~self.nonzero_mask()]
 
 
-def sym_eig(cov: CovMatrix) -> SymEig:
-    """Eigendecompose a covariance with the deterministic sign convention."""
-    lam, vec = np.linalg.eigh(cov.entries)
-    if vec.size:
-        big = np.abs(vec) > 1e-12
-        first = np.argmax(big, axis=0)
-        cols = np.arange(vec.shape[1])
-        flip = big[first, cols] & (vec[first, cols] < 0.0)
-        vec[:, flip] = -vec[:, flip]
-    return SymEig(eigenvalues=lam, eigenvectors=vec, rank_tol=default_rank_tol(lam))
+def sym_eig(cov: CovMatrix | np.ndarray) -> SymEig | list[SymEig]:
+    """Eigendecompose with the deterministic sign convention.
+
+    `cov` is a CovMatrix, or a (T, m, m) array stacking the entries of T
+    covariances, which gives a list of T SymEig.  A stack is factorized by
+    one `np.linalg.eigh` call, which runs LAPACK on each slice as on a matrix
+    of its own, so every slice has the bits of a one-matrix call; the sign
+    fix is applied to the whole stack.  Each SymEig copies its slice: a view
+    would keep the whole stack alive as long as any one of them, which
+    measurably raises the peak memory of a stacked IMP round.  A CovMatrix
+    is the stack of one.
+    """
+    single = isinstance(cov, CovMatrix)
+    stack = cov.entries[None] if single else np.asarray(cov, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"need a CovMatrix or a (T, m, m) stack, got shape {stack.shape}")
+    lam, vec = np.linalg.eigh(stack)
+    if vec.size:  # boolean temporaries only, none as large as the stack
+        big = vec > 1e-12
+        big |= vec < -1e-12
+        first = np.argmax(big, axis=1)[:, None]  # per column, the row of its first big entry
+        flip = np.take_along_axis(vec, first, axis=1) < 0.0
+        flip &= np.take_along_axis(big, first, axis=1)
+        vec *= np.where(flip, -1.0, 1.0)  # exact: a sign flip or the same bits
+    eigs = [SymEig(*slice_) for slice_ in zip(lam, vec, default_rank_tol(lam))]
+    return eigs[0] if single else eigs
 
 
 def pseudo_inverse(eig: SymEig) -> np.ndarray:
     """Moore-Penrose pseudo-inverse in the eigenbasis.
 
     Spectrum maps to 1/lambda above rank_tol and to 0 at or below it; the
-    result is symmetrized to kill accumulation error.
+    result is symmetrized to kill accumulation error.  It is computed once
+    per SymEig and kept on it, read-only, so every caller holding one
+    factorization (the engine's downdate, the audit, hard thresholding)
+    shares one inverse.
     """
-    gamma = np.where(eig.nonzero_mask(), 1.0, 0.0)
-    lam_safe = np.where(eig.nonzero_mask(), eig.eigenvalues, 1.0)
-    gamma = gamma / lam_safe
-    m = (eig.eigenvectors * gamma) @ eig.eigenvectors.T
-    return (m + m.T) / 2.0
+    if eig._pinv is None:
+        gamma = np.where(eig.nonzero_mask(), 1.0, 0.0)
+        lam_safe = np.where(eig.nonzero_mask(), eig.eigenvalues, 1.0)
+        gamma = gamma / lam_safe
+        m = (eig.eigenvectors * gamma) @ eig.eigenvectors.T
+        pinv = (m + m.T) / 2.0
+        pinv.setflags(write=False)
+        object.__setattr__(eig, "_pinv", pinv)
+    return eig._pinv
 
 
 def min_nonzero_eig(eig: SymEig) -> float:

@@ -203,9 +203,19 @@ def check_recoverable(
     the matching entries of the signal; residual = ||Ups^+ Ups s_A - s_A||_inf,
     ok when it is at most tol.  The pruning guarantee needs this to hold at
     every round.  Ups^+ comes from the slice's entry of `factors`, as a round
-    of `run_imp` trains with it: a SymEig of Ups, or its precomputed
+    of `run_imp` trains with it: a SymEig of Ups, whose pseudo-inverse is
+    the one the engine computed if it did, or its precomputed
     (pseudo-)inverse; a (T, m, m) array of inverses is used as it is.  ok and
     residual are length-T arrays.
+
+    Ups s_A meets only the columns of Ups where s_A is nonzero, so only those
+    are gathered, into an otherwise zero (T, m, m) block, and the product is
+    the one a full Ups would take.  Each skipped term Sigma_ij * s_j (s_j
+    being +0 or -0, Sigma finite) becomes +0 * s_j: a zero either way, so
+    every nonzero term is the same and is added in the same order, and the
+    sums can differ only in the sign of an exact zero.  That carries through
+    the second product and the subtraction to zeros alone, and `abs` drops
+    it: the residual has the bits of the full gather.
     """
     entries = np.asarray(cov)
     signal = np.asarray(signal, dtype=float)
@@ -215,11 +225,13 @@ def check_recoverable(
     if len(factors) != active.shape[0]:
         raise ValueError("pass exactly one factorization per slice")
     p = entries.shape[-1]
-    t = np.arange(active.shape[0])[:, None]
-    s_active = signal[t, active]
-    # one flat index gathers the stack faster than three broadcast ones
-    rows = (t * p + active) * p
-    sub = np.ravel(entries).take(rows[:, :, None] + active[:, None, :])
+    s_active = signal[np.arange(active.shape[0])[:, None], active]
+    # per (slice t, support column j), the flat indices of Sigma_t[A_t, A_tj]
+    slices, cols = np.nonzero(s_active)
+    flat = (active * p)[slices]
+    flat += (slices * (p * p) + active[slices, cols])[:, None]
+    sub = np.zeros(active.shape + active.shape[-1:])
+    sub[slices, :, cols] = np.ravel(entries).take(flat)
     inverse = factors if isinstance(factors, np.ndarray) else np.stack(
         [pseudo_inverse(f) if isinstance(f, SymEig) else f for f in factors])
     projected = (inverse @ (sub @ s_active[..., None]))[..., 0]

@@ -79,8 +79,10 @@ def test_traced_recover_fires_every_metric_span(monkeypatch, design, horizon):
     sym_eig = [s for s in tracer.spans if s.name == "linalg.sym_eig"]
     assert not [s for s in sym_eig
                 if parents.get(s.parent) in ("harness.audit", "theory.check_onp")]
-    if horizon == "infinite":  # one downdate run: round 0 is the only factorization
-        assert len(sym_eig) == len(report.records)
+    # one span per factorized round of the one range: round 0 alone on the
+    # downdate, every round at a finite horizon
+    rounds = len(report.records[0].round_residuals)
+    assert len(sym_eig) == (1 if horizon == "infinite" else rounds)
 
 
 def test_traced_incoherent_heuristic_draws_under_its_span(monkeypatch):
@@ -143,13 +145,14 @@ def test_traced_baselines_sweep_fires_every_metric_span(monkeypatch, tmp_path):
                for s in spans if s.name == "designs.assemble_problem")
     windows, _ = tracing.trial_windows(spans, "baselines")
     assert len(windows) == 4 * 3
-    # one factorization per trial, IMP's round 0, and one per sizing draw
+    # one span for the one range's factorized round, IMP's round 0, and one
+    # per sizing draw
     sizing = sum(s.name == "designs.gen_design"
                  and parents.get(s.parent) == "harness.resolve_sample_size" for s in spans)
     metrics = tracing.layer_metrics(spans, "baselines", 4 * 3)
     assert {caller: round(metrics[f"linalg.sym_eig.calls_per_trial.{caller}"] * 12)
             for caller in ("engine", "audit", "onp", "resolve", "other")} == {
-        "engine": 4, "audit": 0, "onp": 0, "resolve": sizing, "other": 0}
+        "engine": 1, "audit": 0, "onp": 0, "resolve": sizing, "other": 0}
 
 
 def test_traced_orthonormal_heuristic_fires_the_ranking_spans(monkeypatch, tmp_path):

@@ -210,6 +210,80 @@ def test_gate_failure_exit_code(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def uniform_corr_doc(screen):
+    return {
+        "kind": "heuristic_equivalence",
+        "design": {"kind": "uniform_corr", "p": 20, "alpha": 0.5},
+        "separation_screen": screen,
+        "trials": 20,
+        "base_seed": 5,
+    }
+
+
+def test_heuristic_with_no_qualifying_trial_exits_2(tmp_path, capsys):
+    # the separation screen excludes every trial here: a gate with nothing to
+    # test is a config error, as in recover when every trial is rejected
+    out = tmp_path / "h"
+    cfg = write_config(tmp_path, uniform_corr_doc(screen=True))
+    assert main(["heuristic", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: no trial qualified (0 of 20 degenerate, 20 excluded "
+                            "by the separation screen): the gate has nothing to test\n")
+    assert not out.exists()
+
+
+def test_heuristic_gate_fails_without_the_separation_screen(tmp_path, capsys):
+    # the same trials, none screened out: the IMP order is not the alignment order
+    out = tmp_path / "h"
+    cfg = write_config(tmp_path, uniform_corr_doc(screen=False))
+    assert main(["heuristic", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("FAIL")
+    summary = json.loads((out / "heuristic_summary.json").read_text())
+    assert summary["qualifying"] == 20 and summary["full_match_rate"] < 1.0
+
+
+# recover-p50's design (orthonormal p=50, k=5, gamma 0.5, sigma 1, delta 0.1)
+# with n forced to 55, about a quarter of the bound's 222
+UNDERSIZED_P50 = recovery_doc(design={"kind": "orthonormal", "p": 50, "n": 55},
+                              signal={"k": 5, "gamma": 0.5}, imp={"q": 45},
+                              trials=40, base_seed=20_240_501)
+
+
+def test_recover_gate_fails_far_below_the_bound(tmp_path, capsys):
+    """The gate has power: at a quarter of the bound, noise excludes support
+    coordinates in 16 of 40 trials, and failure_counts names that part."""
+    out = tmp_path / "out"
+    assert main(["recover", "--config", write_config(tmp_path, UNDERSIZED_P50),
+                 "--out", str(out)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["failure_counts"] == {"false_exclusion": 16, "onp_rejected": 0,
+                                         "sparsity": 0}
+    assert summary["failure_rate"] == 0.4 and not summary["passed"]
+
+
+def test_gates_fail_when_the_engine_prunes_the_largest(tmp_path, capsys, monkeypatch):
+    """An engine mutant that prunes the largest magnitudes: a small recover
+    (criterion 5's gate) and an orthonormal heuristic (criterion 2's) that
+    pass with the real engine both fail."""
+    from implinear import engine
+
+    recover = write_config(tmp_path, recovery_doc(trials=10), "recover.json")
+    heuristic = write_config(tmp_path, {"kind": "heuristic_equivalence", "trials": 20,
+                                        "design": {"kind": "orthonormal", "p": 8},
+                                        "base_seed": 5}, "heuristic.json")
+    assert main(["recover", "--config", recover]) == 0
+    assert main(["heuristic", "--config", heuristic]) == 0
+    real = engine._select_prune
+    monkeypatch.setattr(engine, "_select_prune",
+                        lambda magnitudes, count, tie_break: real(-magnitudes, count, tie_break))
+    assert main(["recover", "--config", recover]) == 1
+    assert main(["heuristic", "--config", heuristic]) == 1
+    verdicts = [line.rsplit(" ", 1)[-1] for line in capsys.readouterr().out.splitlines()]
+    assert verdicts == ["PASS", "PASS", "FAIL", "FAIL"]
+
+
 def test_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])

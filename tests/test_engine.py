@@ -320,17 +320,6 @@ def oracle_imp(features, config):
     return out
 
 
-def count_sym_eig(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].p)
-        return sym_eig(*args, **kwargs)
-
-    monkeypatch.setattr(engine_module, "sym_eig", counted)
-    return calls
-
-
 def run_observed(features, config):
     """A one-element run and, per round, the factorization the observer saw."""
     seen = []
@@ -480,31 +469,31 @@ class TestDowndatePath:
             assert np.max(np.abs(rec.weights[idx] - w)) <= 1e-10 * np.max(np.abs(w))
             assert list(rec.pruned) == pruned
 
-    def test_one_factorization_when_nonsingular(self, monkeypatch):
-        calls = count_sym_eig(monkeypatch)
+    def test_one_factorization_when_nonsingular(self, count_sym_eig):
+        calls = count_sym_eig(engine_module)
         fs = design_features("incoherent", 200, None, seed=3)
         run([fs], ImpConfig(prune_rounds=45))
-        assert calls == [DIFF_P]
+        assert calls == [("engine", DIFF_P)]
 
     @pytest.mark.parametrize("horizon", [0.5, 20.0])
-    def test_finite_horizon_factorizes_every_round(self, monkeypatch, horizon):
-        calls = count_sym_eig(monkeypatch)
+    def test_finite_horizon_factorizes_every_round(self, count_sym_eig, horizon):
+        calls = count_sym_eig(engine_module)
         fs = design_features("incoherent", 200, None, seed=4)
         _, seen = run_observed(fs, ImpConfig(prune_rounds=20, horizon=horizon))
         assert len(calls) == 21
         assert all(factorized(seen))
 
-    def test_rank_deficient_factorizes_every_round(self, monkeypatch):
-        calls = count_sym_eig(monkeypatch)
+    def test_rank_deficient_factorizes_every_round(self, count_sym_eig):
+        calls = count_sym_eig(engine_module)
         fs = design_features("incoherent", 40, None, seed=5)  # n < p: singular
         _, seen = run_observed(fs, ImpConfig(prune_rounds=45))
         assert len(calls) == 46
         assert all(factorized(seen))
 
-    def test_drift_falls_back_to_one_refactorization(self, monkeypatch):
+    def test_drift_falls_back_to_one_refactorization(self, monkeypatch, count_sym_eig):
         fs = design_features("uniform_corr", 200, 0.99, seed=7)
         config = ImpConfig(prune_rounds=30)
-        calls = count_sym_eig(monkeypatch)
+        calls = count_sym_eig(engine_module)
         real = engine_module._downdate
         seen = []
 
@@ -515,7 +504,7 @@ class TestDowndatePath:
 
         monkeypatch.setattr(engine_module, "_downdate", fail_third)
         _, factors = assert_matches_oracle(fs, config)
-        assert calls == [DIFF_P, DIFF_P - 3]  # round 0, then round 3 refactorized
+        assert calls == [("engine", DIFF_P), ("engine", DIFF_P - 3)]  # round 0, then round 3
         assert factorized(factors) == [k in (0, 3) for k in range(31)]
 
     def test_non_positive_pivot_rejected(self):

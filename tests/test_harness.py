@@ -337,17 +337,6 @@ def fresh_residual(cov, signal, idx, eig):
     return float(chk.residual[0])
 
 
-def count_audit_sym_eig(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].p)
-        return sym_eig(*args, **kwargs)
-
-    monkeypatch.setattr(harness_module, "sym_eig", counted)
-    return calls
-
-
 class TestAuditRounds:
     @pytest.mark.parametrize("design", [
         DesignSpec(kind="orthonormal", p=12),
@@ -380,11 +369,11 @@ class TestAuditRounds:
                 assert rec.min_nz_eig <= np.linalg.eigvalsh(sub.entries)[0] + slack
 
     @pytest.mark.parametrize("design", NONSINGULAR_DESIGNS, ids=lambda d: f"{d.kind}-{d.n}-{d.alpha}")
-    def test_downdated_rounds_reuse_the_engine(self, monkeypatch, design):
+    def test_downdated_rounds_reuse_the_engine(self, count_sym_eig, design):
         spec = recovery_spec(design=design)
         problem, trace, seen = problem_and_trace(spec, 1)
         assert all(isinstance(f, np.ndarray) for f in seen[1:])  # downdated
-        calls = count_audit_sym_eig(monkeypatch)
+        calls = count_sym_eig(harness_module)
         [(eigs, residuals)] = audit_stack([problem], recovery_config(spec))
         assert calls == []
         assert len(eigs) == len(residuals) == len(trace.rounds)
@@ -399,10 +388,10 @@ class TestAuditRounds:
         {"imp": ImpSpec(horizon=5.0)},
         {"design": DesignSpec(kind="incoherent", p=12, n=8)},  # n < p: singular
     ], ids=["finite-horizon", "rank-deficient"])
-    def test_factorized_rounds_reuse_the_engine(self, monkeypatch, overrides):
+    def test_factorized_rounds_reuse_the_engine(self, count_sym_eig, overrides):
         spec = recovery_spec(**overrides)
         problem, trace, _ = problem_and_trace(spec, 0)
-        calls = count_audit_sym_eig(monkeypatch)
+        calls = count_sym_eig(harness_module)
         [(eigs, residuals)] = audit_stack([problem], recovery_config(spec))
         assert calls == []
         cov = problem.covariance
@@ -638,16 +627,10 @@ class TestBaselines:
         run_baseline_comparison(spec)
         assert horizons == [(2.5, None)] * 4  # None: the zero initialization
 
-    def test_sigma_cells_share_the_round_zero_factorization(self, monkeypatch):
+    def test_sigma_cells_share_the_round_zero_factorization(self, count_sym_eig):
         # the cells of a trial carry one CovMatrix object, so on the downdate
         # path the engine factorizes once per trial, not once per (trial, sigma)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].p)
-            return sym_eig(*args, **kwargs)
-
-        monkeypatch.setattr(engine_module, "sym_eig", counted)
+        calls = count_sym_eig(engine_module)
         spec = ExperimentSpec(
             kind="baseline_comparison",
             design=DesignSpec(kind="orthonormal", p=8, n=24),
@@ -657,23 +640,19 @@ class TestBaselines:
             baseline=BaselineSpec(sigmas=(0.0, 0.5, 1.0)),
         )
         run_baseline_comparison(spec)
-        assert calls == [8] * 4
+        assert calls == [("engine", 8)] * 4
 
-    def test_a_range_factorizes_each_trial_once(self, monkeypatch):
+    def test_a_range_factorizes_each_trial_once(self, monkeypatch, count_sym_eig):
         # IMP's round-0 eigendecomposition of a trial's Sigma serves its three
-        # sigma cells, and hard thresholding's one pseudo-inverse comes from it
-        calls, pinvs = [], []
-        for module in (harness_module, engine_module):
-            def counted(cov, where=module.__name__):
-                calls.append(where)
-                return sym_eig(cov)
-
-            monkeypatch.setattr(module, "sym_eig", counted)
+        # sigma cells, and its one pseudo-inverse serves the downdate and hard
+        # thresholding alike
+        calls, pinvs = count_sym_eig(harness_module, engine_module), []
 
         def counted_pinv(eig):
-            pinvs.append(eig.p)
-            return pseudo_inverse(eig)
+            pinvs.append(pseudo_inverse(eig))
+            return pinvs[-1]
 
+        monkeypatch.setattr(engine_module, "pseudo_inverse", counted_pinv)
         monkeypatch.setattr(harness_module, "pseudo_inverse", counted_pinv)
         sigmas = (0.1, 0.5, 1.0)
         spec = ExperimentSpec(
@@ -686,7 +665,8 @@ class TestBaselines:
         )
         sweep = tuple(replace(spec, noise=NoiseSpec(sigma=s)) for s in sigmas)
         outcomes = harness_module._baseline_trial(spec, range(1, 4), 40, sweep, None)
-        assert calls == ["implinear.engine"] * 3 and pinvs == [10] * 3
+        assert calls == [("engine", 10)] * 3
+        assert len(pinvs) == 2 * 9 and len({id(pinv) for pinv in pinvs}) == 3
         monkeypatch.undo()
         # hard thresholding as with a pseudo-inverse of its own factorization
         for t, per_sigma in zip(range(1, 4), outcomes):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implinear.linalg import (
     CovMatrix,
+    SymEig,
     default_rank_tol,
     min_nonzero_eig,
     operator_norm,
@@ -103,6 +106,76 @@ class TestSymEig:
     def test_rank_tol_default_scales_with_spectrum(self):
         eig = sym_eig(CovMatrix(np.diag([4.0, 0.0])))
         assert eig.rank_tol == default_rank_tol(eig.eigenvalues) == pytest.approx(1e-10 * 2 * 4.0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes: unlike ==, tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def one_at_a_time(a):
+    """A one-matrix eigendecomposition with a column loop for the sign fix, and
+    the tolerance 1e-10 * m * max|lambda|: the unstacked form of `sym_eig`."""
+    lam, vec = np.linalg.eigh(a)
+    for j in range(vec.shape[1]):
+        big = np.flatnonzero(np.abs(vec[:, j]) > 1e-12)
+        if big.size and vec[big[0], j] < 0.0:
+            vec[:, j] = -vec[:, j]
+    lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
+    return lam, vec, 1e-10 * lam.size * lam_max
+
+
+def stack_slice(rng, m, kind):
+    """An m x m symmetric PSD matrix: full rank, of rank below m (zero
+    included), with a repeated eigenvalue, or a diagonal with repeats."""
+    if kind == "diagonal":
+        return np.diag(rng.choice([0.0, 0.5, 2.0], size=m))
+    if kind == "repeated":
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        lam = np.repeat(rng.uniform(0.1, 3.0, size=2), (m + 1) // 2)[:m]
+        a = (q * lam) @ q.T
+    else:
+        rank = m if kind == "full" else int(rng.integers(0, m))
+        x = rng.standard_normal((m, rank))
+        a = x @ x.T
+    return (a + a.T) / 2.0
+
+
+class TestStackedSymEig:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        kinds=st.lists(st.sampled_from(("full", "rank", "repeated", "diagonal")),
+                       min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_slice_is_its_own_decomposition(self, m, kinds, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([stack_slice(rng, m, kind) for kind in kinds])
+        eigs = sym_eig(stack.copy())
+        assert len(eigs) == len(kinds)
+        for a, eig in zip(stack, eigs):
+            lam, vec, tol = one_at_a_time(a)
+            single = sym_eig(CovMatrix(a))
+            for got in (eig, single):
+                assert same_bits(got.eigenvalues, lam) and same_bits(got.eigenvectors, vec)
+                assert got.rank_tol == tol
+                assert not (got.eigenvalues.flags.writeable or got.eigenvectors.flags.writeable)
+        # each slice is copied out, so no SymEig keeps the whole stack alive
+        assert all(eig.eigenvectors.base is None for eig in eigs)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (1, 2, 2, 2)])
+    def test_rejects_what_is_not_a_stack_of_square_matrices(self, shape):
+        with pytest.raises(ValueError, match="stack"):
+            sym_eig(np.zeros(shape))
+
+    def test_pseudo_inverse_is_computed_once(self):
+        eig = sym_eig(CovMatrix(np.diag([2.0, 0.0, 0.5])))
+        pinv = pseudo_inverse(eig)
+        assert pseudo_inverse(eig) is pinv and not pinv.flags.writeable
+        fresh = SymEig(eig.eigenvalues, eig.eigenvectors, eig.rank_tol)
+        assert same_bits(pseudo_inverse(fresh), pinv)
 
 
 class TestPseudoInverse:

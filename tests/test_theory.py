@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implinear import theory as theory_module
 from implinear.designs import (
@@ -18,7 +20,7 @@ from implinear.harness import (
     run_concentration_check,
     validate_spec,
 )
-from implinear.linalg import CovMatrix, pseudo_inverse, sym_eig
+from implinear.linalg import CovMatrix, SymEig, pseudo_inverse, sym_eig
 from implinear.theory import (
     BoundInputs,
     OnpReport,
@@ -171,6 +173,52 @@ class TestCheckRecoverable:
         alone = [check_one(*args) for args in zip(covs, signals, actives, factors)]
         assert chk.residual.tolist() == [r for _, r in alone]
         assert chk.ok.tolist() == [ok for ok, _ in alone]
+
+
+def full_gather_residual(cov, signal, active, factors):
+    """The residual with every entry of Sigma_A gathered: the form the
+    support-column gather of `check_recoverable` must match bit for bit."""
+    t = np.arange(active.shape[0])[:, None]
+    s_active = signal[t, active]
+    sub = cov[t[:, :, None], active[:, :, None], active[:, None, :]]
+    inverse = factors if isinstance(factors, np.ndarray) else np.stack(
+        [pseudo_inverse(f) if isinstance(f, SymEig) else f for f in factors])
+    projected = (inverse @ (sub @ s_active[..., None]))[..., 0]
+    return np.max(np.abs(projected - s_active), axis=-1, initial=0.0)
+
+
+class TestSupportGather:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.integers(2, 10),
+        slices=st.integers(1, 4),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_full_gather(self, p, slices, data, seed):
+        """Signals with pruned support coordinates and -0.0 entries, on
+        rank-deficient and not exactly symmetric covariances."""
+        rng = np.random.default_rng(seed)
+        m = data.draw(st.integers(1, p), label="m")
+        covs, signals, actives = [], [], []
+        for _ in range(slices):
+            n = data.draw(st.integers(1, 2 * p), label="n")  # n < p: singular
+            phi = rng.standard_normal((n, p))
+            skew = rng.standard_normal((p, p)) * 1e-14  # within CovMatrix's 1e-12
+            covs.append(CovMatrix(phi.T @ phi / n + skew - skew.T).entries)
+            signal = np.where(rng.random(p) < 0.5, 0.0, rng.standard_normal(p))
+            signal[rng.random(p) < 0.25] = -0.0
+            signals.append(signal)
+            actives.append(np.sort(rng.choice(p, m, replace=False)))
+        cov, signal, active = np.stack(covs), np.stack(signals), np.stack(actives)
+        form = data.draw(st.sampled_from(("eig", "pinv", "stack")), label="factors")
+        eigs = [sym_eig(CovMatrix(c).restrict(a)) for c, a in zip(cov, active)]
+        factors = {"eig": eigs, "pinv": [pseudo_inverse(e) for e in eigs],
+                   "stack": np.stack([pseudo_inverse(e) for e in eigs])}[form]
+        chk = check_recoverable(cov, signal, active, factors)
+        expected = full_gather_residual(cov, signal, active, factors)
+        assert chk.residual.tobytes() == expected.tobytes()
+        assert np.array_equal(chk.ok, expected <= 1e-10)
 
 
 class TestSampleBounds:
