@@ -47,7 +47,8 @@ class ThresholdConfig:
 
 
 class IhtResult(NamedTuple):
-    """(T, p) estimates of a stack; per run, its last iteration and convergence."""
+    """(G, S, p) estimates of a stack; per run, its last iteration and
+    convergence, (G, S)."""
 
     estimate: np.ndarray
     iters: np.ndarray
@@ -77,28 +78,36 @@ def ht_estimator(b: np.ndarray, tau: float, pinv: np.ndarray) -> np.ndarray:
 
 
 def iht(cov: np.ndarray, b: np.ndarray, config: ThresholdConfig) -> IhtResult:
-    """Iterative hard thresholding on a (T, p, p) stack of covariances
-    Sigma = Phi^T Phi / n and the (T, p) stack b of Phi^T y / n.
+    """Iterative hard thresholding on a (G, p, p) stack of covariances
+    Sigma = Phi^T Phi / n and the (G, S, p) stack b of Phi^T y / n: run (g, j)
+    fits b[g, j] on cov[g], so the S runs of a group share one Sigma.
 
     Each run iterates s <- H_tau(s + eta * (b - Sigma s)) from s = 0 and stops
     at its own iteration, when the sup change drops to convergence_tol or at
     max_iters; eta is in units of the (1/n)-scaled step, so eta = 1 is the
-    gradient-flow step.  A single run is a stack of one.  An iterate past
+    gradient-flow step.  A finished run is frozen in place while the others
+    go on.  A single run is a stack of one.  An iterate of a running run past
     1e12 in magnitude aborts with IhtDivergenceError.
     """
-    estimate, s, live = np.zeros(b.shape), np.zeros(b.shape), np.arange(len(b))
-    iters, converged = np.full(len(b), config.max_iters), np.zeros(len(b), dtype=bool)
+    if b.ndim != 3 or cov.shape != (len(b),) + b.shape[-1:] * 2:
+        raise ValueError(f"need cov of shape (G, p, p) and b of shape (G, S, p), got "
+                         f"{cov.shape} and {b.shape}")
+    s = np.zeros(b.shape)
+    live = np.ones(b.shape[:-1], dtype=bool)
+    iters, converged = np.full(live.shape, config.max_iters), np.zeros(live.shape, dtype=bool)
     for it in range(1, config.max_iters + 1):
-        if not live.size:
-            break
-        s_new = hard_threshold(s + config.eta * (b - (cov @ s[:, :, None])[:, :, 0]), config.tau)
+        # Sigma s by broadcasting: one matrix-vector product per run, as unshared
+        s_new = hard_threshold(s + config.eta * (b - (cov[:, None] @ s[..., None])[..., 0]),
+                               config.tau)
+        np.copyto(s_new, s, where=~live[..., None])  # finished runs stay frozen
         if (np.abs(s_new) > DIVERGENCE_LIMIT).any():
             raise IhtDivergenceError("step size too large for spectrum")
-        done = np.max(np.abs(s_new - s), axis=1) <= config.convergence_tol
+        done = np.max(np.abs(s_new - s), axis=-1) <= config.convergence_tol
+        done &= live
         s = s_new
-        if done.any():  # finished runs leave the stack
-            finished = live[done]
-            estimate[finished], iters[finished], converged[finished] = s[done], it, True
-            live, s, cov, b = live[~done], s[~done], cov[~done], b[~done]
-    estimate[live] = s
-    return IhtResult(estimate, iters, converged)
+        if done.any():
+            iters[done], converged[done] = it, True
+            live &= ~done
+            if not live.any():
+                break
+    return IhtResult(s, iters, converged)

@@ -120,11 +120,10 @@ def pairwise_incoherence(cov: CovMatrix) -> float:
     return float(np.max(np.abs(cov.entries - np.eye(cov.p))))
 
 
-def gen_incoherent_design(n: int, p: int, seed: int) -> tuple[FeatureSet, float]:
+def gen_incoherent_design(n: int, p: int, seed: int) -> FeatureSet:
     """Gaussian design with columns rescaled to Sigma_ii = 1.
 
-    Returns the FeatureSet and its measured pairwise incoherence.  A zero
-    column (probability zero) triggers a redraw from the same stream.
+    A zero column (probability zero) triggers a redraw from the same stream.
     """
     check_design("incoherent", p, n)
     rng = make_rng(seed, STREAM_DESIGN)
@@ -135,9 +134,7 @@ def gen_incoherent_design(n: int, p: int, seed: int) -> tuple[FeatureSet, float]
             break
     else:  # pragma: no cover - would need 64 zero draws in a row
         raise RuntimeError("could not draw a design without zero columns")
-    phi = phi * (np.sqrt(n) / norms)
-    fs = FeatureSet.from_phi(phi)
-    return fs, pairwise_incoherence(fs.covariance)
+    return FeatureSet.from_phi(phi * (np.sqrt(n) / norms))
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,7 @@ DESIGNS = {
         full_rank=True,
     ),
     "incoherent": DesignKind(
-        draw=lambda n, p, seed, alpha: gen_incoherent_design(n, p, seed)[0],
+        draw=lambda n, p, seed, alpha: gen_incoherent_design(n, p, seed),
         min_eig=None,
         needs_alpha=False,
         full_rank=False,

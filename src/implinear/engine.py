@@ -32,6 +32,15 @@ Schur-complement downdate in O(m^2), one stacked step for every run on this
 path: IMP as backward greedy elimination (Couvreur & Bresler, SIAM J.
 Matrix Anal. Appl. 21(3), 2000).
 
+Runs on one CovMatrix object that have pruned the same coordinates have
+the same Sigma_A, bit for bit, so they share its work: a round factorizes
+each distinct Sigma_A once, and the downdate keeps one slice of its
+inverse stack per group of such runs, with `owner` mapping runs to slices.
+A group whose runs prune differently splits, and its slice is copied.  Each
+run's weights are updated from its own slice's Schur row, so every trace
+has the bits of the run computed alone.  Runs of distinct covariances (the
+trials of a `recover` range) are groups of one and take the unshared steps.
+
 Indices are 0-based throughout.
 """
 
@@ -115,13 +124,41 @@ class ImpTrace:
         return tuple(self.pruned.ravel().tolist())
 
 
+@dataclass(frozen=True, eq=False)
+class RoundFactors(Sequence):
+    """The factorizations one round of a stack was trained with.
+
+    factors[t] is run t's: its SymEig of Sigma_A if the round factorized it,
+    else its (m, m) slice of `inverse`, the downdate's (G, m, m) stack of
+    Sigma_A^{-1}.  `eigs` maps the runs factorized this round to their
+    SymEig, and slot[t] is run t's slice of `inverse`, -1 for a run off the
+    downdate; runs that share a slice share its array.
+    """
+
+    eigs: dict[int, SymEig]
+    inverse: np.ndarray
+    slot: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.slot)
+
+    def __getitem__(self, t: int) -> SymEig | np.ndarray:
+        t = range(len(self))[t]
+        return self.eigs[t] if t in self.eigs else self.inverse[self.slot[t]]
+
+    @property
+    def stacked(self) -> np.ndarray | None:
+        """Every run's Sigma_A^{-1} as one (T, m, m) stack, the engine's own,
+        when each run has a slice of its own (slices follow the runs' order);
+        else None."""
+        return self.inverse if len(self.inverse) == len(self.slot) else None
+
+
 # on_round(k, active, weights, factors) sees round k of a stack of T runs after
 # training and before the prune: the (T, m) active indices, the (T, m) trained
-# active weights, and a sequence of the factorizations each run was trained
-# with, its SymEig of Sigma_A on a factorized round or its (m, m) slice of the
-# stacked Sigma_A^{-1} on a downdated round; when every run is downdated it is
-# that (T, m, m) stack itself.  The engine keeps none of them.
-RoundObserver = Callable[[int, np.ndarray, np.ndarray, Sequence], None]
+# active weights, and the RoundFactors each run was trained with.  The engine
+# keeps none of them.
+RoundObserver = Callable[[int, np.ndarray, np.ndarray, RoundFactors], None]
 
 
 def _select_prune(
@@ -145,74 +182,135 @@ def _positive_definite(a: np.ndarray) -> bool:
 
 
 def _downdate(
-    inverse: np.ndarray, weights: np.ndarray, drop: np.ndarray
+    inverse: np.ndarray, weights: np.ndarray, drop: np.ndarray,
+    owner: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Remove the local coordinates `drop` from a stack of Sigma_A^{-1} and weights.
 
-    inverse is (D, m, m), weights (D, m) and drop (D, r).  Per slice, with
-    C = Sigma_A^{-1}, J the dropped and K the kept coordinates, the smaller
-    inverse is the Schur complement C_KK - C_KJ C_JJ^{-1} C_JK and the
-    retrained weights are w_K - C_KJ C_JJ^{-1} w_J.  Both go through the
-    Cholesky factor L of C_JJ: with [G | g] = L^{-1} [C_JK | w_J] they are
-    C_KK - G^T G and w_K - G^T g.  Returns (inverse, weights, ok); ok is
-    False on the slices where C_JJ is not positive definite, the sign of
-    accumulated drift, and their rows of the other two are meaningless.
+    inverse is (G, m, m), drop (G, r) and weights (D, m); owner (D,) maps
+    each weight row to its slice, and None pairs them one to one (D = G).
+    Per slice, with C = Sigma_A^{-1}, J the dropped and K the kept
+    coordinates, the smaller inverse is the Schur complement
+    C_KK - C_KJ C_JJ^{-1} C_JK and the retrained weights are
+    w_K - C_KJ C_JJ^{-1} w_J.  Both go through the Cholesky factor L of C_JJ:
+    with [G | g] = L^{-1} [C_JK | w_J] they are C_KK - G^T G and w_K - G^T g,
+    and each weight row takes the G of its own slice.  Returns (inverse,
+    weights, ok); ok is False on the slices where C_JJ is not positive
+    definite, the sign of accumulated drift, and their rows of the other two
+    are meaningless.
 
     Every inverse that enters is exactly symmetric: `pseudo_inverse`
     returns (M + M^T) / 2, whose bits are symmetric because IEEE addition
     commutes, and each downdate returns a symmetric inverse.  For one
     dropped coordinate G^T G is the outer product of a vector with itself,
     g_i g_j == g_j g_i bit for bit, so the Schur complement is symmetric as
-    computed; a block's product is not, and is symmetrized.
+    computed; a block's product is not, and is symmetrized.  A block solves
+    [C_JK | w_J] per weight row, as a row alone would, and its slice takes
+    G from one of its rows: LAPACK solves each right-hand column on its
+    own, so the rows of a slice have the same G.
     """
-    d, m = weights.shape
-    r = drop.shape[1]
-    rows = np.arange(d)[:, None]
-    keep = np.ones((d, m), dtype=bool)
+    d, r = len(weights), drop.shape[1]
+    g_n, m = inverse.shape[:2]
+    rows = np.arange(g_n)[:, None]
+    keep = np.ones((g_n, m), dtype=bool)
     keep[rows, drop] = False
-    # in place where possible: each (D, m, m) temporary costs fresh pages
-    smaller = inverse[keep[:, :, None] & keep[:, None, :]].reshape(d, m - r, m - r)
-    w_kept = weights[keep].reshape(d, m - r)
+    # in place where possible: each (G, m, m) temporary costs fresh pages
+    smaller = inverse[keep[:, :, None] & keep[:, None, :]].reshape(g_n, m - r, m - r)
+    row_keep, row_drop = (keep, drop) if owner is None else (keep[owner], drop[owner])
+    w_kept = weights[row_keep].reshape(d, m - r)
+    w_drop = weights[np.arange(d)[:, None], row_drop]
     if r == 1:  # scalar Cholesky; `>` is False on NaN too
         t, j = rows[:, 0], drop[:, 0]
-        drop_row = inverse[t, j]  # (D, m): row J of each slice
+        drop_row = inverse[t, j]  # (G, m): row J of each slice
         pivot = drop_row[t, j]
         ok = pivot > 0.0
         root = np.sqrt(np.where(ok, pivot, 1.0))[:, None]
-        g = drop_row[keep].reshape(d, m - 1) / root
+        g = drop_row[keep].reshape(g_n, m - 1) / root
         # G^T G = g g^T and G^T g = g g_w: each entry is one multiplication
         smaller -= g[:, :, None] * g[:, None, :]
-        return smaller, w_kept - g * (weights[t, j][:, None] / root), ok
-    kept = np.nonzero(keep)[1].reshape(d, -1)
+        if owner is not None:
+            g, root = g[owner], root[owner]
+        return smaller, w_kept - g * (w_drop / root), ok
+    kept = np.nonzero(keep)[1].reshape(g_n, -1)
     pivot = inverse[rows[:, :, None], drop[:, :, None], drop[:, None, :]]
-    rhs = np.concatenate((inverse[rows[:, :, None], drop[:, :, None], kept[:, None, :]],
-                          weights[rows, drop][:, :, None]), axis=2)
-    ok = np.ones(d, dtype=bool)
+    c_jk = inverse[rows[:, :, None], drop[:, :, None], kept[:, None, :]]
+    ok = np.ones(g_n, dtype=bool)
     try:
         chol = np.linalg.cholesky(pivot)
     except np.linalg.LinAlgError:  # some slice drifted: factor the others
         ok = np.array([_positive_definite(a) for a in pivot])
         chol = np.linalg.cholesky(np.where(ok[:, None, None], pivot, np.eye(r)))
-    g = np.linalg.solve(chol, rhs)
-    g_t, g_c, g_w = g[:, :, :-1].transpose(0, 2, 1), g[:, :, :-1], g[:, :, -1:]
-    smaller -= g_t @ g_c
+    if owner is not None:
+        chol, c_jk = chol[owner], c_jk[owner]
+    g = np.linalg.solve(chol, np.concatenate((c_jk, w_drop[:, :, None]), axis=2))
+    w_kept -= (g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, -1:])[:, :, 0]
+    if owner is not None:  # each slice's G from one of its rows
+        first = np.empty(g_n, dtype=int)
+        first[owner] = np.arange(d)
+        g = g[first]
+    smaller -= g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, :-1]
     smaller += smaller.transpose(0, 2, 1)
     smaller /= 2.0
-    return smaller, w_kept - (g_t @ g_w)[:, :, 0], ok
+    return smaller, w_kept, ok
+
+
+def _groups(keys: list) -> tuple[np.ndarray, list[int]]:
+    """Group equal keys in the order of their first occurrence: the group of
+    each key, and the index of each group's first key."""
+    group: dict = {}
+    owner, firsts = [], []
+    for i, key in enumerate(keys):
+        if key not in group:
+            group[key] = len(firsts)
+            firsts.append(i)
+        owner.append(group[key])
+    return np.array(owner, dtype=int), firsts
+
+
+def _split(
+    inverse: np.ndarray, owner: np.ndarray, drop: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slices' drops (G, r) from the runs' drops (D, r), when the runs of
+    each slice agree: (inverse, owner, drops).  Otherwise a slice whose runs
+    disagree is copied once per distinct drop, and slices stay in the order
+    of their first run."""
+    per_slice = np.empty((len(inverse), drop.shape[1]), dtype=drop.dtype)
+    per_slice[owner] = drop
+    if (per_slice[owner] == drop).all():
+        return inverse, owner, per_slice
+    split, firsts = _groups(list(zip(owner.tolist(), map(tuple, drop.tolist()))))
+    return inverse[owner[firsts]], split, drop[firsts]
+
+
+def _join(
+    down: np.ndarray, owner: np.ndarray, inverse: np.ndarray,
+    eigs: dict[int, SymEig], joining: list[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The downdate's runs, owners and slices once the factorized runs
+    `joining` join it: runs that share a SymEig share the slice of its
+    pseudo-inverse, and slices are in the order of their first run."""
+    old = dict(zip(down.tolist(), owner.tolist()))
+    down = np.sort(np.concatenate((down, joining)))  # `joining` excludes `down`
+    runs = down.tolist()
+    owner, firsts = _groups([(0, old[t]) if t in old else (1, id(eigs[t])) for t in runs])
+    slices = [inverse[old[t]] if t in old else pseudo_inverse(eigs[t])
+              for t in (runs[i] for i in firsts)]
+    return down, owner, np.stack(slices)
 
 
 def _factorize(
     covs: Sequence[CovMatrix], active: np.ndarray, runs: list[int], k: int
 ) -> list[SymEig]:
     """The eigendecompositions of Sigma_A of the given runs at round k, by
-    one stacked `sym_eig` call.  Round 0 trains on every coordinate, so its
-    stack holds each distinct covariance itself, and the runs on one
-    CovMatrix object share its SymEig."""
-    if k:
-        return sym_eig(np.stack([covs[t].restrict(active[t]).entries for t in runs]))
-    distinct = {id(covs[t]): covs[t] for t in runs}
-    eigs = dict(zip(distinct, sym_eig(np.stack([cov.entries for cov in distinct.values()]))))
-    return [eigs[id(covs[t])] for t in runs]
+    one stacked `sym_eig` call on each distinct Sigma_A: runs on one
+    CovMatrix object with the same active set share a SymEig.  Round 0
+    trains on every coordinate, so its stack holds the covariances
+    themselves."""
+    group, firsts = _groups([(id(covs[t]), active[t].tobytes()) for t in runs])
+    distinct = [runs[i] for i in firsts]
+    eigs = sym_eig(np.stack([covs[t].restrict(active[t]).entries if k else covs[t].entries
+                             for t in distinct]))
+    return [eigs[g] for g in group.tolist()]
 
 
 def run_imp(
@@ -225,8 +323,8 @@ def run_imp(
     the (T, p) array b.  The runs share p and the config; a single run is a
     stack of one.  Each run trains on its own path, and the result of a run
     does not depend on the rest of its stack.  Runs on one CovMatrix object
-    (the sigma cells of a baselines trial) share its round-0 factorization
-    and pseudo-inverse.
+    (the sigma cells of a baselines trial) share each factorization and each
+    slice of the downdate's inverse stack while they prune alike.
     """
     if not covs:
         raise ValueError("run_imp needs at least one covariance")
@@ -254,37 +352,40 @@ def run_imp(
     # A run takes the downdate path with an infinite horizon and a nonsingular
     # round-0 factorization, and leaves it for good at the first singular
     # refactorization, which interlacing rules out up to roundoff.  `down`
-    # lists the runs whose round is downdated; `inverse` and `w_down` stack
-    # their Sigma_A^{-1} and trained weights.
+    # lists the runs whose round is downdated and `w_down` stacks their
+    # trained weights; `inverse` stacks the Sigma_A^{-1} slices, run down[i]
+    # reading slice owner[i].  Slices are in the order of their first run, so
+    # when there are as many slices as runs, slice i is run down[i]'s.
     exact = np.full(stack, is_infinite(config.horizon))
-    down = np.zeros(0, dtype=int)
+    down, owner = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     inverse, w_down = np.empty((0, p, p)), None
     for k in range(q + 1):
+        eigs: dict[int, SymEig] = {}
         if down.size == stack:  # nothing to factorize: the stack is the downdate's
-            weights, factors = w_down, inverse
+            weights = w_down
         else:
             weights = np.empty(active.shape)
-            factors = [None] * stack
             if down.size:
                 weights[down] = w_down
-                for t, inv in zip(down.tolist(), inverse):
-                    factors[t] = inv
-            todo = [t for t in range(stack) if factors[t] is None]
+            todo = sorted(set(range(stack)).difference(down.tolist()))
             for t, eig in zip(todo, _factorize(covs, active, todo, k)):
                 idx = active[t]
                 weights[t] = closed_form_weights(eig, data_vec[t, idx], w_init[idx],
                                                  config.horizon)
                 exact[t] = exact[t] and bool(eig.nonzero_mask().all())
-                factors[t] = eig
+                eigs[t] = eig
             # runs factorized now that stay exact join the downdate
             joining = [t for t in todo if exact[t] and k < q]
             if joining:
-                down = np.sort(np.concatenate((down, joining)))  # `todo` excludes `down`
-                inverse = np.stack([f if isinstance(f, np.ndarray) else pseudo_inverse(f)
-                                    for f in (factors[t] for t in down.tolist())])
+                down, owner, inverse = _join(down, owner, inverse, eigs, joining)
 
         if on_round is not None:
-            on_round(k, active, weights, factors)
+            slot = owner
+            if down.size < stack:
+                slot = np.full(stack, -1)
+                slot[down] = owner
+            on_round(k, active, weights, RoundFactors(eigs, inverse, slot))
+        del eigs  # dropped before the downdate, which needs none of them
         local = _select_prune(np.abs(weights), config.per_round, config.tie_break)
         pruned[:, k] = active[rows, local]
         trained[:, k][alive] = weights.ravel()  # rows of `active` ascend, as `alive` is read
@@ -296,9 +397,15 @@ def run_imp(
         active = np.nonzero(alive)[1].reshape(stack, -1)
         if down.size:
             on = slice(None) if down.size == stack else down
-            inverse, w_down, ok = _downdate(inverse, weights[on], local[on])
+            drop = local[on]
+            if len(inverse) < down.size:  # shared slices
+                inverse, owner, drop = _split(inverse, owner, drop)
+            shared = owner if len(inverse) < down.size else None
+            inverse, w_down, ok = _downdate(inverse, weights[on], drop, shared)
             if not ok.all():  # drift: these runs are factorized afresh next round
-                down, inverse, w_down = down[ok], inverse[ok], w_down[ok]
+                stays = ok[owner]
+                down, w_down, inverse = down[stays], w_down[stays], inverse[ok]
+                owner = (np.cumsum(ok) - 1)[owner[stays]]
 
     for a in (trained, masks, pruned):
         a.setflags(write=False)  # so is every view of it

@@ -45,14 +45,15 @@ from .designs import (
     check_signal,
     gen_incoherent_design,
     make_rng,
+    pairwise_incoherence,
     sample_noise,
 )
 # Not called here: benchmarks/tracing.py wraps every design generator at this
 # module's names, so they stay bound (tests/test_bench_contract.py).
 from .designs import gen_orthonormal_design, gen_uniform_corr_design  # noqa: F401
-from .engine import ImpConfig, imp_prune_order, run_imp, trace_to_dict
+from .engine import ImpConfig, RoundFactors, imp_prune_order, run_imp, trace_to_dict
 from .flow import INFINITE
-from .linalg import SymEig, min_nonzero_eig, pseudo_inverse, sym_eig
+from .linalg import min_nonzero_eig, pseudo_inverse, sym_eig
 from .theory import (
     BoundInputs,
     McSummary,
@@ -332,7 +333,7 @@ def _check_size(n: int, p: int, what: str) -> None:
 
 
 def map_trials(
-    spec: ExperimentSpec, trial_fn, *args, more=None, width: int | None = None
+    spec: ExperimentSpec, trial_fn, *args, more=None, stacked: bool = False
 ) -> list:
     """trial_fn(spec, trials, *args) over contiguous ranges of trials that
     cover range(spec.trials); the lists it returns, concatenated in trial
@@ -340,10 +341,11 @@ def map_trials(
 
     With threads > 1 the ranges run on one pool of min(threads, trials)
     worker processes for the whole map, as no batch holds more trials than
-    the first.  A trial function that stacks `width` IMP runs per trial gets
-    ranges of max(1, STACK_BUDGET // (width * p^2)) trials, so that its
-    stack stays within that many doubles per (p, p) block, and on a pool no
-    more than a worker's share of the batch, so that every worker gets one.
+    the first.  A `stacked` trial function, one whose stacks hold one
+    (p, p) block per trial (a baselines trial's sigma cells share theirs),
+    gets ranges of max(1, STACK_BUDGET // p^2) trials, so that a stack
+    stays within that many doubles, and on a pool no more than a worker's
+    share of the batch, so that every worker gets one.
     Any other trial function gets each batch as one range, or on a pool in
     about four ranges per worker.  With `more`, the map goes on in batches:
     after each batch, more(batch) is the number of trials to run next,
@@ -359,8 +361,8 @@ def map_trials(
     with pool or nullcontext():
         while size > 0:
             first = len(results)
-            if width is not None:
-                step = max(1, STACK_BUDGET // (width * spec.design.p**2))
+            if stacked:
+                step = max(1, STACK_BUDGET // spec.design.p**2)
                 if pool is not None:
                     step = min(step, math.ceil(size / workers))
             else:
@@ -525,7 +527,7 @@ class _RoundAudit:
 
 
 def _audit_rounds(
-    audit: _RoundAudit, k: int, active: np.ndarray, weights: np.ndarray, factors
+    audit: _RoundAudit, k: int, active: np.ndarray, weights: np.ndarray, factors: RoundFactors
 ) -> None:
     """Check round k of a stack of recovery trials: the engine's observer.
 
@@ -537,24 +539,26 @@ def _audit_rounds(
     eigendecomposition.  A downdated round is checked with the engine's
     Sigma_A^{-1}, so its residual also measures downdate drift; its
     eigenvalue entry is the previous round's, a lower bound by Cauchy
-    interlacing, so the minimum over rounds is the exact one.  Round 0's
-    residuals use the pseudo-inverse the engine computed for its downdate.
+    interlacing, so the minimum over rounds is the exact one.  Whenever each
+    trial has a slice of the engine's Sigma_A^{-1} stack, round 0 included,
+    the residuals are computed with that stack itself.
     """
     if k == 0:
         audit.onp = [check_onp(eig, pr.support, tol=ONP_TOL).holds
                      for eig, pr in zip(factors, audit.problems)]
-    if isinstance(factors, np.ndarray):  # every trial downdated: no eigenvalue is new
+    if not factors.eigs:  # every trial downdated: no eigenvalue is new
         eigs = audit.eigs[-1]
     else:
         eigs = audit.eigs[-1].copy() if audit.eigs else np.empty(len(factors))
-        for i, f in enumerate(factors):
-            if isinstance(f, SymEig):
-                try:
-                    eigs[i] = min_nonzero_eig(f)
-                except ValueError:
-                    eigs[i] = float("nan")
+        for i, f in factors.eigs.items():
+            try:
+                eigs[i] = min_nonzero_eig(f)
+            except ValueError:
+                eigs[i] = float("nan")
     audit.eigs.append(eigs)
-    chk = check_recoverable(audit.cov, audit.signal, active, factors, tol=RECOVERY_TOL)
+    stacked = factors.stacked
+    chk = check_recoverable(audit.cov, audit.signal, active,
+                            factors if stacked is None else stacked, tol=RECOVERY_TOL)
     audit.residuals.append(chk.residual)
 
 
@@ -613,7 +617,7 @@ def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | No
 
 def run_support_recovery(spec: ExperimentSpec) -> RecoveryReport:
     _check_run(spec, "support_recovery")
-    records = [r for r in map_trials(spec, recovery_trial, width=1) if r is not None]
+    records = [r for r in map_trials(spec, recovery_trial, stacked=True) if r is not None]
     rejected = spec.trials - len(records)
     if rejected > spec.trials // 2:
         raise ConfigError(
@@ -754,7 +758,8 @@ def _incoherent_attempt(spec: ExperimentSpec, attempt: int) -> HeuristicTrialRow
     """
     n, p = spec.design.n, spec.design.p
     seed = spec.base_seed + attempt
-    fs, delta_pw = gen_incoherent_design(n, p, seed)
+    fs = gen_incoherent_design(n, p, seed)
+    delta_pw = pairwise_incoherence(fs.covariance)
     xty = fs.phi.T @ make_rng(seed, STREAM_TARGETS).standard_normal(n)
     scores, order = np.abs(xty), alignment_order(xty)
     first_gap = float(scores[order[1]] - scores[order[0]]) if p > 1 else float("inf")
@@ -801,7 +806,7 @@ def run_heuristic_equivalence(spec: ExperimentSpec) -> HeuristicReport:
     _check_run(spec, "heuristic_equivalence")
     incoherent = spec.design.kind == "incoherent"
     rows = (_heuristic_incoherent(spec) if incoherent
-            else map_trials(spec, _heuristic_trials, width=1))
+            else map_trials(spec, _heuristic_trials, stacked=True))
     qual = [r for r in rows if not (r.degenerate or r.excluded)]
     if not qual:  # a gate with nothing to test is a config error, as in recover
         raise ConfigError(
@@ -887,27 +892,29 @@ def _baseline_trial(
     Trial 0's problems are `first` if sizing n already drew its design.  The
     range keeps only the (trial, sigma) problems, and IHT and IMP each run
     them as one stack on one b stack.  The sigma cells of a trial share one
-    CovMatrix, so IMP factorizes it once at round 0 for all of them, and
-    hard thresholding takes that factorization's one pseudo-inverse, the
-    one the downdate started from.
+    CovMatrix, so IHT stacks one Sigma per trial, and IMP factorizes it once
+    at round 0 for all of them and downdates one inverse while they prune
+    alike; hard thresholding takes that factorization's one pseudo-inverse,
+    the one the downdate started from.
     """
     threshold = _baseline(spec)[2]
-    cells = []
-    for t in trials:
-        cells += first if t == 0 and first else _noise_sweep(spec, spec.base_seed + t, n, sweep)
+    per_trial = [first if t == 0 and first else _noise_sweep(spec, spec.base_seed + t, n, sweep)
+                 for t in trials]
+    cells = [problem for problems in per_trial for problem in problems]
     b = np.stack([problem.b for problem in cells])
-    fit = iht(np.stack([problem.covariance.entries for problem in cells]), b, threshold)
-    round0 = []
+    fit = iht(np.stack([problems[0].covariance.entries for problems in per_trial]),
+              b.reshape(len(per_trial), len(sweep), -1), threshold)
+    hts = []
 
-    def keep_round0(k, active, weights, factors):
+    def threshold_round0(k, active, weights, factors):
         if k == 0:
-            round0.extend(factors)
+            hts.extend(ht_estimator(problem.b, threshold.tau, pseudo_inverse(eig))
+                       for problem, eig in zip(cells, factors))
 
     traces = run_imp([problem.covariance for problem in cells], b,
-                     _imp_config(spec, _prune_rounds(spec)), on_round=keep_round0)
+                     _imp_config(spec, _prune_rounds(spec)), on_round=threshold_round0)
     outcomes = []
-    for problem, eig, trace, s_iht in zip(cells, round0, traces, fit.estimate):
-        ht = ht_estimator(problem.b, threshold.tau, pseudo_inverse(eig))
+    for problem, ht, trace, s_iht in zip(cells, hts, traces, fit.estimate.reshape(b.shape)):
         truth = set(problem.support)
         supports = (set(np.flatnonzero(w != 0.0).tolist())
                     for w in (trace.final_weights, ht, s_iht))
@@ -930,7 +937,7 @@ def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
     first = None if drawn is None else _noise_sweep(spec, spec.base_seed, n, sweep, drawn)
     del drawn
     try:
-        outcomes = map_trials(spec, _baseline_trial, n, sweep, first, width=len(sweep))
+        outcomes = map_trials(spec, _baseline_trial, n, sweep, first, stacked=True)
     except IhtDivergenceError as exc:
         raise ConfigError(
             f"IHT diverged at baseline.eta = {base.eta} ({exc}); lower baseline.eta"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from implinear.baselines import (
     DIVERGENCE_LIMIT,
     IhtDivergenceError,
+    IhtResult,
     ThresholdConfig,
     alignment_order,
     hard_threshold,
@@ -110,15 +111,16 @@ class TestHtEstimator:
 
 
 def normal_equations(*features):
-    """The (T, p, p) covariance and (T, p) Phi^T y / n stacks of the runs."""
+    """The (T, p, p) covariance and (T, 1, p) Phi^T y / n stacks of the runs,
+    each run a group of its own."""
     return (np.stack([fs.covariance.entries for fs in features]),
-            np.stack([fs.b for fs in features]))
+            np.stack([fs.b for fs in features])[:, None])
 
 
 def iht_one(fs, config):
     """iht on a stack of one: (estimate, iters, converged) of the run."""
     res = iht(*normal_equations(fs), config)
-    return res.estimate[0], int(res.iters[0]), bool(res.converged[0])
+    return res.estimate[0, 0], int(res.iters[0, 0]), bool(res.converged[0, 0])
 
 
 def iht_phi(fs, config):
@@ -137,6 +139,7 @@ def iht_phi(fs, config):
 
 def assert_matches_oracle(features, config):
     res = iht(*normal_equations(*features), config)
+    res = IhtResult(res.estimate[:, 0], res.iters[:, 0], res.converged[:, 0])
     for t, fs in enumerate(features):
         estimate, iters, converged = iht_phi(fs, config)
         assert np.array_equal(res.estimate[t] != 0.0, estimate != 0.0)
@@ -267,6 +270,110 @@ class TestIhtStackMatchesPhiLoop:
             with pytest.raises(IhtDivergenceError) as stacked:
                 iht(*normal_equations(*stack), config)
             assert str(stacked.value) == str(oracle.value)
+
+
+def compacting_iht(cov, b, config):
+    """The stacked loop on one (p, p) block per run, (T, p, p) and (T, p),
+    in which finished runs leave the stack: iht before groups shared Sigma."""
+    estimate, s, live = np.zeros(b.shape), np.zeros(b.shape), np.arange(len(b))
+    iters, converged = np.full(len(b), config.max_iters), np.zeros(len(b), dtype=bool)
+    for it in range(1, config.max_iters + 1):
+        if not live.size:
+            break
+        s_new = hard_threshold(s + config.eta * (b - (cov @ s[:, :, None])[:, :, 0]), config.tau)
+        if (np.abs(s_new) > DIVERGENCE_LIMIT).any():
+            raise IhtDivergenceError("step size too large for spectrum")
+        done = np.max(np.abs(s_new - s), axis=1) <= config.convergence_tol
+        s = s_new
+        if done.any():
+            finished = live[done]
+            estimate[finished], iters[finished], converged[finished] = s[done], it, True
+            live, s, cov, b = live[~done], s[~done], cov[~done], b[~done]
+    estimate[live] = s
+    return IhtResult(estimate, iters, converged)
+
+
+def outcome(fit, *args):
+    try:
+        return fit(*args)
+    except IhtDivergenceError as exc:
+        return str(exc)
+
+
+class TestSharedIht:
+    """Groups of runs on one Sigma, finished runs frozen in place, against the
+    compacting loop on one block per run: bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        groups=st.integers(1, 5),
+        per_group=st.integers(1, 4),
+        n=st.integers(2, 200),
+        p=st.integers(1, 40),
+        step=st.floats(0.1, 2.5),
+        tau=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_groups_match_the_compacting_loop(self, groups, per_group, n, p, step, tau, seed):
+        rng = make_rng(seed)
+        covs, b = [], []
+        for _ in range(groups):
+            fs = noisy_design(rng, n, p, rng.integers(0, p + 1), rng.uniform(0.2, 2.0))
+            covs.append(fs.covariance.entries)
+            # the runs of a group fit different targets, so they finish apart
+            b.append([fs.phi.T @ (fs.targets * rng.uniform(0.0, 3.0) + rng.standard_normal(n))
+                      / n for _ in range(per_group)])
+        cov, b = np.stack(covs), np.array(b)
+        # eta * lambda_max up to 2.5: some stacks diverge, and must do so alike
+        lam = max(np.linalg.eigvalsh(c)[-1] for c in covs)
+        config = ThresholdConfig(tau=tau, eta=step / lam, max_iters=200)
+        got = outcome(iht, cov, b, config)
+        want = outcome(compacting_iht, np.repeat(cov, per_group, axis=0), b.reshape(-1, p),
+                       config)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got.estimate.shape == b.shape and got.iters.shape == b.shape[:2]
+        assert got.estimate.reshape(-1, p).tobytes() == want.estimate.tobytes()
+        assert got.iters.ravel().tolist() == want.iters.tolist()
+        assert got.converged.ravel().tolist() == want.converged.tolist()
+
+    def test_runs_of_one_group_finish_apart(self):
+        # Sigma = c^2 I at eta = 1 contracts the error by |1 - c^2| per step; the
+        # runs of the group differ in their targets' scale
+        fs = scaled_orthonormal(0.8, 3.0 * np.ones(5), seed=3)
+        b = np.stack([fs.b * scale for scale in (1.0, 1e-3, 1e3)])[None]
+        config = ThresholdConfig(tau=0.5, eta=1.0)
+        res = iht(fs.covariance.entries[None], b, config)
+        want = compacting_iht(np.repeat(fs.covariance.entries[None], 3, axis=0), b[0], config)
+        assert res.converged.all() and len(set(res.iters.ravel().tolist())) == 3
+        assert res.estimate[0].tobytes() == want.estimate.tobytes()
+        assert res.iters[0].tolist() == want.iters.tolist()
+
+    def test_only_running_runs_can_diverge(self):
+        # Sigma = diag(9, 1.9) at eta = 1: run 0 moves along the first axis, whose
+        # iterate is multiplied by -8 a step; with this tolerance it finishes at
+        # iteration 1, while run 1, on the second axis, needs 6.  Run 0's next
+        # iterate would be -2.1e12, past the limit, but a frozen run is not
+        # iterated.
+        cov = np.diag([9.0, 1.9])[None]
+        b = np.array([[[3e11, 0.0], [0.0, 8e11]]])
+        config = ThresholdConfig(tau=0.0, eta=1.0, convergence_tol=5e11)
+        res = iht(cov, b, config)
+        assert res.iters.tolist() == [[1, 6]] and res.converged.all()
+        frozen = res.estimate[0, 0, 0]
+        assert abs(frozen + config.eta * (b[0, 0, 0] - 9.0 * frozen)) > DIVERGENCE_LIMIT
+        want = compacting_iht(np.repeat(cov, 2, axis=0), b[0], config)
+        assert res.estimate[0].tobytes() == want.estimate.tobytes()
+        # the same run alone keeps iterating once the tolerance is small, and diverges
+        with pytest.raises(IhtDivergenceError):
+            iht(cov, b[:, :1], ThresholdConfig(tau=0.0, eta=1.0, convergence_tol=1.0))
+
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            iht(np.eye(3)[None], np.ones((1, 3)), ThresholdConfig(tau=0.1))
+        with pytest.raises(ValueError, match="shape"):
+            iht(np.eye(3)[None], np.ones((2, 1, 3)), ThresholdConfig(tau=0.1))
 
 
 class TestMethodAgreement:

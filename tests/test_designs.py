@@ -87,16 +87,16 @@ class TestIncoherentDesign:
         assert pairwise_incoherence(fs.covariance) == pytest.approx(1.0)
 
     def test_normalized_diagonal_and_measured_delta(self):
-        fs, delta = gen_incoherent_design(2000, 20, seed=12)
+        fs = gen_incoherent_design(2000, 20, seed=12)
         assert np.max(np.abs(np.diag(fs.covariance.entries) - 1.0)) <= 1e-8
-        assert delta == pairwise_incoherence(fs.covariance)
+        delta = pairwise_incoherence(fs.covariance)
         # recorded, not asserted against a threshold: typical values are small
         assert 0.0 < delta < 0.5
 
     def test_seed_determinism(self):
-        a, da = gen_incoherent_design(50, 5, seed=13)
-        b, db = gen_incoherent_design(50, 5, seed=13)
-        assert np.array_equal(a.phi, b.phi) and da == db
+        a = gen_incoherent_design(50, 5, seed=13)
+        b = gen_incoherent_design(50, 5, seed=13)
+        assert np.array_equal(a.phi, b.phi)
 
 
 class TestSparseSignal:
@@ -198,7 +198,7 @@ class TestGeneratorInvariants:
         designs = [
             gen_orthonormal_design(12, 6, seed=28),
             gen_uniform_corr_design(12, 6, alpha=0.4, seed=29),
-            gen_incoherent_design(12, 6, seed=30)[0],
+            gen_incoherent_design(12, 6, seed=30),
         ]
         for fs in designs:
             assert np.max(np.abs(np.diag(fs.covariance.entries) - 1.0)) <= 1e-8

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import tracemalloc
+from contextlib import nullcontext
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -291,7 +294,7 @@ def design_features(kind, n, alpha, seed, p=DIFF_P):
     elif kind == "uniform_corr":
         fs = gen_uniform_corr_design(n, p, alpha, seed)
     else:
-        fs, _ = gen_incoherent_design(n, p, seed)
+        fs = gen_incoherent_design(n, p, seed)
     return with_targets(fs, make_rng(seed, STREAM_TARGETS).standard_normal(n))
 
 
@@ -448,9 +451,9 @@ class TestDowndatePath:
         real = engine_module._downdate
         calls = []
 
-        def fail_slice_1_third(inverse, weights, drop):
+        def fail_slice_1_third(inverse, weights, drop, owner):
             calls.append(len(weights))
-            inverse, weights, ok = real(inverse, weights, drop)
+            inverse, weights, ok = real(inverse, weights, drop, owner)
             if len(calls) == 3:
                 ok = ok.copy()
                 ok[1] = False
@@ -681,3 +684,121 @@ class TestSymmetricDowndate:
             assert_same_bits(inverse, ref_inverse)
             assert_same_bits(weights, ref_weights)
         assert inverse.shape == (3, 5, 5)
+
+
+def cell_targets(fs, cells, seed, k=3):
+    """b of each cell on one design: a float is a noise level, and those
+    cells share one sparse signal and one noise draw scaled by it, as the
+    sigma cells of a baselines trial; None is an unrelated b."""
+    rng = make_rng(seed, 3)
+    n, p = fs.phi.shape
+    signal = np.zeros(p)
+    signal[rng.choice(p, size=k, replace=False)] = rng.choice([-1.0, 1.0], size=k)
+    noise = rng.standard_normal(n)
+    return [rng.standard_normal(p) if sigma is None
+            else fs.phi.T @ (fs.phi @ signal + sigma * noise) / n for sigma in cells]
+
+
+def drift_at_third_call(real):
+    """`_downdate` that reports drift on its third call, on each slice whose
+    [0, 0] entry has an even last bit: a property of the slice's bits, so a
+    shared slice drifts exactly when each of its runs' own slices would."""
+    calls = []
+
+    def downdate(inverse, weights, drop, owner=None):
+        calls.append(None)
+        smaller, w, ok = real(inverse, weights, drop, owner)
+        if len(calls) == 3:
+            ok = ok & (inverse[:, 0, 0].view(np.int64) % 2 == 1)
+        return smaller, w, ok
+
+    return downdate
+
+
+def factor_digest(f):
+    h = hashlib.sha256()
+    if isinstance(f, SymEig):
+        for a in (f.eigenvalues, f.eigenvectors, np.array(f.rank_tol)):
+            h.update(a.tobytes())
+    else:
+        h.update(b"inverse" + np.ascontiguousarray(f).tobytes())
+    return h.hexdigest()
+
+
+def run_digested(covs, b, config, drift):
+    """Traces, and per round the digest of each run's factorization and the
+    number of inverse slices."""
+    rounds = []
+
+    def observe(k, active, weights, factors):
+        assert len(factors) == len(covs)
+        rounds.append(([factor_digest(f) for f in factors], len(factors.inverse)))
+
+    patch = (mock.patch.object(engine_module, "_downdate", drift_at_third_call(
+        engine_module._downdate)) if drift else nullcontext())
+    with patch:
+        return run_imp(covs, np.stack(b), config, observe), rounds
+
+
+class TestSharedDowndate:
+    """Runs on one CovMatrix object against the same runs on copies of it,
+    one object and so one slice per run: bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        designs=st.lists(st.sampled_from(STACK_DESIGNS), min_size=1, max_size=3),
+        cells=st.lists(st.sampled_from((0.0, 0.25, 1.0, 4.0, None)), min_size=2, max_size=4),
+        seed=st.integers(0, 10_000),
+        per_round=st.sampled_from((1, 2)),
+        tie_break=st.sampled_from(TIE_BREAK_RULES),
+        horizon=st.sampled_from((INFINITE, 3.0)),
+        drift=st.booleans(),
+    )
+    @example(designs=[STACK_DESIGNS[0]], cells=[0.25, 1.0, None], seed=1, per_round=2,
+             tie_break="highest_index", horizon=INFINITE, drift=True)
+    def test_shared_runs_match_one_slice_per_run(self, designs, cells, seed, per_round,
+                                                  tie_break, horizon, drift):
+        covs, b = [], []
+        for i, design in enumerate(designs):
+            fs = design_features(*design, seed + i)
+            for target in cell_targets(fs, cells, seed + i):
+                covs.append(fs.covariance)
+                b.append(target)
+        copies = [CovMatrix(cov.entries.copy()) for cov in covs]
+        config = ImpConfig(prune_rounds=DIFF_P // per_round - 1, per_round=per_round,
+                           tie_break=tie_break, horizon=horizon)
+        shared, shared_rounds = run_digested(covs, b, config, drift)
+        alone, alone_rounds = run_digested(copies, b, config, drift)
+        for a, c in zip(shared, alone):
+            assert_same_bits(a.weights, c.weights)  # -0.0 included
+            assert_same_bits(a.active, c.active)
+            assert_same_bits(a.pruned, c.pruned)
+        assert [digests for digests, _ in shared_rounds] == [d for d, _ in alone_rounds]
+        # the shared stack never holds more slices than the copies' one per run
+        assert all(len_s <= len_a for (_, len_s), (_, len_a) in zip(shared_rounds, alone_rounds))
+
+    def test_cells_that_agree_share_one_slice_until_they_split(self):
+        fs = design_features("orthonormal", 200, None, seed=21)
+        b = cell_targets(fs, (0.25, 0.5, None), seed=21)
+        slices = []
+        run_imp([fs.covariance] * 3, np.stack(b), ImpConfig(prune_rounds=10),
+                lambda k, active, weights, factors: slices.append(len(factors.inverse)))
+        # round 0 factorizes once and the two noise cells' first prunes agree;
+        # the unrelated run splits off at the first downdate
+        assert slices[0] == 1 and slices[1] >= 2
+        assert slices == sorted(slices)
+
+    def test_round_factors_index_runs_into_the_shared_stack(self):
+        fs = design_features("incoherent", 200, None, seed=22)
+        b = cell_targets(fs, (0.1, 0.2), seed=22)
+        seen = []
+        run_imp([fs.covariance] * 2, np.stack(b), ImpConfig(prune_rounds=3),
+                lambda k, active, weights, factors: seen.append(factors))
+        round0, round1 = seen[0], seen[1]
+        assert round0[0] is round0[1] and isinstance(round0[-1], SymEig)
+        assert round0.stacked is None and len(round0.inverse) == 1
+        assert round1.eigs == {} and list(round1.slot) == [0, 0]
+        assert np.shares_memory(round1[0], round1[1])
+        assert np.shares_memory(round1[-2], round1.inverse)
+        with pytest.raises(IndexError):
+            round1[2]

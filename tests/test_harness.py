@@ -225,6 +225,22 @@ class TestSupportRecovery:
         assert report.summary.failure_rate == 0.0
         assert report.summary.passed
 
+    def test_every_round_is_audited_on_the_engines_inverse_stack(self, monkeypatch):
+        # round 0 included: the audit reads the (T, m, m) stack the downdate
+        # starts from instead of stacking the same pseudo-inverses again
+        seen = []
+
+        def recording(cov, signal, active, factors, tol):
+            seen.append(factors)
+            return check_recoverable(cov, signal, active, factors, tol)
+
+        monkeypatch.setattr(harness_module, "check_recoverable", recording)
+        spec = recovery_spec(trials=3)
+        run_support_recovery(spec)
+        q = spec.design.p - spec.signal.k
+        assert [type(f) for f in seen] == [np.ndarray] * (q + 1)
+        assert [f.shape for f in seen] == [(3, 12 - k, 12 - k) for k in range(q + 1)]
+
     def test_q_zero_dense(self):
         report = run_support_recovery(
             recovery_spec(imp=ImpSpec(q=0), noise=NoiseSpec(sigma=0.0), trials=4)
@@ -644,8 +660,8 @@ class TestBaselines:
 
     def test_a_range_factorizes_each_trial_once(self, monkeypatch, count_sym_eig):
         # IMP's round-0 eigendecomposition of a trial's Sigma serves its three
-        # sigma cells, and its one pseudo-inverse serves the downdate and hard
-        # thresholding alike
+        # sigma cells, and its one pseudo-inverse serves the downdate, as one
+        # shared slice, and hard thresholding alike
         calls, pinvs = count_sym_eig(harness_module, engine_module), []
 
         def counted_pinv(eig):
@@ -666,7 +682,7 @@ class TestBaselines:
         sweep = tuple(replace(spec, noise=NoiseSpec(sigma=s)) for s in sigmas)
         outcomes = harness_module._baseline_trial(spec, range(1, 4), 40, sweep, None)
         assert calls == [("engine", 10)] * 3
-        assert len(pinvs) == 2 * 9 and len({id(pinv) for pinv in pinvs}) == 3
+        assert len(pinvs) == 3 + 9 and len({id(pinv) for pinv in pinvs}) == 3
         monkeypatch.undo()
         # hard thresholding as with a pseudo-inverse of its own factorization
         for t, per_sigma in zip(range(1, 4), outcomes):
@@ -678,6 +694,79 @@ class TestBaselines:
                 support = set(np.flatnonzero(est != 0.0).tolist())
                 assert ht == (support == set(problem.support),
                               harness_module._support_f1(support, set(problem.support)))
+
+
+def sigma_sweep_spec(**imp):
+    return ExperimentSpec(
+        kind="baseline_comparison",
+        design=DesignSpec(kind="incoherent", p=10),
+        trials=4,
+        base_seed=67,
+        signal=SignalSpec(k=2, gamma=1.0),
+        imp=ImpSpec(**imp),
+        baseline=BaselineSpec(eta=0.5, sigmas=(0.1, 0.5, 1.0)),
+    )
+
+
+def record_imp(monkeypatch):
+    """Every trace a baselines run's IMP stacks return, in stack order."""
+    traces = []
+
+    def recording(*args, **kwargs):
+        traces.extend(run_imp(*args, **kwargs))
+        return traces[-len(args[0]):]
+
+    monkeypatch.setattr(harness_module, "run_imp", recording)
+    return traces
+
+
+def distinct_cells(traces, trials, sigmas, ordered):
+    """Per round k, the number of distinct (trial, coordinates pruned before
+    round k) among a baselines run's (trial, sigma) cells: the sequence if
+    `ordered` (one downdated inverse each), else the set (one Sigma_A each)."""
+    pruned = np.array([trace.prune_order for trace in traces]).reshape(trials, sigmas, -1)
+    key = tuple if ordered else frozenset
+    return [len({(t, key(cell[:k])) for t in range(trials) for cell in pruned[t]})
+            for k in range(pruned.shape[2])]
+
+
+class TestSharedSigmaCells:
+    def test_a_range_holds_one_inverse_slice_per_trial(self, monkeypatch):
+        slices = []
+        real = engine_module._downdate
+
+        def counted(inverse, weights, drop, owner=None):
+            slices.append((len(inverse), len(weights)))
+            return real(inverse, weights, drop, owner)
+
+        monkeypatch.setattr(engine_module, "_downdate", counted)
+        traces = record_imp(monkeypatch)
+        run_baseline_comparison(sigma_sweep_spec())
+        # one range of 4 trials x 3 sigma cells whose prunes agree throughout:
+        # each of the q = p - k = 8 downdates holds one slice per trial
+        assert distinct_cells(traces, 4, 3, ordered=True) == [4] * 9
+        assert slices == [(4, 12)] * 8
+
+    def test_finite_horizon_cells_share_each_rounds_factorization(self, monkeypatch,
+                                                                 count_sym_eig):
+        calls = count_sym_eig(engine_module)
+        traces = record_imp(monkeypatch)
+        run_baseline_comparison(sigma_sweep_spec(horizon=20.0))
+        # every round factorizes each distinct Sigma_A once: here one per
+        # trial, where the 12 cells would take 12
+        distinct = distinct_cells(traces, 4, 3, ordered=False)
+        assert distinct == [4] * 9
+        assert calls == [("engine", 10 - k) for k, count in enumerate(distinct)
+                         for _ in range(count)]
+
+
+@pytest.mark.parametrize("p, lengths", [(10, [20]), (50, [13, 7]), (182, [1] * 20)])
+def test_stacked_ranges_hold_one_block_per_trial(p, lengths):
+    # a baselines trial stacks one (p, p) block whatever its number of sigmas,
+    # so its ranges are recover's: 2^15 // p^2 trials
+    spec = replace(sigma_sweep_spec(), design=DesignSpec(kind="incoherent", p=p), trials=20)
+    ranges = harness_module.map_trials(spec, lambda spec, trials: [len(trials)], stacked=True)
+    assert ranges == lengths
 
 
 # One range each (13 trials at p = 50; 4 trials x 3 sigmas): (run, spec, IMP
@@ -704,10 +793,9 @@ def test_phi_is_gone_before_imp_runs(monkeypatch, name):
     draw = getattr(designs_module, generator)
 
     def kept(*args):
-        drawn = draw(*args)
-        fs = drawn[0] if isinstance(drawn, tuple) else drawn  # incoherent: (fs, delta)
+        fs = draw(*args)
         phis.append(weakref.ref(fs.phi))
-        return drawn
+        return fs
 
     def checked(*args, **kwargs):
         gc.collect()

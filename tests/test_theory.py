@@ -289,7 +289,7 @@ class TestNoiseFunctional:
 
     def test_matches_svd_pseudo_inverse_chain(self):
         # independent recomputation through numpy's SVD-based pinv
-        fs, _ = gen_incoherent_design(8, 12, seed=64)  # rank-deficient on purpose
+        fs = gen_incoherent_design(8, 12, seed=64)  # rank-deficient on purpose
         xi = sample_noise("uniform", 2.0, 8, seed=65)
         expected = np.linalg.pinv(fs.covariance.entries) @ fs.phi.T @ xi / 8.0
         assert np.allclose(noise_projector(fs) @ xi, expected, atol=1e-8)
