@@ -29,7 +29,6 @@ from .designs import (
 from .engine import (
     ImpConfig,
     ImpTrace,
-    RoundRecord,
     imp_prune_order,
     run_imp,
     trace_to_dict,
@@ -52,7 +51,6 @@ from .theory import (
     BoundInputs,
     McSummary,
     OnpReport,
-    RecoveryCheck,
     check_onp,
     check_recoverable,
     concentration_sample_size,
@@ -76,8 +74,6 @@ __all__ = [
     "ImpTrace",
     "McSummary",
     "OnpReport",
-    "RecoveryCheck",
-    "RoundRecord",
     "SparseProblem",
     "StabilityWarning",
     "SymEig",

@@ -10,8 +10,10 @@ gate fails, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .harness import (
     ConfigError,
@@ -94,6 +96,14 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 f"subcommand {args.command!r} needs a {expected!r} config, got {spec.kind!r}"
             )
+        if expected is not None and spec.out_dir:  # replay only reads
+            # found now, not by the writers after the run: the output
+            # directory's nearest existing ancestor must be a writable directory
+            out = Path(spec.out_dir).absolute()
+            base = next(p for p in (out, *out.parents) if p.exists())
+            if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+                raise ConfigError(f"cannot write outputs to {spec.out_dir!r}: "
+                                  f"{base} is not a writable directory")
 
         if args.command == "recover":
             report = run_support_recovery(spec)

@@ -27,7 +27,7 @@ full Sigma above the rank tolerance, the trained weights are
 Sigma_A^{-1} b_A, and by Cauchy interlacing every later Sigma_A is
 nonsingular too.  Then only round 0 is factorized, and each later round
 removes the pruned block from the previous round's inverse (round 0's is
-the pseudo-inverse kept on its SymEig) and weights by a
+the pseudo-inverse of its SymEig) and weights by a
 Schur-complement downdate in O(m^2), one stacked step for every run on this
 path: IMP as backward greedy elimination (Couvreur & Bresler, SIAM J.
 Matrix Anal. Appl. 21(3), 2000).
@@ -87,20 +87,6 @@ class ImpConfig:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """The coordinates active before this round's prune (a boolean array),
-    the trained vector, and what was pruned; both arrays are read-only."""
-
-    active: np.ndarray
-    weights: np.ndarray
-    pruned: tuple[int, ...]
-
-    @property
-    def pruned_magnitudes(self) -> tuple[float, ...]:
-        return tuple(float(abs(self.weights[i])) for i in self.pruned)
-
-
-@dataclass(frozen=True)
 class ImpTrace:
     """One run's rounds as read-only views of its stack's trace arrays:
     weights (q+1, p), active (q+1, p) booleans and pruned (q+1, per_round)
@@ -111,28 +97,20 @@ class ImpTrace:
     pruned: np.ndarray
 
     @property
-    def rounds(self) -> tuple[RoundRecord, ...]:
-        return tuple(RoundRecord(active=a, weights=w, pruned=tuple(i.tolist()))
-                     for a, w, i in zip(self.active, self.weights, self.pruned))
-
-    @property
     def final_weights(self) -> np.ndarray:
         return self.weights[-1]
-
-    @property
-    def prune_order(self) -> tuple[int, ...]:
-        return tuple(self.pruned.ravel().tolist())
 
 
 @dataclass(frozen=True, eq=False)
 class RoundFactors(Sequence):
     """The factorizations one round of a stack was trained with.
 
-    factors[t] is run t's: its SymEig of Sigma_A if the round factorized it,
-    else its (m, m) slice of `inverse`, the downdate's (G, m, m) stack of
-    Sigma_A^{-1}.  `eigs` maps the runs factorized this round to their
-    SymEig, and slot[t] is run t's slice of `inverse`, -1 for a run off the
-    downdate; runs that share a slice share its array.
+    factors[t] is run t's Sigma_A^+ as an (m, m) array: its slice of
+    `inverse`, the downdate's (G, m, m) stack of Sigma_A^{-1}, if it has
+    one, else the pseudo-inverse of its SymEig.  `eigs` maps the runs
+    factorized this round to their SymEig, and slot[t] is run t's slice of
+    `inverse`, -1 for a run off the downdate; runs that share a slice share
+    its array.
     """
 
     eigs: dict[int, SymEig]
@@ -142,16 +120,16 @@ class RoundFactors(Sequence):
     def __len__(self) -> int:
         return len(self.slot)
 
-    def __getitem__(self, t: int) -> SymEig | np.ndarray:
+    def __getitem__(self, t: int) -> np.ndarray:
         t = range(len(self))[t]
-        return self.eigs[t] if t in self.eigs else self.inverse[self.slot[t]]
+        slot = self.slot[t]
+        return self.inverse[slot] if slot >= 0 else pseudo_inverse(self.eigs[t])
 
-    @property
-    def stacked(self) -> np.ndarray | None:
-        """Every run's Sigma_A^{-1} as one (T, m, m) stack, the engine's own,
-        when each run has a slice of its own (slices follow the runs' order);
-        else None."""
-        return self.inverse if len(self.inverse) == len(self.slot) else None
+    def inverses(self) -> np.ndarray:
+        """Every run's Sigma_A^+ as one (T, m, m) stack: the engine's own,
+        not a copy, when each run has a slice of its own (slices follow the
+        runs' order)."""
+        return self.inverse if len(self.inverse) == len(self.slot) else np.stack(list(self))
 
 
 # on_round(k, active, weights, factors) sees round k of a stack of T runs after
@@ -428,11 +406,11 @@ def trace_to_dict(trace: ImpTrace) -> dict:
         "final_weights": trace.final_weights.tolist(),
         "rounds": [
             {
-                "active": rec.active.tolist(),
-                "weights": rec.weights.tolist(),
-                "pruned": list(rec.pruned),
-                "pruned_magnitudes": list(rec.pruned_magnitudes),
+                "active": a.tolist(),
+                "weights": w.tolist(),
+                "pruned": i.tolist(),
+                "pruned_magnitudes": np.abs(w[i]).tolist(),
             }
-            for rec in trace.rounds
+            for a, w, i in zip(trace.active, trace.weights, trace.pruned)
         ],
     }

@@ -53,7 +53,7 @@ from .designs import (
 from .designs import gen_orthonormal_design, gen_uniform_corr_design  # noqa: F401
 from .engine import ImpConfig, RoundFactors, imp_prune_order, run_imp, trace_to_dict
 from .flow import INFINITE
-from .linalg import min_nonzero_eig, pseudo_inverse, sym_eig
+from .linalg import min_nonzero_eig, sym_eig
 from .theory import (
     BoundInputs,
     McSummary,
@@ -73,7 +73,6 @@ EXPERIMENT_KINDS = (
 )
 
 ONP_TOL = 1e-8
-RECOVERY_TOL = 1e-8
 
 # The size rule: a run's design Phi (n x p) and its covariance Sigma (p x p)
 # hold at most this many doubles each (16 GiB); larger sizes are config errors.
@@ -539,13 +538,11 @@ def _audit_rounds(
     eigendecomposition.  A downdated round is checked with the engine's
     Sigma_A^{-1}, so its residual also measures downdate drift; its
     eigenvalue entry is the previous round's, a lower bound by Cauchy
-    interlacing, so the minimum over rounds is the exact one.  Whenever each
-    trial has a slice of the engine's Sigma_A^{-1} stack, round 0 included,
-    the residuals are computed with that stack itself.
+    interlacing, so the minimum over rounds is the exact one.
     """
     if k == 0:
-        audit.onp = [check_onp(eig, pr.support, tol=ONP_TOL).holds
-                     for eig, pr in zip(factors, audit.problems)]
+        audit.onp = [check_onp(factors.eigs[i], pr.support, tol=ONP_TOL).holds
+                     for i, pr in enumerate(audit.problems)]
     if not factors.eigs:  # every trial downdated: no eigenvalue is new
         eigs = audit.eigs[-1]
     else:
@@ -556,10 +553,8 @@ def _audit_rounds(
             except ValueError:
                 eigs[i] = float("nan")
     audit.eigs.append(eigs)
-    stacked = factors.stacked
-    chk = check_recoverable(audit.cov, audit.signal, active,
-                            factors if stacked is None else stacked, tol=RECOVERY_TOL)
-    audit.residuals.append(chk.residual)
+    audit.residuals.append(check_recoverable(audit.cov, audit.signal, active,
+                                             factors.inverses()))
 
 
 def _recovery_problem(spec: ExperimentSpec, seed: int) -> SparseProblem:
@@ -770,7 +765,7 @@ def _incoherent_attempt(spec: ExperimentSpec, attempt: int) -> HeuristicTrialRow
     if qualifies:
         [trace] = run_imp([fs.covariance], (xty / n)[None],
                           ImpConfig(prune_rounds=0, tie_break=spec.imp.tie_break))
-        first_match = bool(trace.rounds[0].pruned[0] == order[0])
+        first_match = bool(trace.pruned[0, 0] == order[0])
     return HeuristicTrialRow(attempt, seed, first_match=first_match, degenerate=degenerate,
                              excluded=not qualifies, delta_pw=delta_pw, min_gap=first_gap,
                              gap_threshold=threshold)
@@ -894,8 +889,8 @@ def _baseline_trial(
     them as one stack on one b stack.  The sigma cells of a trial share one
     CovMatrix, so IHT stacks one Sigma per trial, and IMP factorizes it once
     at round 0 for all of them and downdates one inverse while they prune
-    alike; hard thresholding takes that factorization's one pseudo-inverse,
-    the one the downdate started from.
+    alike; hard thresholding takes each cell's round-0 Sigma^+ from IMP, the
+    downdate's shared slice where it has one.
     """
     threshold = _baseline(spec)[2]
     per_trial = [first if t == 0 and first else _noise_sweep(spec, spec.base_seed + t, n, sweep)
@@ -908,8 +903,8 @@ def _baseline_trial(
 
     def threshold_round0(k, active, weights, factors):
         if k == 0:
-            hts.extend(ht_estimator(problem.b, threshold.tau, pseudo_inverse(eig))
-                       for problem, eig in zip(cells, factors))
+            hts.extend(ht_estimator(problem.b, threshold.tau, factors[t])
+                       for t, problem in enumerate(cells))
 
     traces = run_imp([problem.covariance for problem in cells], b,
                      _imp_config(spec, _prune_rounds(spec)), on_round=threshold_round0)

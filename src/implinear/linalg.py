@@ -5,12 +5,12 @@ ascending, orthonormal eigenvector columns with a deterministic sign fix
 (first entry of nonnegligible magnitude is positive), and a rank tolerance,
 set by the matrix alone, at or below which an eigenvalue counts as zero.
 The pseudo-inverse inverts the spectrum above that tolerance and zeroes it
-below, in the same basis, and is computed once per eigendecomposition.
+below, in the same basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class SymEig:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     rank_tol: float
-    _pinv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eigenvalues", _as_readonly(self.eigenvalues))
@@ -138,20 +137,13 @@ def pseudo_inverse(eig: SymEig) -> np.ndarray:
     """Moore-Penrose pseudo-inverse in the eigenbasis.
 
     Spectrum maps to 1/lambda above rank_tol and to 0 at or below it; the
-    result is symmetrized to kill accumulation error.  It is computed once
-    per SymEig and kept on it, read-only, so every caller holding one
-    factorization (the engine's downdate, the audit, hard thresholding)
-    shares one inverse.
+    result is symmetrized to kill accumulation error.
     """
-    if eig._pinv is None:
-        gamma = np.where(eig.nonzero_mask(), 1.0, 0.0)
-        lam_safe = np.where(eig.nonzero_mask(), eig.eigenvalues, 1.0)
-        gamma = gamma / lam_safe
-        m = (eig.eigenvectors * gamma) @ eig.eigenvectors.T
-        pinv = (m + m.T) / 2.0
-        pinv.setflags(write=False)
-        object.__setattr__(eig, "_pinv", pinv)
-    return eig._pinv
+    gamma = np.where(eig.nonzero_mask(), 1.0, 0.0)
+    lam_safe = np.where(eig.nonzero_mask(), eig.eigenvalues, 1.0)
+    gamma = gamma / lam_safe
+    m = (eig.eigenvectors * gamma) @ eig.eigenvectors.T
+    return (m + m.T) / 2.0
 
 
 def min_nonzero_eig(eig: SymEig) -> float:

@@ -10,14 +10,12 @@ interval.  Logs are natural throughout.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .designs import FeatureSet
-from .linalg import CovMatrix, SymEig, pseudo_inverse, sym_eig
+from .linalg import SymEig, pseudo_inverse, sym_eig
 
 
 @dataclass(frozen=True)
@@ -62,11 +60,6 @@ class BoundInputs:
             raise ValueError("p must be a positive integer")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-
-
-class RecoveryCheck(NamedTuple):
-    ok: np.ndarray
-    residual: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -189,24 +182,16 @@ def check_onp(eig: SymEig, support, tol: float = 1e-10) -> OnpReport:
 
 
 def check_recoverable(
-    cov: np.ndarray,
-    signal: np.ndarray,
-    active: np.ndarray,
-    factors: Sequence,
-    tol: float = 1e-10,
-) -> RecoveryCheck:
-    """Does each restricted signal of a stack survive projection onto range(Ups)?
+    cov: np.ndarray, signal: np.ndarray, active: np.ndarray, inverse: np.ndarray
+) -> np.ndarray:
+    """How far does each restricted signal of a stack move under projection onto range(Ups)?
 
     `cov` holds T covariance entries (T, p, p), `signal` the T full-length
-    signals (T, p) and `active` one index set per slice (T, m).  Per slice,
-    Ups = Sigma_A is the principal submatrix on the active indices and s_A
-    the matching entries of the signal; residual = ||Ups^+ Ups s_A - s_A||_inf,
-    ok when it is at most tol.  The pruning guarantee needs this to hold at
-    every round.  Ups^+ comes from the slice's entry of `factors`, as a round
-    of `run_imp` trains with it: a SymEig of Ups, whose pseudo-inverse is
-    the one the engine computed if it did, or its precomputed
-    (pseudo-)inverse; a (T, m, m) array of inverses is used as it is.  ok and
-    residual are length-T arrays.
+    signals (T, p), `active` one index set per slice (T, m) and `inverse`
+    the (T, m, m) stack of Ups^+.  Per slice, Ups = Sigma_A is the principal
+    submatrix on the active indices and s_A the matching entries of the
+    signal; the length-T result is residual = ||Ups^+ Ups s_A - s_A||_inf.
+    The pruning guarantee needs it to vanish at every round.
 
     Ups s_A meets only the columns of Ups where s_A is nonzero, so only those
     are gathered, into an otherwise zero (T, m, m) block, and the product is
@@ -222,8 +207,8 @@ def check_recoverable(
     active = np.asarray(active, dtype=int)
     if signal.shape != entries.shape[:-1]:
         raise ValueError("signal length must match the covariance dimension")
-    if len(factors) != active.shape[0]:
-        raise ValueError("pass exactly one factorization per slice")
+    if inverse.shape != active.shape + active.shape[-1:]:
+        raise ValueError("pass exactly one (m, m) inverse per slice")
     p = entries.shape[-1]
     s_active = signal[np.arange(active.shape[0])[:, None], active]
     # per (slice t, support column j), the flat indices of Sigma_t[A_t, A_tj]
@@ -232,11 +217,8 @@ def check_recoverable(
     flat += (slices * (p * p) + active[slices, cols])[:, None]
     sub = np.zeros(active.shape + active.shape[-1:])
     sub[slices, :, cols] = np.ravel(entries).take(flat)
-    inverse = factors if isinstance(factors, np.ndarray) else np.stack(
-        [pseudo_inverse(f) if isinstance(f, SymEig) else f for f in factors])
     projected = (inverse @ (sub @ s_active[..., None]))[..., 0]
-    residual = np.max(np.abs(projected - s_active), axis=-1, initial=0.0)
-    return RecoveryCheck(ok=residual <= tol, residual=residual)
+    return np.max(np.abs(projected - s_active), axis=-1, initial=0.0)
 
 
 def recovery_sample_size_raw(b: BoundInputs) -> float:

@@ -457,6 +457,23 @@ def test_bad_flag_override_exits_2(tmp_path, capsys):
     assert "trials must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+@pytest.mark.parametrize("under", ["file", "file/out"])
+def test_out_under_a_regular_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch,
+                                                         command, under):
+    # an output directory that cannot be created is a config error, found
+    # before any trial runs rather than by the writers after the last one
+    monkeypatch.setattr(designs, "make_rng", None)  # any draw would raise
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path, SMALL_CONFIGS[command])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / under)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot write outputs to ")
+    assert "Traceback" not in captured.err
+    assert (tmp_path / "file").read_text() == ""
+
+
 def modules_after_every_subcommand(tmp_path, package):
     """Run each subcommand's small config (threads 1) in one fresh interpreter;
     the sorted names of the loaded modules in `package`, a dotted prefix."""

@@ -75,35 +75,33 @@ class TestRunImp:
         # w = y on the identity design: |0.5| and |-1| go first, then |2|, |3|
         [trace] = run([identity_features((3.0, -1.0, 2.0, 0.5))],
                           ImpConfig(prune_rounds=1, per_round=2))
-        assert trace.prune_order == (3, 1, 2, 0)
-        assert list(np.flatnonzero(trace.rounds[1].active)) == [0, 2]
+        assert trace.pruned.ravel().tolist() == [3, 1, 2, 0]
+        assert list(np.flatnonzero(trace.active[1])) == [0, 2]
 
     def test_identity_example(self):
         # round 0 trains to w = y, so |−1| then |2| are the successive minima
         trace = run([identity_features()], ImpConfig(prune_rounds=2))[0]
-        assert trace.prune_order[:2] == (1, 2)
-        assert trace.prune_order == (1, 2, 0)
+        assert trace.pruned.ravel().tolist() == [1, 2, 0]
         assert np.allclose(trace.final_weights, [3.0, 0.0, 0.0], atol=1e-12)
 
     def test_each_round_restricted_least_squares(self):
         # hand-solve the restricted problems of the identity example
         trace = run([identity_features()], ImpConfig(prune_rounds=2))[0]
-        assert np.allclose(trace.rounds[0].weights, [3.0, -1.0, 2.0], atol=1e-12)
-        assert np.allclose(trace.rounds[1].weights, [3.0, 0.0, 2.0], atol=1e-12)
-        assert np.allclose(trace.rounds[2].weights, [3.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(trace.weights, [[3.0, -1.0, 2.0], [3.0, 0.0, 2.0], [3.0, 0.0, 0.0]],
+                           atol=1e-12)
 
     def test_q_zero_dense_solution(self):
         fs = random_features(31)
         trace = run([fs], ImpConfig(prune_rounds=0))[0]
         dense, *_ = np.linalg.lstsq(fs.phi, fs.targets, rcond=None)
         assert np.allclose(trace.final_weights, dense, atol=1e-8)
-        assert len(trace.prune_order) == 1  # the loop body still prunes once
+        assert trace.pruned.shape == (1, 1)  # the loop body still prunes once
 
     def test_final_round_matches_direct_solve(self):
         # full-rank covariance: the active weights equal the normal-equation solve
         fs = random_features(32, n=30, p=8)
         trace = run([fs], ImpConfig(prune_rounds=4))[0]
-        active = np.flatnonzero(trace.rounds[-1].active)
+        active = np.flatnonzero(trace.active[-1])
         phi_a = fs.phi[:, active]
         direct = np.linalg.solve(phi_a.T @ phi_a, phi_a.T @ fs.targets)
         assert np.allclose(trace.final_weights[active], direct, atol=1e-8)
@@ -111,9 +109,9 @@ class TestRunImp:
     def test_inactive_coordinates_exactly_zero(self):
         fs = random_features(33, n=20, p=10)
         trace = run([fs], ImpConfig(prune_rounds=6))[0]
-        for k, rec in enumerate(trace.rounds):
-            assert np.all(rec.weights[~rec.active] == 0.0)
-            assert np.count_nonzero(~rec.active) == k
+        for k, (active, weights) in enumerate(zip(trace.active, trace.weights)):
+            assert np.all(weights[~active] == 0.0)
+            assert np.count_nonzero(~active) == k
 
     def test_sparsity_guarantee(self):
         for seed in range(5):
@@ -125,11 +123,11 @@ class TestRunImp:
     def test_prune_choice_is_minimal(self):
         fs = random_features(34, n=25, p=12)
         trace = run([fs], ImpConfig(prune_rounds=8))[0]
-        for rec in trace.rounds:
-            survivors = rec.active.copy()
-            survivors[list(rec.pruned)] = False
+        for active, weights, pruned in zip(trace.active, trace.weights, trace.pruned):
+            survivors = active.copy()
+            survivors[pruned] = False
             if survivors.any():
-                assert max(rec.pruned_magnitudes) <= np.min(np.abs(rec.weights[survivors]))
+                assert np.max(np.abs(weights[pruned])) <= np.min(np.abs(weights[survivors]))
 
     def test_reset_semantics(self):
         # Every round restarts its survivors from w_init, as the oracle does
@@ -143,25 +141,24 @@ class TestRunImp:
             config = ImpConfig(prune_rounds=30, w_init=w_init, horizon=2.0)
             trace = run([fs], config)[0]
             oracle = oracle_imp(fs, config)
-            assert len(trace.rounds) == len(oracle)
-            for rec, (idx, w, pruned, _) in zip(trace.rounds, oracle):
-                assert np.array_equal(np.flatnonzero(rec.active), idx)
-                assert np.array_equal(rec.weights[idx], w)
-                assert list(rec.pruned) == pruned
+            assert len(trace.weights) == len(oracle)
+            for k, (idx, w, pruned, _) in enumerate(oracle):
+                assert np.array_equal(np.flatnonzero(trace.active[k]), idx)
+                assert np.array_equal(trace.weights[k, idx], w)
+                assert trace.pruned[k].tolist() == pruned
 
     def test_determinism_bit_identical(self):
         fs = random_features(36, n=22, p=10)
         t1 = run([fs], ImpConfig(prune_rounds=7))[0]
         t2 = run([fs], ImpConfig(prune_rounds=7))[0]
-        assert t1.prune_order == t2.prune_order
+        assert np.array_equal(t1.pruned, t2.pruned)
         assert np.array_equal(t1.final_weights, t2.final_weights)
-        for r1, r2 in zip(t1.rounds, t2.rounds):
-            assert np.array_equal(r1.weights, r2.weights)
+        assert np.array_equal(t1.weights, t2.weights)
 
     def test_per_round_batch_pruning(self):
         fs = random_features(37, n=20, p=9)
         trace = run([fs], ImpConfig(prune_rounds=2, per_round=3))[0]
-        assert all(len(rec.pruned) == 3 for rec in trace.rounds)
+        assert trace.pruned.shape == (3, 3)
         assert int(np.sum(trace.final_weights == 0.0)) >= 6
 
     def test_per_round_budget_enforced(self):
@@ -172,9 +169,9 @@ class TestRunImp:
     def test_tie_break_rules(self):
         fs = identity_features([2.0, -2.0, 5.0])
         low = run([fs], ImpConfig(prune_rounds=0))[0]
-        assert low.rounds[0].pruned == (0,)
+        assert low.pruned.tolist() == [[0]]
         high = run([fs], ImpConfig(prune_rounds=0, tie_break="highest_index"))[0]
-        assert high.rounds[0].pruned == (1,)
+        assert high.pruned.tolist() == [[1]]
 
     def test_unknown_tie_break_rejected(self):
         with pytest.raises(ValueError, match="tie_break"):
@@ -227,12 +224,13 @@ class TestTraceSerialization:
         trace = run([fs], ImpConfig(prune_rounds=3))[0]
         back = json.loads(json.dumps(trace_to_dict(trace)))
         assert back["final_weights"] == trace.final_weights.tolist()
-        assert len(back["rounds"]) == len(trace.rounds)
-        for d, rec in zip(back["rounds"], trace.rounds):
-            assert d["active"] == rec.active.tolist()
-            assert d["weights"] == rec.weights.tolist()
-            assert d["pruned"] == list(rec.pruned)
-            assert d["pruned_magnitudes"] == list(rec.pruned_magnitudes)
+        assert len(back["rounds"]) == len(trace.weights)
+        for d, active, weights, pruned in zip(back["rounds"], trace.active, trace.weights,
+                                              trace.pruned):
+            assert d["active"] == active.tolist()
+            assert d["weights"] == weights.tolist()
+            assert d["pruned"] == pruned.tolist()
+            assert d["pruned_magnitudes"] == [float(abs(weights[i])) for i in pruned]
 
 
 class TestTraceArrays:
@@ -244,15 +242,16 @@ class TestTraceArrays:
         for trace in traces:
             assert trace.weights.shape == trace.active.shape == (3, 8)
             assert trace.pruned.shape == (3, 2)
-            assert len(trace.rounds) == 3
-            for k, rec in enumerate(trace.rounds):
-                assert np.array_equal(rec.weights, trace.weights[k])
-                assert np.array_equal(rec.active, trace.active[k])
-                assert rec.pruned == tuple(trace.pruned[k].tolist())
-                assert all(type(i) is int for i in rec.pruned)
-                assert not (rec.weights.flags.writeable or rec.active.flags.writeable)
+            assert trace.pruned.dtype.kind == "i"
+            # row k is round k: what no earlier round pruned, zero off it
+            alive = np.ones(8, dtype=bool)
+            for active, weights, pruned in zip(trace.active, trace.weights, trace.pruned):
+                assert not (active.flags.writeable or weights.flags.writeable
+                            or pruned.flags.writeable)
+                assert np.array_equal(active, alive) and alive[pruned].all()
+                assert np.all(weights[~active] == 0.0)
+                alive[pruned] = False
             assert np.array_equal(trace.final_weights, trace.weights[-1])
-            assert trace.prune_order == tuple(trace.pruned.ravel().tolist())
 
     def test_no_trace_writes_into_another_runs_rows(self):
         stack = [random_features(43 + t, n=15, p=6) for t in range(3)]
@@ -323,11 +322,22 @@ def oracle_imp(features, config):
     return out
 
 
+def observed(factors, t):
+    """Run t's factorization in a round: its SymEig if the round factorized
+    it, else its slice of the downdate's inverse stack.  Either way
+    factors[t] is its Sigma_A^+, the pseudo-inverse of a SymEig bit for bit."""
+    inverse = factors[t]
+    if t not in factors.eigs:
+        return inverse
+    assert_same_bits(inverse, pseudo_inverse(factors.eigs[t]))
+    return factors.eigs[t]
+
+
 def run_observed(features, config):
     """A one-element run and, per round, the factorization the observer saw."""
     seen = []
     [trace] = run([features], config,
-                      on_round=lambda k, active, weights, factors: seen.append(factors[0]))
+                  on_round=lambda k, active, weights, factors: seen.append(observed(factors, 0)))
     return trace, seen
 
 
@@ -340,17 +350,18 @@ def factorized(seen):
 def assert_matches_oracle(features, config):
     trace, seen = run_observed(features, config)
     oracle = oracle_imp(features, config)
-    assert len(trace.rounds) == len(seen) == len(oracle)
-    for rec, (idx, w, pruned, kappa) in zip(trace.rounds, oracle):
-        assert np.array_equal(np.flatnonzero(rec.active), idx)
+    assert len(trace.weights) == len(seen) == len(oracle)
+    for active, weights, got, (idx, w, pruned, kappa) in zip(trace.active, trace.weights,
+                                                             trace.pruned, oracle):
+        assert np.array_equal(np.flatnonzero(active), idx)
         # Both paths are backward stable, so each sits within a few
         # kappa * eps of the exact solution: 1e-10 relative up to kappa ~ 1e4,
         # and kappa-proportional beyond (uniform_corr at alpha = 0.9999 has
         # kappa ~ 5e5, where the oracle itself is ~1e-10 off).
         rel = max(1e-10, 10.0 * kappa * np.finfo(float).eps)
         scale = max(float(np.max(np.abs(w))), 1e-300)
-        assert np.max(np.abs(rec.weights[idx] - w)) <= rel * scale
-        assert list(rec.pruned) == pruned
+        assert np.max(np.abs(weights[idx] - w)) <= rel * scale
+        assert got.tolist() == pruned
     return trace, seen
 
 
@@ -366,11 +377,10 @@ def assert_same_factor(a, b):
 
 def assert_same_run(trace, seen, solo_trace, solo_seen):
     """A slice of a stacked run is bit-equal to its one-element run."""
-    assert len(trace.rounds) == len(solo_trace.rounds) == len(seen) == len(solo_seen)
-    for rec, solo in zip(trace.rounds, solo_trace.rounds):
-        assert np.array_equal(rec.active, solo.active)
-        assert np.array_equal(rec.weights, solo.weights)
-        assert rec.pruned == solo.pruned
+    assert len(trace.weights) == len(solo_trace.weights) == len(seen) == len(solo_seen)
+    assert np.array_equal(trace.active, solo_trace.active)
+    assert np.array_equal(trace.weights, solo_trace.weights)
+    assert np.array_equal(trace.pruned, solo_trace.pruned)
     for a, b in zip(seen, solo_seen):
         assert_same_factor(a, b)
 
@@ -381,8 +391,8 @@ def run_stack_observed(stack, config):
 
     def observe(k, active, weights, factors):
         assert active.shape == weights.shape == (len(stack), DIFF_P - k * config.per_round)
-        for per_slice, f in zip(seen, factors):
-            per_slice.append(f)
+        for t, per_slice in enumerate(seen):
+            per_slice.append(observed(factors, t))
 
     return run(stack, config, on_round=observe), seen
 
@@ -436,11 +446,11 @@ class TestDowndatePath:
             # each round's active array is read-only, is what no earlier round
             # pruned, and carries every nonzero weight
             alive = np.ones(DIFF_P, dtype=bool)
-            for rec in trace.rounds:
-                assert not rec.active.flags.writeable
-                assert np.array_equal(rec.active, alive)
-                assert np.all(rec.weights[~rec.active] == 0.0)
-                alive[list(rec.pruned)] = False
+            for active, weights, pruned in zip(trace.active, trace.weights, trace.pruned):
+                assert not active.flags.writeable
+                assert np.array_equal(active, alive)
+                assert np.all(weights[~active] == 0.0)
+                alive[pruned] = False
 
     def test_drift_in_one_slice_leaves_the_others_on_the_downdate(self, monkeypatch):
         stack = [design_features("uniform_corr", 200, 0.99, seed=7),
@@ -468,9 +478,10 @@ class TestDowndatePath:
             assert_same_run(traces[i], seen[i], *solo[i])
         # the refactorized slice still trains every round correctly
         oracle = oracle_imp(stack[1], config)
-        for rec, (idx, w, pruned, _) in zip(traces[1].rounds, oracle):
-            assert np.max(np.abs(rec.weights[idx] - w)) <= 1e-10 * np.max(np.abs(w))
-            assert list(rec.pruned) == pruned
+        for weights, got, (idx, w, pruned, _) in zip(traces[1].weights, traces[1].pruned,
+                                                     oracle):
+            assert np.max(np.abs(weights[idx] - w)) <= 1e-10 * np.max(np.abs(w))
+            assert got.tolist() == pruned
 
     def test_one_factorization_when_nonsingular(self, count_sym_eig):
         calls = count_sym_eig(engine_module)
@@ -541,8 +552,8 @@ class TestDowndatePath:
     def test_downdated_inverse_is_the_restricted_inverse(self):
         fs = design_features("incoherent", 60, None, seed=8)
         trace, seen = run_observed(fs, ImpConfig(prune_rounds=20, per_round=2))
-        for rec, inverse in zip(trace.rounds[1:], seen[1:]):
-            sub = fs.covariance.restrict(np.flatnonzero(rec.active)).entries
+        for active, inverse in zip(trace.active[1:], seen[1:]):
+            sub = fs.covariance.restrict(np.flatnonzero(active)).entries
             assert np.array_equal(inverse, inverse.T)
             assert np.allclose(inverse @ sub, np.eye(sub.shape[0]), atol=1e-9)
         assert "inverse" not in trace_to_dict(trace)["rounds"][1]
@@ -566,11 +577,11 @@ class TestDowndatePath:
         trace, factors = assert_matches_oracle(
             fs, ImpConfig(prune_rounds=12, w_init=w_init, horizon=horizon)
         )
-        solved = [rec for rec, f in zip(trace.rounds, factorized(factors)) if f]
+        solved = [active for active, f in zip(trace.active, factorized(factors)) if f]
         assert len(solved) == (1 if is_infinite(horizon) else 13)
         assert len(seen) == len(solved)
-        for rec, w0 in zip(solved, seen):
-            assert np.array_equal(w0, w_init[np.flatnonzero(rec.active)])
+        for active, w0 in zip(solved, seen):
+            assert np.array_equal(w0, w_init[np.flatnonzero(active)])
 
     def test_full_ranking_keeps_no_factorization(self):
         # The trace holds O(q p) numbers.  Kept per round, the inverses alone
@@ -604,15 +615,15 @@ class TestPermutationEquivariance:
                            horizon=horizon)
         trace = run([fs], config)[0]
         # Reordering changes the roundoff, so only a clear gap fixes the order.
-        for rec in trace.rounds:
-            mags = np.sort(np.abs(rec.weights[rec.active]))
+        for active, weights in zip(trace.active, trace.weights):
+            mags = np.sort(np.abs(weights[active]))
             assume(np.all(np.diff(mags) > 1e-8 * mags[-1]))
         permuted, seen = run_observed(from_phi(fs.phi[:, perm], fs.targets), config)
         assert factorized(seen)[-1] != is_infinite(horizon)  # downdated
-        assert tuple(int(perm[i]) for i in permuted.prune_order) == trace.prune_order
-        for a, b in zip(permuted.rounds, trace.rounds):
-            scale = float(np.max(np.abs(b.weights)))
-            assert np.max(np.abs(a.weights - b.weights[perm])) <= 1e-10 * scale
+        assert np.array_equal(perm[permuted.pruned], trace.pruned)
+        for a, b in zip(permuted.weights, trace.weights):
+            scale = float(np.max(np.abs(b)))
+            assert np.max(np.abs(a - b[perm])) <= 1e-10 * scale
 
 
 def symmetrizing_downdate(inverse, weights, drop):
@@ -732,7 +743,8 @@ def run_digested(covs, b, config, drift):
 
     def observe(k, active, weights, factors):
         assert len(factors) == len(covs)
-        rounds.append(([factor_digest(f) for f in factors], len(factors.inverse)))
+        rounds.append(([factor_digest(observed(factors, t)) for t in range(len(factors))],
+                       len(factors.inverse)))
 
     patch = (mock.patch.object(engine_module, "_downdate", drift_at_third_call(
         engine_module._downdate)) if drift else nullcontext())
@@ -795,10 +807,34 @@ class TestSharedDowndate:
         run_imp([fs.covariance] * 2, np.stack(b), ImpConfig(prune_rounds=3),
                 lambda k, active, weights, factors: seen.append(factors))
         round0, round1 = seen[0], seen[1]
-        assert round0[0] is round0[1] and isinstance(round0[-1], SymEig)
-        assert round0.stacked is None and len(round0.inverse) == 1
+        assert round0.eigs[0] is round0.eigs[1] and len(round0.inverse) == 1
+        assert np.shares_memory(round0[0], round0[-1])  # both read the one slice
+        assert_same_bits(round0[0], pseudo_inverse(round0.eigs[0]))
+        stacked = round0.inverses()  # two runs on one slice: a stack of copies
+        assert stacked.shape == (2, DIFF_P, DIFF_P)
+        assert not np.shares_memory(stacked, round0.inverse)
+        assert_same_bits(stacked[1], round0[1])
         assert round1.eigs == {} and list(round1.slot) == [0, 0]
         assert np.shares_memory(round1[0], round1[1])
         assert np.shares_memory(round1[-2], round1.inverse)
         with pytest.raises(IndexError):
             round1[2]
+
+    @pytest.mark.parametrize("horizon", [INFINITE, 3.0])
+    def test_inverses_are_the_engines_stack_when_each_run_has_a_slice(self, horizon):
+        # distinct covariances: one slice per run on the downdate, and none
+        # at a finite horizon, where each run's Sigma_A^+ comes from its SymEig
+        stack = [design_features("incoherent", 200, None, seed=23 + i) for i in range(3)]
+        seen = []
+
+        def observe(k, active, weights, factors):
+            inverses = factors.inverses()
+            assert (inverses is factors.inverse) == is_infinite(horizon)
+            for t in range(len(factors)):
+                assert_same_bits(inverses[t], factors[t])
+                if t in factors.eigs:
+                    assert_same_bits(inverses[t], pseudo_inverse(factors.eigs[t]))
+            seen.append(inverses.shape)
+
+        run(stack, ImpConfig(prune_rounds=4, horizon=horizon), on_round=observe)
+        assert seen == [(3, DIFF_P - k, DIFF_P - k) for k in range(5)]

@@ -17,7 +17,6 @@ from implinear.designs import gen_uniform_corr_design
 from implinear.engine import ImpConfig, run_imp
 from implinear.harness import (
     ONP_TOL,
-    RECOVERY_TOL,
     BaselineSpec,
     ConfigError,
     DesignSpec,
@@ -230,15 +229,23 @@ class TestSupportRecovery:
         # starts from instead of stacking the same pseudo-inverses again
         seen = []
 
-        def recording(cov, signal, active, factors, tol):
-            seen.append(factors)
-            return check_recoverable(cov, signal, active, factors, tol)
+        def recording(cov, signal, active, inverse):
+            seen.append(inverse)
+            return check_recoverable(cov, signal, active, inverse)
+
+        real, own = engine_module.RoundFactors.inverses, []
+
+        def inverses(factors):
+            out = real(factors)
+            own.append(out is factors.inverse)
+            return out
 
         monkeypatch.setattr(harness_module, "check_recoverable", recording)
+        monkeypatch.setattr(engine_module.RoundFactors, "inverses", inverses)
         spec = recovery_spec(trials=3)
         run_support_recovery(spec)
         q = spec.design.p - spec.signal.k
-        assert [type(f) for f in seen] == [np.ndarray] * (q + 1)
+        assert own == [True] * (q + 1)  # the stack itself, not a copy
         assert [f.shape for f in seen] == [(3, 12 - k, 12 - k) for k in range(q + 1)]
 
     def test_q_zero_dense(self):
@@ -327,7 +334,7 @@ def problem_and_trace(spec, t):
     problem = harness_module._build_problem(spec, seed, n)
     seen = []
     [trace] = run_imp([problem.covariance], problem.b[None], recovery_config(spec),
-                      on_round=lambda k, active, weights, factors: seen.append(factors[0]))
+                      on_round=lambda k, active, weights, factors: seen.append(factors))
     return problem, trace, seen
 
 
@@ -348,9 +355,9 @@ def audit_stack(problems, config):
 
 def fresh_residual(cov, signal, idx, eig):
     """The recoverability residual of one round, checked on its own."""
-    chk = check_recoverable(cov.entries[None], signal[None], idx[None], [eig],
-                            tol=RECOVERY_TOL)
-    return float(chk.residual[0])
+    [residual] = check_recoverable(cov.entries[None], signal[None], idx[None],
+                                   pseudo_inverse(eig)[None])
+    return float(residual)
 
 
 class TestAuditRounds:
@@ -365,7 +372,7 @@ class TestAuditRounds:
         spec = recovery_spec(design=design)
         for t in range(3):
             problem, _, seen = problem_and_trace(spec, t)
-            engine, full = seen[0], sym_eig(problem.covariance)
+            engine, full = seen[0].eigs[0], sym_eig(problem.covariance)
             assert np.array_equal(engine.eigenvalues, full.eigenvalues)
             assert np.array_equal(engine.eigenvectors, full.eigenvectors)
             assert engine.rank_tol == full.rank_tol
@@ -380,24 +387,24 @@ class TestAuditRounds:
             full = sym_eig(problem.covariance)
             assert rec.min_nz_eig == full.eigenvalues[0]
             slack = 1e-12 * full.eigenvalues[-1]
-            for rnd in trace.rounds:
-                sub = problem.covariance.restrict(np.flatnonzero(rnd.active))
+            for active in trace.active:
+                sub = problem.covariance.restrict(np.flatnonzero(active))
                 assert rec.min_nz_eig <= np.linalg.eigvalsh(sub.entries)[0] + slack
 
     @pytest.mark.parametrize("design", NONSINGULAR_DESIGNS, ids=lambda d: f"{d.kind}-{d.n}-{d.alpha}")
     def test_downdated_rounds_reuse_the_engine(self, count_sym_eig, design):
         spec = recovery_spec(design=design)
         problem, trace, seen = problem_and_trace(spec, 1)
-        assert all(isinstance(f, np.ndarray) for f in seen[1:])  # downdated
+        assert all(not f.eigs for f in seen[1:])  # downdated
         calls = count_sym_eig(harness_module)
         [(eigs, residuals)] = audit_stack([problem], recovery_config(spec))
         assert calls == []
-        assert len(eigs) == len(residuals) == len(trace.rounds)
+        assert len(eigs) == len(residuals) == len(trace.active)
         cov = problem.covariance
-        for rnd, residual in zip(trace.rounds, residuals):
-            idx = np.flatnonzero(rnd.active)
+        for active, residual in zip(trace.active, residuals):
+            idx = np.flatnonzero(active)
             fresh = fresh_residual(cov, problem.signal, idx, sym_eig(cov.restrict(idx)))
-            assert residual <= RECOVERY_TOL
+            assert residual <= 1e-8
             assert residual == pytest.approx(fresh, abs=1e-10)
 
     @pytest.mark.parametrize("overrides", [
@@ -412,8 +419,8 @@ class TestAuditRounds:
         assert calls == []
         cov = problem.covariance
         fresh_eigs, fresh_residuals = [], []
-        for rnd in trace.rounds:
-            idx = np.flatnonzero(rnd.active)
+        for active in trace.active:
+            idx = np.flatnonzero(active)
             eig = sym_eig(cov.restrict(idx))
             fresh_eigs.append(min_nonzero_eig(eig))
             fresh_residuals.append(fresh_residual(cov, problem.signal, idx, eig))
@@ -660,16 +667,9 @@ class TestBaselines:
 
     def test_a_range_factorizes_each_trial_once(self, monkeypatch, count_sym_eig):
         # IMP's round-0 eigendecomposition of a trial's Sigma serves its three
-        # sigma cells, and its one pseudo-inverse serves the downdate, as one
-        # shared slice, and hard thresholding alike
-        calls, pinvs = count_sym_eig(harness_module, engine_module), []
-
-        def counted_pinv(eig):
-            pinvs.append(pseudo_inverse(eig))
-            return pinvs[-1]
-
-        monkeypatch.setattr(engine_module, "pseudo_inverse", counted_pinv)
-        monkeypatch.setattr(harness_module, "pseudo_inverse", counted_pinv)
+        # sigma cells, and its one pseudo-inverse is the downdate's shared
+        # slice, which hard thresholding reads too
+        calls, pinvs = count_sym_eig(harness_module, engine_module), count_pinv(monkeypatch)
         sigmas = (0.1, 0.5, 1.0)
         spec = ExperimentSpec(
             kind="baseline_comparison",
@@ -682,18 +682,54 @@ class TestBaselines:
         sweep = tuple(replace(spec, noise=NoiseSpec(sigma=s)) for s in sigmas)
         outcomes = harness_module._baseline_trial(spec, range(1, 4), 40, sweep, None)
         assert calls == [("engine", 10)] * 3
-        assert len(pinvs) == 3 + 9 and len({id(pinv) for pinv in pinvs}) == 3
+        assert len(pinvs) == 3
         monkeypatch.undo()
-        # hard thresholding as with a pseudo-inverse of its own factorization
-        for t, per_sigma in zip(range(1, 4), outcomes):
-            for problem, (_, ht, _) in zip(
-                harness_module._noise_sweep(spec, 68 + t, 40, sweep), per_sigma
-            ):
-                pinv = pseudo_inverse(sym_eig(problem.covariance))
-                est = ht_estimator(problem.b, 0.5, pinv)  # tau = gamma / 2
-                support = set(np.flatnonzero(est != 0.0).tolist())
-                assert ht == (support == set(problem.support),
-                              harness_module._support_f1(support, set(problem.support)))
+        assert_ht_as_alone(spec, sweep, range(1, 4), outcomes)
+
+    def test_q_zero_hard_thresholds_with_each_cells_pseudo_inverse(self, monkeypatch):
+        # with one round nothing joins the downdate: hard thresholding reads
+        # each cell's Sigma^+ from the pseudo-inverse of IMP's round-0 SymEig
+        pinvs = count_pinv(monkeypatch)
+        sigmas = (0.1, 0.5, 1.0)
+        spec = ExperimentSpec(
+            kind="baseline_comparison",
+            design=DesignSpec(kind="incoherent", p=10, n=40),
+            trials=4,
+            base_seed=68,
+            signal=SignalSpec(k=2, gamma=1.0),
+            imp=ImpSpec(q=0),
+            baseline=BaselineSpec(eta=0.5, sigmas=sigmas),
+        )
+        sweep = tuple(replace(spec, noise=NoiseSpec(sigma=s)) for s in sigmas)
+        outcomes = harness_module._baseline_trial(spec, range(4), 40, sweep, None)
+        assert len(pinvs) == 4 * 3  # one per cell
+        monkeypatch.undo()
+        assert_ht_as_alone(spec, sweep, range(4), outcomes)
+
+
+def count_pinv(monkeypatch):
+    """The list of every pseudo-inverse the engine computes from now on."""
+    pinvs = []
+
+    def counted(eig):
+        pinvs.append(pseudo_inverse(eig))
+        return pinvs[-1]
+
+    monkeypatch.setattr(engine_module, "pseudo_inverse", counted)
+    return pinvs
+
+
+def assert_ht_as_alone(spec, sweep, trials, outcomes):
+    """Hard thresholding as with a pseudo-inverse of each cell's own factorization."""
+    for t, per_sigma in zip(trials, outcomes):
+        for problem, (_, ht, _) in zip(
+            harness_module._noise_sweep(spec, spec.base_seed + t, 40, sweep), per_sigma
+        ):
+            pinv = pseudo_inverse(sym_eig(problem.covariance))
+            est = ht_estimator(problem.b, 0.5, pinv)  # tau = gamma / 2
+            support = set(np.flatnonzero(est != 0.0).tolist())
+            assert ht == (support == set(problem.support),
+                          harness_module._support_f1(support, set(problem.support)))
 
 
 def sigma_sweep_spec(**imp):
@@ -724,7 +760,7 @@ def distinct_cells(traces, trials, sigmas, ordered):
     """Per round k, the number of distinct (trial, coordinates pruned before
     round k) among a baselines run's (trial, sigma) cells: the sequence if
     `ordered` (one downdated inverse each), else the set (one Sigma_A each)."""
-    pruned = np.array([trace.prune_order for trace in traces]).reshape(trials, sigmas, -1)
+    pruned = np.array([trace.pruned.ravel() for trace in traces]).reshape(trials, sigmas, -1)
     key = tuple if ordered else frozenset
     return [len({(t, key(cell[:k])) for t in range(trials) for cell in pruned[t]})
             for k in range(pruned.shape[2])]

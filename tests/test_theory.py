@@ -20,7 +20,7 @@ from implinear.harness import (
     run_concentration_check,
     validate_spec,
 )
-from implinear.linalg import CovMatrix, SymEig, pseudo_inverse, sym_eig
+from implinear.linalg import CovMatrix, pseudo_inverse, sym_eig
 from implinear.theory import (
     BoundInputs,
     OnpReport,
@@ -102,12 +102,13 @@ class TestCheckOnp:
             assert rep.max_violation == oracle
 
 
-def check_one(cov, signal, active, factor):
-    """check_recoverable on a stack of one; (ok, residual) of that slice."""
-    chk = check_recoverable(np.asarray(cov.entries)[None], np.asarray(signal)[None],
-                            np.asarray(active)[None], [factor])
-    assert chk.ok.shape == chk.residual.shape == (1,)
-    return bool(chk.ok[0]), float(chk.residual[0])
+def check_one(cov, signal, active, eig):
+    """check_recoverable on a stack of one, with the pseudo-inverse of `eig`:
+    the residual of that slice."""
+    residual = check_recoverable(np.asarray(cov.entries)[None], np.asarray(signal)[None],
+                                 np.asarray(active)[None], pseudo_inverse(eig)[None])
+    assert residual.shape == (1,)
+    return float(residual[0])
 
 
 class TestCheckRecoverable:
@@ -115,17 +116,16 @@ class TestCheckRecoverable:
         rng = np.random.default_rng(60)
         phi = rng.standard_normal((12, 5))
         cov = CovMatrix(phi.T @ phi / 12.0)
-        ok, residual = check_one(cov, rng.standard_normal(5), np.arange(5), sym_eig(cov))
-        assert ok and residual <= 1e-10
+        residual = check_one(cov, rng.standard_normal(5), np.arange(5), sym_eig(cov))
+        assert residual <= 1e-10
 
     def test_signal_in_range(self):
-        ok, residual = check_one(RANK_ONE, [1.0, 1.0], [0, 1], sym_eig(RANK_ONE))
-        assert ok and residual <= 1e-12
+        residual = check_one(RANK_ONE, [1.0, 1.0], [0, 1], sym_eig(RANK_ONE))
+        assert residual <= 1e-12
 
     def test_signal_in_null(self):
         # (1,-1) projects to zero, so the sup-norm residual is 1
-        ok, residual = check_one(RANK_ONE, [1.0, -1.0], [0, 1], sym_eig(RANK_ONE))
-        assert not ok
+        residual = check_one(RANK_ONE, [1.0, -1.0], [0, 1], sym_eig(RANK_ONE))
         assert residual == pytest.approx(1.0)
 
     def test_dimension_checked(self):
@@ -133,11 +133,11 @@ class TestCheckRecoverable:
             check_one(RANK_ONE, np.zeros(3), [0, 1], sym_eig(RANK_ONE))
 
     def test_exactly_one_factorization(self):
-        eig = sym_eig(RANK_ONE)
-        for factors in ([], [eig, pseudo_inverse(eig)]):
+        pinv = pseudo_inverse(sym_eig(RANK_ONE))
+        for inverse in (pinv[None, :1, :1], np.stack([pinv, pinv]), pinv):
             with pytest.raises(ValueError, match="exactly one"):
                 check_recoverable(RANK_ONE.entries[None], np.ones((1, 2)), np.array([[0, 1]]),
-                                  factors)
+                                  inverse)
 
     def test_active_subset_equals_the_explicit_submatrix(self):
         # rank 3 < |A| = 5: Sigma_A is singular and the residual is nonzero
@@ -148,41 +148,35 @@ class TestCheckRecoverable:
         active = np.array([0, 2, 3, 5, 7])
         sub = cov.entries[np.ix_(active, active)].copy()
         eig = sym_eig(CovMatrix(sub))
-        for factor in (eig, pseudo_inverse(eig)):
-            projected = pseudo_inverse(eig) @ (sub @ signal[active])
-            expected = float(np.max(np.abs(projected - signal[active])))
-            ok, residual = check_one(cov, signal, active, factor)
-            assert residual == expected > 1e-3 and not ok
+        projected = pseudo_inverse(eig) @ (sub @ signal[active])
+        expected = float(np.max(np.abs(projected - signal[active])))
+        assert check_one(cov, signal, active, eig) == expected > 1e-3
 
     def test_stack_matches_its_slices(self):
-        # one stacked check, factorized and inverse slices mixed, is the
-        # checks of its slices one at a time
+        # one stacked check is the checks of its slices one at a time
         rng = np.random.default_rng(63)
-        covs, signals, actives, factors = [], [], [], []
+        covs, signals, actives, eigs = [], [], [], []
         for n in (3, 12, 12):
             phi = rng.standard_normal((n, 8))
             cov = CovMatrix(phi.T @ phi / n)
             active = np.sort(rng.choice(8, 5, replace=False))
-            eig = sym_eig(cov.restrict(active))
             covs.append(cov)
             signals.append(rng.standard_normal(8))
             actives.append(active)
-            factors.append(eig if len(factors) % 2 else pseudo_inverse(eig))
-        chk = check_recoverable(np.stack([c.entries for c in covs]), np.stack(signals),
-                                np.stack(actives), factors)
-        alone = [check_one(*args) for args in zip(covs, signals, actives, factors)]
-        assert chk.residual.tolist() == [r for _, r in alone]
-        assert chk.ok.tolist() == [ok for ok, _ in alone]
+            eigs.append(sym_eig(cov.restrict(active)))
+        residual = check_recoverable(np.stack([c.entries for c in covs]), np.stack(signals),
+                                     np.stack(actives),
+                                     np.stack([pseudo_inverse(e) for e in eigs]))
+        assert residual.tolist() == [check_one(*args) for args in zip(covs, signals, actives,
+                                                                      eigs)]
 
 
-def full_gather_residual(cov, signal, active, factors):
+def full_gather_residual(cov, signal, active, inverse):
     """The residual with every entry of Sigma_A gathered: the form the
     support-column gather of `check_recoverable` must match bit for bit."""
     t = np.arange(active.shape[0])[:, None]
     s_active = signal[t, active]
     sub = cov[t[:, :, None], active[:, :, None], active[:, None, :]]
-    inverse = factors if isinstance(factors, np.ndarray) else np.stack(
-        [pseudo_inverse(f) if isinstance(f, SymEig) else f for f in factors])
     projected = (inverse @ (sub @ s_active[..., None]))[..., 0]
     return np.max(np.abs(projected - s_active), axis=-1, initial=0.0)
 
@@ -211,14 +205,10 @@ class TestSupportGather:
             signals.append(signal)
             actives.append(np.sort(rng.choice(p, m, replace=False)))
         cov, signal, active = np.stack(covs), np.stack(signals), np.stack(actives)
-        form = data.draw(st.sampled_from(("eig", "pinv", "stack")), label="factors")
-        eigs = [sym_eig(CovMatrix(c).restrict(a)) for c, a in zip(cov, active)]
-        factors = {"eig": eigs, "pinv": [pseudo_inverse(e) for e in eigs],
-                   "stack": np.stack([pseudo_inverse(e) for e in eigs])}[form]
-        chk = check_recoverable(cov, signal, active, factors)
-        expected = full_gather_residual(cov, signal, active, factors)
-        assert chk.residual.tobytes() == expected.tobytes()
-        assert np.array_equal(chk.ok, expected <= 1e-10)
+        inverse = np.stack([pseudo_inverse(sym_eig(CovMatrix(c).restrict(a)))
+                            for c, a in zip(cov, active)])
+        residual = check_recoverable(cov, signal, active, inverse)
+        assert residual.tobytes() == full_gather_residual(cov, signal, active, inverse).tobytes()
 
 
 class TestSampleBounds:
