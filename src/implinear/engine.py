@@ -30,7 +30,10 @@ removes the pruned block from the previous round's inverse (round 0's is
 the pseudo-inverse of its SymEig) and weights by a
 Schur-complement downdate in O(m^2), one stacked step for every run on this
 path: IMP as backward greedy elimination (Couvreur & Bresler, SIAM J.
-Matrix Anal. Appl. 21(3), 2000).
+Matrix Anal. Appl. 21(3), 2000).  The downdate works in place: the last
+live rows and columns move into the pruned slots, so a downdated run's
+active indices follow its inverse's rows rather than coordinate order, and
+the prune's tie rule reads coordinates.
 
 Runs on one CovMatrix object that have pruned the same coordinates have
 the same Sigma_A, bit for bit, so they share its work: a round factorizes
@@ -47,7 +50,7 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,6 +58,10 @@ from .flow import INFINITE, closed_form_weights, is_infinite, normalize_horizon
 from .linalg import CovMatrix, SymEig, pseudo_inverse, sym_eig
 
 TIE_BREAK_RULES = ("lowest_index", "highest_index")
+
+# The one-coordinate downdate subtracts g g^T from its slices in chunks of at
+# most this many doubles: a temporary of the whole stack costs fresh pages.
+OUTER_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -105,17 +112,21 @@ class ImpTrace:
 class RoundFactors(Sequence):
     """The factorizations one round of a stack was trained with.
 
-    factors[t] is run t's Sigma_A^+ as an (m, m) array: its slice of
+    factors[t] is run t's Sigma_A^+ as an (m, m) array whose rows and
+    columns follow run t's row of the round's `active`: its slice of
     `inverse`, the downdate's (G, m, m) stack of Sigma_A^{-1}, if it has
-    one, else the pseudo-inverse of its SymEig.  `eigs` maps the runs
-    factorized this round to their SymEig, and slot[t] is run t's slice of
-    `inverse`, -1 for a run off the downdate; runs that share a slice share
-    its array.
+    one, else the pseudo-inverse of its SymEig, computed once per distinct
+    SymEig.  `eigs` maps the runs factorized this round to their SymEig,
+    and slot[t] is run t's slice of `inverse`, -1 for a run off the
+    downdate; runs that share a slice share its array.  The slices are views
+    of the engine's buffer, which the next downdate overwrites: they are
+    valid only during the observer's call.
     """
 
     eigs: dict[int, SymEig]
     inverse: np.ndarray
     slot: np.ndarray
+    _pinv: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.slot)
@@ -123,7 +134,12 @@ class RoundFactors(Sequence):
     def __getitem__(self, t: int) -> np.ndarray:
         t = range(len(self))[t]
         slot = self.slot[t]
-        return self.inverse[slot] if slot >= 0 else pseudo_inverse(self.eigs[t])
+        if slot >= 0:
+            return self.inverse[slot]
+        eig = self.eigs[t]
+        if id(eig) not in self._pinv:  # `eigs` keeps every key's SymEig alive
+            self._pinv[id(eig)] = pseudo_inverse(eig)
+        return self._pinv[id(eig)]
 
     def inverses(self) -> np.ndarray:
         """Every run's Sigma_A^+ as one (T, m, m) stack: the engine's own,
@@ -134,21 +150,21 @@ class RoundFactors(Sequence):
 
 # on_round(k, active, weights, factors) sees round k of a stack of T runs after
 # training and before the prune: the (T, m) active indices, the (T, m) trained
-# active weights, and the RoundFactors each run was trained with.  The engine
-# keeps none of them.
+# active weights in the same order, and the RoundFactors each run was trained
+# with.  A downdated run's active indices follow the rows of its inverse, not
+# coordinate order.  The engine reuses every one of these arrays once the
+# call returns: an observer that keeps one keeps a copy.
 RoundObserver = Callable[[int, np.ndarray, np.ndarray, RoundFactors], None]
 
 
 def _select_prune(
-    magnitudes: np.ndarray, count: int, tie_break: str
+    magnitudes: np.ndarray, active: np.ndarray, count: int, tie_break: str
 ) -> np.ndarray:
-    """Per row, local indices of the `count` smallest magnitudes under the tie rule."""
-    if tie_break == "lowest_index":
-        order = np.argsort(magnitudes, axis=-1, kind="stable")
-    else:  # highest_index: among ties, the larger index goes first
-        index = np.broadcast_to(-np.arange(magnitudes.shape[-1]), magnitudes.shape)
-        order = np.lexsort((index, magnitudes), axis=-1)
-    return order[:, :count]
+    """Per row, the local positions of the `count` smallest magnitudes.  A tie
+    goes to the lower coordinate of `active`, or under "highest_index" to the
+    higher one, whatever the order of the row."""
+    index = active if tie_break == "lowest_index" else -active
+    return np.lexsort((index, magnitudes), axis=-1)[:, :count]
 
 
 def _positive_definite(a: np.ndarray) -> bool:
@@ -159,77 +175,125 @@ def _positive_definite(a: np.ndarray) -> bool:
     return True
 
 
+def _swap_plan(drop: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The swap-remove of the local positions `drop` (D, r) from rows of
+    width m: the kept positions among the last r move, in order, into the
+    dropped positions before them.  Returns the (row, to, from) of every
+    move; for r = 1 a row whose drop is last moves it onto itself."""
+    d, r = drop.shape
+    if r == 1:
+        return np.arange(d), drop[:, 0], np.full(d, m - 1)
+    gone = np.zeros((d, m), dtype=bool)
+    gone[np.arange(d)[:, None], drop] = True
+    row, to = np.nonzero(gone[:, :m - r])  # row by row, as are the tails: they pair up
+    return row, to, np.nonzero(~gone[:, m - r:])[1] + (m - r)
+
+
+def _swap_remove(a: np.ndarray, plan: tuple, r: int) -> np.ndarray:
+    """Rows of `a` (D, m) without their dropped positions, moved in place by
+    `_swap_plan`: a view of the leading m - r columns."""
+    row, to, frm = plan
+    a[row, to] = a[row, frm]
+    return a[:, :a.shape[1] - r]
+
+
 def _downdate(
     inverse: np.ndarray, weights: np.ndarray, drop: np.ndarray,
-    owner: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Remove the local coordinates `drop` from a stack of Sigma_A^{-1} and weights.
+    owner: np.ndarray | None = None, coords: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Remove the local positions `drop` from a stack of Sigma_A^{-1} and
+    weights, in place.
 
-    inverse is (G, m, m), drop (G, r) and weights (D, m); owner (D,) maps
-    each weight row to its slice, and None pairs them one to one (D = G).
+    inverse is a (G, M, M) buffer whose leading (m, m) block per slice is
+    Sigma_A^{-1}, drop (G, r) and weights (D, m); owner (D,) maps each weight
+    row to its slice, and None pairs them one to one (D = G).  coords (D, m)
+    holds the coordinate at each position of a weight row and of its slice's
+    rows and columns; None means that positions ascend as coordinates do.
     Per slice, with C = Sigma_A^{-1}, J the dropped and K the kept
     coordinates, the smaller inverse is the Schur complement
     C_KK - C_KJ C_JJ^{-1} C_JK and the retrained weights are
-    w_K - C_KJ C_JJ^{-1} w_J.  Both go through the Cholesky factor L of C_JJ:
-    with [G | g] = L^{-1} [C_JK | w_J] they are C_KK - G^T G and w_K - G^T g,
-    and each weight row takes the G of its own slice.  Returns (inverse,
-    weights, ok); ok is False on the slices where C_JJ is not positive
-    definite, the sign of accumulated drift, and their rows of the other two
-    are meaningless.
+    w_K - C_KJ C_JJ^{-1} w_J.  Both go through the Cholesky factor L of
+    C_JJ: with [G | g] = L^{-1} [C_JK | w_J] they are C_KK - G^T G and
+    w_K - G^T g, and each weight row takes the G of its own slice.
 
-    Every inverse that enters is exactly symmetric: `pseudo_inverse`
-    returns (M + M^T) / 2, whose bits are symmetric because IEEE addition
-    commutes, and each downdate returns a symmetric inverse.  For one
-    dropped coordinate G^T G is the outer product of a vector with itself,
-    g_i g_j == g_j g_i bit for bit, so the Schur complement is symmetric as
-    computed; a block's product is not, and is symmetrized.  A block solves
-    [C_JK | w_J] per weight row, as a row alone would, and its slice takes
-    G from one of its rows: LAPACK solves each right-hand column on its
-    own, so the rows of a slice have the same G.
+    The result is swap-removed (`_swap_plan`): the kept positions among the
+    last r move into the dropped ones before them, and the complement fills
+    the leading (m - r, m - r) block of the same buffer.  Returns (weights,
+    ok): the (D, m - r) weights in that order, and ok False on the slices
+    where C_JJ is not positive definite, the sign of accumulated drift,
+    whose rows of the other two are meaningless.
+
+    Every entry has the bits it has with K in coordinate order.  For one
+    dropped coordinate, C_ij - g_i g_j and w_i - g_i g_w are one
+    subtraction of one product each, wherever they sit, so they are
+    computed in place.  They are symmetric as computed: every inverse that
+    enters is exactly symmetric (`pseudo_inverse` returns (M + M^T) / 2,
+    whose bits are symmetric because IEEE addition commutes) and
+    g_i g_j == g_j g_i.  A block's solve and products are LAPACK and BLAS
+    calls, whose bits can depend on where an entry sits, so a block is
+    computed with K in coordinate order, symmetrized, and gathered into
+    place.  It solves [C_JK | w_J] per weight row, as a row alone would, and
+    its slice takes G from one of its rows: LAPACK solves each right-hand
+    column on its own, so the rows of a slice have the same G.
     """
-    d, r = len(weights), drop.shape[1]
-    g_n, m = inverse.shape[:2]
-    rows = np.arange(g_n)[:, None]
-    keep = np.ones((g_n, m), dtype=bool)
-    keep[rows, drop] = False
-    # in place where possible: each (G, m, m) temporary costs fresh pages
-    smaller = inverse[keep[:, :, None] & keep[:, None, :]].reshape(g_n, m - r, m - r)
-    row_keep, row_drop = (keep, drop) if owner is None else (keep[owner], drop[owner])
-    w_kept = weights[row_keep].reshape(d, m - r)
+    d, m = weights.shape
+    r = drop.shape[1]
+    g_n = len(inverse)
+    live = inverse[:, :m, :m]
+    plan = _swap_plan(drop, m)
+    row_drop = drop if owner is None else drop[owner]
     w_drop = weights[np.arange(d)[:, None], row_drop]
     if r == 1:  # scalar Cholesky; `>` is False on NaN too
-        t, j = rows[:, 0], drop[:, 0]
-        drop_row = inverse[t, j]  # (G, m): row J of each slice
-        pivot = drop_row[t, j]
+        t, j = plan[:2]
+        g = live[t, j]  # (G, m): row J of each slice
+        pivot = g[t, j]
         ok = pivot > 0.0
         root = np.sqrt(np.where(ok, pivot, 1.0))[:, None]
-        g = drop_row[keep].reshape(g_n, m - 1) / root
-        # G^T G = g g^T and G^T g = g g_w: each entry is one multiplication
-        smaller -= g[:, :, None] * g[:, None, :]
-        if owner is not None:
-            g, root = g[owner], root[owner]
-        return smaller, w_kept - g * (w_drop / root), ok
-    kept = np.nonzero(keep)[1].reshape(g_n, -1)
-    pivot = inverse[rows[:, :, None], drop[:, :, None], drop[:, None, :]]
-    c_jk = inverse[rows[:, :, None], drop[:, :, None], kept[:, None, :]]
+        g = _swap_remove(g, plan, 1)
+        g /= root
+        g_rows, root = (g, root) if owner is None else (g[owner], root[owner])
+        weights = _swap_remove(weights, plan if owner is None else _swap_plan(row_drop, m), 1)
+        weights -= g_rows * (w_drop / root)
+        live[t, j] = live[t, m - 1]  # the last row and column into the dropped slot
+        live[t, :, j] = live[t, :, m - 1]
+        # G^T G = g g^T and G^T g = g g_w: each entry is one multiplication.
+        # Slices go in chunks, so that the product's temporary stays small.
+        step = max(1, OUTER_CHUNK // m**2)
+        for c in range(0, g_n, step):
+            live[c:c + step, :m - 1, :m - 1] -= g[c:c + step, :, None] * g[c:c + step, None, :]
+        return weights, ok
+    rows = np.arange(g_n)[:, None]
+    first = np.empty(g_n, dtype=int)  # each slice's G from one of its rows
+    first[np.arange(d) if owner is None else owner] = np.arange(d)
+    labels = np.broadcast_to(np.arange(m), (g_n, m)) if coords is None else coords[first]
+    gone = np.zeros((g_n, m), dtype=bool)
+    gone[rows, drop] = True
+    by_coord = np.argsort(labels, axis=1)
+    kept = by_coord[~gone[rows, by_coord]].reshape(g_n, m - r)  # K in coordinate order
+    rank = np.empty((g_n, m), dtype=int)
+    rank[rows, kept] = np.arange(m - r)
+    place = rank[rows, _swap_remove(np.tile(np.arange(m), (g_n, 1)), plan, r)]
+    pivot = live[rows[:, :, None], drop[:, :, None], drop[:, None, :]]
+    c_jk = live[rows[:, :, None], drop[:, :, None], kept[:, None, :]]
     ok = np.ones(g_n, dtype=bool)
     try:
         chol = np.linalg.cholesky(pivot)
     except np.linalg.LinAlgError:  # some slice drifted: factor the others
         ok = np.array([_positive_definite(a) for a in pivot])
         chol = np.linalg.cholesky(np.where(ok[:, None, None], pivot, np.eye(r)))
+    row_kept, row_place = kept, place
     if owner is not None:
-        chol, c_jk = chol[owner], c_jk[owner]
+        chol, c_jk, row_kept, row_place = chol[owner], c_jk[owner], kept[owner], place[owner]
     g = np.linalg.solve(chol, np.concatenate((c_jk, w_drop[:, :, None]), axis=2))
+    w_kept = weights[np.arange(d)[:, None], row_kept]
     w_kept -= (g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, -1:])[:, :, 0]
-    if owner is not None:  # each slice's G from one of its rows
-        first = np.empty(g_n, dtype=int)
-        first[owner] = np.arange(d)
-        g = g[first]
+    g = g[first]
+    smaller = live[rows[:, :, None], kept[:, :, None], kept[:, None, :]]
     smaller -= g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, :-1]
     smaller += smaller.transpose(0, 2, 1)
     smaller /= 2.0
-    return smaller, w_kept, ok
+    live[:, :m - r, :m - r] = smaller[rows[:, :, None], place[:, :, None], place[:, None, :]]
+    return w_kept[np.arange(d)[:, None], row_place], ok
 
 
 def _groups(keys: list) -> tuple[np.ndarray, list[int]]:
@@ -265,15 +329,22 @@ def _join(
     eigs: dict[int, SymEig], joining: list[int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The downdate's runs, owners and slices once the factorized runs
-    `joining` join it: runs that share a SymEig share the slice of its
-    pseudo-inverse, and slices are in the order of their first run."""
+    `joining` join it: `inverse` holds the current (m, m) slices, runs that
+    share a SymEig share the slice of its pseudo-inverse, and slices are in
+    the order of their first run."""
     old = dict(zip(down.tolist(), owner.tolist()))
     down = np.sort(np.concatenate((down, joining)))  # `joining` excludes `down`
     runs = down.tolist()
     owner, firsts = _groups([(0, old[t]) if t in old else (1, id(eigs[t])) for t in runs])
-    slices = [inverse[old[t]] if t in old else pseudo_inverse(eigs[t])
-              for t in (runs[i] for i in firsts)]
-    return down, owner, np.stack(slices)
+    lead = [runs[i] for i in firsts]
+    fresh = pseudo_inverse([eigs[t] for t in lead if t not in old])
+    if not old:  # round 0, and any round whose downdate drifted everywhere
+        return down, owner, fresh
+    is_old = np.array([t in old for t in lead])
+    slices = np.empty((len(lead),) + fresh.shape[1:])
+    slices[is_old] = inverse[[old[t] for t in lead if t in old]]
+    slices[~is_old] = fresh
+    return down, owner, slices
 
 
 def _factorize(
@@ -324,20 +395,21 @@ def run_imp(
     rows = np.arange(stack)[:, None]
     active = np.tile(np.arange(p), (stack, 1))
     alive = np.ones((stack, p), dtype=bool)
-    trained = np.zeros((stack, q + 1, p))
-    masks = np.empty((stack, q + 1, p), dtype=bool)
-    pruned = np.empty((stack, q + 1, config.per_round), dtype=active.dtype)
     # A run takes the downdate path with an infinite horizon and a nonsingular
     # round-0 factorization, and leaves it for good at the first singular
     # refactorization, which interlacing rules out up to roundoff.  `down`
     # lists the runs whose round is downdated and `w_down` stacks their
-    # trained weights; `inverse` stacks the Sigma_A^{-1} slices, run down[i]
-    # reading slice owner[i].  Slices are in the order of their first run, so
-    # when there are as many slices as runs, slice i is run down[i]'s.
+    # trained weights; `inverse` stacks the Sigma_A^{-1} slices in the
+    # leading (m, m) block of each, run down[i] reading slice owner[i].
+    # Slices are in the order of their first run, so when there are as many
+    # slices as runs, slice i is run down[i]'s.  A downdated run's row of
+    # `active` is in the order of its slice's rows, which the swap-remove
+    # permutes; a factorized run's is ascending.
     exact = np.full(stack, is_infinite(config.horizon))
     down, owner = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     inverse, w_down = np.empty((0, p, p)), None
     for k in range(q + 1):
+        m = active.shape[1]
         eigs: dict[int, SymEig] = {}
         if down.size == stack:  # nothing to factorize: the stack is the downdate's
             weights = w_down
@@ -346,44 +418,51 @@ def run_imp(
             if down.size:
                 weights[down] = w_down
             todo = sorted(set(range(stack)).difference(down.tolist()))
-            for t, eig in zip(todo, _factorize(covs, active, todo, k)):
+            if k:  # Sigma_A is factorized with A in coordinate order
+                active[todo] = np.sort(active[todo], axis=1)
+            eigs = dict(zip(todo, _factorize(covs, active, todo, k)))
+            for t in todo:
                 idx = active[t]
-                weights[t] = closed_form_weights(eig, data_vec[t, idx], w_init[idx],
+                weights[t] = closed_form_weights(eigs[t], data_vec[t, idx], w_init[idx],
                                                  config.horizon)
-                exact[t] = exact[t] and bool(eig.nonzero_mask().all())
-                eigs[t] = eig
+                exact[t] = exact[t] and bool(eigs[t].nonzero_mask().all())
             # runs factorized now that stay exact join the downdate
             joining = [t for t in todo if exact[t] and k < q]
             if joining:
-                down, owner, inverse = _join(down, owner, inverse, eigs, joining)
+                down, owner, inverse = _join(down, owner, inverse[:, :m, :m], eigs, joining)
 
+        live = inverse[:, :m, :m]
         if on_round is not None:
             slot = owner
             if down.size < stack:
                 slot = np.full(stack, -1)
                 slot[down] = owner
-            on_round(k, active, weights, RoundFactors(eigs, inverse, slot))
+            on_round(k, active, weights, RoundFactors(eigs, live, slot))
         del eigs  # dropped before the downdate, which needs none of them
-        local = _select_prune(np.abs(weights), config.per_round, config.tie_break)
+        if k == 0:  # the trace takes over the memory of round 0's factorizations
+            trained = np.zeros((stack, q + 1, p))
+            masks = np.empty((stack, q + 1, p), dtype=bool)
+            pruned = np.empty((stack, q + 1, config.per_round), dtype=active.dtype)
+        local = _select_prune(np.abs(weights), active, config.per_round, config.tie_break)
         pruned[:, k] = active[rows, local]
-        trained[:, k][alive] = weights.ravel()  # rows of `active` ascend, as `alive` is read
+        trained[rows, k, active] = weights
         masks[:, k] = alive
         if k == q:
             break
 
         alive[rows, pruned[:, k]] = False
-        active = np.nonzero(alive)[1].reshape(stack, -1)
         if down.size:
             on = slice(None) if down.size == stack else down
             drop = local[on]
             if len(inverse) < down.size:  # shared slices
-                inverse, owner, drop = _split(inverse, owner, drop)
+                inverse, owner, drop = _split(live, owner, drop)
             shared = owner if len(inverse) < down.size else None
-            inverse, w_down, ok = _downdate(inverse, weights[on], drop, shared)
+            w_down, ok = _downdate(inverse, weights[on], drop, shared, active[on])
             if not ok.all():  # drift: these runs are factorized afresh next round
                 stays = ok[owner]
                 down, w_down, inverse = down[stays], w_down[stays], inverse[ok]
                 owner = (np.cumsum(ok) - 1)[owner[stays]]
+        active = _swap_remove(active, _swap_plan(local, m), config.per_round)
 
     for a in (trained, masks, pruned):
         a.setflags(write=False)  # so is every view of it

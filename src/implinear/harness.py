@@ -82,8 +82,8 @@ MAX_ENTRIES = 2**31
 MAX_THREADS = 256
 
 # A range of trials handed to a trial function stacks at most this many
-# T * p^2 doubles: 13 recover trials at p = 50, one trial from p = 182 on.
-STACK_BUDGET = 2**15
+# T * p^2 doubles: 26 recover trials at p = 50, one trial from p = 182 on.
+STACK_BUDGET = 2**16
 
 TRIALS_CSV_HEADER = (
     "trial,seed,n,p,k,gamma,sigma,delta,q,sparsity_ok,no_false_exclusion,"
@@ -505,24 +505,29 @@ def _build_problem(
 class _RoundAudit:
     """What the audit of a stack of recovery trials has seen so far.
 
-    cov stacks the trials' covariance entries (T, p, p) and signal their
-    signals (T, p), the two inputs every round's `check_recoverable` reads
-    Sigma_A s_A from (only the support columns of Sigma_A are gathered);
-    onp is each trial's ONP verdict, and eigs and residuals hold one
-    length-T array per round.
+    signal stacks the trials' signals s (T, p), and cov_signal keeps
+    u = Sigma s per trial (T, p), from which every round's
+    `check_recoverable` reads Sigma_A s_A as (Sigma s)_A: the two agree on A
+    while s vanishes off A.  A trial that has pruned a support coordinate
+    has its u recomputed once as Sigma (s * 1_A), and `held` counts each
+    trial's support coordinates still active.  onp is each trial's ONP
+    verdict, and eigs and residuals hold one length-T array per round.
     """
 
     problems: list[SparseProblem]
-    cov: np.ndarray
     signal: np.ndarray
+    cov_signal: np.ndarray
+    held: np.ndarray
     onp: list[bool] = field(default_factory=list)
     eigs: list[np.ndarray] = field(default_factory=list)
     residuals: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def of(cls, problems: list[SparseProblem]) -> "_RoundAudit":
-        return cls(problems, np.stack([pr.covariance.entries for pr in problems]),
-                   np.stack([pr.signal for pr in problems]))
+        signal = np.stack([pr.signal for pr in problems])
+        return cls(problems, signal,
+                   np.stack([pr.covariance.entries @ pr.signal for pr in problems]),
+                   np.count_nonzero(signal, axis=1))
 
 
 def _audit_rounds(
@@ -531,14 +536,14 @@ def _audit_rounds(
     """Check round k of a stack of recovery trials: the engine's observer.
 
     Each round is checked with the factorizations the engine trained it
-    with, so nothing is refactorized, and Sigma_A is read from Sigma in
-    place.  Round 0 trains on every coordinate, so its eigendecomposition is
-    that of the full Sigma, and the ONP precondition is read from it.  A
-    factorized round's smallest nonzero eigenvalue comes from its
-    eigendecomposition.  A downdated round is checked with the engine's
-    Sigma_A^{-1}, so its residual also measures downdate drift; its
-    eigenvalue entry is the previous round's, a lower bound by Cauchy
-    interlacing, so the minimum over rounds is the exact one.
+    with, so nothing is refactorized, and Sigma_A s_A is read from the
+    audit's Sigma s.  Round 0 trains on every coordinate, so its
+    eigendecomposition is that of the full Sigma, and the ONP precondition
+    is read from it.  A factorized round's smallest nonzero eigenvalue
+    comes from its eigendecomposition.  A downdated round is checked with
+    the engine's Sigma_A^{-1}, so its residual also measures downdate
+    drift; its eigenvalue entry is the previous round's, a lower bound by
+    Cauchy interlacing, so the minimum over rounds is the exact one.
     """
     if k == 0:
         audit.onp = [check_onp(factors.eigs[i], pr.support, tol=ONP_TOL).holds
@@ -553,7 +558,15 @@ def _audit_rounds(
             except ValueError:
                 eigs[i] = float("nan")
     audit.eigs.append(eigs)
-    audit.residuals.append(check_recoverable(audit.cov, audit.signal, active,
+    rows = np.arange(len(active))[:, None]
+    s_active = audit.signal[rows, active]
+    held = np.count_nonzero(s_active, axis=1)
+    for t in np.flatnonzero(held < audit.held):  # s no longer vanishes off A
+        s = np.zeros(audit.signal.shape[1])
+        s[active[t]] = s_active[t]
+        audit.cov_signal[t] = audit.problems[t].covariance.entries @ s
+    audit.held = held
+    audit.residuals.append(check_recoverable(audit.cov_signal[rows, active], s_active,
                                              factors.inverses()))
 
 

@@ -10,6 +10,7 @@ below, in the same basis.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ class SymEig:
     eigenvalues are ascending; eigenvector column i pairs with eigenvalue i.
     Columns are orthonormal with the sign convention that the first entry of
     magnitude above 1e-12 is positive, so repeated decompositions of the
-    same bits reproduce identical traces.  Both arrays are read-only copies
-    of the arrays given.
+    same bits reproduce identical traces.  Both arrays are read-only: copies
+    of the arrays given, or, from `sym_eig`, views of its output stack.
     """
 
     eigenvalues: np.ndarray
@@ -112,10 +113,10 @@ def sym_eig(cov: CovMatrix | np.ndarray) -> SymEig | list[SymEig]:
     covariances, which gives a list of T SymEig.  A stack is factorized by
     one `np.linalg.eigh` call, which runs LAPACK on each slice as on a matrix
     of its own, so every slice has the bits of a one-matrix call; the sign
-    fix is applied to the whole stack.  Each SymEig copies its slice: a view
-    would keep the whole stack alive as long as any one of them, which
-    measurably raises the peak memory of a stacked IMP round.  A CovMatrix
-    is the stack of one.
+    fix is applied to the whole stack.  Each SymEig is a read-only view of
+    its slice, so the stack lives as long as any one of them: the engine
+    drops a round's SymEig together, and copies would double the peak
+    memory of a stacked round.  A CovMatrix is the stack of one.
     """
     single = isinstance(cov, CovMatrix)
     stack = cov.entries[None] if single else np.asarray(cov, dtype=float)
@@ -129,21 +130,39 @@ def sym_eig(cov: CovMatrix | np.ndarray) -> SymEig | list[SymEig]:
         flip = np.take_along_axis(vec, first, axis=1) < 0.0
         flip &= np.take_along_axis(big, first, axis=1)
         vec *= np.where(flip, -1.0, 1.0)  # exact: a sign flip or the same bits
-    eigs = [SymEig(*slice_) for slice_ in zip(lam, vec, default_rank_tol(lam))]
+    lam.setflags(write=False)
+    vec.setflags(write=False)
+    eigs = []
+    for values, vectors, tol in zip(lam, vec, default_rank_tol(lam).tolist()):
+        eig = object.__new__(SymEig)  # views of read-only arrays need no copy
+        object.__setattr__(eig, "eigenvalues", values)
+        object.__setattr__(eig, "eigenvectors", vectors)
+        object.__setattr__(eig, "rank_tol", tol)
+        eigs.append(eig)
     return eigs[0] if single else eigs
 
 
-def pseudo_inverse(eig: SymEig) -> np.ndarray:
+def pseudo_inverse(eig: SymEig | Sequence[SymEig]) -> np.ndarray:
     """Moore-Penrose pseudo-inverse in the eigenbasis.
 
     Spectrum maps to 1/lambda above rank_tol and to 0 at or below it; the
-    result is symmetrized to kill accumulation error.
+    result is symmetrized to kill accumulation error, so its bits are
+    exactly symmetric.  A sequence of T SymEig of one size gives the
+    (T, m, m) stack of their pseudo-inverses, each written in place with
+    the bits of its own call, so the stack is the only (T, m, m) array it
+    allocates.
     """
-    gamma = np.where(eig.nonzero_mask(), 1.0, 0.0)
-    lam_safe = np.where(eig.nonzero_mask(), eig.eigenvalues, 1.0)
-    gamma = gamma / lam_safe
-    m = (eig.eigenvectors * gamma) @ eig.eigenvectors.T
-    return (m + m.T) / 2.0
+    single = isinstance(eig, SymEig)
+    eigs = [eig] if single else eig
+    m = eigs[0].p
+    out = np.empty((len(eigs), m, m))
+    for e, o in zip(eigs, out):
+        nonzero = e.nonzero_mask()
+        gamma = np.where(nonzero, 1.0, 0.0) / np.where(nonzero, e.eigenvalues, 1.0)
+        np.matmul(e.eigenvectors * gamma, e.eigenvectors.T, out=o)
+        np.add(o, o.T, out=o)  # ufuncs buffer overlapping operands
+        o /= 2.0
+    return out[0] if single else out
 
 
 def min_nonzero_eig(eig: SymEig) -> float:

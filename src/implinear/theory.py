@@ -182,43 +182,32 @@ def check_onp(eig: SymEig, support, tol: float = 1e-10) -> OnpReport:
 
 
 def check_recoverable(
-    cov: np.ndarray, signal: np.ndarray, active: np.ndarray, inverse: np.ndarray
+    cov_signal: np.ndarray, signal: np.ndarray, inverse: np.ndarray
 ) -> np.ndarray:
     """How far does each restricted signal of a stack move under projection onto range(Ups)?
 
-    `cov` holds T covariance entries (T, p, p), `signal` the T full-length
-    signals (T, p), `active` one index set per slice (T, m) and `inverse`
-    the (T, m, m) stack of Ups^+.  Per slice, Ups = Sigma_A is the principal
-    submatrix on the active indices and s_A the matching entries of the
-    signal; the length-T result is residual = ||Ups^+ Ups s_A - s_A||_inf.
-    The pruning guarantee needs it to vanish at every round.
+    Per slice t of a stack of T, with A_t its active indices in some order
+    and Ups = Sigma_A the principal submatrix on them: `signal` holds s_A
+    (T, m), `cov_signal` holds Ups s_A (T, m) and `inverse` the (T, m, m)
+    stack of Ups^+, rows and columns in the order of A_t.  The length-T
+    result is residual = ||Ups^+ Ups s_A - s_A||_inf, by one matrix-vector
+    product per slice.  The pruning guarantee needs it to vanish at every
+    round.
 
-    Ups s_A meets only the columns of Ups where s_A is nonzero, so only those
-    are gathered, into an otherwise zero (T, m, m) block, and the product is
-    the one a full Ups would take.  Each skipped term Sigma_ij * s_j (s_j
-    being +0 or -0, Sigma finite) becomes +0 * s_j: a zero either way, so
-    every nonzero term is the same and is added in the same order, and the
-    sums can differ only in the sign of an exact zero.  That carries through
-    the second product and the subtraction to zeros alone, and `abs` drops
-    it: the residual has the bits of the full gather.
+    A caller that keeps u = Sigma s for a signal s that vanishes off A has
+    Ups s_A = u_A, so it passes u gathered on A: the sum runs over all of
+    Sigma's columns rather than A's, which moves only its last bits.  The
+    product of each slice is computed as it would be alone, so a slice's
+    residual does not depend on the rest of its stack.
     """
-    entries = np.asarray(cov)
+    cov_signal = np.asarray(cov_signal, dtype=float)
     signal = np.asarray(signal, dtype=float)
-    active = np.asarray(active, dtype=int)
-    if signal.shape != entries.shape[:-1]:
-        raise ValueError("signal length must match the covariance dimension")
-    if inverse.shape != active.shape + active.shape[-1:]:
+    if cov_signal.shape != signal.shape:
+        raise ValueError("cov_signal and signal must have one shape (T, m)")
+    if inverse.shape != signal.shape + signal.shape[-1:]:
         raise ValueError("pass exactly one (m, m) inverse per slice")
-    p = entries.shape[-1]
-    s_active = signal[np.arange(active.shape[0])[:, None], active]
-    # per (slice t, support column j), the flat indices of Sigma_t[A_t, A_tj]
-    slices, cols = np.nonzero(s_active)
-    flat = (active * p)[slices]
-    flat += (slices * (p * p) + active[slices, cols])[:, None]
-    sub = np.zeros(active.shape + active.shape[-1:])
-    sub[slices, :, cols] = np.ravel(entries).take(flat)
-    projected = (inverse @ (sub @ s_active[..., None]))[..., 0]
-    return np.max(np.abs(projected - s_active), axis=-1, initial=0.0)
+    projected = (inverse @ cov_signal[..., None])[..., 0]
+    return np.max(np.abs(projected - signal), axis=-1, initial=0.0)
 
 
 def recovery_sample_size_raw(b: BoundInputs) -> float:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import csv
 import json
 import math
 import os
@@ -263,6 +264,23 @@ def test_recover_gate_fails_far_below_the_bound(tmp_path, capsys):
     assert summary["failure_rate"] == 0.4 and not summary["passed"]
 
 
+def test_replay_matches_false_exclusion_trials(tmp_path, capsys):
+    """A trial that prunes a support coordinate has its Sigma s recomputed
+    by the audit: replayed alone, each such trial of a stacked run still
+    matches its row, max_recov_residual included."""
+    cfg = write_config(tmp_path, UNDERSIZED_P50)
+    out = tmp_path / "out"
+    assert main(["recover", "--config", cfg, "--out", str(out)]) == 1
+    with open(out / "trials.csv", encoding="utf-8") as fh:
+        excluded = [row["trial"] for row in csv.DictReader(fh)
+                    if row["no_false_exclusion"] == "0"]
+    assert len(excluded) == 16
+    capsys.readouterr()
+    for trial in excluded[:4]:
+        assert main(["replay", "--config", cfg, "--out", str(out), "--trial", trial]) == 0
+    assert capsys.readouterr().out.count("matches") == 4
+
+
 def test_gates_fail_when_the_engine_prunes_the_largest(tmp_path, capsys, monkeypatch):
     """An engine mutant that prunes the largest magnitudes: a small recover
     (criterion 5's gate) and an orthonormal heuristic (criterion 2's) that
@@ -277,7 +295,8 @@ def test_gates_fail_when_the_engine_prunes_the_largest(tmp_path, capsys, monkeyp
     assert main(["heuristic", "--config", heuristic]) == 0
     real = engine._select_prune
     monkeypatch.setattr(engine, "_select_prune",
-                        lambda magnitudes, count, tie_break: real(-magnitudes, count, tie_break))
+                        lambda magnitudes, active, count, tie_break:
+                        real(-magnitudes, active, count, tie_break))
     assert main(["recover", "--config", recover]) == 1
     assert main(["heuristic", "--config", heuristic]) == 1
     verdicts = [line.rsplit(" ", 1)[-1] for line in capsys.readouterr().out.splitlines()]

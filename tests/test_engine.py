@@ -173,6 +173,15 @@ class TestRunImp:
         high = run([fs], ImpConfig(prune_rounds=0, tie_break="highest_index"))[0]
         assert high.pruned.tolist() == [[1]]
 
+    def test_tie_rule_reads_coordinates_not_positions(self):
+        # rows permuted as a downdated run's are: ties still go to the lower
+        # (or higher) coordinate
+        magnitudes = np.array([[1.0, 1.0, 2.0, 1.0]])
+        active = np.array([[5, 2, 9, 7]])
+        select = engine_module._select_prune
+        assert select(magnitudes, active, 2, "lowest_index").tolist() == [[1, 0]]
+        assert select(magnitudes, active, 2, "highest_index").tolist() == [[3, 0]]
+
     def test_unknown_tie_break_rejected(self):
         with pytest.raises(ValueError, match="tie_break"):
             ImpConfig(tie_break="coin_flip")
@@ -324,11 +333,12 @@ def oracle_imp(features, config):
 
 def observed(factors, t):
     """Run t's factorization in a round: its SymEig if the round factorized
-    it, else its slice of the downdate's inverse stack.  Either way
-    factors[t] is its Sigma_A^+, the pseudo-inverse of a SymEig bit for bit."""
+    it, else a copy of its slice of the downdate's inverse stack, which the
+    engine overwrites after the call.  Either way factors[t] is its
+    Sigma_A^+, the pseudo-inverse of a SymEig bit for bit."""
     inverse = factors[t]
     if t not in factors.eigs:
-        return inverse
+        return inverse.copy()
     assert_same_bits(inverse, pseudo_inverse(factors.eigs[t]))
     return factors.eigs[t]
 
@@ -461,13 +471,13 @@ class TestDowndatePath:
         real = engine_module._downdate
         calls = []
 
-        def fail_slice_1_third(inverse, weights, drop, owner):
+        def fail_slice_1_third(inverse, weights, *args):
             calls.append(len(weights))
-            inverse, weights, ok = real(inverse, weights, drop, owner)
+            weights, ok = real(inverse, weights, *args)
             if len(calls) == 3:
                 ok = ok.copy()
                 ok[1] = False
-            return inverse, weights, ok
+            return weights, ok
 
         monkeypatch.setattr(engine_module, "_downdate", fail_slice_1_third)
         traces, seen = run_stack_observed(stack, config)
@@ -513,8 +523,8 @@ class TestDowndatePath:
 
         def fail_third(*args):
             seen.append(None)
-            inverse, weights, ok = real(*args)
-            return inverse, weights, ok & (len(seen) != 3)
+            weights, ok = real(*args)
+            return weights, ok & (len(seen) != 3)
 
         monkeypatch.setattr(engine_module, "_downdate", fail_third)
         _, factors = assert_matches_oracle(fs, config)
@@ -523,8 +533,8 @@ class TestDowndatePath:
 
     def test_non_positive_pivot_rejected(self):
         def ok(inverse, drop):
-            return engine_module._downdate(inverse[None], np.ones((1, inverse.shape[0])),
-                                           np.array([drop]))[2][0]
+            return engine_module._downdate(inverse[None].copy(), np.ones((1, inverse.shape[0])),
+                                           np.array([drop]))[1][0]
 
         inverse = np.array([[2.0, 0.5], [0.5, -1.0]])
         assert not ok(inverse, [1])
@@ -544,16 +554,24 @@ class TestDowndatePath:
         bad = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
         weights = rng.standard_normal((2, 3))
         drop = np.array(drop)
-        inverse, w, ok = engine_module._downdate(np.stack([bad, good]), weights, drop)
+        inverse, alone = np.stack([bad, good]), good[None].copy()
+        w, ok = engine_module._downdate(inverse, weights.copy(), drop)
         assert list(ok) == [False, True]
-        alone, w_alone, _ = engine_module._downdate(good[None], weights[1:], drop[1:])
+        w_alone, _ = engine_module._downdate(alone, weights[1:].copy(), drop[1:])
         assert np.array_equal(inverse[1], alone[0]) and np.array_equal(w[1], w_alone[0])
 
     def test_downdated_inverse_is_the_restricted_inverse(self):
+        # in the order of the round's active indices, which the swap-remove
+        # permutes: the trace's masks alone would not say which row is which
         fs = design_features("incoherent", 60, None, seed=8)
-        trace, seen = run_observed(fs, ImpConfig(prune_rounds=20, per_round=2))
-        for active, inverse in zip(trace.active[1:], seen[1:]):
-            sub = fs.covariance.restrict(np.flatnonzero(active)).entries
+        seen = []
+        [trace] = run([fs], ImpConfig(prune_rounds=20, per_round=2),
+                      lambda k, active, weights, factors: seen.append(
+                          (active[0].copy(), observed(factors, 0))))
+        assert any(np.any(np.diff(active) < 0) for active, _ in seen)
+        for (active, inverse), mask in zip(seen[1:], trace.active[1:]):
+            assert np.array_equal(np.sort(active), np.flatnonzero(mask))
+            sub = fs.covariance.restrict(active).entries
             assert np.array_equal(inverse, inverse.T)
             assert np.allclose(inverse @ sub, np.eye(sub.shape[0]), atol=1e-9)
         assert "inverse" not in trace_to_dict(trace)["rounds"][1]
@@ -660,6 +678,29 @@ def assert_same_bits(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def swap_order(drop, m):
+    """The kept positions of a row of width m, in the order the swap-remove
+    leaves them: the kept positions among the last r fill the dropped ones
+    before them, both taken in ascending order."""
+    r = len(drop)
+    holes = sorted(j for j in drop if j < m - r)
+    tails = sorted(x for x in range(m - r, m) if x not in drop)
+    order = list(range(m - r))
+    for hole, tail in zip(holes, tails):
+        order[hole] = tail
+    return order
+
+
+def compacted(drop, m):
+    """Per slice, where each kept position of the swap-remove sits in the
+    compaction, which keeps positions in ascending order."""
+    out = []
+    for row in drop.tolist():
+        rank = {x: i for i, x in enumerate(x for x in range(m) if x not in row)}
+        out.append([rank[x] for x in swap_order(row, m)])
+    return np.array(out)
+
+
 class TestSymmetricDowndate:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -674,27 +715,185 @@ class TestSymmetricDowndate:
         rng = make_rng(seed, 1)
         weights = rng.standard_normal((d, m))
         drop = rng.integers(0, m, size=(d, 1))
-        got = engine_module._downdate(inverse, weights, drop)
-        want = symmetrizing_downdate(inverse, weights, drop)
-        for a, b in zip(got, want):
-            assert_same_bits(a, b)
+        want_inverse, want_weights, want_ok = symmetrizing_downdate(inverse, weights, drop)
+        got_weights, got_ok = engine_module._downdate(inverse, weights, drop)
+        assert_same_bits(got_ok, want_ok)
+        for i, idx in enumerate(compacted(drop, m)):
+            assert_same_bits(inverse[i, :m - 1, :m - 1], want_inverse[i][np.ix_(idx, idx)])
+            assert_same_bits(got_weights[i], want_weights[i, idx])
 
     def test_a_45_round_chain_stays_exactly_symmetric(self):
         # p = 50 down to 5, as a recover-p50 run: well-conditioned, moderately
-        # and badly conditioned slices side by side
+        # and badly conditioned slices side by side.  Each slice's rows carry
+        # coordinate labels, permuted by the swap-remove and ascending in the
+        # formula's compaction.
         inverse = spd_inverses(13, 3, 50, [0.0, 4.0, 8.0, 0.0])
         weights = make_rng(14).standard_normal((3, 50))
-        ref_inverse, ref_weights = inverse, weights
+        ref_inverse, ref_weights = inverse.copy(), weights.copy()
+        labels = np.tile(np.arange(50), (3, 1))
         rng = make_rng(15)
         for m in range(50, 5, -1):
-            drop = rng.integers(0, m, size=(3, 1))
-            inverse, weights, ok = engine_module._downdate(inverse, weights, drop)
+            drop = rng.integers(0, m, size=(3, 1))  # positions in the compaction
+            coords = np.sort(labels, axis=1)[np.arange(3)[:, None], drop]
+            local = np.argmax(labels == coords, axis=1)[:, None]
+            weights, ok = engine_module._downdate(inverse, weights, local)
             ref_inverse, ref_weights, _ = symmetrizing_downdate(ref_inverse, ref_weights, drop)
+            labels = np.array([row[swap_order([j], m)] for row, [j] in zip(labels, local)])
             assert ok.all()
-            assert np.array_equal(inverse, inverse.transpose(0, 2, 1))
-            assert_same_bits(inverse, ref_inverse)
-            assert_same_bits(weights, ref_weights)
-        assert inverse.shape == (3, 5, 5)
+            live = inverse[:, :m - 1, :m - 1]
+            assert np.array_equal(live, live.transpose(0, 2, 1))
+            for i, row in enumerate(labels):
+                order = np.argsort(row)
+                assert_same_bits(live[i][np.ix_(order, order)], ref_inverse[i])
+                assert_same_bits(weights[i, order], ref_weights[i])
+        assert inverse.shape == (3, 50, 50) and weights.shape == (3, 5)
+
+
+def compaction_downdate(inverse, weights, drop):
+    """The downdate as `engine._downdate` computed it before it worked in
+    place: the kept rows and columns gathered by a boolean mask, in
+    coordinate order, into a new (G, m - r, m - r) stack.  The oracle of the
+    swap-remove; one weight row per slice."""
+    g_n, m = inverse.shape[:2]
+    r = drop.shape[1]
+    rows = np.arange(g_n)[:, None]
+    keep = np.ones((g_n, m), dtype=bool)
+    keep[rows, drop] = False
+    smaller = inverse[keep[:, :, None] & keep[:, None, :]].reshape(g_n, m - r, m - r)
+    w_kept = weights[keep].reshape(g_n, m - r)
+    w_drop = weights[rows, drop]
+    if r == 1:
+        t, j = rows[:, 0], drop[:, 0]
+        drop_row = inverse[t, j]
+        pivot = drop_row[t, j]
+        ok = pivot > 0.0
+        root = np.sqrt(np.where(ok, pivot, 1.0))[:, None]
+        g = drop_row[keep].reshape(g_n, m - 1) / root
+        smaller -= g[:, :, None] * g[:, None, :]
+        return smaller, w_kept - g * (w_drop / root), ok
+    kept = np.nonzero(keep)[1].reshape(g_n, -1)
+    pivot = inverse[rows[:, :, None], drop[:, :, None], drop[:, None, :]]
+    c_jk = inverse[rows[:, :, None], drop[:, :, None], kept[:, None, :]]
+    ok = np.array([engine_module._positive_definite(a) for a in pivot])
+    chol = np.linalg.cholesky(np.where(ok[:, None, None], pivot, np.eye(r)))
+    g = np.linalg.solve(chol, np.concatenate((c_jk, w_drop[:, :, None]), axis=2))
+    w_kept -= (g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, -1:])[:, :, 0]
+    smaller -= g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, :-1]
+    smaller += smaller.transpose(0, 2, 1)
+    smaller /= 2.0
+    return smaller, w_kept, ok
+
+
+def compaction_imp(cov, b, config, plant=()):
+    """One run at the infinite horizon as the engine ran it before the
+    swap-remove: active coordinates ascending, every downdate by
+    `compaction_downdate`, a drifted run factorized afresh the next round.
+    At each round in `plant` the run must be on the downdate, and the pivot
+    of its first pruned coordinate is set to -1 first.  Returns the trace
+    arrays (weights, active, pruned)."""
+    p, q, r = cov.p, config.prune_rounds, config.per_round
+    sign = 1 if config.tie_break == "lowest_index" else -1
+    weights, masks = np.zeros((q + 1, p)), np.zeros((q + 1, p), dtype=bool)
+    pruned = np.zeros((q + 1, r), dtype=int)
+    active, inverse, exact = np.arange(p), None, True
+    for k in range(q + 1):
+        if inverse is None:
+            eig = sym_eig(cov.restrict(active) if k else cov)
+            w = closed_form_weights(eig, b[active], np.zeros(active.size), INFINITE)
+            exact = exact and bool(eig.nonzero_mask().all())
+            if exact and k < q:
+                inverse = pseudo_inverse(eig)[None]
+        drop = sorted(range(active.size), key=lambda i: (abs(w[i]), sign * active[i]))[:r]
+        weights[k, active], masks[k, active], pruned[k] = w, True, active[drop]
+        if k == q:
+            break
+        if k in plant:
+            inverse[0, drop[0], drop[0]] = -1.0
+        if inverse is not None:
+            inverse, [w], [ok] = compaction_downdate(inverse, w[None], np.array([drop]))
+            inverse = inverse if ok else None
+        active = np.delete(active, drop)
+    return weights, masks, pruned
+
+
+class TestSwapDowndate:
+    """The in-place swap-remove downdate against the compaction it replaced."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        designs=st.lists(st.sampled_from(STACK_DESIGNS), min_size=1, max_size=3),
+        cells=st.lists(st.sampled_from((0.0, 0.25, 1.0, None)), min_size=1, max_size=3),
+        seed=st.integers(0, 10_000),
+        per_round=st.sampled_from((1, 3)),
+        tie_break=st.sampled_from(TIE_BREAK_RULES),
+        plant=st.sets(st.integers(0, 12), max_size=2),
+    )
+    @example(designs=[STACK_DESIGNS[0], STACK_DESIGNS[2]], cells=[0.25, 1.0, None], seed=3,
+             per_round=3, tie_break="highest_index", plant={0, 4})
+    @example(designs=[STACK_DESIGNS[1]], cells=[0.0, None], seed=5, per_round=1,
+             tie_break="lowest_index", plant={2})
+    def test_traces_match_the_compaction_oracle(self, designs, cells, seed, per_round,
+                                                tie_break, plant):
+        # sigma cells on one CovMatrix share slices, and split where they
+        # prune differently; at a planted round every slice whose runs agree
+        # on their prunes gets a non-positive pivot and is factorized afresh
+        covs, b = [], []
+        for i, design in enumerate(designs):
+            fs = design_features(*design, seed + i)
+            for target in cell_targets(fs, cells, seed + i):
+                covs.append(fs.covariance)
+                b.append(target)
+        config = ImpConfig(prune_rounds=DIFF_P // per_round - 1, per_round=per_round,
+                           tie_break=tie_break)
+        sign = 1 if tie_break == "lowest_index" else -1
+        planted = [set() for _ in covs]
+        refactorized = []
+
+        def observe(k, active, weights, factors):
+            refactorized.append(set(factors.eigs) if k else set())
+            if k not in plant:
+                return
+            drops = [tuple(sorted(range(active.shape[1]),
+                                  key=lambda i: (abs(w[i]), sign * a[i]))[:per_round])
+                     for a, w in zip(active, weights)]
+            for s in set(factors.slot.tolist()) - {-1}:
+                runs = np.flatnonzero(factors.slot == s).tolist()
+                if len({drops[t] for t in runs}) == 1:
+                    j = drops[runs[0]][0]
+                    factors[runs[0]][j, j] = -1.0  # the engine's own buffer
+                    for t in runs:
+                        planted[t].add(k)
+
+        traces = run_imp(covs, np.stack(b), config, observe)
+        for t, (cov, target, trace) in enumerate(zip(covs, b, traces)):
+            weights, masks, pruned = compaction_imp(cov, target, config, planted[t])
+            assert_same_bits(trace.weights, weights)  # -0.0 included
+            assert_same_bits(trace.active, masks)
+            assert_same_bits(trace.pruned, pruned)
+            assert all(t in refactorized[k + 1] for k in planted[t])
+
+    def test_observer_rows_follow_active(self):
+        # round 0 hands out the pseudo-inverse of Sigma itself; every later
+        # round a downdated inverse whose rows, and the weights, follow the
+        # permuted active indices
+        stack = [design_features(*d, seed=31 + i)
+                 for i, d in enumerate([DIFF_DESIGNS[0], DIFF_DESIGNS[3], DIFF_DESIGNS[4]])]
+        rounds = []
+
+        def observe(k, active, weights, factors):
+            for t, fs in enumerate(stack):
+                if k == 0:
+                    assert_same_bits(factors[t], pseudo_inverse(sym_eig(fs.covariance)))
+                sub = fs.covariance.restrict(active[t]).entries
+                assert np.allclose(factors[t] @ sub, np.eye(len(sub)), atol=1e-8)
+                assert np.allclose(weights[t], factors[t] @ fs.b[active[t]], atol=1e-10)
+            rounds.append(bool(np.any(np.diff(active, axis=1) < 0)))
+
+        for per_round in (1, 3):
+            rounds.clear()
+            run(stack, ImpConfig(prune_rounds=DIFF_P // per_round - 1, per_round=per_round),
+                observe)
+            assert not rounds[0] and any(rounds[1:])  # ascending at round 0 only for sure
 
 
 def cell_targets(fs, cells, seed, k=3):
@@ -716,12 +915,13 @@ def drift_at_third_call(real):
     shared slice drifts exactly when each of its runs' own slices would."""
     calls = []
 
-    def downdate(inverse, weights, drop, owner=None):
+    def downdate(inverse, *args):
         calls.append(None)
-        smaller, w, ok = real(inverse, weights, drop, owner)
+        odd = inverse[:, 0, 0].view(np.int64) % 2 == 1  # read before it is overwritten
+        w, ok = real(inverse, *args)
         if len(calls) == 3:
-            ok = ok & (inverse[:, 0, 0].view(np.int64) % 2 == 1)
-        return smaller, w, ok
+            ok = ok & odd
+        return w, ok
 
     return downdate
 
@@ -803,22 +1003,27 @@ class TestSharedDowndate:
     def test_round_factors_index_runs_into_the_shared_stack(self):
         fs = design_features("incoherent", 200, None, seed=22)
         b = cell_targets(fs, (0.1, 0.2), seed=22)
-        seen = []
-        run_imp([fs.covariance] * 2, np.stack(b), ImpConfig(prune_rounds=3),
-                lambda k, active, weights, factors: seen.append(factors))
-        round0, round1 = seen[0], seen[1]
-        assert round0.eigs[0] is round0.eigs[1] and len(round0.inverse) == 1
-        assert np.shares_memory(round0[0], round0[-1])  # both read the one slice
-        assert_same_bits(round0[0], pseudo_inverse(round0.eigs[0]))
-        stacked = round0.inverses()  # two runs on one slice: a stack of copies
-        assert stacked.shape == (2, DIFF_P, DIFF_P)
-        assert not np.shares_memory(stacked, round0.inverse)
-        assert_same_bits(stacked[1], round0[1])
-        assert round1.eigs == {} and list(round1.slot) == [0, 0]
-        assert np.shares_memory(round1[0], round1[1])
-        assert np.shares_memory(round1[-2], round1.inverse)
-        with pytest.raises(IndexError):
-            round1[2]
+        checked = []
+
+        def observe(k, active, weights, factors):  # its arrays are valid only now
+            if k == 0:
+                assert factors.eigs[0] is factors.eigs[1] and len(factors.inverse) == 1
+                assert np.shares_memory(factors[0], factors[-1])  # both read the one slice
+                assert_same_bits(factors[0], pseudo_inverse(factors.eigs[0]))
+                stacked = factors.inverses()  # two runs on one slice: a stack of copies
+                assert stacked.shape == (2, DIFF_P, DIFF_P)
+                assert not np.shares_memory(stacked, factors.inverse)
+                assert_same_bits(stacked[1], factors[1])
+            if k == 1:
+                assert factors.eigs == {} and list(factors.slot) == [0, 0]
+                assert np.shares_memory(factors[0], factors[1])
+                assert np.shares_memory(factors[-2], factors.inverse)
+                with pytest.raises(IndexError):
+                    factors[2]
+            checked.append(k)
+
+        run_imp([fs.covariance] * 2, np.stack(b), ImpConfig(prune_rounds=3), observe)
+        assert checked == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("horizon", [INFINITE, 3.0])
     def test_inverses_are_the_engines_stack_when_each_run_has_a_slice(self, horizon):

@@ -2,6 +2,7 @@ import concurrent.futures
 import functools
 import gc
 import json
+import tracemalloc
 import weakref
 from dataclasses import asdict, astuple, replace
 
@@ -229,9 +230,9 @@ class TestSupportRecovery:
         # starts from instead of stacking the same pseudo-inverses again
         seen = []
 
-        def recording(cov, signal, active, inverse):
-            seen.append(inverse)
-            return check_recoverable(cov, signal, active, inverse)
+        def recording(cov_signal, signal, inverse):
+            seen.append(inverse.shape)
+            return check_recoverable(cov_signal, signal, inverse)
 
         real, own = engine_module.RoundFactors.inverses, []
 
@@ -246,7 +247,7 @@ class TestSupportRecovery:
         run_support_recovery(spec)
         q = spec.design.p - spec.signal.k
         assert own == [True] * (q + 1)  # the stack itself, not a copy
-        assert [f.shape for f in seen] == [(3, 12 - k, 12 - k) for k in range(q + 1)]
+        assert seen == [(3, 12 - k, 12 - k) for k in range(q + 1)]
 
     def test_q_zero_dense(self):
         report = run_support_recovery(
@@ -354,8 +355,11 @@ def audit_stack(problems, config):
 
 
 def fresh_residual(cov, signal, idx, eig):
-    """The recoverability residual of one round, checked on its own."""
-    [residual] = check_recoverable(cov.entries[None], signal[None], idx[None],
+    """The recoverability residual of one round, checked on its own with
+    Sigma_A s_A read, as the audit reads it, from Sigma (s * 1_A)."""
+    masked = np.zeros_like(signal)
+    masked[idx] = signal[idx]
+    [residual] = check_recoverable((cov.entries @ masked)[idx][None], signal[idx][None],
                                    pseudo_inverse(eig)[None])
     return float(residual)
 
@@ -688,7 +692,8 @@ class TestBaselines:
 
     def test_q_zero_hard_thresholds_with_each_cells_pseudo_inverse(self, monkeypatch):
         # with one round nothing joins the downdate: hard thresholding reads
-        # each cell's Sigma^+ from the pseudo-inverse of IMP's round-0 SymEig
+        # each cell's Sigma^+ from the pseudo-inverse of IMP's round-0 SymEig,
+        # computed once for the three cells that share it
         pinvs = count_pinv(monkeypatch)
         sigmas = (0.1, 0.5, 1.0)
         spec = ExperimentSpec(
@@ -702,7 +707,7 @@ class TestBaselines:
         )
         sweep = tuple(replace(spec, noise=NoiseSpec(sigma=s)) for s in sigmas)
         outcomes = harness_module._baseline_trial(spec, range(4), 40, sweep, None)
-        assert len(pinvs) == 4 * 3  # one per cell
+        assert len(pinvs) == 4  # one per trial, not one per cell
         monkeypatch.undo()
         assert_ht_as_alone(spec, sweep, range(4), outcomes)
 
@@ -712,8 +717,9 @@ def count_pinv(monkeypatch):
     pinvs = []
 
     def counted(eig):
-        pinvs.append(pseudo_inverse(eig))
-        return pinvs[-1]
+        out = pseudo_inverse(eig)
+        pinvs.extend([out] if out.ndim == 2 else out)  # a stack: one per SymEig
+        return out
 
     monkeypatch.setattr(engine_module, "pseudo_inverse", counted)
     return pinvs
@@ -771,9 +777,9 @@ class TestSharedSigmaCells:
         slices = []
         real = engine_module._downdate
 
-        def counted(inverse, weights, drop, owner=None):
+        def counted(inverse, weights, *args):
             slices.append((len(inverse), len(weights)))
-            return real(inverse, weights, drop, owner)
+            return real(inverse, weights, *args)
 
         monkeypatch.setattr(engine_module, "_downdate", counted)
         traces = record_imp(monkeypatch)
@@ -796,13 +802,36 @@ class TestSharedSigmaCells:
                          for _ in range(count)]
 
 
-@pytest.mark.parametrize("p, lengths", [(10, [20]), (50, [13, 7]), (182, [1] * 20)])
+@pytest.mark.parametrize("p, lengths", [(10, [20]), (50, [20]), (182, [1] * 20),
+                                      (57, [20]), (58, [19, 1]), (181, [2] * 10)])
 def test_stacked_ranges_hold_one_block_per_trial(p, lengths):
     # a baselines trial stacks one (p, p) block whatever its number of sigmas,
-    # so its ranges are recover's: 2^15 // p^2 trials
+    # so its ranges are recover's: 2^16 // p^2 trials
     spec = replace(sigma_sweep_spec(), design=DesignSpec(kind="incoherent", p=p), trials=20)
     ranges = harness_module.map_trials(spec, lambda spec, trials: [len(trials)], stacked=True)
     assert ranges == lengths
+
+
+def test_a_full_range_stays_within_its_memory_budget():
+    """The footprint per trial that STACK_BUDGET assumes cannot grow
+    unnoticed: a p = 50 recover range of STACK_BUDGET // p^2 trials (26),
+    problem assembly, IMP, audit and trace included, peaks under
+    4.5 * STACK_BUDGET doubles (3.75 measured at 2^16; 6.5 for the engine
+    and audit this budget came with, whose factorizations were copied out
+    and whose audit restacked every covariance)."""
+    p = 50
+    trials = harness_module.STACK_BUDGET // p**2
+    spec = recovery_spec(design=DesignSpec(kind="orthonormal", p=p), trials=trials,
+                         signal=SignalSpec(k=5, gamma=0.5))
+    recovery_trial(spec, range(trials))  # first calls allocate caches of their own
+    tracemalloc.start()
+    try:
+        records = recovery_trial(spec, range(trials))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trials == 26 and len(records) == trials
+    assert peak <= 4.5 * 8 * harness_module.STACK_BUDGET
 
 
 # One range each (13 trials at p = 50; 4 trials x 3 sigmas): (run, spec, IMP

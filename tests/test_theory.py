@@ -102,11 +102,20 @@ class TestCheckOnp:
             assert rep.max_violation == oracle
 
 
+def cov_signal(cov, signal, active):
+    """Sigma_A s_A as the recover audit forms it: Sigma times the signal with
+    its entries off A zeroed, gathered on A."""
+    s = np.zeros_like(signal)
+    s[active] = signal[active]
+    return (cov @ s)[active]
+
+
 def check_one(cov, signal, active, eig):
     """check_recoverable on a stack of one, with the pseudo-inverse of `eig`:
     the residual of that slice."""
-    residual = check_recoverable(np.asarray(cov.entries)[None], np.asarray(signal)[None],
-                                 np.asarray(active)[None], pseudo_inverse(eig)[None])
+    signal, active = np.asarray(signal, dtype=float), np.asarray(active)
+    residual = check_recoverable(cov_signal(cov.entries, signal, active)[None],
+                                 signal[active][None], pseudo_inverse(eig)[None])
     assert residual.shape == (1,)
     return float(residual[0])
 
@@ -129,15 +138,15 @@ class TestCheckRecoverable:
         assert residual == pytest.approx(1.0)
 
     def test_dimension_checked(self):
-        with pytest.raises(ValueError, match="dimension"):
-            check_one(RANK_ONE, np.zeros(3), [0, 1], sym_eig(RANK_ONE))
+        pinv = pseudo_inverse(sym_eig(RANK_ONE))
+        with pytest.raises(ValueError, match="one shape"):
+            check_recoverable(np.zeros((1, 3)), np.zeros((1, 2)), pinv[None])
 
     def test_exactly_one_factorization(self):
         pinv = pseudo_inverse(sym_eig(RANK_ONE))
         for inverse in (pinv[None, :1, :1], np.stack([pinv, pinv]), pinv):
             with pytest.raises(ValueError, match="exactly one"):
-                check_recoverable(RANK_ONE.entries[None], np.ones((1, 2)), np.array([[0, 1]]),
-                                  inverse)
+                check_recoverable(np.ones((1, 2)), np.ones((1, 2)), inverse)
 
     def test_active_subset_equals_the_explicit_submatrix(self):
         # rank 3 < |A| = 5: Sigma_A is singular and the residual is nonzero
@@ -150,7 +159,8 @@ class TestCheckRecoverable:
         eig = sym_eig(CovMatrix(sub))
         projected = pseudo_inverse(eig) @ (sub @ signal[active])
         expected = float(np.max(np.abs(projected - signal[active])))
-        assert check_one(cov, signal, active, eig) == expected > 1e-3
+        assert expected > 1e-3
+        assert check_one(cov, signal, active, eig) == pytest.approx(expected, abs=1e-12)
 
     def test_stack_matches_its_slices(self):
         # one stacked check is the checks of its slices one at a time
@@ -159,21 +169,22 @@ class TestCheckRecoverable:
         for n in (3, 12, 12):
             phi = rng.standard_normal((n, 8))
             cov = CovMatrix(phi.T @ phi / n)
-            active = np.sort(rng.choice(8, 5, replace=False))
+            active = rng.choice(8, 5, replace=False)  # in any order, as the engine's
             covs.append(cov)
             signals.append(rng.standard_normal(8))
             actives.append(active)
             eigs.append(sym_eig(cov.restrict(active)))
-        residual = check_recoverable(np.stack([c.entries for c in covs]), np.stack(signals),
-                                     np.stack(actives),
-                                     np.stack([pseudo_inverse(e) for e in eigs]))
+        residual = check_recoverable(
+            np.stack([cov_signal(c.entries, s, a) for c, s, a in zip(covs, signals, actives)]),
+            np.stack([s[a] for s, a in zip(signals, actives)]), pseudo_inverse(eigs))
         assert residual.tolist() == [check_one(*args) for args in zip(covs, signals, actives,
                                                                       eigs)]
 
 
 def full_gather_residual(cov, signal, active, inverse):
-    """The residual with every entry of Sigma_A gathered: the form the
-    support-column gather of `check_recoverable` must match bit for bit."""
+    """The residual with every entry of Sigma_A gathered, the product
+    Sigma_A s_A summed over A alone: the form `check_recoverable` computed
+    before it read Sigma_A s_A from Sigma s."""
     t = np.arange(active.shape[0])[:, None]
     s_active = signal[t, active]
     sub = cov[t[:, :, None], active[:, :, None], active[:, None, :]]
@@ -181,7 +192,31 @@ def full_gather_residual(cov, signal, active, inverse):
     return np.max(np.abs(projected - s_active), axis=-1, initial=0.0)
 
 
-class TestSupportGather:
+def summation_bound(cov, signal, active, inverse, oracle):
+    """How far the residual may move when Sigma_A s_A is summed over all p
+    columns of Sigma (signal zeroed off A) instead of over A's m.
+
+    With gamma_n = n eps / (1 - n eps) the two sums each lie within
+    gamma_p |Sigma| |s| and gamma_m |Sigma_A| |s_A| of the exact product,
+    and the products with C = Sigma_A^+ within gamma_m |C| of theirs, so the
+    projections differ by at most (gamma_p + 3 gamma_m + O(eps^2))
+    |C| |Sigma| |s|; the subtraction of s_A rounds each once more.  Per
+    slice: (p + 3m + 4) eps (max |C| |Sigma| |s| + max |s_A| + residual).
+    """
+    eps = np.finfo(float).eps
+    out = []
+    for c, s, a, inv, r in zip(cov, signal, active, inverse, oracle):
+        masked = np.zeros_like(s)
+        masked[a] = s[a]
+        scale = np.max(np.abs(inv) @ (np.abs(c) @ np.abs(masked))[a], initial=0.0)
+        scale += np.max(np.abs(s[a]), initial=0.0) + r
+        out.append((len(s) + 3 * len(a) + 4) * eps * scale)
+    return np.array(out)
+
+
+class TestCovSignal:
+    """Sigma_A s_A read as (Sigma (s * 1_A))_A, the form the recover audit keeps."""
+
     @settings(max_examples=80, deadline=None)
     @given(
         p=st.integers(2, 10),
@@ -189,9 +224,12 @@ class TestSupportGather:
         data=st.data(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_full_gather(self, p, slices, data, seed):
-        """Signals with pruned support coordinates and -0.0 entries, on
-        rank-deficient and not exactly symmetric covariances."""
+    def test_stack_slices_and_the_full_gather(self, p, slices, data, seed):
+        """Signals with support coordinates off A (a pruned support, the
+        audit's recompute) and -0.0 entries, on rank-deficient and not
+        exactly symmetric covariances, A in any order: the stack has the
+        bits of its slices, and each residual stays within the summation
+        bound of the full gather."""
         rng = np.random.default_rng(seed)
         m = data.draw(st.integers(1, p), label="m")
         covs, signals, actives = [], [], []
@@ -203,12 +241,34 @@ class TestSupportGather:
             signal = np.where(rng.random(p) < 0.5, 0.0, rng.standard_normal(p))
             signal[rng.random(p) < 0.25] = -0.0
             signals.append(signal)
-            actives.append(np.sort(rng.choice(p, m, replace=False)))
+            actives.append(rng.choice(p, m, replace=False))
         cov, signal, active = np.stack(covs), np.stack(signals), np.stack(actives)
-        inverse = np.stack([pseudo_inverse(sym_eig(CovMatrix(c).restrict(a)))
-                            for c, a in zip(cov, active)])
-        residual = check_recoverable(cov, signal, active, inverse)
-        assert residual.tobytes() == full_gather_residual(cov, signal, active, inverse).tobytes()
+        inverse = pseudo_inverse([sym_eig(CovMatrix(c).restrict(a)) for c, a in zip(cov, active)])
+        u = np.stack([cov_signal(c, s, a) for c, s, a in zip(cov, signal, active)])
+        s_active = np.take_along_axis(signal, active, axis=1)
+        residual = check_recoverable(u, s_active, inverse)
+        for t in range(slices):
+            [alone] = check_recoverable(u[t:t + 1], s_active[t:t + 1], inverse[t:t + 1])
+            assert alone.tobytes() == residual[t].tobytes()
+        oracle = full_gather_residual(cov, signal, active, inverse)
+        bound = summation_bound(cov, signal, active, inverse, oracle)
+        assert np.all(np.abs(residual - oracle) <= bound)
+
+    def test_a_signal_that_vanishes_off_a_needs_no_mask(self):
+        # Sigma s itself, gathered on A, once s is zero (or -0.0) off A
+        rng = np.random.default_rng(64)
+        phi = rng.standard_normal((20, 9))
+        cov = CovMatrix(phi.T @ phi / 20.0)
+        active = np.array([7, 1, 4, 0, 8])
+        signal = np.zeros(9)
+        signal[[1, 8]] = rng.standard_normal(2)
+        signal[3] = -0.0
+        assert np.array_equal(cov_signal(cov.entries, signal, active),
+                              (cov.entries @ signal)[active])
+        eig = sym_eig(cov.restrict(active))
+        [oracle] = full_gather_residual(cov.entries[None], signal[None], active[None],
+                                        pseudo_inverse(eig)[None])
+        assert check_one(cov, signal, active, eig) == pytest.approx(oracle, abs=1e-14)
 
 
 class TestSampleBounds:
