@@ -198,43 +198,32 @@ def _swap_remove(a: np.ndarray, plan: tuple, r: int) -> np.ndarray:
 
 
 def _downdate(
-    inverse: np.ndarray, weights: np.ndarray, drop: np.ndarray,
-    owner: np.ndarray | None = None, coords: np.ndarray | None = None,
+    inverse: np.ndarray, weights: np.ndarray, drop: np.ndarray, owner: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Remove the local positions `drop` from a stack of Sigma_A^{-1} and
     weights, in place.
 
     inverse is a (G, M, M) buffer whose leading (m, m) block per slice is
     Sigma_A^{-1}, drop (G, r) and weights (D, m); owner (D,) maps each weight
-    row to its slice, and None pairs them one to one (D = G).  coords (D, m)
-    holds the coordinate at each position of a weight row and of its slice's
-    rows and columns; None means that positions ascend as coordinates do.
-    Per slice, with C = Sigma_A^{-1}, J the dropped and K the kept
-    coordinates, the smaller inverse is the Schur complement
-    C_KK - C_KJ C_JJ^{-1} C_JK and the retrained weights are
-    w_K - C_KJ C_JJ^{-1} w_J.  Both go through the Cholesky factor L of
-    C_JJ: with [G | g] = L^{-1} [C_JK | w_J] they are C_KK - G^T G and
-    w_K - G^T g, and each weight row takes the G of its own slice.
+    row to its slice, and None pairs them one to one (D = G).  Per slice,
+    with C = Sigma_A^{-1}, J the dropped and K the kept positions, the
+    smaller inverse is the Schur complement C_KK - C_KJ C_JJ^{-1} C_JK and
+    the retrained weights are w_K - C_KJ C_JJ^{-1} w_J: with L the Cholesky
+    factor of C_JJ and [G | g] = L^{-1} [C_JK | w_J], they are C_KK - G^T G
+    and w_K - G^T g, each weight row taking the G of its own slice.
 
-    The result is swap-removed (`_swap_plan`): the kept positions among the
-    last r move into the dropped ones before them, and the complement fills
-    the leading (m - r, m - r) block of the same buffer.  Returns (weights,
-    ok): the (D, m - r) weights in that order, and ok False on the slices
-    where C_JJ is not positive definite, the sign of accumulated drift,
-    whose rows of the other two are meaningless.
+    K is in swap-remove order (`_swap_plan`), and the complement fills the
+    leading (m - r, m - r) block of the same buffer.  Returns (weights, ok):
+    the (D, m - r) weights in that order, and ok False on the slices where
+    C_JJ is not positive definite, the sign of accumulated drift, whose rows
+    of the other two are meaningless.
 
-    Every entry has the bits it has with K in coordinate order.  For one
-    dropped coordinate, C_ij - g_i g_j and w_i - g_i g_w are one
-    subtraction of one product each, wherever they sit, so they are
-    computed in place.  They are symmetric as computed: every inverse that
-    enters is exactly symmetric (`pseudo_inverse` returns (M + M^T) / 2,
-    whose bits are symmetric because IEEE addition commutes) and
-    g_i g_j == g_j g_i.  A block's solve and products are LAPACK and BLAS
-    calls, whose bits can depend on where an entry sits, so a block is
-    computed with K in coordinate order, symmetrized, and gathered into
-    place.  It solves [C_JK | w_J] per weight row, as a row alone would, and
-    its slice takes G from one of its rows: LAPACK solves each right-hand
-    column on its own, so the rows of a slice have the same G.
+    Every slice stays exactly symmetric: the inverse that enters is
+    (`pseudo_inverse` returns (M + M^T) / 2, and IEEE addition commutes),
+    g_i g_j == g_j g_i for one dropped position, and a block's G^T G is
+    symmetrized before it is subtracted.  A block solves [C_JK | w_J] per
+    weight row, as a row alone would; LAPACK solves each right-hand column
+    on its own, so the rows of a slice have the same G.
     """
     d, m = weights.shape
     r = drop.shape[1]
@@ -243,6 +232,7 @@ def _downdate(
     plan = _swap_plan(drop, m)
     row_drop = drop if owner is None else drop[owner]
     w_drop = weights[np.arange(d)[:, None], row_drop]
+    weights = _swap_remove(weights, plan if owner is None else _swap_plan(row_drop, m), r)
     if r == 1:  # scalar Cholesky; `>` is False on NaN too
         t, j = plan[:2]
         g = live[t, j]  # (G, m): row J of each slice
@@ -252,7 +242,6 @@ def _downdate(
         g = _swap_remove(g, plan, 1)
         g /= root
         g_rows, root = (g, root) if owner is None else (g[owner], root[owner])
-        weights = _swap_remove(weights, plan if owner is None else _swap_plan(row_drop, m), 1)
         weights -= g_rows * (w_drop / root)
         live[t, j] = live[t, m - 1]  # the last row and column into the dropped slot
         live[t, :, j] = live[t, :, m - 1]
@@ -263,37 +252,30 @@ def _downdate(
             live[c:c + step, :m - 1, :m - 1] -= g[c:c + step, :, None] * g[c:c + step, None, :]
         return weights, ok
     rows = np.arange(g_n)[:, None]
-    first = np.empty(g_n, dtype=int)  # each slice's G from one of its rows
-    first[np.arange(d) if owner is None else owner] = np.arange(d)
-    labels = np.broadcast_to(np.arange(m), (g_n, m)) if coords is None else coords[first]
-    gone = np.zeros((g_n, m), dtype=bool)
-    gone[rows, drop] = True
-    by_coord = np.argsort(labels, axis=1)
-    kept = by_coord[~gone[rows, by_coord]].reshape(g_n, m - r)  # K in coordinate order
-    rank = np.empty((g_n, m), dtype=int)
-    rank[rows, kept] = np.arange(m - r)
-    place = rank[rows, _swap_remove(np.tile(np.arange(m), (g_n, 1)), plan, r)]
     pivot = live[rows[:, :, None], drop[:, :, None], drop[:, None, :]]
-    c_jk = live[rows[:, :, None], drop[:, :, None], kept[:, None, :]]
     ok = np.ones(g_n, dtype=bool)
     try:
         chol = np.linalg.cholesky(pivot)
     except np.linalg.LinAlgError:  # some slice drifted: factor the others
         ok = np.array([_positive_definite(a) for a in pivot])
         chol = np.linalg.cholesky(np.where(ok[:, None, None], pivot, np.eye(r)))
-    row_kept, row_place = kept, place
+    row, to, frm = plan
+    live[row, :, to] = live[row, :, frm]  # columns first: rows J then hold C_JK
+    c_jk = live[rows, drop, :m - r]
+    live[row, to] = live[row, frm]
     if owner is not None:
-        chol, c_jk, row_kept, row_place = chol[owner], c_jk[owner], kept[owner], place[owner]
+        chol, c_jk = chol[owner], c_jk[owner]
     g = np.linalg.solve(chol, np.concatenate((c_jk, w_drop[:, :, None]), axis=2))
-    w_kept = weights[np.arange(d)[:, None], row_kept]
-    w_kept -= (g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, -1:])[:, :, 0]
-    g = g[first]
-    smaller = live[rows[:, :, None], kept[:, :, None], kept[:, None, :]]
-    smaller -= g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, :-1]
-    smaller += smaller.transpose(0, 2, 1)
-    smaller /= 2.0
-    live[:, :m - r, :m - r] = smaller[rows[:, :, None], place[:, :, None], place[:, None, :]]
-    return w_kept[np.arange(d)[:, None], row_place], ok
+    weights -= (g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, -1:])[:, :, 0]
+    if owner is not None:
+        first = np.empty(g_n, dtype=int)  # each slice's G from one of its rows
+        first[owner] = np.arange(d)
+        g = g[first]
+    gtg = g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, :-1]
+    gtg += gtg.transpose(0, 2, 1)
+    gtg /= 2.0
+    live[:, :m - r, :m - r] -= gtg
+    return weights, ok
 
 
 def _groups(keys: list) -> tuple[np.ndarray, list[int]]:
@@ -457,7 +439,7 @@ def run_imp(
             if len(inverse) < down.size:  # shared slices
                 inverse, owner, drop = _split(live, owner, drop)
             shared = owner if len(inverse) < down.size else None
-            w_down, ok = _downdate(inverse, weights[on], drop, shared, active[on])
+            w_down, ok = _downdate(inverse, weights[on], drop, shared)
             if not ok.all():  # drift: these runs are factorized afresh next round
                 stays = ok[owner]
                 down, w_down, inverse = down[stays], w_down[stays], inverse[ok]

@@ -331,26 +331,25 @@ def _check_size(n: int, p: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def map_trials(
-    spec: ExperimentSpec, trial_fn, *args, more=None, stacked: bool = False
-) -> list:
+def map_trials(spec: ExperimentSpec, trial_fn, *args, more=None) -> list:
     """trial_fn(spec, trials, *args) over contiguous ranges of trials that
     cover range(spec.trials); the lists it returns, concatenated in trial
     order.
 
-    With threads > 1 the ranges run on one pool of min(threads, trials)
-    worker processes for the whole map, as no batch holds more trials than
-    the first.  A `stacked` trial function, one whose stacks hold one
-    (p, p) block per trial (a baselines trial's sigma cells share theirs),
-    gets ranges of max(1, STACK_BUDGET // p^2) trials, so that a stack
-    stays within that many doubles, and on a pool no more than a worker's
-    share of the batch, so that every worker gets one.
-    Any other trial function gets each batch as one range, or on a pool in
-    about four ranges per worker.  With `more`, the map goes on in batches:
-    after each batch, more(batch) is the number of trials to run next,
-    numbered on from the last one, and 0 ends the map.  Trial t seeds its
-    randomness from base_seed + t alone, so the results depend neither on
-    the worker count nor on the ranges.
+    A range holds max(1, STACK_BUDGET // p^2) trials, and on a pool no more
+    than a worker's share of the batch, so that every worker gets one.  With
+    threads > 1 the ranges run on one pool of min(threads, trials) worker
+    processes for the whole map, as no batch holds more trials than the
+    first, and go to it in about four chunks per worker, so that one-trial
+    ranges of a cheap trial function (lemma1 from p = 182 on) do not pay a
+    round trip each.  The budget counts one (p, p) block per trial, which is what a
+    recover or heuristic stack holds; a baselines range holds more once its
+    sigma cells prune apart, one Sigma_A^{-1} slice per cell (`_split` copies
+    them) and a (q+1, p) trace per cell.  With `more`, the map goes on in
+    batches: after each batch, more(batch) is the number of trials to run
+    next, numbered on from the last one, and 0 ends the map.  Trial t seeds
+    its randomness from base_seed + t alone, so the results depend neither
+    on the worker count nor on the ranges.
     """
     results: list = []
     size, workers = spec.trials, min(spec.threads, spec.trials)
@@ -360,28 +359,18 @@ def map_trials(
     with pool or nullcontext():
         while size > 0:
             first = len(results)
-            if stacked:
-                step = max(1, STACK_BUDGET // spec.design.p**2)
-                if pool is not None:
-                    step = min(step, math.ceil(size / workers))
-            else:
-                step = size if pool is None else math.ceil(size / (4 * workers))
+            step = max(1, STACK_BUDGET // spec.design.p**2)
+            if pool is not None:
+                step = min(step, math.ceil(size / workers))
             ranges = [range(a, min(a + step, first + size))
                       for a in range(first, first + size, step)]
             tasks = (repeat(spec), ranges, *map(repeat, args))
-            chunks = map(trial_fn, *tasks) if pool is None else pool.map(trial_fn, *tasks)
+            chunks = (map(trial_fn, *tasks) if pool is None else pool.map(
+                trial_fn, *tasks, chunksize=math.ceil(len(ranges) / (4 * workers))))
             batch = [r for chunk in chunks for r in chunk]
             results += batch
             size = more(batch) if more else 0
     return results
-
-
-def _per_trial(trial_fn):
-    """Lift a function of one trial to the ranges `map_trials` hands out."""
-    @functools.wraps(trial_fn)
-    def over_range(spec: ExperimentSpec, trials: range, *args) -> list:
-        return [trial_fn(spec, t, *args) for t in trials]
-    return over_range
 
 
 def _check_run(spec: ExperimentSpec, kind: str) -> None:
@@ -625,7 +614,7 @@ def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | No
 
 def run_support_recovery(spec: ExperimentSpec) -> RecoveryReport:
     _check_run(spec, "support_recovery")
-    records = [r for r in map_trials(spec, recovery_trial, stacked=True) if r is not None]
+    records = [r for r in map_trials(spec, recovery_trial) if r is not None]
     rejected = spec.trials - len(records)
     if rejected > spec.trials // 2:
         raise ConfigError(
@@ -755,33 +744,37 @@ def _heuristic_trials(spec: ExperimentSpec, trials: range) -> list[HeuristicTria
     return rows
 
 
-@_per_trial
-def _incoherent_attempt(spec: ExperimentSpec, attempt: int) -> HeuristicTrialRow:
-    """One attempt of an incoherent run, drawn with seed base_seed + attempt.
+def _incoherent_attempts(spec: ExperimentSpec, attempts: range) -> list[HeuristicTrialRow]:
+    """A range of attempts of an incoherent run, attempt a drawn with seed
+    base_seed + a.
 
-    It qualifies when the measured pairwise incoherence is at most 1/(10p)
-    and the gap between the two smallest alignment scores strictly exceeds
-    10 p delta_pw max_j |phi_j^T y|; only then is its first prune checked.
-    A non-qualifying attempt is an excluded row.
+    An attempt qualifies when the measured pairwise incoherence is at most
+    1/(10p) and the gap between the two smallest alignment scores strictly
+    exceeds 10 p delta_pw max_j |phi_j^T y|; only then is its first prune
+    checked.  A non-qualifying attempt is an excluded row.
     """
     n, p = spec.design.n, spec.design.p
-    seed = spec.base_seed + attempt
-    fs = gen_incoherent_design(n, p, seed)
-    delta_pw = pairwise_incoherence(fs.covariance)
-    xty = fs.phi.T @ make_rng(seed, STREAM_TARGETS).standard_normal(n)
-    scores, order = np.abs(xty), alignment_order(xty)
-    first_gap = float(scores[order[1]] - scores[order[0]]) if p > 1 else float("inf")
-    threshold = 10.0 * p * delta_pw * float(np.max(scores))
-    degenerate = first_gap < spec.tie_tol
-    qualifies = (not degenerate) and delta_pw <= 1.0 / (10.0 * p) and first_gap > threshold
-    first_match = False
-    if qualifies:
-        [trace] = run_imp([fs.covariance], (xty / n)[None],
-                          ImpConfig(prune_rounds=0, tie_break=spec.imp.tie_break))
-        first_match = bool(trace.pruned[0, 0] == order[0])
-    return HeuristicTrialRow(attempt, seed, first_match=first_match, degenerate=degenerate,
-                             excluded=not qualifies, delta_pw=delta_pw, min_gap=first_gap,
-                             gap_threshold=threshold)
+    rows = []
+    for attempt in attempts:
+        seed = spec.base_seed + attempt
+        fs = gen_incoherent_design(n, p, seed)
+        delta_pw = pairwise_incoherence(fs.covariance)
+        xty = fs.phi.T @ make_rng(seed, STREAM_TARGETS).standard_normal(n)
+        scores, order = np.abs(xty), alignment_order(xty)
+        first_gap = float(scores[order[1]] - scores[order[0]]) if p > 1 else float("inf")
+        threshold = 10.0 * p * delta_pw * float(np.max(scores))
+        degenerate = first_gap < spec.tie_tol
+        qualifies = (not degenerate) and delta_pw <= 1.0 / (10.0 * p) and first_gap > threshold
+        first_match = False
+        if qualifies:
+            [trace] = run_imp([fs.covariance], (xty / n)[None],
+                              ImpConfig(prune_rounds=0, tie_break=spec.imp.tie_break))
+            first_match = bool(trace.pruned[0, 0] == order[0])
+        rows.append(HeuristicTrialRow(attempt, seed, first_match=first_match,
+                                      degenerate=degenerate, excluded=not qualifies,
+                                      delta_pw=delta_pw, min_gap=first_gap,
+                                      gap_threshold=threshold))
+    return rows
 
 
 def _heuristic_incoherent(spec: ExperimentSpec) -> list[HeuristicTrialRow]:
@@ -801,7 +794,7 @@ def _heuristic_incoherent(spec: ExperimentSpec) -> list[HeuristicTrialRow]:
         drawn += len(batch)
         return min(missing, cap - drawn)
 
-    rows = map_trials(spec, _incoherent_attempt, more=next_batch)
+    rows = map_trials(spec, _incoherent_attempts, more=next_batch)
     if missing:
         raise ConfigError(
             f"only {spec.trials - missing}/{spec.trials} attempts satisfied the gap condition "
@@ -814,7 +807,7 @@ def run_heuristic_equivalence(spec: ExperimentSpec) -> HeuristicReport:
     _check_run(spec, "heuristic_equivalence")
     incoherent = spec.design.kind == "incoherent"
     rows = (_heuristic_incoherent(spec) if incoherent
-            else map_trials(spec, _heuristic_trials, stacked=True))
+            else map_trials(spec, _heuristic_trials))
     qual = [r for r in rows if not (r.degenerate or r.excluded)]
     if not qual:  # a gate with nothing to test is a config error, as in recover
         raise ConfigError(
@@ -945,7 +938,7 @@ def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
     first = None if drawn is None else _noise_sweep(spec, spec.base_seed, n, sweep, drawn)
     del drawn
     try:
-        outcomes = map_trials(spec, _baseline_trial, n, sweep, first, stacked=True)
+        outcomes = map_trials(spec, _baseline_trial, n, sweep, first)
     except IhtDivergenceError as exc:
         raise ConfigError(
             f"IHT diverged at baseline.eta = {base.eta} ({exc}); lower baseline.eta"
@@ -1003,15 +996,18 @@ def _lemma1_projector(spec: ExperimentSpec, n: int, fs: FeatureSet | None = None
     return _PROJECTOR[key]
 
 
-@_per_trial
-def _lemma1_draw(spec: ExperimentSpec, t: int, n: int, epsilon: float) -> bool:
-    """Does noise draw t (seed base_seed + t) reach epsilon in sup norm?
+def _lemma1_draws(spec: ExperimentSpec, draws: range, n: int, epsilon: float) -> list[bool]:
+    """Does noise draw t (seed base_seed + t) reach epsilon in sup norm, for
+    each t of the range?
 
     The projector is (1/n) Sigma^+ Phi^T of the run's fixed design, so an
     exceedance is the complement of the concentration event.
     """
-    xi = sample_noise(spec.noise.kind, spec.noise.sigma, n, spec.base_seed + t)
-    return float(np.max(np.abs(_lemma1_projector(spec, n) @ xi))) >= epsilon
+    projector, exceeds = _lemma1_projector(spec, n), []
+    for t in draws:
+        xi = sample_noise(spec.noise.kind, spec.noise.sigma, n, spec.base_seed + t)
+        exceeds.append(float(np.max(np.abs(projector @ xi))) >= epsilon)
+    return exceeds
 
 
 def run_concentration_check(spec: ExperimentSpec) -> ConcentrationReport:
@@ -1025,7 +1021,7 @@ def run_concentration_check(spec: ExperimentSpec) -> ConcentrationReport:
     _lemma1_projector(spec, n, fs)
     del fs
     try:
-        exceed = sum(map_trials(spec, _lemma1_draw, n, epsilon))
+        exceed = sum(map_trials(spec, _lemma1_draws, n, epsilon))
     finally:
         _PROJECTOR.clear()
     summary = make_mc_summary(spec.trials, {"exceedance": exceed}, exceed, spec.delta)

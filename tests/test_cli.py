@@ -402,7 +402,7 @@ def test_threads_are_bounded_by_the_cap_and_the_trials(tmp_path, capsys, monkeyp
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)

@@ -493,6 +493,11 @@ class TestDowndatePath:
             assert np.max(np.abs(weights[idx] - w)) <= 1e-10 * np.max(np.abs(w))
             assert got.tolist() == pruned
 
+    def test_blocks_of_ten_at_p200_prune_as_the_eigendecomposition_path(self):
+        fs = design_features("incoherent", 400, None, seed=17, p=200)
+        _, seen = assert_matches_oracle(fs, ImpConfig(prune_rounds=19, per_round=10))
+        assert factorized(seen) == [True] + [False] * 19
+
     def test_one_factorization_when_nonsingular(self, count_sym_eig):
         calls = count_sym_eig(engine_module)
         fs = design_features("incoherent", 200, None, seed=3)
@@ -750,47 +755,43 @@ class TestSymmetricDowndate:
 
 
 def compaction_downdate(inverse, weights, drop):
-    """The downdate as `engine._downdate` computed it before it worked in
-    place: the kept rows and columns gathered by a boolean mask, in
-    coordinate order, into a new (G, m - r, m - r) stack.  The oracle of the
-    swap-remove; one weight row per slice."""
+    """The downdate out of place, in the engine's layout: the kept rows and
+    columns gathered in `swap_order` into a new (G, m - r, m - r) stack, and
+    a block's G^T G symmetrized before it is subtracted.  The oracle of the
+    in-place swap-remove; one weight row per slice."""
     g_n, m = inverse.shape[:2]
     r = drop.shape[1]
     rows = np.arange(g_n)[:, None]
-    keep = np.ones((g_n, m), dtype=bool)
-    keep[rows, drop] = False
-    smaller = inverse[keep[:, :, None] & keep[:, None, :]].reshape(g_n, m - r, m - r)
-    w_kept = weights[keep].reshape(g_n, m - r)
+    kept = np.array([swap_order(row, m) for row in drop.tolist()]).reshape(g_n, m - r)
+    smaller = inverse[rows[:, :, None], kept[:, :, None], kept[:, None, :]]
+    w_kept = weights[rows, kept]
     w_drop = weights[rows, drop]
     if r == 1:
         t, j = rows[:, 0], drop[:, 0]
-        drop_row = inverse[t, j]
-        pivot = drop_row[t, j]
+        pivot = inverse[t, j, j]
         ok = pivot > 0.0
         root = np.sqrt(np.where(ok, pivot, 1.0))[:, None]
-        g = drop_row[keep].reshape(g_n, m - 1) / root
+        g = inverse[t, j][rows, kept] / root
         smaller -= g[:, :, None] * g[:, None, :]
         return smaller, w_kept - g * (w_drop / root), ok
-    kept = np.nonzero(keep)[1].reshape(g_n, -1)
     pivot = inverse[rows[:, :, None], drop[:, :, None], drop[:, None, :]]
     c_jk = inverse[rows[:, :, None], drop[:, :, None], kept[:, None, :]]
     ok = np.array([engine_module._positive_definite(a) for a in pivot])
     chol = np.linalg.cholesky(np.where(ok[:, None, None], pivot, np.eye(r)))
     g = np.linalg.solve(chol, np.concatenate((c_jk, w_drop[:, :, None]), axis=2))
     w_kept -= (g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, -1:])[:, :, 0]
-    smaller -= g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, :-1]
-    smaller += smaller.transpose(0, 2, 1)
-    smaller /= 2.0
+    gtg = g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, :-1]
+    smaller -= (gtg + gtg.transpose(0, 2, 1)) / 2.0
     return smaller, w_kept, ok
 
 
 def compaction_imp(cov, b, config, plant=()):
-    """One run at the infinite horizon as the engine ran it before the
-    swap-remove: active coordinates ascending, every downdate by
-    `compaction_downdate`, a drifted run factorized afresh the next round.
-    At each round in `plant` the run must be on the downdate, and the pivot
-    of its first pruned coordinate is set to -1 first.  Returns the trace
-    arrays (weights, active, pruned)."""
+    """One run at the infinite horizon, every downdate by
+    `compaction_downdate`: active coordinates in swap-remove order, sorted
+    before a factorized round's `restrict`, and a drifted run factorized
+    afresh the next round.  At each round in `plant` the run must be on the
+    downdate, and the pivot of its first pruned coordinate is set to -1
+    first.  Returns the trace arrays (weights, active, pruned)."""
     p, q, r = cov.p, config.prune_rounds, config.per_round
     sign = 1 if config.tie_break == "lowest_index" else -1
     weights, masks = np.zeros((q + 1, p)), np.zeros((q + 1, p), dtype=bool)
@@ -798,6 +799,7 @@ def compaction_imp(cov, b, config, plant=()):
     active, inverse, exact = np.arange(p), None, True
     for k in range(q + 1):
         if inverse is None:
+            active = np.sort(active)
             eig = sym_eig(cov.restrict(active) if k else cov)
             w = closed_form_weights(eig, b[active], np.zeros(active.size), INFINITE)
             exact = exact and bool(eig.nonzero_mask().all())
@@ -812,12 +814,43 @@ def compaction_imp(cov, b, config, plant=()):
         if inverse is not None:
             inverse, [w], [ok] = compaction_downdate(inverse, w[None], np.array([drop]))
             inverse = inverse if ok else None
-        active = np.delete(active, drop)
+        active = active[swap_order(drop, active.size)]
     return weights, masks, pruned
 
 
 class TestSwapDowndate:
-    """The in-place swap-remove downdate against the compaction it replaced."""
+    """The in-place swap-remove downdate against an out-of-place reference in
+    the same layout, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        g_n=st.integers(1, 3),
+        m=st.integers(6, 14),
+        r=st.sampled_from((2, 3, 5)),
+        shared=st.booleans(),
+        log_conds=st.lists(st.floats(0.0, 8.0), min_size=4, max_size=4),
+    )
+    def test_block_downdate_is_the_reference(self, seed, g_n, m, r, shared, log_conds):
+        # with `shared`, slices serve several weight rows, as the sigma cells
+        # of a baselines trial do
+        inverse = spd_inverses(seed, g_n, m, log_conds)
+        rng = make_rng(seed, 2)
+        owner = np.arange(g_n)
+        if shared:
+            owner = np.sort(np.concatenate((owner, rng.integers(0, g_n, size=3))))
+        drop = np.argsort(rng.random((g_n, m)), axis=1)[:, :r]  # any order, as prunes come
+        weights = rng.standard_normal((len(owner), m))
+        want_inverse, want_weights, want_ok = compaction_downdate(inverse[owner], weights,
+                                                                  drop[owner])
+        got_weights, got_ok = engine_module._downdate(inverse, weights.copy(), drop,
+                                                      owner if shared else None)
+        live = inverse[:, :m - r, :m - r]
+        assert_same_bits(live, np.ascontiguousarray(live.transpose(0, 2, 1)))
+        assert_same_bits(got_ok[owner], want_ok)
+        assert_same_bits(got_weights, want_weights)
+        for i, s in enumerate(owner):
+            assert_same_bits(live[s], want_inverse[i])
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -805,11 +805,38 @@ class TestSharedSigmaCells:
 @pytest.mark.parametrize("p, lengths", [(10, [20]), (50, [20]), (182, [1] * 20),
                                       (57, [20]), (58, [19, 1]), (181, [2] * 10)])
 def test_stacked_ranges_hold_one_block_per_trial(p, lengths):
-    # a baselines trial stacks one (p, p) block whatever its number of sigmas,
-    # so its ranges are recover's: 2^16 // p^2 trials
+    # every trial function, a baselines one whatever its number of sigmas,
+    # gets ranges of 2^16 // p^2 trials
     spec = replace(sigma_sweep_spec(), design=DesignSpec(kind="incoherent", p=p), trials=20)
-    ranges = harness_module.map_trials(spec, lambda spec, trials: [len(trials)], stacked=True)
+    ranges = harness_module.map_trials(spec, lambda spec, trials: [len(trials)])
     assert ranges == lengths
+
+
+def test_a_pool_gets_its_ranges_in_about_four_chunks_per_worker(monkeypatch):
+    """From p = 182 on a range is one trial; a pool takes those ranges in
+    chunks, so that a cheap trial does not pay one round trip per trial.  A
+    stand-in pool records the chunk size and runs the ranges here."""
+    chunks = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            chunks.append(chunksize)
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    spec = replace(sigma_sweep_spec(), design=DesignSpec(kind="incoherent", p=200),
+                   trials=40, threads=2)
+    ranges = harness_module.map_trials(spec, lambda spec, trials: [len(trials)])
+    assert ranges == [1] * 40 and chunks == [5]
 
 
 def test_a_full_range_stays_within_its_memory_budget():
