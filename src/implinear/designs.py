@@ -76,14 +76,7 @@ class SparseProblem:
     n: int
     signal: np.ndarray
     support: tuple[int, ...]
-    noise_kind: str
-    sigma: float
     gamma: float
-    seed: int
-
-    @property
-    def k(self) -> int:
-        return len(self.support)
 
 
 def _orthonormal_columns(rng: Generator, n: int, p: int) -> np.ndarray:
@@ -284,8 +277,5 @@ def assemble_problem(
         n=features.n,
         signal=signal,
         support=tuple(int(i) for i in support),
-        noise_kind=noise_kind,
-        sigma=float(sigma),
         gamma=float(gamma),
-        seed=int(seed),
     )

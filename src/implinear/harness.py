@@ -51,7 +51,7 @@ from .designs import (
 # Not called here: benchmarks/tracing.py wraps every design generator at this
 # module's names, so they stay bound (tests/test_bench_contract.py).
 from .designs import gen_orthonormal_design, gen_uniform_corr_design  # noqa: F401
-from .engine import ImpConfig, RoundFactors, imp_prune_order, run_imp, trace_to_dict
+from .engine import ImpConfig, ImpTrace, RoundFactors, imp_prune_order, run_imp, trace_to_dict
 from .flow import INFINITE
 from .linalg import min_nonzero_eig, sym_eig
 from .theory import (
@@ -442,7 +442,8 @@ def resolve_sample_size(
 
 @dataclass
 class TrialRecord:
-    """Everything one recovery trial produced (one row of trials.csv)."""
+    """One recovery trial's row of trials.csv and, in a verified run, its IMP
+    trace, which is written to trace/<trial>.json."""
 
     trial: int
     seed: int
@@ -458,9 +459,7 @@ class TrialRecord:
     min_nz_eig: float
     max_recov_residual: float
     wall_ms: float
-    round_min_eigs: tuple[float, ...] = ()
-    round_residuals: tuple[float, ...] = ()
-    trace_json: dict | None = None
+    trace: ImpTrace | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -500,23 +499,26 @@ class _RoundAudit:
     while s vanishes off A.  A trial that has pruned a support coordinate
     has its u recomputed once as Sigma (s * 1_A), and `held` counts each
     trial's support coordinates still active.  onp is each trial's ONP
-    verdict, and eigs and residuals hold one length-T array per round.
+    verdict; min_eig and max_residual are each trial's smallest nonzero
+    eigenvalue and largest recoverability residual over the rounds so far,
+    nan once a round's value is nan, as np.min and np.max over the rounds.
     """
 
     problems: list[SparseProblem]
     signal: np.ndarray
     cov_signal: np.ndarray
     held: np.ndarray
+    min_eig: np.ndarray
+    max_residual: np.ndarray
     onp: list[bool] = field(default_factory=list)
-    eigs: list[np.ndarray] = field(default_factory=list)
-    residuals: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def of(cls, problems: list[SparseProblem]) -> "_RoundAudit":
         signal = np.stack([pr.signal for pr in problems])
         return cls(problems, signal,
                    np.stack([pr.covariance.entries @ pr.signal for pr in problems]),
-                   np.count_nonzero(signal, axis=1))
+                   np.count_nonzero(signal, axis=1),
+                   np.full(len(problems), np.inf), np.zeros(len(problems)))
 
 
 def _audit_rounds(
@@ -531,22 +533,19 @@ def _audit_rounds(
     is read from it.  A factorized round's smallest nonzero eigenvalue
     comes from its eigendecomposition.  A downdated round is checked with
     the engine's Sigma_A^{-1}, so its residual also measures downdate
-    drift; its eigenvalue entry is the previous round's, a lower bound by
-    Cauchy interlacing, so the minimum over rounds is the exact one.
+    drift; it adds no eigenvalue, since its Sigma_A is a principal
+    submatrix of the previous round's, whose smallest eigenvalue is no
+    larger by Cauchy interlacing.
     """
     if k == 0:
         audit.onp = [check_onp(factors.eigs[i], pr.support, tol=ONP_TOL).holds
                      for i, pr in enumerate(audit.problems)]
-    if not factors.eigs:  # every trial downdated: no eigenvalue is new
-        eigs = audit.eigs[-1]
-    else:
-        eigs = audit.eigs[-1].copy() if audit.eigs else np.empty(len(factors))
-        for i, f in factors.eigs.items():
-            try:
-                eigs[i] = min_nonzero_eig(f)
-            except ValueError:
-                eigs[i] = float("nan")
-    audit.eigs.append(eigs)
+    for i, f in factors.eigs.items():
+        try:
+            lam = min_nonzero_eig(f)
+        except ValueError:  # a zero Sigma_A, as is every later one
+            lam = float("nan")
+        audit.min_eig[i] = np.minimum(audit.min_eig[i], lam)
     rows = np.arange(len(active))[:, None]
     s_active = audit.signal[rows, active]
     held = np.count_nonzero(s_active, axis=1)
@@ -555,8 +554,8 @@ def _audit_rounds(
         s[active[t]] = s_active[t]
         audit.cov_signal[t] = audit.problems[t].covariance.entries @ s
     audit.held = held
-    audit.residuals.append(check_recoverable(audit.cov_signal[rows, active], s_active,
-                                             factors.inverses()))
+    residuals = check_recoverable(audit.cov_signal[rows, active], s_active, factors.inverses())
+    np.maximum(audit.max_residual, residuals, out=audit.max_residual)
 
 
 def _recovery_problem(spec: ExperimentSpec, seed: int) -> SparseProblem:
@@ -580,7 +579,6 @@ def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | No
     audit = _RoundAudit.of(problems)
     traces = run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]),
                      _imp_config(spec, q), on_round=functools.partial(_audit_rounds, audit))
-    round_eigs, round_residuals = np.array(audit.eigs).T, np.array(audit.residuals).T
     wall_ms = (time.perf_counter() - start) * 1e3 / len(trials)
 
     records: list[TrialRecord | None] = []
@@ -602,12 +600,10 @@ def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | No
             q=q,
             sparsity_ok=int(np.sum(final == 0.0)) >= q * spec.imp.per_round,
             no_false_exclusion=bool(np.all(final[above] != 0.0)),
-            min_nz_eig=float(np.min(round_eigs[i])),
-            max_recov_residual=float(np.max(round_residuals[i])),
+            min_nz_eig=float(audit.min_eig[i]),
+            max_recov_residual=float(audit.max_residual[i]),
             wall_ms=wall_ms,
-            round_min_eigs=tuple(round_eigs[i].tolist()),
-            round_residuals=tuple(round_residuals[i].tolist()),
-            trace_json=trace_to_dict(trace) if spec.verified_mode else None,
+            trace=trace if spec.verified_mode else None,
         ))
     return records
 
@@ -1086,10 +1082,9 @@ def write_recovery_outputs(spec: ExperimentSpec, report: RecoveryReport) -> None
             "summary": asdict(report.summary),
         },
     )
-    if spec.verified_mode:
-        for rec in report.records:
-            if rec.trace_json is not None:
-                _write_json(out / "trace" / f"{rec.trial}.json", rec.trace_json)
+    for rec in report.records:
+        if rec.trace is not None:  # kept by verified runs only
+            _write_json(out / "trace" / f"{rec.trial}.json", trace_to_dict(rec.trace))
 
 
 def write_heuristic_outputs(spec: ExperimentSpec, report: HeuristicReport) -> None:

@@ -81,7 +81,7 @@ def test_traced_recover_fires_every_metric_span(monkeypatch, design, horizon):
                 if parents.get(s.parent) in ("harness.audit", "theory.check_onp")]
     # one span per factorized round of the one range: round 0 alone on the
     # downdate, every round at a finite horizon
-    rounds = len(report.records[0].round_residuals)
+    rounds = report.records[0].q + 1
     assert len(sym_eig) == (1 if horizon == "infinite" else rounds)
 
 

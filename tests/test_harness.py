@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import functools
 import gc
 import json
@@ -14,8 +15,9 @@ from implinear import engine as engine_module
 from implinear import harness as harness_module
 from implinear.baselines import ht_estimator
 from implinear.cli import main
-from implinear.designs import gen_uniform_corr_design
+from implinear.designs import SparseProblem, gen_uniform_corr_design
 from implinear.engine import ImpConfig, run_imp
+from implinear.flow import INFINITE
 from implinear.harness import (
     ONP_TOL,
     BaselineSpec,
@@ -39,7 +41,7 @@ from implinear.harness import (
     trial_csv_row,
     uniform_corr_separation_margin,
 )
-from implinear.linalg import min_nonzero_eig, pseudo_inverse, sym_eig
+from implinear.linalg import CovMatrix, min_nonzero_eig, pseudo_inverse, sym_eig
 from implinear.theory import (
     check_onp,
     check_recoverable,
@@ -216,9 +218,9 @@ class TestSupportRecovery:
         for rec in report.records:
             assert rec.q == 12 - 3
             assert rec.seed == 1234 + rec.trial
-            assert len(rec.round_min_eigs) == rec.q + 1
-            assert len(rec.round_residuals) == rec.q + 1
+            assert rec.min_nz_eig == pytest.approx(1.0)  # an orthonormal design's
             assert rec.max_recov_residual <= 1e-8
+            assert rec.trace is None
 
     def test_noiseless_never_fails(self):
         report = run_support_recovery(recovery_spec(noise=NoiseSpec(sigma=0.0)))
@@ -292,9 +294,25 @@ class TestSupportRecovery:
         verified = run_support_recovery(recovery_spec(trials=6, verified_mode=True))
         assert plain.summary == verified.summary
         for a, b in zip(plain.records, verified.records):
-            assert (a.sparsity_ok, a.no_false_exclusion) == (b.sparsity_ok, b.no_false_exclusion)
-            assert a.round_residuals == b.round_residuals
-            assert a.trace_json is None and b.trace_json is not None
+            assert replace(a, wall_ms=0.0) == replace(b, wall_ms=0.0)
+            assert a.trace is None and b.trace is not None
+
+    def test_verified_traces_survive_a_pool(self, tmp_path):
+        # a pool worker pickles its records' trace views back: the traces
+        # written and the records are those of the serial run
+        runs = []
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            spec = recovery_spec(trials=6, threads=threads, out_dir=str(out), verified_mode=True)
+            runs.append((run_support_recovery(spec), out / "trace"))
+        (serial, serial_dir), (pooled, pooled_dir) = runs
+        names = sorted(f.name for f in serial_dir.iterdir())
+        assert len(names) == 6 and names == sorted(f.name for f in pooled_dir.iterdir())
+        for name in names:
+            assert (serial_dir / name).read_bytes() == (pooled_dir / name).read_bytes()
+        for a, b in zip(serial.records, pooled.records, strict=True):
+            assert replace(a, wall_ms=0.0) == replace(b, wall_ms=0.0)
+            assert a.trace is not None and b.trace is not None
 
     def test_finite_horizon_config(self):
         assert ImpSpec(horizon=2.5).engine_horizon() == 2.5
@@ -344,14 +362,64 @@ def recovery_config(spec):
                      prune_rounds=spec.design.p - spec.signal.k)
 
 
+@contextlib.contextmanager
+def audited_rounds():
+    """Record what the recovery audit computes, by wrapping its calls: one
+    (eigs, residuals) pair per round, eigs mapping each trial factorized
+    that round to its smallest nonzero eigenvalue (nan for a zero Sigma_A),
+    residuals the round's (T,) recoverability residuals."""
+    rounds, eigs = [], {}
+    real_audit = harness_module._audit_rounds
+
+    def eig(f):
+        try:
+            eigs[id(f)] = min_nonzero_eig(f)
+        except ValueError:
+            eigs[id(f)] = float("nan")
+            raise
+        return eigs[id(f)]
+
+    def check(*args):
+        rounds.append(check_recoverable(*args))
+        return rounds[-1]
+
+    def audit_rounds(audit, k, active, weights, factors):
+        eigs.clear()
+        real_audit(audit, k, active, weights, factors)
+        rounds[-1] = ({i: eigs[id(f)] for i, f in factors.eigs.items()}, rounds[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness_module, "min_nonzero_eig", eig)
+        mp.setattr(harness_module, "check_recoverable", check)
+        mp.setattr(harness_module, "_audit_rounds", audit_rounds)
+        yield rounds
+
+
+def trial_rounds(rounds, t):
+    """Trial t's recorded per-round values: its eigenvalues (None for a
+    downdated round) and its residuals."""
+    return (tuple(eigs.get(t) for eigs, _ in rounds),
+            tuple(float(residuals[t]) for _, residuals in rounds))
+
+
+def extremes(eigs, residuals):
+    """The minimum eigenvalue over the factorized rounds and the maximum
+    residual over all rounds, nan if any value is."""
+    return np.min([e for e in eigs if e is not None]), np.max(residuals)
+
+
 def audit_stack(problems, config):
     """Run the recovery audit on a stack of problems the way recovery_trial
-    does; per problem, its per-round min eigenvalues and residuals."""
+    does; per problem, its recorded per-round eigenvalues (None for a
+    downdated round) and residuals, checked to give the audit's extremes."""
     audit = harness_module._RoundAudit.of(problems)
-    run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]), config,
-            on_round=functools.partial(harness_module._audit_rounds, audit))
-    eigs, residuals = np.array(audit.eigs).T, np.array(audit.residuals).T
-    return [(tuple(e.tolist()), tuple(r.tolist())) for e, r in zip(eigs, residuals)]
+    with audited_rounds() as rounds:
+        run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]), config,
+                on_round=functools.partial(harness_module._audit_rounds, audit))
+    per_trial = [trial_rounds(rounds, t) for t in range(len(problems))]
+    kept = np.array([extremes(*values) for values in per_trial]).T
+    np.testing.assert_array_equal(kept, np.array([audit.min_eig, audit.max_residual]))
+    return per_trial
 
 
 def fresh_residual(cov, signal, idx, eig):
@@ -404,6 +472,7 @@ class TestAuditRounds:
         [(eigs, residuals)] = audit_stack([problem], recovery_config(spec))
         assert calls == []
         assert len(eigs) == len(residuals) == len(trace.active)
+        assert eigs[0] is not None and eigs[1:] == (None,) * (len(eigs) - 1)
         cov = problem.covariance
         for active, residual in zip(trace.active, residuals):
             idx = np.flatnonzero(active)
@@ -440,6 +509,30 @@ class TestAuditRounds:
         config = recovery_config(specs[0])
         stacked = audit_stack(problems, config)
         assert stacked == [audit_stack([pr], config)[0] for pr in problems]
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"imp": ImpSpec(horizon=5.0)},
+        {"design": DesignSpec(kind="incoherent", p=12, n=14)},
+    ], ids=["orthonormal", "finite-horizon", "incoherent"])
+    def test_records_hold_the_extremes_of_the_audited_rounds(self, overrides):
+        spec = recovery_spec(trials=3, **overrides)
+        with audited_rounds() as rounds:
+            records = recovery_trial(spec, range(3))
+        for t, rec in enumerate(records):
+            min_eig, max_residual = extremes(*trial_rounds(rounds, t))
+            assert rec.min_nz_eig == min_eig and rec.max_recov_residual == max_residual
+
+    @pytest.mark.parametrize("horizon", [INFINITE, 5.0], ids=["infinite", "finite"])
+    def test_a_zero_sigma_a_makes_the_minimum_nan(self, horizon):
+        # b = 0 ties every weight, so coordinates 0 and 1 go first and
+        # rounds 2 and 3 train on a zero Sigma_A, which has no nonzero eigenvalue
+        problem = SparseProblem(covariance=CovMatrix(np.diag([1.0, 1.0, 0.0, 0.0])),
+                                b=np.zeros(4), n=4, signal=np.zeros(4), support=(0,),
+                                gamma=0.5)
+        [(eigs, residuals)] = audit_stack([problem], ImpConfig(horizon=horizon, prune_rounds=3))
+        assert eigs[:2] == (1.0, 1.0) and np.isnan(eigs[2:]).all()
+        assert np.isnan(extremes(eigs, residuals)[0])  # audit_stack: the audit's minimum too
 
 
 class TestReplay:
