@@ -215,8 +215,8 @@ def _downdate(
     K is in swap-remove order (`_swap_plan`), and the complement fills the
     leading (m - r, m - r) block of the same buffer.  Returns (weights, ok):
     the (D, m - r) weights in that order, and ok False on the slices where
-    C_JJ is not positive definite, the sign of accumulated drift, whose rows
-    of the other two are meaningless.
+    C_JJ is not positive definite (or not finite), the sign of accumulated
+    drift, whose rows of the other two are meaningless.
 
     Every slice stays exactly symmetric: the inverse that enters is
     (`pseudo_inverse` returns (M + M^T) / 2, and IEEE addition commutes),
@@ -253,11 +253,12 @@ def _downdate(
         return weights, ok
     rows = np.arange(g_n)[:, None]
     pivot = live[rows[:, :, None], drop[:, :, None], drop[:, None, :]]
-    ok = np.ones(g_n, dtype=bool)
+    ok = np.isfinite(pivot).all(axis=(1, 2))  # cholesky factors NaN without raising
+    pivot[~ok] = np.eye(r)
     try:
         chol = np.linalg.cholesky(pivot)
     except np.linalg.LinAlgError:  # some slice drifted: factor the others
-        ok = np.array([_positive_definite(a) for a in pivot])
+        ok &= np.array([_positive_definite(a) for a in pivot])
         chol = np.linalg.cholesky(np.where(ok[:, None, None], pivot, np.eye(r)))
     row, to, frm = plan
     live[row, :, to] = live[row, :, frm]  # columns first: rows J then hold C_JK

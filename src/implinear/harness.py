@@ -43,14 +43,15 @@ from .designs import (
     check_design,
     check_noise,
     check_signal,
-    gen_incoherent_design,
     make_rng,
     pairwise_incoherence,
     sample_noise,
 )
-# Not called here: benchmarks/tracing.py wraps every design generator at this
-# module's names, so they stay bound (tests/test_bench_contract.py).
-from .designs import gen_orthonormal_design, gen_uniform_corr_design  # noqa: F401
+# Not called here: benchmarks/tracing.py wraps gen_incoherent_design,
+# gen_orthonormal_design and gen_uniform_corr_design at this module's names,
+# so they stay bound (tests/test_bench_contract.py).
+from .designs import gen_incoherent_design, gen_orthonormal_design  # noqa: F401
+from .designs import gen_uniform_corr_design  # noqa: F401
 from .engine import ImpConfig, ImpTrace, RoundFactors, imp_prune_order, run_imp, trace_to_dict
 from .flow import INFINITE
 from .linalg import min_nonzero_eig, sym_eig
@@ -301,8 +302,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("baseline.sigmas must not be empty")
     runs_imp = spec.kind in ("support_recovery", "baseline_comparison")
     q = _prune_rounds(spec) if runs_imp else 0
+    n = _heuristic_n(design) if spec.kind == "heuristic_equivalence" else design.n
     try:
-        check_design(design.kind, design.p, design.n, design.alpha)
+        check_design(design.kind, design.p, n, design.alpha)
         check_noise(spec.noise.kind, spec.noise.sigma)
         if signal is not None:
             check_signal(design.p, signal.k, signal.gamma, signal.amplitude_law)
@@ -311,7 +313,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         _imp_config(spec, q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_size(design.n or design.p, design.p, "the design")  # a derived n is >= p
+    _check_size(n or design.p, design.p, "the design")  # a derived n is >= p
     if runs_imp and (q + 1) * spec.imp.per_round > design.p:
         raise ConfigError(
             f"(imp.q + 1) * imp.per_round = {(q + 1) * spec.imp.per_round} "
@@ -700,76 +702,60 @@ def uniform_corr_separation_margin(scores: np.ndarray, alpha: float) -> float:
     return worst
 
 
+def _heuristic_n(design: DesignSpec) -> int:
+    """The n of a heuristic run: design.n, or 4p."""
+    return design.n if design.n is not None else 4 * design.p
+
+
 def _heuristic_trials(spec: ExperimentSpec, trials: range) -> list[HeuristicTrialRow]:
-    """Evaluate a range of orthonormal or uniform_corr heuristic trials.
+    """Evaluate a range of heuristic trials, or of incoherent attempts.
 
     Trial t draws its design and targets from seed base_seed + t and keeps
-    xty = Phi^T y for its gap screens, its alignment order and b = xty / n;
-    the non-degenerate trials of the range rank their coordinates as one IMP
-    stack.
+    xty = Phi^T y for its gap screens, its alignment order and b = xty / n.
+    An incoherent attempt qualifies when the measured pairwise incoherence
+    is at most 1/(10p) and the gap between the two smallest alignment scores
+    strictly exceeds 10 p delta_pw max_j |phi_j^T y|; one that does not is
+    an excluded row.  The range's ranked trials run as one IMP stack: the
+    qualifying attempts prune once, the non-degenerate trials of the other
+    designs rank all their coordinates.
     """
     design = spec.design
-    n = design.n if design.n is not None else 4 * design.p
+    n, p = _heuristic_n(design), design.p
+    incoherent = design.kind == "incoherent"
     rows, ranked = [], []
     for trial in trials:
         seed = spec.base_seed + trial
-        fs = DESIGNS[design.kind].draw(n, design.p, seed, design.alpha)
+        fs = DESIGNS[design.kind].draw(n, p, seed, design.alpha)
         row = HeuristicTrialRow(trial, seed)
-        if design.kind == "uniform_corr":
-            sig = fs.covariance.entries
-            inv = np.linalg.solve(sig, np.eye(design.p))
-            row.inverse_err = float(np.max(np.abs(sig @ inv - np.eye(design.p))))
         xty = fs.phi.T @ make_rng(seed, STREAM_TARGETS).standard_normal(n)
         mags = np.sort(np.abs(xty))
-        row.min_gap = float(np.min(np.diff(mags))) if design.p > 1 else float("inf")
+        gaps = np.diff(mags) if p > 1 else np.full(1, np.inf)
+        row.min_gap = float(gaps[0] if incoherent else np.min(gaps))
         row.degenerate = row.min_gap < spec.tie_tol
-        if design.kind == "uniform_corr" and spec.separation_screen and not row.degenerate:
-            row.min_gap = uniform_corr_separation_margin(xty, design.alpha)
-            row.excluded = row.min_gap <= spec.tie_tol
-        if not row.degenerate:
+        if incoherent:
+            row.delta_pw = pairwise_incoherence(fs.covariance)
+            row.gap_threshold = 10.0 * p * row.delta_pw * float(mags[-1])
+            row.excluded = row.degenerate or not (
+                row.delta_pw <= 1.0 / (10.0 * p) and row.min_gap > row.gap_threshold)
+        elif design.kind == "uniform_corr":
+            sig = fs.covariance.entries
+            inv = np.linalg.solve(sig, np.eye(p))
+            row.inverse_err = float(np.max(np.abs(sig @ inv - np.eye(p))))
+            if spec.separation_screen and not row.degenerate:
+                row.min_gap = uniform_corr_separation_margin(xty, design.alpha)
+                row.excluded = row.min_gap <= spec.tie_tol
+        if not (row.excluded if incoherent else row.degenerate):
             ranked.append((row, fs.covariance, xty))
         rows.append(row)
     if ranked:
-        orders = imp_prune_order([cov for _, cov, _ in ranked],
-                                 np.stack([xty / n for _, _, xty in ranked]),
-                                 ImpConfig(tie_break=spec.imp.tie_break))
+        covs, b = [cov for _, cov, _ in ranked], np.stack([xty / n for _, _, xty in ranked])
+        config = ImpConfig(tie_break=spec.imp.tie_break)  # prune_rounds = 0: the first prune
+        orders = ([trace.pruned[:, 0] for trace in run_imp(covs, b, config)] if incoherent
+                  else imp_prune_order(covs, b, config))
         for (row, _, xty), order_imp in zip(ranked, orders):
             order_align = alignment_order(xty)
-            row.full_match = bool(np.array_equal(order_imp, order_align))
+            row.full_match = not incoherent and bool(np.array_equal(order_imp, order_align))
             row.first_match = bool(order_imp[0] == order_align[0])
-    return rows
-
-
-def _incoherent_attempts(spec: ExperimentSpec, attempts: range) -> list[HeuristicTrialRow]:
-    """A range of attempts of an incoherent run, attempt a drawn with seed
-    base_seed + a.
-
-    An attempt qualifies when the measured pairwise incoherence is at most
-    1/(10p) and the gap between the two smallest alignment scores strictly
-    exceeds 10 p delta_pw max_j |phi_j^T y|; only then is its first prune
-    checked.  A non-qualifying attempt is an excluded row.
-    """
-    n, p = spec.design.n, spec.design.p
-    rows = []
-    for attempt in attempts:
-        seed = spec.base_seed + attempt
-        fs = gen_incoherent_design(n, p, seed)
-        delta_pw = pairwise_incoherence(fs.covariance)
-        xty = fs.phi.T @ make_rng(seed, STREAM_TARGETS).standard_normal(n)
-        scores, order = np.abs(xty), alignment_order(xty)
-        first_gap = float(scores[order[1]] - scores[order[0]]) if p > 1 else float("inf")
-        threshold = 10.0 * p * delta_pw * float(np.max(scores))
-        degenerate = first_gap < spec.tie_tol
-        qualifies = (not degenerate) and delta_pw <= 1.0 / (10.0 * p) and first_gap > threshold
-        first_match = False
-        if qualifies:
-            [trace] = run_imp([fs.covariance], (xty / n)[None],
-                              ImpConfig(prune_rounds=0, tie_break=spec.imp.tie_break))
-            first_match = bool(trace.pruned[0, 0] == order[0])
-        rows.append(HeuristicTrialRow(attempt, seed, first_match=first_match,
-                                      degenerate=degenerate, excluded=not qualifies,
-                                      delta_pw=delta_pw, min_gap=first_gap,
-                                      gap_threshold=threshold))
     return rows
 
 
@@ -790,7 +776,7 @@ def _heuristic_incoherent(spec: ExperimentSpec) -> list[HeuristicTrialRow]:
         drawn += len(batch)
         return min(missing, cap - drawn)
 
-    rows = map_trials(spec, _incoherent_attempts, more=next_batch)
+    rows = map_trials(spec, _heuristic_trials, more=next_batch)
     if missing:
         raise ConfigError(
             f"only {spec.trials - missing}/{spec.trials} attempts satisfied the gap condition "

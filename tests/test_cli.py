@@ -359,14 +359,21 @@ def test_bad_config_exits_2(tmp_path, capsys, case):
     assert message in err
 
 
-# Sizes past the size rule, given or derived from the bound, on recovery_doc's
-# orthonormal p=10 config: (dotted field, value, fragment of the error).
+# Sizes past the size rule, given or derived: (subcommand, dotted field, value,
+# fragment of the error) on recovery_doc's orthonormal p=10 config, or on an
+# orthonormal heuristic whose n defaults to 4p (Phi 120000 x 30000).
 OVERSIZED = {
-    "p-huge": ("design.p", 10**400, "the design is too large"),
-    "n-huge": ("design.n", 10**400, "the design is too large"),
-    "sigma-overflows-the-bound": ("noise.sigma", 1e300, "sample-size bound overflows"),
-    "sigma-derives-a-huge-n": ("noise.sigma", 1e100,
+    "p-huge": ("recover", "design.p", 10**400, "the design is too large"),
+    "n-huge": ("recover", "design.n", 10**400, "the design is too large"),
+    "sigma-overflows-the-bound": ("recover", "noise.sigma", 1e300, "sample-size bound overflows"),
+    "sigma-derives-a-huge-n": ("recover", "noise.sigma", 1e100,
                                "the sample size the bound derives is too large"),
+    "heuristic-default-n": ("heuristic", "design.p", 30000, "the design is too large"),
+}
+OVERSIZED_BASES = {
+    "recover": recovery_doc,
+    "heuristic": lambda: {"kind": "heuristic_equivalence", "design": {"kind": "orthonormal"},
+                          "trials": 2, "base_seed": 1},
 }
 
 
@@ -378,9 +385,9 @@ def test_oversized_size_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, c
     for name in ("gen_orthonormal_design", "gen_uniform_corr_design", "gen_incoherent_design"):
         monkeypatch.setattr(designs, name, refuse)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    path, value, message = OVERSIZED[case]
-    cfg = write_config(tmp_path, edited(recovery_doc(), path, value))
-    assert main(["recover", "--config", cfg]) == 2
+    command, path, value, message = OVERSIZED[case]
+    cfg = write_config(tmp_path, edited(OVERSIZED_BASES[command](), path, value))
+    assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err

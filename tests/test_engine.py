@@ -548,6 +548,12 @@ class TestDowndatePath:
         block = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         assert not ok(block, [0, 1])
         assert ok(np.eye(3), [0, 1])
+        # cholesky returns a NaN factor of a NaN block without raising
+        assert not ok(np.full((3, 3), np.nan), [0, 1])
+        for entry in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            one_nan = np.eye(3)
+            one_nan[entry] = np.nan
+            assert not ok(one_nan, [0, 1])
 
     @pytest.mark.parametrize("drop", [[[1], [0]], [[0, 1], [1, 0]]], ids=["r1", "r2"])
     def test_rejected_slice_leaves_its_stack_mates(self, drop):

@@ -1147,6 +1147,44 @@ def test_multi_batch_run_opens_one_pool(monkeypatch):
     assert [repr(astuple(r)) for r in pooled.rows] == [repr(astuple(r)) for r in serial.rows]
 
 
+@pytest.mark.parametrize("design", [
+    DesignSpec(kind="orthonormal", p=6),
+    DesignSpec(kind="uniform_corr", p=10, alpha=0.01),
+    DesignSpec(kind="incoherent", p=3, n=2000),
+], ids=lambda d: d.kind)
+def test_heuristic_rows_do_not_depend_on_range_size(monkeypatch, design):
+    """One-trial ranges give the rows of the default ones, and an incoherent
+    range runs its qualifying attempts' first prunes as one IMP stack."""
+    spec = ExperimentSpec(kind="heuristic_equivalence", design=design, trials=20, base_seed=56)
+    real_trials, real_imp = harness_module._heuristic_trials, harness_module.run_imp
+    ranges, stacks = [], []
+
+    def recording(spec, trials):
+        rows = real_trials(spec, trials)
+        ranges.append((len(trials), sum(not (r.degenerate or r.excluded) for r in rows)))
+        return rows
+
+    def counted(covs, *args):
+        stacks.append(len(covs))
+        return real_imp(covs, *args)
+
+    monkeypatch.setattr(harness_module, "_heuristic_trials", recording)
+    monkeypatch.setattr(harness_module, "run_imp", counted)
+    rows = []
+    for budget in (harness_module.STACK_BUDGET, 1):
+        monkeypatch.setattr(harness_module, "STACK_BUDGET", budget)
+        ranges.clear()
+        stacks.clear()
+        report = run_heuristic_equivalence(spec)
+        rows.append([repr(astuple(r)) for r in report.rows])
+        assert sum(size for size, _ in ranges) == report.attempts
+        if budget == 1:
+            assert {size for size, _ in ranges} == {1}
+        if design.kind == "incoherent":
+            assert stacks == [qualifying for _, qualifying in ranges if qualifying]
+    assert rows[0] == rows[1]
+
+
 @pytest.mark.parametrize("kind", ["incoherent", "orthonormal"])
 def test_lemma1_hands_its_ranges_no_projector(monkeypatch, kind):
     """Each process builds the (p, n) projector itself, so a range's arguments

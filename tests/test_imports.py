@@ -1,15 +1,18 @@
-"""Three lint rules checked with the standard library's `ast`.
+"""Four lint rules checked with the standard library's `ast`.
 
 Every module-level import of a package module is read in that module, or
 its line says `# noqa: F401`: names kept bound only so the benchmark tracer
 can wrap them there.  In `__init__.py` a name listed in `__all__` counts as
-read.  Every private module-level function or class of the package is
-referenced by name somewhere in the package outside its own definition, or
-is listed in `UNREFERENCED_HELPERS` with the reason it stays.  And every
-name in `implinear.__all__` resolves.
+read.  Every name so marked is a wrap point of `benchmarks/tracing.py` in
+that module, so a mark outlives no wrap point.  Every private module-level
+function or class of the package is referenced by name somewhere in the
+package outside its own definition, or is listed in `UNREFERENCED_HELPERS`
+with the reason it stays.  And every name in `implinear.__all__` resolves.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ import implinear
 
 PACKAGE = Path(implinear.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
 # "module.name" of each private helper the package itself never references
 UNREFERENCED_HELPERS = {
@@ -25,29 +29,34 @@ UNREFERENCED_HELPERS = {
 }
 
 
-def unused_imports(path: Path) -> list[str]:
-    """Module-level imported names that nothing in the module reads."""
+def module_imports(path: Path) -> list[tuple[int, str, bool]]:
+    """(line, bound name, whether the line says `# noqa: F401`) of every
+    module-level import but those from `__future__`."""
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
-    tree = ast.parse(source)
+    imports = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            noqa = any("# noqa: F401" in lines[i - 1] for i in {node.lineno, alias.lineno})
+            imports.append((alias.lineno, alias.asname or alias.name.split(".")[0], noqa))
+    return imports
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Module-level imported names that nothing in the module reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:  # the strings of __all__
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             read |= {elt.value for elt in node.value.elts}
-    unused = []
-    for node in tree.body:
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        for alias in node.names:
-            name = alias.asname or alias.name.split(".")[0]
-            noqa = any("# noqa: F401" in lines[i - 1] for i in {node.lineno, alias.lineno})
-            if name not in read and not noqa:
-                unused.append(f"{path.name}:{alias.lineno}: {name}")
-    return unused
+    return [f"{path.name}:{line}: {name}" for line, name, noqa in module_imports(path)
+            if name not in read and not noqa]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -60,6 +69,29 @@ def test_the_rule_sees_an_unused_import(tmp_path):
     module.write_text("import os\nimport sys  # noqa: F401\nfrom math import (\n    pi,\n    tau,\n)\n"
                       "print(pi)\n")
     assert unused_imports(module) == ["m.py:1: os", "m.py:5: tau"]
+
+
+def marks_off_wrap_points(paths: list[Path], wrap_points) -> list[str]:
+    """"module.name" of each import marked `# noqa: F401` that is no
+    (module, name) of the given wrap points."""
+    wrapped = {f"{module}.{name}" for module, name, *_ in wrap_points}
+    marked = [f"{PACKAGE.name}.{path.stem}.{name}" for path in paths
+              for _, name, noqa in module_imports(path) if noqa]
+    return [mark for mark in marked if mark not in wrapped]
+
+
+def test_every_marked_import_is_a_wrap_point(monkeypatch):
+    spec = importlib.util.spec_from_file_location("implinear_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    assert marks_off_wrap_points(MODULES, tracing.WRAP_POINTS) == []
+
+
+def test_the_rule_sees_a_mark_without_a_wrap_point(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from math import pi, tau  # noqa: F401\nimport os\n")
+    assert marks_off_wrap_points([module], [("implinear.m", "pi", "span")]) == ["implinear.m.tau"]
 
 
 def unreferenced_helpers(paths: list[Path]) -> list[str]:
