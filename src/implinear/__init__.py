@@ -50,7 +50,6 @@ from .linalg import (
 from .theory import (
     BoundInputs,
     McSummary,
-    OnpReport,
     check_onp,
     check_recoverable,
     concentration_sample_size,
@@ -73,7 +72,6 @@ __all__ = [
     "ImpConfig",
     "ImpTrace",
     "McSummary",
-    "OnpReport",
     "SparseProblem",
     "StabilityWarning",
     "SymEig",

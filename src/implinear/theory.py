@@ -19,22 +19,6 @@ from .linalg import SymEig, pseudo_inverse, sym_eig
 
 
 @dataclass(frozen=True)
-class OnpReport:
-    """Outcome of the orthogonal nullspace property check.
-
-    holds is True exactly when the largest inner product between the
-    orthonormal nullspace basis and the cone generators is at most the
-    tolerance.  vacuous flags an empty support with a nontrivial nullspace,
-    where the check passes with nothing to test.
-    """
-
-    holds: bool
-    null_dim: int
-    max_violation: float
-    vacuous: bool
-
-
-@dataclass(frozen=True)
 class BoundInputs:
     """Quantities the sample-size bounds depend on.
 
@@ -147,16 +131,20 @@ def _cone_generators(p: int, support: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def check_onp(eig: SymEig, support, tol: float = 1e-10) -> OnpReport:
-    """Orthogonal nullspace property of the covariance with respect to S.
+# The orthogonal nullspace property holds when check_onp's violation is at most this.
+ONP_TOL = 1e-8
+
+
+def check_onp(eig: SymEig, support) -> float:
+    """Violation of the orthogonal nullspace property of the covariance w.r.t. S.
 
     `eig` is the covariance's eigendecomposition; its rank tolerance sets
     the numerical nullspace.
 
-    Every numerical nullspace direction must be orthogonal (inner products
-    at most tol) to every cone generator.  Full-rank covariances hold
-    trivially; a nonempty S with a nontrivial nullspace fails whenever any
-    generator leaks into the nullspace.  For a direction v the largest
+    The property holds when every numerical nullspace direction is
+    orthogonal (inner products at most ONP_TOL) to every cone generator;
+    the violation is the largest such inner product.  It is 0.0 for a
+    full-rank covariance or an empty S.  For a direction v the largest
     inner product is max_{i in S} |v_i| + max_{j not in S} |v_j|, since
     |<v, e_i +- e_j>| peaks at |v_i| + |v_j| (just the first term when S is
     everything), so `_cone_generators` is never built.
@@ -165,20 +153,13 @@ def check_onp(eig: SymEig, support, tol: float = 1e-10) -> OnpReport:
     if support.size and (support[0] < 0 or support[-1] >= eig.p):
         raise ValueError("support indices out of range")
     null = eig.null_basis()
-    k = support.size
-    max_violation = 0.0
-    if null.shape[1] and k:
-        mag = np.abs(null)
-        worst = mag[support].max(axis=0)
-        if k < eig.p:
-            worst = worst + np.delete(mag, support, axis=0).max(axis=0)
-        max_violation = float(worst.max())
-    return OnpReport(
-        holds=max_violation <= tol,
-        null_dim=int(null.shape[1]),
-        max_violation=max_violation,
-        vacuous=bool(support.size == 0 and null.shape[1] > 0),
-    )
+    if not (null.shape[1] and support.size):
+        return 0.0
+    mag = np.abs(null)
+    worst = mag[support].max(axis=0)
+    if support.size < eig.p:
+        worst = worst + np.delete(mag, support, axis=0).max(axis=0)
+    return float(worst.max())
 
 
 def check_recoverable(

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import implinear
-from implinear import designs
+from implinear import designs, harness
 from implinear.cli import main
 from implinear.harness import MAX_THREADS
 
@@ -244,6 +244,41 @@ def test_heuristic_gate_fails_without_the_separation_screen(tmp_path, capsys):
     assert summary["qualifying"] == 20 and summary["full_match_rate"] < 1.0
 
 
+# alpha is the largest double below 1, which validation accepts: Sigma is
+# singular in floating point
+SINGULAR_UNIFORM_CORR = {
+    "kind": "heuristic_equivalence",
+    "design": {"kind": "uniform_corr", "p": 4, "alpha": 0.9999999999999999},
+    "trials": 3,
+    "base_seed": 1,
+}
+
+
+def test_singular_uniform_corr_heuristic_exits_2(tmp_path, capsys):
+    # trial 2's Sigma does not invert; the separation screen excludes the others
+    out = tmp_path / "h"
+    cfg = write_config(tmp_path, SINGULAR_UNIFORM_CORR)
+    assert main(["heuristic", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: no trial qualified (1 of 3 degenerate, 2 excluded "
+                            "by the separation screen): the gate has nothing to test\n")
+    assert not out.exists()
+
+
+def test_singular_uniform_corr_heuristic_fails_its_gate(tmp_path, capsys):
+    # unscreened, the run reaches its gate, which reads trial 2's failed inversion
+    out = tmp_path / "h"
+    cfg = write_config(tmp_path, dict(SINGULAR_UNIFORM_CORR, separation_screen=False))
+    assert main(["heuristic", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 1
+    assert captured.out.rstrip().endswith("FAIL")
+    assert '"max_inverse_err": Infinity' in (out / "heuristic_summary.json").read_text()
+    with open(out / "heuristic_trials.csv", encoding="utf-8") as fh:
+        assert [row["inverse_err"] for row in csv.DictReader(fh)][2] == "inf"
+
+
 # recover-p50's design (orthonormal p=50, k=5, gamma 0.5, sigma 1, delta 0.1)
 # with n forced to 55, about a quarter of the bound's 222
 UNDERSIZED_P50 = recovery_doc(design={"kind": "orthonormal", "p": 50, "n": 55},
@@ -279,6 +314,43 @@ def test_replay_matches_false_exclusion_trials(tmp_path, capsys):
     for trial in excluded[:4]:
         assert main(["replay", "--config", cfg, "--out", str(out), "--trial", trial]) == 0
     assert capsys.readouterr().out.count("matches") == 4
+
+
+def test_partly_rejected_recover_run(tmp_path, capsys, monkeypatch):
+    """Trials whose design fails the ONP precondition get no row: the summary
+    counts them, and replaying one exits 2.  Half of the trials may be
+    rejected; one more is a config error that writes nothing."""
+    cfg = write_config(tmp_path, recovery_doc())
+    spec = harness.load_spec(cfg)
+    trial_of = {harness._recovery_problem(spec, spec.base_seed + t).support: t
+                for t in range(spec.trials)}
+    assert len(trial_of) == spec.trials  # each trial draws its own support
+    rejected = {1, 2, 5, 6}
+    monkeypatch.setattr(harness, "check_onp",
+                        lambda eig, support: float(trial_of[tuple(support)] in rejected))
+
+    out = tmp_path / "out"
+    assert main(["recover", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "trials.csv", encoding="utf-8") as fh:
+        assert [row["trial"] for row in csv.DictReader(fh)] == ["0", "3", "4", "7"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["rejected"] == 4 and summary["summary"]["trials"] == 4
+    assert summary["summary"]["failure_counts"]["onp_rejected"] == 4
+    capsys.readouterr()
+    assert main(["replay", "--config", cfg, "--out", str(out), "--trial", "2"]) == 2
+    assert main(["replay", "--config", cfg, "--out", str(out), "--trial", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: trial 2 was rejected by the ONP precondition; "
+                            "it has no row\n")
+    assert "matches" in captured.out
+
+    rejected.add(0)
+    refused = tmp_path / "refused"
+    assert main(["recover", "--config", cfg, "--out", str(refused)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ONP rejection rate 5/8 exceeds 50%")
+    assert not refused.exists()
 
 
 def test_gates_fail_when_the_engine_prunes_the_largest(tmp_path, capsys, monkeypatch):
@@ -532,3 +604,19 @@ def test_threads_1_runs_skip_the_process_pool(tmp_path):
     # only a run with threads > 1 pays the ~15 ms import of the process pool
     assert all(doc.get("threads", 1) == 1 for doc in SMALL_CONFIGS.values())
     assert modules_after_every_subcommand(tmp_path, "concurrent.futures.process") == "[]"
+
+
+def test_python_m_implinear(tmp_path):
+    """`python -m implinear` is the CLI, exit codes included."""
+    src = str(Path(implinear.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "implinear", *args], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    assert run("--help").returncode == 0
+    bad = run("recover", "--config", write_config(tmp_path, dict(recovery_doc(), trials="x")))
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("config error:") and "Traceback" not in bad.stderr

@@ -19,7 +19,6 @@ from implinear.designs import SparseProblem, gen_uniform_corr_design
 from implinear.engine import ImpConfig, run_imp
 from implinear.flow import INFINITE
 from implinear.harness import (
-    ONP_TOL,
     BaselineSpec,
     ConfigError,
     DesignSpec,
@@ -448,8 +447,7 @@ class TestAuditRounds:
             assert np.array_equal(engine.eigenvalues, full.eigenvalues)
             assert np.array_equal(engine.eigenvectors, full.eigenvectors)
             assert engine.rank_tol == full.rank_tol
-            assert (check_onp(engine, problem.support, tol=ONP_TOL)
-                    == check_onp(full, problem.support, tol=ONP_TOL))
+            assert check_onp(engine, problem.support) == check_onp(full, problem.support)
 
     @pytest.mark.parametrize("design", NONSINGULAR_DESIGNS, ids=lambda d: f"{d.kind}-{d.n}-{d.alpha}")
     def test_min_eig_is_the_full_spectrum_minimum(self, design):
@@ -600,6 +598,33 @@ class TestHeuristic:
         assert report.passed
         lines = (tmp_path / "h" / "heuristic_trials.csv").read_text().splitlines()
         assert len(lines) == 61
+
+    @pytest.mark.parametrize("fails", ["raises", "nan"])
+    def test_a_failed_inversion_fails_the_uniform_corr_gate(self, monkeypatch, fails):
+        """The certified run above, with every Sigma's inversion failing: a
+        singular one records inf, a non-finite result records nan, and the
+        gate reads either, though every order still matches."""
+        solve = np.linalg.solve
+
+        def failing(a, b):
+            if a.ndim > 2:  # the engine's stacked solves stay exact
+                return solve(a, b)
+            if fails == "raises":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        report = run_heuristic_equivalence(ExperimentSpec(
+            kind="heuristic_equivalence",
+            design=DesignSpec(kind="uniform_corr", p=10, alpha=0.01),
+            trials=60,
+            base_seed=56,
+        ))
+        assert report.full_match_rate == 1.0 and not report.passed
+        if fails == "raises":
+            assert report.max_inverse_err == np.inf
+        else:
+            assert np.isnan(report.max_inverse_err)
 
     def test_incoherent_enforced_gap(self):
         spec = ExperimentSpec(

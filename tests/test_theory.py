@@ -23,7 +23,7 @@ from implinear.harness import (
 from implinear.linalg import CovMatrix, pseudo_inverse, sym_eig
 from implinear.theory import (
     BoundInputs,
-    OnpReport,
+    ONP_TOL,
     check_onp,
     check_recoverable,
     concentration_sample_size,
@@ -40,30 +40,30 @@ RANK_ONE = CovMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 class TestCheckOnp:
     def test_full_rank_holds(self):
-        rep = check_onp(sym_eig(CovMatrix(np.eye(4))), [0, 2])
-        assert rep.holds and rep.null_dim == 0 and not rep.vacuous
-        assert rep.max_violation == 0.0
+        eig = sym_eig(CovMatrix(np.eye(4)))
+        violation = check_onp(eig, [0, 2])
+        assert violation <= ONP_TOL and eig.null_basis().shape[1] == 0
+        assert violation == 0.0
 
     def test_rank_one_fails(self):
-        rep = check_onp(sym_eig(RANK_ONE), [0])
-        assert not rep.holds and rep.null_dim == 1
+        eig = sym_eig(RANK_ONE)
+        violation = check_onp(eig, [0])
+        assert violation > ONP_TOL and eig.null_basis().shape[1] == 1
         # the null direction (1,-1)/sqrt(2) hits e0 at 1/sqrt(2) and the
         # generator e0 - e1 at sqrt(2), the reported maximum
         null = np.array([1.0, -1.0]) / np.sqrt(2.0)
         assert abs(null @ np.array([1.0, 0.0])) == pytest.approx(1 / np.sqrt(2))
-        assert rep.max_violation == pytest.approx(np.sqrt(2.0))
+        assert violation == pytest.approx(np.sqrt(2.0))
 
     def test_diag_with_null_fails_via_mixed_generator(self):
         # null = span{e1}: orthogonal to e0 but not to e0 + e1
-        rep = check_onp(sym_eig(CovMatrix(np.diag([1.0, 0.0]))), [0])
-        assert not rep.holds
-        assert rep.max_violation == pytest.approx(1.0)
+        violation = check_onp(sym_eig(CovMatrix(np.diag([1.0, 0.0]))), [0])
+        assert violation > ONP_TOL
+        assert violation == pytest.approx(1.0)
 
     def test_empty_support_vacuous(self):
-        rep = check_onp(sym_eig(CovMatrix(np.diag([1.0, 0.0]))), [])
-        assert rep.holds and rep.vacuous
-        rep_full = check_onp(sym_eig(CovMatrix(np.eye(2))), [])
-        assert rep_full.holds and not rep_full.vacuous
+        assert check_onp(sym_eig(CovMatrix(np.diag([1.0, 0.0]))), []) <= ONP_TOL
+        assert check_onp(sym_eig(CovMatrix(np.eye(2))), []) <= ONP_TOL
 
     def test_support_bounds_checked(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -75,8 +75,8 @@ class TestCheckOnp:
 
         monkeypatch.setattr(theory_module, "_cone_generators", forbidden)
         for p, support in ((6, [1, 4]), (5, []), (3, [0, 1, 2])):
-            rep = check_onp(sym_eig(CovMatrix(np.eye(p))), support)
-            assert rep == OnpReport(holds=True, null_dim=0, max_violation=0.0, vacuous=False)
+            eig = sym_eig(CovMatrix(np.eye(p)))
+            assert check_onp(eig, support) == 0.0 and eig.null_basis().shape[1] == 0
 
     def test_closed_form_equals_the_generator_matrix(self, monkeypatch):
         build = theory_module._cone_generators
@@ -97,9 +97,8 @@ class TestCheckOnp:
             eig = sym_eig(cov)
             null = eig.null_basis()
             oracle = float(np.max(np.abs(null.T @ build(p, support))))
-            rep = check_onp(eig, support)
-            assert rep.null_dim == null.shape[1] > 0
-            assert rep.max_violation == oracle
+            assert null.shape[1] > 0
+            assert check_onp(eig, support) == oracle
 
 
 def cov_signal(cov, signal, active):
