@@ -18,7 +18,7 @@ and the (T, q+1, per_round) pruned indices; each run's `ImpTrace` holds
 read-only views of its rows.  The factorization a round was trained with
 goes to an `on_round` observer and is dropped after it.
 
-Two exact paths train a round, and each run takes its own from its input.
+Two exact paths train a round, and each run takes its own at round 0.
 The eigendecomposition path factorizes the restricted covariance Sigma_A
 every round and solves the flow in its eigenbasis; it handles every horizon
 and singular Sigma_A.  The runs a round factorizes share one stacked
@@ -30,10 +30,12 @@ removes the pruned block from the previous round's inverse (round 0's is
 the pseudo-inverse of its SymEig) and weights by a
 Schur-complement downdate in O(m^2), one stacked step for every run on this
 path: IMP as backward greedy elimination (Couvreur & Bresler, SIAM J.
-Matrix Anal. Appl. 21(3), 2000).  The downdate works in place: the last
-live rows and columns move into the pruned slots, so a downdated run's
-active indices follow its inverse's rows rather than coordinate order, and
-the prune's tie rule reads coordinates.
+Matrix Anal. Appl. 21(3), 2000).  A downdate whose pivot block is not
+positive definite, the sign of drift, puts its run on the eigendecomposition
+path for good.  The downdate works in place: the last live rows and
+columns move into the pruned slots, so a downdated run's active indices
+follow its inverse's rows rather than coordinate order, and the prune's tie
+rule reads coordinates.
 
 Runs on one CovMatrix object that have pruned the same coordinates have
 the same Sigma_A, bit for bit, so they share its work: a round factorizes
@@ -307,29 +309,6 @@ def _split(
     return inverse[owner[firsts]], split, drop[firsts]
 
 
-def _join(
-    down: np.ndarray, owner: np.ndarray, inverse: np.ndarray,
-    eigs: dict[int, SymEig], joining: list[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The downdate's runs, owners and slices once the factorized runs
-    `joining` join it: `inverse` holds the current (m, m) slices, runs that
-    share a SymEig share the slice of its pseudo-inverse, and slices are in
-    the order of their first run."""
-    old = dict(zip(down.tolist(), owner.tolist()))
-    down = np.sort(np.concatenate((down, joining)))  # `joining` excludes `down`
-    runs = down.tolist()
-    owner, firsts = _groups([(0, old[t]) if t in old else (1, id(eigs[t])) for t in runs])
-    lead = [runs[i] for i in firsts]
-    fresh = pseudo_inverse([eigs[t] for t in lead if t not in old])
-    if not old:  # round 0, and any round whose downdate drifted everywhere
-        return down, owner, fresh
-    is_old = np.array([t in old for t in lead])
-    slices = np.empty((len(lead),) + fresh.shape[1:])
-    slices[is_old] = inverse[[old[t] for t in lead if t in old]]
-    slices[~is_old] = fresh
-    return down, owner, slices
-
-
 def _factorize(
     covs: Sequence[CovMatrix], active: np.ndarray, runs: list[int], k: int
 ) -> list[SymEig]:
@@ -378,17 +357,16 @@ def run_imp(
     rows = np.arange(stack)[:, None]
     active = np.tile(np.arange(p), (stack, 1))
     alive = np.ones((stack, p), dtype=bool)
-    # A run takes the downdate path with an infinite horizon and a nonsingular
-    # round-0 factorization, and leaves it for good at the first singular
-    # refactorization, which interlacing rules out up to roundoff.  `down`
-    # lists the runs whose round is downdated and `w_down` stacks their
-    # trained weights; `inverse` stacks the Sigma_A^{-1} slices in the
-    # leading (m, m) block of each, run down[i] reading slice owner[i].
-    # Slices are in the order of their first run, so when there are as many
-    # slices as runs, slice i is run down[i]'s.  A downdated run's row of
-    # `active` is in the order of its slice's rows, which the swap-remove
-    # permutes; a factorized run's is ascending.
-    exact = np.full(stack, is_infinite(config.horizon))
+    # A run takes the downdate path with an infinite horizon, q > 0 and a
+    # nonsingular round-0 factorization, and leaves it for good at its first
+    # drifted downdate, which interlacing rules out up to roundoff: every
+    # later round of it is factorized.  `down` lists the runs whose round is
+    # downdated and `w_down` stacks their trained weights; `inverse` stacks
+    # the Sigma_A^{-1} slices in the leading (m, m) block of each, run
+    # down[i] reading slice owner[i].  Slices are in the order of their first
+    # run, so when there are as many slices as runs, slice i is run down[i]'s.
+    # A downdated run's row of `active` is in the order of its slice's rows,
+    # which the swap-remove permutes; a factorized run's is ascending.
     down, owner = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     inverse, w_down = np.empty((0, p, p)), None
     for k in range(q + 1):
@@ -408,11 +386,12 @@ def run_imp(
                 idx = active[t]
                 weights[t] = closed_form_weights(eigs[t], data_vec[t, idx], w_init[idx],
                                                  config.horizon)
-                exact[t] = exact[t] and bool(eigs[t].nonzero_mask().all())
-            # runs factorized now that stay exact join the downdate
-            joining = [t for t in todo if exact[t] and k < q]
-            if joining:
-                down, owner, inverse = _join(down, owner, inverse[:, :m, :m], eigs, joining)
+            if k == 0 < q and is_infinite(config.horizon):  # runs of one SymEig share a slice
+                runs = [t for t in todo if eigs[t].nonzero_mask().all()]
+                down = np.array(runs, dtype=int)
+                owner, firsts = _groups([id(eigs[t]) for t in runs])
+                if runs:
+                    inverse = pseudo_inverse([eigs[runs[i]] for i in firsts])
 
         live = inverse[:, :m, :m]
         if on_round is not None:
@@ -441,7 +420,7 @@ def run_imp(
                 inverse, owner, drop = _split(live, owner, drop)
             shared = owner if len(inverse) < down.size else None
             w_down, ok = _downdate(inverse, weights[on], drop, shared)
-            if not ok.all():  # drift: these runs are factorized afresh next round
+            if not ok.all():  # drift: these runs are factorized from the next round on
                 stays = ok[owner]
                 down, w_down, inverse = down[stays], w_down[stays], inverse[ok]
                 owner = (np.cumsum(ok) - 1)[owner[stays]]

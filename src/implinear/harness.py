@@ -297,6 +297,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("delta must lie in (0, 1)")
     if spec.epsilon is not None and spec.epsilon <= 0.0:
         raise ConfigError("epsilon must be positive")
+    if spec.tie_tol < 0.0:
+        raise ConfigError("tie_tol must be nonnegative")
     if spec.kind != "heuristic_equivalence" and signal is None:
         raise ConfigError(f"{spec.kind} needs a signal block")
     if spec.kind == "heuristic_equivalence" and design.kind == "incoherent" and design.n is None:
@@ -402,7 +404,9 @@ def resolve_sample_size(
     measured spectrum until it stabilizes.  Returns (realized n, bound n,
     lambda used, design): the design is the one drawn at (realized n, seed)
     to measure lambda, or None when lambda has a closed form.  A bound that
-    overflows, or a derived n that breaks the size rule, is a ConfigError.
+    cannot be computed in floats (it overflows or is NaN, or the margin or
+    its square rounds to 0), or a derived n that breaks the size rule, is a
+    ConfigError.
     """
     design = spec.design
     rule = DESIGNS[design.kind]
@@ -412,6 +416,8 @@ def resolve_sample_size(
             return bound_fn(BoundInputs(spec.noise.sigma, margin, lam, design.p, spec.delta))
         except OverflowError:
             raise ConfigError("the sample-size bound overflows a float") from None
+        except (ZeroDivisionError, ValueError) as exc:
+            raise ConfigError(f"the sample-size bound cannot be computed: {exc}") from None
 
     def derived(bound_n: int) -> int:
         n = max(bound_n, design.p)

@@ -406,6 +406,15 @@ BAD_CONFIGS = {
     "sigma-infinity": ("recover", "noise.sigma", math.inf, "noise.sigma must be finite"),
     "epsilon-nan": ("lemma1", "epsilon", math.nan, "epsilon must be finite"),
     "tie-tol-nan": ("recover", "tie_tol", math.nan, "tie_tol must be finite"),
+    "tie-tol-negative": ("recover", "tie_tol", -1.0, "tie_tol must be nonnegative"),
+    # bounds that cannot be computed: the margin's square underflows to 0, or
+    # the default epsilon = gamma / 2 rounds to 0
+    "epsilon-squared-underflows": ("lemma1", "epsilon", 1e-200,
+                                   "sample-size bound cannot be computed"),
+    "gamma-squared-underflows": ("baselines", "signal.gamma", 1e-200,
+                                 "sample-size bound cannot be computed"),
+    "default-epsilon-rounds-to-0": ("lemma1", "signal.gamma", 5e-324,
+                                    "sample-size bound cannot be computed"),
     "eta-nan": ("baselines", "baseline.eta", math.nan, "baseline.eta must be finite"),
     "delta-overflow": ("recover", "delta", 10**400, "delta overflows a float"),
     # past the 4300 digits Python converts from a string to an int
@@ -438,6 +447,8 @@ OVERSIZED = {
     "p-huge": ("recover", "design.p", 10**400, "the design is too large"),
     "n-huge": ("recover", "design.n", 10**400, "the design is too large"),
     "sigma-overflows-the-bound": ("recover", "noise.sigma", 1e300, "sample-size bound overflows"),
+    "gamma-underflows-the-bound": ("recover", "signal.gamma", 1e-200,
+                                   "sample-size bound cannot be computed"),
     "sigma-derives-a-huge-n": ("recover", "noise.sigma", 1e100,
                                "the sample size the bound derives is too large"),
     "heuristic-default-n": ("heuristic", "design.p", 30000, "the design is too large"),
@@ -547,6 +558,38 @@ WRONG_VALUES = st.one_of(
 def test_fuzzed_config_exit_code(tmp_path, command, path, value):
     cfg = write_config(tmp_path, edited(SMALL_CONFIGS[command], path, value))
     assert main([command, "--config", cfg]) in (0, 1, 2)
+
+
+# Tiny configs with an explicit design.n, so that no value derives a large n;
+# at these values the heuristic's trials pass the separation screen.
+TINY_DESIGN = {"kind": "uniform_corr", "p": 4, "n": 16, "alpha": 0.01}
+TINY_CONFIGS = {
+    "recover": recovery_doc(design=TINY_DESIGN, signal={"k": 2, "gamma": 0.5}, trials=2),
+    "lemma1": lemma1_doc(design=TINY_DESIGN, noise={"kind": "gaussian", "sigma": 1.0}),
+    "baselines": baselines_doc(design=TINY_DESIGN, trials=2,
+                               baseline={"tau": 0.5, "eta": 1.0, "max_iters": 100}),
+    "heuristic": {"kind": "heuristic_equivalence", "design": TINY_DESIGN, "trials": 2,
+                  "base_seed": 3},
+}
+NUMERIC_FIELDS = (
+    "signal.gamma", "noise.sigma", "delta", "epsilon", "design.alpha", "imp.horizon",
+    "baseline.tau", "baseline.eta", "baseline.convergence_tol", "tie_tol",
+)
+EXTREMES = (0, -0.0, 5e-324, 1e-300, 1e-200, 1e-160, 1e-8, 0.5, 1, 1.5, 1e8, 1e160, 1e300, -1)
+
+
+@pytest.mark.parametrize("path", NUMERIC_FIELDS)
+@pytest.mark.parametrize("command", sorted(TINY_CONFIGS))
+def test_numeric_extremes_keep_the_exit_code_contract(tmp_path, capsys, command, path):
+    # every numeric field, one at a time, at each extreme: a verdict or one
+    # config error line, never a traceback
+    for value in EXTREMES:
+        cfg = write_config(tmp_path, edited(TINY_CONFIGS[command], path, value))
+        code = main([command, "--config", cfg])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), value
+        if code == 2:
+            assert err.startswith("config error: ") and err.count("\n") == 1, value
 
 
 def test_bad_flag_override_exits_2(tmp_path, capsys):

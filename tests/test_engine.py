@@ -481,8 +481,8 @@ class TestDowndatePath:
 
         monkeypatch.setattr(engine_module, "_downdate", fail_slice_1_third)
         traces, seen = run_stack_observed(stack, config)
-        assert calls[:4] == [3, 3, 3, 3]  # slice 1 rejoins the downdate at round 4
-        assert factorized(seen[1]) == [k in (0, 3) for k in range(31)]
+        assert calls[:4] == [3, 3, 3, 2]  # slice 1 leaves the downdate for good
+        assert factorized(seen[1]) == [k == 0 or k >= 3 for k in range(31)]
         for i in (0, 2):
             assert factorized(seen[i]) == [True] + [False] * 30
             assert_same_run(traces[i], seen[i], *solo[i])
@@ -519,7 +519,7 @@ class TestDowndatePath:
         assert len(calls) == 46
         assert all(factorized(seen))
 
-    def test_drift_falls_back_to_one_refactorization(self, monkeypatch, count_sym_eig):
+    def test_drift_leaves_the_downdate_for_good(self, monkeypatch, count_sym_eig):
         fs = design_features("uniform_corr", 200, 0.99, seed=7)
         config = ImpConfig(prune_rounds=30)
         calls = count_sym_eig(engine_module)
@@ -533,8 +533,9 @@ class TestDowndatePath:
 
         monkeypatch.setattr(engine_module, "_downdate", fail_third)
         _, factors = assert_matches_oracle(fs, config)
-        assert calls == [("engine", DIFF_P), ("engine", DIFF_P - 3)]  # round 0, then round 3
-        assert factorized(factors) == [k in (0, 3) for k in range(31)]
+        # round 0, then every round from round 3 on
+        assert calls == [("engine", DIFF_P)] + [("engine", DIFF_P - k) for k in range(3, 31)]
+        assert factorized(factors) == [k == 0 or k >= 3 for k in range(31)]
 
     def test_non_positive_pivot_rejected(self):
         def ok(inverse, drop):
@@ -795,21 +796,20 @@ def compaction_imp(cov, b, config, plant=()):
     """One run at the infinite horizon, every downdate by
     `compaction_downdate`: active coordinates in swap-remove order, sorted
     before a factorized round's `restrict`, and a drifted run factorized
-    afresh the next round.  At each round in `plant` the run must be on the
+    in every later round.  At each round in `plant` the run must be on the
     downdate, and the pivot of its first pruned coordinate is set to -1
     first.  Returns the trace arrays (weights, active, pruned)."""
     p, q, r = cov.p, config.prune_rounds, config.per_round
     sign = 1 if config.tie_break == "lowest_index" else -1
     weights, masks = np.zeros((q + 1, p)), np.zeros((q + 1, p), dtype=bool)
     pruned = np.zeros((q + 1, r), dtype=int)
-    active, inverse, exact = np.arange(p), None, True
+    active, inverse = np.arange(p), None
     for k in range(q + 1):
         if inverse is None:
             active = np.sort(active)
             eig = sym_eig(cov.restrict(active) if k else cov)
             w = closed_form_weights(eig, b[active], np.zeros(active.size), INFINITE)
-            exact = exact and bool(eig.nonzero_mask().all())
-            if exact and k < q:
+            if k == 0 < q and eig.nonzero_mask().all():
                 inverse = pseudo_inverse(eig)[None]
         drop = sorted(range(active.size), key=lambda i: (abs(w[i]), sign * active[i]))[:r]
         weights[k, active], masks[k, active], pruned[k] = w, True, active[drop]
