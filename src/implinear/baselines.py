@@ -10,7 +10,6 @@ step s + eta * (b - Sigma s) on the normal equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,24 +25,23 @@ class IhtDivergenceError(RuntimeError):
     """Iterates blew up: the step size is too large for the design spectrum."""
 
 
-@dataclass(frozen=True)
 class ThresholdConfig:
     """Threshold tau, step size eta, and stopping rules for IHT."""
 
-    tau: float
-    eta: float = 1.0
-    max_iters: int = 10_000
-    convergence_tol: float = 1e-10
+    __slots__ = ("tau", "eta", "max_iters", "convergence_tol")
 
-    def __post_init__(self) -> None:
-        if self.tau < 0.0:
+    def __init__(self, tau: float, eta: float = 1.0, max_iters: int = 10_000,
+                 convergence_tol: float = 1e-10) -> None:
+        if tau < 0.0:
             raise ValueError("tau must be nonnegative")
-        if self.eta <= 0.0:
+        if eta <= 0.0:
             raise ValueError("eta must be positive")
-        if self.max_iters < 1:
+        if max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.convergence_tol < 0.0:
+        if convergence_tol < 0.0:
             raise ValueError("convergence_tol must be nonnegative")
+        self.tau, self.eta, self.max_iters, self.convergence_tol = (
+            tau, eta, max_iters, convergence_tol)
 
 
 class IhtResult(NamedTuple):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -74,15 +73,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
     if args.seed is not None:
-        spec = replace(spec, base_seed=args.seed)
+        spec = spec._replace(base_seed=args.seed)
     if args.trials is not None:
-        spec = replace(spec, trials=args.trials)
+        spec = spec._replace(trials=args.trials)
     if args.out is not None:
-        spec = replace(spec, out_dir=args.out)
+        spec = spec._replace(out_dir=args.out)
     if args.threads is not None:
-        spec = replace(spec, threads=args.threads)
+        spec = spec._replace(threads=args.threads)
     if args.verified:
-        spec = replace(spec, verified_mode=True)
+        spec = spec._replace(verified_mode=True)
     return spec
 
 

@@ -15,8 +15,7 @@ least-squares loss; Phi and y do not leave it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 # numpy loads numpy.random lazily; importing it here puts that cost in the
@@ -42,8 +41,7 @@ def make_rng(seed: int, stream: int = STREAM_DESIGN) -> Generator:
     return Generator(Philox(key=key))
 
 
-@dataclass(frozen=True)
-class FeatureSet:
+class FeatureSet(NamedTuple):
     """Design matrix Phi (rows are examples) and its covariance Phi^T Phi / n."""
 
     phi: np.ndarray
@@ -66,8 +64,7 @@ class FeatureSet:
         return self.phi.shape[1]
 
 
-@dataclass(frozen=True)
-class SparseProblem:
+class SparseProblem(NamedTuple):
     """A k-sparse ground truth s with observations y = Phi s + xi, kept as the
     normal equations: Sigma = Phi^T Phi / n and b = Phi^T y / n."""
 
@@ -130,8 +127,7 @@ def gen_incoherent_design(n: int, p: int, seed: int) -> FeatureSet:
     return FeatureSet.from_phi(phi * (np.sqrt(n) / norms))
 
 
-@dataclass(frozen=True)
-class DesignKind:
+class DesignKind(NamedTuple):
     """What the experiments need to know about one covariance regime.
 
     `draw(n, p, seed, alpha)` returns the design.

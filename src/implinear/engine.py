@@ -52,7 +52,7 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +66,6 @@ TIE_BREAK_RULES = ("lowest_index", "highest_index")
 OUTER_CHUNK = 2**14
 
 
-@dataclass(frozen=True)
 class ImpConfig:
     """Inputs of one pruning run.
 
@@ -77,26 +76,23 @@ class ImpConfig:
     unless configured otherwise.
     """
 
-    horizon: float = INFINITE
-    prune_rounds: int = 0
-    w_init: np.ndarray | None = None
-    per_round: int = 1
-    tie_break: str = "lowest_index"
+    __slots__ = ("horizon", "prune_rounds", "w_init", "per_round", "tie_break")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "horizon", normalize_horizon(self.horizon))
-        if self.prune_rounds < 0:
+    def __init__(self, horizon: float = INFINITE, prune_rounds: int = 0,
+                 w_init: np.ndarray | None = None, per_round: int = 1,
+                 tie_break: str = "lowest_index") -> None:
+        self.horizon = normalize_horizon(horizon)
+        if prune_rounds < 0:
             raise ValueError("prune_rounds must be nonnegative")
-        if self.per_round < 1:
+        if per_round < 1:
             raise ValueError("per_round must be positive")
-        if self.tie_break not in TIE_BREAK_RULES:
-            raise ValueError(f"unknown tie_break rule {self.tie_break!r}")
-        if self.w_init is not None:
-            object.__setattr__(self, "w_init", np.asarray(self.w_init, dtype=float))
+        if tie_break not in TIE_BREAK_RULES:
+            raise ValueError(f"unknown tie_break rule {tie_break!r}")
+        self.prune_rounds, self.per_round, self.tie_break = prune_rounds, per_round, tie_break
+        self.w_init = None if w_init is None else np.asarray(w_init, dtype=float)
 
 
-@dataclass(frozen=True)
-class ImpTrace:
+class ImpTrace(NamedTuple):
     """One run's rounds as read-only views of its stack's trace arrays:
     weights (q+1, p), active (q+1, p) booleans and pruned (q+1, per_round)
     indices; row k is round k."""
@@ -110,7 +106,6 @@ class ImpTrace:
         return self.weights[-1]
 
 
-@dataclass(frozen=True, eq=False)
 class RoundFactors(Sequence):
     """The factorizations one round of a stack was trained with.
 
@@ -125,10 +120,10 @@ class RoundFactors(Sequence):
     valid only during the observer's call.
     """
 
-    eigs: dict[int, SymEig]
-    inverse: np.ndarray
-    slot: np.ndarray
-    _pinv: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("eigs", "inverse", "slot", "_pinv")
+
+    def __init__(self, eigs: dict[int, SymEig], inverse: np.ndarray, slot: np.ndarray) -> None:
+        self.eigs, self.inverse, self.slot, self._pinv = eigs, inverse, slot, {}
 
     def __len__(self) -> int:
         return len(self.slot)
@@ -437,7 +432,8 @@ def imp_prune_order(
     """Full pruning rankings of a stack of runs, one row per run: each run
     goes with q = p - 1 and one prune per round."""
     base = config if config is not None else ImpConfig()
-    full = replace(base, prune_rounds=covs[0].p - 1, per_round=1)
+    full = ImpConfig(horizon=base.horizon, prune_rounds=covs[0].p - 1, w_init=base.w_init,
+                     tie_break=base.tie_break)
     return np.array([trace.pruned[:, 0] for trace in run_imp(covs, b, full)], dtype=int)
 
 

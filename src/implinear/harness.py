@@ -21,9 +21,9 @@ import time
 import types
 import typing
 from contextlib import nullcontext
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,29 +110,25 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DesignSpec:
+class DesignSpec(NamedTuple):
     kind: str
     p: int
     n: int | None = None  # None: derive from the sample-size bound
     alpha: float | None = None  # uniform_corr only
 
 
-@dataclass(frozen=True)
-class SignalSpec:
+class SignalSpec(NamedTuple):
     k: int
     gamma: float
     amplitude_law: str = "constant"
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(NamedTuple):
     kind: str = "gaussian"
     sigma: float = 0.0
 
 
-@dataclass(frozen=True)
-class ImpSpec:
+class ImpSpec(NamedTuple):
     q: int | None = None  # None: p - k, the hardest admissible setting
     per_round: int = 1
     horizon: float | str = "infinite"
@@ -146,8 +142,7 @@ class ImpSpec:
         return float(self.horizon)
 
 
-@dataclass(frozen=True)
-class BaselineSpec:
+class BaselineSpec(NamedTuple):
     tau: float | None = None  # None: gamma / 2
     eta: float = 1.0  # in units of the (1/n)-scaled gradient step
     max_iters: int = 10_000
@@ -155,8 +150,7 @@ class BaselineSpec:
     sigmas: tuple[float, ...] | None = None  # None: (noise.sigma,)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(NamedTuple):
     kind: str
     design: DesignSpec
     trials: int
@@ -175,7 +169,7 @@ class ExperimentSpec:
 
 
 def _json_type(tp) -> str:
-    if is_dataclass(tp):
+    if hasattr(tp, "_fields"):
         return "an object"
     if typing.get_origin(tp) is tuple:
         return "a list"
@@ -209,7 +203,7 @@ def _parse(tp, value, path: str):
         raise ConfigError(
             f"{path} must be {' or '.join(map(_json_type, arms))}, got {json.dumps(value)}"
         )
-    if is_dataclass(tp):
+    if hasattr(tp, "_fields"):  # a nested spec
         where = path or "config"
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be an object, got {json.dumps(value)}")
@@ -217,9 +211,9 @@ def _parse(tp, value, path: str):
         unknown = sorted(set(value) - set(hints))
         if unknown:
             raise ConfigError(f"unknown keys in {where}: {unknown}")
-        for f in fields(tp):
-            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"{where} is missing required key {f.name!r}")
+        for name in tp._fields:
+            if name not in value and name not in tp._field_defaults:
+                raise ConfigError(f"{where} is missing required key {name!r}")
         prefix = f"{path}." if path else ""
         return tp(**{k: _parse(hints[k], v, prefix + k) for k, v in value.items()})
     if typing.get_origin(tp) is tuple:
@@ -242,7 +236,7 @@ def _parse(tp, value, path: str):
 def spec_from_dict(d: dict) -> ExperimentSpec:
     """Parse a config document strictly, then validate it.
 
-    Field names, types and defaults come from the spec dataclasses; unknown
+    Field names, types and defaults come from the spec NamedTuples; unknown
     keys anywhere are rejected.
     """
     spec = _parse(ExperimentSpec, d, "")
@@ -313,7 +307,11 @@ def validate_spec(spec: ExperimentSpec) -> None:
         check_noise(spec.noise.kind, spec.noise.sigma)
         if signal is not None:
             check_signal(design.p, signal.k, signal.gamma, signal.amplitude_law)
-            for sigma in _baseline(spec)[1]:  # its ThresholdConfig checks the IHT rules
+        if spec.baseline is not None:  # an omitted tau defaults to gamma / 2 >= 0
+            base = spec.baseline
+            ThresholdConfig(0.0 if base.tau is None else base.tau, base.eta, base.max_iters,
+                            base.convergence_tol)
+            for sigma in base.sigmas or ():
                 check_noise(spec.noise.kind, sigma)
         _imp_config(spec, q)
     except ValueError as exc:
@@ -451,30 +449,31 @@ def resolve_sample_size(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TrialRecord:
     """One recovery trial's row of trials.csv and, in a verified run, its IMP
-    trace, which is written to trace/<trial>.json."""
+    trace, which is written to trace/<trial>.json.  Records are equal when
+    their rows are: the trace is left out."""
 
-    trial: int
-    seed: int
-    n: int
-    p: int
-    k: int
-    gamma: float
-    sigma: float
-    delta: float
-    q: int
-    sparsity_ok: bool
-    no_false_exclusion: bool
-    min_nz_eig: float
-    max_recov_residual: float
-    wall_ms: float
-    trace: ImpTrace | None = field(default=None, compare=False)
+    __slots__ = (*TRIALS_CSV_HEADER.split(","), "trace")
+
+    def __init__(self, trial: int, seed: int, n: int, p: int, k: int, gamma: float,
+                 sigma: float, delta: float, q: int, sparsity_ok: bool,
+                 no_false_exclusion: bool, min_nz_eig: float, max_recov_residual: float,
+                 wall_ms: float, trace: ImpTrace | None = None) -> None:
+        self.trial, self.seed, self.n, self.p, self.k = trial, seed, n, p, k
+        self.gamma, self.sigma, self.delta, self.q = gamma, sigma, delta, q
+        self.sparsity_ok, self.no_false_exclusion = sparsity_ok, no_false_exclusion
+        self.min_nz_eig, self.max_recov_residual = min_nz_eig, max_recov_residual
+        self.wall_ms, self.trace = wall_ms, trace
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrialRecord):
+            return NotImplemented
+        row = self.__slots__[:-1]
+        return [getattr(self, c) for c in row] == [getattr(other, c) for c in row]
 
 
-@dataclass
-class RecoveryReport:
+class RecoveryReport(NamedTuple):
     summary: McSummary
     records: list[TrialRecord]
     rejected: int
@@ -500,7 +499,6 @@ def _build_problem(
     )
 
 
-@dataclass
 class _RoundAudit:
     """What the audit of a stack of recovery trials has seen so far.
 
@@ -515,13 +513,14 @@ class _RoundAudit:
     nan once a round's value is nan, as np.min and np.max over the rounds.
     """
 
-    problems: list[SparseProblem]
-    signal: np.ndarray
-    cov_signal: np.ndarray
-    held: np.ndarray
-    min_eig: np.ndarray
-    max_residual: np.ndarray
-    onp: list[bool] = field(default_factory=list)
+    __slots__ = ("problems", "signal", "cov_signal", "held", "min_eig", "max_residual", "onp")
+
+    def __init__(self, problems: list[SparseProblem], signal: np.ndarray,
+                 cov_signal: np.ndarray, held: np.ndarray, min_eig: np.ndarray,
+                 max_residual: np.ndarray) -> None:
+        self.problems, self.signal, self.cov_signal = problems, signal, cov_signal
+        self.held, self.min_eig, self.max_residual = held, min_eig, max_residual
+        self.onp: list[bool] = []
 
     @classmethod
     def of(cls, problems: list[SparseProblem]) -> "_RoundAudit":
@@ -657,24 +656,22 @@ def run_support_recovery(spec: ExperimentSpec) -> RecoveryReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HeuristicTrialRow:
     """One row of heuristic_trials.csv; a quantity a trial does not measure is nan."""
 
-    trial: int
-    seed: int
-    full_match: bool = False
-    first_match: bool = False
-    degenerate: bool = False
-    excluded: bool = False
-    delta_pw: float = math.nan
-    min_gap: float = math.nan
-    gap_threshold: float = math.nan
-    inverse_err: float = math.nan
+    __slots__ = tuple(HEURISTIC_CSV_HEADER.split(","))
+
+    def __init__(self, trial: int, seed: int, full_match: bool = False,
+                 first_match: bool = False, degenerate: bool = False, excluded: bool = False,
+                 delta_pw: float = math.nan, min_gap: float = math.nan,
+                 gap_threshold: float = math.nan, inverse_err: float = math.nan) -> None:
+        self.trial, self.seed, self.full_match, self.first_match = (
+            trial, seed, full_match, first_match)
+        self.degenerate, self.excluded, self.delta_pw = degenerate, excluded, delta_pw
+        self.min_gap, self.gap_threshold, self.inverse_err = min_gap, gap_threshold, inverse_err
 
 
-@dataclass
-class HeuristicReport:
+class HeuristicReport(NamedTuple):
     design_kind: str
     trials: int
     qualifying: int
@@ -685,7 +682,7 @@ class HeuristicReport:
     first_match_rate: float
     max_inverse_err: float
     passed: bool
-    rows: list[HeuristicTrialRow] = field(default_factory=list)
+    rows: list[HeuristicTrialRow]
 
 
 def uniform_corr_separation_margin(scores: np.ndarray, alpha: float) -> float:
@@ -843,8 +840,7 @@ def run_heuristic_equivalence(spec: ExperimentSpec) -> HeuristicReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BaselineCell:
+class BaselineCell(NamedTuple):
     sigma: float
     method: str
     trials: int
@@ -853,8 +849,7 @@ class BaselineCell:
     mean_f1: float
 
 
-@dataclass
-class BaselineReport:
+class BaselineReport(NamedTuple):
     cells: list[BaselineCell]
 
 
@@ -922,11 +917,11 @@ def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
     base, sigmas, _ = _baseline(spec)
 
     # One n for the whole sweep, sized for its noisiest setting.
-    sizing = replace(spec, noise=replace(spec.noise, sigma=max(sigmas)))
+    sizing = spec._replace(noise=spec.noise._replace(sigma=max(sigmas)))
     n, _, _, drawn = resolve_sample_size(
         sizing, spec.base_seed, spec.signal.gamma, recovery_sample_size
     )
-    sweep = tuple(replace(spec, noise=replace(spec.noise, sigma=sigma)) for sigma in sigmas)
+    sweep = tuple(spec._replace(noise=spec.noise._replace(sigma=sigma)) for sigma in sigmas)
     # trial 0's problems from the sizing draw: every range gets them, not its Phi
     first = None if drawn is None else _noise_sweep(spec, spec.base_seed, n, sweep, drawn)
     del drawn
@@ -963,8 +958,7 @@ def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConcentrationReport:
+class ConcentrationReport(NamedTuple):
     summary: McSummary
     n: int
     bound_n: int
@@ -1022,7 +1016,8 @@ def run_concentration_check(spec: ExperimentSpec) -> ConcentrationReport:
         summary=summary, n=n, bound_n=bound_n, lambda_min_nz=lam, epsilon=epsilon
     )
     if spec.out_dir:
-        _write_json(Path(spec.out_dir) / "summary.json", {"kind": spec.kind, **asdict(report)})
+        _write_json(Path(spec.out_dir) / "summary.json",
+                    {"kind": spec.kind, **report._asdict(), "summary": report.summary._asdict()})
     return report
 
 
@@ -1076,7 +1071,7 @@ def write_recovery_outputs(spec: ExperimentSpec, report: RecoveryReport) -> None
         {
             "kind": spec.kind,
             "rejected": report.rejected,
-            "summary": asdict(report.summary),
+            "summary": report.summary._asdict(),
         },
     )
     for rec in report.records:
@@ -1086,18 +1081,17 @@ def write_recovery_outputs(spec: ExperimentSpec, report: RecoveryReport) -> None
 
 def write_heuristic_outputs(spec: ExperimentSpec, report: HeuristicReport) -> None:
     out = Path(spec.out_dir)
-    rows = (_csv_line(astuple(r)) for r in report.rows)
+    rows = (_csv_line(getattr(r, c) for c in r.__slots__) for r in report.rows)
     _write_csv(out / "heuristic_trials.csv", HEURISTIC_CSV_HEADER, rows)
-    payload = asdict(report)
+    payload = report._asdict()
     payload.pop("rows")
     _write_json(out / "heuristic_summary.json", payload)
 
 
 def write_baseline_outputs(spec: ExperimentSpec, report: BaselineReport) -> None:
     out = Path(spec.out_dir)
-    rows = (_csv_line(astuple(c)) for c in report.cells)
-    _write_csv(out / "baselines.csv", BASELINES_CSV_HEADER, rows)
-    _write_json(out / "baselines_summary.json", {"cells": [asdict(c) for c in report.cells]})
+    _write_csv(out / "baselines.csv", BASELINES_CSV_HEADER, map(_csv_line, report.cells))
+    _write_json(out / "baselines_summary.json", {"cells": [c._asdict() for c in report.cells]})
 
 
 def replay_trial(spec: ExperimentSpec, trial: int) -> tuple[str, bool | None]:

@@ -11,7 +11,6 @@ below, in the same basis.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ def default_rank_tol(eigenvalues: np.ndarray) -> np.ndarray:
     return 1e-10 * eigenvalues.shape[-1] * lam_max
 
 
-@dataclass(frozen=True)
 class CovMatrix:
     """A p x p empirical covariance (1/n) Phi^T Phi.
 
@@ -43,10 +41,10 @@ class CovMatrix:
     1e-12) input.
     """
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=float)
+    def __init__(self, entries: np.ndarray) -> None:
+        a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"covariance must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -54,7 +52,7 @@ class CovMatrix:
         asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
         if asym > SYMMETRY_TOL:
             raise ValueError(f"covariance not symmetric: max |A - A^T| = {asym:.3e}")
-        object.__setattr__(self, "entries", _as_readonly(a))
+        self.entries = _as_readonly(a)
 
     @property
     def p(self) -> int:
@@ -70,11 +68,10 @@ class CovMatrix:
         sub = self.entries[np.ix_(idx, idx)]
         sub.setflags(write=False)
         out = object.__new__(CovMatrix)
-        object.__setattr__(out, "entries", sub)
+        out.entries = sub
         return out
 
 
-@dataclass(frozen=True)
 class SymEig:
     """Eigendecomposition of a symmetric matrix.
 
@@ -85,14 +82,12 @@ class SymEig:
     of the arrays given, or, from `sym_eig`, views of its output stack.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    rank_tol: float
+    __slots__ = ("eigenvalues", "eigenvectors", "rank_tol")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eigenvalues", _as_readonly(self.eigenvalues))
-        object.__setattr__(self, "eigenvectors", _as_readonly(self.eigenvectors))
-        object.__setattr__(self, "rank_tol", float(self.rank_tol))
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray, rank_tol: float) -> None:
+        self.eigenvalues = _as_readonly(eigenvalues)
+        self.eigenvectors = _as_readonly(eigenvectors)
+        self.rank_tol = float(rank_tol)
 
     @property
     def p(self) -> int:
@@ -135,9 +130,7 @@ def sym_eig(cov: CovMatrix | np.ndarray) -> SymEig | list[SymEig]:
     eigs = []
     for values, vectors, tol in zip(lam, vec, default_rank_tol(lam).tolist()):
         eig = object.__new__(SymEig)  # views of read-only arrays need no copy
-        object.__setattr__(eig, "eigenvalues", values)
-        object.__setattr__(eig, "eigenvectors", vectors)
-        object.__setattr__(eig, "rank_tol", tol)
+        eig.eigenvalues, eig.eigenvectors, eig.rank_tol = values, vectors, tol
         eigs.append(eig)
     return eigs[0] if single else eigs
 

@@ -10,7 +10,7 @@ interval.  Logs are natural throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .designs import FeatureSet
 from .linalg import SymEig, pseudo_inverse, sym_eig
 
 
-@dataclass(frozen=True)
 class BoundInputs:
     """Quantities the sample-size bounds depend on.
 
@@ -27,27 +26,25 @@ class BoundInputs:
     allowed (noiseless experiments); everything else must be positive.
     """
 
-    sigma: float
-    margin: float
-    lambda_min_nz: float
-    p: int
-    delta: float
+    __slots__ = ("sigma", "margin", "lambda_min_nz", "p", "delta")
 
-    def __post_init__(self) -> None:
-        if self.sigma < 0.0:
+    def __init__(self, sigma: float, margin: float, lambda_min_nz: float, p: int,
+                 delta: float) -> None:
+        if sigma < 0.0:
             raise ValueError("sigma must be nonnegative")
-        if self.margin <= 0.0:
+        if margin <= 0.0:
             raise ValueError("margin must be positive")
-        if self.lambda_min_nz <= 0.0:
+        if lambda_min_nz <= 0.0:
             raise ValueError("lambda_min_nz must be positive")
-        if self.p < 1:
+        if p < 1:
             raise ValueError("p must be a positive integer")
-        if not 0.0 < self.delta < 1.0:
+        if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        self.sigma, self.margin, self.lambda_min_nz = sigma, margin, lambda_min_nz
+        self.p, self.delta = p, delta
 
 
-@dataclass(frozen=True)
-class McSummary:
+class McSummary(NamedTuple):
     """Aggregated Monte Carlo verdict against a failure budget delta."""
 
     trials: int

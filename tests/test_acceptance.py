@@ -7,7 +7,6 @@ criteria that audit it.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,8 +303,8 @@ def test_criterion_10_replay_determinism(recovery_1000, tmp_path):
         signal=SignalSpec(k=4, gamma=0.5),
         noise=NoiseSpec(kind="gaussian", sigma=1.0),
     )
-    run_a = run_support_recovery(replace(small, out_dir=str(tmp_path / "a")))
-    run_b = run_support_recovery(replace(small, out_dir=str(tmp_path / "b"), threads=2))
+    run_a = run_support_recovery(small._replace(out_dir=str(tmp_path / "a")))
+    run_b = run_support_recovery(small._replace(out_dir=str(tmp_path / "b"), threads=2))
     rows_a = (tmp_path / "a" / "trials.csv").read_text().splitlines()
     rows_b = (tmp_path / "b" / "trials.csv").read_text().splitlines()
     rows_match = len(rows_a) == len(rows_b) and all(

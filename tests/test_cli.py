@@ -422,8 +422,23 @@ BAD_CONFIGS = {
                           "cannot read config"),
     "horizon-infinity": ("recover", "imp.horizon", math.inf, "imp.horizon must be finite"),
     "horizon-overflow": ("recover", "imp.horizon", 10**400, "imp.horizon overflows a float"),
+    # a baseline block is checked whether or not the config has a signal
+    "heuristic-baseline-tau": ("heuristic", "baseline.tau", -1.0, "tau must be nonnegative"),
+    "heuristic-baseline-eta": ("heuristic", "baseline.eta", -1.0, "eta must be positive"),
+    "heuristic-baseline-max-iters": ("heuristic", "baseline.max_iters", 0,
+                                     "max_iters must be positive"),
+    "heuristic-baseline-convergence-tol": ("heuristic", "baseline.convergence_tol", -1.0,
+                                           "convergence_tol must be nonnegative"),
+    "heuristic-baseline-sigmas": ("heuristic", "baseline.sigmas", [0.5, -1.0],
+                                  "sigma must be nonnegative"),
 }
-BAD_CONFIG_BASES = {"recover": recovery_doc, "baselines": baselines_doc, "lemma1": lemma1_doc}
+BAD_CONFIG_BASES = {
+    "recover": recovery_doc,
+    "baselines": baselines_doc,
+    "lemma1": lemma1_doc,
+    "heuristic": lambda: {"kind": "heuristic_equivalence",
+                          "design": {"kind": "orthonormal", "p": 5}, "trials": 2, "base_seed": 1},
+}
 
 
 @pytest.mark.parametrize("case", BAD_CONFIGS)
@@ -641,6 +656,61 @@ def modules_after_every_subcommand(tmp_path, package):
 def test_no_subcommand_loads_scipy(tmp_path):
     # scipy is a test-only dependency; importing it would add about 1 s to every launch
     assert modules_after_every_subcommand(tmp_path, "scipy") == "[]"
+
+
+def test_no_subcommand_loads_dataclasses(tmp_path):
+    # the records are NamedTuples and small classes: a dataclass compiles its
+    # methods at every launch, about 1 ms per class
+    assert modules_after_every_subcommand(tmp_path, "dataclasses") == "[]"
+
+
+def key_paths(doc, prefix=""):
+    """Every object key of a JSON document as a dotted path, in file order;
+    the items of a list share their list's prefix."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield prefix + key
+            yield from key_paths(value, f"{prefix}{key}.")
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from key_paths(value, prefix)
+
+
+MC_SUMMARY_KEYS = ("ci_high", "ci_low", "delta", "failure_counts", "failure_rate", "passed",
+                   "trials")
+BASELINE_CELL_KEYS = ("exact_count", "exact_rate", "mean_f1", "method", "sigma", "trials")
+
+
+def mc_summary_paths(*counts):
+    paths = ["summary"]
+    for key in MC_SUMMARY_KEYS:
+        paths.append(f"summary.{key}")
+        if key == "failure_counts":
+            paths += [f"summary.failure_counts.{c}" for c in counts]
+    return paths
+
+
+SUMMARY_LAYOUTS = {
+    "recover": ("summary.json", ["kind", "rejected",
+                                 *mc_summary_paths("false_exclusion", "onp_rejected", "sparsity")]),
+    "lemma1": ("summary.json", ["bound_n", "epsilon", "kind", "lambda_min_nz", "n",
+                                *mc_summary_paths("exceedance")]),
+    "heuristic": ("heuristic_summary.json", [
+        "attempts", "degenerate", "design_kind", "excluded", "first_match_rate",
+        "full_match_rate", "max_inverse_err", "passed", "qualifying", "trials"]),
+    "baselines": ("baselines_summary.json",
+                  ["cells", *[f"cells.{key}" for key in BASELINE_CELL_KEYS] * 3]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUMMARY_LAYOUTS))
+def test_summary_file_layout(tmp_path, capsys, command):
+    # keys sorted at every level, and every nested record an object, never a list
+    name, paths = SUMMARY_LAYOUTS[command]
+    cfg = write_config(tmp_path, SMALL_CONFIGS[command])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / name).read_text())
+    assert list(key_paths(doc)) == paths
 
 
 def test_threads_1_runs_skip_the_process_pool(tmp_path):
