@@ -2,8 +2,9 @@
 
 Subcommands: recover, heuristic, baselines, lemma1, replay.  Each reads a
 JSON config (see the README for the schema); the common flags --seed,
---trials, --out, --threads, and --verified override the corresponding
-config fields.  Exit codes: 0 when the run passes its gate, 1 when the
+--trials, --out, --threads, and --verified replace the top-level fields
+base_seed, trials, out_dir, threads and verified_mode before the config is
+parsed and validated.  Exit codes: 0 when the run passes its gate, 1 when the
 gate fails, 2 on configuration errors.
 """
 
@@ -16,14 +17,12 @@ from pathlib import Path
 
 from .harness import (
     ConfigError,
-    ExperimentSpec,
     load_spec,
     replay_trial,
     run_baseline_comparison,
     run_concentration_check,
     run_heuristic_equivalence,
     run_support_recovery,
-    validate_spec,
 )
 
 EXIT_PASS = 0
@@ -40,15 +39,13 @@ _KIND_FOR_COMMAND = {
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="path to the JSON experiment config")
-    sub.add_argument("--seed", type=int, default=None, help="override base_seed")
-    sub.add_argument("--trials", type=int, default=None, help="override trial count")
-    sub.add_argument("--out", default=None, help="override output directory")
-    sub.add_argument("--threads", type=int, default=None, help="override worker count")
-    sub.add_argument(
-        "--verified",
-        action="store_true",
-        help="record per-round audit traces (trace/<trial>.json)",
-    )
+    # the other flags' dests are the config fields they replace; None: not given
+    sub.add_argument("--seed", dest="base_seed", type=int, help="override base_seed")
+    sub.add_argument("--trials", type=int, help="override trial count")
+    sub.add_argument("--out", dest="out_dir", help="override output directory")
+    sub.add_argument("--threads", type=int, help="override worker count")
+    sub.add_argument("--verified", dest="verified_mode", action="store_true", default=None,
+                     help="record per-round audit traces (trace/<trial>.json)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,25 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
-    if args.seed is not None:
-        spec = spec._replace(base_seed=args.seed)
-    if args.trials is not None:
-        spec = spec._replace(trials=args.trials)
-    if args.out is not None:
-        spec = spec._replace(out_dir=args.out)
-    if args.threads is not None:
-        spec = spec._replace(threads=args.threads)
-    if args.verified:
-        spec = spec._replace(verified_mode=True)
-    return spec
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = _apply_overrides(load_spec(args.config), args)
-        validate_spec(spec)  # the overrides too
+        flags = {k: v for k, v in vars(args).items()
+                 if v is not None and k not in ("command", "config", "trial")}
+        spec = load_spec(args.config, **flags)
         expected = _KIND_FOR_COMMAND.get(args.command)
         if expected is not None and spec.kind != expected:
             raise ConfigError(

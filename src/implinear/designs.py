@@ -197,10 +197,10 @@ def check_signal(p: int, k: int, gamma: float, amplitude_law: str) -> None:
         raise ValueError(f"unknown amplitude_law {amplitude_law!r}")
 
 
-def check_noise(kind: str, sigma: float) -> None:
-    """Raise ValueError unless `sample_noise` accepts these parameters."""
+def check_noise(kind: str, sigma: float, name: str = "sigma") -> None:
+    """Raise ValueError unless `sample_noise` accepts these parameters (sigma named `name`)."""
     if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
+        raise ValueError(f"{name} must be nonnegative")
     if kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}")
 

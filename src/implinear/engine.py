@@ -432,7 +432,7 @@ def imp_prune_order(
     """Full pruning rankings of a stack of runs, one row per run: each run
     goes with q = p - 1 and one prune per round."""
     base = config if config is not None else ImpConfig()
-    full = ImpConfig(horizon=base.horizon, prune_rounds=covs[0].p - 1, w_init=base.w_init,
+    full = ImpConfig(horizon=base.horizon, prune_rounds=np.shape(b)[-1] - 1, w_init=base.w_init,
                      tie_break=base.tie_break)
     return np.array([trace.pruned[:, 0] for trace in run_imp(covs, b, full)], dtype=int)
 

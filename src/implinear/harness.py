@@ -244,13 +244,15 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     return spec
 
 
-def load_spec(path: str | Path) -> ExperimentSpec:
+def load_spec(path: str | Path, **overrides) -> ExperimentSpec:
+    """Read a JSON config file and spec_from_dict it, after `overrides` (the
+    CLI's flags) replace its top-level fields: a replaced value goes unchecked."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an oversized integer
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return spec_from_dict(doc)
+    return spec_from_dict(doc | overrides if isinstance(doc, dict) else doc)
 
 
 def _prune_rounds(spec: ExperimentSpec) -> int:
@@ -302,20 +304,21 @@ def validate_spec(spec: ExperimentSpec) -> None:
     runs_imp = spec.kind in ("support_recovery", "baseline_comparison")
     q = _prune_rounds(spec) if runs_imp else 0
     n = _heuristic_n(design) if spec.kind == "heuristic_equivalence" else design.n
+    where = ""  # the baseline block's rules name their field without the block
     try:
         check_design(design.kind, design.p, n, design.alpha)
         check_noise(spec.noise.kind, spec.noise.sigma)
         if signal is not None:
             check_signal(design.p, signal.k, signal.gamma, signal.amplitude_law)
+        _imp_config(spec, q)
         if spec.baseline is not None:  # an omitted tau defaults to gamma / 2 >= 0
-            base = spec.baseline
+            base, where = spec.baseline, "baseline."
             ThresholdConfig(0.0 if base.tau is None else base.tau, base.eta, base.max_iters,
                             base.convergence_tol)
-            for sigma in base.sigmas or ():
-                check_noise(spec.noise.kind, sigma)
-        _imp_config(spec, q)
+            for i, sigma in enumerate(base.sigmas or ()):
+                check_noise(spec.noise.kind, sigma, f"sigmas[{i}]")
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(where + str(exc)) from exc
     _check_size(n or design.p, design.p, "the design")  # a derived n is >= p
     if runs_imp and (q + 1) * spec.imp.per_round > design.p:
         raise ConfigError(
@@ -379,11 +382,11 @@ def map_trials(spec: ExperimentSpec, trial_fn, *args, more=None) -> list:
 
 
 def _check_run(spec: ExperimentSpec, kind: str) -> None:
-    """What every experiment entry point checks, validated spec or not."""
+    """What every entry point checks before any trial runs: the kind, then
+    validate_spec, so a spec built in code meets a config file's rules."""
     if spec.kind != kind:
         raise ConfigError(f"expected a {kind} config, got {spec.kind!r}")
-    if spec.trials < 1:
-        raise ConfigError("trials must be >= 1")
+    validate_spec(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -515,20 +518,12 @@ class _RoundAudit:
 
     __slots__ = ("problems", "signal", "cov_signal", "held", "min_eig", "max_residual", "onp")
 
-    def __init__(self, problems: list[SparseProblem], signal: np.ndarray,
-                 cov_signal: np.ndarray, held: np.ndarray, min_eig: np.ndarray,
-                 max_residual: np.ndarray) -> None:
-        self.problems, self.signal, self.cov_signal = problems, signal, cov_signal
-        self.held, self.min_eig, self.max_residual = held, min_eig, max_residual
+    def __init__(self, problems: list[SparseProblem]) -> None:
+        self.problems, self.signal = problems, np.stack([pr.signal for pr in problems])
+        self.cov_signal = np.stack([pr.covariance.entries @ pr.signal for pr in problems])
+        self.held = np.count_nonzero(self.signal, axis=1)
+        self.min_eig, self.max_residual = np.full(len(problems), np.inf), np.zeros(len(problems))
         self.onp: list[bool] = []
-
-    @classmethod
-    def of(cls, problems: list[SparseProblem]) -> "_RoundAudit":
-        signal = np.stack([pr.signal for pr in problems])
-        return cls(problems, signal,
-                   np.stack([pr.covariance.entries @ pr.signal for pr in problems]),
-                   np.count_nonzero(signal, axis=1),
-                   np.full(len(problems), np.inf), np.zeros(len(problems)))
 
 
 def _audit_rounds(
@@ -586,7 +581,7 @@ def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | No
     start = time.perf_counter()
     problems = [_recovery_problem(spec, spec.base_seed + t) for t in trials]
     q = _prune_rounds(spec)
-    audit = _RoundAudit.of(problems)
+    audit = _RoundAudit(problems)
     traces = run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]),
                      _imp_config(spec, q), on_round=functools.partial(_audit_rounds, audit))
     wall_ms = (time.perf_counter() - start) * 1e3 / len(trials)
@@ -1103,6 +1098,7 @@ def replay_trial(spec: ExperimentSpec, trial: int) -> tuple[str, bool | None]:
     """
     if spec.kind != "support_recovery":
         raise ConfigError("replay is defined for support_recovery configs")
+    validate_spec(spec)
     if not 0 <= trial < spec.trials:
         raise ConfigError(f"trial must lie in [0, {spec.trials})")
     [rec] = recovery_trial(spec, range(trial, trial + 1))

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import implinear
 from implinear import designs, harness
-from implinear.cli import main
-from implinear.harness import MAX_THREADS
+from implinear.cli import build_parser, main
+from implinear.harness import MAX_THREADS, ExperimentSpec
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -105,6 +105,18 @@ def test_flag_overrides(tmp_path):
     lines = (out / "trials.csv").read_text().splitlines()
     assert len(lines) == 6
     assert lines[1].split(",")[1] == "42"
+    # a flag replaces the file's value before the file is checked
+    for trials in (DELETE, "x"):
+        cfg = write_config(tmp_path, edited(recovery_doc(), "trials", trials))
+        assert main(["recover", "--config", cfg, "--trials", "3"]) == 0
+
+
+def test_every_common_flag_is_stored_under_a_spec_field():
+    [subs] = [a for a in build_parser()._actions if a.dest == "command"]
+    for sub in subs.choices.values():
+        dests = {a.dest for a in sub._actions} - {"help", "config", "trial"}
+        assert dests == {"base_seed", "trials", "out_dir", "threads", "verified_mode"}
+        assert dests <= set(ExperimentSpec._fields)
 
 
 def test_replay_roundtrip(tmp_path, capsys):
@@ -423,14 +435,15 @@ BAD_CONFIGS = {
     "horizon-infinity": ("recover", "imp.horizon", math.inf, "imp.horizon must be finite"),
     "horizon-overflow": ("recover", "imp.horizon", 10**400, "imp.horizon overflows a float"),
     # a baseline block is checked whether or not the config has a signal
-    "heuristic-baseline-tau": ("heuristic", "baseline.tau", -1.0, "tau must be nonnegative"),
-    "heuristic-baseline-eta": ("heuristic", "baseline.eta", -1.0, "eta must be positive"),
+    "heuristic-baseline-tau": ("heuristic", "baseline.tau", -1.0,
+                               "baseline.tau must be nonnegative"),
+    "heuristic-baseline-eta": ("heuristic", "baseline.eta", -1.0, "baseline.eta must be positive"),
     "heuristic-baseline-max-iters": ("heuristic", "baseline.max_iters", 0,
-                                     "max_iters must be positive"),
+                                     "baseline.max_iters must be positive"),
     "heuristic-baseline-convergence-tol": ("heuristic", "baseline.convergence_tol", -1.0,
-                                           "convergence_tol must be nonnegative"),
+                                           "baseline.convergence_tol must be nonnegative"),
     "heuristic-baseline-sigmas": ("heuristic", "baseline.sigmas", [0.5, -1.0],
-                                  "sigma must be nonnegative"),
+                                  "baseline.sigmas[1] must be nonnegative"),
 }
 BAD_CONFIG_BASES = {
     "recover": recovery_doc,

@@ -193,6 +193,9 @@ class TestRunImp:
         with pytest.raises(ValueError, match="b of shape"):
             run_imp([fs.covariance, from_phi(np.eye(2), [1.0, 2.0]).covariance],
                     np.stack([fs.b, fs.b]), ImpConfig())
+        for run_stack in (run_imp, imp_prune_order):  # an empty stack
+            with pytest.raises(ValueError, match="at least one covariance"):
+                run_stack([], np.zeros((0, 3)), ImpConfig())
 
     def test_w_init_length_checked(self):
         with pytest.raises(ValueError, match="w_init"):

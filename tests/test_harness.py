@@ -38,6 +38,7 @@ from implinear.harness import (
     spec_from_dict,
     trial_csv_row,
     uniform_corr_separation_margin,
+    validate_spec,
 )
 from implinear.linalg import CovMatrix, min_nonzero_eig, pseudo_inverse, sym_eig
 from implinear.theory import (
@@ -60,6 +61,10 @@ def recovery_spec(**overrides):
         noise=NoiseSpec(kind="gaussian", sigma=1.0),
     )
     return base._replace(**overrides)
+
+
+def replay_first_trial(spec):
+    return replay_trial(spec, 0)
 
 
 def config_document():
@@ -157,13 +162,21 @@ class TestSpecParsing:
         ("heuristic_equivalence", run_heuristic_equivalence),
         ("baseline_comparison", run_baseline_comparison),
         ("lemma1_check", run_concentration_check),
+        ("support_recovery", replay_first_trial),
     ])
     def test_every_entry_point_rejects_zero_trials(self, kind, run):
-        # a spec built in code skips validate_spec; the entry point still checks
+        # a spec built in code skips spec_from_dict; the entry point runs
+        # validate_spec on it, and reports its message, before any trial
         spec = recovery_spec(kind=kind, design=DesignSpec(kind="orthonormal", p=4, n=12),
-                             signal=SignalSpec(k=1, gamma=0.5), trials=0)
-        with pytest.raises(ConfigError, match="trials must be >= 1"):
-            run(spec)
+                             signal=SignalSpec(k=1, gamma=0.5))
+        for bad, message in ((dict(trials=0), "trials must be >= 1"),
+                             (dict(imp=ImpSpec(per_round=0)), "per_round must be positive"),
+                             (dict(noise=NoiseSpec(sigma=-1.0)), "sigma must be nonnegative")):
+            with pytest.raises(ConfigError, match=message) as expected:
+                validate_spec(spec._replace(**bad))
+            with pytest.raises(ConfigError) as raised:
+                run(spec._replace(**bad))
+            assert str(raised.value) == str(expected.value)
 
 
 class TestSampleSizeResolution:
@@ -424,7 +437,7 @@ def audit_stack(problems, config):
     """Run the recovery audit on a stack of problems the way recovery_trial
     does; per problem, its recorded per-round eigenvalues (None for a
     downdated round) and residuals, checked to give the audit's extremes."""
-    audit = harness_module._RoundAudit.of(problems)
+    audit = harness_module._RoundAudit(problems)
     with audited_rounds() as rounds:
         run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]), config,
                 on_round=functools.partial(harness_module._audit_rounds, audit))
