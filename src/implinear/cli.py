@@ -4,16 +4,16 @@ Subcommands: recover, heuristic, baselines, lemma1, replay.  Each reads a
 JSON config (see the README for the schema); the common flags --seed,
 --trials, --out, --threads, and --verified replace the top-level fields
 base_seed, trials, out_dir, threads and verified_mode before the config is
-parsed and validated.  Exit codes: 0 when the run passes its gate, 1 when the
-gate fails, 2 on configuration errors.
+parsed and validated.  The subcommand's harness entry point then checks the
+config's kind and, except for replay, which only reads, that its output
+directory can be written, before any trial runs.  Exit codes: 0 when the run
+passes its gate, 1 when the gate fails, 2 on configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from pathlib import Path
 
 from .harness import (
     ConfigError,
@@ -28,13 +28,6 @@ from .harness import (
 EXIT_PASS = 0
 EXIT_GATE_FAIL = 1
 EXIT_CONFIG_ERROR = 2
-
-_KIND_FOR_COMMAND = {
-    "recover": "support_recovery",
-    "heuristic": "heuristic_equivalence",
-    "baselines": "baseline_comparison",
-    "lemma1": "lemma1_check",
-}
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -74,19 +67,6 @@ def main(argv: list[str] | None = None) -> int:
         flags = {k: v for k, v in vars(args).items()
                  if v is not None and k not in ("command", "config", "trial")}
         spec = load_spec(args.config, **flags)
-        expected = _KIND_FOR_COMMAND.get(args.command)
-        if expected is not None and spec.kind != expected:
-            raise ConfigError(
-                f"subcommand {args.command!r} needs a {expected!r} config, got {spec.kind!r}"
-            )
-        if expected is not None and spec.out_dir:  # replay only reads
-            # found now, not by the writers after the run: the output
-            # directory's nearest existing ancestor must be a writable directory
-            out = Path(spec.out_dir).absolute()
-            base = next(p for p in (out, *out.parents) if p.exists())
-            if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
-                raise ConfigError(f"cannot write outputs to {spec.out_dir!r}: "
-                                  f"{base} is not a writable directory")
 
         if args.command == "recover":
             report = run_support_recovery(spec)

@@ -87,7 +87,8 @@ class ImpConfig:
         if per_round < 1:
             raise ValueError("per_round must be positive")
         if tie_break not in TIE_BREAK_RULES:
-            raise ValueError(f"unknown tie_break rule {tie_break!r}")
+            raise ValueError(f"tie_break must be one of {', '.join(TIE_BREAK_RULES)}, "
+                             f"got {tie_break!r}")
         self.prune_rounds, self.per_round, self.tie_break = prune_rounds, per_round, tie_break
         self.w_init = None if w_init is None else np.asarray(w_init, dtype=float)
 

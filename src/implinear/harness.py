@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import time
 import types
 import typing
@@ -304,12 +305,15 @@ def validate_spec(spec: ExperimentSpec) -> None:
     runs_imp = spec.kind in ("support_recovery", "baseline_comparison")
     q = _prune_rounds(spec) if runs_imp else 0
     n = _heuristic_n(design) if spec.kind == "heuristic_equivalence" else design.n
-    where = ""  # the baseline block's rules name their field without the block
+    where = ""  # the imp and baseline blocks' rules name their field without the block
     try:
         check_design(design.kind, design.p, n, design.alpha)
         check_noise(spec.noise.kind, spec.noise.sigma)
         if signal is not None:
             check_signal(design.p, signal.k, signal.gamma, signal.amplitude_law)
+        where = "imp."
+        if spec.imp.q is not None and spec.imp.q < 0:  # the engine calls it prune_rounds
+            raise ValueError("q must be nonnegative")
         _imp_config(spec, q)
         if spec.baseline is not None:  # an omitted tau defaults to gamma / 2 >= 0
             base, where = spec.baseline, "baseline."
@@ -383,10 +387,18 @@ def map_trials(spec: ExperimentSpec, trial_fn, *args, more=None) -> list:
 
 def _check_run(spec: ExperimentSpec, kind: str) -> None:
     """What every entry point checks before any trial runs: the kind, then
-    validate_spec, so a spec built in code meets a config file's rules."""
+    validate_spec, so a spec built in code meets a config file's rules, then,
+    if out_dir is set, that its nearest existing ancestor is a writable
+    directory, found now rather than by the writers after the last trial."""
     if spec.kind != kind:
         raise ConfigError(f"expected a {kind} config, got {spec.kind!r}")
     validate_spec(spec)
+    if spec.out_dir:
+        out = Path(spec.out_dir).absolute()
+        base = next(p for p in (out, *out.parents) if p.exists())
+        if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+            raise ConfigError(f"cannot write outputs to {spec.out_dir!r}: "
+                              f"{base} is not a writable directory")
 
 
 # ---------------------------------------------------------------------------
@@ -1096,9 +1108,7 @@ def replay_trial(spec: ExperimentSpec, trial: int) -> tuple[str, bool | None]:
     available to compare against, else whether every column other than
     wall_ms is byte-identical to the stored row.
     """
-    if spec.kind != "support_recovery":
-        raise ConfigError("replay is defined for support_recovery configs")
-    validate_spec(spec)
+    _check_run(spec._replace(out_dir=None), "support_recovery")  # replay only reads
     if not 0 <= trial < spec.trials:
         raise ConfigError(f"trial must lie in [0, {spec.trials})")
     [rec] = recovery_trial(spec, range(trial, trial + 1))

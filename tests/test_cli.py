@@ -158,9 +158,14 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_kind_subcommand_mismatch(tmp_path, capsys):
-    cfg = write_config(tmp_path, recovery_doc())
-    assert main(["heuristic", "--config", cfg]) == 2
-    assert "needs" in capsys.readouterr().err
+    recover_cfg = write_config(tmp_path, recovery_doc(), "recover.json")
+    lemma1_cfg = write_config(tmp_path, lemma1_doc(), "lemma1.json")
+    for command in ("recover", "heuristic", "baselines", "lemma1", "replay"):
+        cfg = lemma1_cfg if command in ("recover", "replay") else recover_cfg
+        trial = ["--trial", "0"] if command == "replay" else []
+        assert main([command, "--config", cfg, *trial]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error: expected a ") and err.count("\n") == 1, command
 
 
 def test_heuristic_subcommand(tmp_path, capsys):
@@ -399,13 +404,14 @@ BAD_CONFIGS = {
     "trials-bool": ("recover", "trials", True, "trials must be an integer"),
     "orthonormal-n-below-p": ("recover", "design.n", 5, "n >= p"),
     "q-exceeds-p": ("recover", "imp.q", 10, "exceeds design.p"),
-    "horizon-word": ("recover", "imp.horizon", "forever", "horizon"),
-    "horizon-negative": ("recover", "imp.horizon", -1.0, "horizon"),
+    "horizon-word": ("recover", "imp.horizon", "forever", "imp.horizon must be a number"),
+    "horizon-negative": ("recover", "imp.horizon", -1.0, "imp.horizon must be positive"),
     "noise-kind": ("recover", "noise.kind", "cauchy", "cauchy"),
     "noise-sigma-negative": ("recover", "noise.sigma", -1.0, "sigma"),
     "amplitude-law": ("recover", "signal.amplitude_law", "bogus", "bogus"),
-    "tie-break": ("recover", "imp.tie_break", "random", "random"),
-    "per-round-zero": ("recover", "imp.per_round", 0, "per_round"),
+    "tie-break": ("recover", "imp.tie_break", "random", "imp.tie_break must be one of"),
+    "per-round-zero": ("recover", "imp.per_round", 0, "imp.per_round must be positive"),
+    "q-negative": ("recover", "imp.q", -1, "imp.q must be nonnegative"),
     "uniform-corr-alpha": ("recover", "design",
                            {"kind": "uniform_corr", "p": 10, "alpha": 1.5}, "alpha"),
     "sigmas-empty": ("baselines", "baseline.sigmas", [], "baseline.sigmas"),
@@ -641,6 +647,16 @@ def test_out_under_a_regular_file_exits_2_before_the_run(tmp_path, capsys, monke
     assert captured.err.startswith("config error: cannot write outputs to ")
     assert "Traceback" not in captured.err
     assert (tmp_path / "file").read_text() == ""
+
+
+@pytest.mark.parametrize("under", ["file", "file/out"])
+def test_replay_reads_past_an_unwritable_out(tmp_path, capsys, under):
+    # replay only reads out_dir, so one it could not write is no error
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path, recovery_doc())
+    assert main(["replay", "--config", cfg, "--out", str(tmp_path / under), "--trial", "0"]) == 0
+    row, verdict = capsys.readouterr().out.splitlines()
+    assert row.startswith("0,") and verdict == "no stored trials.csv to compare against"
 
 
 def modules_after_every_subcommand(tmp_path, package):

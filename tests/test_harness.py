@@ -165,18 +165,40 @@ class TestSpecParsing:
         ("support_recovery", replay_first_trial),
     ])
     def test_every_entry_point_rejects_zero_trials(self, kind, run):
-        # a spec built in code skips spec_from_dict; the entry point runs
-        # validate_spec on it, and reports its message, before any trial
+        # a spec built in code skips spec_from_dict; the entry point checks
+        # its kind and runs validate_spec on it, and reports their message,
+        # before any trial
         spec = recovery_spec(kind=kind, design=DesignSpec(kind="orthonormal", p=4, n=12),
                              signal=SignalSpec(k=1, gamma=0.5))
         for bad, message in ((dict(trials=0), "trials must be >= 1"),
-                             (dict(imp=ImpSpec(per_round=0)), "per_round must be positive"),
+                             (dict(imp=ImpSpec(per_round=0)), "imp.per_round must be positive"),
                              (dict(noise=NoiseSpec(sigma=-1.0)), "sigma must be nonnegative")):
             with pytest.raises(ConfigError, match=message) as expected:
                 validate_spec(spec._replace(**bad))
             with pytest.raises(ConfigError) as raised:
                 run(spec._replace(**bad))
             assert str(raised.value) == str(expected.value)
+        other = "lemma1_check" if kind != "lemma1_check" else "support_recovery"
+        with pytest.raises(ConfigError) as raised:
+            run(spec._replace(kind=other))
+        assert str(raised.value) == f"expected a {kind} config, got {other!r}"
+
+    @pytest.mark.parametrize("kind, run", [
+        ("support_recovery", run_support_recovery),
+        ("heuristic_equivalence", run_heuristic_equivalence),
+        ("baseline_comparison", run_baseline_comparison),
+        ("lemma1_check", run_concentration_check),
+    ])
+    def test_every_run_rejects_an_unwritable_out_dir(self, tmp_path, monkeypatch, kind, run):
+        # found before any trial rather than by the writers after the last one
+        monkeypatch.setattr(designs_module, "make_rng", None)  # any draw would raise
+        (tmp_path / "file").write_text("")
+        spec = recovery_spec(kind=kind, design=DesignSpec(kind="orthonormal", p=4, n=12),
+                             signal=SignalSpec(k=1, gamma=0.5))
+        for under in ("file", "file/out"):
+            with pytest.raises(ConfigError, match="^cannot write outputs to "):
+                run(spec._replace(out_dir=str(tmp_path / under)))
+        assert (tmp_path / "file").read_text() == ""
 
 
 class TestSampleSizeResolution:
