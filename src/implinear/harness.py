@@ -90,10 +90,6 @@ INVERSE_TOL = 1e-8
 # T * p^2 doubles: 26 recover trials at p = 50, one trial from p = 182 on.
 STACK_BUDGET = 2**16
 
-TRIALS_CSV_HEADER = (
-    "trial,seed,n,p,k,gamma,sigma,delta,q,sparsity_ok,no_false_exclusion,"
-    "min_nz_eig,max_recov_residual,wall_ms"
-)
 HEURISTIC_CSV_HEADER = (
     "trial,seed,full_match,first_match,degenerate,excluded,"
     "delta_pw,min_gap,gap_threshold,inverse_err"
@@ -170,8 +166,6 @@ class ExperimentSpec(NamedTuple):
 
 
 def _json_type(tp) -> str:
-    if hasattr(tp, "_fields"):
-        return "an object"
     if typing.get_origin(tp) is tuple:
         return "a list"
     return {bool: "true or false", int: "an integer", float: "a number", str: "a string"}[tp]
@@ -464,28 +458,29 @@ def resolve_sample_size(
 # ---------------------------------------------------------------------------
 
 
-class TrialRecord:
-    """One recovery trial's row of trials.csv and, in a verified run, its IMP
-    trace, which is written to trace/<trial>.json.  Records are equal when
-    their rows are: the trace is left out."""
+class TrialRecord(NamedTuple):
+    """One recovery trial: its fields but the last are the columns of its
+    trials.csv row, and trace is, in a verified run, its IMP trace, which is
+    written to trace/<trial>.json."""
 
-    __slots__ = (*TRIALS_CSV_HEADER.split(","), "trace")
+    trial: int
+    seed: int
+    n: int
+    p: int
+    k: int
+    gamma: float
+    sigma: float
+    delta: float
+    q: int
+    sparsity_ok: bool
+    no_false_exclusion: bool
+    min_nz_eig: float
+    max_recov_residual: float
+    wall_ms: float
+    trace: ImpTrace | None = None
 
-    def __init__(self, trial: int, seed: int, n: int, p: int, k: int, gamma: float,
-                 sigma: float, delta: float, q: int, sparsity_ok: bool,
-                 no_false_exclusion: bool, min_nz_eig: float, max_recov_residual: float,
-                 wall_ms: float, trace: ImpTrace | None = None) -> None:
-        self.trial, self.seed, self.n, self.p, self.k = trial, seed, n, p, k
-        self.gamma, self.sigma, self.delta, self.q = gamma, sigma, delta, q
-        self.sparsity_ok, self.no_false_exclusion = sparsity_ok, no_false_exclusion
-        self.min_nz_eig, self.max_recov_residual = min_nz_eig, max_recov_residual
-        self.wall_ms, self.trace = wall_ms, trace
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrialRecord):
-            return NotImplemented
-        row = self.__slots__[:-1]
-        return [getattr(self, c) for c in row] == [getattr(other, c) for c in row]
+TRIALS_CSV_HEADER = ",".join(TrialRecord._fields[:-1])
 
 
 class RecoveryReport(NamedTuple):
@@ -495,9 +490,11 @@ class RecoveryReport(NamedTuple):
 
 
 def _build_problem(
-    spec: ExperimentSpec, seed: int, n: int, features: FeatureSet | None = None
+    spec: ExperimentSpec, seed: int, n: int, features: FeatureSet | None = None,
+    sigma: float | None = None,
 ) -> SparseProblem:
-    """Trial `seed`'s problem at n; `features` is its design if already drawn."""
+    """Trial `seed`'s problem at n and noise level sigma (None: noise.sigma);
+    `features` is its design if already drawn."""
     sig = spec.signal
     return assemble_problem(
         design_kind=spec.design.kind,
@@ -509,7 +506,7 @@ def _build_problem(
         alpha=spec.design.alpha,
         amplitude_law=sig.amplitude_law,
         noise_kind=spec.noise.kind,
-        sigma=spec.noise.sigma,
+        sigma=spec.noise.sigma if sigma is None else sigma,
         features=features,
     )
 
@@ -634,8 +631,6 @@ def run_support_recovery(spec: ExperimentSpec) -> RecoveryReport:
             f"ONP rejection rate {rejected}/{spec.trials} exceeds 50%: "
             "the design is inconsistent with the recovery hypotheses"
         )
-    if not records:
-        raise ConfigError("every trial was rejected by the ONP precondition")
 
     sparsity_failures = sum(not r.sparsity_ok for r in records)
     exclusion_failures = sum(not r.no_false_exclusion for r in records)
@@ -867,23 +862,23 @@ def _support_f1(estimated: set[int], truth: set[int]) -> float:
 
 
 def _noise_sweep(
-    spec: ExperimentSpec, seed: int, n: int, sweep: tuple[ExperimentSpec, ...],
+    spec: ExperimentSpec, seed: int, n: int, sigmas: tuple[float, ...],
     features: FeatureSet | None = None,
 ) -> list[SparseProblem]:
-    """Trial `seed`'s problem under each spec of the noise sweep: one design,
+    """Trial `seed`'s problem at each noise level of the sweep: one design,
     drawn here unless given, is handed to every build, so the problems
     share one CovMatrix."""
     design = spec.design
     features = features or DESIGNS[design.kind].draw(n, design.p, seed, design.alpha)
-    return [_build_problem(noisy, seed, n, features) for noisy in sweep]
+    return [_build_problem(spec, seed, n, features, sigma) for sigma in sigmas]
 
 
 def _baseline_trial(
-    spec: ExperimentSpec, trials: range, n: int, sweep: tuple[ExperimentSpec, ...],
-    first: list[SparseProblem] | None,
-) -> list[tuple[tuple[tuple[bool, float], ...], ...]]:
-    """For each trial of the range and each spec of the noise sweep,
-    (exact support recovered, support F1) of each method.
+    spec: ExperimentSpec, trials: range, n: int, first: list[SparseProblem] | None
+) -> list[np.ndarray]:
+    """For each trial of the range, one (sigma, method, 2) array: row [i, j]
+    is (exact support recovered, support F1) of BASELINE_METHODS[j] at the
+    sweep's i-th noise level, with 1.0 for an exact recovery.
 
     Trial 0's problems are `first` if sizing n already drew its design.  The
     range keeps only the (trial, sigma) problems, and IHT and IMP each run
@@ -893,13 +888,13 @@ def _baseline_trial(
     alike; hard thresholding takes each cell's round-0 Sigma^+ from IMP, the
     downdate's shared slice where it has one.
     """
-    threshold = _baseline(spec)[2]
-    per_trial = [first if t == 0 and first else _noise_sweep(spec, spec.base_seed + t, n, sweep)
+    _, sigmas, threshold = _baseline(spec)
+    per_trial = [first if t == 0 and first else _noise_sweep(spec, spec.base_seed + t, n, sigmas)
                  for t in trials]
     cells = [problem for problems in per_trial for problem in problems]
     b = np.stack([problem.b for problem in cells])
     fit = iht(np.stack([problems[0].covariance.entries for problems in per_trial]),
-              b.reshape(len(per_trial), len(sweep), -1), threshold)
+              b.reshape(len(per_trial), len(sigmas), -1), threshold)
     hts = []
 
     def threshold_round0(k, active, weights, factors):
@@ -914,9 +909,8 @@ def _baseline_trial(
         truth = set(problem.support)
         supports = (set(np.flatnonzero(w != 0.0).tolist())
                     for w in (trace.final_weights, ht, s_iht))
-        outcomes.append(tuple((sup == truth, _support_f1(sup, truth)) for sup in supports))
-    width = len(sweep)
-    return [tuple(outcomes[i:i + width]) for i in range(0, len(outcomes), width)]
+        outcomes.append([(sup == truth, _support_f1(sup, truth)) for sup in supports])
+    return list(np.reshape(outcomes, (len(trials), len(sigmas), len(BASELINE_METHODS), 2)))
 
 
 def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
@@ -928,32 +922,22 @@ def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
     n, _, _, drawn = resolve_sample_size(
         sizing, spec.base_seed, spec.signal.gamma, recovery_sample_size
     )
-    sweep = tuple(spec._replace(noise=spec.noise._replace(sigma=sigma)) for sigma in sigmas)
     # trial 0's problems from the sizing draw: every range gets them, not its Phi
-    first = None if drawn is None else _noise_sweep(spec, spec.base_seed, n, sweep, drawn)
+    first = None if drawn is None else _noise_sweep(spec, spec.base_seed, n, sigmas, drawn)
     del drawn
     try:
-        outcomes = map_trials(spec, _baseline_trial, n, sweep, first)
+        outcomes = map_trials(spec, _baseline_trial, n, first)
     except IhtDivergenceError as exc:
         raise ConfigError(
             f"IHT diverged at baseline.eta = {base.eta} ({exc}); lower baseline.eta"
         ) from exc
 
-    cells: list[BaselineCell] = []
-    for sigma, per_trial in zip(sigmas, zip(*outcomes)):
-        for method, results in zip(BASELINE_METHODS, zip(*per_trial)):
-            # sums in trial order, so mean_f1 does not depend on the worker count
-            exact = sum(hit for hit, _ in results)
-            cells.append(
-                BaselineCell(
-                    sigma=float(sigma),
-                    method=method,
-                    trials=spec.trials,
-                    exact_count=exact,
-                    exact_rate=exact / spec.trials,
-                    mean_f1=sum(f1 for _, f1 in results) / spec.trials,
-                )
-            )
+    # sums in trial order, so mean_f1 does not depend on the worker count
+    totals = np.stack(outcomes).sum(axis=0).tolist()
+    cells = [BaselineCell(float(sigma), method, spec.trials, int(exact), exact / spec.trials,
+                          f1 / spec.trials)
+             for sigma, per_method in zip(sigmas, totals)
+             for method, (exact, f1) in zip(BASELINE_METHODS, per_method)]
     report = BaselineReport(cells=cells)
     if spec.out_dir:
         write_baseline_outputs(spec, report)
@@ -1047,8 +1031,7 @@ def _csv_line(cols) -> str:
 
 def trial_csv_row(rec: TrialRecord) -> str:
     """The header's columns in its order; wall_ms to the microsecond."""
-    *cols, _ = TRIALS_CSV_HEADER.split(",")
-    return _csv_line(getattr(rec, c) for c in cols) + f",{rec.wall_ms:.3f}"
+    return _csv_line(rec[:-2]) + f",{rec.wall_ms:.3f}"
 
 
 def row_without_wall_ms(row: str) -> str:

@@ -186,6 +186,10 @@ class TestRunImp:
         with pytest.raises(ValueError, match="tie_break"):
             ImpConfig(tie_break="coin_flip")
 
+    def test_negative_prune_rounds_rejected(self):
+        with pytest.raises(ValueError, match="prune_rounds must be nonnegative"):
+            ImpConfig(prune_rounds=-1)
+
     def test_b_shape_checked(self):
         fs = identity_features()
         with pytest.raises(ValueError, match="b of shape"):

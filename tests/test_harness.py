@@ -3,6 +3,7 @@ import contextlib
 import functools
 import gc
 import json
+import re
 import tracemalloc
 import weakref
 
@@ -12,9 +13,15 @@ import pytest
 from implinear import designs as designs_module
 from implinear import engine as engine_module
 from implinear import harness as harness_module
-from implinear.baselines import ht_estimator
+from implinear.baselines import alignment_order, ht_estimator
 from implinear.cli import main
-from implinear.designs import SparseProblem, gen_uniform_corr_design
+from implinear.designs import (
+    DESIGNS,
+    STREAM_TARGETS,
+    SparseProblem,
+    gen_uniform_corr_design,
+    make_rng,
+)
 from implinear.engine import ImpConfig, run_imp
 from implinear.flow import INFINITE
 from implinear.harness import (
@@ -42,6 +49,7 @@ from implinear.harness import (
 )
 from implinear.linalg import CovMatrix, min_nonzero_eig, pseudo_inverse, sym_eig
 from implinear.theory import (
+    ONP_TOL,
     check_onp,
     check_recoverable,
     concentration_sample_size,
@@ -228,6 +236,21 @@ class TestSampleSizeResolution:
         assert n >= bound and 0.0 < lam <= 1.5
         assert drawn.phi.shape == (n, 20)  # the design lambda was measured on
 
+    def test_a_bound_that_keeps_growing_is_a_config_error(self, monkeypatch):
+        # each measured eigenvalue 0.9 times the last: every bound outgrows its n
+        measured = []
+
+        def shrinking(eig):
+            measured.append(eig)
+            return 0.9 ** len(measured)
+
+        monkeypatch.setattr(harness_module, "min_nonzero_eig", shrinking)
+        spec = recovery_spec(design=DesignSpec(kind="incoherent", p=4))
+        with pytest.raises(ConfigError, match="^sample size for the incoherent design did not "
+                                              "stabilize$"):
+            resolve_sample_size(spec, seed=7, margin=0.5, bound_fn=recovery_sample_size)
+        assert len(measured) == 16
+
 
 def count_design_draws(monkeypatch):
     """Record (n, p, seed) of every incoherent design drawn through the registry."""
@@ -252,8 +275,7 @@ class TestSupportRecovery:
         [rec] = recovery_trial(spec, range(2, 3))
         assert len(draws) == len(set(draws))
         assert draws[-1] == (rec.n, 12, 1236) and rec.n == problem.n
-        rec.wall_ms = fresh.wall_ms = 0.0
-        assert rec == fresh
+        assert csv_row(rec) == csv_row(fresh)
 
     def test_report_and_flags(self):
         report = run_support_recovery(recovery_spec())
@@ -339,8 +361,7 @@ class TestSupportRecovery:
         verified = run_support_recovery(recovery_spec(trials=6, verified_mode=True))
         assert plain.summary == verified.summary
         for a, b in zip(plain.records, verified.records):
-            a.wall_ms = b.wall_ms = 0.0
-            assert a == b
+            assert csv_row(a) == csv_row(b)
             assert a.trace is None and b.trace is not None
 
     def test_verified_traces_survive_a_pool(self, tmp_path):
@@ -357,8 +378,7 @@ class TestSupportRecovery:
         for name in names:
             assert (serial_dir / name).read_bytes() == (pooled_dir / name).read_bytes()
         for a, b in zip(serial.records, pooled.records, strict=True):
-            a.wall_ms = b.wall_ms = 0.0
-            assert a == b
+            assert csv_row(a) == csv_row(b)
             assert a.trace is not None and b.trace is not None
 
     def test_finite_horizon_config(self):
@@ -402,6 +422,11 @@ def problem_and_trace(spec, t):
     [trace] = run_imp([problem.covariance], problem.b[None], recovery_config(spec),
                       on_round=lambda k, active, weights, factors: seen.append(factors))
     return problem, trace, seen
+
+
+def csv_row(rec):
+    """A record's trials.csv row without wall_ms, as replay compares rows."""
+    return row_without_wall_ms(trial_csv_row(rec))
 
 
 def recovery_config(spec):
@@ -604,6 +629,17 @@ class TestReplay:
         row, verdict = replay_trial(recovery_spec(trials=3), 1)
         assert verdict is None and row.startswith("1,1235,")
 
+    def test_replay_of_a_trial_missing_from_the_stored_rows(self, tmp_path):
+        out = tmp_path / "run"
+        spec = recovery_spec(trials=3, out_dir=str(out))
+        run_support_recovery(spec)
+        csv_path = out / "trials.csv"
+        csv_path.write_text("".join(line for line in csv_path.read_text().splitlines(True)
+                                    if not line.startswith("1,")))
+        assert replay_trial(spec, 2)[1] is True
+        with pytest.raises(ConfigError, match=f"^trial 1 not found in {re.escape(str(csv_path))}$"):
+            replay_trial(spec, 1)
+
     def test_replay_out_of_range(self):
         with pytest.raises(ConfigError, match="trial"):
             replay_trial(recovery_spec(trials=3), 7)
@@ -616,6 +652,82 @@ class TestReplay:
         assert fields[0] == "2" and fields[1] == "1236"
         assert fields[9] in ("0", "1") and fields[10] in ("0", "1")
         assert row_without_wall_ms(row) == row.rsplit(",", 1)[0]
+
+
+class TestDecisionEdges:
+    """Each gate comparison at its exact edge, where a strict and a non-strict
+    test part; tests/mutation_probe.py flips each of them."""
+
+    def test_an_onp_violation_equal_to_the_tolerance_admits_the_trial(self, monkeypatch):
+        monkeypatch.setattr(harness_module, "check_onp", lambda eig, support: ONP_TOL)
+        [rec] = recovery_trial(recovery_spec(), range(1))
+        assert rec is not None
+
+    def test_a_gap_equal_to_its_threshold_excludes_the_attempt(self, monkeypatch):
+        spec = heuristic_spec(DesignSpec(kind="incoherent", p=3, n=300), base_seed=84)
+        fs = DESIGNS["incoherent"].draw(300, 3, 84, None)
+        mags = np.sort(np.abs(fs.phi.T @ make_rng(84, STREAM_TARGETS).standard_normal(300)))
+        gap, top = mags[1] - mags[0], float(mags[-1])
+        # the incoherence at which the threshold 10 p delta_pw max|phi_j^T y|
+        # rounds to the gap itself, found within a few ulps of gap / (10 p top)
+        delta_pw = gap / (30.0 * top)
+        for _ in range(8):
+            threshold = 10.0 * 3 * delta_pw * top  # as the screen computes it
+            if threshold == gap:
+                break
+            delta_pw = np.nextafter(delta_pw, np.inf if threshold < gap else -np.inf)
+        monkeypatch.setattr(harness_module, "pairwise_incoherence", lambda cov: delta_pw)
+        [row] = harness_module._heuristic_trials(spec, range(1))
+        assert row.min_gap == row.gap_threshold == gap and row.delta_pw <= 1.0 / 30.0
+        assert not row.degenerate and row.excluded
+
+    def test_a_separation_margin_equal_to_tie_tol_excludes_the_trial(self, monkeypatch):
+        spec = heuristic_spec(DesignSpec(kind="uniform_corr", p=6, alpha=0.01), base_seed=56)
+        monkeypatch.setattr(harness_module, "uniform_corr_separation_margin",
+                            lambda scores, alpha: spec.tie_tol)
+        [row] = harness_module._heuristic_trials(spec, range(1))
+        assert not row.degenerate and row.min_gap == spec.tie_tol and row.excluded
+
+    def test_a_gap_equal_to_tie_tol_is_not_degenerate(self):
+        spec = heuristic_spec(DesignSpec(kind="orthonormal", p=6), base_seed=55)
+        [row] = harness_module._heuristic_trials(spec, range(1))
+        [edge] = harness_module._heuristic_trials(spec._replace(tie_tol=row.min_gap), range(1))
+        assert edge.min_gap == row.min_gap > 0.0 and not edge.degenerate
+
+    def test_one_mismatched_order_fails_the_heuristic_gate(self, monkeypatch):
+        orders = []
+
+        def first_one_reversed(xty):
+            orders.append(alignment_order(xty))
+            return orders[-1][::-1] if len(orders) == 1 else orders[-1]
+
+        monkeypatch.setattr(harness_module, "alignment_order", first_one_reversed)
+        spec = heuristic_spec(DesignSpec(kind="orthonormal", p=6), base_seed=55)
+        report = run_heuristic_equivalence(spec._replace(trials=4))
+        assert report.qualifying == 4 and report.full_match_rate == 0.75
+        assert not report.passed
+
+    def test_an_inverse_error_equal_to_its_tolerance_passes(self, monkeypatch):
+        # the certified run of TestHeuristic, where some trials qualify
+        spec = heuristic_spec(DesignSpec(kind="uniform_corr", p=10, alpha=0.01), base_seed=56)
+        spec = spec._replace(trials=60)
+        err = run_heuristic_equivalence(spec).max_inverse_err
+        for tol, passed in ((err, True), (np.nextafter(err, 0.0), False)):
+            monkeypatch.setattr(harness_module, "INVERSE_TOL", tol)
+            report = run_heuristic_equivalence(spec)
+            assert report.full_match_rate == 1.0 and report.passed == passed
+
+    def test_a_design_at_the_size_limit_is_valid(self):
+        # Phi (n x p) at exactly MAX_ENTRIES = 2^31 entries; one more row is too many
+        validate_spec(recovery_spec(design=DesignSpec(kind="orthonormal", p=2**15, n=2**16)))
+        with pytest.raises(ConfigError, match="the design is too large"):
+            validate_spec(recovery_spec(design=DesignSpec(kind="orthonormal", p=2**15,
+                                                          n=2**16 + 1)))
+
+
+def heuristic_spec(design, base_seed):
+    return ExperimentSpec(kind="heuristic_equivalence", design=design, trials=1,
+                          base_seed=base_seed)
 
 
 class TestHeuristic:
@@ -849,12 +961,11 @@ class TestBaselines:
             signal=SignalSpec(k=2, gamma=1.0),
             baseline=BaselineSpec(eta=0.5, sigmas=sigmas),
         )
-        sweep = tuple(spec._replace(noise=NoiseSpec(sigma=s)) for s in sigmas)
-        outcomes = harness_module._baseline_trial(spec, range(1, 4), 40, sweep, None)
+        outcomes = harness_module._baseline_trial(spec, range(1, 4), 40, None)
         assert calls == [("engine", 10)] * 3
         assert len(pinvs) == 3
         monkeypatch.undo()
-        assert_ht_as_alone(spec, sweep, range(1, 4), outcomes)
+        assert_ht_as_alone(spec, sigmas, range(1, 4), outcomes)
 
     def test_q_zero_hard_thresholds_with_each_cells_pseudo_inverse(self, monkeypatch):
         # with one round nothing joins the downdate: hard thresholding reads
@@ -871,11 +982,10 @@ class TestBaselines:
             imp=ImpSpec(q=0),
             baseline=BaselineSpec(eta=0.5, sigmas=sigmas),
         )
-        sweep = tuple(spec._replace(noise=NoiseSpec(sigma=s)) for s in sigmas)
-        outcomes = harness_module._baseline_trial(spec, range(4), 40, sweep, None)
+        outcomes = harness_module._baseline_trial(spec, range(4), 40, None)
         assert len(pinvs) == 4  # one per trial, not one per cell
         monkeypatch.undo()
-        assert_ht_as_alone(spec, sweep, range(4), outcomes)
+        assert_ht_as_alone(spec, sigmas, range(4), outcomes)
 
 
 def count_pinv(monkeypatch):
@@ -891,17 +1001,18 @@ def count_pinv(monkeypatch):
     return pinvs
 
 
-def assert_ht_as_alone(spec, sweep, trials, outcomes):
+def assert_ht_as_alone(spec, sigmas, trials, outcomes):
     """Hard thresholding as with a pseudo-inverse of each cell's own factorization."""
-    for t, per_sigma in zip(trials, outcomes):
+    for t, per_sigma in zip(trials, outcomes, strict=True):
+        assert per_sigma.shape == (len(sigmas), 3, 2)
         for problem, (_, ht, _) in zip(
-            harness_module._noise_sweep(spec, spec.base_seed + t, 40, sweep), per_sigma
+            harness_module._noise_sweep(spec, spec.base_seed + t, 40, sigmas), per_sigma
         ):
             pinv = pseudo_inverse(sym_eig(problem.covariance))
             est = ht_estimator(problem.b, 0.5, pinv)  # tau = gamma / 2
             support = set(np.flatnonzero(est != 0.0).tolist())
-            assert ht == (support == set(problem.support),
-                          harness_module._support_f1(support, set(problem.support)))
+            assert ht.tolist() == [support == set(problem.support),
+                                   harness_module._support_f1(support, set(problem.support))]
 
 
 def sigma_sweep_spec(**imp):

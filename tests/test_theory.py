@@ -437,3 +437,8 @@ class TestMcSummary:
         assert s.passed
         s_fail = make_mc_summary(200, {"a": 50}, overall_failures=50, delta=0.1)
         assert not s_fail.passed
+
+    def test_a_failure_rate_equal_to_delta_passes(self):
+        # the gate's edge: 1 failure in 10 trials is a rate of exactly 0.1
+        s = make_mc_summary(10, {"a": 1}, overall_failures=1, delta=0.1)
+        assert s.failure_rate == s.delta and s.passed
