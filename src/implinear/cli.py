@@ -38,7 +38,7 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", dest="out_dir", help="override output directory")
     sub.add_argument("--threads", type=int, help="override worker count")
     sub.add_argument("--verified", dest="verified_mode", action="store_true", default=None,
-                     help="record per-round audit traces (trace/<trial>.json)")
+                     help="write each trial's IMP trace (trace/<trial>.json)")
 
 
 def build_parser() -> argparse.ArgumentParser:

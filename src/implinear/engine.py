@@ -439,7 +439,7 @@ def imp_prune_order(
 
 
 def trace_to_dict(trace: ImpTrace) -> dict:
-    """JSON-ready form of a trace (the audit schema used by the harness)."""
+    """JSON-ready form of a trace, as a verified `recover` run writes it."""
     return {
         "final_weights": trace.final_weights.tolist(),
         "rounds": [

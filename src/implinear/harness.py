@@ -511,65 +511,33 @@ def _build_problem(
     )
 
 
-class _RoundAudit:
-    """What the audit of a stack of recovery trials has seen so far.
-
-    signal stacks the trials' signals s (T, p), and cov_signal keeps
-    u = Sigma s per trial (T, p), from which every round's
-    `check_recoverable` reads Sigma_A s_A as (Sigma s)_A: the two agree on A
-    while s vanishes off A.  A trial that has pruned a support coordinate
-    has its u recomputed once as Sigma (s * 1_A), and `held` counts each
-    trial's support coordinates still active.  onp is each trial's ONP
-    verdict; min_eig and max_residual are each trial's smallest nonzero
-    eigenvalue and largest recoverability residual over the rounds so far,
-    nan once a round's value is nan, as np.min and np.max over the rounds.
-    """
-
-    __slots__ = ("problems", "signal", "cov_signal", "held", "min_eig", "max_residual", "onp")
-
-    def __init__(self, problems: list[SparseProblem]) -> None:
-        self.problems, self.signal = problems, np.stack([pr.signal for pr in problems])
-        self.cov_signal = np.stack([pr.covariance.entries @ pr.signal for pr in problems])
-        self.held = np.count_nonzero(self.signal, axis=1)
-        self.min_eig, self.max_residual = np.full(len(problems), np.inf), np.zeros(len(problems))
-        self.onp: list[bool] = []
-
-
 def _audit_rounds(
-    audit: _RoundAudit, k: int, active: np.ndarray, weights: np.ndarray, factors: RoundFactors
+    problems: list[SparseProblem], audit: list, k: int, active: np.ndarray,
+    weights: np.ndarray, factors: RoundFactors,
 ) -> None:
-    """Check round k of a stack of recovery trials: the engine's observer.
+    """Check a stack of recovery trials at round 0: the engine's observer.
 
-    Each round is checked with the factorizations the engine trained it
-    with, so nothing is refactorized, and Sigma_A s_A is read from the
-    audit's Sigma s.  Round 0 trains on every coordinate, so its
-    eigendecomposition is that of the full Sigma, and the ONP precondition
-    is read from it.  A factorized round's smallest nonzero eigenvalue
-    comes from its eigendecomposition.  A downdated round is checked with
-    the engine's Sigma_A^{-1}, so its residual also measures downdate
-    drift; it adds no eigenvalue, since its Sigma_A is a principal
-    submatrix of the previous round's, whose smallest eigenvalue is no
-    larger by Cauchy interlacing.
+    Round 0 trains on every coordinate, so its eigendecompositions are those
+    of the full Sigmas: each trial's ONP verdict and smallest nonzero
+    eigenvalue are read from them, and its recoverability residual comes
+    from one `check_recoverable` call on the engine's own inverses, so
+    nothing is refactorized.  Appends (onp, min_eig, residual) per trial to
+    `audit`.  Later rounds are not checked: ONP admits a trial only if its
+    Sigma is nonsingular, and then by Cauchy interlacing so is every later
+    Sigma_A, whose smallest eigenvalue is no lower, so that
+    Sigma_A^+ Sigma_A s_A = s_A holds exactly.
     """
-    if k == 0:
-        audit.onp = [check_onp(factors.eigs[i], pr.support) <= ONP_TOL
-                     for i, pr in enumerate(audit.problems)]
-    for i, f in factors.eigs.items():
+    if k:
+        return
+    signal = np.stack([pr.signal for pr in problems])
+    cov_signal = np.stack([pr.covariance.entries @ pr.signal for pr in problems])
+    residuals = check_recoverable(cov_signal, signal, factors.inverses())
+    for i, pr in enumerate(problems):
         try:
-            lam = min_nonzero_eig(f)
-        except ValueError:  # a zero Sigma_A, as is every later one
+            lam = min_nonzero_eig(factors.eigs[i])
+        except ValueError:  # a zero Sigma
             lam = float("nan")
-        audit.min_eig[i] = np.minimum(audit.min_eig[i], lam)
-    rows = np.arange(len(active))[:, None]
-    s_active = audit.signal[rows, active]
-    held = np.count_nonzero(s_active, axis=1)
-    for t in np.flatnonzero(held < audit.held):  # s no longer vanishes off A
-        s = np.zeros(audit.signal.shape[1])
-        s[active[t]] = s_active[t]
-        audit.cov_signal[t] = audit.problems[t].covariance.entries @ s
-    audit.held = held
-    residuals = check_recoverable(audit.cov_signal[rows, active], s_active, factors.inverses())
-    np.maximum(audit.max_residual, residuals, out=audit.max_residual)
+        audit.append((check_onp(factors.eigs[i], pr.support) <= ONP_TOL, lam, float(residuals[i])))
 
 
 def _recovery_problem(spec: ExperimentSpec, seed: int) -> SparseProblem:
@@ -582,7 +550,7 @@ def _recovery_problem(spec: ExperimentSpec, seed: int) -> SparseProblem:
 
 
 def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | None]:
-    """Run a range of trials as one IMP stack, audited round by round.
+    """Run a range of trials as one IMP stack, audited at round 0.
 
     None marks a trial whose drawn design failed the ONP precondition.
     Every trial's wall_ms is the range's time over its length.
@@ -590,14 +558,15 @@ def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | No
     start = time.perf_counter()
     problems = [_recovery_problem(spec, spec.base_seed + t) for t in trials]
     q = _prune_rounds(spec)
-    audit = _RoundAudit(problems)
+    audit: list[tuple[bool, float, float]] = []
     traces = run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]),
-                     _imp_config(spec, q), on_round=functools.partial(_audit_rounds, audit))
+                     _imp_config(spec, q),
+                     on_round=functools.partial(_audit_rounds, problems, audit))
     wall_ms = (time.perf_counter() - start) * 1e3 / len(trials)
 
     records: list[TrialRecord | None] = []
-    for i, (t, problem, trace) in enumerate(zip(trials, problems, traces)):
-        if not audit.onp[i]:
+    for t, problem, trace, (onp, min_eig, residual) in zip(trials, problems, traces, audit):
+        if not onp:
             records.append(None)
             continue
         final = trace.final_weights
@@ -614,8 +583,8 @@ def recovery_trial(spec: ExperimentSpec, trials: range) -> list[TrialRecord | No
             q=q,
             sparsity_ok=int(np.sum(final == 0.0)) >= q * spec.imp.per_round,
             no_false_exclusion=bool(np.all(final[above] != 0.0)),
-            min_nz_eig=float(audit.min_eig[i]),
-            max_recov_residual=float(audit.max_residual[i]),
+            min_nz_eig=min_eig,
+            max_recov_residual=residual,
             wall_ms=wall_ms,
             trace=trace if spec.verified_mode else None,
         ))
@@ -1055,6 +1024,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def write_recovery_outputs(spec: ExperimentSpec, report: RecoveryReport) -> None:
     out = Path(spec.out_dir)
+    for stale in (out / "trace").glob("*.json"):  # an earlier run's traces, written as below
+        if stale.stem.isdigit():
+            stale.unlink()
     _write_csv(out / "trials.csv", TRIALS_CSV_HEADER, map(trial_csv_row, report.records))
     _write_json(
         out / "summary.json",

@@ -170,13 +170,8 @@ def check_recoverable(
     stack of Ups^+, rows and columns in the order of A_t.  The length-T
     result is residual = ||Ups^+ Ups s_A - s_A||_inf, by one matrix-vector
     product per slice.  The pruning guarantee needs it to vanish at every
-    round.
-
-    A caller that keeps u = Sigma s for a signal s that vanishes off A has
-    Ups s_A = u_A, so it passes u gathered on A: the sum runs over all of
-    Sigma's columns rather than A's, which moves only its last bits.  The
-    product of each slice is computed as it would be alone, so a slice's
-    residual does not depend on the rest of its stack.
+    round.  The product of each slice is computed as it would be alone, so
+    a slice's residual does not depend on the rest of its stack.
     """
     cov_signal = np.asarray(cov_signal, dtype=float)
     signal = np.asarray(signal, dtype=float)

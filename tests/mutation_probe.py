@@ -49,6 +49,8 @@ MUTANTS = (
      "passed=rate <= delta,", "passed=rate < delta,"),
     ("audit ONP check <= ONP_TOL made <", "harness.py",
      "pr.support) <= ONP_TOL", "pr.support) < ONP_TOL"),
+    ("audit runs past round 0", "harness.py",
+     "if k:\n        return\n    signal = ", "if k < 0:\n        return\n    signal = "),
     ("incoherent screen gap > threshold made >=", "harness.py",
      "row.min_gap > row.gap_threshold", "row.min_gap >= row.gap_threshold"),
     ("uniform_corr screen margin <= tie_tol made <", "harness.py",

@@ -1,5 +1,4 @@
 import concurrent.futures
-import contextlib
 import functools
 import gc
 import json
@@ -22,7 +21,7 @@ from implinear.designs import (
     gen_uniform_corr_design,
     make_rng,
 )
-from implinear.engine import ImpConfig, run_imp
+from implinear.engine import ImpConfig, run_imp, trace_to_dict
 from implinear.flow import INFINITE
 from implinear.harness import (
     BaselineSpec,
@@ -294,9 +293,9 @@ class TestSupportRecovery:
         assert report.summary.failure_rate == 0.0
         assert report.summary.passed
 
-    def test_every_round_is_audited_on_the_engines_inverse_stack(self, monkeypatch):
-        # round 0 included: the audit reads the (T, m, m) stack the downdate
-        # starts from instead of stacking the same pseudo-inverses again
+    def test_round_zero_is_audited_on_the_engines_inverse_stack(self, monkeypatch):
+        # the audit reads the (T, m, m) stack the downdate starts from, once
+        # per range, instead of stacking the same pseudo-inverses again
         seen = []
 
         def recording(cov_signal, signal, inverse):
@@ -312,11 +311,9 @@ class TestSupportRecovery:
 
         monkeypatch.setattr(harness_module, "check_recoverable", recording)
         monkeypatch.setattr(engine_module.RoundFactors, "inverses", inverses)
-        spec = recovery_spec(trials=3)
-        run_support_recovery(spec)
-        q = spec.design.p - spec.signal.k
-        assert own == [True] * (q + 1)  # the stack itself, not a copy
-        assert seen == [(3, 12 - k, 12 - k) for k in range(q + 1)]
+        run_support_recovery(recovery_spec(trials=3))
+        assert own == [True]  # the stack itself, not a copy
+        assert seen == [(3, 12, 12)]
 
     def test_q_zero_dense(self):
         report = run_support_recovery(
@@ -388,6 +385,19 @@ class TestSupportRecovery:
         )
         assert report.summary.failure_rate == 0.0
 
+    @pytest.mark.parametrize("rerun", [{"verified_mode": False}, {"trials": 2, "base_seed": 50}],
+                             ids=["then-plain", "then-fewer-trials"])
+    def test_a_rerun_leaves_no_stale_traces(self, tmp_path, rerun):
+        out = tmp_path / "run"
+        spec = recovery_spec(trials=4, out_dir=str(out), verified_mode=True)
+        run_support_recovery(spec)
+        (out / "trace" / "notes.json").write_text("{}")  # not a trace: left alone
+        report = run_support_recovery(spec._replace(**rerun))
+        traces = {f"{r.trial}.json": r.trace for r in report.records if r.trace is not None}
+        assert {f.name for f in (out / "trace").iterdir()} == {"notes.json", *traces}
+        for name, trace in traces.items():
+            assert json.loads((out / "trace" / name).read_text()) == trace_to_dict(trace)
+
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "run"
         spec = recovery_spec(trials=5, out_dir=str(out), verified_mode=True)
@@ -434,74 +444,28 @@ def recovery_config(spec):
                      prune_rounds=spec.design.p - spec.signal.k)
 
 
-@contextlib.contextmanager
-def audited_rounds():
-    """Record what the recovery audit computes, by wrapping its calls: one
-    (eigs, residuals) pair per round, eigs mapping each trial factorized
-    that round to its smallest nonzero eigenvalue (nan for a zero Sigma_A),
-    residuals the round's (T,) recoverability residuals."""
-    rounds, eigs = [], {}
-    real_audit = harness_module._audit_rounds
-
-    def eig(f):
-        try:
-            eigs[id(f)] = min_nonzero_eig(f)
-        except ValueError:
-            eigs[id(f)] = float("nan")
-            raise
-        return eigs[id(f)]
-
-    def check(*args):
-        rounds.append(check_recoverable(*args))
-        return rounds[-1]
-
-    def audit_rounds(audit, k, active, weights, factors):
-        eigs.clear()
-        real_audit(audit, k, active, weights, factors)
-        rounds[-1] = ({i: eigs[id(f)] for i, f in factors.eigs.items()}, rounds[-1])
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness_module, "min_nonzero_eig", eig)
-        mp.setattr(harness_module, "check_recoverable", check)
-        mp.setattr(harness_module, "_audit_rounds", audit_rounds)
-        yield rounds
-
-
-def trial_rounds(rounds, t):
-    """Trial t's recorded per-round values: its eigenvalues (None for a
-    downdated round) and its residuals."""
-    return (tuple(eigs.get(t) for eigs, _ in rounds),
-            tuple(float(residuals[t]) for _, residuals in rounds))
-
-
-def extremes(eigs, residuals):
-    """The minimum eigenvalue over the factorized rounds and the maximum
-    residual over all rounds, nan if any value is."""
-    return np.min([e for e in eigs if e is not None]), np.max(residuals)
-
-
 def audit_stack(problems, config):
-    """Run the recovery audit on a stack of problems the way recovery_trial
-    does; per problem, its recorded per-round eigenvalues (None for a
-    downdated round) and residuals, checked to give the audit's extremes."""
-    audit = harness_module._RoundAudit(problems)
-    with audited_rounds() as rounds:
-        run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]), config,
-                on_round=functools.partial(harness_module._audit_rounds, audit))
-    per_trial = [trial_rounds(rounds, t) for t in range(len(problems))]
-    kept = np.array([extremes(*values) for values in per_trial]).T
-    np.testing.assert_array_equal(kept, np.array([audit.min_eig, audit.max_residual]))
-    return per_trial
+    """The audit recovery_trial keeps for a stack of problems: one (onp,
+    min_eig, residual) triple per problem."""
+    audit = []
+    run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]), config,
+            on_round=functools.partial(harness_module._audit_rounds, problems, audit))
+    return audit
 
 
-def fresh_residual(cov, signal, idx, eig):
-    """The recoverability residual of one round, checked on its own with
-    Sigma_A s_A read, as the audit reads it, from Sigma (s * 1_A)."""
-    masked = np.zeros_like(signal)
-    masked[idx] = signal[idx]
-    [residual] = check_recoverable((cov.entries @ masked)[idx][None], signal[idx][None],
-                                   pseudo_inverse(eig)[None])
-    return float(residual)
+def fresh_residual(problem):
+    """Round 0's recoverability residual of a problem, checked on its own."""
+    s, cov = problem.signal, problem.covariance
+    [residual] = check_recoverable((cov.entries @ s)[None], s[None],
+                                   pseudo_inverse(sym_eig(cov))[None])
+    return residual
+
+
+# every nonsingular design at an infinite and a finite horizon: the downdate
+# and the eigendecomposition path
+AUDITED = [pytest.param(recovery_spec(design=d, imp=ImpSpec(horizon=h), trials=3),
+                        id=f"{d.kind}-{d.n}-{d.alpha}-{name}")
+           for d in NONSINGULAR_DESIGNS for h, name in (("infinite", "inf"), (5.0, "T5"))]
 
 
 class TestAuditRounds:
@@ -536,20 +500,66 @@ class TestAuditRounds:
 
     @pytest.mark.parametrize("design", NONSINGULAR_DESIGNS, ids=lambda d: f"{d.kind}-{d.n}-{d.alpha}")
     def test_downdated_rounds_reuse_the_engine(self, count_sym_eig, design):
+        # on the downdate only round 0 is factorized, and the audit reads that
+        # round's factors: it factorizes nothing of its own
         spec = recovery_spec(design=design)
-        problem, trace, seen = problem_and_trace(spec, 1)
-        assert all(not f.eigs for f in seen[1:])  # downdated
+        problem, _, seen = problem_and_trace(spec, 1)
+        assert seen[0].eigs and all(not f.eigs for f in seen[1:])  # downdated
         calls = count_sym_eig(harness_module)
-        [(eigs, residuals)] = audit_stack([problem], recovery_config(spec))
+        [(onp, min_eig, residual)] = audit_stack([problem], recovery_config(spec))
         assert calls == []
-        assert len(eigs) == len(residuals) == len(trace.active)
-        assert eigs[0] is not None and eigs[1:] == (None,) * (len(eigs) - 1)
-        cov = problem.covariance
-        for active, residual in zip(trace.active, residuals):
-            idx = np.flatnonzero(active)
-            fresh = fresh_residual(cov, problem.signal, idx, sym_eig(cov.restrict(idx)))
-            assert residual <= 1e-8
-            assert residual == pytest.approx(fresh, abs=1e-10)
+        eig = sym_eig(problem.covariance)
+        assert onp and min_eig == min_nonzero_eig(eig)
+        assert residual == fresh_residual(problem) and residual <= 1e-8
+
+    @pytest.mark.parametrize("spec", AUDITED)
+    def test_min_nz_eig_is_round_zeros(self, spec):
+        for t, rec in enumerate(recovery_trial(spec, range(3))):
+            problem = harness_module._recovery_problem(spec, spec.base_seed + t)
+            assert rec.min_nz_eig == sym_eig(problem.covariance).eigenvalues[0]
+
+    @pytest.mark.parametrize("spec", AUDITED)
+    def test_residual_is_round_zeros_check(self, spec):
+        for t, rec in enumerate(recovery_trial(spec, range(3))):
+            problem = harness_module._recovery_problem(spec, spec.base_seed + t)
+            assert rec.max_recov_residual == fresh_residual(problem)
+
+    @pytest.mark.parametrize("spec", AUDITED)
+    def test_stacked_range_is_its_trials(self, spec):
+        alone = [rec for t in range(3) for rec in recovery_trial(spec, range(t, t + 1))]
+        assert list(map(csv_row, recovery_trial(spec, range(3)))) == list(map(csv_row, alone))
+
+    @pytest.mark.parametrize("spec", AUDITED)
+    def test_one_check_on_the_engines_stack(self, monkeypatch, count_sym_eig, spec):
+        checked, stacks = [], []
+
+        def recording(cov_signal, signal, inverse):
+            checked.append(inverse)
+            return check_recoverable(cov_signal, signal, inverse)
+
+        real = engine_module.RoundFactors.inverses
+
+        def inverses(factors):
+            stacks.append(real(factors))
+            return stacks[-1]
+
+        monkeypatch.setattr(harness_module, "check_recoverable", recording)
+        monkeypatch.setattr(engine_module.RoundFactors, "inverses", inverses)
+        problems = [harness_module._recovery_problem(spec, spec.base_seed + t) for t in range(3)]
+        seen = []
+
+        def observer(k, active, weights, factors):
+            seen.append(factors.inverse)
+            harness_module._audit_rounds(problems, [], k, active, weights, factors)
+
+        calls = count_sym_eig(harness_module)
+        run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]),
+                recovery_config(spec), on_round=observer)
+        assert calls == []  # nothing refactorized
+        [stack] = stacks
+        assert len(checked) == 1 and checked[0] is stack and stack.shape == (3, 12, 12)
+        # the stack the downdate starts from, not a copy; a finite horizon has none
+        assert (stack is seen[0]) == (spec.imp.horizon == "infinite")
 
     @pytest.mark.parametrize("overrides", [
         {"imp": ImpSpec(horizon=5.0)},
@@ -557,53 +567,34 @@ class TestAuditRounds:
     ], ids=["finite-horizon", "rank-deficient"])
     def test_factorized_rounds_reuse_the_engine(self, count_sym_eig, overrides):
         spec = recovery_spec(**overrides)
-        problem, trace, _ = problem_and_trace(spec, 0)
+        problem = harness_module._recovery_problem(spec, spec.base_seed)
         calls = count_sym_eig(harness_module)
-        [(eigs, residuals)] = audit_stack([problem], recovery_config(spec))
+        [(onp, min_eig, residual)] = audit_stack([problem], recovery_config(spec))
         assert calls == []
-        cov = problem.covariance
-        fresh_eigs, fresh_residuals = [], []
-        for active in trace.active:
-            idx = np.flatnonzero(active)
-            eig = sym_eig(cov.restrict(idx))
-            fresh_eigs.append(min_nonzero_eig(eig))
-            fresh_residuals.append(fresh_residual(cov, problem.signal, idx, eig))
-        assert eigs == tuple(fresh_eigs)
-        assert residuals == tuple(fresh_residuals)
+        eig = sym_eig(problem.covariance)
+        assert onp == (check_onp(eig, problem.support) <= ONP_TOL)
+        assert min_eig == min_nonzero_eig(eig) and residual == fresh_residual(problem)
 
     def test_stacked_audit_matches_one_trial_audits(self):
-        # a singular trial factorized every round beside nonsingular ones on
-        # the downdate: every trial's audit is the audit of its one-trial run
+        # a singular trial, factorized, beside nonsingular ones on the
+        # downdate: every trial's audit is the audit of its one-trial run
         specs = [recovery_spec(design=DesignSpec(kind="incoherent", p=12, n=n))
                  for n in (8, 14, 200)]
-        problems = [problem_and_trace(spec, t)[0] for t, spec in enumerate(specs)]
+        problems = [harness_module._recovery_problem(spec, spec.base_seed + t)
+                    for t, spec in enumerate(specs)]
         config = recovery_config(specs[0])
         stacked = audit_stack(problems, config)
+        assert [onp for onp, _, _ in stacked] == [False, True, True]
         assert stacked == [audit_stack([pr], config)[0] for pr in problems]
-
-    @pytest.mark.parametrize("overrides", [
-        {},
-        {"imp": ImpSpec(horizon=5.0)},
-        {"design": DesignSpec(kind="incoherent", p=12, n=14)},
-    ], ids=["orthonormal", "finite-horizon", "incoherent"])
-    def test_records_hold_the_extremes_of_the_audited_rounds(self, overrides):
-        spec = recovery_spec(trials=3, **overrides)
-        with audited_rounds() as rounds:
-            records = recovery_trial(spec, range(3))
-        for t, rec in enumerate(records):
-            min_eig, max_residual = extremes(*trial_rounds(rounds, t))
-            assert rec.min_nz_eig == min_eig and rec.max_recov_residual == max_residual
 
     @pytest.mark.parametrize("horizon", [INFINITE, 5.0], ids=["infinite", "finite"])
     def test_a_zero_sigma_a_makes_the_minimum_nan(self, horizon):
-        # b = 0 ties every weight, so coordinates 0 and 1 go first and
-        # rounds 2 and 3 train on a zero Sigma_A, which has no nonzero eigenvalue
-        problem = SparseProblem(covariance=CovMatrix(np.diag([1.0, 1.0, 0.0, 0.0])),
-                                b=np.zeros(4), n=4, signal=np.zeros(4), support=(0,),
-                                gamma=0.5)
-        [(eigs, residuals)] = audit_stack([problem], ImpConfig(horizon=horizon, prune_rounds=3))
-        assert eigs[:2] == (1.0, 1.0) and np.isnan(eigs[2:]).all()
-        assert np.isnan(extremes(eigs, residuals)[0])  # audit_stack: the audit's minimum too
+        # a zero Sigma has no nonzero eigenvalue, and range(Sigma) misses s
+        problem = SparseProblem(covariance=CovMatrix(np.zeros((4, 4))), b=np.zeros(4), n=4,
+                                signal=np.array([1.0, 0.0, 0.0, 0.0]), support=(0,), gamma=0.5)
+        [(onp, min_eig, residual)] = audit_stack([problem], ImpConfig(horizon=horizon,
+                                                                      prune_rounds=3))
+        assert not onp and np.isnan(min_eig) and residual == 1.0
 
 
 class TestReplay:
