@@ -14,6 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .flow import INFINITE, closed_form_weights
+from .linalg import SymEig
+
 # Not called here: benchmarks/tracing.py wraps both at this module's names,
 # so they stay bound (tests/test_bench_contract.py).
 from .linalg import pseudo_inverse, sym_eig  # noqa: F401
@@ -69,10 +72,11 @@ def hard_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     return np.where(np.abs(v) > tau, v, 0.0)
 
 
-def ht_estimator(b: np.ndarray, tau: float, pinv: np.ndarray) -> np.ndarray:
-    """H_tau(Sigma^+ b): least squares through `pinv`, the pseudo-inverse
-    Sigma^+ of the design's covariance, then hard thresholding."""
-    return hard_threshold(pinv @ b, tau)
+def ht_estimator(b: np.ndarray, tau: float, eig: SymEig) -> np.ndarray:
+    """H_tau(Sigma^+ b): the least-squares fit Sigma^+ b in the eigenbasis
+    `eig` of the design's covariance, as IMP's round 0 trains to it at the
+    infinite horizon from zero, then hard thresholding."""
+    return hard_threshold(closed_form_weights(eig, b, np.zeros(eig.p), INFINITE), tau)
 
 
 def iht(cov: np.ndarray, b: np.ndarray, config: ThresholdConfig) -> IhtResult:

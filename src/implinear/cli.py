@@ -4,10 +4,11 @@ Subcommands: recover, heuristic, baselines, lemma1, replay.  Each reads a
 JSON config (see the README for the schema); the common flags --seed,
 --trials, --out, --threads, and --verified replace the top-level fields
 base_seed, trials, out_dir, threads and verified_mode before the config is
-parsed and validated.  The subcommand's harness entry point then checks the
-config's kind and, except for replay, which only reads, that its output
-directory can be written, before any trial runs.  Exit codes: 0 when the run
-passes its gate, 1 when the gate fails, 2 on configuration errors.
+parsed.  The subcommand's harness entry point then checks the config's
+kind, then its rules and, except for replay, which only reads, that its
+output directory can be written, before any trial runs.  Exit codes: 0
+when the run passes its gate, 1 when the gate fails, 2 on configuration
+errors.
 """
 
 from __future__ import annotations

@@ -107,43 +107,21 @@ class ImpTrace(NamedTuple):
         return self.weights[-1]
 
 
-class RoundFactors(Sequence):
+class RoundFactors(NamedTuple):
     """The factorizations one round of a stack was trained with.
 
-    factors[t] is run t's Sigma_A^+ as an (m, m) array whose rows and
-    columns follow run t's row of the round's `active`: its slice of
-    `inverse`, the downdate's (G, m, m) stack of Sigma_A^{-1}, if it has
-    one, else the pseudo-inverse of its SymEig, computed once per distinct
-    SymEig.  `eigs` maps the runs factorized this round to their SymEig,
-    and slot[t] is run t's slice of `inverse`, -1 for a run off the
-    downdate; runs that share a slice share its array.  The slices are views
-    of the engine's buffer, which the next downdate overwrites: they are
-    valid only during the observer's call.
+    eigs maps the runs factorized this round to their SymEig.  inverse is
+    the downdate's (G, m, m) stack of Sigma_A^{-1}, and slot[t] is run t's
+    slice of it, -1 for a run off the downdate; runs that share a slice
+    share its array, whose rows and columns follow run t's row of the
+    round's `active`.  The slices are views of the engine's buffer, which
+    the next downdate overwrites: they are valid only during the observer's
+    call.
     """
 
-    __slots__ = ("eigs", "inverse", "slot", "_pinv")
-
-    def __init__(self, eigs: dict[int, SymEig], inverse: np.ndarray, slot: np.ndarray) -> None:
-        self.eigs, self.inverse, self.slot, self._pinv = eigs, inverse, slot, {}
-
-    def __len__(self) -> int:
-        return len(self.slot)
-
-    def __getitem__(self, t: int) -> np.ndarray:
-        t = range(len(self))[t]
-        slot = self.slot[t]
-        if slot >= 0:
-            return self.inverse[slot]
-        eig = self.eigs[t]
-        if id(eig) not in self._pinv:  # `eigs` keeps every key's SymEig alive
-            self._pinv[id(eig)] = pseudo_inverse(eig)
-        return self._pinv[id(eig)]
-
-    def inverses(self) -> np.ndarray:
-        """Every run's Sigma_A^+ as one (T, m, m) stack: the engine's own,
-        not a copy, when each run has a slice of its own (slices follow the
-        runs' order)."""
-        return self.inverse if len(self.inverse) == len(self.slot) else np.stack(list(self))
+    eigs: dict[int, SymEig]
+    inverse: np.ndarray
+    slot: np.ndarray
 
 
 # on_round(k, active, weights, factors) sees round k of a stack of T runs after

@@ -229,14 +229,13 @@ def _parse(tp, value, path: str):
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    """Parse a config document strictly, then validate it.
+    """Parse a config document strictly.
 
     Field names, types and defaults come from the spec NamedTuples; unknown
-    keys anywhere are rejected.
+    keys anywhere are rejected.  The domain rules are validate_spec's, which
+    every entry point runs (`_check_run`).
     """
-    spec = _parse(ExperimentSpec, d, "")
-    validate_spec(spec)
-    return spec
+    return _parse(ExperimentSpec, d, "")
 
 
 def load_spec(path: str | Path, **overrides) -> ExperimentSpec:
@@ -381,7 +380,7 @@ def map_trials(spec: ExperimentSpec, trial_fn, *args, more=None) -> list:
 
 def _check_run(spec: ExperimentSpec, kind: str) -> None:
     """What every entry point checks before any trial runs: the kind, then
-    validate_spec, so a spec built in code meets a config file's rules, then,
+    validate_spec, the one place a config's rules are checked, then,
     if out_dir is set, that its nearest existing ancestor is a writable
     directory, found now rather than by the writers after the last trial."""
     if spec.kind != kind:
@@ -518,26 +517,26 @@ def _audit_rounds(
     """Check a stack of recovery trials at round 0: the engine's observer.
 
     Round 0 trains on every coordinate, so its eigendecompositions are those
-    of the full Sigmas: each trial's ONP verdict and smallest nonzero
-    eigenvalue are read from them, and its recoverability residual comes
-    from one `check_recoverable` call on the engine's own inverses, so
-    nothing is refactorized.  Appends (onp, min_eig, residual) per trial to
-    `audit`.  Later rounds are not checked: ONP admits a trial only if its
-    Sigma is nonsingular, and then by Cauchy interlacing so is every later
-    Sigma_A, whose smallest eigenvalue is no lower, so that
-    Sigma_A^+ Sigma_A s_A = s_A holds exactly.
+    of the full Sigmas: each trial's ONP verdict, smallest nonzero
+    eigenvalue and recoverability residual (one `check_recoverable` call)
+    are read from them, so nothing is refactorized.  Appends (onp, min_eig,
+    residual) per trial to `audit`.  Later rounds are not checked: ONP
+    admits a trial only if its Sigma is nonsingular, and then by Cauchy
+    interlacing so is every later Sigma_A, whose smallest eigenvalue is no
+    lower, so that Sigma_A^+ Sigma_A s_A = s_A holds exactly.
     """
     if k:
         return
     signal = np.stack([pr.signal for pr in problems])
     cov_signal = np.stack([pr.covariance.entries @ pr.signal for pr in problems])
-    residuals = check_recoverable(cov_signal, signal, factors.inverses())
-    for i, pr in enumerate(problems):
+    eigs = [factors.eigs[i] for i in range(len(problems))]
+    residuals = check_recoverable(cov_signal, signal, eigs)
+    for eig, pr, residual in zip(eigs, problems, residuals.tolist()):
         try:
-            lam = min_nonzero_eig(factors.eigs[i])
+            lam = min_nonzero_eig(eig)
         except ValueError:  # a zero Sigma
             lam = float("nan")
-        audit.append((check_onp(factors.eigs[i], pr.support) <= ONP_TOL, lam, float(residuals[i])))
+        audit.append((check_onp(eig, pr.support) <= ONP_TOL, lam, residual))
 
 
 def _recovery_problem(spec: ExperimentSpec, seed: int) -> SparseProblem:
@@ -854,8 +853,8 @@ def _baseline_trial(
     them as one stack on one b stack.  The sigma cells of a trial share one
     CovMatrix, so IHT stacks one Sigma per trial, and IMP factorizes it once
     at round 0 for all of them and downdates one inverse while they prune
-    alike; hard thresholding takes each cell's round-0 Sigma^+ from IMP, the
-    downdate's shared slice where it has one.
+    alike; hard thresholding reads each cell's Sigma^+ b through IMP's
+    round-0 SymEig.
     """
     _, sigmas, threshold = _baseline(spec)
     per_trial = [first if t == 0 and first else _noise_sweep(spec, spec.base_seed + t, n, sigmas)
@@ -868,7 +867,7 @@ def _baseline_trial(
 
     def threshold_round0(k, active, weights, factors):
         if k == 0:
-            hts.extend(ht_estimator(problem.b, threshold.tau, factors[t])
+            hts.extend(ht_estimator(problem.b, threshold.tau, factors.eigs[t])
                        for t, problem in enumerate(cells))
 
     traces = run_imp([problem.covariance for problem in cells], b,

@@ -10,11 +10,13 @@ interval.  Logs are natural throughout.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
 from .designs import FeatureSet
+from .flow import INFINITE, closed_form_weights
 from .linalg import SymEig, pseudo_inverse, sym_eig
 
 
@@ -160,27 +162,29 @@ def check_onp(eig: SymEig, support) -> float:
 
 
 def check_recoverable(
-    cov_signal: np.ndarray, signal: np.ndarray, inverse: np.ndarray
+    cov_signal: np.ndarray, signal: np.ndarray, eigs: Sequence[SymEig]
 ) -> np.ndarray:
     """How far does each restricted signal of a stack move under projection onto range(Ups)?
 
     Per slice t of a stack of T, with A_t its active indices in some order
     and Ups = Sigma_A the principal submatrix on them: `signal` holds s_A
-    (T, m), `cov_signal` holds Ups s_A (T, m) and `inverse` the (T, m, m)
-    stack of Ups^+, rows and columns in the order of A_t.  The length-T
-    result is residual = ||Ups^+ Ups s_A - s_A||_inf, by one matrix-vector
-    product per slice.  The pruning guarantee needs it to vanish at every
-    round.  The product of each slice is computed as it would be alone, so
-    a slice's residual does not depend on the rest of its stack.
+    (T, m), `cov_signal` holds Ups s_A (T, m) and eigs[t] is the
+    eigendecomposition of Ups, rows in the order of A_t.  The length-T
+    result is residual = ||Ups^+ Ups s_A - s_A||_inf, with Ups^+ applied in
+    the eigenbasis as V (Lambda^+ (V^T u)), the least-squares fit
+    `closed_form_weights` trains to at the infinite horizon.  The pruning
+    guarantee needs it to vanish at every round.  Each slice is computed
+    alone, so a slice's residual does not depend on the rest of its stack.
     """
     cov_signal = np.asarray(cov_signal, dtype=float)
     signal = np.asarray(signal, dtype=float)
-    if cov_signal.shape != signal.shape:
+    if cov_signal.shape != signal.shape or signal.ndim != 2:
         raise ValueError("cov_signal and signal must have one shape (T, m)")
-    if inverse.shape != signal.shape + signal.shape[-1:]:
-        raise ValueError("pass exactly one (m, m) inverse per slice")
-    projected = (inverse @ cov_signal[..., None])[..., 0]
-    return np.max(np.abs(projected - signal), axis=-1, initial=0.0)
+    if len(eigs) != len(signal) or any(eig.p != signal.shape[1] for eig in eigs):
+        raise ValueError("pass exactly one (m, m) eigendecomposition per slice")
+    zero = np.zeros(signal.shape[1])
+    return np.array([np.max(np.abs(closed_form_weights(eig, u, zero, INFINITE) - s), initial=0.0)
+                     for eig, u, s in zip(eigs, cov_signal, signal)], dtype=float)
 
 
 def recovery_sample_size_raw(b: BoundInputs) -> float:

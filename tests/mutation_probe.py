@@ -51,6 +51,10 @@ MUTANTS = (
      "pr.support) <= ONP_TOL", "pr.support) < ONP_TOL"),
     ("audit runs past round 0", "harness.py",
      "if k:\n        return\n    signal = ", "if k < 0:\n        return\n    signal = "),
+    ("HT thresholds IMP's round-0 trained weights", "harness.py",
+     "ht_estimator(problem.b, threshold.tau, factors.eigs[t])",
+     "ht_estimator(problem.b, np.inf, factors.eigs[t])"
+     " + np.where(np.abs(weights[t]) > threshold.tau, weights[t], 0.0)"),
     ("incoherent screen gap > threshold made >=", "harness.py",
      "row.min_gap > row.gap_threshold", "row.min_gap >= row.gap_threshold"),
     ("uniform_corr screen margin <= tie_tol made <", "harness.py",

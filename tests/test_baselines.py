@@ -17,7 +17,7 @@ from implinear.baselines import (
 )
 from implinear.designs import FeatureSet, gen_orthonormal_design, gen_sparse_signal, make_rng
 from implinear.engine import ImpConfig, run_imp
-from implinear.linalg import CovMatrix, pseudo_inverse, sym_eig
+from implinear.linalg import CovMatrix, sym_eig
 
 
 class Data(NamedTuple):
@@ -83,23 +83,19 @@ class TestHardThreshold:
         assert set(np.flatnonzero(out)) <= set(np.flatnonzero(v))
 
 
-def sigma_pinv(fs):
-    return pseudo_inverse(sym_eig(fs.covariance))
-
-
 class TestHtEstimator:
     def test_orthonormal_noiseless_exact(self):
         fs = gen_orthonormal_design(20, 8, seed=77)
         s, _ = gen_sparse_signal(8, 3, gamma=1.0, amplitude_law="uniform", seed=78)
         fs = with_targets(fs, fs.phi @ s)
-        est = ht_estimator(fs.b, tau=0.5, pinv=sigma_pinv(fs))
+        est = ht_estimator(fs.b, tau=0.5, eig=sym_eig(fs.covariance))
         assert np.allclose(est, s, atol=1e-10)
 
     def test_huge_tau_returns_zero(self):
         fs = gen_orthonormal_design(12, 5, seed=79)
         fs = with_targets(fs, make_rng(80).standard_normal(12))
         big = 1.0 + np.max(np.abs(fs.phi.T @ fs.targets))
-        assert np.array_equal(ht_estimator(fs.b, tau=big, pinv=sigma_pinv(fs)), np.zeros(5))
+        assert np.array_equal(ht_estimator(fs.b, tau=big, eig=sym_eig(fs.covariance)), np.zeros(5))
 
     def test_tau_zero_is_least_squares(self):
         rng = make_rng(81)
@@ -107,7 +103,7 @@ class TestHtEstimator:
         y = rng.standard_normal(15)
         fs = from_phi(phi, y)
         ls, *_ = np.linalg.lstsq(phi, y, rcond=None)
-        assert np.allclose(ht_estimator(fs.b, tau=0.0, pinv=sigma_pinv(fs)), ls, atol=1e-8)
+        assert np.allclose(ht_estimator(fs.b, tau=0.0, eig=sym_eig(fs.covariance)), ls, atol=1e-8)
 
 
 def normal_equations(*features):
@@ -391,7 +387,7 @@ class TestMethodAgreement:
 
             trace = run_imp([fs.covariance], fs.b[None], ImpConfig(prune_rounds=p - k))[0]
             imp_support = set(np.flatnonzero(trace.final_weights != 0.0).tolist())
-            ht_estimate = ht_estimator(fs.b, tau=0.5, pinv=sigma_pinv(fs))
+            ht_estimate = ht_estimator(fs.b, tau=0.5, eig=sym_eig(fs.covariance))
             ht_support = set(np.flatnonzero(ht_estimate != 0.0).tolist())
             iht_estimate, _, _ = iht_one(fs, ThresholdConfig(tau=0.5, eta=1.0))
             iht_support = set(np.flatnonzero(iht_estimate != 0.0).tolist())

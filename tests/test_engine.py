@@ -341,12 +341,15 @@ def oracle_imp(features, config):
 def observed(factors, t):
     """Run t's factorization in a round: its SymEig if the round factorized
     it, else a copy of its slice of the downdate's inverse stack, which the
-    engine overwrites after the call.  Either way factors[t] is its
-    Sigma_A^+, the pseudo-inverse of a SymEig bit for bit."""
-    inverse = factors[t]
+    engine overwrites after the call.  A run factorized and downdated in one
+    round (round 0) has a slice that is its SymEig's pseudo-inverse bit for
+    bit."""
+    slot = factors.slot[t]
     if t not in factors.eigs:
-        return inverse.copy()
-    assert_same_bits(inverse, pseudo_inverse(factors.eigs[t]))
+        assert slot >= 0
+        return factors.inverse[slot].copy()
+    if slot >= 0:
+        assert_same_bits(factors.inverse[slot], pseudo_inverse(factors.eigs[t]))
     return factors.eigs[t]
 
 
@@ -906,7 +909,7 @@ class TestSwapDowndate:
                 runs = np.flatnonzero(factors.slot == s).tolist()
                 if len({drops[t] for t in runs}) == 1:
                     j = drops[runs[0]][0]
-                    factors[runs[0]][j, j] = -1.0  # the engine's own buffer
+                    factors.inverse[s][j, j] = -1.0  # the engine's own buffer
                     for t in runs:
                         planted[t].add(k)
 
@@ -928,11 +931,12 @@ class TestSwapDowndate:
 
         def observe(k, active, weights, factors):
             for t, fs in enumerate(stack):
+                inverse = factors.inverse[factors.slot[t]]
                 if k == 0:
-                    assert_same_bits(factors[t], pseudo_inverse(sym_eig(fs.covariance)))
+                    assert_same_bits(inverse, pseudo_inverse(sym_eig(fs.covariance)))
                 sub = fs.covariance.restrict(active[t]).entries
-                assert np.allclose(factors[t] @ sub, np.eye(len(sub)), atol=1e-8)
-                assert np.allclose(weights[t], factors[t] @ fs.b[active[t]], atol=1e-10)
+                assert np.allclose(inverse @ sub, np.eye(len(sub)), atol=1e-8)
+                assert np.allclose(weights[t], inverse @ fs.b[active[t]], atol=1e-10)
             rounds.append(bool(np.any(np.diff(active, axis=1) < 0)))
 
         for per_round in (1, 3):
@@ -988,8 +992,8 @@ def run_digested(covs, b, config, drift):
     rounds = []
 
     def observe(k, active, weights, factors):
-        assert len(factors) == len(covs)
-        rounds.append(([factor_digest(observed(factors, t)) for t in range(len(factors))],
+        assert len(factors.slot) == len(covs)
+        rounds.append(([factor_digest(observed(factors, t)) for t in range(len(covs))],
                        len(factors.inverse)))
 
     patch = (mock.patch.object(engine_module, "_downdate", drift_at_third_call(
@@ -1052,20 +1056,13 @@ class TestSharedDowndate:
         checked = []
 
         def observe(k, active, weights, factors):  # its arrays are valid only now
+            assert list(factors.slot) == [0, 0]  # both runs read the one slice
+            assert factors.inverse.shape == (1, DIFF_P - k, DIFF_P - k)
             if k == 0:
-                assert factors.eigs[0] is factors.eigs[1] and len(factors.inverse) == 1
-                assert np.shares_memory(factors[0], factors[-1])  # both read the one slice
-                assert_same_bits(factors[0], pseudo_inverse(factors.eigs[0]))
-                stacked = factors.inverses()  # two runs on one slice: a stack of copies
-                assert stacked.shape == (2, DIFF_P, DIFF_P)
-                assert not np.shares_memory(stacked, factors.inverse)
-                assert_same_bits(stacked[1], factors[1])
-            if k == 1:
-                assert factors.eigs == {} and list(factors.slot) == [0, 0]
-                assert np.shares_memory(factors[0], factors[1])
-                assert np.shares_memory(factors[-2], factors.inverse)
-                with pytest.raises(IndexError):
-                    factors[2]
+                assert factors.eigs[0] is factors.eigs[1]
+                assert_same_bits(factors.inverse[0], pseudo_inverse(factors.eigs[0]))
+            else:
+                assert factors.eigs == {}
             checked.append(k)
 
         run_imp([fs.covariance] * 2, np.stack(b), ImpConfig(prune_rounds=3), observe)
@@ -1073,19 +1070,23 @@ class TestSharedDowndate:
 
     @pytest.mark.parametrize("horizon", [INFINITE, 3.0])
     def test_inverses_are_the_engines_stack_when_each_run_has_a_slice(self, horizon):
-        # distinct covariances: one slice per run on the downdate, and none
-        # at a finite horizon, where each run's Sigma_A^+ comes from its SymEig
+        # distinct covariances: one slice per run on the downdate, in the
+        # runs' order, and none at a finite horizon, where every round
+        # factorizes every run
         stack = [design_features("incoherent", 200, None, seed=23 + i) for i in range(3)]
         seen = []
 
         def observe(k, active, weights, factors):
-            inverses = factors.inverses()
-            assert (inverses is factors.inverse) == is_infinite(horizon)
-            for t in range(len(factors)):
-                assert_same_bits(inverses[t], factors[t])
-                if t in factors.eigs:
-                    assert_same_bits(inverses[t], pseudo_inverse(factors.eigs[t]))
-            seen.append(inverses.shape)
+            factorized = k == 0 or not is_infinite(horizon)
+            assert sorted(factors.eigs) == ([0, 1, 2] if factorized else [])
+            if is_infinite(horizon):
+                assert list(factors.slot) == [0, 1, 2]
+                for t in factors.eigs:
+                    assert_same_bits(factors.inverse[t], pseudo_inverse(factors.eigs[t]))
+            else:
+                assert list(factors.slot) == [-1, -1, -1]
+            seen.append(factors.inverse.shape)
 
         run(stack, ImpConfig(prune_rounds=4, horizon=horizon), on_round=observe)
-        assert seen == [(3, DIFF_P - k, DIFF_P - k) for k in range(5)]
+        assert seen == ([(3, DIFF_P - k, DIFF_P - k) for k in range(5)] if is_infinite(horizon)
+                        else [(0, DIFF_P - k, DIFF_P - k) for k in range(5)])

@@ -12,7 +12,7 @@ import pytest
 from implinear import designs as designs_module
 from implinear import engine as engine_module
 from implinear import harness as harness_module
-from implinear.baselines import alignment_order, ht_estimator
+from implinear.baselines import alignment_order, hard_threshold
 from implinear.cli import main
 from implinear.designs import (
     DESIGNS,
@@ -135,19 +135,19 @@ class TestSpecParsing:
         doc = config_document()
         doc["kind"] = "lottery"
         with pytest.raises(ConfigError, match="kind"):
-            spec_from_dict(doc)
+            validate_spec(spec_from_dict(doc))
 
     def test_uniform_corr_needs_alpha(self):
         doc = config_document()
         doc["design"]["kind"] = "uniform_corr"
         with pytest.raises(ConfigError, match="alpha"):
-            spec_from_dict(doc)
+            validate_spec(spec_from_dict(doc))
 
     def test_signal_required_for_recovery(self):
         doc = config_document()
         doc["signal"] = None
         with pytest.raises(ConfigError, match="signal"):
-            spec_from_dict(doc)
+            validate_spec(spec_from_dict(doc))
 
     def test_integers_become_floats(self):
         doc = config_document()
@@ -293,27 +293,17 @@ class TestSupportRecovery:
         assert report.summary.failure_rate == 0.0
         assert report.summary.passed
 
-    def test_round_zero_is_audited_on_the_engines_inverse_stack(self, monkeypatch):
-        # the audit reads the (T, m, m) stack the downdate starts from, once
-        # per range, instead of stacking the same pseudo-inverses again
+    def test_round_zero_is_audited_on_the_engines_eigs(self, monkeypatch):
+        # one check per range, on the SymEigs round 0 trained with
         seen = []
 
-        def recording(cov_signal, signal, inverse):
-            seen.append(inverse.shape)
-            return check_recoverable(cov_signal, signal, inverse)
-
-        real, own = engine_module.RoundFactors.inverses, []
-
-        def inverses(factors):
-            out = real(factors)
-            own.append(out is factors.inverse)
-            return out
+        def recording(cov_signal, signal, eigs):
+            seen.append((cov_signal.shape, [eig.p for eig in eigs]))
+            return check_recoverable(cov_signal, signal, eigs)
 
         monkeypatch.setattr(harness_module, "check_recoverable", recording)
-        monkeypatch.setattr(engine_module.RoundFactors, "inverses", inverses)
         run_support_recovery(recovery_spec(trials=3))
-        assert own == [True]  # the stack itself, not a copy
-        assert seen == [(3, 12, 12)]
+        assert seen == [((3, 12), [12, 12, 12])]
 
     def test_q_zero_dense(self):
         report = run_support_recovery(
@@ -456,9 +446,26 @@ def audit_stack(problems, config):
 def fresh_residual(problem):
     """Round 0's recoverability residual of a problem, checked on its own."""
     s, cov = problem.signal, problem.covariance
-    [residual] = check_recoverable((cov.entries @ s)[None], s[None],
-                                   pseudo_inverse(sym_eig(cov))[None])
+    [residual] = check_recoverable((cov.entries @ s)[None], s[None], [sym_eig(cov)])
     return residual
+
+
+def oracle_residual(problem):
+    """Round 0's residual ||Sigma^+ (Sigma s) - s||_inf through the
+    pseudo-inverse matrix, and how far rounding may move it from the
+    eigenbasis form V (Lambda^+ (V^T u)): with M = |V| |Lambda^+| |V^T|,
+    which bounds |Sigma^+| entrywise, both products lie within
+    (2p + 1) eps M |u| and (2p + 2) eps M |u| of the exact one, and the
+    subtraction of s rounds each once more, so they differ by at most
+    (4p + 5) eps (max M |u| + max |s| + residual)."""
+    s, cov = problem.signal, problem.covariance
+    eig = sym_eig(cov)
+    u = cov.entries @ s
+    residual = float(np.max(np.abs(pseudo_inverse(eig) @ u - s)))
+    v, nonzero = np.abs(eig.eigenvectors), eig.nonzero_mask()
+    lam = np.where(nonzero, 1.0, 0.0) / np.abs(np.where(nonzero, eig.eigenvalues, 1.0))
+    scale = np.max(v @ (lam * (v.T @ np.abs(u)))) + np.max(np.abs(s)) + residual
+    return residual, (4 * cov.p + 5) * np.finfo(float).eps * scale
 
 
 # every nonsingular design at an infinite and a finite horizon: the downdate
@@ -520,9 +527,12 @@ class TestAuditRounds:
 
     @pytest.mark.parametrize("spec", AUDITED)
     def test_residual_is_round_zeros_check(self, spec):
+        # against the pseudo-inverse matrix, within the rounding of the two
+        # products of one SymEig
         for t, rec in enumerate(recovery_trial(spec, range(3))):
             problem = harness_module._recovery_problem(spec, spec.base_seed + t)
-            assert rec.max_recov_residual == fresh_residual(problem)
+            residual, bound = oracle_residual(problem)
+            assert abs(rec.max_recov_residual - residual) <= bound
 
     @pytest.mark.parametrize("spec", AUDITED)
     def test_stacked_range_is_its_trials(self, spec):
@@ -531,35 +541,32 @@ class TestAuditRounds:
 
     @pytest.mark.parametrize("spec", AUDITED)
     def test_one_check_on_the_engines_stack(self, monkeypatch, count_sym_eig, spec):
-        checked, stacks = [], []
+        # one check per range on the SymEigs round 0 trained with, each
+        # slice with the bits of its check alone
+        checked = []
 
-        def recording(cov_signal, signal, inverse):
-            checked.append(inverse)
-            return check_recoverable(cov_signal, signal, inverse)
-
-        real = engine_module.RoundFactors.inverses
-
-        def inverses(factors):
-            stacks.append(real(factors))
-            return stacks[-1]
+        def recording(cov_signal, signal, eigs):
+            residuals = check_recoverable(cov_signal, signal, eigs)
+            checked.append((cov_signal, signal, eigs, residuals))
+            return residuals
 
         monkeypatch.setattr(harness_module, "check_recoverable", recording)
-        monkeypatch.setattr(engine_module.RoundFactors, "inverses", inverses)
         problems = [harness_module._recovery_problem(spec, spec.base_seed + t) for t in range(3)]
         seen = []
 
         def observer(k, active, weights, factors):
-            seen.append(factors.inverse)
+            seen.append(dict(factors.eigs))
             harness_module._audit_rounds(problems, [], k, active, weights, factors)
 
         calls = count_sym_eig(harness_module)
         run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]),
                 recovery_config(spec), on_round=observer)
         assert calls == []  # nothing refactorized
-        [stack] = stacks
-        assert len(checked) == 1 and checked[0] is stack and stack.shape == (3, 12, 12)
-        # the stack the downdate starts from, not a copy; a finite horizon has none
-        assert (stack is seen[0]) == (spec.imp.horizon == "infinite")
+        [(cov_signal, signal, eigs, residuals)] = checked
+        assert len(eigs) == 3 and all(eig is seen[0][t] for t, eig in enumerate(eigs))
+        for t in range(3):
+            [alone] = check_recoverable(cov_signal[t:t + 1], signal[t:t + 1], eigs[t:t + 1])
+            assert alone.tobytes() == residuals[t].tobytes()
 
     @pytest.mark.parametrize("overrides", [
         {"imp": ImpSpec(horizon=5.0)},
@@ -807,14 +814,14 @@ class TestHeuristic:
 
     def test_incoherent_requires_n(self):
         with pytest.raises(ConfigError, match="design.n"):
-            spec_from_dict(
+            run_heuristic_equivalence(spec_from_dict(
                 {
                     "kind": "heuristic_equivalence",
                     "design": {"kind": "incoherent", "p": 3},
                     "trials": 5,
                     "base_seed": 1,
                 }
-            )
+            ))
 
     def test_separation_margin_certifies(self):
         # a geometric score ladder is far from every tie: certificate positive
@@ -940,8 +947,8 @@ class TestBaselines:
 
     def test_a_range_factorizes_each_trial_once(self, monkeypatch, count_sym_eig):
         # IMP's round-0 eigendecomposition of a trial's Sigma serves its three
-        # sigma cells, and its one pseudo-inverse is the downdate's shared
-        # slice, which hard thresholding reads too
+        # sigma cells, hard thresholding included, and its one pseudo-inverse
+        # is the downdate's shared slice
         calls, pinvs = count_sym_eig(harness_module, engine_module), count_pinv(monkeypatch)
         sigmas = (0.1, 0.5, 1.0)
         spec = ExperimentSpec(
@@ -959,9 +966,8 @@ class TestBaselines:
         assert_ht_as_alone(spec, sigmas, range(1, 4), outcomes)
 
     def test_q_zero_hard_thresholds_with_each_cells_pseudo_inverse(self, monkeypatch):
-        # with one round nothing joins the downdate: hard thresholding reads
-        # each cell's Sigma^+ from the pseudo-inverse of IMP's round-0 SymEig,
-        # computed once for the three cells that share it
+        # with one round nothing joins the downdate, so no pseudo-inverse is
+        # formed: hard thresholding reads IMP's round-0 SymEig
         pinvs = count_pinv(monkeypatch)
         sigmas = (0.1, 0.5, 1.0)
         spec = ExperimentSpec(
@@ -974,8 +980,29 @@ class TestBaselines:
             baseline=BaselineSpec(eta=0.5, sigmas=sigmas),
         )
         outcomes = harness_module._baseline_trial(spec, range(4), 40, None)
-        assert len(pinvs) == 4  # one per trial, not one per cell
+        assert pinvs == []
         monkeypatch.undo()
+        assert_ht_as_alone(spec, sigmas, range(4), outcomes)
+
+    @pytest.mark.parametrize("design", [
+        DesignSpec(kind="incoherent", p=10, n=40),
+        DesignSpec(kind="uniform_corr", p=10, n=40, alpha=0.99),
+    ], ids=lambda d: d.kind)
+    def test_finite_horizon_hard_thresholds_the_least_squares_fit(self, design):
+        # IMP trains round 0 only to the horizon, which on the nearly
+        # singular uniform_corr design stops far from Sigma^+ b; hard
+        # thresholding still thresholds the least-squares fit
+        sigmas = (0.1, 0.5, 1.0)
+        spec = ExperimentSpec(
+            kind="baseline_comparison",
+            design=design,
+            trials=4,
+            base_seed=68,
+            signal=SignalSpec(k=2, gamma=1.0),
+            imp=ImpSpec(horizon=20.0),
+            baseline=BaselineSpec(eta=0.1, sigmas=sigmas),  # stable at lambda_max ~ 10
+        )
+        outcomes = harness_module._baseline_trial(spec, range(4), 40, None)
         assert_ht_as_alone(spec, sigmas, range(4), outcomes)
 
 
@@ -993,14 +1020,15 @@ def count_pinv(monkeypatch):
 
 
 def assert_ht_as_alone(spec, sigmas, trials, outcomes):
-    """Hard thresholding as with a pseudo-inverse of each cell's own factorization."""
+    """Hard thresholding as H_tau(Sigma^+ b) with the pseudo-inverse matrix
+    of each cell's own factorization."""
     for t, per_sigma in zip(trials, outcomes, strict=True):
         assert per_sigma.shape == (len(sigmas), 3, 2)
         for problem, (_, ht, _) in zip(
             harness_module._noise_sweep(spec, spec.base_seed + t, 40, sigmas), per_sigma
         ):
             pinv = pseudo_inverse(sym_eig(problem.covariance))
-            est = ht_estimator(problem.b, 0.5, pinv)  # tau = gamma / 2
+            est = hard_threshold(pinv @ problem.b, 0.5)  # tau = gamma / 2
             support = set(np.flatnonzero(est != 0.0).tolist())
             assert ht.tolist() == [support == set(problem.support),
                                    harness_module._support_f1(support, set(problem.support))]

@@ -110,11 +110,11 @@ def cov_signal(cov, signal, active):
 
 
 def check_one(cov, signal, active, eig):
-    """check_recoverable on a stack of one, with the pseudo-inverse of `eig`:
-    the residual of that slice."""
+    """check_recoverable on a stack of one, with `eig` the eigendecomposition
+    of Sigma_A: the residual of that slice."""
     signal, active = np.asarray(signal, dtype=float), np.asarray(active)
     residual = check_recoverable(cov_signal(cov.entries, signal, active)[None],
-                                 signal[active][None], pseudo_inverse(eig)[None])
+                                 signal[active][None], [eig])
     assert residual.shape == (1,)
     return float(residual[0])
 
@@ -137,15 +137,16 @@ class TestCheckRecoverable:
         assert residual == pytest.approx(1.0)
 
     def test_dimension_checked(self):
-        pinv = pseudo_inverse(sym_eig(RANK_ONE))
-        with pytest.raises(ValueError, match="one shape"):
-            check_recoverable(np.zeros((1, 3)), np.zeros((1, 2)), pinv[None])
+        eig = sym_eig(RANK_ONE)
+        for u, s in ((np.zeros((1, 3)), np.zeros((1, 2))), (np.zeros(2), np.zeros(2))):
+            with pytest.raises(ValueError, match="one shape"):
+                check_recoverable(u, s, [eig])
 
     def test_exactly_one_factorization(self):
-        pinv = pseudo_inverse(sym_eig(RANK_ONE))
-        for inverse in (pinv[None, :1, :1], np.stack([pinv, pinv]), pinv):
+        eig = sym_eig(RANK_ONE)
+        for eigs in ([sym_eig(CovMatrix(np.eye(1)))], [eig, eig], []):
             with pytest.raises(ValueError, match="exactly one"):
-                check_recoverable(np.ones((1, 2)), np.ones((1, 2)), inverse)
+                check_recoverable(np.ones((1, 2)), np.ones((1, 2)), eigs)
 
     def test_active_subset_equals_the_explicit_submatrix(self):
         # rank 3 < |A| = 5: Sigma_A is singular and the residual is nonzero
@@ -175,7 +176,7 @@ class TestCheckRecoverable:
             eigs.append(sym_eig(cov.restrict(active)))
         residual = check_recoverable(
             np.stack([cov_signal(c.entries, s, a) for c, s, a in zip(covs, signals, actives)]),
-            np.stack([s[a] for s, a in zip(signals, actives)]), pseudo_inverse(eigs))
+            np.stack([s[a] for s, a in zip(signals, actives)]), eigs)
         assert residual.tolist() == [check_one(*args) for args in zip(covs, signals, actives,
                                                                       eigs)]
 
@@ -191,25 +192,34 @@ def full_gather_residual(cov, signal, active, inverse):
     return np.max(np.abs(projected - s_active), axis=-1, initial=0.0)
 
 
-def summation_bound(cov, signal, active, inverse, oracle):
-    """How far the residual may move when Sigma_A s_A is summed over all p
-    columns of Sigma (signal zeroed off A) instead of over A's m.
+def summation_bound(cov, signal, active, eigs, oracle):
+    """How far the residual may move between `check_recoverable`, which sums
+    Sigma_A s_A over all p columns of Sigma (signal zeroed off A) and
+    applies Sigma_A^+ = V Lambda^+ V^T as V (Lambda^+ (V^T u)), and the full
+    gather, which sums over A's m and multiplies by the pseudo-inverse
+    matrix C.
 
-    With gamma_n = n eps / (1 - n eps) the two sums each lie within
-    gamma_p |Sigma| |s| and gamma_m |Sigma_A| |s_A| of the exact product,
-    and the products with C = Sigma_A^+ within gamma_m |C| of theirs, so the
-    projections differ by at most (gamma_p + 3 gamma_m + O(eps^2))
-    |C| |Sigma| |s|; the subtraction of s_A rounds each once more.  Per
-    slice: (p + 3m + 4) eps (max |C| |Sigma| |s| + max |s_A| + residual).
+    With gamma_n = n eps / (1 - n eps) and M = |V| |Lambda^+| |V^T|, which
+    bounds |C| entrywise: the two sums each lie within gamma_p |Sigma| |s|
+    and gamma_m |Sigma_A| |s_A| of the exact product; the eigenbasis
+    product lies within gamma_{2m+1} M |u| of V Lambda^+ V^T u; C lies
+    within gamma_{m+2} M of it (a product of m terms, halved and
+    symmetrized) and C u within gamma_m |C| |u| of that.  So the
+    projections differ by at most (gamma_p + 5 gamma_m + gamma_3 + O(eps^2))
+    M |Sigma| |s|; the subtraction of s_A rounds each once more.  Per
+    slice: (p + 5m + 5) eps (max M |Sigma| |s| + max |s_A| + residual).
     """
     eps = np.finfo(float).eps
     out = []
-    for c, s, a, inv, r in zip(cov, signal, active, inverse, oracle):
+    for c, s, a, eig, r in zip(cov, signal, active, eigs, oracle):
         masked = np.zeros_like(s)
         masked[a] = s[a]
-        scale = np.max(np.abs(inv) @ (np.abs(c) @ np.abs(masked))[a], initial=0.0)
+        v = np.abs(eig.eigenvectors)
+        nonzero = eig.nonzero_mask()
+        lam = np.where(nonzero, 1.0, 0.0) / np.abs(np.where(nonzero, eig.eigenvalues, 1.0))
+        scale = np.max(v @ (lam * (v.T @ (np.abs(c) @ np.abs(masked))[a])), initial=0.0)
         scale += np.max(np.abs(s[a]), initial=0.0) + r
-        out.append((len(s) + 3 * len(a) + 4) * eps * scale)
+        out.append((len(s) + 5 * len(a) + 5) * eps * scale)
     return np.array(out)
 
 
@@ -242,15 +252,15 @@ class TestCovSignal:
             signals.append(signal)
             actives.append(rng.choice(p, m, replace=False))
         cov, signal, active = np.stack(covs), np.stack(signals), np.stack(actives)
-        inverse = pseudo_inverse([sym_eig(CovMatrix(c).restrict(a)) for c, a in zip(cov, active)])
+        eigs = [sym_eig(CovMatrix(c).restrict(a)) for c, a in zip(cov, active)]
         u = np.stack([cov_signal(c, s, a) for c, s, a in zip(cov, signal, active)])
         s_active = np.take_along_axis(signal, active, axis=1)
-        residual = check_recoverable(u, s_active, inverse)
+        residual = check_recoverable(u, s_active, eigs)
         for t in range(slices):
-            [alone] = check_recoverable(u[t:t + 1], s_active[t:t + 1], inverse[t:t + 1])
+            [alone] = check_recoverable(u[t:t + 1], s_active[t:t + 1], eigs[t:t + 1])
             assert alone.tobytes() == residual[t].tobytes()
-        oracle = full_gather_residual(cov, signal, active, inverse)
-        bound = summation_bound(cov, signal, active, inverse, oracle)
+        oracle = full_gather_residual(cov, signal, active, pseudo_inverse(eigs))
+        bound = summation_bound(cov, signal, active, eigs, oracle)
         assert np.all(np.abs(residual - oracle) <= bound)
 
     def test_a_signal_that_vanishes_off_a_needs_no_mask(self):
