@@ -33,17 +33,11 @@ from .engine import (
     run_imp,
     trace_to_dict,
 )
-from .flow import (
-    INFINITE,
-    StabilityWarning,
-    closed_form_weights,
-    flow_rk4,
-)
+from .flow import INFINITE, closed_form_weights
 from .linalg import (
     CovMatrix,
     SymEig,
     min_nonzero_eig,
-    operator_norm,
     pseudo_inverse,
     sym_eig,
 )
@@ -73,7 +67,6 @@ __all__ = [
     "ImpTrace",
     "McSummary",
     "SparseProblem",
-    "StabilityWarning",
     "SymEig",
     "ThresholdConfig",
     "alignment_order",
@@ -84,7 +77,6 @@ __all__ = [
     "concentration_sample_size",
     "concentration_sample_size_raw",
     "exact_binomial_ci",
-    "flow_rk4",
     "gen_incoherent_design",
     "gen_orthonormal_design",
     "gen_sparse_signal",
@@ -96,7 +88,6 @@ __all__ = [
     "make_rng",
     "min_nonzero_eig",
     "noise_projector",
-    "operator_norm",
     "pairwise_incoherence",
     "pseudo_inverse",
     "recovery_sample_size",

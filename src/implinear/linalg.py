@@ -5,7 +5,9 @@ ascending, orthonormal eigenvector columns with a deterministic sign fix
 (first entry of nonnegligible magnitude is positive), and a rank tolerance,
 set by the matrix alone, at or below which an eigenvalue counts as zero.
 The pseudo-inverse inverts the spectrum above that tolerance and zeroes it
-below, in the same basis.
+below, in the same basis.  The spectral norm, which only the RK4 oracle's
+stability check needs, is `operator_norm` in `tests/oracles.py`, outside
+the library.
 """
 
 from __future__ import annotations
@@ -170,13 +172,6 @@ def min_nonzero_eig(eig: SymEig) -> float:
             "zero matrix: smallest non-zero eigenvalue is undefined"
         )
     return float(eig.eigenvalues[mask][0])
-
-
-def operator_norm(eig: SymEig) -> float:
-    """Spectral norm: largest eigenvalue magnitude."""
-    if eig.eigenvalues.size == 0:
-        return 0.0
-    return float(np.max(np.abs(eig.eigenvalues)))
 
 
 def psd_sqrt(eig: SymEig) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 
 from implinear.designs import FeatureSet
 from implinear.engine import ImpConfig, run_imp
-from implinear.flow import closed_form_weights, flow_rk4
+from implinear.flow import closed_form_weights
 from implinear.harness import (
     BaselineSpec,
     DesignSpec,
@@ -35,6 +35,7 @@ from implinear.theory import (
     recovery_sample_size,
     recovery_sample_size_raw,
 )
+from oracles import flow_rk4
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:

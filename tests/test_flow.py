@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from implinear.designs import FeatureSet
-from implinear.flow import (
-    INFINITE,
-    StabilityWarning,
-    closed_form_weights,
-    flow_rk4,
-    is_infinite,
-    normalize_horizon,
-)
+from implinear.flow import INFINITE, closed_form_weights, is_infinite, normalize_horizon
 from implinear.linalg import min_nonzero_eig, pseudo_inverse, sym_eig
+from oracles import StabilityWarning, flow_rk4
 
 
 def flow_inputs(phi, y):

@@ -8,11 +8,11 @@ from implinear.linalg import (
     SymEig,
     default_rank_tol,
     min_nonzero_eig,
-    operator_norm,
     pseudo_inverse,
     psd_sqrt,
     sym_eig,
 )
+from oracles import operator_norm
 
 
 def random_psd(rng, p, rank=None):
