@@ -59,10 +59,6 @@ class FeatureSet(NamedTuple):
     def n(self) -> int:
         return self.phi.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.phi.shape[1]
-
 
 class SparseProblem(NamedTuple):
     """A k-sparse ground truth s with observations y = Phi s + xi, kept as the

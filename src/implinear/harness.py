@@ -90,11 +90,6 @@ INVERSE_TOL = 1e-8
 # T * p^2 doubles: 26 recover trials at p = 50, one trial from p = 182 on.
 STACK_BUDGET = 2**16
 
-HEURISTIC_CSV_HEADER = (
-    "trial,seed,full_match,first_match,degenerate,excluded,"
-    "delta_pw,min_gap,gap_threshold,inverse_err"
-)
-BASELINES_CSV_HEADER = "sigma,method,trials,exact_count,exact_rate,mean_f1"
 BASELINE_METHODS = ("imp", "ht", "iht")
 
 
@@ -626,19 +621,22 @@ def run_support_recovery(spec: ExperimentSpec) -> RecoveryReport:
 # ---------------------------------------------------------------------------
 
 
-class HeuristicTrialRow:
+class HeuristicTrialRow(NamedTuple):
     """One row of heuristic_trials.csv; a quantity a trial does not measure is nan."""
 
-    __slots__ = tuple(HEURISTIC_CSV_HEADER.split(","))
+    trial: int
+    seed: int
+    full_match: bool
+    first_match: bool
+    degenerate: bool
+    excluded: bool
+    delta_pw: float
+    min_gap: float
+    gap_threshold: float
+    inverse_err: float
 
-    def __init__(self, trial: int, seed: int, full_match: bool = False,
-                 first_match: bool = False, degenerate: bool = False, excluded: bool = False,
-                 delta_pw: float = math.nan, min_gap: float = math.nan,
-                 gap_threshold: float = math.nan, inverse_err: float = math.nan) -> None:
-        self.trial, self.seed, self.full_match, self.first_match = (
-            trial, seed, full_match, first_match)
-        self.degenerate, self.excluded, self.delta_pw = degenerate, excluded, delta_pw
-        self.min_gap, self.gap_threshold, self.inverse_err = min_gap, gap_threshold, inverse_err
+
+HEURISTIC_CSV_HEADER = ",".join(HeuristicTrialRow._fields)
 
 
 class HeuristicReport(NamedTuple):
@@ -698,44 +696,46 @@ def _heuristic_trials(spec: ExperimentSpec, trials: range) -> list[HeuristicTria
     design = spec.design
     n, p = _heuristic_n(design), design.p
     incoherent = design.kind == "incoherent"
-    rows, ranked = [], []
+    measured, ranked, matches = [], [], {}
     for trial in trials:
         seed = spec.base_seed + trial
         fs = DESIGNS[design.kind].draw(n, p, seed, design.alpha)
-        row = HeuristicTrialRow(trial, seed)
         xty = fs.phi.T @ make_rng(seed, STREAM_TARGETS).standard_normal(n)
         mags = np.sort(np.abs(xty))
         gaps = np.diff(mags) if p > 1 else np.full(1, np.inf)
-        row.min_gap = float(gaps[0] if incoherent else np.min(gaps))
-        row.degenerate = row.min_gap < spec.tie_tol
+        min_gap = float(gaps[0] if incoherent else np.min(gaps))
+        degenerate = min_gap < spec.tie_tol
+        excluded, delta_pw, gap_threshold, inverse_err = False, math.nan, math.nan, math.nan
         if incoherent:
-            row.delta_pw = pairwise_incoherence(fs.covariance)
-            row.gap_threshold = 10.0 * p * row.delta_pw * float(mags[-1])
-            row.excluded = row.degenerate or not (
-                row.delta_pw <= 1.0 / (10.0 * p) and row.min_gap > row.gap_threshold)
+            delta_pw = pairwise_incoherence(fs.covariance)
+            gap_threshold = 10.0 * p * delta_pw * float(mags[-1])
+            excluded = degenerate or not (
+                delta_pw <= 1.0 / (10.0 * p) and min_gap > gap_threshold)
         elif design.kind == "uniform_corr":
             sig = fs.covariance.entries
             try:
                 inv = np.linalg.solve(sig, np.eye(p))
-                row.inverse_err = float(np.max(np.abs(sig @ inv - np.eye(p))))
+                inverse_err = float(np.max(np.abs(sig @ inv - np.eye(p))))
             except np.linalg.LinAlgError:  # an exactly singular Sigma
-                row.inverse_err = math.inf
-            if spec.separation_screen and not row.degenerate:
-                row.min_gap = uniform_corr_separation_margin(xty, design.alpha)
-                row.excluded = row.min_gap <= spec.tie_tol
-        if not (row.excluded if incoherent else row.degenerate):
-            ranked.append((row, fs.covariance, xty))
-        rows.append(row)
+                inverse_err = math.inf
+            if spec.separation_screen and not degenerate:
+                min_gap = uniform_corr_separation_margin(xty, design.alpha)
+                excluded = min_gap <= spec.tie_tol
+        if not (excluded if incoherent else degenerate):
+            ranked.append((trial, fs.covariance, xty))
+        measured.append((trial, seed, degenerate, excluded, delta_pw, min_gap, gap_threshold,
+                         inverse_err))
     if ranked:
         covs, b = [cov for _, cov, _ in ranked], np.stack([xty / n for _, _, xty in ranked])
         config = ImpConfig(tie_break=spec.imp.tie_break)  # prune_rounds = 0: the first prune
         orders = ([trace.pruned[:, 0] for trace in run_imp(covs, b, config)] if incoherent
                   else imp_prune_order(covs, b, config))
-        for (row, _, xty), order_imp in zip(ranked, orders):
+        for (trial, _, xty), order_imp in zip(ranked, orders):
             order_align = alignment_order(xty)
-            row.full_match = not incoherent and bool(np.array_equal(order_imp, order_align))
-            row.first_match = bool(order_imp[0] == order_align[0])
-    return rows
+            matches[trial] = (not incoherent and bool(np.array_equal(order_imp, order_align)),
+                              bool(order_imp[0] == order_align[0]))
+    return [HeuristicTrialRow(trial, seed, *matches.get(trial, (False, False)), *rest)
+            for trial, seed, *rest in measured]
 
 
 def _heuristic_incoherent(spec: ExperimentSpec) -> list[HeuristicTrialRow]:
@@ -817,6 +817,9 @@ class BaselineCell(NamedTuple):
     exact_count: int
     exact_rate: float
     mean_f1: float
+
+
+BASELINES_CSV_HEADER = ",".join(BaselineCell._fields)
 
 
 class BaselineReport(NamedTuple):
@@ -1042,8 +1045,7 @@ def write_recovery_outputs(spec: ExperimentSpec, report: RecoveryReport) -> None
 
 def write_heuristic_outputs(spec: ExperimentSpec, report: HeuristicReport) -> None:
     out = Path(spec.out_dir)
-    rows = (_csv_line(getattr(r, c) for c in r.__slots__) for r in report.rows)
-    _write_csv(out / "heuristic_trials.csv", HEURISTIC_CSV_HEADER, rows)
+    _write_csv(out / "heuristic_trials.csv", HEURISTIC_CSV_HEADER, map(_csv_line, report.rows))
     payload = report._asdict()
     payload.pop("rows")
     _write_json(out / "heuristic_summary.json", payload)

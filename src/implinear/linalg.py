@@ -5,14 +5,16 @@ ascending, orthonormal eigenvector columns with a deterministic sign fix
 (first entry of nonnegligible magnitude is positive), and a rank tolerance,
 set by the matrix alone, at or below which an eigenvalue counts as zero.
 The pseudo-inverse inverts the spectrum above that tolerance and zeroes it
-below, in the same basis.  The spectral norm, which only the RK4 oracle's
-stability check needs, is `operator_norm` in `tests/oracles.py`, outside
-the library.
+below, in the same basis.  A `CovMatrix` checks and copies its entries; a
+`SymEig` is a plain record of read-only views that `sym_eig` builds.  The
+spectral norm, which only the RK4 oracle's stability check needs, is
+`operator_norm` in `tests/oracles.py`, outside the library.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,22 +76,19 @@ class CovMatrix:
         return out
 
 
-class SymEig:
+class SymEig(NamedTuple):
     """Eigendecomposition of a symmetric matrix.
 
     eigenvalues are ascending; eigenvector column i pairs with eigenvalue i.
     Columns are orthonormal with the sign convention that the first entry of
     magnitude above 1e-12 is positive, so repeated decompositions of the
-    same bits reproduce identical traces.  Both arrays are read-only: copies
-    of the arrays given, or, from `sym_eig`, views of its output stack.
+    same bits reproduce identical traces.  From `sym_eig`, both arrays are
+    read-only views of its output stack.
     """
 
-    __slots__ = ("eigenvalues", "eigenvectors", "rank_tol")
-
-    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray, rank_tol: float) -> None:
-        self.eigenvalues = _as_readonly(eigenvalues)
-        self.eigenvectors = _as_readonly(eigenvectors)
-        self.rank_tol = float(rank_tol)
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    rank_tol: float
 
     @property
     def p(self) -> int:
@@ -129,11 +128,7 @@ def sym_eig(cov: CovMatrix | np.ndarray) -> SymEig | list[SymEig]:
         vec *= np.where(flip, -1.0, 1.0)  # exact: a sign flip or the same bits
     lam.setflags(write=False)
     vec.setflags(write=False)
-    eigs = []
-    for values, vectors, tol in zip(lam, vec, default_rank_tol(lam).tolist()):
-        eig = object.__new__(SymEig)  # views of read-only arrays need no copy
-        eig.eigenvalues, eig.eigenvectors, eig.rank_tol = values, vectors, tol
-        eigs.append(eig)
+    eigs = list(map(SymEig, lam, vec, default_rank_tol(lam).tolist()))
     return eigs[0] if single else eigs
 
 

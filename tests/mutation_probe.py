@@ -56,11 +56,11 @@ MUTANTS = (
      "ht_estimator(problem.b, np.inf, factors.eigs[t])"
      " + np.where(np.abs(weights[t]) > threshold.tau, weights[t], 0.0)"),
     ("incoherent screen gap > threshold made >=", "harness.py",
-     "row.min_gap > row.gap_threshold", "row.min_gap >= row.gap_threshold"),
+     "min_gap > gap_threshold", "min_gap >= gap_threshold"),
     ("uniform_corr screen margin <= tie_tol made <", "harness.py",
-     "row.excluded = row.min_gap <= spec.tie_tol", "row.excluded = row.min_gap < spec.tie_tol"),
+     "excluded = min_gap <= spec.tie_tol", "excluded = min_gap < spec.tie_tol"),
     ("degenerate gap < tie_tol made <=", "harness.py",
-     "row.degenerate = row.min_gap < spec.tie_tol", "row.degenerate = row.min_gap <= spec.tie_tol"),
+     "degenerate = min_gap < spec.tie_tol", "degenerate = min_gap <= spec.tie_tol"),
     # the engine's decisions
     ("tie rule ignores tie_break", "engine.py",
      'index = active if tie_break == "lowest_index" else -active', "index = active"),

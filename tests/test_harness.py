@@ -103,7 +103,7 @@ def spec_document(spec) -> dict:
 
 def row_values(row) -> str:
     """A heuristic row's fields in order, as text: nan compares equal."""
-    return repr([getattr(row, c) for c in row.__slots__])
+    return repr(tuple(row))
 
 
 class TestSpecParsing:

@@ -1,4 +1,4 @@
-"""Five lint rules checked with the standard library's `ast`.
+"""Six lint rules checked with the standard library's `ast`.
 
 Every module-level import of a package module is read in that module, or
 its line says `# noqa: F401`: names kept bound only so the benchmark tracer
@@ -10,10 +10,14 @@ package outside its own definition, or is listed in `UNREFERENCED_HELPERS`
 with the reason it stays.  Every name in `implinear.__all__` resolves, and
 is read by some package module other than `__init__.py`, outside its own
 definition and outside the definitions of exports nothing reads, so an
-export that only the tests use has no place in the package.
+export that only the tests use has no place in the package.  Every
+module-level class of the package is a `NamedTuple`, an exception, or a
+class whose `__init__` raises, that is, one that checks its input: a
+record that checks nothing needs no constructor of its own.
 """
 
 import ast
+import builtins
 import importlib.util
 import sys
 from pathlib import Path
@@ -179,3 +183,43 @@ def test_the_rule_sees_an_unread_export(tmp_path):
     other.write_text("import m\n\nVALUE = m.used(None)\n")
     assert unread_exports(init, [init, module]) == ["Typed", "dead", "helper", "recursive", "used"]
     assert unread_exports(init, [init, module, other]) == ["dead", "helper", "recursive"]
+
+
+def base_names(cls: ast.ClassDef) -> set[str]:
+    return {b.id if isinstance(b, ast.Name) else b.attr for b in cls.bases
+            if isinstance(b, (ast.Name, ast.Attribute))}
+
+
+def unchecked_classes(paths: list[Path]) -> list[str]:
+    """"module.name" of each module-level class that is no `NamedTuple`,
+    no exception and no class whose `__init__` contains a `raise`."""
+    classes = [(path.stem, stmt) for path in paths
+               for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(stmt, ast.ClassDef)]
+    errors = {name for name, obj in vars(builtins).items()
+              if isinstance(obj, type) and issubclass(obj, BaseException)}
+    for _ in classes:  # a subclass of the package's own exception is one too
+        errors |= {cls.name for _, cls in classes if base_names(cls) & errors}
+    return sorted(f"{module}.{cls.name}" for module, cls in classes
+                  if not base_names(cls) & (errors | {"NamedTuple"})
+                  and not any(isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+                              and any(isinstance(n, ast.Raise) for n in ast.walk(stmt))
+                              for stmt in cls.body))
+
+
+def test_every_class_is_a_record_an_error_or_checks_its_input():
+    assert unchecked_classes(MODULES) == []
+
+
+def test_the_rule_sees_a_class_that_checks_nothing(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import typing\nfrom typing import NamedTuple\n\n\n"
+                      "class Record(NamedTuple):\n    x: int\n\n\n"
+                      "class Qualified(typing.NamedTuple):\n    x: int\n\n\n"
+                      "class Error(ValueError):\n    pass\n\n\n"
+                      "class SubError(Error):\n    pass\n\n\n"
+                      "class Checked:\n    def __init__(self, x):\n        if x < 0:\n"
+                      "            raise ValueError(x)\n        self.x = x\n\n\n"
+                      "class Unchecked:\n    def __init__(self, x):\n        self.x = x\n\n\n"
+                      "class Bare:\n    pass\n")
+    assert unchecked_classes([module]) == ["m.Bare", "m.Unchecked"]

@@ -177,7 +177,7 @@ class TestStackedSymEig:
         eig = sym_eig(random_psd(rng, 9, rank=5))
         pinv = pseudo_inverse(eig)
         assert same_bits(pseudo_inverse(eig), pinv) and same_bits(pinv, pinv.T)
-        fresh = SymEig(eig.eigenvalues, eig.eigenvectors, eig.rank_tol)
+        fresh = SymEig(eig.eigenvalues.copy(), eig.eigenvectors.copy(), eig.rank_tol)
         assert same_bits(pseudo_inverse(fresh), pinv)
 
 

@@ -92,11 +92,11 @@ class TestCheckOnp:
             phi = rng.standard_normal((n, p))
             gram = phi.T @ phi
             cov = CovMatrix((gram + gram.T) / (2.0 * n))
-            k = (1, p, int(rng.integers(1, p + 1)))[case % 3]
+            k = (0, 1, p, int(rng.integers(1, p + 1)))[case % 4]
             support = np.sort(rng.choice(p, size=k, replace=False))
             eig = sym_eig(cov)
             null = eig.null_basis()
-            oracle = float(np.max(np.abs(null.T @ build(p, support))))
+            oracle = float(np.max(np.abs(null.T @ build(p, support)), initial=0.0))
             assert null.shape[1] > 0
             assert check_onp(eig, support) == oracle
 
@@ -329,6 +329,8 @@ class TestSampleBounds:
             BoundInputs(sigma=1.0, margin=0.0, lambda_min_nz=1.0, p=10, delta=0.1)
         with pytest.raises(ValueError):
             BoundInputs(sigma=1.0, margin=0.5, lambda_min_nz=0.0, p=10, delta=0.1)
+        with pytest.raises(ValueError, match="p must be a positive integer"):
+            BoundInputs(sigma=1.0, margin=0.5, lambda_min_nz=1.0, p=0, delta=0.1)
         with pytest.raises(ValueError):
             BoundInputs(sigma=1.0, margin=0.5, lambda_min_nz=1.0, p=10, delta=1.0)
 
