@@ -10,11 +10,14 @@ trials.
 The design generators return Phi with its covariance Sigma = Phi^T Phi / n.
 `assemble_problem` adds a signal and noise and keeps what the layers after
 it read: Sigma and b = Phi^T y / n, the normal equations of the
-least-squares loss; Phi and y do not leave it.
+least-squares loss; Phi and y do not leave it.  On the orthonormal design
+with Gaussian noise it draws them from their exact law with no Phi:
+Sigma = I and b - s = Q^T xi / sqrt(n) ~ N(0, sigma^2 / n I).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -234,6 +237,17 @@ def sample_noise(kind: str, sigma: float, n: int, seed: int) -> np.ndarray:
     return rng.uniform(-sigma, sigma, size=n)
 
 
+def exact_law(design_kind: str, noise_kind: str) -> bool:
+    """Does `assemble_problem` draw this problem's normal equations with no Phi?"""
+    return design_kind == "orthonormal" and noise_kind == "gaussian"
+
+
+@functools.lru_cache(maxsize=1)
+def _identity(p: int) -> CovMatrix:
+    """The p x p identity covariance, one object shared by the problems of a run."""
+    return CovMatrix(np.eye(p))
+
+
 def assemble_problem(
     design_kind: str,
     n: int,
@@ -253,20 +267,30 @@ def assemble_problem(
     same seed, so the composite is a pure function of its arguments.
     `features`, when given, is the design already drawn from these
     arguments; it is used in place of a second draw.  The problem keeps the
-    design's covariance object and b, not Phi or y.
+    design's covariance object and b, not Phi or y.  Without `features`, an
+    `exact_law` problem draws no design: it keeps the shared identity and
+    b = s + (sigma / sqrt(n)) z, z the first p normals of the noise stream.
     """
     if k < 1:
         raise ValueError("the support must be nonempty (k >= 1)")
-    if features is None:
-        features = check_design(design_kind, p, n, alpha).draw(n, p, seed, alpha)
-    elif features.phi.shape != (n, p):
-        raise ValueError(f"features must be {n} x {p}, got {features.phi.shape}")
-    signal, support = gen_sparse_signal(p, k, gamma, amplitude_law, seed)
-    y = features.phi @ signal + sample_noise(noise_kind, sigma, n, seed)
+    if features is None and exact_law(design_kind, noise_kind):
+        check_design(design_kind, p, n)
+        check_noise(noise_kind, sigma)
+        signal, support = gen_sparse_signal(p, k, gamma, amplitude_law, seed)
+        z = make_rng(seed, STREAM_NOISE).standard_normal(p)
+        cov, b = _identity(p), signal + (sigma / np.sqrt(n)) * z
+    else:
+        if features is None:
+            features = check_design(design_kind, p, n, alpha).draw(n, p, seed, alpha)
+        elif features.phi.shape != (n, p):
+            raise ValueError(f"features must be {n} x {p}, got {features.phi.shape}")
+        signal, support = gen_sparse_signal(p, k, gamma, amplitude_law, seed)
+        y = features.phi @ signal + sample_noise(noise_kind, sigma, n, seed)
+        cov, b = features.covariance, features.phi.T @ y / n
     return SparseProblem(
-        covariance=features.covariance,
-        b=features.phi.T @ y / features.n,
-        n=features.n,
+        covariance=cov,
+        b=b,
+        n=n,
         signal=signal,
         support=tuple(int(i) for i in support),
         gamma=float(gamma),

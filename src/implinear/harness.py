@@ -44,6 +44,7 @@ from .designs import (
     check_design,
     check_noise,
     check_signal,
+    exact_law,
     make_rng,
     pairwise_incoherence,
     sample_noise,
@@ -837,10 +838,11 @@ def _noise_sweep(
     features: FeatureSet | None = None,
 ) -> list[SparseProblem]:
     """Trial `seed`'s problem at each noise level of the sweep: one design,
-    drawn here unless given, is handed to every build, so the problems
-    share one CovMatrix."""
+    drawn here unless given (none on the `exact_law` path), is handed to
+    every build, so the problems share one CovMatrix and one noise draw."""
     design = spec.design
-    features = features or DESIGNS[design.kind].draw(n, design.p, seed, design.alpha)
+    if features is None and not exact_law(design.kind, spec.noise.kind):
+        features = DESIGNS[design.kind].draw(n, design.p, seed, design.alpha)
     return [_build_problem(spec, seed, n, features, sigma) for sigma in sigmas]
 
 

@@ -4,10 +4,11 @@ runs tier-1 against it.
 Each mutant is (name, file under src/implinear, old text, new text); the old
 text must occur exactly once in the file.  A mutant is applied to a fresh
 temporary copy of src/, never to the checkout, and the tests under tests/
-run once per mutant with -x and PYTHONPATH set to that copy.  A failing run
-kills the mutant; one that passes is a survivor, which a test at the
-decision's exact edge should kill.  Before the mutants, the unmutated copy
-must pass, and its `implinear` must be the one imported.
+run once per mutant with -x, PYTHONPATH set to that copy and an empty
+hypothesis database of its own.  A failing run kills the mutant; one that
+passes is a survivor, which a test at the decision's exact edge should kill.
+Before the mutants, the unmutated copy must pass, and its `implinear` must
+be the one imported.
 
 Standard library only; pytest does not collect this file.  From the
 repository root:
@@ -84,7 +85,10 @@ MUTANTS = (
 
 
 def run_tests(src: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    """Tier-1 against the copy at `src`, with an empty hypothesis database
+    beside it: an example stored under one mutant fails no later one."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               HYPOTHESIS_STORAGE_DIRECTORY=str(src.parent / "hypothesis"))
     args = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"]
     return subprocess.run(args, cwd=ROOT, env=env, capture_output=True, text=True)
 

@@ -2,12 +2,15 @@
 
 `flow_rk4` integrates the training ODE w' = b - Ups w by classical RK4, a
 route independent of the eigenbasis solution `closed_form_weights` that the
-engine trains with.  The package never calls it, so it lives here.  Pytest
-does not collect this file; test modules import it by name.
+engine trains with.  `recover_failure_probability` is the exact failure
+probability of a `recover` trial on the orthonormal design, which no
+simulation computes.  The package never calls either, so they live here.
+Pytest does not collect this file; test modules import it by name.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -79,3 +82,37 @@ def flow_rk4(
             pow_r = pow_r @ pow_r
 
     return acc_r @ w0 + acc_s
+
+
+def recover_failure_probability(
+    n: int, p: int, k: int, gamma: float, sigma: float, survivors: int
+) -> float:
+    """P(some support coordinate is pruned) for IMP on the orthonormal design
+    with Gaussian noise and the constant amplitude law.
+
+    There Sigma = I, so every round trains w_A proportional to b_A and prunes
+    the smallest active |b_i|, with b ~ N(s, sigma^2 / n I).  A trial succeeds
+    exactly when the k support coordinates are among the `survivors` largest
+    |b_i| (m = p - q * per_round).  With F_0 and F_S the laws of |b_i| off and
+    on the support, conditioning on the smallest support magnitude x gives
+    (David & Nagaraja, Order Statistics, 3rd ed., 2003)
+
+        P(success) = int k f_S(x) (1 - F_S(x))^(k-1) P(Bin(p-k, 1 - F_0(x)) <= m-k) dx.
+
+    Integrated with scipy's `quad`, which the package does not load.
+    """
+    from scipy import integrate, stats
+
+    tau = sigma / math.sqrt(n)
+    norm = stats.norm(scale=tau)
+
+    def density(x: float) -> float:
+        f_s = norm.pdf(x - gamma) + norm.pdf(x + gamma)
+        tail_s = norm.sf(x - gamma) + norm.cdf(-x - gamma)  # 1 - F_S(x)
+        tail_0 = 2.0 * norm.sf(x)  # 1 - F_0(x)
+        return k * f_s * tail_s ** (k - 1) * stats.binom.cdf(survivors - k, p - k, tail_0)
+
+    lo, hi = max(0.0, gamma - 12.0 * tau), gamma + 12.0 * tau
+    success, _ = integrate.quad(density, lo, hi, points=[gamma], epsabs=1e-13, epsrel=1e-10,
+                                limit=200)
+    return 1.0 - success

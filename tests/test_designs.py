@@ -5,6 +5,7 @@ from scipy import stats
 from implinear.designs import (
     FeatureSet,
     assemble_problem,
+    check_design,
     gen_incoherent_design,
     gen_orthonormal_design,
     gen_sparse_signal,
@@ -164,10 +165,41 @@ class TestSampleNoise:
 
 class TestAssembleProblem:
     def test_noiseless_targets_exact(self):
+        # orthonormal Gaussian problems come from their exact law: Sigma = I
+        # and b = s, bit for bit
         prob = assemble_problem("orthonormal", n=12, p=5, k=2, gamma=1.0, seed=23,
                                 sigma=0.0)
-        phi = gen_orthonormal_design(12, 5, seed=23).phi
-        assert np.array_equal(prob.b, phi.T @ (phi @ prob.signal) / 12)
+        assert np.array_equal(prob.covariance.entries, np.eye(5))
+        assert np.array_equal(prob.b, prob.signal) and prob.n == 12
+        # the problems that draw Phi: b = Phi^T Phi s / n
+        for kind, noise, phi in (
+            ("orthonormal", "rademacher", gen_orthonormal_design(12, 5, seed=23).phi),
+            ("uniform_corr", "gaussian", gen_uniform_corr_design(12, 5, 0.3, seed=23).phi),
+            ("incoherent", "gaussian", gen_incoherent_design(12, 5, seed=23).phi),
+        ):
+            prob = assemble_problem(kind, n=12, p=5, k=2, gamma=1.0, seed=23, alpha=0.3,
+                                    noise_kind=noise, sigma=0.0)
+            assert np.array_equal(prob.b, phi.T @ (phi @ prob.signal) / 12), kind
+            assert np.array_equal(prob.covariance.entries, FeatureSet.from_phi(phi)
+                                  .covariance.entries), kind
+
+    @pytest.mark.parametrize("n", [6, 60])
+    def test_exact_law_matches_the_drawn_design(self, n):
+        """b - s drawn from its exact law N(0, sigma^2 / n I) against
+        Phi^T xi / n from a drawn orthonormal design: two-sample KS tests of
+        coordinate 0 and of the product of coordinates 0 and 1, at seeds
+        fixed here and level 0.01 Bonferroni-corrected over both n and both
+        statistics."""
+        p, sigma, draws = 5, 0.7, 4000
+        problems = (assemble_problem("orthonormal", n=n, p=p, k=2, gamma=1.0, seed=seed,
+                                     sigma=sigma) for seed in range(draws))
+        exact = np.stack([pr.b - pr.signal for pr in problems])
+        drawn = np.empty((draws, p))
+        for i, seed in enumerate(range(50_000, 50_000 + draws)):
+            phi = gen_orthonormal_design(n, p, seed).phi
+            drawn[i] = phi.T @ sample_noise("gaussian", sigma, n, seed) / n
+        for stat in (lambda e: e[:, 0], lambda e: e[:, 0] * e[:, 1]):
+            assert stats.ks_2samp(stat(exact), stat(drawn)).pvalue > 0.01 / 4
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -191,6 +223,18 @@ class TestAssembleProblem:
         on = np.array(prob.support)
         off = np.setdiff1d(np.arange(6), on)
         assert np.all(prob.signal[off] == 0.0) and np.all(prob.signal[on] != 0.0)
+
+
+class TestCheckDesign:
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown design kind 'circulant'; expected one of "
+                                             r"\('orthonormal', 'uniform_corr', 'incoherent'\)"):
+            check_design("circulant", 5, 10)
+
+    @pytest.mark.parametrize("p, n", [(0, 10), (5, 0), (0, None)])
+    def test_empty_sizes(self, p, n):
+        with pytest.raises(ValueError, match=f"need n >= 1 and p >= 1, got n={n}, p={p}"):
+            check_design("incoherent", p, n)
 
 
 class TestGeneratorInvariants:

@@ -149,6 +149,14 @@ class TestSpecParsing:
         with pytest.raises(ConfigError, match="signal"):
             validate_spec(spec_from_dict(doc))
 
+    @pytest.mark.parametrize("value, text", [([1.0], "[1.0]"), (True, "true")])
+    def test_union_field_rejects_a_value_of_no_arm(self, value, text):
+        doc = config_document()
+        doc["imp"] = {"horizon": value}
+        with pytest.raises(ConfigError) as err:
+            spec_from_dict(doc)
+        assert str(err.value) == f"imp.horizon must be a number or a string, got {text}"
+
     def test_integers_become_floats(self):
         doc = config_document()
         doc["signal"]["gamma"] = 1
@@ -932,7 +940,24 @@ class TestBaselines:
 
     def test_sigma_cells_share_the_round_zero_factorization(self, count_sym_eig):
         # the cells of a trial carry one CovMatrix object, so on the downdate
-        # path the engine factorizes once per trial, not once per (trial, sigma)
+        # path the engine factorizes once per trial, not once per (trial, sigma);
+        # Rademacher noise keeps the design draw
+        calls = count_sym_eig(engine_module)
+        spec = ExperimentSpec(
+            kind="baseline_comparison",
+            design=DesignSpec(kind="orthonormal", p=8, n=24),
+            trials=4,
+            base_seed=66,
+            signal=SignalSpec(k=2, gamma=1.0),
+            noise=NoiseSpec(kind="rademacher"),
+            baseline=BaselineSpec(sigmas=(0.0, 0.5, 1.0)),
+        )
+        run_baseline_comparison(spec)
+        assert calls == [("engine", 8)] * 4
+
+    def test_exact_law_range_factorizes_one_identity(self, count_sym_eig):
+        # orthonormal Gaussian problems draw no design: every cell of the
+        # range carries the one identity CovMatrix, factorized once
         calls = count_sym_eig(engine_module)
         spec = ExperimentSpec(
             kind="baseline_comparison",
@@ -943,7 +968,7 @@ class TestBaselines:
             baseline=BaselineSpec(sigmas=(0.0, 0.5, 1.0)),
         )
         run_baseline_comparison(spec)
-        assert calls == [("engine", 8)] * 4
+        assert calls == [("engine", 8)]
 
     def test_a_range_factorizes_each_trial_once(self, monkeypatch, count_sym_eig):
         # IMP's round-0 eigendecomposition of a trial's Sigma serves its three
@@ -1158,16 +1183,20 @@ def test_a_full_range_stays_within_its_memory_budget():
 
 
 # One range each (13 trials at p = 50; 4 trials x 3 sigmas): (run, spec, IMP
-# stack size).  The incoherent baselines run sizes n on trial 0's design.
+# stack size, designs drawn).  The orthonormal Gaussian recover run draws no
+# design; the incoherent baselines run sizes n on trial 0's design.
 PHI_FREE_RANGES = {
     "recover": (run_support_recovery,
                 recovery_spec(design=DesignSpec(kind="orthonormal", p=50), trials=13,
-                              signal=SignalSpec(k=5, gamma=0.5)), 13),
+                              signal=SignalSpec(k=5, gamma=0.5)), 13, 0),
+    "recover_incoherent": (run_support_recovery,
+                           recovery_spec(design=DesignSpec(kind="incoherent", p=20, n=200),
+                                         trials=13, signal=SignalSpec(k=2, gamma=1.0)), 13, 13),
     "baselines": (run_baseline_comparison,
                   ExperimentSpec(kind="baseline_comparison",
                                  design=DesignSpec(kind="incoherent", p=10, n=40), trials=4,
                                  base_seed=67, signal=SignalSpec(k=2, gamma=1.0),
-                                 baseline=BaselineSpec(eta=0.5, sigmas=(0.1, 0.5, 1.0))), 12),
+                                 baseline=BaselineSpec(eta=0.5, sigmas=(0.1, 0.5, 1.0))), 12, 4),
 }
 
 
@@ -1175,7 +1204,7 @@ PHI_FREE_RANGES = {
 def test_phi_is_gone_before_imp_runs(monkeypatch, name):
     """After assembly a range holds (Sigma, b) only: every design matrix drawn
     for it, the sizing draw included, is freed before its IMP stack runs."""
-    run, spec, stack = PHI_FREE_RANGES[name]
+    run, spec, stack, drawn = PHI_FREE_RANGES[name]
     phis, runs = [], []
     generator = f"gen_{spec.design.kind}_design"
     draw = getattr(designs_module, generator)
@@ -1194,7 +1223,7 @@ def test_phi_is_gone_before_imp_runs(monkeypatch, name):
     monkeypatch.setattr(designs_module, generator, kept)
     monkeypatch.setattr(harness_module, "run_imp", checked)
     run(spec)
-    assert runs == [stack] and len(phis) == spec.trials
+    assert runs == [stack] and len(phis) == drawn
 
 
 class TestConcentration:
