@@ -90,8 +90,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_PASS if report.passed else EXIT_GATE_FAIL
 
         if args.command == "baselines":
-            report = run_baseline_comparison(spec)
-            for c in report.cells:
+            for c in run_baseline_comparison(spec):
                 print(
                     f"sigma={c.sigma} method={c.method} exact={c.exact_rate:.3f} "
                     f"f1={c.mean_f1:.3f}"

@@ -112,18 +112,12 @@ def pairwise_incoherence(cov: CovMatrix) -> float:
 def gen_incoherent_design(n: int, p: int, seed: int) -> FeatureSet:
     """Gaussian design with columns rescaled to Sigma_ii = 1.
 
-    A zero column (probability zero) triggers a redraw from the same stream.
+    A zero column has probability zero; it would make the covariance
+    non-finite, which `CovMatrix` rejects.
     """
     check_design("incoherent", p, n)
-    rng = make_rng(seed, STREAM_DESIGN)
-    for _ in range(64):
-        phi = rng.standard_normal((n, p))
-        norms = np.linalg.norm(phi, axis=0)
-        if np.all(norms > 0.0):
-            break
-    else:  # pragma: no cover - would need 64 zero draws in a row
-        raise RuntimeError("could not draw a design without zero columns")
-    return FeatureSet.from_phi(phi * (np.sqrt(n) / norms))
+    phi = make_rng(seed, STREAM_DESIGN).standard_normal((n, p))
+    return FeatureSet.from_phi(phi * (np.sqrt(n) / np.linalg.norm(phi, axis=0)))
 
 
 class DesignKind(NamedTuple):

@@ -823,10 +823,6 @@ class BaselineCell(NamedTuple):
 BASELINES_CSV_HEADER = ",".join(BaselineCell._fields)
 
 
-class BaselineReport(NamedTuple):
-    cells: list[BaselineCell]
-
-
 def _support_f1(estimated: set[int], truth: set[int]) -> float:
     inter = len(estimated & truth)
     denom = len(estimated) + len(truth)
@@ -886,7 +882,7 @@ def _baseline_trial(
     return list(np.reshape(outcomes, (len(trials), len(sigmas), len(BASELINE_METHODS), 2)))
 
 
-def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
+def run_baseline_comparison(spec: ExperimentSpec) -> list[BaselineCell]:
     _check_run(spec, "baseline_comparison")
     base, sigmas, _ = _baseline(spec)
 
@@ -911,10 +907,9 @@ def run_baseline_comparison(spec: ExperimentSpec) -> BaselineReport:
                           f1 / spec.trials)
              for sigma, per_method in zip(sigmas, totals)
              for method, (exact, f1) in zip(BASELINE_METHODS, per_method)]
-    report = BaselineReport(cells=cells)
     if spec.out_dir:
-        write_baseline_outputs(spec, report)
-    return report
+        write_baseline_outputs(spec, cells)
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -1053,10 +1048,10 @@ def write_heuristic_outputs(spec: ExperimentSpec, report: HeuristicReport) -> No
     _write_json(out / "heuristic_summary.json", payload)
 
 
-def write_baseline_outputs(spec: ExperimentSpec, report: BaselineReport) -> None:
+def write_baseline_outputs(spec: ExperimentSpec, cells: list[BaselineCell]) -> None:
     out = Path(spec.out_dir)
-    _write_csv(out / "baselines.csv", BASELINES_CSV_HEADER, map(_csv_line, report.cells))
-    _write_json(out / "baselines_summary.json", {"cells": [c._asdict() for c in report.cells]})
+    _write_csv(out / "baselines.csv", BASELINES_CSV_HEADER, map(_csv_line, cells))
+    _write_json(out / "baselines_summary.json", {"cells": [c._asdict() for c in cells]})
 
 
 def replay_trial(spec: ExperimentSpec, trial: int) -> tuple[str, bool | None]:

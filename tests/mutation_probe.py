@@ -1,5 +1,5 @@
-"""Mutation probe for the decision code: flips one comparison at a time and
-runs tier-1 against it.
+"""Mutation probe for the decision code and the exactly known laws: flips one
+comparison, or changes one constant, at a time and runs tier-1 against it.
 
 Each mutant is (name, file under src/implinear, old text, new text); the old
 text must occur exactly once in the file.  A mutant is applied to a fresh
@@ -81,6 +81,12 @@ MUTANTS = (
      "passed = (first_rate if incoherent else full_rate) >= 0.5"),
     ("INVERSE_TOL <= made <", "harness.py",
      "max_inverse <= INVERSE_TOL", "max_inverse < INVERSE_TOL"),
+    # the laws that tests/test_exact.py checks against closed forms
+    ("lemma1 projected noise scaled by 1.1", "harness.py",
+     "np.max(np.abs(projector @ xi))", "np.max(np.abs(1.1 * (projector @ xi)))"),
+    ("hard thresholding default tau gamma / 2 made gamma / 3", "harness.py",
+     "tau = base.tau if base.tau is not None else spec.signal.gamma / 2.0",
+     "tau = base.tau if base.tau is not None else spec.signal.gamma / 3.0"),
 )
 
 
@@ -124,10 +130,12 @@ def main(words: list[str]) -> int:
             path.write_text(text.replace(old, new), encoding="utf-8")
             t0 = time.perf_counter()
             run = run_tests(path.parents[1])
-        failed = [line for line in run.stdout.splitlines() if line.startswith("FAILED")]
+        # the first test that failed, or errored in its set-up
+        failed = [line for line in run.stdout.splitlines()
+                  if line.startswith(("FAILED ", "ERROR "))]
         verdict = "killed" if run.returncode else "SURVIVED"
         print(f"{verdict:8} {time.perf_counter() - t0:5.1f} s  {name}"
-              + (f"  [{failed[0][7:]}]" if failed else ""), flush=True)
+              + (f"  [{failed[0]}]" if failed else ""), flush=True)
         if not run.returncode:
             survivors.append(name)
     print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed in "

@@ -2,10 +2,11 @@
 
 `flow_rk4` integrates the training ODE w' = b - Ups w by classical RK4, a
 route independent of the eigenbasis solution `closed_form_weights` that the
-engine trains with.  `recover_failure_probability` is the exact failure
-probability of a `recover` trial on the orthonormal design, which no
-simulation computes.  The package never calls either, so they live here.
-Pytest does not collect this file; test modules import it by name.
+engine trains with.  `recover_failure_probability`,
+`lemma1_exceedance_probability` and `ht_recovery_probability` are exact
+probabilities on the orthonormal design with Gaussian noise, which no
+simulation computes.  The package never calls any of them, so they live
+here.  Pytest does not collect this file; test modules import it by name.
 """
 
 from __future__ import annotations
@@ -116,3 +117,38 @@ def recover_failure_probability(
     success, _ = integrate.quad(density, lo, hi, points=[gamma], epsabs=1e-13, epsrel=1e-10,
                                 limit=200)
     return 1.0 - success
+
+
+def _std_normal_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def lemma1_exceedance_probability(n: int, p: int, epsilon: float, sigma: float) -> float:
+    """P(||(1/n) Sigma^+ Phi^T xi||_inf >= epsilon) on the orthonormal design
+    with Gaussian noise.
+
+    There (1/n) Sigma^+ Phi^T xi = Q^T xi / sqrt(n) ~ N(0, sigma^2 / n I), so
+    its p coordinates are independent and, with N the standard normal
+    distribution function,
+
+        P(exceed) = 1 - (2 N(epsilon sqrt(n) / sigma) - 1)^p.
+    """
+    return 1.0 - math.erf(epsilon * math.sqrt(n) / (sigma * math.sqrt(2.0))) ** p
+
+
+def ht_recovery_probability(
+    n: int, p: int, k: int, gamma: float, sigma: float, tau: float
+) -> float:
+    """P(hard thresholding at tau recovers the support exactly) on the
+    orthonormal design with Gaussian noise and the constant amplitude law.
+
+    There Sigma^+ b = b ~ N(s, sigma^2 / n I), and the estimate keeps the
+    coordinates with |b_i| > tau, so with F_0 and F_S the laws of |b_i| off
+    and on the support
+
+        P(exact) = (1 - F_S(tau))^k F_0(tau)^(p-k).
+    """
+    scale = sigma / math.sqrt(n)
+    above_s = _std_normal_cdf((gamma - tau) / scale) + _std_normal_cdf((-gamma - tau) / scale)
+    below_0 = math.erf(tau / (scale * math.sqrt(2.0)))
+    return above_s ** k * below_0 ** (p - k)

@@ -250,8 +250,7 @@ def test_criterion_8_baseline_sanity():
         noise=NoiseSpec(kind="gaussian", sigma=0.0),
         baseline=BaselineSpec(tau=0.5, eta=1.0),
     )
-    report = run_baseline_comparison(spec)
-    rates = {c.method: c.exact_rate for c in report.cells}
+    rates = {c.method: c.exact_rate for c in run_baseline_comparison(spec)}
     _report(
         "8 baseline sanity (noiseless)",
         rates == {"imp": 1.0, "ht": 1.0, "iht": 1.0},

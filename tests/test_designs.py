@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from implinear import designs as designs_module
 from implinear.designs import (
     FeatureSet,
     assemble_problem,
@@ -98,6 +99,21 @@ class TestIncoherentDesign:
         a = gen_incoherent_design(50, 5, seed=13)
         b = gen_incoherent_design(50, 5, seed=13)
         assert np.array_equal(a.phi, b.phi)
+
+    def test_a_zero_column_is_rejected(self, monkeypatch):
+        # probability zero for a Gaussian draw, so the generator does not
+        # redraw: the column's 0/0 rescaling is non-finite, which CovMatrix rejects
+        phi = make_rng(13).standard_normal((6, 3))
+        phi[:, 1] = 0.0
+
+        class ZeroColumn:
+            def standard_normal(self, size):
+                return phi
+
+        monkeypatch.setattr(designs_module, "make_rng", lambda seed, stream: ZeroColumn())
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="covariance has non-finite entries"):
+            gen_incoherent_design(6, 3, seed=13)
 
 
 class TestSparseSignal:

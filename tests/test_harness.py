@@ -810,6 +810,20 @@ class TestHeuristic:
         assert [r.trial for r in report.rows] == list(range(report.attempts))
         assert not report.rows[-1].excluded
 
+    def test_which_excluded_rows_carry_measured_matches(self):
+        # an excluded uniform_corr trial is still ranked, so its match columns
+        # are measured; an excluded incoherent attempt is not ranked, so both read 0
+        spec = heuristic_spec(DesignSpec(kind="uniform_corr", p=3, n=60, alpha=0.05), 5)
+        excluded = [r for r in run_heuristic_equivalence(spec._replace(trials=200)).rows
+                    if r.excluded and not r.degenerate]
+        assert excluded and any(r.first_match for r in excluded)
+        assert any(r.full_match for r in excluded)
+        spec = heuristic_spec(DesignSpec(kind="incoherent", p=3, n=3000), 5)
+        rows = run_heuristic_equivalence(spec._replace(trials=10)).rows
+        assert any(r.excluded for r in rows)
+        assert not any(r.full_match for r in rows)
+        assert not any(r.first_match for r in rows if r.excluded)
+
     def test_incoherent_attempt_cap(self):
         spec = ExperimentSpec(
             kind="heuristic_equivalence",
@@ -851,9 +865,9 @@ class TestBaselines:
             noise=NoiseSpec(kind="gaussian", sigma=0.0),
             out_dir=str(tmp_path / "b"),
         )
-        report = run_baseline_comparison(spec)
-        assert {c.method for c in report.cells} == {"imp", "ht", "iht"}
-        for cell in report.cells:
+        cells = run_baseline_comparison(spec)
+        assert {c.method for c in cells} == {"imp", "ht", "iht"}
+        for cell in cells:
             assert cell.exact_rate == 1.0
             assert cell.mean_f1 == 1.0
         lines = (tmp_path / "b" / "baselines.csv").read_text().splitlines()
@@ -870,8 +884,7 @@ class TestBaselines:
             noise=NoiseSpec(sigma=0.0),
         )
         spec = spec._replace(baseline=BaselineSpec(tau=1e6))
-        report = run_baseline_comparison(spec)
-        for cell in report.cells:
+        for cell in run_baseline_comparison(spec):
             if cell.method in ("ht", "iht"):
                 assert cell.exact_rate == 0.0 and cell.mean_f1 == 0.0
             else:  # IMP keeps exactly k survivors regardless of tau
@@ -887,8 +900,8 @@ class TestBaselines:
             noise=NoiseSpec(sigma=0.0),
             baseline=BaselineSpec(sigmas=(0.0, 0.5)),
         )
-        report = run_baseline_comparison(spec)
-        assert [(c.sigma, c.method) for c in report.cells] == [
+        cells = run_baseline_comparison(spec)
+        assert [(c.sigma, c.method) for c in cells] == [
             (0.0, "imp"), (0.0, "ht"), (0.0, "iht"),
             (0.5, "imp"), (0.5, "ht"), (0.5, "iht"),
         ]
@@ -905,7 +918,7 @@ class TestBaselines:
             noise=NoiseSpec(sigma=0.0),
             baseline=BaselineSpec(eta=0.5, sigmas=sigmas),
         )
-        cells = run_baseline_comparison(spec).cells
+        cells = run_baseline_comparison(spec)
         # one draw per trial for all sigmas; trial 0 reuses the draw that measured lambda
         assert draws == [(40, 10, 64 + t) for t in range(4)]
         # the same cells as a separate run at each sigma, whose designs are fresh draws
@@ -914,7 +927,7 @@ class TestBaselines:
             for sigma in sigmas
             for cell in run_baseline_comparison(
                 spec._replace(baseline=BaselineSpec(eta=0.5, sigmas=(sigma,)))
-            ).cells
+            )
         ]
         assert cells == separate
 
