@@ -37,14 +37,25 @@ columns move into the pruned slots, so a downdated run's active indices
 follow its inverse's rows rather than coordinate order, and the prune's tie
 rule reads coordinates.
 
+A decoupled run, whose Sigma has no nonzero entry off its diagonal and
+whose round-0 factorization is nonsingular, takes neither path after round
+0, at any horizon.  Its flow is one scalar ODE per coordinate, so a prune
+leaves every other trained weight as it was: each later round's weights
+are round 0's on its active indices, which follow the swap-remove.  That is
+what the downdate computes for it (its Schur row is zero) and, bit for bit,
+what a per-round `eigh` of the diagonal Sigma_A gives wherever LAPACK does
+not rescale the matrix.
+
 Runs on one CovMatrix object that have pruned the same coordinates have
 the same Sigma_A, bit for bit, so they share its work: a round factorizes
 each distinct Sigma_A once, and the downdate keeps one slice of its
 inverse stack per group of such runs, with `owner` mapping runs to slices.
 A group whose runs prune differently splits, and its slice is copied.  Each
 run's weights are updated from its own slice's Schur row, so every trace
-has the bits of the run computed alone.  Runs of distinct covariances (the
-trials of a `recover` range) are groups of one and take the unshared steps.
+has the bits of the run computed alone.  Runs of distinct covariances are
+groups of one and take the unshared steps.  The trials of an orthonormal
+Gaussian `recover` range share the one identity CovMatrix and its round-0
+SymEig, and are decoupled.
 
 Indices are 0-based throughout.
 """
@@ -112,7 +123,8 @@ class RoundFactors(NamedTuple):
 
     eigs maps the runs factorized this round to their SymEig.  inverse is
     the downdate's (G, m, m) stack of Sigma_A^{-1}, and slot[t] is run t's
-    slice of it, -1 for a run off the downdate; runs that share a slice
+    slice of it, -1 for a run off the downdate; a decoupled run is in eigs
+    at round 0 only and always has slot -1.  Runs that share a slice
     share its array, whose rows and columns follow run t's row of the
     round's `active`.  The slices are views of the engine's buffer, which
     the next downdate overwrites: they are valid only during the observer's
@@ -127,8 +139,9 @@ class RoundFactors(NamedTuple):
 # on_round(k, active, weights, factors) sees round k of a stack of T runs after
 # training and before the prune: the (T, m) active indices, the (T, m) trained
 # active weights in the same order, and the RoundFactors each run was trained
-# with.  A downdated run's active indices follow the rows of its inverse, not
-# coordinate order.  The engine reuses every one of these arrays once the
+# with.  A downdated or decoupled run's active indices follow the swap-remove,
+# not coordinate order; a decoupled run's weights after round 0 are round 0's
+# on them.  The engine reuses every one of these arrays once the
 # call returns: an observer that keeps one keeps a copy.
 RoundObserver = Callable[[int, np.ndarray, np.ndarray, RoundFactors], None]
 
@@ -291,6 +304,8 @@ def _factorize(
     CovMatrix object with the same active set share a SymEig.  Round 0
     trains on every coordinate, so its stack holds the covariances
     themselves."""
+    if not runs:
+        return []
     group, firsts = _groups([(id(covs[t]), active[t].tobytes()) for t in runs])
     distinct = [runs[i] for i in firsts]
     eigs = sym_eig(np.stack([covs[t].restrict(active[t]).entries if k else covs[t].entries
@@ -331,8 +346,10 @@ def run_imp(
     rows = np.arange(stack)[:, None]
     active = np.tile(np.arange(p), (stack, 1))
     alive = np.ones((stack, p), dtype=bool)
-    # A run takes the downdate path with an infinite horizon, q > 0 and a
-    # nonsingular round-0 factorization, and leaves it for good at its first
+    # With q > 0 and a nonsingular round-0 factorization, a run on a diagonal
+    # Sigma is decoupled: `fixed` lists these runs, whose later rounds read
+    # round 0's weights.  Any other such run takes the downdate path at the
+    # infinite horizon, and leaves it for good at its first
     # drifted downdate, which interlacing rules out up to roundoff: every
     # later round of it is factorized.  `down` lists the runs whose round is
     # downdated and `w_down` stacks their trained weights; `inverse` stacks
@@ -340,19 +357,25 @@ def run_imp(
     # down[i] reading slice owner[i].  Slices are in the order of their first
     # run, so when there are as many slices as runs, slice i is run down[i]'s.
     # A downdated run's row of `active` is in the order of its slice's rows,
-    # which the swap-remove permutes; a factorized run's is ascending.
+    # which the swap-remove permutes, as is a decoupled run's; a factorized
+    # run's is ascending.
     down, owner = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    fixed = np.zeros(0, dtype=int)
     inverse, w_down = np.empty((0, p, p)), None
     for k in range(q + 1):
         m = active.shape[1]
         eigs: dict[int, SymEig] = {}
         if down.size == stack:  # nothing to factorize: the stack is the downdate's
             weights = w_down
+        elif fixed.size == stack:  # nor here: every run is decoupled
+            weights = trained[rows, 0, active]
         else:
             weights = np.empty(active.shape)
             if down.size:
                 weights[down] = w_down
-            todo = sorted(set(range(stack)).difference(down.tolist()))
+            if fixed.size:
+                weights[fixed] = trained[fixed[:, None], 0, active[fixed]]
+            todo = sorted(set(range(stack)).difference(down.tolist(), fixed.tolist()))
             if k:  # Sigma_A is factorized with A in coordinate order
                 active[todo] = np.sort(active[todo], axis=1)
             eigs = dict(zip(todo, _factorize(covs, active, todo, k)))
@@ -360,12 +383,18 @@ def run_imp(
                 idx = active[t]
                 weights[t] = closed_form_weights(eigs[t], data_vec[t, idx], w_init[idx],
                                                  config.horizon)
-            if k == 0 < q and is_infinite(config.horizon):  # runs of one SymEig share a slice
-                runs = [t for t in todo if eigs[t].nonzero_mask().all()]
-                down = np.array(runs, dtype=int)
-                owner, firsts = _groups([id(eigs[t]) for t in runs])
-                if runs:
-                    inverse = pseudo_inverse([eigs[runs[i]] for i in firsts])
+            if k == 0 < q:  # one check of the off-diagonal per CovMatrix object
+                entries = {id(cov): cov.entries for cov in covs}
+                diagonal = {key: np.count_nonzero(e) == np.count_nonzero(e.diagonal())
+                            for key, e in entries.items()}
+                nonsingular = [t for t in todo if eigs[t].nonzero_mask().all()]
+                fixed = np.array([t for t in nonsingular if diagonal[id(covs[t])]], dtype=int)
+                if is_infinite(config.horizon):  # runs of one SymEig share a slice
+                    runs = [t for t in nonsingular if not diagonal[id(covs[t])]]
+                    down = np.array(runs, dtype=int)
+                    owner, firsts = _groups([id(eigs[t]) for t in runs])
+                    if runs:
+                        inverse = pseudo_inverse([eigs[runs[i]] for i in firsts])
 
         live = inverse[:, :m, :m]
         if on_round is not None:

@@ -68,7 +68,12 @@ MUTANTS = (
     ("split skips its agreement check", "engine.py",
      "if (per_slice[owner] == drop).all():", "if True:"),
     ("round-0 path choice ignores the horizon", "engine.py",
-     "if k == 0 < q and is_infinite(config.horizon):", "if k == 0 < q:"),
+     "if is_infinite(config.horizon):  # runs of one SymEig", "if True:  # runs of one SymEig"),
+    ("off-diagonal check ignored", "engine.py",
+     "diagonal = {key: np.count_nonzero(e) == np.count_nonzero(e.diagonal())",
+     "diagonal = {key: True"),
+    ("nonsingular check dropped", "engine.py",
+     "fixed = np.array([t for t in nonsingular if", "fixed = np.array([t for t in todo if"),
     ("engine (q + 1) * per_round > p made >=", "engine.py",
      "if config.per_round * (q + 1) > p:", "if config.per_round * (q + 1) >= p:"),
     # the config rules and the heuristic gate

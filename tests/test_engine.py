@@ -28,7 +28,7 @@ from implinear.engine import (
     trace_to_dict,
 )
 from implinear.flow import INFINITE, closed_form_weights, is_infinite
-from implinear.linalg import CovMatrix, SymEig, pseudo_inverse, sym_eig
+from implinear.linalg import CovMatrix, SymEig, default_rank_tol, pseudo_inverse, sym_eig
 
 
 class Data(NamedTuple):
@@ -643,6 +643,179 @@ class TestDowndatePath:
             tracemalloc.stop()
         assert sorted(order) == list(range(200))
         assert peak <= 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Decoupled runs: a diagonal Sigma is trained once
+# ---------------------------------------------------------------------------
+
+DIAG_P = 12
+
+
+def diagonal_problem(kind, seed, ties, p=DIAG_P):
+    """A diagonal Sigma with its b and a nonzero w_init: the identity, a random
+    positive diagonal over 16 binary orders of magnitude, or two repeated
+    entries.  With `ties`, b and w_init take values on small grids, so that
+    trained magnitudes tie.
+
+    Every entry is far inside the range in which LAPACK's eigh does not
+    rescale the matrix (max |entry| between about 1e-146 and 1e146).
+    There a diagonal Sigma_A's eigenvalues are its entries, bit for bit, so
+    the per-round oracle and the decoupled path agree bit for bit; outside
+    it they agree to a few ulps (`test_rescaled_entries_agree_to_a_few_ulps`).
+    """
+    rng = make_rng(seed)
+    if kind == "identity":
+        entries = np.ones(p)
+    elif kind == "random":
+        entries = 2.0 ** rng.uniform(-8.0, 8.0, p)
+    else:
+        entries = rng.choice([0.5, 2.0], p)
+    if ties:
+        b, w_init = rng.choice([-2.0, -1.0, 1.0, 2.0], p), rng.choice([-0.5, 0.5], p)
+    else:
+        b, w_init = rng.standard_normal(p), rng.standard_normal(p)
+    return Data(None, None, CovMatrix(np.diag(entries)), b), w_init
+
+
+def singular_diagonal(seed, p=DIAG_P):
+    """A random positive diagonal whose entry 0 sits exactly at its rank
+    tolerance, so round 0 is singular while every later Sigma_A, whose
+    tolerance is lower, is not.  w_init[0] = 10 keeps coordinate 0 alive
+    through the early rounds."""
+    fs, w_init = diagonal_problem("random", seed, ties=False, p=p)
+    entries = np.diagonal(fs.covariance.entries).copy()
+    entries[0] = 0.0
+    entries[0] = default_rank_tol(entries)
+    w_init[0] = 10.0
+    return fs._replace(covariance=CovMatrix(np.diag(entries))), w_init
+
+
+def oracle_trace(features, config):
+    """`oracle_imp` laid out as an ImpTrace: (q+1, p) weights and active
+    masks, and (q+1, per_round) pruned indices."""
+    rounds = oracle_imp(features, config)
+    weights = np.zeros((len(rounds), features.covariance.p))
+    active = np.zeros(weights.shape, dtype=bool)
+    for k, (idx, w, _, _) in enumerate(rounds):
+        weights[k, idx] = w
+        active[k, idx] = True
+    return weights, active, np.array([pruned for _, _, pruned, _ in rounds])
+
+
+def assert_same_trace(trace, weights, active, pruned):
+    assert trace.weights.tobytes() == weights.tobytes()
+    assert np.array_equal(trace.active, active)
+    assert np.array_equal(trace.pruned, pruned)
+
+
+def run_recorded(stack, config):
+    """A stacked run and, per round, copies of what the observer saw: the
+    active indices, the trained weights, the runs factorized and the slots."""
+    seen = []
+
+    def observe(k, active, weights, factors):
+        seen.append((active.copy(), weights.copy(), set(factors.eigs), factors.slot.copy()))
+
+    return run(stack, config, observe), seen
+
+
+class TestDecoupledRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(("identity", "random", "repeated")),
+        seed=st.integers(0, 10_000),
+        ties=st.booleans(),
+        horizon=st.sampled_from((INFINITE, 0.5, 3.0)),
+        per_round=st.sampled_from((1, 3)),
+        tie_break=st.sampled_from(TIE_BREAK_RULES),
+        zero_init=st.booleans(),
+    )
+    @example(kind="identity", seed=0, ties=True, horizon=0.5, per_round=3,
+             tie_break="highest_index", zero_init=False)
+    def test_trace_is_the_per_round_eigendecomposition(self, kind, seed, ties, horizon,
+                                                       per_round, tie_break, zero_init):
+        fs, w_init = diagonal_problem(kind, seed, ties)
+        config = ImpConfig(horizon=horizon, prune_rounds=DIAG_P // per_round - 1,
+                           per_round=per_round, tie_break=tie_break,
+                           w_init=None if zero_init else w_init)
+        [trace], seen = run_recorded([fs], config)
+        assert_same_trace(trace, *oracle_trace(fs, config))
+        # trained at round 0 only, and never on the downdate
+        assert [eigs for _, _, eigs, _ in seen] == [{0}] + [set()] * config.prune_rounds
+        assert all(slot.tolist() == [-1] for _, _, _, slot in seen)
+
+    def test_later_rounds_observe_round_zeros_weights(self):
+        # in the order of the round's active indices, which the swap-remove
+        # permutes
+        fs, _ = diagonal_problem("random", 3, ties=False)
+        [_], seen = run_recorded([fs], ImpConfig(prune_rounds=8))
+        [active0], [weights0], _, _ = seen[0]
+        round0 = dict(zip(active0.tolist(), weights0.tolist()))
+        assert any(np.any(np.diff(active[0]) < 0) for active, _, _, _ in seen)
+        for active, weights, eigs, slot in seen[1:]:
+            assert eigs == set() and slot.tolist() == [-1]
+            assert weights[0].tolist() == [round0[i] for i in active[0].tolist()]
+
+    @pytest.mark.parametrize("per_round", [1, 3])
+    @pytest.mark.parametrize("horizon", [INFINITE, 3.0], ids=["inf", "3.0"])
+    def test_mixed_stack_runs_as_alone(self, horizon, per_round):
+        # decoupled (twice, on one CovMatrix object), dense, and a diagonal
+        # Sigma that is singular at round 0; without the singular run, an
+        # infinite-horizon round after round 0 factorizes nothing
+        decoupled, w_init = diagonal_problem("random", 5, ties=False)
+        singular, _ = singular_diagonal(7)
+        dense = design_features("incoherent", 60, None, seed=6, p=DIAG_P)
+        config = ImpConfig(horizon=horizon, prune_rounds=DIAG_P // per_round - 1,
+                           per_round=per_round, w_init=w_init)
+        mixed = [decoupled, dense, singular, decoupled._replace(b=-decoupled.b)]
+        for stack, later in ((mixed, {2} if is_infinite(horizon) else {1, 2}),
+                             (mixed[:2], set() if is_infinite(horizon) else {1})):
+            traces, seen = run_recorded(stack, config)
+            for t, (fs, trace) in enumerate(zip(stack, traces)):
+                [alone], alone_seen = run_recorded([fs], config)
+                assert_same_trace(trace, alone.weights, alone.active, alone.pruned)
+                assert [t in e for _, _, e, _ in seen] == [0 in e for _, _, e, _ in alone_seen]
+            assert [eigs for _, _, eigs, _ in seen] == [set(range(len(stack)))] + [later] * (
+                len(seen) - 1)
+
+    @pytest.mark.parametrize("horizon", [INFINITE, 3.0], ids=["inf", "3.0"])
+    def test_a_singular_diagonal_is_factorized_every_round(self, horizon):
+        fs, w_init = singular_diagonal(11)
+        config = ImpConfig(horizon=horizon, prune_rounds=DIAG_P - 1, w_init=w_init)
+        [trace], seen = run_recorded([fs], config)
+        assert [eigs for _, _, eigs, _ in seen] == [{0}] * DIAG_P
+        assert all(slot.tolist() == [-1] for _, _, _, slot in seen)
+        assert_same_trace(trace, *oracle_trace(fs, config))
+        # coordinate 0's mode carries no gradient at round 0 and does later
+        assert trace.weights[0, 0] == 10.0 and trace.active[1, 0]
+        assert trace.weights[1, 0] != 10.0
+
+    @pytest.mark.parametrize("horizon", [INFINITE, 3.0], ids=["inf", "3.0"])
+    def test_one_tiny_off_diagonal_entry_keeps_the_coupled_path(self, horizon):
+        fs, _ = diagonal_problem("random", 13, ties=False)
+        entries = fs.covariance.entries.copy()
+        entries[0, 1] = entries[1, 0] = 1e-300
+        fs = fs._replace(covariance=CovMatrix(entries))
+        [_], seen = run_recorded([fs], ImpConfig(horizon=horizon, prune_rounds=DIAG_P - 1))
+        later = [(eigs, slot.tolist()) for _, _, eigs, slot in seen[1:]]
+        if is_infinite(horizon):  # downdated
+            assert later == [(set(), [0])] * (DIAG_P - 1)
+        else:
+            assert later == [({0}, [-1])] * (DIAG_P - 1)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_rescaled_entries_agree_to_a_few_ulps(self, scale):
+        # eigh rescales a matrix whose largest entry is out of its safe
+        # range, and its eigenvalues of a diagonal are then rounded, so a
+        # round's refactorization may differ from round 0's in the last bits
+        fs, w_init = diagonal_problem("random", 17, ties=False)
+        fs = fs._replace(covariance=CovMatrix(fs.covariance.entries * scale), b=fs.b * scale)
+        config = ImpConfig(prune_rounds=DIAG_P - 1, w_init=w_init)
+        [trace] = run([fs], config)
+        weights, active, pruned = oracle_trace(fs, config)
+        assert np.array_equal(trace.active, active) and np.array_equal(trace.pruned, pruned)
+        assert np.allclose(trace.weights, weights, rtol=8 * np.finfo(float).eps, atol=0.0)
 
 
 PERM_P = 16

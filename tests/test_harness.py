@@ -983,6 +983,18 @@ class TestBaselines:
         run_baseline_comparison(spec)
         assert calls == [("engine", 8)]
 
+    def test_finite_horizon_exact_law_range_factorizes_one_identity(self, count_sym_eig):
+        # recover-p50's config at n = 75 and horizon 0.5: the identity is
+        # factorized at round 0 and every later round reads its weights
+        # off round 0, where factorizing each round took 1 + 2 * 45 = 91
+        calls = count_sym_eig(engine_module)
+        spec = recovery_spec(design=DesignSpec(kind="orthonormal", p=50, n=75),
+                             signal=SignalSpec(k=5, gamma=0.5), imp=ImpSpec(horizon=0.5),
+                             trials=2)
+        records = recovery_trial(spec, range(2))
+        assert calls == [("engine", 50)]
+        assert all(rec.q == 45 for rec in records)
+
     def test_a_range_factorizes_each_trial_once(self, monkeypatch, count_sym_eig):
         # IMP's round-0 eigendecomposition of a trial's Sigma serves its three
         # sigma cells, hard thresholding included, and its one pseudo-inverse
