@@ -18,6 +18,7 @@ Sigma = I and b - s = Q^T xi / sqrt(n) ~ N(0, sigma^2 / n I).
 from __future__ import annotations
 
 import functools
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,6 +30,9 @@ from .linalg import CovMatrix, psd_sqrt, sym_eig
 
 NOISE_KINDS = ("gaussian", "rademacher", "uniform")
 AMPLITUDE_LAWS = ("constant", "uniform", "rademacher")
+# The largest bound of a uniform law: each spans twice its bound, and
+# Generator.uniform draws only from a range of finite width.
+UNIFORM_MAX = sys.float_info.max / 2
 
 STREAM_DESIGN = 0
 STREAM_SIGNAL = 1
@@ -188,6 +192,8 @@ def check_signal(p: int, k: int, gamma: float, amplitude_law: str) -> None:
         raise ValueError("gamma must be positive")
     if amplitude_law not in AMPLITUDE_LAWS:
         raise ValueError(f"unknown amplitude_law {amplitude_law!r}")
+    if amplitude_law == "uniform" and gamma > UNIFORM_MAX:
+        raise ValueError(f"gamma must be at most {UNIFORM_MAX!r} under the uniform amplitude_law")
 
 
 def check_noise(kind: str, sigma: float, name: str = "sigma") -> None:
@@ -196,6 +202,8 @@ def check_noise(kind: str, sigma: float, name: str = "sigma") -> None:
         raise ValueError(f"{name} must be nonnegative")
     if kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}")
+    if kind == "uniform" and sigma > UNIFORM_MAX:
+        raise ValueError(f"{name} must be at most {UNIFORM_MAX!r} under uniform noise")
 
 
 def gen_sparse_signal(

@@ -72,10 +72,6 @@ from .linalg import CovMatrix, SymEig, pseudo_inverse, sym_eig
 
 TIE_BREAK_RULES = ("lowest_index", "highest_index")
 
-# The one-coordinate downdate subtracts g g^T from its slices in chunks of at
-# most this many doubles: a temporary of the whole stack costs fresh pages.
-OUTER_CHUNK = 2**14
-
 
 class ImpConfig:
     """Inputs of one pruning run.
@@ -187,19 +183,19 @@ def _swap_remove(a: np.ndarray, plan: tuple, r: int) -> np.ndarray:
 
 
 def _downdate(
-    inverse: np.ndarray, weights: np.ndarray, drop: np.ndarray, owner: np.ndarray | None = None
+    inverse: np.ndarray, weights: np.ndarray, drop: np.ndarray, owner: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Remove the local positions `drop` from a stack of Sigma_A^{-1} and
     weights, in place.
 
     inverse is a (G, M, M) buffer whose leading (m, m) block per slice is
     Sigma_A^{-1}, drop (G, r) and weights (D, m); owner (D,) maps each weight
-    row to its slice, and None pairs them one to one (D = G).  Per slice,
-    with C = Sigma_A^{-1}, J the dropped and K the kept positions, the
-    smaller inverse is the Schur complement C_KK - C_KJ C_JJ^{-1} C_JK and
-    the retrained weights are w_K - C_KJ C_JJ^{-1} w_J: with L the Cholesky
-    factor of C_JJ and [G | g] = L^{-1} [C_JK | w_J], they are C_KK - G^T G
-    and w_K - G^T g, each weight row taking the G of its own slice.
+    row to its slice.  Per slice, with C = Sigma_A^{-1}, J the dropped and K
+    the kept positions, the smaller inverse is the Schur complement
+    C_KK - C_KJ C_JJ^{-1} C_JK and the retrained weights are
+    w_K - C_KJ C_JJ^{-1} w_J: with L the Cholesky factor of C_JJ and
+    [G | g] = L^{-1} [C_JK | w_J], they are C_KK - G^T G and w_K - G^T g,
+    each weight row taking the G of its own slice.
 
     K is in swap-remove order (`_swap_plan`), and the complement fills the
     leading (m - r, m - r) block of the same buffer.  Returns (weights, ok):
@@ -216,12 +212,11 @@ def _downdate(
     """
     d, m = weights.shape
     r = drop.shape[1]
-    g_n = len(inverse)
     live = inverse[:, :m, :m]
     plan = _swap_plan(drop, m)
-    row_drop = drop if owner is None else drop[owner]
+    row_drop = drop[owner]
     w_drop = weights[np.arange(d)[:, None], row_drop]
-    weights = _swap_remove(weights, plan if owner is None else _swap_plan(row_drop, m), r)
+    weights = _swap_remove(weights, _swap_plan(row_drop, m), r)
     if r == 1:  # scalar Cholesky; `>` is False on NaN too
         t, j = plan[:2]
         g = live[t, j]  # (G, m): row J of each slice
@@ -230,17 +225,13 @@ def _downdate(
         root = np.sqrt(np.where(ok, pivot, 1.0))[:, None]
         g = _swap_remove(g, plan, 1)
         g /= root
-        g_rows, root = (g, root) if owner is None else (g[owner], root[owner])
-        weights -= g_rows * (w_drop / root)
+        weights -= g[owner] * (w_drop / root[owner])
         live[t, j] = live[t, m - 1]  # the last row and column into the dropped slot
         live[t, :, j] = live[t, :, m - 1]
         # G^T G = g g^T and G^T g = g g_w: each entry is one multiplication.
-        # Slices go in chunks, so that the product's temporary stays small.
-        step = max(1, OUTER_CHUNK // m**2)
-        for c in range(0, g_n, step):
-            live[c:c + step, :m - 1, :m - 1] -= g[c:c + step, :, None] * g[c:c + step, None, :]
+        live[:, :m - 1, :m - 1] -= g[:, :, None] * g[:, None, :]
         return weights, ok
-    rows = np.arange(g_n)[:, None]
+    rows = np.arange(len(inverse))[:, None]
     pivot = live[rows[:, :, None], drop[:, :, None], drop[:, None, :]]
     ok = np.isfinite(pivot).all(axis=(1, 2))  # cholesky factors NaN without raising
     pivot[~ok] = np.eye(r)
@@ -253,14 +244,11 @@ def _downdate(
     live[row, :, to] = live[row, :, frm]  # columns first: rows J then hold C_JK
     c_jk = live[rows, drop, :m - r]
     live[row, to] = live[row, frm]
-    if owner is not None:
-        chol, c_jk = chol[owner], c_jk[owner]
-    g = np.linalg.solve(chol, np.concatenate((c_jk, w_drop[:, :, None]), axis=2))
+    g = np.linalg.solve(chol[owner], np.concatenate((c_jk[owner], w_drop[:, :, None]), axis=2))
     weights -= (g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, -1:])[:, :, 0]
-    if owner is not None:
-        first = np.empty(g_n, dtype=int)  # each slice's G from one of its rows
-        first[owner] = np.arange(d)
-        g = g[first]
+    first = np.empty(len(inverse), dtype=int)  # each slice's G from one of its rows
+    first[owner] = np.arange(d)
+    g = g[first]
     gtg = g[:, :, :-1].transpose(0, 2, 1) @ g[:, :, :-1]
     gtg += gtg.transpose(0, 2, 1)
     gtg /= 2.0
@@ -354,9 +342,7 @@ def run_imp(
     # later round of it is factorized.  `down` lists the runs whose round is
     # downdated and `w_down` stacks their trained weights; `inverse` stacks
     # the Sigma_A^{-1} slices in the leading (m, m) block of each, run
-    # down[i] reading slice owner[i].  Slices are in the order of their first
-    # run, so when there are as many slices as runs, slice i is run down[i]'s.
-    # A downdated run's row of `active` is in the order of its slice's rows,
+    # down[i] reading slice owner[i].  A downdated run's row of `active` is in the order of its slice's rows,
     # which the swap-remove permutes, as is a decoupled run's; a factorized
     # run's is ascending.
     down, owner = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
@@ -421,8 +407,7 @@ def run_imp(
             drop = local[on]
             if len(inverse) < down.size:  # shared slices
                 inverse, owner, drop = _split(live, owner, drop)
-            shared = owner if len(inverse) < down.size else None
-            w_down, ok = _downdate(inverse, weights[on], drop, shared)
+            w_down, ok = _downdate(inverse, weights[on], drop, owner)
             if not ok.all():  # drift: these runs are factorized from the next round on
                 stays = ok[owner]
                 down, w_down, inverse = down[stays], w_down[stays], inverse[ok]

@@ -1,9 +1,11 @@
 """Dense symmetric linear algebra used by every other module.
 
 Everything is built around one eigendecomposition convention: eigenvalues
-ascending, orthonormal eigenvector columns with a deterministic sign fix
-(first entry of nonnegligible magnitude is positive), and a rank tolerance,
-set by the matrix alone, at or below which an eigenvalue counts as zero.
+ascending, orthonormal eigenvector columns as LAPACK returns them, and a
+rank tolerance, set by the matrix alone, at or below which an eigenvalue
+counts as zero.  No consumer reads a column's sign: each reads a column
+through products in which its sign cancels, or through its magnitude
+(`tests/test_linalg.py::TestEigenvectorSigns`).
 The pseudo-inverse inverts the spectrum above that tolerance and zeroes it
 below, in the same basis.  A `CovMatrix` checks and copies its entries; a
 `SymEig` is a plain record of read-only views that `sym_eig` builds.  The
@@ -80,9 +82,8 @@ class SymEig(NamedTuple):
     """Eigendecomposition of a symmetric matrix.
 
     eigenvalues are ascending; eigenvector column i pairs with eigenvalue i.
-    Columns are orthonormal with the sign convention that the first entry of
-    magnitude above 1e-12 is positive, so repeated decompositions of the
-    same bits reproduce identical traces.  From `sym_eig`, both arrays are
+    Columns are orthonormal, with whatever sign LAPACK gives them; the same
+    bits decompose to the same bits.  From `sym_eig`, both arrays are
     read-only views of its output stack.
     """
 
@@ -103,29 +104,22 @@ class SymEig(NamedTuple):
 
 
 def sym_eig(cov: CovMatrix | np.ndarray) -> SymEig | list[SymEig]:
-    """Eigendecompose with the deterministic sign convention.
+    """Eigendecompose a symmetric matrix, or a stack of them.
 
     `cov` is a CovMatrix, or a (T, m, m) array stacking the entries of T
     covariances, which gives a list of T SymEig.  A stack is factorized by
     one `np.linalg.eigh` call, which runs LAPACK on each slice as on a matrix
-    of its own, so every slice has the bits of a one-matrix call; the sign
-    fix is applied to the whole stack.  Each SymEig is a read-only view of
-    its slice, so the stack lives as long as any one of them: the engine
-    drops a round's SymEig together, and copies would double the peak
-    memory of a stacked round.  A CovMatrix is the stack of one.
+    of its own, so every slice has the bits of a one-matrix call.  Each
+    SymEig is a read-only view of its slice, so the stack lives as long as
+    any one of them: the engine drops a round's SymEig together, and copies
+    would double the peak memory of a stacked round.  A CovMatrix is the
+    stack of one.
     """
     single = isinstance(cov, CovMatrix)
     stack = cov.entries[None] if single else np.asarray(cov, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"need a CovMatrix or a (T, m, m) stack, got shape {stack.shape}")
     lam, vec = np.linalg.eigh(stack)
-    if vec.size:  # boolean temporaries only, none as large as the stack
-        big = vec > 1e-12
-        big |= vec < -1e-12
-        first = np.argmax(big, axis=1)[:, None]  # per column, the row of its first big entry
-        flip = np.take_along_axis(vec, first, axis=1) < 0.0
-        flip &= np.take_along_axis(big, first, axis=1)
-        vec *= np.where(flip, -1.0, 1.0)  # exact: a sign flip or the same bits
     lam.setflags(write=False)
     vec.setflags(write=False)
     eigs = list(map(SymEig, lam, vec, default_rank_tol(lam).tolist()))

@@ -86,6 +86,12 @@ MUTANTS = (
      "passed = (first_rate if incoherent else full_rate) >= 0.5"),
     ("INVERSE_TOL <= made <", "harness.py",
      "max_inverse <= INVERSE_TOL", "max_inverse < INVERSE_TOL"),
+    ("uniform noise bound compares sigma with the largest float", "designs.py",
+     'if kind == "uniform" and sigma > UNIFORM_MAX:',
+     'if kind == "uniform" and sigma > sys.float_info.max:'),
+    ("uniform amplitude bound compares gamma with the largest float", "designs.py",
+     'if amplitude_law == "uniform" and gamma > UNIFORM_MAX:',
+     'if amplitude_law == "uniform" and gamma > sys.float_info.max:'),
     # the laws that tests/test_exact.py checks against closed forms
     ("lemma1 projected noise scaled by 1.1", "harness.py",
      "np.max(np.abs(projector @ xi))", "np.max(np.abs(1.1 * (projector @ xi)))"),

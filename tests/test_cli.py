@@ -453,6 +453,12 @@ BAD_CONFIGS = {
                                            "baseline.convergence_tol must be nonnegative"),
     "heuristic-baseline-sigmas": ("heuristic", "baseline.sigmas", [0.5, -1.0],
                                   "baseline.sigmas[1] must be nonnegative"),
+    # finite, but the uniform law spans twice its bound, past the largest float
+    "uniform-noise-range-overflows": ("recover", "noise", {"kind": "uniform", "sigma": 1e308},
+                                      "sigma must be at most"),
+    "uniform-signal-range-overflows": ("recover", "signal",
+                                       {"k": 3, "gamma": 1e308, "amplitude_law": "uniform"},
+                                       "gamma must be at most"),
 }
 BAD_CONFIG_BASES = {
     "recover": recovery_doc,

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,6 +10,8 @@ from implinear.designs import (
     FeatureSet,
     assemble_problem,
     check_design,
+    check_noise,
+    check_signal,
     gen_incoherent_design,
     gen_orthonormal_design,
     gen_sparse_signal,
@@ -154,6 +159,36 @@ class TestSparseSignal:
             gen_sparse_signal(5, 2, gamma=0.0, amplitude_law="constant", seed=1)
         with pytest.raises(ValueError, match="amplitude_law"):
             gen_sparse_signal(5, 2, gamma=1.0, amplitude_law="cauchy", seed=1)
+
+
+class TestUniformRange:
+    # the uniform laws span twice their bound: at max / 2 the range is finite
+    # and a draw is made, one float above it is rejected before any draw
+    EDGE = sys.float_info.max / 2
+    PAST = np.nextafter(EDGE, math.inf)
+
+    def test_noise_draws_at_the_largest_bound(self):
+        xi = sample_noise("uniform", self.EDGE, 1000, seed=40)
+        assert np.all(np.isfinite(xi)) and np.all(np.abs(xi) <= self.EDGE)
+
+    def test_noise_past_the_largest_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="sigma must be at most"):
+            sample_noise("uniform", float(self.PAST), 4, seed=40)
+        with pytest.raises(ValueError, match=r"sigmas\[2\] must be at most"):
+            check_noise("uniform", float(self.PAST), "sigmas[2]")
+        # the other kinds scale a unit draw, which no finite sigma overflows
+        for kind in ("gaussian", "rademacher"):
+            check_noise(kind, sys.float_info.max)
+
+    def test_signal_draws_at_the_largest_bound(self):
+        s, support = gen_sparse_signal(6, 3, self.EDGE, "uniform", seed=41)
+        assert np.all(s[support] >= self.EDGE) and np.all(np.isfinite(s))
+
+    def test_signal_past_the_largest_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="gamma must be at most"):
+            gen_sparse_signal(6, 3, float(self.PAST), "uniform", seed=41)
+        for law in ("constant", "rademacher"):
+            check_signal(6, 3, sys.float_info.max, law)
 
 
 class TestSampleNoise:

@@ -558,7 +558,7 @@ class TestDowndatePath:
     def test_non_positive_pivot_rejected(self):
         def ok(inverse, drop):
             return engine_module._downdate(inverse[None].copy(), np.ones((1, inverse.shape[0])),
-                                           np.array([drop]))[1][0]
+                                           np.array([drop]), np.arange(1))[1][0]
 
         inverse = np.array([[2.0, 0.5], [0.5, -1.0]])
         assert not ok(inverse, [1])
@@ -585,9 +585,10 @@ class TestDowndatePath:
         weights = rng.standard_normal((2, 3))
         drop = np.array(drop)
         inverse, alone = np.stack([bad, good]), good[None].copy()
-        w, ok = engine_module._downdate(inverse, weights.copy(), drop)
+        w, ok = engine_module._downdate(inverse, weights.copy(), drop, np.arange(len(inverse)))
         assert list(ok) == [False, True]
-        w_alone, _ = engine_module._downdate(alone, weights[1:].copy(), drop[1:])
+        w_alone, _ = engine_module._downdate(alone, weights[1:].copy(), drop[1:],
+                                             np.arange(len(alone)))
         assert np.array_equal(inverse[1], alone[0]) and np.array_equal(w[1], w_alone[0])
 
     def test_downdated_inverse_is_the_restricted_inverse(self):
@@ -919,7 +920,8 @@ class TestSymmetricDowndate:
         weights = rng.standard_normal((d, m))
         drop = rng.integers(0, m, size=(d, 1))
         want_inverse, want_weights, want_ok = symmetrizing_downdate(inverse, weights, drop)
-        got_weights, got_ok = engine_module._downdate(inverse, weights, drop)
+        got_weights, got_ok = engine_module._downdate(inverse, weights, drop,
+                                                      np.arange(len(inverse)))
         assert_same_bits(got_ok, want_ok)
         for i, idx in enumerate(compacted(drop, m)):
             assert_same_bits(inverse[i, :m - 1, :m - 1], want_inverse[i][np.ix_(idx, idx)])
@@ -939,7 +941,8 @@ class TestSymmetricDowndate:
             drop = rng.integers(0, m, size=(3, 1))  # positions in the compaction
             coords = np.sort(labels, axis=1)[np.arange(3)[:, None], drop]
             local = np.argmax(labels == coords, axis=1)[:, None]
-            weights, ok = engine_module._downdate(inverse, weights, local)
+            weights, ok = engine_module._downdate(inverse, weights, local,
+                                                  np.arange(len(inverse)))
             ref_inverse, ref_weights, _ = symmetrizing_downdate(ref_inverse, ref_weights, drop)
             labels = np.array([row[swap_order([j], m)] for row, [j] in zip(labels, local)])
             assert ok.all()
@@ -1040,8 +1043,7 @@ class TestSwapDowndate:
         weights = rng.standard_normal((len(owner), m))
         want_inverse, want_weights, want_ok = compaction_downdate(inverse[owner], weights,
                                                                   drop[owner])
-        got_weights, got_ok = engine_module._downdate(inverse, weights.copy(), drop,
-                                                      owner if shared else None)
+        got_weights, got_ok = engine_module._downdate(inverse, weights.copy(), drop, owner)
         live = inverse[:, :m - r, :m - r]
         assert_same_bits(live, np.ascontiguousarray(live.transpose(0, 2, 1)))
         assert_same_bits(got_ok[owner], want_ok)

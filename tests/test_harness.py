@@ -3,6 +3,7 @@ import functools
 import gc
 import json
 import re
+import sys
 import tracemalloc
 import weakref
 
@@ -156,6 +157,14 @@ class TestSpecParsing:
         with pytest.raises(ConfigError) as err:
             spec_from_dict(doc)
         assert str(err.value) == f"imp.horizon must be a number or a string, got {text}"
+
+    def test_uniform_noise_range_rule_names_the_baseline_sigma(self):
+        doc = config_document()
+        doc["kind"] = "baseline_comparison"
+        doc["noise"]["kind"] = "uniform"
+        doc["baseline"] = {"sigmas": [0.5, sys.float_info.max]}
+        with pytest.raises(ConfigError, match=r"^baseline\.sigmas\[1\] must be at most"):
+            validate_spec(spec_from_dict(doc))
 
     def test_integers_become_floats(self):
         doc = config_document()
