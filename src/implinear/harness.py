@@ -514,24 +514,22 @@ def _audit_rounds(
 
     Round 0 trains on every coordinate, so its eigendecompositions are those
     of the full Sigmas: each trial's ONP verdict, smallest nonzero
-    eigenvalue and recoverability residual (one `check_recoverable` call)
-    are read from them, so nothing is refactorized.  Appends (onp, min_eig,
-    residual) per trial to `audit`.  Later rounds are not checked: ONP
-    admits a trial only if its Sigma is nonsingular, and then by Cauchy
+    eigenvalue and recoverability residual (one `check_recoverable` call per
+    trial) are read from its own, so nothing is refactorized.  Appends (onp,
+    min_eig, residual) per trial to `audit`.  Later rounds are not checked:
+    ONP admits a trial only if its Sigma is nonsingular, and then by Cauchy
     interlacing so is every later Sigma_A, whose smallest eigenvalue is no
     lower, so that Sigma_A^+ Sigma_A s_A = s_A holds exactly.
     """
     if k:
         return
-    signal = np.stack([pr.signal for pr in problems])
-    cov_signal = np.stack([pr.covariance.entries @ pr.signal for pr in problems])
-    eigs = [factors.eigs[i] for i in range(len(problems))]
-    residuals = check_recoverable(cov_signal, signal, eigs)
-    for eig, pr, residual in zip(eigs, problems, residuals.tolist()):
+    for t, pr in enumerate(problems):
+        eig = factors.eigs[t]
         try:
             lam = min_nonzero_eig(eig)
         except ValueError:  # a zero Sigma
             lam = float("nan")
+        residual = check_recoverable(eig, pr.covariance.entries @ pr.signal, pr.signal)
         audit.append((check_onp(eig, pr.support) <= ONP_TOL, lam, residual))
 
 

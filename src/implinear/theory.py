@@ -10,7 +10,6 @@ interval.  Logs are natural throughout.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -161,30 +160,21 @@ def check_onp(eig: SymEig, support) -> float:
     return float(worst.max())
 
 
-def check_recoverable(
-    cov_signal: np.ndarray, signal: np.ndarray, eigs: Sequence[SymEig]
-) -> np.ndarray:
-    """How far does each restricted signal of a stack move under projection onto range(Ups)?
+def check_recoverable(eig: SymEig, cov_signal: np.ndarray, signal: np.ndarray) -> float:
+    """How far does a restricted signal move under projection onto range(Ups)?
 
-    Per slice t of a stack of T, with A_t its active indices in some order
-    and Ups = Sigma_A the principal submatrix on them: `signal` holds s_A
-    (T, m), `cov_signal` holds Ups s_A (T, m) and eigs[t] is the
-    eigendecomposition of Ups, rows in the order of A_t.  The length-T
-    result is residual = ||Ups^+ Ups s_A - s_A||_inf, with Ups^+ applied in
-    the eigenbasis as V (Lambda^+ (V^T u)), the least-squares fit
-    `closed_form_weights` trains to at the infinite horizon.  The pruning
-    guarantee needs it to vanish at every round.  Each slice is computed
-    alone, so a slice's residual does not depend on the rest of its stack.
+    With A the active indices in some order and Ups = Sigma_A the principal
+    submatrix on them: `eig` is the eigendecomposition of Ups, rows in the
+    order of A, `signal` holds s_A and `cov_signal` holds Ups s_A, each of
+    length eig.p.  The result is residual = ||Ups^+ Ups s_A - s_A||_inf,
+    with Ups^+ applied in the eigenbasis as V (Lambda^+ (V^T u)), the
+    least-squares fit `closed_form_weights` trains to at the infinite
+    horizon.  The pruning guarantee needs it to vanish at every round.
     """
-    cov_signal = np.asarray(cov_signal, dtype=float)
-    signal = np.asarray(signal, dtype=float)
-    if cov_signal.shape != signal.shape or signal.ndim != 2:
-        raise ValueError("cov_signal and signal must have one shape (T, m)")
-    if len(eigs) != len(signal) or any(eig.p != signal.shape[1] for eig in eigs):
-        raise ValueError("pass exactly one (m, m) eigendecomposition per slice")
-    zero = np.zeros(signal.shape[1])
-    return np.array([np.max(np.abs(closed_form_weights(eig, u, zero, INFINITE) - s), initial=0.0)
-                     for eig, u, s in zip(eigs, cov_signal, signal)], dtype=float)
+    if np.shape(cov_signal) != (eig.p,) or np.shape(signal) != (eig.p,):
+        raise ValueError(f"cov_signal and signal must have length eig.p = {eig.p}")
+    fit = closed_form_weights(eig, cov_signal, np.zeros(eig.p), INFINITE)
+    return float(np.max(np.abs(fit - signal), initial=0.0))
 
 
 def recovery_sample_size_raw(b: BoundInputs) -> float:

@@ -51,7 +51,9 @@ MUTANTS = (
     ("audit ONP check <= ONP_TOL made <", "harness.py",
      "pr.support) <= ONP_TOL", "pr.support) < ONP_TOL"),
     ("audit runs past round 0", "harness.py",
-     "if k:\n        return\n    signal = ", "if k < 0:\n        return\n    signal = "),
+     "if k:\n        return\n    for t, pr in", "if k < 0:\n        return\n    for t, pr in"),
+    ("recoverability residual drops the signal", "theory.py",
+     "np.abs(fit - signal)", "np.abs(fit)"),
     ("HT thresholds IMP's round-0 trained weights", "harness.py",
      "ht_estimator(problem.b, threshold.tau, factors.eigs[t])",
      "ht_estimator(problem.b, np.inf, factors.eigs[t])"

@@ -1,9 +1,11 @@
-"""The range rule as the README and the harness's comment state it, checked
-against `harness.STACK_BUDGET` with the standard library only."""
+"""The README against the code: the range rule as the README and the
+harness's comment state it, checked against `harness.STACK_BUDGET`, and the
+library quick tour, run as written."""
 
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from implinear import harness
@@ -40,3 +42,16 @@ def test_stated_range_sizes_follow_the_stack_budget(name):
     assert max(1, budget // p**2) == trials
     # one trial per range from one_from on, and more just below it
     assert budget // one_from**2 == 1 and budget // (one_from - 1) ** 2 > 1
+
+
+def test_readme_quick_tour_runs(capsys):
+    # the first python block, in a fresh namespace: the support it prints is
+    # the signal's, and the bound is the one its comment states
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", text, re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    recovered = np.flatnonzero(namespace["trace"].final_weights)
+    assert capsys.readouterr().out.splitlines()[0] == str(recovered)
+    assert namespace["bound"] == 222
+    assert tuple(recovered.tolist()) == namespace["prob"].support == (20, 35, 43)

@@ -1,5 +1,4 @@
 import concurrent.futures
-import functools
 import gc
 import json
 import re
@@ -311,16 +310,24 @@ class TestSupportRecovery:
         assert report.summary.passed
 
     def test_round_zero_is_audited_on_the_engines_eigs(self, monkeypatch):
-        # one check per range, on the SymEigs round 0 trained with
-        seen = []
+        # one check per trial, on the SymEig round 0 trained it with
+        engine, seen = [], []
+        audit_rounds = harness_module._audit_rounds
 
-        def recording(cov_signal, signal, eigs):
-            seen.append((cov_signal.shape, [eig.p for eig in eigs]))
-            return check_recoverable(cov_signal, signal, eigs)
+        def observing(problems, audit, k, active, weights, factors):
+            if not k:
+                engine.extend(factors.eigs[t] for t in range(len(problems)))
+            audit_rounds(problems, audit, k, active, weights, factors)
 
+        def recording(eig, cov_signal, signal):
+            seen.append((eig, np.shape(cov_signal), np.shape(signal)))
+            return check_recoverable(eig, cov_signal, signal)
+
+        monkeypatch.setattr(harness_module, "_audit_rounds", observing)
         monkeypatch.setattr(harness_module, "check_recoverable", recording)
         run_support_recovery(recovery_spec(trials=3))
-        assert seen == [((3, 12), [12, 12, 12])]
+        assert len(engine) == 3 and [shapes for _, *shapes in seen] == [[(12,), (12,)]] * 3
+        assert all(eig is round0 for (eig, _, _), round0 in zip(seen, engine, strict=True))
 
     def test_q_zero_dense(self):
         report = run_support_recovery(
@@ -451,20 +458,34 @@ def recovery_config(spec):
                      prune_rounds=spec.design.p - spec.signal.k)
 
 
-def audit_stack(problems, config):
+def audit_stack(monkeypatch, problems, config):
     """The audit recovery_trial keeps for a stack of problems: one (onp,
-    min_eig, residual) triple per problem."""
-    audit = []
+    min_eig, residual) triple per problem.  Asserts that the audit made one
+    `check_recoverable` call per problem, in order, each on the SymEig
+    round 0 trained that problem with."""
+    audit, engine, checked = [], [], []
+
+    def recording(eig, cov_signal, signal):
+        checked.append(eig)
+        return check_recoverable(eig, cov_signal, signal)
+
+    def observer(k, active, weights, factors):
+        if not k:
+            engine.extend(factors.eigs[t] for t in range(len(problems)))
+        harness_module._audit_rounds(problems, audit, k, active, weights, factors)
+
+    monkeypatch.setattr(harness_module, "check_recoverable", recording)
     run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]), config,
-            on_round=functools.partial(harness_module._audit_rounds, problems, audit))
+            on_round=observer)
+    assert len(engine) == len(problems)
+    assert all(eig is round0 for eig, round0 in zip(checked, engine, strict=True))
     return audit
 
 
 def fresh_residual(problem):
     """Round 0's recoverability residual of a problem, checked on its own."""
     s, cov = problem.signal, problem.covariance
-    [residual] = check_recoverable((cov.entries @ s)[None], s[None], [sym_eig(cov)])
-    return residual
+    return check_recoverable(sym_eig(cov), cov.entries @ s, s)
 
 
 def oracle_residual(problem):
@@ -523,14 +544,14 @@ class TestAuditRounds:
                 assert rec.min_nz_eig <= np.linalg.eigvalsh(sub.entries)[0] + slack
 
     @pytest.mark.parametrize("design", NONSINGULAR_DESIGNS, ids=lambda d: f"{d.kind}-{d.n}-{d.alpha}")
-    def test_downdated_rounds_reuse_the_engine(self, count_sym_eig, design):
+    def test_downdated_rounds_reuse_the_engine(self, monkeypatch, count_sym_eig, design):
         # on the downdate only round 0 is factorized, and the audit reads that
         # round's factors: it factorizes nothing of its own
         spec = recovery_spec(design=design)
         problem, _, seen = problem_and_trace(spec, 1)
         assert seen[0].eigs and all(not f.eigs for f in seen[1:])  # downdated
         calls = count_sym_eig(harness_module)
-        [(onp, min_eig, residual)] = audit_stack([problem], recovery_config(spec))
+        [(onp, min_eig, residual)] = audit_stack(monkeypatch, [problem], recovery_config(spec))
         assert calls == []
         eig = sym_eig(problem.covariance)
         assert onp and min_eig == min_nonzero_eig(eig)
@@ -558,48 +579,29 @@ class TestAuditRounds:
 
     @pytest.mark.parametrize("spec", AUDITED)
     def test_one_check_on_the_engines_stack(self, monkeypatch, count_sym_eig, spec):
-        # one check per range on the SymEigs round 0 trained with, each
-        # slice with the bits of its check alone
-        checked = []
-
-        def recording(cov_signal, signal, eigs):
-            residuals = check_recoverable(cov_signal, signal, eigs)
-            checked.append((cov_signal, signal, eigs, residuals))
-            return residuals
-
-        monkeypatch.setattr(harness_module, "check_recoverable", recording)
+        # one check per trial of the range, on the SymEig round 0 trained it
+        # with, each with the bits of that trial's check on its own
         problems = [harness_module._recovery_problem(spec, spec.base_seed + t) for t in range(3)]
-        seen = []
-
-        def observer(k, active, weights, factors):
-            seen.append(dict(factors.eigs))
-            harness_module._audit_rounds(problems, [], k, active, weights, factors)
-
         calls = count_sym_eig(harness_module)
-        run_imp([pr.covariance for pr in problems], np.stack([pr.b for pr in problems]),
-                recovery_config(spec), on_round=observer)
+        audit = audit_stack(monkeypatch, problems, recovery_config(spec))
         assert calls == []  # nothing refactorized
-        [(cov_signal, signal, eigs, residuals)] = checked
-        assert len(eigs) == 3 and all(eig is seen[0][t] for t, eig in enumerate(eigs))
-        for t in range(3):
-            [alone] = check_recoverable(cov_signal[t:t + 1], signal[t:t + 1], eigs[t:t + 1])
-            assert alone.tobytes() == residuals[t].tobytes()
+        assert [residual for _, _, residual in audit] == list(map(fresh_residual, problems))
 
     @pytest.mark.parametrize("overrides", [
         {"imp": ImpSpec(horizon=5.0)},
         {"design": DesignSpec(kind="incoherent", p=12, n=8)},  # n < p: singular
     ], ids=["finite-horizon", "rank-deficient"])
-    def test_factorized_rounds_reuse_the_engine(self, count_sym_eig, overrides):
+    def test_factorized_rounds_reuse_the_engine(self, monkeypatch, count_sym_eig, overrides):
         spec = recovery_spec(**overrides)
         problem = harness_module._recovery_problem(spec, spec.base_seed)
         calls = count_sym_eig(harness_module)
-        [(onp, min_eig, residual)] = audit_stack([problem], recovery_config(spec))
+        [(onp, min_eig, residual)] = audit_stack(monkeypatch, [problem], recovery_config(spec))
         assert calls == []
         eig = sym_eig(problem.covariance)
         assert onp == (check_onp(eig, problem.support) <= ONP_TOL)
         assert min_eig == min_nonzero_eig(eig) and residual == fresh_residual(problem)
 
-    def test_stacked_audit_matches_one_trial_audits(self):
+    def test_stacked_audit_matches_one_trial_audits(self, monkeypatch):
         # a singular trial, factorized, beside nonsingular ones on the
         # downdate: every trial's audit is the audit of its one-trial run
         specs = [recovery_spec(design=DesignSpec(kind="incoherent", p=12, n=n))
@@ -607,17 +609,17 @@ class TestAuditRounds:
         problems = [harness_module._recovery_problem(spec, spec.base_seed + t)
                     for t, spec in enumerate(specs)]
         config = recovery_config(specs[0])
-        stacked = audit_stack(problems, config)
+        stacked = audit_stack(monkeypatch, problems, config)
         assert [onp for onp, _, _ in stacked] == [False, True, True]
-        assert stacked == [audit_stack([pr], config)[0] for pr in problems]
+        assert stacked == [audit_stack(monkeypatch, [pr], config)[0] for pr in problems]
 
     @pytest.mark.parametrize("horizon", [INFINITE, 5.0], ids=["infinite", "finite"])
-    def test_a_zero_sigma_a_makes_the_minimum_nan(self, horizon):
+    def test_a_zero_sigma_a_makes_the_minimum_nan(self, monkeypatch, horizon):
         # a zero Sigma has no nonzero eigenvalue, and range(Sigma) misses s
         problem = SparseProblem(covariance=CovMatrix(np.zeros((4, 4))), b=np.zeros(4), n=4,
                                 signal=np.array([1.0, 0.0, 0.0, 0.0]), support=(0,), gamma=0.5)
-        [(onp, min_eig, residual)] = audit_stack([problem], ImpConfig(horizon=horizon,
-                                                                      prune_rounds=3))
+        [(onp, min_eig, residual)] = audit_stack(monkeypatch, [problem],
+                                                 ImpConfig(horizon=horizon, prune_rounds=3))
         assert not onp and np.isnan(min_eig) and residual == 1.0
 
 

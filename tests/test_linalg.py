@@ -283,7 +283,7 @@ class TestEigenvectorSigns:
                 pseudo_inverse(e),
                 psd_sqrt(e),
                 check_onp(e, support),
-                check_recoverable((cov.entries @ signal)[None], signal[None], [e]),
+                check_recoverable(e, cov.entries @ signal, signal),
                 ht_estimator(b, 0.5, e),
             ]
 

@@ -110,13 +110,12 @@ def cov_signal(cov, signal, active):
 
 
 def check_one(cov, signal, active, eig):
-    """check_recoverable on a stack of one, with `eig` the eigendecomposition
-    of Sigma_A: the residual of that slice."""
+    """check_recoverable on Sigma_A s_A and s_A, with `eig` the
+    eigendecomposition of Sigma_A."""
     signal, active = np.asarray(signal, dtype=float), np.asarray(active)
-    residual = check_recoverable(cov_signal(cov.entries, signal, active)[None],
-                                 signal[active][None], [eig])
-    assert residual.shape == (1,)
-    return float(residual[0])
+    residual = check_recoverable(eig, cov_signal(cov.entries, signal, active), signal[active])
+    assert type(residual) is float
+    return residual
 
 
 class TestCheckRecoverable:
@@ -137,16 +136,31 @@ class TestCheckRecoverable:
         assert residual == pytest.approx(1.0)
 
     def test_dimension_checked(self):
+        # either vector's length must be eig.p; a length-1 signal would
+        # otherwise broadcast against the fit
         eig = sym_eig(RANK_ONE)
-        for u, s in ((np.zeros((1, 3)), np.zeros((1, 2))), (np.zeros(2), np.zeros(2))):
-            with pytest.raises(ValueError, match="one shape"):
-                check_recoverable(u, s, [eig])
+        ok = np.ones(2)
+        for bad in (np.ones(1), np.ones(3), np.ones((1, 2)), np.ones((2, 1)), np.float64(1.0)):
+            for u, s in ((bad, ok), (ok, bad)):
+                with pytest.raises(ValueError, match="length eig.p = 2"):
+                    check_recoverable(eig, u, s)
+        assert check_recoverable(eig, ok, ok) == check_recoverable(eig, [1.0, 1.0], [1.0, 1.0])
 
     def test_exactly_one_factorization(self):
-        eig = sym_eig(RANK_ONE)
-        for eigs in ([sym_eig(CovMatrix(np.eye(1)))], [eig, eig], []):
-            with pytest.raises(ValueError, match="exactly one"):
-                check_recoverable(np.ones((1, 2)), np.ones((1, 2)), eigs)
+        # the one eigendecomposition passed must be of Sigma_A itself: an
+        # (m', m') one with m' != m is refused, however the vectors look
+        for p in (0, 1, 3):
+            eig = sym_eig(CovMatrix(np.eye(p)))
+            with pytest.raises(ValueError, match=f"length eig.p = {p}"):
+                check_recoverable(eig, np.ones(2), np.ones(2))
+
+    def test_empty_and_zero_sigma(self):
+        # no active coordinate moves nothing; a zero Sigma_A fits zero, so
+        # the residual is the signal's largest magnitude
+        empty = sym_eig(CovMatrix(np.zeros((0, 0))))
+        assert check_recoverable(empty, np.zeros(0), np.zeros(0)) == 0.0
+        zero = sym_eig(CovMatrix(np.zeros((3, 3))))
+        assert check_recoverable(zero, np.zeros(3), np.array([0.5, -2.0, 1.0])) == 2.0
 
     def test_active_subset_equals_the_explicit_submatrix(self):
         # rank 3 < |A| = 5: Sigma_A is singular and the residual is nonzero
@@ -161,24 +175,6 @@ class TestCheckRecoverable:
         expected = float(np.max(np.abs(projected - signal[active])))
         assert expected > 1e-3
         assert check_one(cov, signal, active, eig) == pytest.approx(expected, abs=1e-12)
-
-    def test_stack_matches_its_slices(self):
-        # one stacked check is the checks of its slices one at a time
-        rng = np.random.default_rng(63)
-        covs, signals, actives, eigs = [], [], [], []
-        for n in (3, 12, 12):
-            phi = rng.standard_normal((n, 8))
-            cov = CovMatrix(phi.T @ phi / n)
-            active = rng.choice(8, 5, replace=False)  # in any order, as the engine's
-            covs.append(cov)
-            signals.append(rng.standard_normal(8))
-            actives.append(active)
-            eigs.append(sym_eig(cov.restrict(active)))
-        residual = check_recoverable(
-            np.stack([cov_signal(c.entries, s, a) for c, s, a in zip(covs, signals, actives)]),
-            np.stack([s[a] for s, a in zip(signals, actives)]), eigs)
-        assert residual.tolist() == [check_one(*args) for args in zip(covs, signals, actives,
-                                                                      eigs)]
 
 
 def full_gather_residual(cov, signal, active, inverse):
@@ -236,9 +232,8 @@ class TestCovSignal:
     def test_stack_slices_and_the_full_gather(self, p, slices, data, seed):
         """Signals with support coordinates off A (a pruned support, the
         audit's recompute) and -0.0 entries, on rank-deficient and not
-        exactly symmetric covariances, A in any order: the stack has the
-        bits of its slices, and each residual stays within the summation
-        bound of the full gather."""
+        exactly symmetric covariances, A in any order: each slice's residual
+        stays within the summation bound of the full gather."""
         rng = np.random.default_rng(seed)
         m = data.draw(st.integers(1, p), label="m")
         covs, signals, actives = [], [], []
@@ -253,12 +248,8 @@ class TestCovSignal:
             actives.append(rng.choice(p, m, replace=False))
         cov, signal, active = np.stack(covs), np.stack(signals), np.stack(actives)
         eigs = [sym_eig(CovMatrix(c).restrict(a)) for c, a in zip(cov, active)]
-        u = np.stack([cov_signal(c, s, a) for c, s, a in zip(cov, signal, active)])
-        s_active = np.take_along_axis(signal, active, axis=1)
-        residual = check_recoverable(u, s_active, eigs)
-        for t in range(slices):
-            [alone] = check_recoverable(u[t:t + 1], s_active[t:t + 1], eigs[t:t + 1])
-            assert alone.tobytes() == residual[t].tobytes()
+        residual = np.array([check_recoverable(eig, cov_signal(c, s, a), s[a])
+                             for c, s, a, eig in zip(cov, signal, active, eigs)])
         oracle = full_gather_residual(cov, signal, active, pseudo_inverse(eigs))
         bound = summation_bound(cov, signal, active, eigs, oracle)
         assert np.all(np.abs(residual - oracle) <= bound)
