@@ -41,10 +41,14 @@ A decoupled run, whose Sigma has no nonzero entry off its diagonal and
 whose round-0 factorization is nonsingular, takes neither path after round
 0, at any horizon.  Its flow is one scalar ODE per coordinate, so a prune
 leaves every other trained weight as it was: each later round's weights
-are round 0's on its active indices, which follow the swap-remove.  That is
-what the downdate computes for it (its Schur row is zero) and, bit for bit,
-what a per-round `eigh` of the diagonal Sigma_A gives wherever LAPACK does
-not rescale the matrix.
+are round 0's on its active indices.  That is what the downdate computes
+for it (its Schur row is zero) and, bit for bit, what a per-round `eigh` of
+the diagonal Sigma_A gives wherever LAPACK does not rescale the matrix.  So
+IMP prunes such a run in the order of its round-0 magnitudes.  A stack of
+decoupled runs only takes its whole trace from one sort of round 0's
+weights and leaves the round loop after round 0; its later rounds' active
+indices are in that prune order.  In a mixed stack a decoupled run stays
+in the loop, and its active indices follow the swap-remove.
 
 Runs on one CovMatrix object that have pruned the same coordinates have
 the same Sigma_A, bit for bit, so they share its work: a round factorizes
@@ -135,10 +139,11 @@ class RoundFactors(NamedTuple):
 # on_round(k, active, weights, factors) sees round k of a stack of T runs after
 # training and before the prune: the (T, m) active indices, the (T, m) trained
 # active weights in the same order, and the RoundFactors each run was trained
-# with.  A downdated or decoupled run's active indices follow the swap-remove,
-# not coordinate order; a decoupled run's weights after round 0 are round 0's
-# on them.  The engine reuses every one of these arrays once the
-# call returns: an observer that keeps one keeps a copy.
+# with.  A downdated run's active indices follow the swap-remove, not
+# coordinate order, and so do a decoupled run's in a mixed stack; in a stack
+# of decoupled runs only, they are in prune order.  A decoupled run's weights
+# after round 0 are round 0's on them.  The engine reuses every one of these
+# arrays once the call returns: an observer that keeps one keeps a copy.
 RoundObserver = Callable[[int, np.ndarray, np.ndarray, RoundFactors], None]
 
 
@@ -336,7 +341,8 @@ def run_imp(
     alive = np.ones((stack, p), dtype=bool)
     # With q > 0 and a nonsingular round-0 factorization, a run on a diagonal
     # Sigma is decoupled: `fixed` lists these runs, whose later rounds read
-    # round 0's weights.  Any other such run takes the downdate path at the
+    # round 0's weights, and a stack of them only is pruned in one sort after
+    # round 0.  Any other such run takes the downdate path at the
     # infinite horizon, and leaves it for good at its first
     # drifted downdate, which interlacing rules out up to roundoff: every
     # later round of it is factorized.  `down` lists the runs whose round is
@@ -353,8 +359,6 @@ def run_imp(
         eigs: dict[int, SymEig] = {}
         if down.size == stack:  # nothing to factorize: the stack is the downdate's
             weights = w_down
-        elif fixed.size == stack:  # nor here: every run is decoupled
-            weights = trained[rows, 0, active]
         else:
             weights = np.empty(active.shape)
             if down.size:
@@ -394,6 +398,21 @@ def run_imp(
             trained = np.zeros((stack, q + 1, p))
             masks = np.empty((stack, q + 1, p), dtype=bool)
             pruned = np.empty((stack, q + 1, config.per_round), dtype=active.dtype)
+        if fixed.size == stack:  # all decoupled: one sort of round 0's weights,
+            r = config.per_round  # which are in coordinate order, gives every prune
+            order = _select_prune(np.abs(weights), active, p, config.tie_break)
+            rank = np.empty_like(order)
+            rank[rows, order] = np.arange(p)
+            pruned.reshape(stack, -1)[:] = order[:, :(q + 1) * r]
+            for j in range(q + 1):  # 2-D: a broadcast compare allocates iterator buffers
+                np.greater_equal(rank, j * r, out=masks[:, j])
+            np.copyto(trained, weights[:, None], where=masks)
+            if on_round is not None:  # later rounds: views of the prune order
+                for j in range(1, q + 1):
+                    view, m = order[:, j * r:], p - j * r
+                    on_round(j, view, weights[rows, view],
+                             RoundFactors({}, inverse[:, :m, :m], np.full(stack, -1)))
+            break
         local = _select_prune(np.abs(weights), active, config.per_round, config.tie_break)
         pruned[:, k] = active[rows, local]
         trained[rows, k, active] = weights

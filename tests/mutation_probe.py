@@ -76,6 +76,10 @@ MUTANTS = (
      "diagonal = {key: True"),
     ("nonsingular check dropped", "engine.py",
      "fixed = np.array([t for t in nonsingular if", "fixed = np.array([t for t in todo if"),
+    ("decoupled stack guard fixed.size == stack made fixed.size", "engine.py",
+     "if fixed.size == stack:", "if fixed.size:"),
+    ("decoupled mask rank >= made >", "engine.py",
+     "np.greater_equal(rank", "np.greater(rank"),
     ("engine (q + 1) * per_round > p made >=", "engine.py",
      "if config.per_round * (q + 1) > p:", "if config.per_round * (q + 1) >= p:"),
     # the config rules and the heuristic gate

@@ -747,16 +747,72 @@ class TestDecoupledRuns:
         assert all(slot.tolist() == [-1] for _, _, _, slot in seen)
 
     def test_later_rounds_observe_round_zeros_weights(self):
-        # in the order of the round's active indices, which the swap-remove
-        # permutes
+        # alone, in prune order: round k's row is the run's pruned rows k..q
+        # and then the coordinates it never prunes, smallest magnitude first
         fs, _ = diagonal_problem("random", 3, ties=False)
-        [_], seen = run_recorded([fs], ImpConfig(prune_rounds=8))
-        [active0], [weights0], _, _ = seen[0]
+        config = ImpConfig(prune_rounds=8)
+        seen = []
+
+        def observe(k, active, weights, factors):
+            seen.append((active.copy(), weights.copy(), set(factors.eigs),
+                         factors.slot.tolist(), factors.inverse.shape))
+
+        [trace] = run([fs], config, observe)
+        [active0], [weights0], _, _, _ = seen[0]
+        assert active0.tolist() == list(range(DIAG_P))
         round0 = dict(zip(active0.tolist(), weights0.tolist()))
-        assert any(np.any(np.diff(active[0]) < 0) for active, _, _, _ in seen)
-        for active, weights, eigs, slot in seen[1:]:
-            assert eigs == set() and slot.tolist() == [-1]
+        kept = sorted(set(range(DIAG_P)).difference(trace.pruned.ravel().tolist()),
+                      key=lambda i: (abs(round0[i]), i))
+        for k, (active, weights, eigs, slot, inverse) in enumerate(seen):
+            m = DIAG_P - k
+            assert inverse == (0, m, m) and slot == [-1]
+            assert eigs == ({0} if k == 0 else set())
+            if k:
+                assert active[0].tolist() == trace.pruned[k:, 0].tolist() + kept
             assert weights[0].tolist() == [round0[i] for i in active[0].tolist()]
+        # beside a dense run it follows the swap-removes of the round loop
+        dense = design_features("incoherent", 60, None, seed=6, p=DIAG_P)
+        seen.clear()
+        [alone, _] = run([fs, dense], config, observe)
+        assert_same_trace(alone, trace.weights, trace.active, trace.pruned)
+        for k, ((before, _, _, _, _), (after, weights, eigs, _, _)) in enumerate(
+                zip(seen, seen[1:])):
+            row = before[0].tolist()
+            assert after[0].tolist() == [row[i] for i in swap_order(
+                [row.index(trace.pruned[k, 0])], DIAG_P - k)]
+            assert 0 not in eigs
+            assert weights[0].tolist() == [round0[i] for i in after[0].tolist()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        ties=st.booleans(),
+        horizon=st.sampled_from((INFINITE, 0.5, 3.0)),
+        rounds=st.sampled_from(((1, DIAG_P - 1), (3, DIAG_P // 3 - 1), (5, 1))),
+        tie_break=st.sampled_from(TIE_BREAK_RULES),
+        zero_init=st.booleans(),
+    )
+    @example(seed=0, ties=True, horizon=INFINITE, rounds=(5, 1), tie_break="highest_index",
+             zero_init=True)
+    def test_a_decoupled_stack_is_the_round_loop(self, seed, ties, horizon, rounds,
+                                                 tie_break, zero_init):
+        # the shared identity twice, distinct random diagonals and tie grids;
+        # a dense run beside them forces them through the round loop, and
+        # (5, 1) leaves two coordinates never pruned
+        identity, w_init = diagonal_problem("identity", seed, ties)
+        stack = [identity, identity._replace(b=-identity.b[::-1])] + [
+            diagonal_problem(kind, seed + i, ties)[0]
+            for i, kind in enumerate(("random", "random", "repeated", "repeated"), start=1)]
+        per_round, q = rounds
+        config = ImpConfig(horizon=horizon, prune_rounds=q, per_round=per_round,
+                           tie_break=tie_break, w_init=None if zero_init else w_init)
+        dense = design_features("incoherent", 60, None, seed=seed, p=DIAG_P)
+        traces, seen = run_recorded(stack, config)
+        looped = run(stack + [dense], config)
+        assert [eigs for _, _, eigs, _ in seen] == [set(range(len(stack)))] + [set()] * q
+        for fs, trace, loop in zip(stack, traces, looped):
+            assert_same_trace(trace, loop.weights, loop.active, loop.pruned)
+            assert_same_trace(trace, *oracle_trace(fs, config))
 
     @pytest.mark.parametrize("per_round", [1, 3])
     @pytest.mark.parametrize("horizon", [INFINITE, 3.0], ids=["inf", "3.0"])

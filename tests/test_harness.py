@@ -12,6 +12,7 @@ import pytest
 from implinear import designs as designs_module
 from implinear import engine as engine_module
 from implinear import harness as harness_module
+from implinear import theory as theory_module
 from implinear.baselines import alignment_order, hard_threshold
 from implinear.cli import main
 from implinear.designs import (
@@ -1216,6 +1217,35 @@ def test_a_full_range_stays_within_its_memory_budget():
         tracemalloc.stop()
     assert trials == 26 and len(records) == trials
     assert peak <= 4.5 * 8 * harness_module.STACK_BUDGET
+
+
+def test_an_orthonormal_range_prunes_in_one_sort(monkeypatch, count_sym_eig):
+    """A p = 50 orthonormal recover range factorizes the shared identity once
+    and takes its whole prune order from one `_select_prune` call; beside a
+    dense run, the same decoupled run is selected round by round."""
+    selections = []
+    select = engine_module._select_prune
+
+    def counted(magnitudes, active, count, tie_break):
+        selections.append(count)
+        return select(magnitudes, active, count, tie_break)
+
+    monkeypatch.setattr(engine_module, "_select_prune", counted)
+    factorized = count_sym_eig(engine_module, harness_module, theory_module)
+    p = 50
+    trials = harness_module.STACK_BUDGET // p**2
+    spec = recovery_spec(design=DesignSpec(kind="orthonormal", p=p), trials=trials,
+                         signal=SignalSpec(k=5, gamma=0.5))
+    q = harness_module._prune_rounds(spec)
+    records = recovery_trial(spec, range(trials))
+    assert trials == 26 and q == 45 and len(records) == trials
+    assert selections == [p] and factorized == [("engine", p)]
+
+    selections.clear()
+    phi = make_rng(3).standard_normal((2 * p, p))
+    covs = [CovMatrix(np.eye(p)), CovMatrix(phi.T @ phi / (2 * p))]
+    run_imp(covs, make_rng(4).standard_normal((2, p)), ImpConfig(prune_rounds=q))
+    assert selections == [1] * (q + 1)
 
 
 # One range each (13 trials at p = 50; 4 trials x 3 sigmas): (run, spec, IMP
